@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from datetime import date
 from pathlib import Path
@@ -901,7 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         metavar="FILE",
-        help="output path (default: BENCH_<date>.json in the repo root)",
+        help="output path (default: BENCH_<date>.json in the repo root; "
+        "a --smoke run defaults to a temp directory instead)",
     )
     parser.add_argument("--workload", default="rmat22s")
     parser.add_argument("--apps", default=None, help="comma list of apps")
@@ -961,16 +963,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.smoke and args.export_dir is None:
         # Smoke exists to exercise the exporters: always export somewhere.
-        import tempfile
-
         args.export_dir = tempfile.mkdtemp(prefix="repro-bench-")
     payload = run_matrix(args)
-    output = (
-        Path(args.output)
-        if args.output
-        else Path(__file__).resolve().parent.parent
-        / f"BENCH_{payload['date']}.json"
-    )
+    if args.output:
+        output = Path(args.output)
+    elif args.smoke:
+        # Only a full run may extend the tracked BENCH_<date>.json
+        # trajectory in the repo root; smoke output is scratch.
+        output = (
+            Path(tempfile.mkdtemp(prefix="repro-bench-"))
+            / f"BENCH_{payload['date']}.smoke.json"
+        )
+    else:
+        output = (
+            Path(__file__).resolve().parent.parent
+            / f"BENCH_{payload['date']}.json"
+        )
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output} ({len(payload['matrix'])} cells)")
     return 0

@@ -157,7 +157,7 @@ class ProxySanitizer:
         with sanitizer.guard_round(host, part, fields, substrate,
                                    state, round_index):
             engine.compute_round(app, part, state, frontier)
-        sanitizer.note_sync_completed()   # after each _synchronize
+        sanitizer.note_sync_completed()   # after each synchronize
         findings = sanitizer.findings()
     """
 

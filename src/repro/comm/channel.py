@@ -166,17 +166,17 @@ class CommPlane:
         return flushed
 
     def receive_frames(self) -> List[Tuple[int, List[Optional[bytes]]]]:
-        """Drain the host's mailbox of aggregated buffers, decoded.
+        """Drain the host's mailbox into per-field sub-message lists.
 
         Returns ``(sender, per-field sub-messages)`` pairs in delivery
-        order; only meaningful in aggregating mode (pass-through traffic
-        is raw per-field payloads, drained by the legacy per-field
-        receive path).
+        order.  Aggregating: each buffer is a decoded multi-field frame.
+        Pass-through: each message is one field's raw payload, yielded
+        as a one-slot frame so receivers handle both shapes alike.
         """
-        return [
-            (sender, decode_frame(buffer))
-            for sender, buffer in self.transport.receive_all(self.host)
-        ]
+        inbox = self.transport.receive_all(self.host)
+        if not self.aggregate:
+            return [(sender, [payload]) for sender, payload in inbox]
+        return [(sender, decode_frame(buffer)) for sender, buffer in inbox]
 
     def assert_drained(self) -> None:
         """Check every channel is drained (see :meth:`Channel.assert_drained`)."""

@@ -76,7 +76,19 @@ def _wire_rows(
     :func:`~repro.core.serialization.encode_message`.
     """
     if field.compression == "fp16":
-        return values.astype(np.float16), None
+        with np.errstate(over="ignore"):
+            halved = values.astype(np.float16)
+        overflowed = ~np.isfinite(halved)
+        if overflowed.any():
+            overflowed &= np.isfinite(values)
+        if overflowed.any():
+            raise SyncError(
+                f"field {field.name!r}: fp16 compression overflows — "
+                f"magnitude {np.abs(values[overflowed]).max():g} exceeds "
+                f"the float16 range (max {np.finfo(np.float16).max:g}); "
+                "use compression 'delta' or 'none'"
+            )
+        return halved, None
     if field.compression == "delta":
         if broadcast:
             cached, sent = field.delta_state(lids)

@@ -6,11 +6,8 @@ the structural-invariant sync plan (§3.2), the adaptive metadata encoder
 (§4.2), and the layered communication plane of :mod:`repro.comm` — the
 field codec, the multi-field wire frame, and the per-peer channels.
 
-The substrate exposes two driving styles:
-
-**Aggregated (default executor path).**  A synchronization phase stages
-every field's sub-messages into the per-peer channels, then flushes one
-multi-field framed buffer per peer:
+A synchronization phase stages a group of fields' sub-messages into the
+per-peer channels, then flushes the channels:
 
 1. every host calls :meth:`GluonSubstrate.stage_reduce` per field, then
    :meth:`GluonSubstrate.flush_phase`,
@@ -19,11 +16,12 @@ multi-field framed buffer per peer:
    then :meth:`GluonSubstrate.flush_phase`,
 4. every host calls :meth:`GluonSubstrate.receive_broadcast_all`.
 
-**Per-field (ablation and unit-test path).**  The historical four-step
-collective per field — :meth:`send_reduce` / :meth:`receive_reduce` /
-:meth:`send_broadcast` / :meth:`receive_broadcast` — one transport
-message per (field, peer, phase), preserved bit for bit by the
-``--no-aggregation`` mode.
+:func:`repro.runtime.round.synchronize` is the one driver of that
+sequence.  With an aggregating plane the group is all fields and each
+peer gets one multi-field framed buffer per phase; with a pass-through
+plane (the ``--no-aggregation`` ablation) the group is a single field,
+staging sends the raw payload at once and the flush is a no-op — one
+transport message per (field, peer, phase).
 
 The strict phase order means each receive drains exactly the messages of
 its own phase — the in-process rendering of BSP-style bulk communication.
@@ -89,10 +87,10 @@ class GluonSubstrate:
 
     ``aggregate`` selects the communication plane's mode: ``True``
     buffers each field's sub-messages in per-peer channels and flushes
-    one framed buffer per peer per phase (drive it with the
-    ``stage_*``/``flush_phase``/``receive_*_all`` API); ``False`` is the
-    historical pass-through — one transport message per (field, peer,
-    phase), driven with the per-field ``send_*``/``receive_*`` API.
+    one framed buffer per peer per phase; ``False`` is the historical
+    pass-through — one transport message per (field, peer, phase).  The
+    driving API is the same either way; only the group of fields synced
+    per flush differs (see :func:`repro.runtime.round.synchronize`).
     """
 
     def __init__(
@@ -105,7 +103,6 @@ class GluonSubstrate:
         aggregate: bool = False,
     ) -> None:
         self.partition = partition
-        self.transport = transport
         self.level = level
         self.book = book
         self.plan: SyncPlan = build_sync_plan(book, level.structural)
@@ -114,7 +111,6 @@ class GluonSubstrate:
         self.peer_order: Tuple[int, ...] = self.plan.peer_order
         self.stats = SubstrateStats()
         self.metrics = metrics
-        self.aggregate = aggregate
         self.plane = CommPlane(
             partition.host, transport, aggregate=aggregate, metrics=metrics
         )
@@ -279,7 +275,7 @@ class GluonSubstrate:
                 ).inc(decoded.translations)
         return decoded
 
-    # -- aggregated plane API (default executor path) --------------------------
+    # -- the phase API (driven by repro.runtime.round.synchronize) -------------
 
     def stage_reduce(
         self, field_index: int, field: FieldSpec, dirty: np.ndarray
@@ -358,58 +354,45 @@ class GluonSubstrate:
     def receive_reduce_all(
         self, fields: Sequence[FieldSpec]
     ) -> List[np.ndarray]:
-        """Apply incoming aggregated mirror contributions at masters.
+        """Apply incoming mirror contributions at masters.
 
         Returns, per field, the boolean mask (over local IDs) of masters
         whose value changed — the input to the broadcast phase.
         """
-        changed = [
-            np.zeros(self.num_local_nodes, dtype=bool) for _ in fields
-        ]
         recv_arrays = [self._reduce_recv_arrays(f) for f in fields]
-        for sender, subs in self.plane.receive_frames():
-            self._check_frame_width(sender, subs, len(fields))
-            for index, payload in enumerate(subs):
-                if payload is None:
-                    continue
-                decoded = self._decode(
-                    payload, recv_arrays[index], sender, field=fields[index]
-                )
-                if decoded is None:
-                    continue
-                changed_here = fields[index].reduce(
-                    decoded.lids, decoded.values
-                )
-                changed[index][decoded.lids[changed_here]] = True
-        return changed
+        return self._receive_all(fields, recv_arrays, broadcast=False)
 
     def receive_broadcast_all(
         self, fields: Sequence[FieldSpec]
     ) -> List[np.ndarray]:
-        """Install aggregated canonical master values at mirrors.
+        """Install canonical master values at mirrors.
 
         Returns, per field, the boolean mask of mirrors whose value
         changed (feeds the next round's frontier).
         """
+        recv_arrays = [self._broadcast_recv_arrays(f) for f in fields]
+        return self._receive_all(fields, recv_arrays, broadcast=True)
+
+    def _receive_all(
+        self, fields: Sequence[FieldSpec], recv_arrays: List, broadcast: bool
+    ) -> List[np.ndarray]:
+        """Decode the inbox's frames and reduce (or set) each field."""
         changed = [
             np.zeros(self.num_local_nodes, dtype=bool) for _ in fields
         ]
-        recv_arrays = [self._broadcast_recv_arrays(f) for f in fields]
         for sender, subs in self.plane.receive_frames():
             self._check_frame_width(sender, subs, len(fields))
             for index, payload in enumerate(subs):
                 if payload is None:
                     continue
+                field = fields[index]
                 decoded = self._decode(
-                    payload,
-                    recv_arrays[index],
-                    sender,
-                    field=fields[index],
-                    broadcast=True,
+                    payload, recv_arrays[index], sender, field, broadcast
                 )
                 if decoded is None:
                     continue
-                changed_here = fields[index].set(decoded.lids, decoded.values)
+                apply = field.set if broadcast else field.reduce
+                changed_here = apply(decoded.lids, decoded.values)
                 changed[index][decoded.lids[changed_here]] = True
         return changed
 
@@ -422,106 +405,8 @@ class GluonSubstrate:
     ) -> None:
         if len(subs) != num_fields:
             raise SyncError(
-                f"host {self.host}: aggregated frame from {sender} carries "
+                f"host {self.host}: frame from {sender} carries "
                 f"{len(subs)} field slots, expected {num_fields}"
-            )
-
-    # -- per-field API (ablation mode and direct unit tests) -------------------
-
-    def send_reduce(self, field: FieldSpec, dirty: np.ndarray) -> None:
-        """Ship updated mirror values toward their masters.
-
-        One transport message per peer — the pre-aggregation wire shape,
-        kept for the ``--no-aggregation`` ablation and direct unit
-        drives.
-
-        Args:
-            field: the synchronized field on this host.
-            dirty: boolean mask over local IDs of proxies written this
-                round (the field-specific bit-vector of §4.2).
-        """
-        if "reduce" not in field.sync_phases:
-            return
-        self._check_per_field_api()
-        self._check_dirty(dirty)
-        self.stats.sync_calls += 1
-        send_arrays = self._reduce_send_arrays(field)
-        for peer in self.peer_order:
-            agreed = send_arrays[peer]
-            if len(agreed) == 0:
-                continue
-            updated_mask = dirty[agreed]
-            encoded = self._encode(field, agreed, updated_mask, broadcast=False)
-            if encoded is None:
-                continue
-            self.transport.send(self.host, peer, encoded.payload)
-            field.reset(agreed[updated_mask])
-
-    def receive_reduce(self, field: FieldSpec) -> np.ndarray:
-        """Apply incoming mirror contributions at masters.
-
-        Returns the boolean mask (over local IDs) of masters whose value
-        changed — the input to the broadcast phase's dirty set.
-        """
-        changed = np.zeros(self.num_local_nodes, dtype=bool)
-        recv_arrays = self._reduce_recv_arrays(field)
-        for sender, payload in self.transport.receive_all(self.host):
-            decoded = self._decode(payload, recv_arrays, sender, field=field)
-            if decoded is None:
-                continue
-            changed_here = field.reduce(decoded.lids, decoded.values)
-            changed[decoded.lids[changed_here]] = True
-        return changed
-
-    def send_broadcast(self, field: FieldSpec, dirty: np.ndarray) -> None:
-        """Ship updated master values toward their mirrors.
-
-        Args:
-            field: the synchronized field on this host.
-            dirty: boolean mask over local IDs; True at masters whose
-                (broadcast) value changed this round.
-        """
-        if "broadcast" not in field.sync_phases:
-            return
-        self._check_per_field_api()
-        self._check_dirty(dirty)
-        send_arrays = self._broadcast_send_arrays(field)
-        for peer in self.peer_order:
-            agreed = send_arrays[peer]
-            if len(agreed) == 0:
-                continue
-            updated_mask = dirty[agreed]
-            encoded = self._encode(field, agreed, updated_mask, broadcast=True)
-            if encoded is None:
-                continue
-            self.transport.send(self.host, peer, encoded.payload)
-        if field.compression == "delta":
-            field.commit_broadcast(np.flatnonzero(dirty))
-
-    def receive_broadcast(self, field: FieldSpec) -> np.ndarray:
-        """Install canonical master values at mirrors.
-
-        Returns the boolean mask of mirrors whose value changed (feeds the
-        next round's frontier).
-        """
-        changed = np.zeros(self.num_local_nodes, dtype=bool)
-        recv_arrays = self._broadcast_recv_arrays(field)
-        for sender, payload in self.transport.receive_all(self.host):
-            decoded = self._decode(
-                payload, recv_arrays, sender, field=field, broadcast=True
-            )
-            if decoded is None:
-                continue
-            changed_here = field.set(decoded.lids, decoded.values)
-            changed[decoded.lids[changed_here]] = True
-        return changed
-
-    def _check_per_field_api(self) -> None:
-        if self.aggregate:
-            raise SyncError(
-                f"host {self.host}: substrate is in aggregating mode; "
-                "drive it with stage_*/flush_phase/receive_*_all (the "
-                "per-field send API would bypass the channels)"
             )
 
     def _check_dirty(self, dirty: np.ndarray) -> None:

@@ -42,7 +42,7 @@ from repro.parallel.runner import RoundData
 from repro.parallel.shm import SharedArrayStore, SharedGraphStore
 from repro.parallel.worker import WorkerTask, worker_main
 from repro.resilience.transport import FaultyTransport
-from repro.runtime.timing import round_communication_time
+from repro.runtime.round import close_round
 
 #: Default seconds the coordinator waits for a round's worker reports.
 DEFAULT_ROUND_TIMEOUT_S = 600.0
@@ -185,14 +185,14 @@ class ProcessRunner:
             # ``sum(local_residual(state) for state in states)`` order.
             residual_sum = sum(residuals[h] for h in range(num_hosts))
         self._replay_traffic([reports[w]["records"] for w in range(self.workers)])
-        comm_time, comm_bytes, comm_messages = self._close_round(
-            translation_deltas
+        traffic, comm_time = close_round(
+            ex.transport, ex.engines, ex.cost_model, translation_deltas
         )
         return RoundData(
             comp_times=comp_times,
             comm_time=comm_time,
-            comm_bytes=comm_bytes,
-            comm_messages=comm_messages,
+            traffic=traffic,
+            phase_records=[],
             active=active_total,
             fault_bytes=fault_bytes,
             residual_sum=residual_sum,
@@ -216,33 +216,6 @@ class ProcessRunner:
             for src in sorted(merged):
                 for dst, nbytes in merged[src]:
                     stats.record(src, dst, nbytes)
-
-    def _close_round(self, translation_deltas: Dict[int, int]):
-        """The executor's ``_close_round`` over the replayed traffic."""
-        ex = self.ex
-        num_hosts = self.num_hosts
-        traffic = ex.transport.stats.current_round
-        ex._last_round_traffic = traffic
-        ex._phase_records = []
-        ex.transport.end_round()
-        extras = [0.0] * num_hosts
-        for h, delta in translation_deltas.items():
-            extras[h] += delta * ex.engines[h].cost.translation_s
-        sent, received = traffic.bytes_by_host(num_hosts)
-        for h in range(num_hosts):
-            cost = ex.engines[h].cost
-            if not (ex.engines[h].is_gpu and cost.device_bandwidth_bytes_per_s):
-                continue
-            moved = sent[h] + received[h]
-            if moved:
-                extras[h] += (
-                    moved / cost.device_bandwidth_bytes_per_s
-                    + 2 * cost.device_latency_s
-                )
-        comm_time = round_communication_time(
-            traffic, num_hosts, ex.cost_model, extras
-        )
-        return comm_time, traffic.total_bytes, traffic.num_messages
 
     def _collect(self, kind: str) -> Dict[int, Dict]:
         """Gather one report of ``kind`` from every worker, or die loudly."""

@@ -1,7 +1,8 @@
 """Pluggable round execution for the BSP executor.
 
-A *host runner* owns the body of one BSP round — compute on every host,
-the reduce/apply/broadcast collective, frontier advance, and the round's
+A *host runner* executes one BSP round — the shared round body of
+:mod:`repro.runtime.round` (compute on every host, then the
+reduce/apply/broadcast collective), frontier advance, and the round's
 raw measurements — while the executor's main loop keeps everything
 around it: fault scheduling, tracing, metrics, round records, and the
 convergence decision.
@@ -14,8 +15,8 @@ Two implementations exist:
   real worker processes over shared-memory graph stores
   (``--runtime process``).
 
-Both produce the same :class:`RoundData`, and by construction the same
-bits: the executor's results are invariant to which runner executed the
+Both run the same round body and produce the same :class:`RoundData`,
+so the executor's results are invariant to which runner executed the
 round.
 """
 
@@ -23,6 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
+
+from repro.network.stats import RoundTraffic
+from repro.runtime.round import close_round, run_hosts
 
 
 @dataclass
@@ -33,10 +37,11 @@ class RoundData:
     comp_times: List[float]
     #: Alpha-beta communication time of the round's exact byte trace.
     comm_time: float
-    #: Total bytes on the wire this round.
-    comm_bytes: int
-    #: Total transport messages this round.
-    comm_messages: int
+    #: That trace: every transport message of the round.
+    traffic: RoundTraffic
+    #: Sync-phase records for the tracer (empty unless tracing; see
+    #: :func:`repro.runtime.round.synchronize`).
+    phase_records: List
     #: Global count of frontier-active nodes after synchronization.
     active: int
     #: Extra bytes transient faults cost this round.
@@ -55,35 +60,22 @@ class InProcessRunner:
         """Nothing to launch: the executor's own state is the cluster."""
 
     def run_round(self, round_index: int) -> RoundData:
-        """Execute one round exactly as the executor always has."""
-        from repro.runtime.executor import SYNC_SCAN_PER_NODE_S
-
+        """Execute one round on every host, in this process."""
         ex = self.ex
-        parts = ex.partitioned.partitions
-        num_hosts = len(parts)
-        frontiers = ex._frontiers
-        outcomes = ex._compute_round_all(parts, frontiers, round_index)
-        comp_times = [
-            ex.engines[h].compute_time(outcomes[h].work)
-            for h in range(num_hosts)
-        ]
-        if ex.enable_sync:
-            num_fields = len(ex.fields[0])
-            for h in range(num_hosts):
-                comp_times[h] += (
-                    parts[h].num_nodes * num_fields * SYNC_SCAN_PER_NODE_S
-                )
-        pre_translations = [sub.stats.translations for sub in ex.substrates]
-        next_frontiers = [o.updated.copy() for o in outcomes]
-        if ex.enable_sync:
-            ex._synchronize(outcomes, next_frontiers)
-        else:
-            ex._apply_hooks_locally(next_frontiers)
+        hosts = range(ex.partitioned.num_hosts)
+        record = [] if ex.tracer.enabled else None
+        comp_times, next_frontiers, translation_deltas = run_hosts(
+            hosts, ex.engines, ex.app, ex.partitioned.partitions, ex.states,
+            ex.fields, ex._frontiers, ex.substrates,
+            record=record, guard=ex._sanitizer_guard(round_index),
+        )
+        comp_times = [comp_times[h] for h in hosts]
+        next_frontiers = [next_frontiers[h] for h in hosts]
         if ex.sanitizer is not None and ex.enable_sync:
             ex.sanitizer.note_sync_completed()
         fault_bytes = ex._take_round_fault_bytes()
-        comm_time, comm_bytes, comm_messages = ex._close_round(
-            comp_times, pre_translations
+        traffic, comm_time = close_round(
+            ex.transport, ex.engines, ex.cost_model, translation_deltas
         )
         active = sum(int(f.sum()) for f in next_frontiers)
         residual_sum = None
@@ -97,8 +89,8 @@ class InProcessRunner:
         return RoundData(
             comp_times=comp_times,
             comm_time=comm_time,
-            comm_bytes=comm_bytes,
-            comm_messages=comm_messages,
+            traffic=traffic,
+            phase_records=record or [],
             active=active,
             fault_bytes=fault_bytes,
             residual_sum=residual_sum,

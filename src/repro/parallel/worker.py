@@ -4,15 +4,15 @@
 owns the simulated hosts ``{h : h % W == w}``: it attaches the shared
 topology and field arenas (zero-copy), rebuilds its hosts' partitions,
 states, fields, and Gluon substrates locally, then executes rounds on
-the coordinator's command — compute, then the reduce/apply/broadcast
-collective over the :class:`~repro.parallel.pipes.PipeTransport`.
+the coordinator's command.
 
-The sync drivers here mirror the executor's
-``_synchronize_aggregated`` / ``_synchronize_per_field`` exactly, per
-owned host, with one addition: after each host's sends are flushed, the
-worker emits the pipe transport's end-of-phase markers that unblock the
-receivers.  All of a worker's flushes precede all of its receives within
-a phase, so the barrier-per-phase protocol cannot deadlock.
+A round is the shared body of :mod:`repro.runtime.round` — the very
+function the simulated runtime runs — over the worker's owned hosts,
+with one addition: the collective's ``end_phase`` hook emits the
+:class:`~repro.parallel.pipes.PipeTransport` end-of-phase markers that
+unblock the receivers.  All of a worker's flushes precede all of its
+receives within a phase, so the barrier-per-phase protocol cannot
+deadlock.
 
 Per round the worker reports raw measurements only — counted work
 converted to per-host compute seconds, per-host active counts and local
@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.substrate import GluonSubstrate
 from repro.parallel.pipes import PipeFabric, PipeTransport
 from repro.parallel.shm import GraphManifest, SharedArrayStore, SharedGraphStore
-from repro.runtime.executor import SYNC_SCAN_PER_NODE_S
+from repro.runtime.round import run_hosts
 
 
 @dataclass
@@ -66,15 +66,6 @@ class WorkerTask:
             for h in range(self.num_hosts)
             if h % self.num_workers == self.worker_index
         ]
-
-
-def _broadcast_dirty(part, field, reduce_changed, outcome):
-    """Master-side apply (the executor's ``_broadcast_dirty``)."""
-    if field.on_master_after_reduce is not None:
-        return field.on_master_after_reduce(reduce_changed)
-    dirty = reduce_changed | outcome.updated
-    dirty[part.num_masters :] = False
-    return dirty
 
 
 class _HostWorker:
@@ -129,35 +120,11 @@ class _HostWorker:
     def run_round(self) -> Dict:
         task = self.task
         app = task.app
-        outcomes = {}
-        comp_times = {}
-        for h in self.owned:
-            outcome = task.engines[h].compute_round(
-                app, self.parts[h], self.states[h], self.frontiers[h]
-            )
-            outcomes[h] = outcome
-            comp = task.engines[h].compute_time(outcome.work)
-            if task.enable_sync:
-                num_fields = len(self.fields[h])
-                comp += (
-                    self.parts[h].num_nodes
-                    * num_fields
-                    * SYNC_SCAN_PER_NODE_S
-                )
-            comp_times[h] = comp
-        pre_translations = {
-            h: self.substrates[h].stats.translations for h in self.substrates
-        }
-        next_frontiers = {h: outcomes[h].updated.copy() for h in self.owned}
-        if task.enable_sync:
-            if task.aggregate_comm:
-                self._sync_aggregated(outcomes, next_frontiers)
-            else:
-                self._sync_per_field(outcomes, next_frontiers)
-            for h in self.owned:
-                self.substrates[h].assert_drained()
-        else:
-            self._apply_hooks_locally(next_frontiers)
+        comp_times, next_frontiers, translation_deltas = run_hosts(
+            self.owned, task.engines, app, self.parts, self.states,
+            self.fields, self.frontiers, self.substrates,
+            end_phase=self.pipe.finish_phase,
+        )
         active = {h: int(next_frontiers[h].sum()) for h in self.owned}
         residuals = None
         if app.uses_frontier:
@@ -177,99 +144,9 @@ class _HostWorker:
             "active": active,
             "residuals": residuals,
             "records": records,
-            "translation_deltas": {
-                h: self.substrates[h].stats.translations - pre_translations[h]
-                for h in self.substrates
-            },
+            "translation_deltas": translation_deltas,
             "fault_bytes": fault_bytes,
         }
-
-    # -- sync drivers (per-host mirrors of the executor's) ------------------
-
-    def _finish_phase(self) -> None:
-        for h in self.owned:
-            self.pipe.finish_phase(h)
-
-    def _sync_aggregated(self, outcomes, next_frontiers) -> None:
-        num_fields = len(self.fields[self.owned[0]])
-        for i in range(num_fields):
-            for h in self.owned:
-                self.substrates[h].stage_reduce(
-                    i, self.fields[h][i], outcomes[h].updated
-                )
-        for h in self.owned:
-            self.substrates[h].flush_phase(num_fields)
-        self._finish_phase()
-        reduce_changed = {
-            h: self.substrates[h].receive_reduce_all(self.fields[h])
-            for h in self.owned
-        }
-        broadcast_dirty = {}
-        for h in self.owned:
-            per_host = []
-            for i in range(num_fields):
-                dirty = _broadcast_dirty(
-                    self.parts[h],
-                    self.fields[h][i],
-                    reduce_changed[h][i],
-                    outcomes[h],
-                )
-                per_host.append(dirty)
-                next_frontiers[h] |= reduce_changed[h][i] | dirty
-            broadcast_dirty[h] = per_host
-        for i in range(num_fields):
-            for h in self.owned:
-                self.substrates[h].stage_broadcast(
-                    i, self.fields[h][i], broadcast_dirty[h][i]
-                )
-        for h in self.owned:
-            self.substrates[h].flush_phase(num_fields)
-        self._finish_phase()
-        for h in self.owned:
-            changed = self.substrates[h].receive_broadcast_all(self.fields[h])
-            for mask in changed:
-                next_frontiers[h] |= mask
-
-    def _sync_per_field(self, outcomes, next_frontiers) -> None:
-        num_fields = len(self.fields[self.owned[0]])
-        for i in range(num_fields):
-            for h in self.owned:
-                self.substrates[h].send_reduce(
-                    self.fields[h][i], outcomes[h].updated
-                )
-            self._finish_phase()
-            reduce_changed = {
-                h: self.substrates[h].receive_reduce(self.fields[h][i])
-                for h in self.owned
-            }
-            broadcast_dirty = {}
-            for h in self.owned:
-                dirty = _broadcast_dirty(
-                    self.parts[h],
-                    self.fields[h][i],
-                    reduce_changed[h],
-                    outcomes[h],
-                )
-                broadcast_dirty[h] = dirty
-                next_frontiers[h] |= reduce_changed[h] | dirty
-            for h in self.owned:
-                self.substrates[h].send_broadcast(
-                    self.fields[h][i], broadcast_dirty[h]
-                )
-            self._finish_phase()
-            for h in self.owned:
-                next_frontiers[h] |= self.substrates[h].receive_broadcast(
-                    self.fields[h][i]
-                )
-
-    def _apply_hooks_locally(self, next_frontiers) -> None:
-        for h in self.owned:
-            for field in self.fields[h]:
-                if field.on_master_after_reduce is not None:
-                    no_changes = np.zeros(len(field.values), dtype=bool)
-                    dirty = field.on_master_after_reduce(no_changes)
-                    if dirty is not None:
-                        next_frontiers[h] |= dirty
 
     # -- teardown -----------------------------------------------------------
 

@@ -276,7 +276,15 @@ def _recover_confined(
         for part in parts
     ]
     next_frontiers = [frontier.copy() for frontier in executor._frontiers]
-    executor._synchronize(all_dirty, next_frontiers)
+    if executor.substrates:
+        # Imported lazily: importing the repro.runtime package imports
+        # the executor, which imports this module.
+        from repro.runtime.round import synchronize
+
+        synchronize(
+            range(len(parts)), executor.substrates, executor.fields, parts,
+            all_dirty, next_frontiers,
+        )
     heal_bytes, heal_time = executor._close_recovery_exchange()
     executor._frontiers = next_frontiers
     return RecoveryEvent(

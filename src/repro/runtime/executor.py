@@ -3,17 +3,19 @@
 Execution proceeds in rounds: every host applies the operator to its own
 partition (through its engine), then all hosts take part in a global
 communication phase run by the Gluon substrate — reduce, master-side
-apply, broadcast.  By default the executor drives the substrate *per
-phase*: every field's sub-messages are staged into per-peer channels and
+apply, broadcast.  The round body itself (compute, the collective, the
+round-close pricing) is :mod:`repro.runtime.round`, shared with the
+process runtime's workers; the executor owns everything around it.  By
+default every field's sub-messages are staged into per-peer channels and
 each peer receives one aggregated multi-field buffer per phase
 (``2 × peer_pairs`` messages per round instead of
 ``2 × num_fields × peer_pairs``).  ``aggregate_comm=False`` (the CLI's
-``--no-aggregation``) restores the historical per-field collective — one
-transport message per (field, peer, phase) — as an ablation; both modes
-produce bitwise-identical application results.  The executor is also the
-metrology layer: it converts counted work into simulated computation
-time, closes each transport round to capture its exact byte trace, and
-applies the alpha-beta model for communication time.
+``--no-aggregation``) puts the communication plane in pass-through mode
+— one transport message per (field, peer, phase) — as an ablation; both
+modes produce bitwise-identical application results.  The executor is
+also the metrology layer: it records each round's simulated computation
+time, exact byte trace and alpha-beta communication time, and maps them
+onto trace spans and metrics.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.comm.frame import frame_overhead
 from repro.core.optimization import OptimizationLevel
 from repro.core.substrate import (
     GluonSubstrate,
@@ -46,14 +47,9 @@ from repro.resilience.transport import FaultyTransport
 from repro.runtime.stats import RoundRecord, RunResult
 from repro.runtime.timing import round_communication_time
 
-#: Simulated cost of the substrate scanning one proxy's dirty bit during a
-#: field synchronization.  This is the (small) per-round price of the
-#: Gluon layer that Table 4 measures on a single host.
-SYNC_SCAN_PER_NODE_S = 2.0e-10
-
 if TYPE_CHECKING:  # imported for annotations only (avoids an import cycle)
     from repro.apps.base import AppContext, VertexProgram
-    from repro.engines.base import Engine, RoundOutcome
+    from repro.parallel.runner import RoundData
 
 
 class DistributedExecutor:
@@ -186,14 +182,6 @@ class DistributedExecutor:
         self.metrics = self.obs.metrics
         #: Simulated-clock cursor for span placement (advanced per round).
         self._trace_clock = 0.0
-        #: Per-round sync-phase records: (label, [(src, dst, nbytes)...],
-        #: serialize_wall_s, apply_wall_s), filled by _synchronize when
-        #: tracing is on and turned into nested spans at round close.  In
-        #: aggregated mode the message list holds per-field *sub-message*
-        #: sizes (byte attribution inside the framed buffers); in
-        #: per-field mode it is the phase's slice of the transport trace.
-        self._phase_records: List = []
-        self._last_round_traffic = None
         #: The round-execution backend (created on the first run() call):
         #: InProcessRunner for the simulated runtime, ProcessRunner for
         #: ``--runtime process``.
@@ -354,15 +342,9 @@ class DistributedExecutor:
                         continue
                 data = runner.run_round(round_index)
                 if self.tracer.enabled:
-                    self._trace_round(
-                        round_index, data.comp_times, data.comm_time,
-                        data.active,
-                    )
+                    self._trace_round(round_index, data)
                 if self.metrics.enabled:
-                    self._publish_round_metrics(
-                        data.comp_times, data.comm_time, data.comm_bytes,
-                        data.comm_messages, data.active,
-                    )
+                    self._publish_round_metrics(data)
                 recovery_bytes, recovery_time = self._pending_recovery
                 self._pending_recovery = (0, 0.0)
                 result.recovery_bytes += data.fault_bytes
@@ -371,8 +353,8 @@ class DistributedExecutor:
                         round_index=round_index,
                         comp_time_per_host=data.comp_times,
                         comm_time=data.comm_time,
-                        comm_bytes=data.comm_bytes,
-                        comm_messages=data.comm_messages,
+                        comm_bytes=data.traffic.total_bytes,
+                        comm_messages=data.traffic.num_messages,
                         active_nodes=data.active,
                         recovery_bytes=recovery_bytes + data.fault_bytes,
                         recovery_time=recovery_time,
@@ -402,8 +384,9 @@ class DistributedExecutor:
         """Create the round-execution backend on the first run() call."""
         if self._runner is None:
             if self.runtime == "process":
-                # Imported lazily: the coordinator imports the worker
-                # module, which imports this module.
+                # Imported lazily (as is InProcessRunner below): the
+                # runners import repro.runtime.round, and importing the
+                # repro.runtime package imports this module.
                 from repro.parallel.coordinator import ProcessRunner
 
                 runner = ProcessRunner(self, self.workers)
@@ -420,29 +403,20 @@ class DistributedExecutor:
                 self._runner = InProcessRunner(self)
         return self._runner
 
-    def _compute_round_all(self, parts, frontiers, round_index):
-        """Run every host's compute, under guarded views when sanitizing."""
-        num_hosts = len(parts)
+    def _sanitizer_guard(self, round_index: int):
+        """Per-host guarded-view factory for ``--sanitize`` (else ``None``)."""
         if self.sanitizer is None:
-            return [
-                self.engines[h].compute_round(
-                    self.app, parts[h], self.states[h], frontiers[h]
-                )
-                for h in range(num_hosts)
-            ]
-        outcomes = []
-        for h in range(num_hosts):
+            return None
+        parts = self.partitioned.partitions
+
+        def guard(h: int):
             substrate = self.substrates[h] if self.substrates else None
-            with self.sanitizer.guard_round(
+            return self.sanitizer.guard_round(
                 h, parts[h], self.fields[h], substrate, self.states[h],
                 round_index,
-            ):
-                outcomes.append(
-                    self.engines[h].compute_round(
-                        self.app, parts[h], self.states[h], frontiers[h]
-                    )
-                )
-        return outcomes
+            )
+
+        return guard
 
     # -- resilience (fault injection + checkpointing + recovery) ------------------
 
@@ -847,293 +821,9 @@ class DistributedExecutor:
             frontier[part.local_to_global[local]] = True
         return frontier
 
-    # -- synchronization ------------------------------------------------------------
-
-    def _synchronize(
-        self,
-        outcomes: List[RoundOutcome],
-        next_frontiers: List[np.ndarray],
-    ) -> None:
-        """Run the reduce/apply/broadcast collective for the round.
-
-        Dispatches to the aggregated (phase-major, one framed buffer per
-        peer per phase) or per-field (field-major, the ``--no-aggregation``
-        ablation) driver.  With tracing enabled, each per-field phase's
-        messages and its wall-clock serialize/apply split are captured as
-        a phase record; :meth:`_trace_round` later maps the records onto
-        the simulated comm window as nested spans.
-        """
-        if self.tracer.enabled:
-            self._phase_records = []
-        if self.aggregate_comm:
-            self._synchronize_aggregated(outcomes, next_frontiers)
-        else:
-            self._synchronize_per_field(outcomes, next_frontiers)
-
-    def _broadcast_dirty(
-        self,
-        host: int,
-        field: FieldSpec,
-        reduce_changed: np.ndarray,
-        outcome: RoundOutcome,
-    ) -> np.ndarray:
-        """Master-side apply: which masters broadcast after the reduce."""
-        if field.on_master_after_reduce is not None:
-            return field.on_master_after_reduce(reduce_changed)
-        dirty = reduce_changed | outcome.updated
-        dirty[self.partitioned.partitions[host].num_masters :] = False
-        return dirty
-
-    def _synchronize_aggregated(
-        self,
-        outcomes: List[RoundOutcome],
-        next_frontiers: List[np.ndarray],
-    ) -> None:
-        """Phase-major collective over the channel layer.
-
-        Every field's reduce sub-messages are staged first, then each
-        channel flushes one multi-field framed buffer per peer; the
-        broadcast phase repeats the pattern.  Field-level results are
-        bitwise identical to the per-field driver: each field's arrays
-        are independent and every receiver applies senders in the same
-        mailbox order as before.
-        """
-        num_hosts = len(self.substrates)
-        num_fields = len(self.fields[0])
-        tracing = self.tracer.enabled
-
-        # -- reduce: stage all fields, flush, receive aggregated --------
-        reduce_msgs = [[] for _ in range(num_fields)]
-        ser_walls = [0.0] * num_fields
-        for i in range(num_fields):
-            if tracing:
-                wall_start = time.perf_counter()
-            for h in range(num_hosts):
-                staged = self.substrates[h].stage_reduce(
-                    i, self.fields[h][i], outcomes[h].updated
-                )
-                if tracing:
-                    reduce_msgs[i].extend(
-                        (h, peer, nbytes) for peer, nbytes in staged
-                    )
-            if tracing:
-                ser_walls[i] = time.perf_counter() - wall_start
-        flushed = [
-            self.substrates[h].flush_phase(num_fields)
-            for h in range(num_hosts)
-        ]
-        if tracing:
-            wall_start = time.perf_counter()
-        reduce_changed = [
-            self.substrates[h].receive_reduce_all(self.fields[h])
-            for h in range(num_hosts)
-        ]
-        if tracing:
-            apply_share = (time.perf_counter() - wall_start) / num_fields
-            for i in range(num_fields):
-                self._phase_records.append(
-                    (
-                        f"reduce:{self.fields[0][i].name}",
-                        reduce_msgs[i],
-                        ser_walls[i],
-                        apply_share,
-                    )
-                )
-            self._record_framing("reduce", flushed, num_fields)
-
-        # -- master-side apply ------------------------------------------
-        broadcast_dirty = []
-        for h in range(num_hosts):
-            per_host = []
-            for i in range(num_fields):
-                dirty = self._broadcast_dirty(
-                    h, self.fields[h][i], reduce_changed[h][i], outcomes[h]
-                )
-                per_host.append(dirty)
-                next_frontiers[h] |= reduce_changed[h][i] | dirty
-            broadcast_dirty.append(per_host)
-
-        # -- broadcast: stage all fields, flush, receive aggregated -----
-        broadcast_msgs = [[] for _ in range(num_fields)]
-        for i in range(num_fields):
-            if tracing:
-                wall_start = time.perf_counter()
-            for h in range(num_hosts):
-                staged = self.substrates[h].stage_broadcast(
-                    i, self.fields[h][i], broadcast_dirty[h][i]
-                )
-                if tracing:
-                    broadcast_msgs[i].extend(
-                        (h, peer, nbytes) for peer, nbytes in staged
-                    )
-            if tracing:
-                ser_walls[i] = time.perf_counter() - wall_start
-        flushed = [
-            self.substrates[h].flush_phase(num_fields)
-            for h in range(num_hosts)
-        ]
-        if tracing:
-            wall_start = time.perf_counter()
-        for h in range(num_hosts):
-            changed = self.substrates[h].receive_broadcast_all(self.fields[h])
-            for mask in changed:
-                next_frontiers[h] |= mask
-        if tracing:
-            apply_share = (time.perf_counter() - wall_start) / num_fields
-            for i in range(num_fields):
-                self._phase_records.append(
-                    (
-                        f"broadcast:{self.fields[0][i].name}",
-                        broadcast_msgs[i],
-                        ser_walls[i],
-                        apply_share,
-                    )
-                )
-            self._record_framing("broadcast", flushed, num_fields)
-
-    def _record_framing(
-        self, phase: str, flushed: List[List[tuple]], num_fields: int
-    ) -> None:
-        """Attribute the aggregated frames' header bytes to a trace record.
-
-        Per-field records carry sub-message bytes only; the fixed frame
-        header (count + length prefixes) belongs to the phase as a whole.
-        Recording it separately keeps the trace's phase byte totals
-        reconciling exactly with the transport's round volume.
-        """
-        overhead = frame_overhead(num_fields)
-        framing = [
-            (h, peer, overhead)
-            for h, per_host in enumerate(flushed)
-            for peer, _ in per_host
-        ]
-        if framing:
-            self._phase_records.append((f"framing:{phase}", framing, 0.0, 0.0))
-
-    def _synchronize_per_field(
-        self,
-        outcomes: List[RoundOutcome],
-        next_frontiers: List[np.ndarray],
-    ) -> None:
-        """Field-major collective: the pre-aggregation wire shape.
-
-        Each field runs the full four-step collective before the next
-        field starts — one transport message per (field, peer, phase).
-        Receives must follow each field's sends because raw payloads
-        carry no field identity on the wire.
-        """
-        num_hosts = len(self.substrates)
-        num_fields = len(self.fields[0])
-        tracing = self.tracer.enabled
-        if tracing:
-            messages = self.transport.stats.current_round.messages
-        for field_index in range(num_fields):
-            fields = [self.fields[h][field_index] for h in range(num_hosts)]
-            if tracing:
-                msg_start = len(messages)
-                wall_start = time.perf_counter()
-            for h in range(num_hosts):
-                self.substrates[h].send_reduce(fields[h], outcomes[h].updated)
-            if tracing:
-                wall_sent = time.perf_counter()
-            reduce_changed = [
-                self.substrates[h].receive_reduce(fields[h])
-                for h in range(num_hosts)
-            ]
-            if tracing:
-                self._phase_records.append(
-                    (
-                        f"reduce:{fields[0].name}",
-                        list(messages[msg_start:]),
-                        wall_sent - wall_start,
-                        time.perf_counter() - wall_sent,
-                    )
-                )
-                msg_start = len(messages)
-                wall_start = time.perf_counter()
-            broadcast_dirty = []
-            for h in range(num_hosts):
-                dirty = self._broadcast_dirty(
-                    h, fields[h], reduce_changed[h], outcomes[h]
-                )
-                broadcast_dirty.append(dirty)
-                next_frontiers[h] |= reduce_changed[h] | dirty
-            for h in range(num_hosts):
-                self.substrates[h].send_broadcast(fields[h], broadcast_dirty[h])
-            if tracing:
-                wall_sent = time.perf_counter()
-            for h in range(num_hosts):
-                changed = self.substrates[h].receive_broadcast(fields[h])
-                next_frontiers[h] |= changed
-            if tracing:
-                self._phase_records.append(
-                    (
-                        f"broadcast:{fields[0].name}",
-                        list(messages[msg_start:]),
-                        wall_sent - wall_start,
-                        time.perf_counter() - wall_sent,
-                    )
-                )
-
-    def _apply_hooks_locally(self, next_frontiers: List[np.ndarray]) -> None:
-        """Run master-side apply hooks when sync is disabled (1 host)."""
-        for h, field_list in enumerate(self.fields):
-            for field in field_list:
-                if field.on_master_after_reduce is not None:
-                    no_changes = np.zeros(len(field.values), dtype=bool)
-                    dirty = field.on_master_after_reduce(no_changes)
-                    if dirty is not None:
-                        next_frontiers[h] |= dirty
-
-    # -- timing ---------------------------------------------------------------------
-
-    def _close_round(
-        self, comp_times: List[float], pre_translations: List[int]
-    ):
-        """Close the transport round; return (comm_time, bytes, messages)."""
-        num_hosts = self.partitioned.num_hosts
-        if self.transport is None:
-            return 0.0, 0, 0
-        # Channel drain guard: a field staged after the phase flush would
-        # sit in a buffer forever — fail loudly at the round boundary,
-        # complementing the transport's own undelivered-mail detection.
-        for sub in self.substrates:
-            sub.assert_drained()
-        traffic = self.transport.stats.current_round
-        self._last_round_traffic = traffic
-        self.transport.end_round()
-        extras = [0.0] * num_hosts
-        if self.substrates:
-            for h, sub in enumerate(self.substrates):
-                delta = sub.stats.translations - pre_translations[h]
-                extras[h] += delta * self.engines[h].cost.translation_s
-        sent, received = traffic.bytes_by_host(num_hosts)
-        for h in range(num_hosts):
-            cost = self.engines[h].cost
-            if not (
-                self.engines[h].is_gpu and cost.device_bandwidth_bytes_per_s
-            ):
-                continue
-            moved = sent[h] + received[h]
-            if moved:
-                extras[h] += (
-                    moved / cost.device_bandwidth_bytes_per_s
-                    + 2 * cost.device_latency_s
-                )
-        comm_time = round_communication_time(
-            traffic, num_hosts, self.cost_model, extras
-        )
-        return comm_time, traffic.total_bytes, traffic.num_messages
-
     # -- observability -----------------------------------------------------------
 
-    def _trace_round(
-        self,
-        round_index: int,
-        comp_times: List[float],
-        comm_time: float,
-        active: int,
-    ) -> None:
+    def _trace_round(self, round_index: int, data: RoundData) -> None:
         """Emit the round's spans on every host's simulated timeline.
 
         BSP shape: all hosts start the round together, compute spans end
@@ -1143,14 +833,10 @@ class DistributedExecutor:
         """
         t0 = self._trace_clock
         num_hosts = self.partitioned.num_hosts
+        comp_times, comm_time = data.comp_times, data.comm_time
         comp_max = max(comp_times) if comp_times else 0.0
         sync_start = t0 + comp_max
-        traffic = self._last_round_traffic
-        sent, received = (
-            traffic.bytes_by_host(num_hosts)
-            if traffic is not None
-            else ([0] * num_hosts, [0] * num_hosts)
-        )
+        sent, received = data.traffic.bytes_by_host(num_hosts)
         for h in range(num_hosts):
             self.tracer.record(
                 "round",
@@ -1161,7 +847,7 @@ class DistributedExecutor:
                 round=round_index,
                 app=self.app.name,
                 policy=self.partitioned.policy_name,
-                active_nodes=active,
+                active_nodes=data.active,
             )
             self.tracer.record(
                 "compute",
@@ -1182,12 +868,13 @@ class DistributedExecutor:
                 bytes_sent=sent[h],
                 bytes_recv=received[h],
             )
-        if traffic is not None:
-            self._trace_phases(sync_start, comm_time, traffic, round_index)
+        self._trace_phases(
+            sync_start, comm_time, data.phase_records, round_index
+        )
         self._trace_clock = t0 + comp_max + comm_time
 
     def _trace_phases(
-        self, begin_s: float, comm_time: float, traffic, round_index: int
+        self, begin_s: float, comm_time: float, records: List, round_index: int
     ) -> None:
         """Nest per-field reduce/broadcast (and serialize/apply) spans.
 
@@ -1195,12 +882,10 @@ class DistributedExecutor:
         window is apportioned among phases by their exact byte volumes,
         and each phase is split into its serialize (encode+send) and
         apply (decode+reduce/set) halves by measured wall-time ratio.
-        Each record carries its own (src, dst, nbytes) message list: the
-        phase's transport slice in per-field mode, the per-field
-        sub-message sizes inside the aggregated buffers otherwise — so
-        per-field spans survive aggregation via byte attribution.
+        Each record carries its own (src, dst, nbytes) message list of
+        per-field sub-message sizes — so per-field spans survive
+        aggregation via byte attribution.
         """
-        records = self._phase_records
         if not records:
             return
         num_hosts = self.partitioned.num_hosts
@@ -1256,23 +941,18 @@ class DistributedExecutor:
                 )
             cursor += share
 
-    def _publish_round_metrics(
-        self,
-        comp_times: List[float],
-        comm_time: float,
-        comm_bytes: int,
-        comm_messages: int,
-        active: int,
-    ) -> None:
+    def _publish_round_metrics(self, data: RoundData) -> None:
         """Publish the round's aggregates into the metrics registry."""
         self.metrics.counter("rounds_total").inc()
-        self.metrics.counter("comm_time_seconds_total").inc(comm_time)
+        self.metrics.counter("comm_time_seconds_total").inc(data.comm_time)
         self.metrics.counter("comp_time_seconds_total").inc(
-            max(comp_times) if comp_times else 0.0
+            max(data.comp_times) if data.comp_times else 0.0
         )
-        self.metrics.histogram("round_bytes").observe(comm_bytes)
-        self.metrics.histogram("round_messages").observe(comm_messages)
-        self.metrics.gauge("active_nodes").set(active)
+        self.metrics.histogram("round_bytes").observe(data.traffic.total_bytes)
+        self.metrics.histogram("round_messages").observe(
+            data.traffic.num_messages
+        )
+        self.metrics.gauge("active_nodes").set(data.active)
 
     def _finalize(self, result: RunResult) -> None:
         if self.sanitizer is not None:

@@ -1,0 +1,251 @@
+"""One BSP round, written once (§2.2, §3).
+
+Gluon's synchronization is a single runtime-agnostic collective —
+reduce, master-side apply, broadcast — and :func:`synchronize` is its
+only implementation: both runtimes, the ``--no-aggregation`` ablation,
+the confined-recovery healing round and the unit tests call it.
+:func:`run_hosts` is the round body around it (operator application,
+then the collective) and :func:`close_round` prices the round's exact
+byte trace.
+
+Every container is indexed by host id: the simulated runtime passes its
+per-host lists with ``hosts=range(n)``, a process worker passes
+``{host: ...}`` dicts with the hosts it owns.
+
+Whether traffic is aggregated is the communication plane's business;
+here it only picks the *flush granularity*.  An aggregating plane syncs
+all fields as one group — one framed buffer per peer per phase; a
+pass-through plane syncs one group per field, the historical
+one-message-per-(field, peer, phase) wire shape, byte for byte.
+"""
+
+from __future__ import annotations
+
+import time
+from contextlib import nullcontext
+from typing import Callable, List, Optional, Sequence
+
+import numpy as np
+
+from repro.comm.frame import frame_overhead
+from repro.runtime.timing import round_communication_time
+
+#: Simulated cost of the substrate scanning one proxy's dirty bit during a
+#: field synchronization.  This is the (small) per-round price of the
+#: Gluon layer that Table 4 measures on a single host.
+SYNC_SCAN_PER_NODE_S = 2.0e-10
+
+_UNGUARDED = nullcontext()
+
+
+def broadcast_dirty(part, field, reduce_changed, outcome) -> np.ndarray:
+    """Master-side apply: which masters broadcast after the reduce."""
+    if field.on_master_after_reduce is not None:
+        return field.on_master_after_reduce(reduce_changed)
+    dirty = reduce_changed | outcome.updated
+    dirty[part.num_masters :] = False
+    return dirty
+
+
+def apply_hooks_locally(hosts, fields, next_frontiers) -> None:
+    """Run master-side apply hooks when sync is disabled (1 host)."""
+    for h in hosts:
+        for field in fields[h]:
+            if field.on_master_after_reduce is not None:
+                no_changes = np.zeros(len(field.values), dtype=bool)
+                dirty = field.on_master_after_reduce(no_changes)
+                if dirty is not None:
+                    next_frontiers[h] |= dirty
+
+
+def _phase(kind, hosts, substrates, group, stage, receive, end_phase, record):
+    """Stage, flush and receive one phase of one field group.
+
+    ``stage(h, slot)`` stages host ``h``'s sub-messages for the group's
+    ``slot``-th field; ``receive(h)`` applies ``h``'s inbox and returns
+    its per-field changed masks.  A ``record`` sink gets one ``(label,
+    [(src, dst, nbytes)...], serialize_wall_s, apply_wall_s)`` entry per
+    field over its sub-message sizes, plus a ``framing:`` entry for the
+    flushed frames' header bytes, so the entries' byte totals reconcile
+    exactly with the transport's round volume.
+    """
+    width = len(group[hosts[0]])
+    tracing = record is not None
+    if tracing:
+        messages = [[] for _ in range(width)]
+        serialize_walls = [0.0] * width
+    for slot in range(width):
+        if tracing:
+            wall_start = time.perf_counter()
+        for h in hosts:
+            staged = stage(h, slot)
+            if tracing:
+                messages[slot].extend((h, peer, n) for peer, n in staged)
+        if tracing:
+            serialize_walls[slot] = time.perf_counter() - wall_start
+    flushed = [(h, substrates[h].flush_phase(width)) for h in hosts]
+    if end_phase is not None:
+        for h in hosts:
+            end_phase(h)
+    if tracing:
+        wall_start = time.perf_counter()
+    changed = {h: receive(h) for h in hosts}
+    if tracing:
+        apply_share = (time.perf_counter() - wall_start) / width
+        for slot, field in enumerate(group[hosts[0]]):
+            record.append(
+                (
+                    f"{kind}:{field.name}",
+                    messages[slot],
+                    serialize_walls[slot],
+                    apply_share,
+                )
+            )
+        overhead = frame_overhead(width)
+        framing = [
+            (h, peer, overhead) for h, frames in flushed for peer, _ in frames
+        ]
+        if framing:
+            record.append((f"framing:{kind}", framing, 0.0, 0.0))
+    return changed
+
+
+def synchronize(
+    hosts: Sequence[int],
+    substrates,
+    fields,
+    parts,
+    outcomes,
+    next_frontiers,
+    end_phase: Optional[Callable[[int], None]] = None,
+    record: Optional[List] = None,
+) -> None:
+    """Run the reduce/apply/broadcast collective over ``hosts``.
+
+    ``outcomes[h].updated`` is host ``h``'s dirty mask; every proxy the
+    collective changes is OR-ed into ``next_frontiers[h]``.
+    ``end_phase(h)`` runs after each of ``h``'s flushes — how a
+    cross-process transport tells its peers the phase's mail is
+    complete; all of a caller's flushes precede all of its receives
+    within a phase, so a barrier per phase cannot deadlock.  ``record``
+    is the tracer's phase-record sink (see :func:`_phase`); without it
+    no clock is read and nothing is collected.
+
+    Field results do not depend on the flush granularity: each field's
+    arrays are independent and every receiver applies senders in the
+    same mailbox order either way.  A one-field group receives before
+    the next field sends because raw pass-through payloads carry no
+    field identity on the wire.
+    """
+    first = hosts[0]
+    num_fields = len(fields[first])
+    if substrates[first].plane.aggregate:
+        groups = [slice(0, num_fields)]
+    else:
+        groups = [slice(i, i + 1) for i in range(num_fields)]
+    for members in groups:
+        group = {h: fields[h][members] for h in hosts}
+        reduce_changed = _phase(
+            "reduce", hosts, substrates, group,
+            lambda h, slot: substrates[h].stage_reduce(
+                slot, group[h][slot], outcomes[h].updated
+            ),
+            lambda h: substrates[h].receive_reduce_all(group[h]),
+            end_phase, record,
+        )
+        dirty = {h: [] for h in hosts}
+        for h in hosts:
+            for field, changed in zip(group[h], reduce_changed[h]):
+                field_dirty = broadcast_dirty(
+                    parts[h], field, changed, outcomes[h]
+                )
+                dirty[h].append(field_dirty)
+                next_frontiers[h] |= changed | field_dirty
+        broadcast_changed = _phase(
+            "broadcast", hosts, substrates, group,
+            lambda h, slot: substrates[h].stage_broadcast(
+                slot, group[h][slot], dirty[h][slot]
+            ),
+            lambda h: substrates[h].receive_broadcast_all(group[h]),
+            end_phase, record,
+        )
+        for h in hosts:
+            for mask in broadcast_changed[h]:
+                next_frontiers[h] |= mask
+    # Drain guard: a sub-message staged after its phase flush would sit
+    # in a channel buffer forever — fail loudly at the round boundary,
+    # complementing the transport's own undelivered-mail detection.
+    for h in hosts:
+        substrates[h].assert_drained()
+
+
+def run_hosts(
+    hosts, engines, app, parts, states, fields, frontiers, substrates,
+    end_phase=None, record=None, guard=None,
+):
+    """The round body on ``hosts``: apply the operator, then synchronize.
+
+    ``guard(h)``, when given, is a context manager around host ``h``'s
+    compute (the proxy sanitizer).  Empty ``substrates`` means
+    synchronization is disabled (single host): only the master-side
+    hooks run.  Returns ``(comp_times, next_frontiers,
+    translation_deltas)`` keyed by host: simulated compute seconds
+    including the sync-scan term, the proxies active next round, and the
+    address translations this round's sync performed.
+    """
+    outcomes = {}
+    comp_times = {}
+    for h in hosts:
+        with guard(h) if guard is not None else _UNGUARDED:
+            outcome = engines[h].compute_round(
+                app, parts[h], states[h], frontiers[h]
+            )
+        outcomes[h] = outcome
+        comp_times[h] = engines[h].compute_time(outcome.work)
+        if substrates:
+            comp_times[h] += (
+                parts[h].num_nodes * len(fields[h]) * SYNC_SCAN_PER_NODE_S
+            )
+    next_frontiers = {h: outcomes[h].updated.copy() for h in hosts}
+    if not substrates:
+        apply_hooks_locally(hosts, fields, next_frontiers)
+        return comp_times, next_frontiers, {}
+    before = {h: substrates[h].stats.translations for h in hosts}
+    synchronize(
+        hosts, substrates, fields, parts, outcomes, next_frontiers,
+        end_phase, record,
+    )
+    translation_deltas = {
+        h: substrates[h].stats.translations - before[h] for h in hosts
+    }
+    return comp_times, next_frontiers, translation_deltas
+
+
+def close_round(transport, engines, cost_model, translation_deltas):
+    """End the transport round and price its exact byte trace.
+
+    Per-host extras on top of the alpha-beta model: address-translation
+    work (temporal optimization off) and host<->device copies for GPU
+    engines.  Returns ``(traffic, comm_time)``.
+    """
+    num_hosts = len(engines)
+    traffic = transport.stats.current_round
+    transport.end_round()
+    extras = [0.0] * num_hosts
+    for h, delta in translation_deltas.items():
+        extras[h] += delta * engines[h].cost.translation_s
+    sent, received = traffic.bytes_by_host(num_hosts)
+    for h in range(num_hosts):
+        cost = engines[h].cost
+        if not (engines[h].is_gpu and cost.device_bandwidth_bytes_per_s):
+            continue
+        moved = sent[h] + received[h]
+        if moved:
+            extras[h] += (
+                moved / cost.device_bandwidth_bytes_per_s
+                + 2 * cost.device_latency_s
+            )
+    comm_time = round_communication_time(
+        traffic, num_hosts, cost_model, extras
+    )
+    return traffic, comm_time

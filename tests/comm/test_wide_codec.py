@@ -209,6 +209,23 @@ class TestFp16Compression:
         )
         assert np.array_equal(decoded.values.astype(np.float64), values)
 
+    def test_overflow_is_a_named_error_not_inf(self):
+        """A finite value past the float16 range must not ship as inf
+        (featprop at rmat14/d=32 scale reaches ~6.6e5)."""
+        values = np.ones((8, 4), dtype=np.float64)
+        values[3, 2] = -658060.0
+        field = FieldSpec("feat_acc", values, ADD, compression="fp16")
+        agreed = np.arange(8, dtype=np.uint32)
+        with pytest.raises(SyncError, match=r"'feat_acc'.*658060"):
+            encode_memoized_field(field, agreed, np.ones(8, dtype=bool))
+        with pytest.raises(SyncError, match=r"'feat_acc'.*658060"):
+            encode_global_ids_field(
+                field, agreed, np.ones(8, dtype=bool), np.arange(8)
+            )
+        # A non-finite input is the application's value, not an overflow.
+        values[3, 2] = np.inf
+        encode_memoized_field(field, agreed, np.ones(8, dtype=bool))
+
 
 class TestDeltaCompression:
     def _committed_field(self, rng, num_locals, width, commit):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import erdos_renyi, grid_graph, path_graph, rmat
+from repro.runtime.round import synchronize
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +65,26 @@ def small_grid() -> EdgeList:
 def small_path() -> EdgeList:
     """A directed path (worst-case round count)."""
     return path_graph(40)
+
+
+def sync_one_field(partitioned, subs, fields, dirty_masks, **kwargs):
+    """One collective over one field per host, via the shared driver.
+
+    A reduce-only collective is a field declared
+    ``sync_phases={"reduce"}``.  Returns the per-host masks of every
+    proxy the collective wrote, dirtied or refreshed.
+    """
+    touched = [np.zeros_like(dirty) for dirty in dirty_masks]
+    synchronize(
+        range(len(subs)),
+        subs,
+        [[field] for field in fields],
+        partitioned.partitions,
+        [SimpleNamespace(updated=dirty) for dirty in dirty_masks],
+        touched,
+        **kwargs,
+    )
+    return touched
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Unit tests for the Gluon substrate's synchronization collective.
 
-These drive the four-phase sync directly (without the executor) against
-hand-checkable partitions, for every optimization level.
+These drive the shared collective (``repro.runtime.round.synchronize``)
+directly, without the executor, against hand-checkable partitions, for
+every optimization level.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core.sync_structures import ADD, MIN, FieldSpec
 from repro.errors import SyncError
 from repro.network.transport import InProcessTransport
 from repro.partition import make_partitioner
+from tests.conftest import sync_one_field
 
 LEVELS = list(OptimizationLevel)
 
@@ -24,28 +26,6 @@ def make_setup(edges, policy, num_hosts, level):
     subs = setup_substrates(partitioned, transport, level)
     transport.end_round()
     return partitioned, transport, subs
-
-
-def run_sync(subs, fields, dirty_masks):
-    """Drive one full reduce+broadcast collective; returns changed masks."""
-    for sub, field, dirty in zip(subs, fields, dirty_masks):
-        sub.send_reduce(field, dirty)
-    reduce_changed = [
-        sub.receive_reduce(field) for sub, field in zip(subs, fields)
-    ]
-    broadcast_dirty = []
-    for sub, field, dirty, changed in zip(
-        subs, fields, dirty_masks, reduce_changed
-    ):
-        bdirty = changed | dirty
-        bdirty[sub.partition.num_masters :] = False
-        broadcast_dirty.append(bdirty)
-    for sub, field, bdirty in zip(subs, fields, broadcast_dirty):
-        sub.send_broadcast(field, bdirty)
-    broadcast_changed = [
-        sub.receive_broadcast(field) for sub, field in zip(subs, fields)
-    ]
-    return reduce_changed, broadcast_changed
 
 
 def min_fields_with_global_values(partitioned, base_value=1000):
@@ -82,7 +62,7 @@ def test_min_sync_reaches_master(small_rmat, level, policy, request):
         np.zeros(s.partition.num_nodes, dtype=bool) for s in subs
     ]
     dirty[sub.host][mirror_lid] = True
-    run_sync(subs, fields, dirty)
+    sync_one_field(partitioned, subs, fields, dirty)
     owner = int(partitioned.master_host[gid])
     master_lid = partitioned.partitions[owner].to_local(gid)
     assert fields[owner].values[master_lid] == 1
@@ -108,7 +88,7 @@ def test_broadcast_reaches_reading_mirrors(small_rmat, level):
     fields[sub.host].values[master_lid] = 2
     dirty = [np.zeros(s.partition.num_nodes, dtype=bool) for s in subs]
     dirty[sub.host][master_lid] = True
-    run_sync(subs, fields, dirty)
+    sync_one_field(partitioned, subs, fields, dirty)
     for part, field in zip(partitioned.partitions, fields):
         if part.host != sub.host and part.has_proxy(gid):
             lid = part.to_local(gid)
@@ -128,6 +108,10 @@ def test_add_reduce_sums_partials_and_resets_mirrors(small_rmat, level):
                 name="acc",
                 values=np.zeros(part.num_nodes, dtype=np.uint32),
                 reduce_op=ADD,
+                # Reduce phase only: a UVC mirror may be both
+                # reduce-sender and broadcast-receiver, so broadcasting
+                # would overwrite the reset value.
+                sync_phases={"reduce"},
             )
         )
     # Every reduce-participating mirror contributes exactly 1.
@@ -140,12 +124,7 @@ def test_add_reduce_sums_partials_and_resets_mirrors(small_rmat, level):
             mask[arr] = True
             contributions[sub.partition.local_to_global[arr]] += 1
         dirty.append(mask)
-    # Reduce phase only: a UVC mirror may be both reduce-sender and
-    # broadcast-receiver, so broadcasting would overwrite the reset value.
-    for sub, field, mask in zip(subs, fields, dirty):
-        sub.send_reduce(field, mask)
-    for sub, field in zip(subs, fields):
-        sub.receive_reduce(field)
+    sync_one_field(partitioned, subs, fields, dirty)
     for part, field in zip(partitioned.partitions, fields):
         master_gids = part.local_to_global[: part.num_masters]
         expected = contributions[master_gids]
@@ -169,10 +148,10 @@ def test_dirty_mask_validation(small_rmat):
         reduce_op=MIN,
     )
     with pytest.raises(SyncError):
-        subs[0].send_reduce(field, np.zeros(3, dtype=bool))
+        subs[0].stage_reduce(0, field, np.zeros(3, dtype=bool))
     with pytest.raises(SyncError):
-        subs[0].send_reduce(
-            field, np.zeros(subs[0].partition.num_nodes, dtype=np.uint8)
+        subs[0].stage_reduce(
+            0, field, np.zeros(subs[0].partition.num_nodes, dtype=np.uint8)
         )
 
 
@@ -185,7 +164,7 @@ def test_temporal_levels_send_no_global_ids(small_rmat):
         dirty = [
             np.ones(s.partition.num_nodes, dtype=bool) for s in subs
         ]
-        run_sync(subs, fields, dirty)
+        sync_one_field(partitioned, subs, fields, dirty)
         for sub in subs:
             assert sub.stats.translations == 0
             assert MetadataMode.GLOBAL_IDS not in sub.stats.mode_counts
@@ -205,7 +184,7 @@ def test_non_temporal_levels_translate(small_rmat):
                 field.values[arr] = 0
                 mask[arr] = True
             dirty.append(mask)
-        run_sync(subs, fields, dirty)
+        sync_one_field(partitioned, subs, fields, dirty)
         total_translations = sum(s.stats.translations for s in subs)
         assert total_translations > 0
         modes = set()
@@ -221,7 +200,7 @@ def test_memoized_empty_messages_flow(small_rmat):
     )
     fields = min_fields_with_global_values(partitioned)
     dirty = [np.zeros(s.partition.num_nodes, dtype=bool) for s in subs]
-    run_sync(subs, fields, dirty)
+    sync_one_field(partitioned, subs, fields, dirty)
     total_empty = sum(
         s.stats.mode_counts.get(MetadataMode.EMPTY, 0) for s in subs
     )
@@ -250,4 +229,4 @@ def test_unexpected_memoized_sender_rejected(small_rmat):
     )
     transport.send(1, 0, bogus)
     with pytest.raises(SyncError):
-        subs[0].receive_reduce(field)
+        subs[0].receive_reduce_all([field])

@@ -42,7 +42,7 @@ class TestMemoizedModes:
         for arr in sub.book.mirrors_reduce.values():
             fields[0].values[arr] = 1
             dirty[arr] = True
-        sub.send_reduce(fields[0], dirty)
+        sub.stage_reduce(0, fields[0], dirty)
         messages = peek_messages(transport, 1)
         assert messages
         assert all(m.mode is MetadataMode.FULL for m in messages)
@@ -57,7 +57,7 @@ class TestMemoizedModes:
         dirty = np.zeros(sub.num_local_nodes, dtype=bool)
         fields[0].values[arr[0]] = 1
         dirty[arr[0]] = True
-        sub.send_reduce(fields[0], dirty)
+        sub.stage_reduce(0, fields[0], dirty)
         messages = peek_messages(transport, 1)
         assert any(m.mode is MetadataMode.INDICES for m in messages)
 
@@ -65,8 +65,8 @@ class TestMemoizedModes:
         partitioned, transport, subs, fields = setup(
             small_rmat, "oec", 2, OptimizationLevel.OSTI
         )
-        subs[0].send_reduce(
-            fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
+        subs[0].stage_reduce(
+            0, fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
         )
         messages = peek_messages(transport, 1)
         assert messages
@@ -76,8 +76,8 @@ class TestMemoizedModes:
         partitioned, transport, subs, fields = setup(
             small_rmat, "oec", 2, OptimizationLevel.UNOPT
         )
-        subs[0].send_reduce(
-            fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
+        subs[0].stage_reduce(
+            0, fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
         )
         assert transport.pending(1) == 0
 
@@ -90,7 +90,7 @@ class TestMemoizedModes:
         fields[0].values[mirrors[0]] = 1
         dirty = np.zeros(sub.num_local_nodes, dtype=bool)
         dirty[mirrors[0]] = True
-        sub.send_reduce(fields[0], dirty)
+        sub.stage_reduce(0, fields[0], dirty)
         messages = peek_messages(transport, 1)
         assert len(messages) == 1
         assert messages[0].mode is MetadataMode.GLOBAL_IDS
@@ -101,8 +101,8 @@ class TestMemoizedModes:
         partitioned, transport, subs, fields = setup(
             small_rmat, "oec", 2, OptimizationLevel.OSTI
         )
-        subs[0].send_reduce(
-            fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
+        subs[0].stage_reduce(
+            0, fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
         )
         transport.receive_all(1)
         assert subs[0].stats.mode_counts.get(MetadataMode.EMPTY, 0) >= 1

@@ -18,6 +18,7 @@ from repro.core.sync_structures import ADD, MIN, FieldSpec
 from repro.graph.edgelist import EdgeList
 from repro.network.transport import InProcessTransport
 from repro.partition import make_partitioner
+from tests.conftest import sync_one_field
 
 BASE = 1000
 
@@ -36,22 +37,6 @@ def sync_scenarios(draw):
     level = draw(st.sampled_from(list(OptimizationLevel)))
     write_seed = draw(st.integers(min_value=0, max_value=2**31))
     return edges, policy, num_hosts, level, write_seed
-
-
-def run_collective(subs, fields, dirty_masks):
-    for sub, field, dirty in zip(subs, fields, dirty_masks):
-        sub.send_reduce(field, dirty)
-    reduce_changed = [
-        sub.receive_reduce(field) for sub, field in zip(subs, fields)
-    ]
-    for sub, field, dirty, changed in zip(
-        subs, fields, dirty_masks, reduce_changed
-    ):
-        bdirty = changed | dirty
-        bdirty[sub.partition.num_masters :] = False
-        sub.send_broadcast(field, bdirty)
-    for sub, field in zip(subs, fields):
-        sub.receive_broadcast(field)
 
 
 @given(scenario=sync_scenarios())
@@ -87,7 +72,7 @@ def test_min_collective_matches_oracle(scenario):
         fields.append(FieldSpec(name="v", values=values, reduce_op=MIN))
         dirty_masks.append(dirty)
 
-    run_collective(subs, fields, dirty_masks)
+    sync_one_field(partitioned, subs, fields, dirty_masks)
 
     for part, field in zip(partitioned.partitions, fields):
         # 1. Masters hold the global minimum of written values.
@@ -133,16 +118,19 @@ def test_add_collective_matches_oracle(scenario):
             values[chosen] = written
             dirty[chosen] = True
             np.add.at(oracle, part.local_to_global[chosen], written)
-        fields.append(FieldSpec(name="acc", values=values, reduce_op=ADD))
+        # Reduce only: ADD broadcast would overwrite accumulators at
+        # mirrors that are both writers and readers (the executor's apps
+        # use derived broadcast arrays for that; here we check the
+        # reduction itself).
+        fields.append(
+            FieldSpec(
+                name="acc", values=values, reduce_op=ADD,
+                sync_phases={"reduce"},
+            )
+        )
         dirty_masks.append(dirty)
 
-    # Reduce only: ADD broadcast would overwrite accumulators at mirrors
-    # that are both writers and readers (the executor's apps use derived
-    # broadcast arrays for that; here we check the reduction itself).
-    for sub, field, dirty in zip(subs, fields, dirty_masks):
-        sub.send_reduce(field, dirty)
-    for sub, field in zip(subs, fields):
-        sub.receive_reduce(field)
+    sync_one_field(partitioned, subs, fields, dirty_masks)
 
     for part, field in zip(partitioned.partitions, fields):
         master_gids = part.local_to_global[: part.num_masters]

@@ -15,6 +15,7 @@ from repro.core.sync_structures import ADD, MIN, FieldSpec
 from repro.errors import SyncError
 from repro.network.transport import InProcessTransport
 from repro.partition import make_partitioner
+from tests.conftest import sync_one_field
 
 BOTH = frozenset({"source", "destination"})
 
@@ -123,15 +124,13 @@ class TestWriteAtSourceCollective:
                 reduce_op=ADD,
                 writes=frozenset({"source"}),
                 reads=frozenset({"destination"}),
+                sync_phases={"reduce"},
             )
             fields.append(field)
             dirty = np.zeros(part.num_nodes, dtype=bool)
             dirty[mirrors] = True
             dirty_masks.append(dirty)
-        for sub, field, dirty in zip(subs, fields, dirty_masks):
-            sub.send_reduce(field, dirty)
-        for sub, field in zip(subs, fields):
-            sub.receive_reduce(field)
+        sync_one_field(partitioned, subs, fields, dirty_masks)
         for part, field in zip(partitioned.partitions, fields):
             master_gids = part.local_to_global[: part.num_masters]
             got = field.values[: part.num_masters].astype(np.int64)

@@ -16,6 +16,7 @@ from repro.graph.generators import rmat
 from repro.observability import Observability
 from repro.resilience import FaultPlan, ResilienceConfig
 from repro.systems import run_app
+from tests.conftest import sync_one_field
 
 EDGES = rmat(scale=8, edge_factor=6, seed=13)
 
@@ -169,11 +170,21 @@ class TestDrainGuard:
         """A sub-message staged past its phase flush fails the round."""
         result = run_app("d-galois", "bfs", EDGES, num_hosts=4, policy="cvc")
         executor = result.executor
+        parts = executor.partitioned.partitions
         substrate = executor.substrates[0]
-        peer = substrate.peer_order[0]
-        substrate.plane.stage(peer, 0, b"\x00\x01")
+        flushes = []
+
+        def stage_after_last_flush(host):
+            # end_phase follows each host's flush, once per phase: the
+            # round's final call is past every flush of both phases.
+            flushes.append(host)
+            if len(flushes) == 2 * len(parts):
+                substrate.plane.stage(substrate.peer_order[0], 0, b"\x00\x01")
+
         with pytest.raises(TransportError, match="un-flushed channel"):
-            executor._close_round(
-                [0.0] * 4,
-                [s.stats.translations for s in executor.substrates],
+            sync_one_field(
+                executor.partitioned, executor.substrates,
+                [fields[0] for fields in executor.fields],
+                [np.zeros(part.num_nodes, dtype=bool) for part in parts],
+                end_phase=stage_after_last_flush,
             )

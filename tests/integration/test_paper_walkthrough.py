@@ -22,6 +22,7 @@ from repro.network.transport import InProcessTransport
 from repro.partition.base import EdgeAssignment, build_partitioned_graph
 from repro.partition.metrics import verify_partition
 from repro.partition.strategy import PartitionStrategy
+from tests.conftest import sync_one_field
 
 # Global IDs: A=0 B=1 C=2 D=3 E=4 F=5 G=6 H=7 I=8 J=9.
 A, B, C, D, E, F, G, H, I, J = range(10)
@@ -42,6 +43,18 @@ EDGES = [
 
 #: h1 owns the left column of Figure 2(b); h2 the right.
 H1_NODES = {A, B, E, F, I}
+
+
+class WireTap(InProcessTransport):
+    """A transport that keeps every ``(src, dst, payload)`` it carries."""
+
+    def __init__(self, num_hosts):
+        super().__init__(num_hosts)
+        self.sent = []
+
+    def send(self, src, dst, payload):
+        self.sent.append((src, dst, bytes(payload)))
+        super().send(src, dst, payload)
 
 
 @pytest.fixture()
@@ -101,7 +114,7 @@ class TestFigure7:
         ships a BITVEC message selecting mirrors 0 and 1 (C and G) with
         values [2, 2]."""
         edges, partitioned = figure2_partition
-        transport = InProcessTransport(2)
+        transport = WireTap(2)
         subs = setup_substrates(partitioned, transport, OptimizationLevel.OSTI)
         transport.end_round()
         app = make_app("bfs")
@@ -118,48 +131,35 @@ class TestFigure7:
             for part, state in zip(partitioned.partitions, states)
         ]
 
-        def run_round(inspect_wire=False):
+        def run_round():
+            """One BSP round; returns h1's reduce message to h2."""
             outcomes = [
                 app.step(part, state, frontier)
                 for part, state, frontier in zip(
                     partitioned.partitions, states, frontiers
                 )
             ]
-            for sub, field, outcome in zip(subs, fields, outcomes):
-                sub.send_reduce(field, outcome.updated)
-            captured = None
-            if inspect_wire:
-                inbox = transport.receive_all(1)
-                assert len(inbox) == 1 and inbox[0][0] == 0
-                captured = inbox[0][1]
-                # Re-inject so the collective completes normally.
-                transport.send(0, 1, captured)
-                transport.stats.rounds[-1].messages.pop()
-            changed = [
-                sub.receive_reduce(field)
-                for sub, field in zip(subs, fields)
-            ]
+            transport.sent.clear()
+            touched = sync_one_field(
+                partitioned, subs, fields, [o.updated for o in outcomes]
+            )
             for host in range(2):
-                part = partitioned.partitions[host]
-                dirty = changed[host] | outcomes[host].updated
-                dirty[part.num_masters :] = False
-                subs[host].send_broadcast(fields[host], dirty)
-            for host in range(2):
-                extra = subs[host].receive_broadcast(fields[host])
-                frontiers[host] = (
-                    outcomes[host].updated | changed[host] | extra
-                )
+                frontiers[host] = outcomes[host].updated | touched[host]
             transport.end_round()
-            return captured
+            # OEC mirrors have no out-edges, so nothing is broadcast, and
+            # h2 mirrors no node of h1: the round's only message is h1's
+            # reduce message to h2.
+            assert [(src, dst) for src, dst, _ in transport.sent] == [(0, 1)]
+            return transport.sent[0][2]
 
         # Round 1: h1 reaches B and F — nothing shared with h2 updates,
         # so the reduce message to h2 is EMPTY.
-        payload = run_round(inspect_wire=True)
+        payload = run_round()
         message = decode_message(payload)
         assert message.mode is MetadataMode.EMPTY
 
         # Round 2: h1 reaches C, G (mirrors) and E (its own master).
-        payload = run_round(inspect_wire=True)
+        payload = run_round()
         message = decode_message(payload)
         assert message.mode is MetadataMode.BITVEC
         assert message.selection.tolist() == [0, 1]  # bit-vector "110"

@@ -1,0 +1,104 @@
+"""The shared round body (``repro.runtime.round``): one collective for
+both runtimes, both flush granularities, recovery, and tracing."""
+
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.runtime.round as round_module
+from repro.core.optimization import OptimizationLevel
+from repro.core.substrate import setup_substrates
+from repro.core.sync_structures import MIN, FieldSpec
+from repro.graph.generators import rmat
+from repro.network.transport import InProcessTransport
+from repro.partition import make_partitioner
+from repro.resilience import FaultPlan, ResilienceConfig
+from repro.systems import run_app
+from tests.conftest import sync_one_field
+
+EDGES = rmat(scale=8, edge_factor=6, seed=13)
+
+#: A multi-field app and a wide-field app: answer key and run options.
+APPS = {
+    "bc": ("delta", {}),
+    "featprop": ("feat", {"feature_dim": 16, "compression": "delta"}),
+}
+
+
+@pytest.mark.skipif(
+    not Path("/dev/shm").is_dir(),
+    reason="the process runtime needs a POSIX /dev/shm",
+)
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_one_collective_across_runtimes_and_granularities(app):
+    key, options = APPS[app]
+    answers = []
+    for aggregate in (True, False):
+        runs = [
+            run_app(
+                "d-galois", app, EDGES, num_hosts=4, policy="cvc",
+                aggregate_comm=aggregate, **options, **runtime,
+            )
+            for runtime in ({}, {"runtime": "process", "workers": 2})
+        ]
+        simulated, process = runs
+        assert simulated.communication_volume == process.communication_volume
+        assert (
+            simulated.communication_messages == process.communication_messages
+        )
+        assert [r.comm_bytes for r in simulated.rounds] == [
+            r.comm_bytes for r in process.rounds
+        ]
+        answers.extend(run.executor.gather_result(key) for run in runs)
+    for answer in answers[1:]:
+        assert np.array_equal(answers[0], answer)
+
+
+def test_confined_recovery_heals_through_the_shared_collective(monkeypatch):
+    calls = []
+    shared = round_module.synchronize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return shared(*args, **kwargs)
+
+    monkeypatch.setattr(round_module, "synchronize", counting)
+    plan = FaultPlan.parse("crash:1@3,drop:0.05,dup:0.05", seed=5)
+    recovered = run_app(
+        "d-galois", "bfs", EDGES, num_hosts=4, policy="cvc",
+        resilience=ResilienceConfig(
+            plan=plan, checkpoint_every=2, recovery="confined"
+        ),
+    )
+    assert [e["mode"] for e in recovered.recovery_events] == ["confined"]
+    # Every round plus the one healing round went through synchronize.
+    assert len(calls) == recovered.num_rounds + 1
+    clean = run_app("d-galois", "bfs", EDGES, num_hosts=4, policy="cvc")
+    assert np.array_equal(
+        recovered.executor.gather_result("dist"),
+        clean.executor.gather_result("dist"),
+    )
+
+
+def test_untraced_collective_never_reads_the_clock(monkeypatch):
+    partitioned = make_partitioner("cvc").partition(EDGES, 4)
+    transport = InProcessTransport(4)
+    subs = setup_substrates(partitioned, transport, OptimizationLevel.OSTI)
+    fields = [
+        FieldSpec("v", np.full(p.num_nodes, 7, dtype=np.uint32), MIN)
+        for p in partitioned.partitions
+    ]
+    dirty = [np.ones(p.num_nodes, dtype=bool) for p in partitioned.partitions]
+
+    def no_clock():
+        raise AssertionError("perf_counter read with no record sink")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(time, "perf_counter", no_clock)
+        sync_one_field(partitioned, subs, fields, dirty)
+    # The sink is what turns the clock (and the records) on.
+    record = []
+    sync_one_field(partitioned, subs, fields, dirty, record=record)
+    assert [label for label, *_ in record] == ["reduce:v", "broadcast:v"]

@@ -1,6 +1,7 @@
 """Smoke tests for the benchmark harness (benchmarks/run_bench.py)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +140,36 @@ class TestNoService:
         assert doc["aggregation"] is None
         assert doc["incremental"] is None
         assert doc["compiler"] is None
+
+
+class TestSmokeOutputPath:
+    def test_smoke_without_output_stays_out_of_the_repo(
+        self, tmp_path, capsys
+    ):
+        """Only a full run may write the tracked BENCH_<date>.json."""
+        root = Path(run_bench.__file__).resolve().parent.parent
+        tracked = {p: p.stat().st_mtime_ns for p in root.glob("BENCH_*.json")}
+        code = run_bench.main(
+            [
+                "--smoke",
+                "--policies", "oec",
+                "--hosts", "2",
+                "--no-service",
+                "--no-aggregation-cell",
+                "--no-parallel-cell",
+                "--no-features-cell",
+                "--no-incremental-cell",
+                "--no-compiler-cell",
+                "--no-dataflow-cell",
+                "--export-dir", str(tmp_path / "exports"),
+            ]
+        )
+        assert code == 0
+        written = Path(
+            capsys.readouterr().out.rsplit("wrote ", 1)[1].rsplit(" (", 1)[0]
+        )
+        assert json.loads(written.read_text())["smoke"] is True
+        assert root not in written.parents
+        assert {
+            p: p.stat().st_mtime_ns for p in root.glob("BENCH_*.json")
+        } == tracked
