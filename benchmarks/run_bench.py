@@ -499,120 +499,6 @@ def bench_features(
     }
 
 
-def bench_compiler(
-    workload: str,
-    scale_delta: int,
-    hosts: tuple = (2, 4),
-    policies: tuple = ("oec", "cvc"),
-    overhead_repeats: int = 3,
-    smoke: bool = False,
-) -> dict:
-    """Compiled-vs-handwritten cell: the codegen path must be free.
-
-    For every migrated spec (``<app>@compiled``) the cell runs the
-    generated program next to the handwritten application over the
-    policy x host grid and asserts the answers are *bitwise identical*
-    with equal round counts and equal wire traffic — then repeats the
-    check under both round-execution runtimes.  Finally it measures the
-    per-round wall overhead of generated pagerank at 4 hosts
-    (min-of-``overhead_repeats``); the full-mode acceptance bar is
-    <= 1.25x the handwritten per-round time.
-    """
-    import numpy as np
-
-    from repro.apps.specs import PROGRAM_SPECS
-    from repro.verify import output_key
-
-    edges = load_workload(workload, scale_delta)
-    apps = ("bfs", "pr") if smoke else tuple(sorted(PROGRAM_SPECS))
-    sweep_hosts = (2,) if smoke else hosts
-    rows: List[dict] = []
-
-    def run_pair(app, num_hosts, policy, runtime="simulated"):
-        handwritten = run_app(
-            "d-galois", app, edges, num_hosts=num_hosts, policy=policy,
-            runtime=runtime,
-        )
-        compiled = run_app(
-            "d-galois", f"{app}@compiled", edges, num_hosts=num_hosts,
-            policy=policy, runtime=runtime,
-        )
-        key = output_key(app)
-        expected = handwritten.executor.gather_result(key)
-        got = compiled.executor.gather_result(key)
-        tag = f"{app}/{policy}/{num_hosts}h/{runtime}"
-        if got.dtype != expected.dtype or not np.array_equal(got, expected):
-            raise AssertionError(
-                f"compiler bench: {tag}: generated code diverged from "
-                "the handwritten app"
-            )
-        if compiled.num_rounds != handwritten.num_rounds:
-            raise AssertionError(
-                f"compiler bench: {tag}: round counts differ "
-                f"({compiled.num_rounds} vs {handwritten.num_rounds})"
-            )
-        if compiled.communication_volume != handwritten.communication_volume:
-            raise AssertionError(
-                f"compiler bench: {tag}: wire bytes differ — the derived "
-                "sync endpoints changed the plan"
-            )
-        return handwritten, compiled
-
-    for app in apps:
-        for policy in policies:
-            for num_hosts in sweep_hosts:
-                handwritten, compiled = run_pair(app, num_hosts, policy)
-                rows.append({
-                    "app": app,
-                    "policy": policy,
-                    "hosts": num_hosts,
-                    "rounds": compiled.num_rounds,
-                    "total_bytes": compiled.communication_volume,
-                    "bitwise_identical": True,
-                })
-
-    runtime_rows: List[dict] = []
-    for app in ("bfs", "pr"):
-        for runtime in ("simulated", "process"):
-            run_pair(app, 2, "cvc", runtime=runtime)
-            runtime_rows.append({
-                "app": app,
-                "runtime": runtime,
-                "bitwise_identical": True,
-            })
-
-    def per_round_wall(app):
-        best = None
-        for _ in range(overhead_repeats):
-            result = run_app(
-                "d-galois", app, edges, num_hosts=4, policy="cvc"
-            )
-            per_round = result.wall_rounds_s / max(result.num_rounds, 1)
-            best = per_round if best is None else min(best, per_round)
-        return best
-
-    handwritten_s = per_round_wall("pr")
-    compiled_s = per_round_wall("pr@compiled")
-    overhead = compiled_s / handwritten_s if handwritten_s > 0 else 0.0
-    if not smoke and overhead > 1.25:
-        raise AssertionError(
-            f"compiler bench: generated pagerank costs {overhead:.2f}x "
-            "the handwritten per-round wall time at 4 hosts (bar: <= 1.25x)"
-        )
-    return {
-        "apps": list(apps),
-        "policies": list(policies),
-        "hosts": list(sweep_hosts),
-        "pairs": rows,
-        "runtimes": runtime_rows,
-        "pr_handwritten_s_per_round": round(handwritten_s, 6),
-        "pr_compiled_s_per_round": round(compiled_s, 6),
-        "pr_round_overhead": round(overhead, 3),
-        "overhead_bar": 1.25,
-        "bar_enforced": not smoke,
-    }
-
-
 def bench_dataflow(
     workload: str,
     scale_delta: int,
@@ -621,7 +507,7 @@ def bench_dataflow(
     """Dataflow-optimizer cell: GL301 eliminations must be free *and* real.
 
     For every migrated spec the cell records what the whole-program
-    analyzer proves dead, then runs ``<app>@compiled`` next to
+    analyzer proves dead, then runs ``<app>`` next to
     ``<app>@optimized`` at the OTI optimization level (where temporal
     elision still ships empty-payload messages, so a dropped sync phase
     is visible as a message-count cut) under the iec/oec strategies the
@@ -659,7 +545,7 @@ def bench_dataflow(
         per_policy: List[dict] = []
         for policy in policies:
             base = run_app(
-                "d-galois", f"{app}@compiled", edges,
+                "d-galois", app, edges,
                 num_hosts=num_hosts, policy=policy,
                 level=OptimizationLevel.OTI,
             )
@@ -675,7 +561,7 @@ def bench_dataflow(
             ):
                 raise AssertionError(
                     f"dataflow bench: {app}/{policy}: optimized build "
-                    "diverged from the unoptimized compiled program"
+                    "diverged from the bare-name program"
                 )
             rounds = max(optimized.num_rounds, 1)
             per_policy.append({
@@ -844,18 +730,6 @@ def run_matrix(args: argparse.Namespace) -> dict:
                 f"{cell['partition_cache_reuses']} warm cache hit(s)",
                 file=sys.stderr,
             )
-    compiler = None
-    if not args.no_compiler_cell:
-        compiler = bench_compiler(
-            args.workload, scale_delta, smoke=args.smoke
-        )
-        print(
-            f"  compiler: {len(compiler['pairs'])} generated-vs-handwritten "
-            f"pair(s) bitwise identical, pr round overhead "
-            f"{compiler['pr_round_overhead']:.2f}x"
-            + ("" if compiler["bar_enforced"] else " (bar not enforced)"),
-            file=sys.stderr,
-        )
     dataflow = None
     if not args.no_dataflow_cell:
         dataflow = bench_dataflow(
@@ -883,7 +757,6 @@ def run_matrix(args: argparse.Namespace) -> dict:
         "parallel": parallel,
         "features": features,
         "incremental": incremental,
-        "compiler": compiler,
         "dataflow": dataflow,
     }
 
@@ -938,11 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-incremental-cell",
         action="store_true",
         help="skip the streaming incremental-vs-cold recompute cell",
-    )
-    parser.add_argument(
-        "--no-compiler-cell",
-        action="store_true",
-        help="skip the generated-vs-handwritten bitwise/overhead cell",
     )
     parser.add_argument(
         "--no-dataflow-cell",

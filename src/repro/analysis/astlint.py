@@ -46,20 +46,16 @@ from repro.errors import LintError
 DEFAULT_WRITES = frozenset({"destination"})
 DEFAULT_READS = frozenset({"source"})
 
-#: Methods that are not part of the per-round compute phase.  The
-#: ``_base_state`` helper is the feature apps' shared ``make_state``
-#: body; it is scanned with the make-state scanner instead.
+#: Methods that are not part of the per-round compute phase.
 NON_COMPUTE_METHODS = frozenset(
     {
         "__init__",
         "make_state",
-        "_base_state",
         "make_fields",
         "initial_frontier",
         "local_residual",
         "is_globally_converged",
         "gather_master_values",
-        "gather_rank",
         "run_phases",
     }
 )
@@ -656,9 +652,8 @@ def analyze_program(cls: type) -> ProgramReport:
     methods, filename, class_lineno = _mro_methods(cls)
     report = ProgramReport(cls=cls, file=_relpath(filename))
     report.class_lineno = class_lineno
-    for name in ("make_state", "_base_state"):
-        if name in methods:
-            _MakeStateScanner(report, methods[name][0]).scan()
+    if "make_state" in methods:
+        _MakeStateScanner(report, methods["make_state"][0]).scan()
     if "make_fields" in methods:
         node, module_globals = methods["make_fields"]
         _scan_make_fields(report, node, module_globals)

@@ -4,11 +4,14 @@ This is the engine behind ``repro lint``.  A *target* is a concrete
 :class:`~repro.apps.base.VertexProgram` subclass (one that defines its
 own ``step`` and ``make_fields``); targets come from
 
-* a built-in app name (``--app bfs``) — including composite apps like
-  bc, whose module contributes its forward/backward phase programs;
+* a built-in app name (``--app bfs``) — for a spec app the class the
+  compiler generated (its source lives in :mod:`linecache`), for a
+  composite app like bc the forward/backward phase programs its module
+  contributes;
 * a module path (``--module my_programs.py``) — every concrete program
   defined in that file;
-* nothing — all built-in applications (the CI sweep).
+* nothing — all built-in applications (the CI sweep; for the spec
+  apps this *is* the compiler's verification loop over generated code).
 
 For each target the static AST pass runs, plus the algebraic checker
 over exactly the reduction ops the target's fields reference (registry
@@ -61,13 +64,12 @@ def resolve_app(name: str) -> List[type]:
     is not concrete; the phase programs living in its module are linted
     in its place.
     """
-    from repro.apps import APP_BY_NAME
+    from repro.apps import make_app
 
     try:
-        cls = APP_BY_NAME[name.lower()]
-    except KeyError:
-        known = ", ".join(sorted(APP_BY_NAME))
-        raise LintError(f"unknown application {name!r} (known: {known})") from None
+        cls = type(make_app(name))
+    except ValueError as exc:
+        raise LintError(str(exc)) from None
     module = sys.modules[cls.__module__]
     programs = _programs_in_module(module)
     if not programs:
@@ -147,47 +149,10 @@ def lint_all_apps() -> Tuple[List[str], List[Finding]]:
     return names, lint_programs(programs)
 
 
-def all_compiled_programs() -> List[Tuple[str, type]]:
-    """(registry name, generated class) for every migrated spec.
-
-    This is the compiler's verification loop: each spec is compiled to
-    source and the generated class handed to the same GL001–GL011 pass
-    the handwritten apps go through.
-    """
-    from repro.apps.specs import compiled_app_names, make_compiled_app
-
-    return [
-        (name, make_compiled_app(name).__class__)
-        for name in compiled_app_names()
-    ]
-
-
-def lint_compiled_apps(
-    app: Optional[str] = None,
-) -> Tuple[List[str], List[Finding]]:
-    """Lint the generated program(s): one app's, or every migrated spec's."""
-    if app is not None:
-        from repro.apps.specs import make_compiled_app
-
-        cls = make_compiled_app(app).__class__
-        return [cls.name], lint_programs([cls])
-    resolved = all_compiled_programs()
-    names = [name for name, _ in resolved]
-    return names, lint_programs([cls for _, cls in resolved])
-
-
 def _resolve_targets(
-    app: Optional[str], module: Optional[str], compiled: bool
+    app: Optional[str], module: Optional[str]
 ) -> Tuple[List[str], List[type]]:
     """(target names, program classes) for one lint invocation."""
-    if compiled:
-        if app is not None:
-            from repro.apps.specs import make_compiled_app
-
-            cls = make_compiled_app(app).__class__
-            return [cls.name], [cls]
-        resolved = all_compiled_programs()
-        return [name for name, _ in resolved], [cls for _, cls in resolved]
     if app is not None:
         return [app], resolve_app(app)
     if module is not None:
@@ -203,11 +168,9 @@ def _resolve_targets(
 def run_lint(
     app: Optional[str] = None,
     module: Optional[str] = None,
-    compiled: bool = False,
     dataflow: bool = False,
 ) -> Tuple[List[str], List[Finding]]:
-    """CLI entry: lint an app, a module, every built-in, or (with
-    ``compiled=True``) the generated code of the spec registry.
+    """CLI entry: lint an app, a module, or every built-in.
 
     ``dataflow=True`` appends the GL3xx whole-program sweep
     (:func:`repro.analysis.dataflow.dataflow_programs`) — dead syncs,
@@ -216,9 +179,7 @@ def run_lint(
     """
     if app is not None and module is not None:
         raise LintError("--app and --module are mutually exclusive")
-    if compiled and module is not None:
-        raise LintError("--compiled lints specs, not module files")
-    names, programs = _resolve_targets(app, module, compiled)
+    names, programs = _resolve_targets(app, module)
     findings = lint_programs(programs)
     if dataflow:
         from repro.analysis.dataflow import dataflow_programs

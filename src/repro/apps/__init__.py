@@ -2,56 +2,55 @@
 
 Each application is a vertex program in the paper's sense (§2.1): node
 labels, an operator applied until global quiescence, and per-field
-synchronization structures handed to Gluon.
+synchronization structures handed to Gluon.  Every single-operator app
+is defined once, as a :class:`~repro.compiler.spec.ProgramSpec` in
+:mod:`repro.apps.specs`; the class registered here is the one the sync
+compiler generates from it.  ``bc`` (two executor passes) is the one
+handwritten :class:`VertexProgram` driver.
 """
+
+import functools
 
 from repro.apps.base import AppContext, StepOutcome, VertexProgram
 from repro.apps.bc import BetweennessCentrality
-from repro.apps.bfs import BFS
-from repro.apps.cc import ConnectedComponents
-from repro.apps.features import (
-    FeaturePropagation,
-    FeaturePropagationMean,
-    GraphSage,
-    LabelPropagation,
+from repro.apps.specs import (
+    OPTIMIZED_SUFFIX,
+    PROGRAM_SPECS,
+    SPEC_ALIASES,
+    spec_for,
 )
-from repro.apps.kcore import KCore
-from repro.apps.pagerank import PageRank
-from repro.apps.pagerank_push import PageRankPush
-from repro.apps.sssp import SSSP
+from repro.compiler.program_codegen import compile_program
 
+# Compiled once, at import: before any job is timed, and before a layer
+# profiler rebinds the kernels the generated modules import.
 APP_BY_NAME = {
-    "bfs": BFS,
-    "sssp": SSSP,
-    "cc": ConnectedComponents,
-    "pr": PageRank,
-    "pagerank": PageRank,
-    "pr-push": PageRankPush,
-    "kcore": KCore,
-    "bc": BetweennessCentrality,
-    "featprop": FeaturePropagation,
-    "featprop-mean": FeaturePropagationMean,
-    "labelprop": LabelPropagation,
-    "sage": GraphSage,
+    name: type(compile_program(spec)) for name, spec in PROGRAM_SPECS.items()
 }
+APP_BY_NAME.update(
+    {alias: APP_BY_NAME[name] for alias, name in SPEC_ALIASES.items()}
+)
+APP_BY_NAME["bc"] = BetweennessCentrality
+
+
+@functools.lru_cache(maxsize=None)
+def _optimized_class(spec) -> type:
+    return type(compile_program(spec, optimize=True))
 
 
 def make_app(name: str):
-    """Construct an application by its short name (bfs/sssp/cc/pr/kcore).
+    """Construct an application by its short name (bfs/sssp/cc/pr/kcore/...).
 
-    ``<app>@compiled`` names resolve through the spec registry
-    (:mod:`repro.apps.specs`) to the generated twin of the handwritten
-    app; ``<app>@optimized`` is the same twin built with
+    A bare name resolves through ``APP_BY_NAME`` — for every spec app,
+    the program generated from ``PROGRAM_SPECS[name]``.
+    ``<app>@optimized`` is the same spec built with
     ``compile_program(optimize=True)`` (GL301 dead-sync elimination +
-    GL302 phase fusion); everything else resolves through
-    ``APP_BY_NAME``.
+    GL302 phase fusion): bitwise-identical results, fewer messages.
     """
-    if name.lower().endswith(("@compiled", "@optimized")):
-        from repro.apps.specs import make_compiled_app
-
-        return make_compiled_app(name.lower())
+    key = name.lower()
+    if key.endswith(OPTIMIZED_SUFFIX):
+        return _optimized_class(spec_for(key))()
     try:
-        cls = APP_BY_NAME[name.lower()]
+        cls = APP_BY_NAME[key]
     except KeyError:
         known = ", ".join(sorted(APP_BY_NAME))
         raise ValueError(f"unknown application {name!r} (known: {known})") from None
@@ -62,17 +61,7 @@ __all__ = [
     "VertexProgram",
     "AppContext",
     "StepOutcome",
-    "BFS",
-    "SSSP",
-    "ConnectedComponents",
-    "PageRank",
-    "PageRankPush",
-    "KCore",
     "BetweennessCentrality",
-    "FeaturePropagation",
-    "FeaturePropagationMean",
-    "LabelPropagation",
-    "GraphSage",
     "make_app",
     "APP_BY_NAME",
 ]

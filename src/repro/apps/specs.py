@@ -1,21 +1,22 @@
-"""Declarative program specs for the benchmark apps (ROADMAP item 3).
+"""The built-in applications, as declarative program specs.
 
-Every migrated application is re-expressed as a
+Every single-operator benchmark app *is* a
 :class:`~repro.compiler.spec.ProgramSpec` — fields, phases, kernels,
-and sync pairings — and registered as ``<app>@compiled`` next to its
-handwritten original.  The sync endpoints are *derived* from the phase
-access sets by the compiler; nothing here declares ``writes=`` or
-``reads=``.
+and sync pairings — and the program :func:`repro.apps.make_app` hands
+out is the class the compiler generates from it.  The sync endpoints
+are *derived* from the phase access sets by the compiler; nothing here
+declares ``writes=`` or ``reads=``.
 
 The master-side hooks and convergence tests below are plain Python
-functions copied verbatim from the handwritten apps' arithmetic: the
-compiled programs must be *bitwise identical* to the originals across
-every policy, host count, and runtime (the bench ``compiler`` cell and
-``tests/compiler/test_program_specs.py`` enforce this).
+functions.  ``tests/golden/app_matrix.json`` pins every app's answer
+and simulated quantities across policies, host counts, levels and
+runtimes; :mod:`repro.oracles` and :mod:`repro.features.oracles` stay
+the independent single-machine reference.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.compiler.spec import (
     SyncDecl,
 )
 
-#: "Unreached" distance, mirrored from :mod:`repro.apps.sssp`.
+#: "Unreached" distance of bfs/sssp.
 _INFINITY = np.uint32(np.iinfo(np.uint32).max)
 
 _BFS_KERNEL = (
@@ -37,8 +38,7 @@ _BFS_KERNEL = (
 
 
 # ---------------------------------------------------------------------------
-# Master-side hooks (the derived-broadcast apply functions).  Each is the
-# exact arithmetic of the handwritten app's ``_apply_at_masters``.
+# Master-side hooks (the derived-broadcast apply functions).
 # ---------------------------------------------------------------------------
 
 
@@ -110,19 +110,28 @@ def _pr_push_consume(part, state: Dict) -> np.ndarray:
     return broadcast_dirty
 
 
-def _featprop_apply(part, state: Dict) -> np.ndarray:
-    """Masters adopt the aggregated rows; dirty where any column moved."""
+def _adopt_rows(part, state: Dict, new: np.ndarray) -> np.ndarray:
+    """Masters adopt ``new`` as their rows; dirty where any column moved."""
     m = part.num_masters
     feat = state["feat"]
-    acc = state["acc"]
-    new = acc[:m]
     changed = (new != feat[:m]).any(axis=1)
     state["residual"] = float(changed.sum())
     feat[:m] = new
-    acc[:m] = 0.0
+    state["acc"][:m] = 0.0
     broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
     broadcast_dirty[:m] = changed
     return broadcast_dirty
+
+
+def _featprop_apply(part, state: Dict) -> np.ndarray:
+    """Masters adopt the aggregated rows (sum variant)."""
+    return _adopt_rows(part, state, state["acc"][: part.num_masters])
+
+
+def _featprop_mean_apply(part, state: Dict) -> np.ndarray:
+    """Mean variant: rows divided by the pow2 in-degree (exact)."""
+    m = part.num_masters
+    return _adopt_rows(part, state, state["acc"][:m] * state["inv_norm"][:m])
 
 
 def _featprop_converged(residual_sum: float, round_index: int, ctx) -> bool:
@@ -155,8 +164,27 @@ def _labelprop_converged(residual_sum: float, round_index: int, ctx) -> bool:
     return residual_sum == 0 or round_index >= ctx.feature_rounds
 
 
+def _sage_apply(part, state: Dict) -> np.ndarray:
+    """``H = relu(X W_self + (A^T X) W_neigh)`` at masters.
+
+    The input features never change, so the broadcast dirty mask is
+    empty and the run stops after round one.
+    """
+    m = part.num_masters
+    acc = state["acc"]
+    hidden = state["feat"][:m] @ state["w_self"] + acc[:m] @ state["w_neigh"]
+    state["hidden"][:m] = np.maximum(hidden, 0.0)
+    state["residual"] = 0.0
+    acc[:m] = 0.0
+    return np.zeros(part.num_nodes, dtype=bool)
+
+
+def _sage_converged(residual_sum: float, round_index: int, ctx) -> bool:
+    return round_index >= 1
+
+
 # ---------------------------------------------------------------------------
-# The eight migrated specs.
+# The specs.
 # ---------------------------------------------------------------------------
 
 BFS_SPEC = ProgramSpec(
@@ -504,7 +532,67 @@ LABELPROP_SPEC = ProgramSpec(
     wide_dim="ctx.feature_dim",
 )
 
-#: Every migrated spec, keyed by its canonical app name.
+FEATPROP_MEAN_SPEC = dataclasses.replace(
+    FEATPROP_SPEC,
+    name="featprop-mean",
+    fields=FEATPROP_SPEC.fields
+    + (
+        # Never synchronized: every proxy derives it from the global
+        # in-degree the loader gathered.
+        FieldDecl(
+            name="inv_norm",
+            dtype=np.float64,
+            reduce=None,
+            init=(
+                "(1.0 / pow2_normalizer("
+                "ctx.global_in_degree[part.local_to_global]))[:, None]"
+            ),
+        ),
+    ),
+    sync=(
+        SyncDecl(
+            field="acc",
+            name="feat_acc",
+            broadcast="feat",
+            hook=_featprop_mean_apply,
+        ),
+    ),
+    imports=(
+        "from repro.features.kernels import feature_rows, pow2_normalizer",
+    ),
+    needs_global_in_degrees=True,
+)
+
+#: One GraphSAGE forward layer with fixed integer weights: a single
+#: aggregation round, then a dense per-master transform into ``hidden``.
+SAGE_SPEC = dataclasses.replace(
+    FEATPROP_SPEC,
+    name="sage",
+    fields=FEATPROP_SPEC.fields
+    + (
+        FieldDecl(
+            name="hidden",
+            dtype=np.float64,
+            reduce=None,
+            init="np.zeros((n, dim), dtype=np.float64)",
+            width="dim",
+        ),
+    ),
+    sync=(
+        SyncDecl(
+            field="acc", name="feat_acc", broadcast="feat", hook=_sage_apply
+        ),
+    ),
+    scalars=FEATPROP_SPEC.scalars
+    + (
+        ("w_self", "sage_weights(dim, dim, salt=1)"),
+        ("w_neigh", "sage_weights(dim, dim, salt=2)"),
+    ),
+    imports=("from repro.features.kernels import feature_rows, sage_weights",),
+    converged=_sage_converged,
+)
+
+#: Every spec app, keyed by its canonical app name.
 PROGRAM_SPECS: Dict[str, ProgramSpec] = {
     spec.name: spec
     for spec in (
@@ -515,44 +603,31 @@ PROGRAM_SPECS: Dict[str, ProgramSpec] = {
         PAGERANK_SPEC,
         PAGERANK_PUSH_SPEC,
         FEATPROP_SPEC,
+        FEATPROP_MEAN_SPEC,
         LABELPROP_SPEC,
+        SAGE_SPEC,
     )
 }
 
-#: Accepted aliases (mirrors APP_BY_NAME's "pagerank" -> "pr").
-_SPEC_ALIASES = {"pagerank": "pr"}
+#: Accepted aliases (``APP_BY_NAME`` registers the same ones).
+SPEC_ALIASES = {"pagerank": "pr"}
 
-_COMPILED_SUFFIX = "@compiled"
-
-#: ``<app>@optimized`` — the compiled twin built with
+#: ``<app>@optimized`` — the same spec built with
 #: ``compile_program(optimize=True)``: GL301 dead-sync phases stripped
 #: per partition strategy and GL302-fusible push phases sharing one
 #: gather.  Bitwise-identical results, strictly fewer messages.
-_OPTIMIZED_SUFFIX = "@optimized"
-
-_COMPILED_CACHE: Dict[str, type] = {}
+OPTIMIZED_SUFFIX = "@optimized"
 
 
 def base_app_name(name: str) -> str:
-    """Strip the ``@compiled``/``@optimized`` suffix from an app name."""
-    for suffix in (_COMPILED_SUFFIX, _OPTIMIZED_SUFFIX):
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
-
-
-def is_compiled_name(name: str) -> bool:
-    return name.endswith((_COMPILED_SUFFIX, _OPTIMIZED_SUFFIX))
-
-
-def is_optimized_name(name: str) -> bool:
-    return name.endswith(_OPTIMIZED_SUFFIX)
+    """Strip the ``@optimized`` suffix from an app name."""
+    return name.removesuffix(OPTIMIZED_SUFFIX)
 
 
 def spec_for(name: str) -> ProgramSpec:
-    """Resolve a spec by app name (with or without ``@compiled``)."""
+    """Resolve a spec by app name (with or without ``@optimized``)."""
     base = base_app_name(name.lower())
-    base = _SPEC_ALIASES.get(base, base)
+    base = SPEC_ALIASES.get(base, base)
     try:
         return PROGRAM_SPECS[base]
     except KeyError:
@@ -562,26 +637,6 @@ def spec_for(name: str) -> ProgramSpec:
         ) from None
 
 
-def make_compiled_app(name: str):
-    """Compile (with caching) and instantiate a ``@compiled``/
-    ``@optimized`` app name."""
-    from repro.compiler.program_codegen import compile_program
-
-    spec = spec_for(name)
-    optimize = is_optimized_name(name)
-    key = spec.name + (_OPTIMIZED_SUFFIX if optimize else "")
-    cls = _COMPILED_CACHE.get(key)
-    if cls is None:
-        cls = compile_program(spec, optimize=optimize).__class__
-        _COMPILED_CACHE[key] = cls
-    return cls()
-
-
-def compiled_app_names() -> List[str]:
-    """The registry names of every migrated app (``<app>@compiled``)."""
-    return [f"{name}{_COMPILED_SUFFIX}" for name in sorted(PROGRAM_SPECS)]
-
-
 def optimized_app_names() -> List[str]:
-    """``<app>@optimized`` names (dataflow-optimized compiled twins)."""
-    return [f"{name}{_OPTIMIZED_SUFFIX}" for name in sorted(PROGRAM_SPECS)]
+    """``<app>@optimized`` names (the dataflow-optimized builds)."""
+    return [f"{name}{OPTIMIZED_SUFFIX}" for name in sorted(PROGRAM_SPECS)]

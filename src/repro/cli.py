@@ -22,11 +22,7 @@ from typing import Callable, Dict, List, Optional
 from repro.analysis import experiments
 from repro.analysis.tables import format_table
 from repro.apps import APP_BY_NAME
-from repro.apps.specs import (
-    PROGRAM_SPECS,
-    compiled_app_names,
-    optimized_app_names,
-)
+from repro.apps.specs import PROGRAM_SPECS, optimized_app_names
 from repro.core.optimization import OptimizationLevel
 from repro.core.sync_structures import COMPRESSION_MODES
 from repro.errors import FaultPlanError
@@ -64,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    runnable_apps = sorted(APP_BY_NAME) + optimized_app_names()
 
     run_cmd = commands.add_parser("run", help="run one application")
     run_cmd.add_argument(
@@ -72,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--app",
         required=True,
-        choices=sorted(APP_BY_NAME) + compiled_app_names()
-        + optimized_app_names(),
+        choices=runnable_apps,
     )
     run_cmd.add_argument(
         "--workload", required=True, choices=sorted(WORKLOAD_NAMES)
@@ -362,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_targets = lint_cmd.add_mutually_exclusive_group()
     lint_targets.add_argument(
         "--app",
-        choices=sorted(APP_BY_NAME),
+        choices=runnable_apps,
         default=None,
         help="lint one built-in application (default: all of them)",
     )
@@ -371,15 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="lint every VertexProgram subclass defined in a module file",
-    )
-    lint_cmd.add_argument(
-        "--compiled",
-        action="store_true",
-        help=(
-            "lint the GENERATED code of the spec registry instead of the "
-            "handwritten apps (the compiler's verification loop); combine "
-            "with --app to lint one spec's output"
-        ),
     )
     lint_cmd.add_argument(
         "--dataflow",
@@ -1050,7 +1037,6 @@ def _command_lint(
         targets, findings = run_lint(
             app=args.app,
             module=args.module,
-            compiled=args.compiled,
             dataflow=args.dataflow,
         )
     except LintError as exc:
@@ -1102,7 +1088,7 @@ def _command_inputs(_args: argparse.Namespace) -> int:
 
 def _command_analyze(args: argparse.Namespace) -> int:
     # One source of truth: the same spec registry that backs
-    # ``repro run <app>@compiled`` and ``repro compile``.
+    # ``repro run <app>`` and ``repro compile``.
     from repro.apps.specs import spec_for
     from repro.compiler.analysis import describe_program
 

@@ -7,42 +7,40 @@ and generates the synchronization structures plus the sync call placement
 ("we have implemented this in a compiler for Galois").
 
 This subpackage is the Python rendering of that compiler.  An application
-is written as a *declarative operator specification*
-(:class:`~repro.compiler.spec.OperatorSpec`): field declarations and a
-vectorized edge kernel.  :func:`compile_operator` then generates a complete
-:class:`~repro.apps.base.VertexProgram` — state allocation, the local
-super-step, the Gluon field specs, and the strategy-legality analysis —
-from application-agnostic templates.
+is written as a *declarative program specification*
+(:class:`~repro.compiler.spec.ProgramSpec`): field declarations, ordered
+compute phases with textual vectorized kernels, and sync pairings.
+:func:`compile_program` renders real Python source from templates — a
+complete :class:`~repro.apps.base.VertexProgram` with state allocation,
+the local super-step and the Gluon field specs — whose sync endpoints
+are *derived* from the phases' declared access sets
+(:func:`derive_endpoints`), and the GL001–GL011 lint rules verify the
+generated code (``repro lint``).
 
-Example (sssp in six declarative lines)::
+Example (sssp; :data:`repro.apps.specs.SSSP_SPEC` adds only the
+unreached-source guard)::
 
-    spec = OperatorSpec(
+    spec = ProgramSpec(
         name="sssp",
-        style=OperatorClass.PUSH,
-        field=FieldDecl("dist", np.uint32, reduce="min",
-                        init=Init.infinity_except_source()),
-        edge_kernel=lambda source_values, weights: source_values + weights,
+        fields=(FieldDecl("dist", np.uint32, reduce="min",
+                          init="np.full(n, INFINITY, dtype=np.uint32)",
+                          source_value="0"),),
+        phases=(PhaseSpec("relax", kind="frontier_push", target="dist",
+                          kernel="np.minimum({src.dist}.astype(np.int64)"
+                                 " + {w}, int(INFINITY)).astype(np.uint32)",
+                          uses_weights=True),),
+        sync=(SyncDecl(field="dist"),),
+        constants=(("INFINITY", np.uint32(2**32 - 1)),),
+        frontier="source",
         needs_weights=True,
     )
-    sssp = compile_operator(spec)   # a ready-to-run VertexProgram
+    sssp = compile_program(spec)   # a ready-to-run VertexProgram
 
-The full pipeline is the multi-field, multi-phase
-:class:`~repro.compiler.spec.ProgramSpec` language:
-:func:`compile_program` renders real Python source from templates, the
-sync endpoints of every generated ``FieldSpec`` are *derived* from the
-phases' declared access sets (:func:`derive_endpoints`), and the
-GL001–GL011 lint rules verify the generated code (``repro lint
---compiled``).  All migrated benchmark apps live as specs in
-:mod:`repro.apps.specs`, registered as ``<app>@compiled``.
+Every built-in single-operator app is such a spec; the programs
+``make_app`` hands out are the classes generated from them.
 """
 
-from repro.compiler.analysis import (
-    SyncRequirements,
-    analyze_operator,
-    describe_program,
-    required_patterns,
-)
-from repro.compiler.codegen import CompiledVertexProgram, compile_operator
+from repro.compiler.analysis import describe_program, required_patterns
 from repro.compiler.program_codegen import (
     compile_program,
     render_program,
@@ -50,8 +48,6 @@ from repro.compiler.program_codegen import (
 )
 from repro.compiler.spec import (
     FieldDecl,
-    Init,
-    OperatorSpec,
     PhaseSpec,
     ProgramSpec,
     SyncDecl,
@@ -60,13 +56,7 @@ from repro.compiler.spec import (
 )
 
 __all__ = [
-    "OperatorSpec",
     "FieldDecl",
-    "Init",
-    "compile_operator",
-    "CompiledVertexProgram",
-    "analyze_operator",
-    "SyncRequirements",
     "required_patterns",
     "ProgramSpec",
     "PhaseSpec",

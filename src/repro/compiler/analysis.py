@@ -1,37 +1,20 @@
-"""Static analysis of operator specifications (§3.1-§3.3).
+"""Static analysis of program specifications (§3.1-§3.3).
 
-Given an :class:`~repro.compiler.spec.OperatorSpec`, the analysis derives
+Given a :class:`~repro.compiler.spec.ProgramSpec`, the analysis derives
 what the paper's compiler derives from application source:
 
 * the data-flow direction (all spec-expressible operators flow
   source -> destination, the case §3.2 analyzes);
 * which synchronization patterns (reduce and/or broadcast) each
-  partitioning strategy needs for this operator; and
-* which strategies are *legal* for it (§3.1's operator/strategy matrix).
+  partitioning strategy needs for this operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.compiler.spec import OperatorSpec, ProgramSpec, derive_endpoints
-from repro.errors import StrategyError
-from repro.partition.strategy import (
-    PartitionStrategy,
-    check_strategy_legal,
-)
-
-
-@dataclass(frozen=True)
-class SyncRequirements:
-    """What one (operator, strategy) pair needs per synchronization."""
-
-    strategy: PartitionStrategy
-    needs_reduce: bool
-    needs_broadcast: bool
-    legal: bool
-
+from repro.compiler.spec import ProgramSpec, derive_endpoints
+from repro.partition.strategy import PartitionStrategy
 
 #: §3.2's per-strategy pattern table for source->destination data flow.
 _PATTERNS: Dict[PartitionStrategy, Tuple[bool, bool]] = {
@@ -49,58 +32,12 @@ def required_patterns(
     return _PATTERNS[strategy]
 
 
-def analyze_operator(spec: OperatorSpec) -> Dict[PartitionStrategy, SyncRequirements]:
-    """Derive sync requirements and legality for every strategy.
+def _strategy_lines():
+    """The per-strategy plan table: which patterns each strategy needs.
 
-    The reduction test: every spec field reduces through a named
-    :class:`ReductionOp`, so ``is_reduction`` is always true here — the
-    spec language cannot express non-reduction updates (they would need
-    OEC/IEC anyway, which the legality check reflects).
+    Every spec-expressible program is a single-value-push reduction,
+    which §3.1's legality matrix allows under every strategy.
     """
-    results = {}
-    for strategy in PartitionStrategy:
-        needs_reduce, needs_broadcast = required_patterns(strategy)
-        try:
-            check_strategy_legal(
-                strategy,
-                spec.style,
-                is_reduction=True,
-                single_value_push=spec.single_value_push,
-            )
-            legal = True
-        except StrategyError:
-            legal = False
-        results[strategy] = SyncRequirements(
-            strategy=strategy,
-            needs_reduce=needs_reduce,
-            needs_broadcast=needs_broadcast,
-            legal=legal,
-        )
-    return results
-
-
-def check_spec_legal_for(
-    spec: OperatorSpec, strategy: PartitionStrategy
-) -> None:
-    """Raise :class:`StrategyError` if ``strategy`` cannot run ``spec``."""
-    check_strategy_legal(
-        strategy,
-        spec.style,
-        is_reduction=True,
-        single_value_push=spec.single_value_push,
-    )
-
-
-def data_flow_description(spec: OperatorSpec) -> str:
-    """Human-readable summary of the inferred synchronization plan."""
-    lines = [f"operator {spec.name}: {spec.style.value}-style, "
-             f"field {spec.field.name!r} ({spec.field.reduce}-reduction)"]
-    lines.extend(_strategy_lines(spec.style, spec.single_value_push))
-    return "\n".join(lines)
-
-
-def _strategy_lines(style, single_value_push: bool):
-    """The per-strategy plan table shared by both describe flavors."""
     lines = []
     for strategy in PartitionStrategy:
         needs_reduce, needs_broadcast = required_patterns(strategy)
@@ -109,19 +46,7 @@ def _strategy_lines(style, single_value_push: bool):
             patterns.append("reduce")
         if needs_broadcast:
             patterns.append("broadcast")
-        try:
-            check_strategy_legal(
-                strategy,
-                style,
-                is_reduction=True,
-                single_value_push=single_value_push,
-            )
-            legality = ""
-        except StrategyError:
-            legality = "  [ILLEGAL for this operator]"
-        lines.append(
-            f"  {strategy.value:>4}: {' + '.join(patterns)}{legality}"
-        )
+        lines.append(f"  {strategy.value:>4}: {' + '.join(patterns)}")
     return lines
 
 
@@ -164,5 +89,5 @@ def describe_program(spec: ProgramSpec) -> str:
             f"{decl.field!r}{pair} — derived writes="
             f"{sorted(writes)} reads={sorted(reads)}"
         )
-    lines.extend(_strategy_lines(spec.operator_class, True))
+    lines.extend(_strategy_lines())
     return "\n".join(lines)

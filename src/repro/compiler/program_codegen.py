@@ -13,7 +13,7 @@ into :mod:`linecache`, so the generated class is a first-class citizen:
 tracebacks show generated lines, ``inspect.getsource`` works, and —
 the point of the exercise — the GL001–GL011 AST lint rules of
 :mod:`repro.analysis.astlint` run over the generated code exactly as
-they do over handwritten apps (``repro lint --compiled``).  The
+they do over handwritten programs (``repro lint``).  The
 templates deliberately emit the same idioms the linter infers endpoint
 provenance from: ``x = state["key"]`` aliasing, tuple-unpacked
 ``gather_frontier_edges`` calls, ``src, dst = part.graph.edges()``
@@ -38,14 +38,9 @@ from repro.compiler.spec import (
     derive_endpoints,
 )
 from repro.core.sync_structures import REDUCTIONS
-from repro.errors import StrategyError
-from repro.partition.strategy import (
-    OperatorClass,
-    PartitionStrategy,
-    check_strategy_legal,
-)
+from repro.partition.strategy import OperatorClass
 
-#: Scatter-combine source text per reduction (mirrors codegen._SCATTER).
+#: Scatter-combine source text per reduction.
 _SCATTER_SRC: Dict[str, str] = {
     "min": "np.minimum.at",
     "max": "np.maximum.at",
@@ -393,26 +388,25 @@ def _emit_make_state(out: _Emitter, spec: ProgramSpec) -> None:
         out.emit(2, "if ctx.global_out_degree is None:")
         out.emit(
             3,
-            f'raise ValueError("{spec.name}@compiled requires '
+            f'raise ValueError("{spec.name} requires '
             'ctx.global_out_degree")',
         )
     if spec.needs_global_in_degrees:
         out.emit(2, "if ctx.global_in_degree is None:")
         out.emit(
             3,
-            f'raise ValueError("{spec.name}@compiled requires '
+            f'raise ValueError("{spec.name} requires '
             'ctx.global_in_degree")',
         )
     out.emit(2, "state = {}")
+    if any(p.kind == "dense_pull" for p in spec.phases):
+        # Pre-gathered before the labels: allocating a host's largest,
+        # longest-lived arrays first measurably lowers a run's peak RSS.
+        out.emit(2, "src, dst = part.graph.edges()")
+        out.emit(2, 'state["edge_src"] = src.astype(np.int64)')
+        out.emit(2, 'state["edge_dst"] = dst.astype(np.int64)')
     for decl in spec.fields:
-        if isinstance(decl.init, str):
-            out.emit(2, f'state["{decl.name}"] = {decl.init}')
-        else:
-            out.emit(
-                2,
-                f'state["{decl.name}"] = _INIT_{_ident(decl.name)}'
-                f"(part, ctx, _DTYPE_{_ident(decl.name)})",
-            )
+        out.emit(2, f'state["{decl.name}"] = {decl.init}')
         if decl.source_value is not None:
             out.emit(2, "if part.has_proxy(ctx.source):")
             out.emit(
@@ -422,10 +416,6 @@ def _emit_make_state(out: _Emitter, spec: ProgramSpec) -> None:
             )
         for line in decl.extra_init:
             out.emit(2, line)
-    if any(p.kind == "dense_pull" for p in spec.phases):
-        out.emit(2, "src, dst = part.graph.edges()")
-        out.emit(2, 'state["edge_src"] = src.astype(np.int64)')
-        out.emit(2, 'state["edge_dst"] = dst.astype(np.int64)')
     for key, expr in spec.scalars:
         out.emit(2, f'state["{key}"] = {expr}')
     out.emit(2, "return state")
@@ -573,7 +563,7 @@ def render_program(spec: ProgramSpec, optimize: bool = False) -> str:
     out.emit(0, "")
     out.emit(0, "")
     out.emit(0, f"class {cls}(VertexProgram):")
-    suffix = "@optimized" if (dead_table or fused_pairs) else "@compiled"
+    suffix = "@optimized" if optimize else ""
     out.emit(1, f'name = "{spec.name}{suffix}"')
     out.emit(1, f"needs_weights = {spec.needs_weights}")
     out.emit(1, f"symmetrize_input = {spec.symmetrize_input}")
@@ -677,13 +667,7 @@ def render_program(spec: ProgramSpec, optimize: bool = False) -> str:
 
 def _seed_globals(spec: ProgramSpec) -> Dict:
     """Opaque objects the generated source references by name."""
-    import numpy as np
-
     seeds: Dict = dict(spec.constants)
-    for decl in spec.fields:
-        if not isinstance(decl.init, str):
-            seeds[f"_INIT_{_ident(decl.name)}"] = decl.init
-            seeds[f"_DTYPE_{_ident(decl.name)}"] = np.dtype(decl.dtype)
     for decl in spec.sync:
         if decl.hook is not None:
             seeds[f"_HOOK_{_ident(decl.wire_name)}"] = decl.hook
@@ -733,8 +717,8 @@ def compile_program(
     hands out).  The class itself carries ``spec`` and
     ``generated_source`` attributes; pass ``verify=True`` to run the
     GL001–GL011 sweep over the generated code and fail the compile on
-    any error-severity finding (``repro lint --compiled`` runs the same
-    sweep standalone).
+    any error-severity finding (``repro lint`` runs the same sweep
+    standalone).
 
     ``optimize=True`` first runs the GL3xx whole-program dataflow
     sweep (:mod:`repro.analysis.dataflow`) and refuses to compile a
@@ -763,24 +747,6 @@ def compile_program(
     cls.spec = spec
     cls.generated_source = source
     cls.optimized = optimize
-    # At least one partitioning strategy must be able to run the
-    # program's operator class (§3.1's legality matrix).
-    legal_somewhere = False
-    for strategy in PartitionStrategy:
-        try:
-            check_strategy_legal(
-                strategy,
-                spec.operator_class,
-                is_reduction=True,
-                single_value_push=True,
-            )
-            legal_somewhere = True
-        except StrategyError:
-            continue
-    if not legal_somewhere:
-        raise CompileError(
-            f"{spec.name}: no partitioning strategy can run this program"
-        )
     if verify:
         findings = verify_compiled(cls)
         errors = [f for f in findings if f.severity == "error"]

@@ -1,21 +1,14 @@
 """Declarative program specifications — the compiler's input language.
 
-Two spec layers live here:
-
-* :class:`OperatorSpec` — the original single-field, single-phase form:
-  one synchronized label, one reduction, one vectorized edge kernel.
-  Compiled by :class:`repro.compiler.codegen.CompiledVertexProgram`.
-
-* :class:`ProgramSpec` — the full multi-field, multi-phase language.
-  A program is an ordered tuple of :class:`PhaseSpec` compute phases
-  (push / sparse-pull / dense-pull, each a textual vectorized kernel
-  over declared :class:`FieldDecl` fields) plus :class:`SyncDecl`
-  synchronization pairings.  Crucially the sync *endpoints* — which
-  edge end a field is written at and which end it is read at, the
-  ``WriteAtDestination`` / ``ReadAtSource`` parameters of the paper's
-  Figure 4 — are **derived** from the phases' access sets by
-  :func:`derive_endpoints`; specs never hand-declare them.  Compiled to
-  real Python source by :func:`repro.compiler.program_codegen.compile_program`.
+A :class:`ProgramSpec` is an ordered tuple of :class:`PhaseSpec` compute
+phases (push / sparse-pull / dense-pull, each a textual vectorized
+kernel over declared :class:`FieldDecl` fields) plus :class:`SyncDecl`
+synchronization pairings.  Crucially the sync *endpoints* — which edge
+end a field is written at and which end it is read at, the
+``WriteAtDestination`` / ``ReadAtSource`` parameters of the paper's
+Figure 4 — are **derived** from the phases' access sets by
+:func:`derive_endpoints`; specs never hand-declare them.  Compiled to
+real Python source by :func:`repro.compiler.program_codegen.compile_program`.
 
 Kernel/guard strings reference fields through placeholders:
 
@@ -37,9 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Union
-
-import numpy as np
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.sync_structures import REDUCTIONS, ReductionOp
 from repro.errors import ReproError
@@ -48,58 +39,6 @@ from repro.partition.strategy import OperatorClass
 
 class CompileError(ReproError):
     """Raised when an operator specification is inconsistent."""
-
-
-class Init:
-    """Field initializers: how a label starts before round 1.
-
-    Each factory returns a callable ``(partition, ctx, dtype) -> ndarray``
-    producing the per-host local array.
-    """
-
-    @staticmethod
-    def constant(value) -> Callable:
-        """Every proxy starts at ``value``."""
-
-        def build(part, ctx, dtype):
-            return np.full(part.num_nodes, value, dtype=dtype)
-
-        return build
-
-    @staticmethod
-    def global_id() -> Callable:
-        """Every proxy starts at its node's global ID (cc-style)."""
-
-        def build(part, ctx, dtype):
-            return part.local_to_global.astype(dtype).copy()
-
-        return build
-
-    @staticmethod
-    def infinity_except_source() -> Callable:
-        """Min-reduction start: identity everywhere, 0 at ``ctx.source``."""
-
-        def build(part, ctx, dtype):
-            identity = REDUCTIONS["min"].identity(np.dtype(dtype))
-            values = np.full(part.num_nodes, identity, dtype=dtype)
-            if part.has_proxy(ctx.source):
-                values[part.to_local(ctx.source)] = 0
-            return values
-
-        return build
-
-    @staticmethod
-    def zero_except_source(source_value) -> Callable:
-        """Max-reduction start: zero everywhere, ``source_value`` at the
-        source (widest-path-style)."""
-
-        def build(part, ctx, dtype):
-            values = np.zeros(part.num_nodes, dtype=dtype)
-            if part.has_proxy(ctx.source):
-                values[part.to_local(ctx.source)] = source_value
-            return values
-
-        return build
 
 
 @dataclass(frozen=True)
@@ -112,11 +51,8 @@ class FieldDecl:
         reduce: Reduction name from
             :data:`repro.core.sync_structures.REDUCTIONS`, or ``None``
             for a local (never-synchronized) field.
-        init: Initializer.  Either a callable ``(part, ctx, dtype) ->
-            ndarray`` (the :class:`Init` factories; the only form the
-            legacy :class:`OperatorSpec` path accepts) or a Python
-            *source expression* rendered verbatim into the generated
-            ``make_state`` (:class:`ProgramSpec` path).  Expressions may
+        init: Initializer — a Python *source expression* rendered
+            verbatim into the generated ``make_state``.  Expressions may
             reference ``part``, ``ctx``, ``n`` (local node count),
             ``dim`` (the program's wide dimension), previously declared
             fields via ``state["..."]``, spec constants, and ``np``.
@@ -134,7 +70,7 @@ class FieldDecl:
     name: str
     dtype: type
     reduce: Optional[str]
-    init: Union[Callable, str]
+    init: str
     width: Optional[str] = None
     compression: Optional[str] = None
     source_value: Optional[str] = None
@@ -147,10 +83,9 @@ class FieldDecl:
                 f"field {self.name!r}: unknown reduction {self.reduce!r} "
                 f"(known: {known})"
             )
-        if not callable(self.init) and not isinstance(self.init, str):
+        if not isinstance(self.init, str):
             raise CompileError(
-                f"field {self.name!r}: init must be callable or a source "
-                "expression"
+                f"field {self.name!r}: init must be a source expression"
             )
 
     @property
@@ -160,77 +95,6 @@ class FieldDecl:
             return None
         return REDUCTIONS[self.reduce]
 
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """A complete operator description, ready to compile.
-
-    Attributes:
-        name: Application name.
-        style: Push (writes out-neighbors) or pull (writes the active node).
-        field: The synchronized label.
-        edge_kernel: Vectorized kernel.  For push: maps
-            ``(source_values, weights) -> candidate values`` written (via
-            the reduction) to each edge's destination.  For pull: maps
-            ``(neighbor_values, weights) -> contributions`` reduced into
-            the active node.
-        source_guard: Optional vectorized predicate over label values;
-            active nodes failing it do not apply the operator this step
-            (e.g. unreached nodes in sssp).
-        pull_targets: Optional vectorized predicate over label values
-            selecting the *destination* nodes a pull step gathers
-            in-edges for (e.g. still-unreached nodes).  ``None`` gathers
-            every local node each round (cc-style: any label can still
-            improve).
-        needs_weights: Whether the input must be edge-weighted.
-        symmetrize_input: Whether the input is symmetrized first (cc).
-        single_value_push: Whether the kernel pushes the same value on all
-            out-edges *modulo weights* — true for all kernels expressible
-            in this spec language; kept explicit for the legality analysis.
-        iterate_locally: Whether async engines may run the step to a local
-            fixpoint (legal for idempotent reductions only; forced False
-            otherwise).
-        uses_frontier: Data-driven (frontier) vs topology-driven.
-    """
-
-    name: str
-    style: OperatorClass
-    field: FieldDecl
-    edge_kernel: Callable
-    source_guard: Optional[Callable] = None
-    pull_targets: Optional[Callable] = None
-    needs_weights: bool = False
-    symmetrize_input: bool = False
-    single_value_push: bool = True
-    iterate_locally: bool = True
-    uses_frontier: bool = True
-
-    def __post_init__(self) -> None:
-        if self.field.reduce is None:
-            raise CompileError(
-                f"{self.name}: the operator's field must declare a reduction"
-            )
-        if not callable(self.field.init):
-            raise CompileError(
-                f"{self.name}: operator field initializers must be callable "
-                "(source-expression inits are a ProgramSpec feature)"
-            )
-        if not callable(self.edge_kernel):
-            raise CompileError(f"{self.name}: edge_kernel must be callable")
-        if self.source_guard is not None and not callable(self.source_guard):
-            raise CompileError(f"{self.name}: source_guard must be callable")
-        if self.pull_targets is not None and not callable(self.pull_targets):
-            raise CompileError(f"{self.name}: pull_targets must be callable")
-        if self.iterate_locally and not self.field.reduction.idempotent:
-            # Re-applying an ADD-combined operator within a round would
-            # double-count contributions; the compiler forbids it rather
-            # than trusting the author.
-            object.__setattr__(self, "iterate_locally", False)
-
-
-# ---------------------------------------------------------------------------
-# The multi-field, multi-phase program language.
-# ---------------------------------------------------------------------------
 
 #: Kernel/guard placeholder grammar (see module docstring).
 _SRC_REF = re.compile(r"\{src\.([A-Za-z_]\w*)\}")
@@ -419,8 +283,7 @@ class ProgramSpec:
     """A complete multi-phase vertex program, ready to compile.
 
     Attributes:
-        name: Application name; the compiled program registers as
-            ``"<name>@compiled"``.
+        name: Application name (the generated class's ``name``).
         fields: Ordered field declarations (``make_state`` emits them in
             this order, so inits may reference earlier fields).
         phases: Ordered compute phases.  Push-direction steps run every
@@ -443,8 +306,8 @@ class ProgramSpec:
             ``make_state`` when any field is wide.
         endpoint_overrides: **Testing hook** — ``(wire_name, (writes,
             reads))`` pairs substituted for the derived endpoints, so the
-            lint suite can prove ``repro lint --compiled`` catches a
-            tampered contract.  Never set this in a real spec.
+            lint suite can prove ``repro lint`` catches a tampered
+            contract.  Never set this in a real spec.
     """
 
     name: str
@@ -529,7 +392,7 @@ class ProgramSpec:
         # to something coherent for every synchronized field.
         derive_endpoints(self)
 
-    # -- derived program shape (mirrors the handwritten class flags) ---------
+    # -- derived program shape (the generated class's flags) -----------------
 
     @property
     def operator_class(self) -> OperatorClass:
@@ -575,9 +438,9 @@ def derive_phase_access(
     """Derive one phase's ``(writes, reads)`` endpoints for ``field``.
 
     This is the per-phase core of :func:`derive_endpoints`, exported so
-    handwritten programs (bc's two-pass sweeps, the feature apps) can
-    derive their ``FieldSpec`` endpoints from a declarative phase
-    description instead of hand-writing location sets.
+    handwritten programs (bc's two-pass sweeps) can derive their
+    ``FieldSpec`` endpoints from a declarative phase description instead
+    of hand-writing location sets.
     """
     surface = read_surface if read_surface is not None else field
     writes = set()

@@ -46,6 +46,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.apps.base import AppContext
+from repro.apps.specs import base_app_name
 from repro.graph.edgelist import EdgeList
 from repro.streaming.batch import MutationEffect
 
@@ -222,9 +223,10 @@ def plan_incremental(
     partition was built from — symmetrized for cc — and ``old_values``
     maps the app's synchronized state keys to their converged global
     arrays on the old graph.  Apps without a value-incremental strategy
-    get an honest full-restart plan.
+    get an honest full-restart plan.  An ``<app>@optimized`` build plans
+    like its bare name: same operator, same fixpoint.
     """
-    planner = _PLANNERS.get(app_name)
+    planner = _PLANNERS.get(base_app_name(app_name))
     if planner is not None:
         plan = planner(
             app_name, old_edges, new_edges, effect, old_values, ctx

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro import oracles
+from repro.apps.specs import base_app_name
 from repro.errors import ReproError
 from repro.features import fp16_tolerance
 from repro.features.oracles import (
@@ -118,14 +119,6 @@ _CHECKS = {
 }
 
 
-def _oracle_name(app_name: str) -> str:
-    """Compiled twins (``<app>@compiled``) verify against the handwritten
-    app's oracle — same answer, same field, same tolerance."""
-    from repro.apps.specs import base_app_name
-
-    return base_app_name(app_name)
-
-
 def output_key(app_name: str) -> Optional[str]:
     """The state-field name holding an application's answer.
 
@@ -133,7 +126,7 @@ def output_key(app_name: str) -> Optional[str]:
     the job service to gather, digest, and cache a run's output.  Returns
     ``None`` for applications with no registered oracle field.
     """
-    check = _CHECKS.get(_oracle_name(app_name))
+    check = _CHECKS.get(base_app_name(app_name))
     return check[0] if check is not None else None
 
 
@@ -157,7 +150,9 @@ def verify_run(
             "result carries no executor; verify_run needs the object "
             "returned by run_app"
         )
-    oracle_app = _oracle_name(result.app)
+    # ``<app>@optimized`` verifies against the bare app's oracle — same
+    # answer, same field, same tolerance.
+    oracle_app = base_app_name(result.app)
     if oracle_app not in _CHECKS:
         raise VerificationError(f"no oracle for application {result.app!r}")
     key, runner, tolerance = _CHECKS[oracle_app]

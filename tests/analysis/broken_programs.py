@@ -26,7 +26,6 @@ from repro.apps.base import (
     VertexProgram,
     gather_frontier_edges,
 )
-from repro.apps.sssp import INFINITY
 from repro.core.sync_structures import (
     ADD,
     ASSIGN,
@@ -37,6 +36,8 @@ from repro.core.sync_structures import (
 from repro.partition.base import LocalPartition
 from repro.partition.strategy import OperatorClass
 from repro.runtime.timing import WorkStats
+
+INFINITY = np.uint32(np.iinfo(np.uint32).max)
 
 BOTH_ENDS = frozenset({"source", "destination"})
 

@@ -7,7 +7,6 @@ from repro.analysis.astlint import analyze_program, lint_program
 from repro.analysis.findings import RULES, has_errors
 from repro.analysis.linter import lint_module_path
 from repro.apps import APP_BY_NAME
-from repro.apps.bfs import BFS
 
 from tests.analysis.broken_programs import (
     RULE_FIXTURES,
@@ -55,8 +54,10 @@ class TestBrokenFixtures:
 
 
 class TestEndpointInference:
+    """The AST front end reads the generated bfs out of ``linecache``."""
+
     def test_bfs_push_endpoints(self):
-        report = analyze_program(BFS)
+        report = analyze_program(APP_BY_NAME["bfs"])
         writes = {
             e.key: e.endpoint for e in report.events if e.kind == "write"
         }
@@ -65,7 +66,7 @@ class TestEndpointInference:
         assert reads.get("dist") == "source"
 
     def test_bfs_pull_path_detected(self):
-        report = analyze_program(BFS)
+        report = analyze_program(APP_BY_NAME["bfs"])
         assert report.has_pull_path
         assert report.gathers_forward
         assert report.gathers_transpose

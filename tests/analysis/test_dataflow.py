@@ -8,9 +8,13 @@ Three obligations:
 * the analyzer is *exact* on the migrated specs — the dead-sync tables
   and stabilization certificates below are the hand-checked ground
   truth this PR's optimizer relies on;
-* the sweep is *clean* on every registered program, handwritten and
-  generated: info-severity eliminations only, no hazards, no
-  certificate mismatches (no false positives).
+* the sweep is *clean* on every registered program, handwritten (bc),
+  generated and optimized: info-severity eliminations only, no hazards,
+  no certificate mismatches (no false positives).
+
+The AST front end is exercised on bc's handwritten sweeps and on the
+*generated* classes (their source lives in ``linecache``), which must
+agree with what the spec path proves from the same program.
 """
 
 import dataclasses
@@ -32,11 +36,15 @@ from repro.analysis.dataflow import (
     graph_from_spec,
     kernel_is_monotone,
 )
-from repro.analysis.linter import all_builtin_programs, all_compiled_programs
-from repro.apps import BFS, ConnectedComponents, PageRank, make_app
-from repro.apps.specs import PROGRAM_SPECS
+from repro.analysis.linter import all_builtin_programs
+from repro.apps import APP_BY_NAME, make_app
+from repro.apps.base import StepOutcome, VertexProgram, gather_frontier_edges
+from repro.apps.bc import _ForwardBC
+from repro.apps.specs import PROGRAM_SPECS, optimized_app_names
 from repro.compiler import FieldDecl, PhaseSpec, ProgramSpec, SyncDecl
+from repro.core.sync_structures import MIN, FieldSpec
 from repro.partition.strategy import PartitionStrategy
+from repro.runtime.timing import WorkStats
 
 
 def _noop_hook(part, state):
@@ -120,6 +128,39 @@ def tampered_spec():
     )
 
 
+class SameStatementPull(VertexProgram):
+    """cc-style pull whose gather and scatter share one statement
+    spanning several source lines (the GL304 line-order regression)."""
+
+    name = "same-statement-pull"
+    supports_pull = True
+
+    def make_state(self, part, ctx):
+        return {"label": part.local_to_global.astype(np.uint32).copy()}
+
+    def make_fields(self, part, state):
+        return [FieldSpec(name="label", values=state["label"], reduce_op=MIN)]
+
+    def step(self, part, state, frontier, direction="pull"):
+        return self._step_pull(part, state, frontier)
+
+    def _step_pull(self, part, state, frontier):
+        label = state["label"]
+        transpose = part.graph.transpose()
+        node_rep, neighbor, _ = gather_frontier_edges(
+            transpose, np.ones(part.num_nodes, dtype=bool)
+        )
+        work = WorkStats(
+            edges_processed=len(neighbor), nodes_processed=part.num_nodes
+        )
+        in_frontier = frontier[neighbor]
+        before = label.copy()
+        np.minimum.at(
+            label, node_rep[in_frontier], label[neighbor[in_frontier]]
+        )
+        return StepOutcome(updated=label != before, work=work)
+
+
 #: Hand-checked ground truth: dead sync phases per migrated spec.
 EXPECTED_DEAD = {
     "bfs": {"iec": {"dist": ("reduce",)}},
@@ -171,10 +212,12 @@ class TestGraphModel:
         wire = graph.wires[0]
         assert "destination" in wire.uses
 
-    def test_ast_graph_recovered_from_handwritten(self):
-        graph = graph_from_report(analyze_program(BFS))
+    @pytest.mark.parametrize("cls", [_ForwardBC, APP_BY_NAME["bfs"]])
+    def test_ast_graph_recovered_from_source(self, cls):
+        """Handwritten (bc) and generated (linecache) source alike."""
+        graph = graph_from_report(analyze_program(cls))
         assert graph.origin == "ast"
-        assert graph.wires, "no wires recovered from handwritten bfs"
+        assert graph.wires, f"no wires recovered from {cls.__name__}"
 
 
 class TestGL301:
@@ -198,18 +241,12 @@ class TestGL301:
             assert found, f"{app}: no GL301 finding"
             assert all(f.severity == "info" for f in found)
 
-    def test_handwritten_path_agrees_on_sssp(self):
-        """AST recovery reaches the same oec-broadcast-dead conclusion
-        the spec path proves (sssp has no pull path, so the AST
-        conservatism does not mask it)."""
-        findings = analyze_class(make_app("sssp").__class__)
-        dead = [
-            f.details for f in findings if f.rule.rule_id == "GL301"
-        ]
-        assert any(
-            d["sync_phase"] == "broadcast" and "oec" in d["strategies"]
-            for d in dead
-        )
+    def test_ast_path_agrees_on_sssp(self):
+        """AST recovery over the generated source reaches the same
+        oec-broadcast-dead conclusion the spec path proves (sssp has no
+        pull path, so the AST conservatism does not mask it)."""
+        graph = graph_from_report(analyze_program(APP_BY_NAME["sssp"]))
+        assert dead_sync_table(graph) == EXPECTED_DEAD["sssp"]
 
     def test_dead_phases_respect_strategy_invariants(self):
         """Under UVC/CVC mirrors can sit at either endpoint — nothing
@@ -283,26 +320,24 @@ class TestGL303:
         assert not cert.self_stabilizing
 
     def test_certificate_for_handwritten_and_compiled(self):
-        ast_cert = certificate_for(make_app("bfs"))
+        ast_cert = certificate_for(_ForwardBC)
         assert ast_cert is not None
         assert ast_cert.origin == "ast"
+        ast_cert = certify_report(analyze_program(APP_BY_NAME["bfs"]))
+        assert ast_cert.origin == "ast"
         assert ast_cert.self_stabilizing
-        spec_cert = certificate_for(make_app("bfs@compiled"))
+        spec_cert = certificate_for(make_app("bfs"))
         assert spec_cert is not None
         assert spec_cert.origin == "spec"
         assert spec_cert.self_stabilizing
 
-    def test_ast_and_spec_paths_agree_on_registered_apps(self):
-        for cls, spec in (
-            (BFS, PROGRAM_SPECS["bfs"]),
-            (ConnectedComponents, PROGRAM_SPECS["cc"]),
-            (PageRank, PROGRAM_SPECS["pr"]),
-        ):
-            ast_cert = certify_report(analyze_program(cls))
-            assert (
-                ast_cert.self_stabilizing
-                == certify_spec(spec).self_stabilizing
-            ), cls.__name__
+    @pytest.mark.parametrize("app", sorted(PROGRAM_SPECS))
+    def test_ast_and_spec_paths_agree_on_registered_apps(self, app):
+        ast_cert = certify_report(analyze_program(APP_BY_NAME[app]))
+        assert (
+            ast_cert.self_stabilizing
+            == certify_spec(PROGRAM_SPECS[app]).self_stabilizing
+        )
 
 
 class TestMonotoneKernels:
@@ -350,12 +385,12 @@ class TestGL304:
         # are for the optimizer's proofs, not a new compile gate).
         assert compile_program(hazard_spec()) is not None
 
-    def test_handwritten_cc_same_statement_is_clean(self):
-        """cc's pull direction gathers and scatters in one statement
-        spanning several source lines; line-order comparison used to
-        misread it as a stale read-after-write.  Statement identity
+    def test_same_statement_gather_scatter_is_clean(self):
+        """A pull that gathers and scatters in one statement spanning
+        several source lines; line-order comparison used to misread it
+        as a stale read-after-write.  Statement identity
         (AccessEvent.statement) must keep it clean."""
-        findings = analyze_class(ConnectedComponents)
+        findings = analyze_class(SameStatementPull)
         assert not [
             f for f in findings if f.rule.rule_id == "GL304"
         ]
@@ -388,7 +423,7 @@ class TestCleanSweep:
             for _, app_programs in all_builtin_programs()
             for cls in app_programs
         ]
-        programs.extend(cls for _, cls in all_compiled_programs())
+        programs.extend(type(make_app(n)) for n in optimized_app_names())
         findings = dataflow_programs(programs)
         assert findings, "the sweep found nothing at all"
         bad = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.systems import run_app
-from tests.conftest import reference_pagerank
+from tests.conftest import gather_rank, reference_pagerank
 
 POLICIES = ["oec", "iec", "cvc", "hvc"]
 
@@ -13,11 +13,7 @@ def distributed_push_pr(edges, system="d-galois", tolerance=1e-9, **kwargs):
     result = run_app(
         system, "pr-push", edges, tolerance=tolerance, **kwargs
     )
-    executor = result.executor
-    got = executor.app.gather_rank(
-        executor.partitioned.partitions, executor.states
-    )
-    return result, got
+    return result, gather_rank(result.executor)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

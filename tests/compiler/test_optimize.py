@@ -1,8 +1,8 @@
 """The optimizing compile path (`compile_program(optimize=True)`).
 
 GL301 dead-sync elimination and GL302 phase fusion must be *invisible*
-in results — bitwise identical to the unoptimized compiled program
-across policies, host counts, and runtimes — and *visible* on the wire:
+in results — bitwise identical to the bare-name program across
+policies, host counts, and runtimes — and *visible* on the wire:
 at `OptimizationLevel.OTI` (where structural elision doesn't already
 zero the dead phases) the eliminated syncs cut real message counts.
 """
@@ -12,32 +12,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.apps import make_app
+from repro.apps import APP_BY_NAME, make_app
 from repro.apps.specs import (
     PROGRAM_SPECS,
     base_app_name,
-    is_compiled_name,
-    is_optimized_name,
-    make_compiled_app,
     optimized_app_names,
 )
 from repro.compiler import compile_program, render_program
 from repro.core.optimization import OptimizationLevel
 from repro.graph.generators import rmat
 from repro.systems import run_app
+from repro.verify import output_key
 
 from tests.analysis.test_dataflow import EXPECTED_DEAD, fuse_spec
-
-RESULT_KEY = {
-    "bfs": "dist",
-    "sssp": "dist",
-    "cc": "label",
-    "kcore": "alive",
-    "pr": "rank",
-    "pr-push": "rank",
-    "featprop": "feat",
-    "labelprop": "label",
-}
 
 MIGRATED = sorted(PROGRAM_SPECS)
 POLICIES = ("oec", "iec", "cvc", "hvc", "jagged", "random")
@@ -48,7 +35,7 @@ GRAPH = rmat(scale=8, edge_factor=8, seed=7)
 
 def _pair(app, hosts, policy, runtime="simulated", level=None):
     plain = run_app(
-        "d-galois", app + "@compiled", GRAPH, num_hosts=hosts,
+        "d-galois", app, GRAPH, num_hosts=hosts,
         policy=policy, runtime=runtime, level=level,
     )
     optimized = run_app(
@@ -59,7 +46,7 @@ def _pair(app, hosts, policy, runtime="simulated", level=None):
 
 
 def _assert_bitwise(app, plain, optimized, rounds=True):
-    key = RESULT_KEY[app]
+    key = output_key(app)
     expected = plain.executor.gather_result(key)
     got = optimized.executor.gather_result(key)
     assert got.dtype == expected.dtype
@@ -151,6 +138,9 @@ class TestFusion:
     def test_fused_fixture_bitwise_identical(self, monkeypatch):
         spec = fuse_spec()
         monkeypatch.setitem(PROGRAM_SPECS, spec.name, spec)
+        monkeypatch.setitem(
+            APP_BY_NAME, spec.name, type(compile_program(spec))
+        )
         for policy in ("cvc", "iec", "oec"):
             plain, optimized = _pair(spec.name, 4, policy)
             for key in ("a", "b"):
@@ -173,8 +163,8 @@ class TestGeneratedArtifacts:
         assert app.__class__.optimized is True
         assert "_DEAD_SYNC" in app.__class__.generated_source
 
-    def test_plain_compiled_is_unoptimized(self):
-        app = make_app("bfs@compiled")
+    def test_bare_name_is_unoptimized(self):
+        app = make_app("bfs")
         assert app.__class__.optimized is False
         assert "_DEAD_SYNC" not in app.__class__.generated_source
 
@@ -202,19 +192,13 @@ class TestGeneratedArtifacts:
 
     def test_name_helpers(self):
         assert base_app_name("sssp@optimized") == "sssp"
-        assert base_app_name("sssp@compiled") == "sssp"
         assert base_app_name("sssp") == "sssp"
-        assert is_optimized_name("sssp@optimized")
-        assert not is_optimized_name("sssp@compiled")
-        assert is_compiled_name("sssp@optimized")
-        assert is_compiled_name("sssp@compiled")
-        assert not is_compiled_name("sssp")
 
-    def test_cache_keeps_variants_distinct(self):
-        plain = make_compiled_app("bfs@compiled")
-        optimized = make_compiled_app("bfs@optimized")
+    def test_variants_are_distinct_classes_built_once(self):
+        plain = make_app("bfs")
+        optimized = make_app("bfs@optimized")
         assert plain.__class__ is not optimized.__class__
-        assert plain.__class__ is make_compiled_app("bfs").__class__
+        assert optimized.__class__ is make_app("bfs@optimized").__class__
 
     def test_optimized_source_passes_astlint(self):
         from repro.analysis.astlint import analyze_program

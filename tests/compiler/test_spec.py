@@ -1,114 +1,66 @@
-"""Unit tests for the operator-specification language."""
+"""Unit tests for the program-specification language."""
 
 import numpy as np
 import pytest
 
-from repro.compiler.spec import CompileError, FieldDecl, Init, OperatorSpec
-from repro.partition.strategy import OperatorClass
+from repro.compiler.spec import (
+    CompileError,
+    FieldDecl,
+    PhaseSpec,
+    ProgramSpec,
+    SyncDecl,
+)
+
+ZEROS = "np.zeros(n, dtype=np.uint32)"
 
 
-def min_field():
-    return FieldDecl(
-        "dist", np.uint32, reduce="min", init=Init.infinity_except_source()
+def push_program(reduce):
+    return ProgramSpec(
+        name="fixture",
+        fields=(FieldDecl("x", np.uint32, reduce=reduce, init=ZEROS),),
+        phases=(PhaseSpec("p", "frontier_push", "x", kernel="{src.x}"),),
+        sync=(SyncDecl("x"),),
     )
 
 
 class TestFieldDecl:
     def test_valid(self):
-        decl = min_field()
+        decl = FieldDecl("dist", np.uint32, reduce="min", init=ZEROS)
         assert decl.reduction.name == "min"
 
     def test_unknown_reduction(self):
         with pytest.raises(CompileError, match="unknown reduction"):
-            FieldDecl("x", np.uint32, reduce="xor", init=Init.constant(0))
+            FieldDecl("x", np.uint32, reduce="xor", init=ZEROS)
 
-    def test_non_callable_init(self):
-        with pytest.raises(CompileError, match="init must be callable"):
+    def test_non_expression_init(self):
+        with pytest.raises(CompileError, match="source expression"):
             FieldDecl("x", np.uint32, reduce="min", init=0)
 
 
-class TestInit:
-    def make_part(self, tiny_edges):
-        from repro.partition import make_partitioner
-
-        return make_partitioner("oec").partition(tiny_edges, 2).partitions[0]
-
-    def test_constant(self, tiny_edges):
-        from repro.apps.base import AppContext
-
-        part = self.make_part(tiny_edges)
-        ctx = AppContext(num_global_nodes=10)
-        values = Init.constant(7)(part, ctx, np.uint32)
-        assert np.all(values == 7)
-
-    def test_global_id(self, tiny_edges):
-        from repro.apps.base import AppContext
-
-        part = self.make_part(tiny_edges)
-        ctx = AppContext(num_global_nodes=10)
-        values = Init.global_id()(part, ctx, np.uint32)
-        assert np.array_equal(values, part.local_to_global)
-
-    def test_infinity_except_source(self, tiny_edges):
-        from repro.apps.base import AppContext
-
-        part = self.make_part(tiny_edges)
-        source = int(part.local_to_global[0])
-        ctx = AppContext(num_global_nodes=10, source=source)
-        values = Init.infinity_except_source()(part, ctx, np.uint32)
-        assert values[0] == 0
-        assert np.all(values[1:] == np.iinfo(np.uint32).max)
-
-    def test_zero_except_source(self, tiny_edges):
-        from repro.apps.base import AppContext
-
-        part = self.make_part(tiny_edges)
-        source = int(part.local_to_global[0])
-        ctx = AppContext(num_global_nodes=10, source=source)
-        values = Init.zero_except_source(99)(part, ctx, np.uint32)
-        assert values[0] == 99
-        assert np.all(values[1:] == 0)
-
-
-class TestOperatorSpec:
-    def test_valid_spec(self):
-        spec = OperatorSpec(
-            name="sssp",
-            style=OperatorClass.PUSH,
-            field=min_field(),
-            edge_kernel=lambda values, weights: values + weights,
-        )
-        assert spec.iterate_locally  # min is idempotent
-
-    def test_non_callable_kernel(self):
-        with pytest.raises(CompileError, match="edge_kernel"):
-            OperatorSpec(
-                name="x",
-                style=OperatorClass.PUSH,
-                field=min_field(),
-                edge_kernel=None,
-            )
-
-    def test_non_callable_guard(self):
-        with pytest.raises(CompileError, match="source_guard"):
-            OperatorSpec(
-                name="x",
-                style=OperatorClass.PUSH,
-                field=min_field(),
-                edge_kernel=lambda v, w: v,
-                source_guard=5,
-            )
+class TestProgramSpec:
+    def test_idempotent_frontier_program_iterates_locally(self):
+        assert push_program("min").iterate_locally
 
     def test_add_reduction_forces_single_step(self):
         """The compiler must refuse to chaotically iterate a non-idempotent
         operator (double counting)."""
-        spec = OperatorSpec(
-            name="accum",
-            style=OperatorClass.PUSH,
-            field=FieldDecl(
-                "total", np.uint32, reduce="add", init=Init.constant(0)
-            ),
-            edge_kernel=lambda values, weights: values,
-            iterate_locally=True,  # author asks; compiler overrides
-        )
-        assert not spec.iterate_locally
+        assert not push_program("add").iterate_locally
+
+    def test_sync_field_needs_a_reduction(self):
+        with pytest.raises(CompileError, match="declares no reduction"):
+            push_program(None)
+
+    def test_kernel_required(self):
+        with pytest.raises(CompileError, match="kernel is required"):
+            PhaseSpec("p", "frontier_push", "x")
+
+    def test_undeclared_kernel_field(self):
+        with pytest.raises(CompileError, match="undeclared fields"):
+            ProgramSpec(
+                name="fixture",
+                fields=(FieldDecl("x", np.uint32, "min", ZEROS),),
+                phases=(
+                    PhaseSpec("p", "frontier_push", "x", kernel="{src.y}"),
+                ),
+                sync=(SyncDecl("x"),),
+            )

@@ -87,6 +87,16 @@ def sync_one_field(partitioned, subs, fields, dirty_masks, **kwargs):
     return touched
 
 
+def gather_rank(executor) -> np.ndarray:
+    """pr-push's global (rank + unconsumed residual) from master values.
+
+    At termination, each master's remaining sub-tolerance residual is
+    folded in so the answer matches the fixpoint as closely as the
+    tolerance allows.
+    """
+    return executor.gather_result("rank") + executor.gather_result("residual")
+
+
 # ---------------------------------------------------------------------------
 # Reference (single-machine, oracle) algorithms used across app tests.
 # ---------------------------------------------------------------------------

@@ -255,9 +255,9 @@ class TestStabilizationCertificate:
             self._stub(cls(), fields_idempotent=False)
         )
 
-    def test_applicable_to_compiled_bfs(self, edges):
-        """Spec-path certificate: the generated twin is eligible too."""
-        result = run_app("d-galois", "bfs@compiled", edges, num_hosts=2)
+    def test_applicable_to_optimized_bfs(self, edges):
+        """Spec-path certificate: the optimized build is eligible too."""
+        result = run_app("d-galois", "bfs@optimized", edges, num_hosts=2)
         assert confined_applicable(result.executor)
 
     def test_not_applicable_to_kcore(self, edges):

@@ -15,6 +15,7 @@ from repro.partition import make_partitioner
 from repro.runtime.executor import DistributedExecutor
 from repro.systems import prepare_input
 from tests.conftest import (
+    gather_rank,
     reference_bfs,
     reference_cc,
     reference_kcore,
@@ -53,14 +54,13 @@ def test_sync_disabled_matches_oracle(small_rmat, app_name, engine_name):
 def test_push_pagerank_sync_disabled(small_rmat):
     prep = prepare_input("pr-push", small_rmat, tolerance=1e-10)
     partitioned = make_partitioner("oec").partition(prep.edges, 1)
-    app = make_app("pr-push")
     executor = DistributedExecutor(
-        partitioned, make_engine("galois"), app, prep.ctx, enable_sync=False
+        partitioned, make_engine("galois"), make_app("pr-push"), prep.ctx,
+        enable_sync=False,
     )
     executor.run()
-    got = app.gather_rank(partitioned.partitions, executor.states)
     np.testing.assert_allclose(
-        got, reference_pagerank(small_rmat, tolerance=1e-12), atol=1e-6
+        gather_rank(executor), reference_pagerank(small_rmat, tolerance=1e-12), atol=1e-6
     )
 
 

@@ -279,3 +279,31 @@ class TestBitwiseIdentity:
         cold = session.cold_values(session.cold_run())
         for key in cold:
             assert np.array_equal(warm[key], cold[key]), key
+
+    @pytest.mark.parametrize(
+        "app,policy", [("bfs", "oec"), ("sssp", "iec"), ("cc", "oec")]
+    )
+    def test_optimized_build_keeps_incremental_strategy(self, app, policy):
+        """``<app>@optimized`` is the same operator: it must plan the
+        strategy its bare name plans (not silently fall back to a full
+        replay) and stay bitwise equal to a cold run — on the policies
+        whose dead sync phase the optimized build eliminates."""
+        strategies = {}
+        for name in (app, app + "@optimized"):
+            session = StreamingSession(
+                "d-galois", name, _random_base(43), num_hosts=4,
+                policy=policy,
+            )
+            session.run()
+            rng = np.random.default_rng(47)
+            batch = random_mutation_batch(
+                session.version.edges, rng,
+                delete_fraction=0.02, insert_fraction=0.02,
+            )
+            strategies[name] = session.apply_batch(batch).strategy
+            warm = session.values()
+            cold = session.cold_values(session.cold_run())
+            for key in cold:
+                assert np.array_equal(warm[key], cold[key]), (name, key)
+        assert strategies[app] != "replay"
+        assert strategies[app + "@optimized"] == strategies[app]

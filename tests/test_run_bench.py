@@ -103,21 +103,17 @@ class TestSmokeMatrix:
             # The ~1% bar row is present and recorded, even in smoke.
             assert cell["message_cut_at_1pct"] is not None
 
-    def test_compiler_cell_checks_generated_code(self, payload):
+    def test_dataflow_cell_pairs_bare_with_optimized(self, payload):
         doc, _ = payload
-        cell = doc["compiler"]
+        assert "compiler" not in doc  # nothing left to pair
+        cell = doc["dataflow"]
         assert cell is not None
-        assert cell["pairs"], "smoke run must include compiled pairs"
-        assert all(row["bitwise_identical"] for row in cell["pairs"])
-        # Both round-execution runtimes are exercised on each app.
-        runtimes = {(r["app"], r["runtime"]) for r in cell["runtimes"]}
-        assert runtimes == {
-            ("bfs", "simulated"), ("bfs", "process"),
-            ("pr", "simulated"), ("pr", "process"),
-        }
-        assert cell["pr_round_overhead"] > 0
-        # Smoke graphs are too small for a stable timing bar.
-        assert cell["bar_enforced"] is False
+        assert cell["syncs_eliminated_total"] > 0
+        assert cell["cells"], "smoke run must include optimized pairs"
+        for app in cell["cells"]:
+            for row in app["policies"]:
+                assert row["bitwise_identical"] is True
+                assert row["messages_optimized"] <= row["messages"]
 
 
 class TestNoService:
@@ -129,7 +125,7 @@ class TestNoService:
                 "--no-service",
                 "--no-aggregation-cell",
                 "--no-incremental-cell",
-                "--no-compiler-cell",
+                "--no-dataflow-cell",
                 "--output", str(output),
                 "--export-dir", str(tmp_path / "exports"),
             ]
@@ -139,7 +135,7 @@ class TestNoService:
         assert doc["service"] is None
         assert doc["aggregation"] is None
         assert doc["incremental"] is None
-        assert doc["compiler"] is None
+        assert doc["dataflow"] is None
 
 
 class TestSmokeOutputPath:
@@ -159,7 +155,6 @@ class TestSmokeOutputPath:
                 "--no-parallel-cell",
                 "--no-features-cell",
                 "--no-incremental-cell",
-                "--no-compiler-cell",
                 "--no-dataflow-cell",
                 "--export-dir", str(tmp_path / "exports"),
             ]
