@@ -447,9 +447,10 @@ class _MethodScanner:
         if func_name == "aggregate_neighbor_rows" and len(call.args) >= 4:
             # The shared feature kernel
             # ``aggregate_neighbor_rows(acc, features, edge_src, edge_dst)``
-            # is ``np.add.at(acc, edge_dst, features[edge_src])`` — a
-            # write of acc at the destination endpoint and a read of
-            # features at the source endpoint.
+            # is, column by column, ``np.add.at(acc[:, j], edge_dst,
+            # features[:, j][edge_src])`` — a write of acc at the
+            # destination endpoint and a read of features at the source
+            # endpoint.
             self._record(
                 self._key(call.args[0]),
                 self._tag(call.args[3]),

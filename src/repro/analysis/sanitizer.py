@@ -46,6 +46,17 @@ def _is_index_array(index) -> bool:
     )
 
 
+def _is_column(index) -> bool:
+    """True for ``field[:, j]``: one column over the whole proxy axis."""
+    return (
+        isinstance(index, tuple)
+        and len(index) == 2
+        and isinstance(index[0], slice)
+        and index[0] == slice(None)
+        and isinstance(index[1], (int, np.integer))
+    )
+
+
 @dataclass
 class FieldGuard:
     """Access policy for one field on one host, valid for one round."""
@@ -82,7 +93,10 @@ class GuardedArray(np.ndarray):
 
     Every operation is delegated to the underlying memory, and derived
     arrays (views, copies, ufunc results) drop the guard — so data flow,
-    dtype promotion, and results are identical to the plain array.
+    dtype promotion, and results are identical to the plain array.  The
+    one derived array that stays guarded is a column ``field[:, j]`` of
+    a wide field: it is still indexed by proxy, and the column-wise
+    kernels scatter into and gather from exactly that view.
     """
 
     _guard: Optional[FieldGuard]
@@ -97,6 +111,9 @@ class GuardedArray(np.ndarray):
         if guard is not None and _is_index_array(index):
             guard.record("read", index)
         result = super().__getitem__(index)
+        if guard is not None and _is_column(index):
+            result._guard = guard
+            return result
         if isinstance(result, np.ndarray):
             return result.view(np.ndarray)
         return result

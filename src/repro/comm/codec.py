@@ -117,7 +117,7 @@ def encode_memoized_field(
             reduce array.
     """
     extract = field.extract_broadcast if broadcast else field.extract
-    num_updates = int(updated_mask.sum())
+    num_updates = int(np.count_nonzero(updated_mask))
     mode = select_mode(len(agreed), num_updates, field.value_size)
     width = field.width
     if mode is MetadataMode.EMPTY:

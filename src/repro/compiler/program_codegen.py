@@ -169,37 +169,59 @@ def _emit_scatter(
         out.emit(indent, f"updated[{index_var}] = True")
 
 
-def _emit_frontier_push(
-    out: _Emitter, spec: ProgramSpec, phase: PhaseSpec, method: str
+def _emit_push_prologue(
+    out: _Emitter, lead: PhaseSpec, method: str, aliases: List[str],
+    copies: int = 1,
 ) -> None:
+    """Guard, popcount, gather and work counters shared by push methods.
+
+    ``copies`` scales the work counters (a GL302 group replays one
+    gather for several phases).  A phase without post lines returns the
+    empty outcome before gathering when no usable bit is set: an empty
+    frontier has no edges, so the outcome is the one the full path
+    would build.
+    """
+    scale = f" * {copies}" if copies > 1 else ""
     out.emit(1, f"def {method}(self, part, state, frontier):")
-    _emit_aliases(out, _phase_aliases(spec, phase))
-    if phase.guard:
-        guard = _render_fragment(phase.guard, local="{f}")
+    _emit_aliases(out, aliases)
+    if lead.guard:
+        guard = _render_fragment(lead.guard, local="{f}")
         out.emit(2, f"usable = frontier & ({guard})")
     else:
         out.emit(2, "usable = frontier")
+    out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
+    out.emit(2, "active = int(np.count_nonzero(usable))")
+    if not (lead.post_gather or lead.post_scatter):
+        out.emit(2, "if active == 0:")
+        out.emit(3, "return StepOutcome(updated=updated, work=WorkStats())")
     out.emit(
         2,
         "src_rep, dst, positions = gather_frontier_edges("
         "part.graph, usable)",
     )
-    for line in phase.post_gather:
+    for line in lead.post_gather:
         out.emit(2, _render_fragment(line, local="{f}", mask="usable"))
-    out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
     out.emit(2, "work = WorkStats(")
     out.emit(
-        2, "    edges_processed=len(dst), nodes_processed=int(usable.sum())"
+        2,
+        f"    edges_processed=len(dst){scale}, "
+        f"nodes_processed=active{scale}",
     )
     out.emit(2, ")")
     out.emit(2, "if len(dst):")
-    if phase.uses_weights:
+    if lead.uses_weights:
         out.emit(3, "if part.graph.weights is None:")
         out.emit(4, "weights = np.ones(len(positions), dtype=np.int64)")
         out.emit(3, "else:")
         out.emit(
             4, "weights = part.graph.weights[positions].astype(np.int64)"
         )
+
+
+def _emit_frontier_push(
+    out: _Emitter, spec: ProgramSpec, phase: PhaseSpec, method: str
+) -> None:
+    _emit_push_prologue(out, phase, method, _phase_aliases(spec, phase))
     kernel = _render_fragment(
         phase.kernel, src="{f}[src_rep]", dst="{f}[dst]", local="{f}"
     )
@@ -222,39 +244,12 @@ def _emit_fused_push(
     bitwise-identical to the unfused phase-major driver — including the
     work counters, which are scaled by the number of fused phases.
     """
-    lead = phases[0]
     wanted = set()
     for phase in phases:
         wanted.update(_phase_aliases(spec, phase))
     ordered = [f.name for f in spec.fields if f.name in wanted]
     ordered += [key for key, _ in spec.scalars if key in wanted]
-    out.emit(1, f"def {method}(self, part, state, frontier):")
-    _emit_aliases(out, ordered)
-    if lead.guard:
-        guard = _render_fragment(lead.guard, local="{f}")
-        out.emit(2, f"usable = frontier & ({guard})")
-    else:
-        out.emit(2, "usable = frontier")
-    out.emit(
-        2,
-        "src_rep, dst, positions = gather_frontier_edges("
-        "part.graph, usable)",
-    )
-    out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
-    out.emit(2, "work = WorkStats(")
-    out.emit(2, f"    edges_processed=len(dst) * {len(phases)},")
-    out.emit(
-        2, f"    nodes_processed=int(usable.sum()) * {len(phases)},"
-    )
-    out.emit(2, ")")
-    out.emit(2, "if len(dst):")
-    if lead.uses_weights:
-        out.emit(3, "if part.graph.weights is None:")
-        out.emit(4, "weights = np.ones(len(positions), dtype=np.int64)")
-        out.emit(3, "else:")
-        out.emit(
-            4, "weights = part.graph.weights[positions].astype(np.int64)"
-        )
+    _emit_push_prologue(out, phases[0], method, ordered, len(phases))
     for phase in phases:
         kernel = _render_fragment(
             phase.kernel, src="{f}[src_rep]", dst="{f}[dst]", local="{f}"
@@ -317,7 +312,7 @@ def _emit_sparse_pull(
     out.emit(
         2,
         "    edges_processed=len(neighbor), "
-        "nodes_processed=int(targets.sum())",
+        "nodes_processed=int(np.count_nonzero(targets))",
     )
     out.emit(2, ")")
     out.emit(2, "if len(neighbor):")
@@ -354,23 +349,21 @@ def _emit_dense_pull(
             f"aggregate_neighbor_rows({phase.target}, "
             f"{phase.source_rows}, src, dst)",
         )
-        out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
-        out.emit(2, "updated[dst] = True")
+        idempotent = False
     else:
         reduce = _target_reduce(spec, phase)
         kernel = _render_fragment(phase.kernel, src="{f}[src]", local="{f}")
-        if REDUCTIONS[reduce].idempotent:
+        idempotent = REDUCTIONS[reduce].idempotent
+        if idempotent:
             out.emit(2, f"before = {phase.target}.copy()")
-            out.emit(
-                2, f"{_SCATTER_SRC[reduce]}({phase.target}, dst, {kernel})"
-            )
-            out.emit(2, f"updated = {phase.target} != before")
-        else:
-            out.emit(
-                2, f"{_SCATTER_SRC[reduce]}({phase.target}, dst, {kernel})"
-            )
-            out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
-            out.emit(2, "updated[dst] = True")
+        out.emit(2, f"{_SCATTER_SRC[reduce]}({phase.target}, dst, {kernel})")
+    if idempotent:
+        out.emit(2, f"updated = {phase.target} != before")
+    else:
+        # Every edge fires every round, so the written set is the nodes
+        # with a local in-edge: round-invariant, read off the graph's
+        # cached degree array instead of re-scattered.
+        out.emit(2, "updated = part.graph.in_degree() > 0")
     out.emit(2, "work = WorkStats(")
     out.emit(
         2, "    edges_processed=len(dst), nodes_processed=part.num_nodes"

@@ -96,12 +96,16 @@ def aggregate_neighbor_rows(
 ) -> None:
     """The shared SpMM-style kernel: ``acc[dst] += features[src]`` per edge.
 
-    One scatter-add over whole rows — the distributed form of
-    ``A^T · X`` restricted to a host's local edges.  All three feature
-    apps drive their ``step`` through this.
+    The distributed form of ``A^T · X`` restricted to a host's local
+    edges; all three feature apps drive their ``step`` through this.
+    One 1-D scatter-add per column rather than one over whole rows:
+    ``np.add.at`` has a fast loop for 1-D operands only, and every
+    element still receives its addends in edge order, so the result is
+    bitwise what the row form gives for any float64 input.
     """
     if len(edge_dst):
-        np.add.at(acc, edge_dst, features[edge_src])
+        for j in range(acc.shape[1]):
+            np.add.at(acc[:, j], edge_dst, features[:, j][edge_src])
 
 
 def fp16_tolerance(expected: np.ndarray, rounds: int) -> float:

@@ -59,6 +59,9 @@ class CSRGraph:
                 raise GraphError("weights must have one entry per edge")
         self._weights = weights
         self._in_csr: Optional["CSRGraph"] = None
+        # Lazily cached degree arrays (read-only: every caller shares them).
+        self._out_degree: Optional[np.ndarray] = None
+        self._in_degree: Optional[np.ndarray] = None
 
     # -- construction ------------------------------------------------------
 
@@ -134,21 +137,36 @@ class CSRGraph:
         return self._weights is not None
 
     def out_degree(self, node: Optional[int] = None):
-        """Out-degree of ``node``, or the full out-degree array if omitted."""
+        """Out-degree of ``node``, or the full out-degree array if omitted.
+
+        The array is computed once and returned read-only: engines ask
+        for it on every direction choice.
+        """
         if node is None:
-            return np.diff(self._indptr)
+            if self._out_degree is None:
+                self._out_degree = np.diff(self._indptr)
+                self._out_degree.flags.writeable = False
+            return self._out_degree
         if not 0 <= node < self.num_nodes:
             raise IndexError(f"node {node} out of range")
         return int(self._indptr[node + 1] - self._indptr[node])
 
     def in_degree(self, node: Optional[int] = None):
-        """In-degree of ``node``, or the full in-degree array if omitted."""
-        degrees = np.bincount(self._indices, minlength=self.num_nodes)
+        """In-degree of ``node``, or the full in-degree array if omitted.
+
+        Cached and read-only like :meth:`out_degree`: dense pull kernels
+        derive their written-node mask from it every round.
+        """
+        if self._in_degree is None:
+            self._in_degree = np.bincount(
+                self._indices, minlength=self.num_nodes
+            )
+            self._in_degree.flags.writeable = False
         if node is None:
-            return degrees
+            return self._in_degree
         if not 0 <= node < self.num_nodes:
             raise IndexError(f"node {node} out of range")
-        return int(degrees[node])
+        return int(self._in_degree[node])
 
     def neighbors(self, node: int) -> np.ndarray:
         """Out-neighbors of ``node`` as a view into the index array."""

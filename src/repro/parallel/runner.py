@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.network.stats import RoundTraffic
 from repro.runtime.round import close_round, run_hosts
 
@@ -77,7 +79,7 @@ class InProcessRunner:
         traffic, comm_time = close_round(
             ex.transport, ex.engines, ex.cost_model, translation_deltas
         )
-        active = sum(int(f.sum()) for f in next_frontiers)
+        active = sum(int(np.count_nonzero(f)) for f in next_frontiers)
         residual_sum = None
         if ex.app.uses_frontier:
             if active > 0:

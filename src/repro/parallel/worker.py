@@ -125,7 +125,9 @@ class _HostWorker:
             self.fields, self.frontiers, self.substrates,
             end_phase=self.pipe.finish_phase,
         )
-        active = {h: int(next_frontiers[h].sum()) for h in self.owned}
+        active = {
+            h: int(np.count_nonzero(next_frontiers[h])) for h in self.owned
+        }
         residuals = None
         if app.uses_frontier:
             self.frontiers.update(next_frontiers)

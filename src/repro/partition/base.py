@@ -108,10 +108,7 @@ class LocalPartition:
             mirror_master_host, dtype=np.int32
         )
         self.strategy: Optional["PartitionStrategy"] = None
-        self._global_to_local = {
-            int(gid): lid for lid, gid in enumerate(self.local_to_global)
-        }
-        # Lazily built sort order for bulk translation (to_local_array).
+        # Lazily built sort order for global -> local translation.
         self._l2g_order: Optional[np.ndarray] = None
         self._l2g_sorted: Optional[np.ndarray] = None
 
@@ -150,14 +147,17 @@ class LocalPartition:
 
         Raises ``KeyError`` if this host holds no proxy for the node.
         """
-        return self._global_to_local[int(global_id)]
+        gid = int(global_id)
+        if not 0 <= gid <= np.iinfo(np.uint32).max:
+            raise KeyError(gid)
+        return int(self.to_local_array(np.array([gid], dtype=np.uint32))[0])
 
     def to_local_array(self, global_ids: np.ndarray) -> np.ndarray:
         """Translate many global IDs to local IDs in one vectorized lookup.
 
-        The bulk twin of :meth:`to_local` — a sorted binary search over
-        the proxy table instead of a per-ID dict probe, used on every
-        GLOBAL_IDS decode and in the memoization exchange.
+        A sorted binary search over the proxy table (sorted once, on
+        first use), used on every GLOBAL_IDS decode, in the memoization
+        exchange and by the scalar :meth:`to_local`.
 
         Raises ``KeyError`` naming the first unknown ID if any global ID
         has no proxy on this host.
@@ -170,6 +170,8 @@ class LocalPartition:
                 np.uint32
             )
             self._l2g_sorted = self.local_to_global[self._l2g_order]
+        if len(self._l2g_sorted) == 0:
+            raise KeyError(int(gids[0]))
         pos = np.searchsorted(self._l2g_sorted, gids)
         pos_clipped = np.minimum(pos, len(self._l2g_sorted) - 1)
         misses = self._l2g_sorted[pos_clipped] != gids
@@ -180,7 +182,11 @@ class LocalPartition:
 
     def has_proxy(self, global_id: int) -> bool:
         """Whether this host holds a proxy for the global node."""
-        return int(global_id) in self._global_to_local
+        try:
+            self.to_local(global_id)
+        except KeyError:
+            return False
+        return True
 
     def master_host_of_mirror(self, local_id: int) -> int:
         """Host owning the master of the mirror at ``local_id``."""

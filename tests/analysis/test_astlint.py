@@ -71,6 +71,28 @@ class TestEndpointInference:
         assert report.gathers_forward
         assert report.gathers_transpose
 
+    @pytest.mark.parametrize(
+        "app_name, target, source",
+        [("pr", "acc", "contrib"), ("featprop", "acc", "feat")],
+    )
+    def test_dense_pull_written_mask_is_not_a_field(
+        self, app_name, target, source
+    ):
+        """The round-invariant ``updated`` mask comes off the graph's
+        cached in-degree, not a scattered state array: the only endpoint
+        accesses a dense pull records are its field write and read, so
+        GL003 (scattered but never synchronized) has nothing to flag."""
+        report = analyze_program(APP_BY_NAME[app_name])
+        step = [e for e in report.events if e.method == "_step_pull"]
+        assert {(e.key, e.endpoint, e.kind) for e in step} == {
+            (target, "destination", "write"),
+            (source, "source", "read"),
+        }
+        assert set(report.state_tags) == {"edge_src", "edge_dst"}
+        findings = lint_program(APP_BY_NAME[app_name])
+        assert "GL003" not in {f.rule_id for f in findings}
+
+
 
 class TestBuiltinAppsClean:
     def test_all_apps_have_no_errors(self):

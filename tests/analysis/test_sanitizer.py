@@ -1,8 +1,12 @@
 """Proxy-access sanitizer: transparent on clean runs, loud on broken ones."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.apps.specs import FEATPROP_SPEC
+from repro.compiler import compile_program
 from repro.engines import make_engine
 from repro.graph.generators import rmat
 from repro.partition import make_partitioner
@@ -14,7 +18,9 @@ from tests.analysis.broken_programs import (
     WrongWriteEndpoint,
 )
 
-RESULT_KEYS = {"bfs": "dist", "cc": "label", "pr-push": "rank"}
+RESULT_KEYS = {
+    "bfs": "dist", "cc": "label", "pr-push": "rank", "featprop": "feat",
+}
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +28,10 @@ def sanitizer_rmat():
     return rmat(scale=7, edge_factor=8, seed=3)
 
 
-def _run_broken(edges, program, policy="oec", num_hosts=3, sanitize=True):
-    prep = prepare_input("bfs", edges)
+def _run_broken(
+    edges, program, policy="oec", num_hosts=3, sanitize=True, app="bfs"
+):
+    prep = prepare_input(app, edges)
     partitioned = make_partitioner(policy).partition(prep.edges, num_hosts)
     executor = DistributedExecutor(
         partitioned,
@@ -93,6 +101,29 @@ class TestViolations:
         # Reads are only audited once a sync has completed: round 1's
         # pre-broadcast reads are legitimately unchecked.
         assert finding["details"]["first_round"] >= 2
+
+    def test_wide_kernel_lost_update_fires_gl201(self, sanitizer_rmat):
+        """The column-wise feature kernel stays visible to the guard.
+
+        featprop writes ``acc`` rows at edge destinations; declaring
+        ``writes={"source"}`` makes every oec mirror (destinations only)
+        non-writable, so the kernel's scatter must still be audited.
+        """
+        tampered = dataclasses.replace(
+            FEATPROP_SPEC,
+            name="featprop-wrong-write",
+            endpoint_overrides=(
+                ("feat_acc", (frozenset({"source"}), frozenset({"source"}))),
+            ),
+        )
+        _, result = _run_broken(
+            sanitizer_rmat, compile_program(tampered), app="featprop"
+        )
+        gl201 = [
+            f for f in result.sanitizer_findings if f["rule"] == "GL201"
+        ]
+        assert gl201 and gl201[0]["field"] == "feat_acc"
+        assert gl201[0]["details"]["count"] > 0
 
     def test_unsanitized_broken_run_stays_silent(self, sanitizer_rmat):
         _, result = _run_broken(

@@ -80,6 +80,15 @@ class TestAccessors:
         g = build(3, [(0, 1), (0, 2), (1, 2)])
         assert g.in_degree().tolist() == [0, 1, 2]
 
+    def test_degree_arrays_are_cached_read_only(self):
+        """Engines and dense-pull kernels ask every round: one shared
+        array per graph, which no caller can corrupt."""
+        g = build(3, [(0, 1), (0, 2), (1, 2)])
+        for degree in (g.out_degree, g.in_degree):
+            assert degree() is degree()
+            with pytest.raises(ValueError):
+                degree()[0] = 7
+
     def test_out_degree_scalar(self):
         g = build(3, [(0, 1), (0, 2)])
         assert g.out_degree(0) == 2

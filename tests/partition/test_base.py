@@ -126,6 +126,34 @@ class TestBuildPartitionedGraph:
             with pytest.raises(KeyError):
                 part.to_local(missing[0])
 
+    def test_scalar_lookup_contract_without_eager_table(self, tiny_edges):
+        """``to_local``/``has_proxy`` ride the lazily sorted proxy table:
+        nothing is built at construction, ``int`` and ``np.integer``
+        arguments agree, and every miss — absent, negative, beyond
+        uint32, or on a proxy-less host — is a ``KeyError``/``False``."""
+        from repro.graph.csr import CSRGraph
+        from repro.partition.base import LocalPartition
+
+        part = OutgoingEdgeCut().partition(tiny_edges, 2).partitions[1]
+        assert part._l2g_order is None
+        gid = part.to_global(part.num_nodes - 1)
+        assert part.to_local(np.uint32(gid)) == part.to_local(gid)
+        assert part.has_proxy(np.int64(gid))
+        for miss in (-1, 2**32, 2**40, tiny_edges.num_nodes + 5):
+            assert not part.has_proxy(miss)
+            with pytest.raises(KeyError):
+                part.to_local(miss)
+        empty = LocalPartition(
+            0,
+            CSRGraph.from_edges(0, np.empty(0), np.empty(0)),
+            np.empty(0, dtype=np.uint32),
+            0,
+            np.empty(0, dtype=np.int32),
+        )
+        assert not empty.has_proxy(0)
+        with pytest.raises(KeyError):
+            empty.to_local_array(np.array([0]))
+
     def test_isolated_nodes_get_masters(self):
         # Node 3 has no edges but must still be mastered somewhere.
         edges = EdgeList(
