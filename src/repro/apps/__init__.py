@@ -17,6 +17,7 @@ from repro.apps.specs import (
     OPTIMIZED_SUFFIX,
     PROGRAM_SPECS,
     SPEC_ALIASES,
+    optimized_app_names,
     spec_for,
 )
 from repro.compiler.program_codegen import compile_program
@@ -30,6 +31,12 @@ APP_BY_NAME.update(
     {alias: APP_BY_NAME[name] for alias, name in SPEC_ALIASES.items()}
 )
 APP_BY_NAME["bc"] = BetweennessCentrality
+
+
+def runnable_app_names():
+    """Every name :func:`make_app` accepts — what ``repro run --app`` and
+    a service ``JobSpec`` validate against."""
+    return sorted(APP_BY_NAME) + optimized_app_names()
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,4 +71,5 @@ __all__ = [
     "BetweennessCentrality",
     "make_app",
     "APP_BY_NAME",
+    "runnable_app_names",
 ]

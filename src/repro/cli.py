@@ -21,13 +21,14 @@ from typing import Callable, Dict, List, Optional
 
 from repro.analysis import experiments
 from repro.analysis.tables import format_table
-from repro.apps import APP_BY_NAME
-from repro.apps.specs import PROGRAM_SPECS, optimized_app_names
+from repro.apps import APP_BY_NAME, runnable_app_names
+from repro.apps.specs import PROGRAM_SPECS
 from repro.core.optimization import OptimizationLevel
 from repro.core.sync_structures import COMPRESSION_MODES
 from repro.errors import FaultPlanError
 from repro.partition import PARTITIONER_BY_NAME
 from repro.resilience import RECOVERY_MODES, FaultPlan, ResilienceConfig
+from repro.runtime.executor import PROCESS_RUNTIME_UNSUPPORTED
 from repro.systems import ALL_SYSTEMS, run_app
 from repro.workloads import WORKLOAD_NAMES, load_workload
 
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    runnable_apps = sorted(APP_BY_NAME) + optimized_app_names()
+    runnable_apps = runnable_app_names()
 
     run_cmd = commands.add_parser("run", help="run one application")
     run_cmd.add_argument(
@@ -234,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
             "round-execution backend: 'simulated' runs every host "
             "in-process (default); 'process' runs hosts in real worker "
             "processes over shared-memory graph stores (bitwise-identical "
-            "results, adds a measured wall-clock column)"
+            "results, adds a measured wall-clock column; simulated-only "
+            f"features: {', '.join(PROCESS_RUNTIME_UNSUPPORTED)})"
         ),
     )
     run_cmd.add_argument(

@@ -81,6 +81,12 @@ class SubstrateStats:
         """Record one sent message of ``mode``."""
         self.mode_counts[mode] = self.mode_counts.get(mode, 0) + 1
 
+    def absorb(self, other: "SubstrateStats") -> None:
+        """Fold another substrate's counters into this total."""
+        self.translations += other.translations
+        for mode, count in other.mode_counts.items():
+            self.mode_counts[mode] = self.mode_counts.get(mode, 0) + count
+
 
 class GluonSubstrate:
     """Synchronization substrate for one simulated host.
@@ -431,17 +437,9 @@ def setup_substrates(
     the memoized order is never used on the wire.
     """
     books = exchange_address_books(partitioned, transport)
-    return [
-        GluonSubstrate(
-            part,
-            transport,
-            level,
-            books[part.host],
-            metrics=metrics,
-            aggregate=aggregate,
-        )
-        for part in partitioned.partitions
-    ]
+    return setup_substrates_from_books(
+        partitioned, transport, level, PreparedSync(books), metrics, aggregate
+    )
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,10 @@ class InProcessTransport:
             )
         self.stats.end_round()
 
+    def take_round_fault_bytes(self) -> int:
+        """Extra bytes faults cost this round: none on a reliable fabric."""
+        return 0
+
     def _check_host(self, host: int) -> None:
         if not 0 <= host < self.num_hosts:
             raise TransportError(

@@ -59,9 +59,10 @@ class Span:
 class Tracer:
     """Records completed spans; the active half of the observability pair.
 
-    All spans carry explicit ``(begin_s, duration_s)`` intervals — the
-    executor owns the simulated clock and stamps spans itself, so the
-    tracer never reads wall time and traces are deterministic.
+    All spans carry explicit ``(begin_s, duration_s)`` intervals and the
+    tracer owns the only simulated cursor (:attr:`cursor`): every layer
+    places its spans from it, the tracer never reads wall time, and
+    traces are deterministic.
     """
 
     #: Hot paths check this before building tag dicts; the null tracer
@@ -121,8 +122,17 @@ class Tracer:
 
     @property
     def cursor(self) -> float:
-        """Timestamp where the next sequential driver span would start."""
+        """The run's one simulated clock: where the next span would start.
+
+        Setup stages, BSP rounds, recovery stalls and streaming steps
+        advance it; spans that overlap the timeline without stalling it
+        (checkpoints, a mid-run repartition) are recorded *at* it.
+        """
         return self._cursor
+
+    def advance_to(self, timestamp_s: float) -> None:
+        """Set the cursor to the close of spans placed by hand (a BSP round)."""
+        self._cursor = float(timestamp_s)
 
     # -- queries (tests and the trace summarizer) --------------------------
 

@@ -21,10 +21,11 @@ byte counter are therefore bitwise identical to ``--runtime simulated``;
 the wall clock (the executor's ``wall_rounds_s``) is where real
 parallelism shows up.
 
-The runtime is deliberately restricted: proxy sanitization, crash-fault
-plans, periodic checkpoints, and mid-run repartitioning all require the
-coordinator to observe host state mid-round, which only the simulated
-runtime can do.  The executor rejects those combinations up front.
+The runtime is deliberately restricted: the features listed in
+:data:`repro.runtime.executor.PROCESS_RUNTIME_UNSUPPORTED` need the
+coordinator to observe or replace host state mid-run, which only the
+simulated runtime can do.  The executor rejects those combinations by
+name.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.substrate import SubstrateStats
 from repro.errors import ExecutionError
 from repro.parallel.pipes import SEQ_STRIDE, PipeFabric
 from repro.parallel.runner import RoundData
@@ -130,7 +132,7 @@ class ProcessRunner:
                 enable_sync=ex.enable_sync,
                 books=books,
                 scalars=scalars,
-                frontiers=ex._frontiers,
+                frontiers=ex.frontiers,
                 fault_plan=fault_plan,
                 # Disjoint per-worker sequence namespaces so frames from
                 # different workers never collide at a receiver's
@@ -166,7 +168,7 @@ class ProcessRunner:
         num_hosts = self.num_hosts
         comp_times = [0.0] * num_hosts
         active_total = 0
-        fault_bytes = ex._take_round_fault_bytes()
+        fault_bytes = ex.transport.take_round_fault_bytes()
         residual_sum: Optional[float] = None
         translation_deltas: Dict[int, int] = {}
         residuals: Dict[int, float] = {}
@@ -286,14 +288,9 @@ class ProcessRunner:
                     state[key] = value
             for w in range(self.workers):
                 final = finals[w]
-                for translations, mode_counts in final[
-                    "substrate_stats"
-                ].values():
-                    ex._carried_translations += translations
-                    for mode, count in mode_counts.items():
-                        ex._carried_mode_counts[mode] = (
-                            ex._carried_mode_counts.get(mode, 0) + count
-                        )
+                # The substrates that did the work lived in the worker.
+                for counters in final["substrate_stats"].values():
+                    ex.retired_stats.absorb(SubstrateStats(*counters))
                 if final["faults"] and isinstance(ex.transport, FaultyTransport):
                     faults = ex.transport.faults
                     for name, value in final["faults"].items():

@@ -65,17 +65,28 @@ class InProcessRunner:
         """Execute one round on every host, in this process."""
         ex = self.ex
         hosts = range(ex.partitioned.num_hosts)
+        parts = ex.partitioned.partitions
         record = [] if ex.tracer.enabled else None
+        guard = None
+        if ex.sanitizer is not None:
+            # ``--sanitize``: guarded views around each host's compute.
+            def guard(h: int):
+                return ex.sanitizer.guard_round(
+                    h, parts[h], ex.fields[h],
+                    ex.substrates[h] if ex.substrates else None,
+                    ex.states[h], round_index,
+                )
+
         comp_times, next_frontiers, translation_deltas = run_hosts(
-            hosts, ex.engines, ex.app, ex.partitioned.partitions, ex.states,
-            ex.fields, ex._frontiers, ex.substrates,
-            record=record, guard=ex._sanitizer_guard(round_index),
+            hosts, ex.engines, ex.app, parts, ex.states,
+            ex.fields, ex.frontiers, ex.substrates,
+            record=record, guard=guard,
         )
         comp_times = [comp_times[h] for h in hosts]
         next_frontiers = [next_frontiers[h] for h in hosts]
         if ex.sanitizer is not None and ex.enable_sync:
             ex.sanitizer.note_sync_completed()
-        fault_bytes = ex._take_round_fault_bytes()
+        fault_bytes = ex.transport.take_round_fault_bytes()
         traffic, comm_time = close_round(
             ex.transport, ex.engines, ex.cost_model, translation_deltas
         )
@@ -83,7 +94,7 @@ class InProcessRunner:
         residual_sum = None
         if ex.app.uses_frontier:
             if active > 0:
-                ex._frontiers = next_frontiers
+                ex.frontiers = next_frontiers
         else:
             residual_sum = sum(
                 ex.app.local_residual(state) for state in ex.states
@@ -103,3 +114,16 @@ class InProcessRunner:
 
     def abort(self) -> None:
         """Nothing to tear down on error either."""
+
+
+def start_runner(executor):
+    """Create and start the round backend the executor's ``runtime`` names."""
+    if executor.runtime == "process":
+        # Imported lazily: the coordinator imports this module.
+        from repro.parallel.coordinator import ProcessRunner
+
+        runner = ProcessRunner(executor, executor.workers)
+    else:
+        runner = InProcessRunner(executor)
+    runner.start()
+    return runner

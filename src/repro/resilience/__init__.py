@@ -10,8 +10,10 @@ Makes the simulated cluster failable and survivable:
   the in-process transport;
 * :mod:`repro.resilience.checkpoint` — content-addressed snapshots of
   executor state with in-memory and on-disk backends;
-* :mod:`repro.resilience.recovery` — global checkpoint-restart and
-  Phoenix-style confined recovery, wired into
+* :mod:`repro.resilience.recovery` — the snapshot schema
+  (:func:`take_checkpoint` writes what recovery reads back) and the
+  crash seam (:func:`survive_crash`: global checkpoint-restart and
+  Phoenix-style confined recovery), both called directly from
   :meth:`repro.runtime.executor.DistributedExecutor.run`.
 """
 
@@ -27,7 +29,8 @@ from repro.resilience.recovery import (
     RecoveryEvent,
     ResilienceConfig,
     confined_applicable,
-    recover,
+    survive_crash,
+    take_checkpoint,
 )
 from repro.resilience.transport import FaultStats, FaultyTransport
 
@@ -45,5 +48,6 @@ __all__ = [
     "RecoveryEvent",
     "ResilienceConfig",
     "confined_applicable",
-    "recover",
+    "survive_crash",
+    "take_checkpoint",
 ]

@@ -1,6 +1,6 @@
 """Recovery protocols: surviving a fail-stop host crash.
 
-Two protocols, both driven by :func:`recover` from inside
+Two protocols, both driven by :func:`survive_crash` from inside
 :class:`~repro.runtime.executor.DistributedExecutor.run`:
 
 * **Global checkpoint-restart** (``"restart"``) — every host rolls back
@@ -19,7 +19,7 @@ Two protocols, both driven by :func:`recover` from inside
   restart re-derives anything unreplicated.  Sound only for
   self-stabilizing programs (idempotent reductions with a data-driven
   frontier, e.g. bfs/sssp/cc); for anything else — pagerank's add
-  reduction, topology-driven rounds — :func:`recover` detects the
+  reduction, topology-driven rounds — :func:`survive_crash` detects the
   mismatch and *escalates to restart*, the same classification the
   Phoenix work applies.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
@@ -160,38 +160,56 @@ def confined_applicable(executor: "DistributedExecutor") -> bool:
     return _is_self_stabilizing(executor)
 
 
-def recover(
-    executor: "DistributedExecutor",
-    crashed_hosts: List[int],
-    round_index: int,
-) -> RecoveryEvent:
-    """Run the configured recovery protocol after ``crashed_hosts`` died.
+def take_checkpoint(
+    executor: "DistributedExecutor", round_index: int, rebaseline: bool = False
+) -> None:
+    """Snapshot the execution at a round boundary and account it.
 
-    Called with the dead hosts' state already destroyed and the transport
-    already aware of the crash.  Returns the accounting event; the
-    executor folds it into the :class:`~repro.runtime.stats.RunResult`.
+    The snapshot schema lives here, next to :func:`_restore_snapshot`
+    which parses and validates it.  ``rebaseline`` first forgets every
+    earlier snapshot — they describe a layout or graph version the
+    executor just left (:meth:`~DistributedExecutor.repartition`,
+    :meth:`~DistributedExecutor.apply_mutations`).
     """
-    config = executor.resilience
-    if config is None:
-        raise ExecutionError("recover() called on a run without resilience")
-    mode = config.recovery
-    if mode == "confined" and not confined_applicable(executor):
-        mode = "confined->restart"
-    if mode == "restart" or mode == "confined->restart":
-        event = _recover_restart(executor, crashed_hosts, round_index)
-    else:
-        event = _recover_confined(executor, crashed_hosts, round_index)
-    event.mode = mode
-    return event
+    manager = executor.checkpoints
+    if rebaseline:
+        manager.clear()
+    injector = executor.fault_injector
+    record = manager.save(
+        {
+            "round": round_index,
+            "app": executor.app.name,
+            "policy": executor.partitioned.policy_name,
+            "num_hosts": executor.partitioned.num_hosts,
+            "num_global_nodes": executor.partitioned.num_global_nodes,
+            "states": executor.states,
+            "frontiers": executor.frontiers,
+            "injector_rng": (
+                injector.rng_state() if injector is not None else None
+            ),
+        }
+    )
+    result = executor.result
+    result.num_checkpoints += 1
+    result.checkpoint_bytes += record.nbytes
+    result.checkpoint_time += record.save_time_s
+    if executor.tracer.enabled:
+        # Snapshots overlap the timeline; they do not stall it.
+        executor.tracer.record(
+            "checkpoint",
+            cat="resilience",
+            begin_s=executor.tracer.cursor,
+            duration_s=record.save_time_s,
+            round=round_index,
+            bytes=record.nbytes,
+        )
+    if executor.metrics.enabled:
+        executor.metrics.counter("checkpoints_total").inc()
+        executor.metrics.counter("checkpoint_bytes_total").inc(record.nbytes)
 
 
 def _restore_snapshot(executor: "DistributedExecutor") -> dict:
-    manager = executor.checkpoints
-    if manager is None:
-        raise CheckpointError(
-            "a host crashed but the run has no checkpoint manager"
-        )
-    snapshot = manager.restore()
+    snapshot = executor.checkpoints.restore()
     if snapshot.get("num_hosts") != executor.partitioned.num_hosts:
         raise CheckpointError(
             f"checkpoint is for {snapshot.get('num_hosts')} hosts, the "
@@ -210,63 +228,103 @@ def _restore_snapshot(executor: "DistributedExecutor") -> dict:
     return snapshot
 
 
-def _recover_restart(
+def survive_crash(
     executor: "DistributedExecutor",
     crashed_hosts: List[int],
     round_index: int,
+    bind: Callable,
 ) -> RecoveryEvent:
-    """Global rollback: every host restarts from the last checkpoint."""
+    """Lose ``crashed_hosts``, run the configured recovery, account it.
+
+    The whole crash seam of the executor's run loop: fail-stop loss of
+    the hosts' memory and connectivity, the recovery protocol (restart,
+    confined, or confined escalated to restart), and its accounting on
+    the run's result, trace and metrics.  ``bind`` is the executor's
+    layout-binding primitive, ``bind(partitioned, ctx, states,
+    frontiers) -> (bytes, simulated_time)``: both protocols rebirth the
+    fabric through it — new transport, fresh memoization exchange — over
+    the states and frontiers they restored.
+    """
+    for host in crashed_hosts:
+        executor.transport.crash(host)
+        executor.states[host] = None
+        executor.fields[host] = None
+        executor.frontiers[host] = None
+    mode = executor.resilience.recovery
+    if mode == "confined" and not confined_applicable(executor):
+        mode = "confined->restart"
     snapshot = _restore_snapshot(executor)
-    restored_round = int(snapshot["round"])
-    executor.states = list(snapshot["states"])
-    executor.fields = [
-        executor.app.make_fields(part, state)
-        for part, state in zip(
-            executor.partitioned.partitions, executor.states
-        )
-    ]
-    executor._frontiers = list(snapshot["frontiers"])
-    if (
-        executor.fault_injector is not None
-        and snapshot.get("injector_rng") is not None
-    ):
-        executor.fault_injector.restore_rng_state(snapshot["injector_rng"])
-    nbytes, sim_time = executor._rebuild_communication()
-    result = executor._result
-    replayed = max(0, len(result.rounds) - restored_round)
-    # The rolled-back rounds are replayed (and re-recorded); drop their
-    # records so the final trace describes the logical execution.
-    result.rounds = result.rounds[:restored_round]
-    return RecoveryEvent(
+    protocol = _recover_confined if mode == "confined" else _recover_restart
+    nbytes, sim_time, replayed = protocol(executor, snapshot, crashed_hosts, bind)
+    event = RecoveryEvent(
         round_index=round_index,
         hosts=list(crashed_hosts),
-        mode="restart",
-        restored_round=restored_round,
+        mode=mode,
+        restored_round=int(snapshot["round"]),
         recovery_bytes=nbytes,
         recovery_time=sim_time,
         replayed_rounds=replayed,
     )
+    result = executor.result
+    result.num_recoveries += 1
+    result.recovery_bytes += nbytes
+    result.recovery_time += sim_time
+    result.recovery_events.append(event.row())
+    if executor.tracer.enabled:
+        # Recovery stalls the whole cluster: it advances the BSP clock.
+        executor.tracer.record_sequential(
+            "recovery",
+            sim_time,
+            cat="resilience",
+            round=round_index,
+            mode=mode,
+            hosts=list(crashed_hosts),
+            bytes=nbytes,
+        )
+    if executor.metrics.enabled:
+        executor.metrics.counter("recoveries_total").inc()
+        executor.metrics.counter("recovery_bytes_total").inc(nbytes)
+    return event
 
 
-def _recover_confined(
-    executor: "DistributedExecutor",
-    crashed_hosts: List[int],
-    round_index: int,
-) -> RecoveryEvent:
-    """Phoenix-style confined recovery: only the reborn hosts roll back."""
-    snapshot = _restore_snapshot(executor)
+def _recover_restart(executor, snapshot, crashed_hosts, bind):
+    """Global rollback: every host restarts from the last checkpoint.
+
+    Returns ``(bytes, simulated_time, replayed_rounds)``.
+    """
+    injector = executor.fault_injector
+    if injector is not None and snapshot.get("injector_rng") is not None:
+        injector.restore_rng_state(snapshot["injector_rng"])
+    nbytes, sim_time = bind(
+        executor.partitioned,
+        executor.ctx,
+        list(snapshot["states"]),
+        list(snapshot["frontiers"]),
+    )
+    result = executor.result
     restored_round = int(snapshot["round"])
+    replayed = max(0, len(result.rounds) - restored_round)
+    # The rolled-back rounds are replayed (and re-recorded); drop their
+    # records so the final trace describes the logical execution.
+    result.rounds = result.rounds[:restored_round]
+    return nbytes, sim_time, replayed
+
+
+def _recover_confined(executor, snapshot, crashed_hosts, bind):
+    """Phoenix-style confined recovery: only the reborn hosts roll back.
+
+    Returns ``(bytes, simulated_time, 0)`` — nothing is replayed.
+    """
     parts = executor.partitioned.partitions
+    states, frontiers = list(executor.states), list(executor.frontiers)
     for host in crashed_hosts:
-        executor.states[host] = snapshot["states"][host]
+        states[host] = snapshot["states"][host]
         # Everything the reborn host owns is suspect: activate its whole
         # local proxy set so recomputation re-derives unreplicated values.
-        executor._frontiers[host] = np.ones(parts[host].num_nodes, dtype=bool)
-    executor.fields = [
-        executor.app.make_fields(part, state)
-        for part, state in zip(parts, executor.states)
-    ]
-    nbytes, sim_time = executor._rebuild_communication()
+        frontiers[host] = np.ones(parts[host].num_nodes, dtype=bool)
+    nbytes, sim_time = bind(
+        executor.partitioned, executor.ctx, states, frontiers
+    )
     # Healing round: every host offers all its proxies, so healthy
     # mirrors fast-forward the reborn host's stale masters (idempotent
     # reductions make re-offering current values harmless) and the fresh
@@ -275,23 +333,17 @@ def _recover_confined(
         SimpleNamespace(updated=np.ones(part.num_nodes, dtype=bool))
         for part in parts
     ]
-    next_frontiers = [frontier.copy() for frontier in executor._frontiers]
-    if executor.substrates:
-        # Imported lazily: importing the repro.runtime package imports
-        # the executor, which imports this module.
-        from repro.runtime.round import synchronize
+    next_frontiers = [frontier.copy() for frontier in frontiers]
+    # Imported lazily: importing the repro.runtime package imports the
+    # executor, which imports this module.
+    from repro.runtime.round import close_exchange, synchronize
 
-        synchronize(
-            range(len(parts)), executor.substrates, executor.fields, parts,
-            all_dirty, next_frontiers,
-        )
-    heal_bytes, heal_time = executor._close_recovery_exchange()
-    executor._frontiers = next_frontiers
-    return RecoveryEvent(
-        round_index=round_index,
-        hosts=list(crashed_hosts),
-        mode="confined",
-        restored_round=restored_round,
-        recovery_bytes=nbytes + heal_bytes,
-        recovery_time=sim_time + heal_time,
+    synchronize(
+        range(len(parts)), executor.substrates, executor.fields, parts,
+        all_dirty, next_frontiers,
     )
+    heal_bytes, heal_time = close_exchange(
+        executor.transport, executor.cost_model
+    )
+    executor.frontiers = next_frontiers
+    return nbytes + heal_bytes, sim_time + heal_time, 0

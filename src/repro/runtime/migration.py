@@ -1,12 +1,14 @@
 """State migration across repartitionings (§4.1's footnote).
 
 Gluon's memoization assumes partitions are temporally invariant; when the
-graph *is* re-partitioned, state moves to the new layout and memoization
-is simply redone.  :func:`migrate_states` performs the state move: for
-every per-node array an application declares migratable, the canonical
-(master) values of the old layout are assembled and re-scattered to every
-proxy of the new layout.  Non-node state (scalars, cached edge arrays) is
-rebuilt by the application's ``make_state``.
+graph *is* re-partitioned — or mutated, in a streaming session — state
+moves to the new layout and memoization is simply redone.
+:func:`migrate_states` performs the state move: for every per-node array
+an application declares migratable, the canonical (master) values of the
+old layout are assembled and re-scattered to every proxy of the new
+layout (optionally only where a ``keep`` mask allows — the streaming
+reset of affected vertices).  Non-node state (scalars, cached edge
+arrays) is rebuilt by the application's ``make_state``.
 
 A vertex program opts its arrays in through ``migratable_node_arrays``;
 the default migrates exactly the arrays its field specs synchronize, which
@@ -15,13 +17,15 @@ is correct for the label-propagation applications.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.apps.base import AppContext, VertexProgram
 from repro.errors import ExecutionError
 from repro.partition.base import PartitionedGraph
+
+if TYPE_CHECKING:  # imported for annotations only (avoids an import cycle)
+    from repro.apps.base import AppContext, VertexProgram
 
 
 def migratable_keys(
@@ -63,23 +67,43 @@ def gather_global(
     return result
 
 
+def gather_frontier(
+    partitioned: PartitionedGraph, frontiers: List[np.ndarray]
+) -> np.ndarray:
+    """Union the per-host frontiers into a global boolean mask."""
+    frontier = np.zeros(partitioned.num_global_nodes, dtype=bool)
+    for part, local in zip(partitioned.partitions, frontiers):
+        frontier[part.local_to_global[local]] = True
+    return frontier
+
+
 def migrate_states(
     old_partitioned: PartitionedGraph,
     old_states: List[Dict],
     new_partitioned: PartitionedGraph,
     app: VertexProgram,
     ctx: AppContext,
+    keep: Optional[np.ndarray] = None,
 ) -> List[Dict]:
-    """Move application state from one partition layout to another.
+    """Carry application state from one partition layout to another.
 
-    Every migratable per-node array keeps its canonical (master) values;
-    proxies in the new layout are seeded with the canonical value, which
-    is safe for both idempotent labels (everyone holds the truth) and
-    accumulators (masters hold the folded total, and mirror copies are
-    reset to the identity so nothing is double counted).
+    The single state carry-over, for a repartitioning (same graph) and a
+    mutation batch (the old node set a prefix of the new one) alike:
+    state is freshly initialized over the new layout, then every
+    migratable per-node array takes the old layout's canonical (master)
+    value wherever ``keep`` — a global bool mask, ``None`` = everywhere —
+    allows; elsewhere (the affected vertices, any grown nodes) the fresh
+    init stands.  Every proxy is seeded with its node's canonical value,
+    which is safe for both idempotent labels (everyone holds the truth)
+    and accumulators (masters hold the folded total, and mirror copies
+    are reset to the identity so nothing is double counted).
     """
-    if old_partitioned.num_global_nodes != new_partitioned.num_global_nodes:
-        raise ExecutionError("migration requires the same global node set")
+    num_old = old_partitioned.num_global_nodes
+    if new_partitioned.num_global_nodes < num_old:
+        raise ExecutionError(
+            "migration requires the same global node set "
+            "(or a grown one, the old nodes a prefix of the new)"
+        )
     if not getattr(app, "supports_migration", True):
         raise ExecutionError(
             f"{app.name} carries per-proxy state that cannot be migrated "
@@ -88,26 +112,20 @@ def migrate_states(
     keys = migratable_keys(
         app, old_states[0], old_partitioned.partitions[0].num_nodes
     )
-    global_values = {
-        key: gather_global(old_partitioned, old_states, key) for key in keys
-    }
     new_states = [
         app.make_state(part, ctx) for part in new_partitioned.partitions
     ]
-    for part, state in zip(new_partitioned.partitions, new_states):
-        for key in keys:
-            canonical = global_values[key][part.local_to_global]
-            state[key][...] = canonical
+    carry = slice(None) if keep is None else keep[:num_old]
+    for key in keys:
+        old_global = gather_global(old_partitioned, old_states, key)
+        canonical = gather_global(new_partitioned, new_states, key)
+        canonical[:num_old][carry] = old_global[carry]
+        for part, state in zip(new_partitioned.partitions, new_states):
+            state[key][...] = canonical[part.local_to_global]
     # Accumulator fields: only masters may carry the canonical totals;
     # mirror copies revert to the reduction identity.
-    fields_per_host = [
-        app.make_fields(part, state)
-        for part, state in zip(new_partitioned.partitions, new_states)
-    ]
-    for part, state, fields in zip(
-        new_partitioned.partitions, new_states, fields_per_host
-    ):
-        for field in fields:
+    for part, state in zip(new_partitioned.partitions, new_states):
+        for field in app.make_fields(part, state):
             if not field.reduce_op.idempotent:
                 mirrors = part.mirror_locals()
                 field.values[mirrors] = field.reduce_op.identity(field.dtype)

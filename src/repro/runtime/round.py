@@ -249,3 +249,18 @@ def close_round(transport, engines, cost_model, translation_deltas):
         traffic, num_hosts, cost_model, extras
     )
     return traffic, comm_time
+
+
+def close_exchange(transport, cost_model):
+    """End a construction/recovery exchange round and price it.
+
+    The memoization exchange and the healing round of confined recovery
+    are plain alpha-beta traffic with no per-host extras.  Returns
+    ``(bytes, simulated_time)``.
+    """
+    traffic = transport.stats.current_round
+    sim_time = round_communication_time(
+        traffic, transport.num_hosts, cost_model
+    )
+    transport.end_round()
+    return traffic.total_bytes, sim_time

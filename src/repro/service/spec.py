@@ -26,7 +26,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.apps import APP_BY_NAME
+from repro.apps import runnable_app_names
 from repro.core.optimization import OptimizationLevel
 from repro.errors import FaultPlanError, JobSpecError
 from repro.partition import PARTITIONER_BY_NAME
@@ -73,10 +73,10 @@ class JobSpec:
     max_attempts: int = 1
 
     def __post_init__(self) -> None:
-        if self.app not in APP_BY_NAME:
+        known_apps = runnable_app_names()
+        if self.app not in known_apps:
             raise JobSpecError(
-                f"unknown app {self.app!r} "
-                f"(known: {', '.join(sorted(APP_BY_NAME))})"
+                f"unknown app {self.app!r} (known: {', '.join(known_apps)})"
             )
         if self.workload not in WORKLOAD_NAMES:
             raise JobSpecError(

@@ -41,8 +41,7 @@ from repro.apps import make_app
 from repro.apps.base import AppContext
 from repro.errors import ExecutionError
 from repro.graph.edgelist import EdgeList
-from repro.observability.metrics import NULL_METRICS
-from repro.observability.tracer import NULL_TRACER
+from repro.observability import NULL_OBSERVABILITY
 from repro.partition.build import build_partition
 from repro.runtime.executor import DistributedExecutor
 from repro.runtime.migration import migratable_keys
@@ -196,13 +195,8 @@ class StreamingSession:
         self.max_rounds = max_rounds
         self.aggregate_comm = aggregate_comm
         self.cache = cache
-        self.tracer = (
-            observability.tracer if observability is not None else NULL_TRACER
-        )
-        self.metrics = (
-            observability.metrics if observability is not None else NULL_METRICS
-        )
-        self._observability = observability
+        obs = observability if observability is not None else NULL_OBSERVABILITY
+        self.tracer, self.metrics = obs.tracer, obs.metrics
         self._tolerance = tolerance
         self._max_iterations = max_iterations
         self._k = k
@@ -311,13 +305,13 @@ class StreamingSession:
                 signatures[host], self.partitioned.partitions[host]
             )
 
-    def _gather_values(self) -> Dict[str, np.ndarray]:
+    def _values_of(self, executor) -> Dict[str, np.ndarray]:
         keys = migratable_keys(
             self.app,
-            self.executor.states[0],
-            self.partitioned.partitions[0].num_nodes,
+            executor.states[0],
+            executor.partitioned.partitions[0].num_nodes,
         )
-        return {key: self.executor.gather_result(key) for key in keys}
+        return {key: executor.gather_result(key) for key in keys}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -367,7 +361,7 @@ class StreamingSession:
             old_edges,
             new_edges,
             effect,
-            self._gather_values(),
+            self.values(),
             new_ctx,
         )
         if not plan.full_restart and not getattr(
@@ -493,7 +487,7 @@ class StreamingSession:
 
     def values(self) -> Dict[str, np.ndarray]:
         """Converged global arrays of the current version (master values)."""
-        return self._gather_values()
+        return self._values_of(self.executor)
 
     def cold_run(self) -> RunResult:
         """Recompute the current version from scratch (the oracle).
@@ -524,10 +518,4 @@ class StreamingSession:
 
     def cold_values(self, cold_result: RunResult) -> Dict[str, np.ndarray]:
         """Global arrays of a :meth:`cold_run` result, keyed like values()."""
-        executor = cold_result.executor  # type: ignore[attr-defined]
-        keys = migratable_keys(
-            self.app,
-            executor.states[0],
-            executor.partitioned.partitions[0].num_nodes,
-        )
-        return {key: executor.gather_result(key) for key in keys}
+        return self._values_of(cold_result.executor)  # type: ignore[attr-defined]

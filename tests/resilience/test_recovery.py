@@ -265,3 +265,78 @@ class TestStabilizationCertificate:
         lattice — certificate denied (no-master-hooks)."""
         result = run_app("d-galois", "kcore", edges, num_hosts=2)
         assert not confined_applicable(result.executor)
+
+
+class TestRecoveryAfterRepartition:
+    """A crash on the *second* layout: recovery rebinds what repartition bound.
+
+    Two rounds under ``oec``, a mid-run repartition to ``cvc`` (which must
+    re-take the checkpoint baseline on the new layout), then host 1
+    crashes.  The answer must equal the same repartitioned run without
+    the crash, bit for bit.
+    """
+
+    APPS = {"bfs": "dist", "sssp": "dist", "cc": "label", "pr": "rank"}
+
+    @staticmethod
+    def _run(edges, app_name, resilience=None):
+        from repro.apps import make_app
+        from repro.engines import make_engine
+        from repro.partition import make_partitioner
+        from repro.runtime.executor import DistributedExecutor
+        from repro.systems import prepare_input
+
+        prep = prepare_input(app_name, edges)
+        executor = DistributedExecutor(
+            make_partitioner("oec").partition(prep.edges, 4),
+            make_engine("galois"),
+            make_app(app_name),
+            prep.ctx,
+            resilience=resilience,
+        )
+        executor.run(max_rounds=2)
+        executor.repartition(make_partitioner("cvc").partition(prep.edges, 4))
+        if executor.checkpoints is not None:
+            # The baseline was re-taken on the new layout, at round 2.
+            (record,) = executor.checkpoints.records
+            assert record.round_index == 2
+            snapshot = executor.checkpoints.restore()
+            assert snapshot["policy"] == "cvc"
+        return executor, executor.run()
+
+    #: Crash rounds after the repartition that each app still reaches on
+    #: rmat9 (cc converges in 3 rounds, bfs in 4).
+    CRASHES = [
+        ("bfs", 3), ("bfs", 4), ("cc", 3),
+        ("sssp", 3), ("sssp", 4), ("sssp", 5),
+        ("pr", 3), ("pr", 4), ("pr", 5),
+    ]
+
+    @pytest.mark.parametrize("mode", ["restart", "confined"])
+    @pytest.mark.parametrize("app_name,crash_round", CRASHES)
+    def test_bitwise_equal_to_the_uncrashed_repartitioned_run(
+        self, small_rmat, app_name, crash_round, mode
+    ):
+        key = self.APPS[app_name]
+        clean_executor, clean = self._run(small_rmat, app_name)
+        assert clean.num_rounds >= crash_round
+        config = ResilienceConfig(
+            plan=FaultPlan(crashes=(CrashFault(1, crash_round),), seed=7),
+            checkpoint_every=2,
+            recovery=mode,
+        )
+        executor, result = self._run(small_rmat, app_name, config)
+        assert result.converged
+        assert result.policy == "cvc"
+        expected_mode = mode
+        if mode == "confined" and app_name == "pr":
+            expected_mode = "confined->restart"
+        assert [e["mode"] for e in result.recovery_events] == [expected_mode]
+        assert result.recovery_events[0]["restored_round"] >= 2
+        assert result.recovery_bytes > 0
+        np.testing.assert_array_equal(
+            executor.gather_result(key), clean_executor.gather_result(key)
+        )
+        if expected_mode != "confined":
+            # Restart replays deterministically; healing may add rounds.
+            assert result.num_rounds == clean.num_rounds

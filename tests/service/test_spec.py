@@ -99,6 +99,18 @@ class TestValidation:
         with pytest.raises(JobSpecError, match="unknown app"):
             JobSpec(app="pagerank2", workload="rmat22s")
 
+    def test_optimized_app_names_are_accepted_and_hash_apart(self):
+        """ROADMAP 5e: the service takes every name ``repro run`` takes."""
+        bare = JobSpec(app="bfs", workload="rmat22s")
+        optimized = JobSpec(app="bfs@optimized", workload="rmat22s")
+        assert optimized.app == "bfs@optimized"
+        assert optimized.content_hash() != bare.content_hash()
+        assert JobSpec.from_dict(optimized.to_dict()) == optimized
+
+    def test_other_suffixes_are_still_rejected_by_name(self):
+        with pytest.raises(JobSpecError, match="unknown app 'bfs@compiled'"):
+            JobSpec(app="bfs@compiled", workload="rmat22s")
+
     def test_unknown_workload(self):
         with pytest.raises(JobSpecError, match="unknown workload"):
             JobSpec(app="bfs", workload="twitter-2010")

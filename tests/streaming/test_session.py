@@ -205,3 +205,34 @@ class TestObservability:
             obs.metrics.counter_total("streaming_affected_vertices_total")
             == step.affected_count
         )
+
+    def test_driver_spans_are_monotone(self):
+        """One simulated cursor: streaming steps follow the rounds before
+        them and precede the rounds after them, in order."""
+        obs = Observability()
+        session = StreamingSession(
+            "d-galois", "bfs", small_graph(), num_hosts=4,
+            policy="oec", observability=obs,
+        )
+        session.run()
+        marker = len(obs.tracer.spans)
+        last_round_end = max(
+            span.end_s for span in obs.tracer.spans_named("round")
+        )
+        session.apply_batch(one_edge_delete(session))
+        tracer = obs.tracer
+        (delta,) = tracer.spans_named("delta-partition")
+        (plan,) = tracer.spans_named("affected-frontier")
+        (apply,) = tracer.spans_named("apply-mutations")
+        next_round_begin = min(
+            span.begin_s
+            for span in tracer.spans[marker:]
+            if span.name == "round"
+        )
+        assert delta.begin_s >= last_round_end
+        assert delta.end_s <= plan.begin_s
+        assert plan.end_s <= apply.begin_s
+        assert apply.end_s <= next_round_begin
+        assert tracer.cursor == pytest.approx(
+            max(span.end_s for span in tracer.spans)
+        )

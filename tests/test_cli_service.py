@@ -48,6 +48,25 @@ class TestServe:
         # Priority 1 (pr) is served before priority 0 (bfs).
         assert [r["spec"]["app"] for r in doc["results"]] == ["pr", "bfs"]
 
+    def test_optimized_app_is_served_bitwise_equal_to_the_bare_app(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "jobs.json"
+        batch = dict(_BATCH, jobs=[{"app": "bfs"}, {"app": "bfs@optimized"}])
+        path.write_text(json.dumps(batch))
+        assert main(["serve", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        bare, optimized = doc["results"]
+        assert [r["spec"]["app"] for r in doc["results"]] == [
+            "bfs", "bfs@optimized",
+        ]
+        assert bare["status"] == optimized["status"] == "ok"
+        # Distinct cache keys, the same answer.
+        assert bare["result_cache"] == optimized["result_cache"] == "miss"
+        assert bare["spec_hash"] != optimized["spec_hash"]
+        assert bare["output_digest"] == optimized["output_digest"]
+        assert bare["output_digest"] is not None
+
     def test_missing_batch_file_is_a_parser_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["serve", str(tmp_path / "nope.json")])

@@ -20,6 +20,13 @@ so contributors without ruff installed can still gate locally:
 * B006 mutable default argument
 * B904 raise without ``from`` inside an except handler
 
+plus one repo rule ruff cannot express:
+
+* X001 a module under ``src/`` other than ``runtime/executor.py`` touches
+  a private attribute of a ``DistributedExecutor`` (``ex._x``,
+  ``executor._x``, ``self.ex._x``) — what other packages need is a
+  public, documented attribute or an argument
+
 Usage: python tools/check_lint.py [paths...]
 (default: src tests tools benchmarks)
 """
@@ -33,6 +40,8 @@ import tokenize
 from pathlib import Path
 
 MAX_LINE = 100
+EXECUTOR_PRIVATE = re.compile(r"\b(ex|executor|self\.ex)\._[a-z]")
+EXECUTOR_MODULE = Path("src/repro/runtime/executor.py")
 AMBIGUOUS = {"l", "O", "I"}
 VALID_ESCAPES = set("\n\\'\"abfnrtv01234567xNuU")
 
@@ -56,6 +65,16 @@ def _line_checks(path, lines, problems):
             problems.append((path, index, code, "trailing whitespace"))
     if lines and not lines[-1].endswith("\n"):
         problems.append((path, len(lines), "W292", "no newline at end of file"))
+
+
+def _seam_checks(path, lines, problems):
+    if path.parts[:1] != ("src",) or path == EXECUTOR_MODULE:
+        return
+    for index, line in enumerate(lines, start=1):
+        if EXECUTOR_PRIVATE.search(line):
+            problems.append(
+                (path, index, "X001", "private executor attribute used outside executor.py")
+            )
 
 
 def _string_escapes(path, source, problems):
@@ -261,6 +280,7 @@ def main(argv):
         source = path.read_text()
         lines = source.splitlines(True)
         _line_checks(path, lines, problems)
+        _seam_checks(path, lines, problems)
         _string_escapes(path, source, problems)
         try:
             _AstChecker(str(path), source, problems).run()
