@@ -22,7 +22,7 @@ We model it as:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.apps.base import VertexProgram
 from repro.engines.base import Engine, RoundOutcome
 from repro.graph.edgelist import EdgeList
 from repro.partition.base import EdgeAssignment, Partitioner, _chunk_boundaries
+from repro.partition.base import HostGroups, marked_nodes
 from repro.partition.edge_cut import _block_owner
 from repro.partition.strategy import PartitionStrategy
 from repro.runtime.timing import ComputeCostParameters
@@ -65,13 +66,11 @@ class GeminiPartitioner(Partitioner):
             dual_host = master_host[edges.src]
         # Dual representation: host h also keeps proxies for the endpoints
         # of every edge its other-direction representation stores.
-        extra: List[np.ndarray] = []
-        for host in range(num_hosts):
-            mask = dual_host == host
-            endpoints = np.unique(
-                np.concatenate([edges.src[mask], edges.dst[mask]])
-            ).astype(np.uint32)
-            extra.append(endpoints)
+        dual_groups = HostGroups(dual_host, num_hosts)
+        extra = [
+            marked_nodes(edges.num_nodes, (edges.src[held], edges.dst[held])).astype(np.uint32)
+            for held in map(dual_groups.of, range(num_hosts))
+        ]
         return EdgeAssignment(
             num_hosts, master_host, edge_host, extra_proxies=extra
         )

@@ -98,24 +98,26 @@ class EdgeList:
         """
         if self.num_edges == 0:
             return self
-        key = self.src.astype(np.uint64) * np.uint64(self.num_nodes) + self.dst
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = sorted_key[1:] != sorted_key[:-1]
-        if self.weight is None:
-            keep = order[first]
-            return EdgeList(self.num_nodes, self.src[keep], self.dst[keep])
-        # Group-wise minimum weight: sort by (key, weight) so the first entry
-        # of each group carries the smallest weight.
-        order = np.lexsort((self.weight, key))
-        sorted_key = key[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = sorted_key[1:] != sorted_key[:-1]
-        keep = order[first]
-        return EdgeList(
-            self.num_nodes, self.src[keep], self.dst[keep], self.weight[keep]
-        )
+        # (src, dst) packed 32 bits each: integer order is (src, dst) order
+        # and no node count can overflow the key.
+        key = self.src.astype(np.uint64)
+        key <<= np.uint64(32)
+        key |= self.dst
+        weight = self.weight
+        if weight is None:
+            # The key *is* the edge, so sort values, not indices; equal
+            # keys are the same edge, so the sort need not be stable.
+            key.sort()
+        else:
+            order = np.argsort(key)
+            key, weight = key[order], weight[order]
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if weight is not None:
+            weight = np.minimum.reduceat(weight, np.flatnonzero(first))
+        key = key[first]
+        src = (key >> np.uint64(32)).astype(np.uint32)
+        return EdgeList(self.num_nodes, src, key.astype(np.uint32), weight)
 
     def remove_self_loops(self) -> "EdgeList":
         """Return a copy with self-loop edges removed."""

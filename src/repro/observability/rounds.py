@@ -78,7 +78,8 @@ def trace_round(
         tracer, num_hosts, sync_start, comm_time, data.phase_records,
         round_index,
     )
-    tracer.advance_to(t0 + comp_max + comm_time)
+    # Parenthesized like the round span's end, so the two are bit-equal.
+    tracer.advance_to(t0 + (comp_max + comm_time))
 
 
 def _trace_phases(

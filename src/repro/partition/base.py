@@ -16,7 +16,8 @@ bulk extract/set operate on contiguous slices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import cached_property
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,62 @@ from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.partition.strategy import PartitionStrategy
+
+
+#: Idle value of the gid -> lid scratch: above any local id, so an endpoint
+#: without a proxy dies in the CSR range check instead of aliasing one.
+NO_PROXY = np.iinfo(np.uint32).max
+
+#: Positions grouped per pass; bounds the int64 index ``argsort`` returns.
+_GROUP_BLOCK = 1 << 18
+
+
+class HostGroups:
+    """Positions ``0..len(host_of)-1`` binned by host, ascending per host.
+
+    The one definition of "host *h*'s share" of a whole-graph array: one
+    stable counting sort per bounded block of positions, kept as uint32,
+    so grouping costs O(len) once and 4 bytes per position — never a
+    full-length mask per host.
+    """
+
+    def __init__(self, host_of: np.ndarray, num_hosts: int) -> None:
+        # Narrowest unsigned key: NumPy radix-sorts stable 8/16-bit keys.
+        key_dtype = np.min_scalar_type(num_hosts - 1)
+        later_hosts = np.arange(1, num_hosts).astype(key_dtype)
+        self._blocks = []  # (uint32 positions grouped by host, group bounds)
+        for lo in range(0, max(len(host_of), 1), _GROUP_BLOCK):  # never zero blocks
+            key = host_of[lo : lo + _GROUP_BLOCK].astype(key_dtype)
+            order = np.argsort(key, kind="stable")
+            starts = np.searchsorted(key[order], later_hosts)
+            order += lo
+            bounds = (0, *starts.tolist(), len(key))
+            self._blocks.append((order.astype(np.uint32), bounds))
+
+    def of(self, host: int) -> np.ndarray:
+        """``host``'s positions: a fresh intp array (the dtype NumPy indexes
+        with; any other is cast again on every use)."""
+        pieces = [o[b[host] : b[host + 1]] for o, b in self._blocks]
+        return np.concatenate(pieces, dtype=np.intp)
+
+
+def marked_nodes(
+    num_nodes: int, include: Sequence[np.ndarray], exclude: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Ascending ids (intp) found in any ``include`` array, not in ``exclude``."""
+    mark = np.zeros(num_nodes, dtype=bool)
+    for ids in include:
+        mark[ids] = True
+    if exclude is not None:
+        mark[exclude] = False
+    return np.flatnonzero(mark)
+
+
+def host_edges(edges: EdgeList, assignment: "EdgeAssignment", host: int):
+    """``host``'s edges in input order: ``(src, dst, weight or None)``."""
+    mine = assignment.edge_groups.of(host)
+    weight = edges.weight[mine] if edges.weight is not None else None
+    return edges.src[mine], edges.dst[mine], weight
 
 
 @dataclass(frozen=True)
@@ -62,6 +119,16 @@ class EdgeAssignment:
                 )
         object.__setattr__(self, "master_host", master_host)
         object.__setattr__(self, "edge_host", edge_host)
+
+    @cached_property
+    def edge_groups(self) -> HostGroups:
+        """Edge positions binned by owning host (built on first use)."""
+        return HostGroups(self.edge_host, self.num_hosts)
+
+    @cached_property
+    def node_groups(self) -> HostGroups:
+        """Global node ids binned by master host (built on first use)."""
+        return HostGroups(self.master_host, self.num_hosts)
 
 
 class LocalPartition:
@@ -288,47 +355,52 @@ def build_local_partition(
     Gather the host's edges, create proxies for their endpoints plus any
     master-owned isolated nodes, order local IDs masters-first, and build
     the local CSR.  ``gid_to_lid`` is an optional reusable scratch array
-    (all -1, length ``edges.num_nodes``); it is restored to -1 on return.
+    (uint32, all :data:`NO_PROXY`, length ``edges.num_nodes``); it is
+    restored to :data:`NO_PROXY` on return.
 
     This is the single code path for host construction: the full builder
     loops over it, and the streaming delta-partitioner rebuilds only
     changed hosts through it, which is what makes delta results bitwise
-    identical to a from-scratch rebuild.
+    identical to a from-scratch rebuild.  Only the host's own slice of
+    the edge list is read (``assignment.edge_groups``), and every array
+    of the result owns its data.
     """
-    if gid_to_lid is None:
-        gid_to_lid = np.full(edges.num_nodes, -1, dtype=np.int64)
-    edge_mask = assignment.edge_host == host
-    src = edges.src[edge_mask]
-    dst = edges.dst[edge_mask]
-    weight = edges.weight[edge_mask] if edges.weight is not None else None
-    if assignment.extra_proxies is not None:
-        extra = np.ascontiguousarray(
-            assignment.extra_proxies[host], dtype=np.uint32
+    if len(assignment.master_host) != edges.num_nodes:
+        raise PartitionError(
+            f"master_host has {len(assignment.master_host)} entries for "
+            f"{edges.num_nodes} nodes"
         )
-        incident = np.unique(np.concatenate([src, dst, extra]))
-    else:
-        incident = np.unique(np.concatenate([src, dst]))
-    owned = np.flatnonzero(assignment.master_host == host).astype(np.uint32)
+    if len(assignment.edge_host) != edges.num_edges:
+        raise PartitionError(
+            f"edge_host has {len(assignment.edge_host)} entries for "
+            f"{edges.num_edges} edges"
+        )
+    if gid_to_lid is None:
+        gid_to_lid = np.full(edges.num_nodes, NO_PROXY, dtype=np.uint32)
+    src, dst, weight = host_edges(edges, assignment, host)
+    # Endpoints index twice (mark, translate): intp, like every index here.
+    src, dst = src.astype(np.intp), dst.astype(np.intp)
+    extra = assignment.extra_proxies
     # Masters: every node owned by this host (incident or isolated).
-    # Mirrors: incident nodes owned elsewhere.
-    incident_owner = assignment.master_host[incident]
-    mirrors = incident[incident_owner != host].astype(np.uint32)
-    local_to_global = np.concatenate([owned, mirrors])
-    num_masters = len(owned)
-    gid_to_lid[local_to_global] = np.arange(len(local_to_global))
-    local_src = gid_to_lid[src].astype(np.uint32)
-    local_dst = gid_to_lid[dst].astype(np.uint32)
-    graph = CSRGraph.from_edges(
-        len(local_to_global), local_src, local_dst, weight
+    # Mirrors: incident nodes owned elsewhere, ascending.
+    owned = assignment.node_groups.of(host)
+    mirrors = marked_nodes(
+        edges.num_nodes,
+        (src, dst) if extra is None else (src, dst, extra[host]),
+        exclude=owned,
     )
-    mirror_master_host = assignment.master_host[mirrors]
-    gid_to_lid[local_to_global] = -1  # reset scratch
+    proxies = np.concatenate([owned, mirrors])
+    gid_to_lid[proxies] = np.arange(len(proxies), dtype=np.uint32)
+    # Rebinding frees the global-id copies before the CSR build, the peak.
+    src, dst = gid_to_lid[src], gid_to_lid[dst]
+    gid_to_lid[proxies] = NO_PROXY  # reset scratch
+    graph = CSRGraph.from_edges(len(proxies), src, dst, weight)
     return LocalPartition(
         host=host,
         graph=graph,
-        local_to_global=local_to_global,
-        num_masters=num_masters,
-        mirror_master_host=mirror_master_host,
+        local_to_global=proxies.astype(np.uint32),
+        num_masters=len(owned),
+        mirror_master_host=assignment.master_host[mirrors],
     )
 
 
@@ -342,16 +414,6 @@ def build_partitioned_graph(
 
     Loops :func:`build_local_partition` over every host.
     """
-    if len(assignment.master_host) != edges.num_nodes:
-        raise PartitionError(
-            f"master_host has {len(assignment.master_host)} entries for "
-            f"{edges.num_nodes} nodes"
-        )
-    if len(assignment.edge_host) != edges.num_edges:
-        raise PartitionError(
-            f"edge_host has {len(assignment.edge_host)} entries for "
-            f"{edges.num_edges} edges"
-        )
     num_hosts = assignment.num_hosts
     partitioned = PartitionedGraph(
         strategy=strategy,
@@ -362,7 +424,7 @@ def build_partitioned_graph(
         has_edgeless_mirrors=assignment.extra_proxies is not None,
     )
     # Scratch gid -> lid lookup reused across hosts.
-    gid_to_lid = np.full(edges.num_nodes, -1, dtype=np.int64)
+    gid_to_lid = np.full(edges.num_nodes, NO_PROXY, dtype=np.uint32)
     for host in range(num_hosts):
         partitioned.partitions.append(
             build_local_partition(edges, assignment, host, gid_to_lid)

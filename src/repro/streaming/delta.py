@@ -47,6 +47,8 @@ from repro.partition.base import (
     PartitionedGraph,
     Partitioner,
     build_local_partition,
+    host_edges,
+    marked_nodes,
 )
 
 
@@ -93,24 +95,17 @@ def _host_unchanged(
     ownership of the host's mirrors (a boundary shift elsewhere can move
     a mirror's master without touching this host's edges).
     """
-    old_owned = np.flatnonzero(old_assignment.master_host == host)
-    new_owned = np.flatnonzero(new_assignment.master_host == host)
-    if not np.array_equal(old_owned, new_owned):
-        return False
-    old_mask = old_assignment.edge_host == host
-    new_mask = new_assignment.edge_host == host
-    if not np.array_equal(old_edges.src[old_mask], new_edges.src[new_mask]):
-        return False
-    if not np.array_equal(old_edges.dst[old_mask], new_edges.dst[new_mask]):
-        return False
-    old_w = old_edges.weight
-    new_w = new_edges.weight
-    if (old_w is None) != (new_w is None):
-        return False
-    if old_w is not None and not np.array_equal(
-        old_w[old_mask], new_w[new_mask]
+    if not np.array_equal(
+        old_assignment.node_groups.of(host),
+        new_assignment.node_groups.of(host),
     ):
         return False
+    for old, new in zip(
+        host_edges(old_edges, old_assignment, host),
+        host_edges(new_edges, new_assignment, host),
+    ):  # src, dst, weight; a missing weight is None, equal only to None
+        if not np.array_equal(old, new):
+            return False
     old_extra = old_assignment.extra_proxies
     new_extra = new_assignment.extra_proxies
     if (old_extra is None) != (new_extra is None):
@@ -167,7 +162,6 @@ def delta_partition(
     )
     reused: List[int] = []
     rebuilt: List[int] = []
-    gid_to_lid = np.full(new_edges.num_nodes, -1, dtype=np.int64)
     for host in range(num_hosts):
         old_part = old_partitioned.partitions[host]
         if _host_unchanged(
@@ -178,9 +172,7 @@ def delta_partition(
             reused.append(host)
         else:
             partitioned.partitions.append(
-                build_local_partition(
-                    new_edges, new_assignment, host, gid_to_lid
-                )
+                build_local_partition(new_edges, new_assignment, host)
             )
             rebuilt.append(host)
     partitioned.tag_partitions()
@@ -380,24 +372,19 @@ def signature_of_host(
     digest.update(
         f"HostPartition/{policy_token}/{assignment.num_hosts}/{host}".encode()
     )
-    owned = np.flatnonzero(assignment.master_host == host)
-    mask = assignment.edge_host == host
+    owned = assignment.node_groups.of(host)
     digest.update(owned.astype(np.uint32).tobytes())
-    src = edges.src[mask]
-    dst = edges.dst[mask]
+    src, dst, weight = host_edges(edges, assignment, host)
     digest.update(src.tobytes())
     digest.update(dst.tobytes())
-    if edges.weight is not None:
-        digest.update(edges.weight[mask].tobytes())
+    if weight is not None:
+        digest.update(weight.tobytes())
     if assignment.extra_proxies is not None:
         digest.update(
             np.ascontiguousarray(
                 assignment.extra_proxies[host], dtype=np.uint32
             ).tobytes()
         )
-    incident = np.unique(np.concatenate([src, dst]))
-    mirrors = incident[assignment.master_host[incident] != host]
-    digest.update(
-        assignment.master_host[mirrors].astype(np.int32).tobytes()
-    )
+    mirrors = marked_nodes(edges.num_nodes, [src, dst], exclude=owned)
+    digest.update(assignment.master_host[mirrors].tobytes())
     return digest.hexdigest()

@@ -67,11 +67,15 @@ class PreparedInput:
     ctx: AppContext
 
 
-def default_source(edges: EdgeList) -> int:
-    """The paper's bfs/sssp source: the maximum out-degree node (§5.1)."""
+def default_source(
+    edges: EdgeList, out_degree: Optional[np.ndarray] = None
+) -> int:
+    """The paper's bfs/sssp source: the maximum out-degree node (§5.1),
+    read off ``out_degree`` when the caller has already counted it."""
     if edges.num_nodes == 0:
         raise ExecutionError("cannot pick a source in an empty graph")
-    out_degree = np.bincount(edges.src, minlength=edges.num_nodes)
+    if out_degree is None:
+        out_degree = np.bincount(edges.src, minlength=edges.num_nodes)
     return int(out_degree.argmax())
 
 
@@ -93,20 +97,22 @@ def prepare_input(
         edges = edges.symmetrize()
     if app.needs_weights and not edges.has_weights:
         edges = edges.with_random_weights(make_rng(weight_seed))
+    out_degree = None
+    if app.needs_global_degrees:
+        out_degree = np.bincount(edges.src, minlength=edges.num_nodes)
+    if source is None:
+        source = default_source(edges, out_degree)
     ctx = AppContext(
         num_global_nodes=edges.num_nodes,
-        source=source if source is not None else default_source(edges),
+        source=source,
         tolerance=tolerance,
         max_iterations=max_iterations,
         k=k,
         feature_dim=feature_dim,
         feature_rounds=feature_rounds,
         compression=compression,
+        global_out_degree=out_degree,
     )
-    if app.needs_global_degrees:
-        ctx.global_out_degree = np.bincount(
-            edges.src, minlength=edges.num_nodes
-        )
     if app.needs_global_in_degrees:
         ctx.global_in_degree = np.bincount(
             edges.dst, minlength=edges.num_nodes

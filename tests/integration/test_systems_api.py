@@ -49,6 +49,13 @@ class TestPrepareInput:
         prep = prepare_input("pr", small_rmat)
         assert prep.ctx.global_out_degree is not None
         assert len(prep.ctx.global_out_degree) == small_rmat.num_nodes
+        # Counted once and shared with the default-source pick: same
+        # values and dtype as a direct count, same source as without it.
+        direct = np.bincount(small_rmat.src, minlength=small_rmat.num_nodes)
+        assert prep.ctx.global_out_degree.dtype == direct.dtype
+        assert np.array_equal(prep.ctx.global_out_degree, direct)
+        assert prep.ctx.source == default_source(small_rmat)
+        assert prepare_input("bfs", small_rmat).ctx.global_out_degree is None
 
 
 class TestRunAppValidation:
