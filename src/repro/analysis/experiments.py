@@ -49,36 +49,10 @@ APPS = ("bfs", "cc", "pr", "sssp")
 #: that restores the paper's compute:communication balance is ~4x smaller.
 GPU_FABRIC_SCALE = 128.0
 
-#: Optional partition cache shared by every harness in this module (set
-#: with :func:`use_partition_cache`).  All partition construction here
-#: routes through :func:`repro.partition.build.build_partition`, the same
-#: helper the ``repro run`` path uses, so one service cache covers both
-#: entry points.
-_PARTITION_CACHE = None
-
-
-def use_partition_cache(cache) -> None:
-    """Route this module's partition construction through ``cache``.
-
-    Pass a :class:`repro.service.cache.ServiceCache` (or anything
-    speaking the same protocol); ``None`` turns caching back off.
-    """
-    global _PARTITION_CACHE
-    _PARTITION_CACHE = cache
-
 
 def _partition(edges, partitioner, num_hosts: int):
-    """Build (or fetch) a partition via the shared build helper."""
-    outcome = build_partition(
-        edges, partitioner, num_hosts, cache=_PARTITION_CACHE
-    )
-    if (
-        _PARTITION_CACHE is not None
-        and not outcome.from_cache
-        and outcome.key is not None
-    ):
-        _PARTITION_CACHE.put_partition(outcome.key, outcome.partitioned)
-    return outcome.partitioned
+    """Build a partition through the helper ``repro run`` uses."""
+    return build_partition(edges, partitioner, num_hosts).partitioned
 
 
 def bench_network(system: str, num_hosts: int):
@@ -109,7 +83,6 @@ def run(
         policy=policy,
         level=level,
         network=bench_network(system, num_hosts),
-        partition_cache=_PARTITION_CACHE,
     )
 
 

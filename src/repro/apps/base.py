@@ -98,6 +98,9 @@ class VertexProgram:
     uses_frontier: bool = True
     #: Whether a pull-direction step is available (Ligra's direction opt).
     supports_pull: bool = False
+    #: Whether the app drives its own executor passes through
+    #: ``run_phases`` instead of being one operator (bc).
+    multi_phase: bool = False
 
     # -- per-host setup --------------------------------------------------------
 

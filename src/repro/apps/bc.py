@@ -24,7 +24,7 @@ transition point (the global deepest level) is a scalar all-reduce.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -306,49 +306,21 @@ class BetweennessCentrality(VertexProgram):
     symmetrize_input = False
     multi_phase = True
 
-    def run_phases(
-        self,
-        partitioned,
-        engine,
-        ctx: AppContext,
-        level=None,
-        network=None,
-        enable_sync: bool = True,
-        system_name: Optional[str] = None,
-        max_rounds: int = 100_000,
-        aggregate_comm: bool = True,
-        sanitize: bool = False,
-        runtime: str = "simulated",
-        workers=None,
-    ) -> RunResult:
-        """Run forward + backward sweeps; returns a merged RunResult."""
-        from repro.core.optimization import OptimizationLevel
-        from repro.network.cost_model import LCI_PARAMETERS
-        from repro.runtime.executor import DistributedExecutor
+    def run_phases(self, make_executor, max_rounds: int = 100_000) -> RunResult:
+        """Run forward + backward sweeps; returns a merged RunResult.
 
-        level = level or OptimizationLevel.OSTI
-        network = network or LCI_PARAMETERS
-        forward = _ForwardBC()
-        forward_executor = DistributedExecutor(
-            partitioned, engine, forward, ctx,
-            level=level, network=network, enable_sync=enable_sync,
-            system_name=system_name, aggregate_comm=aggregate_comm,
-            sanitize=sanitize, runtime=runtime, workers=workers,
-        )
+        ``make_executor(phase_app)`` returns a fresh executor for one
+        sweep over the shared partition (a run plan's ``executor``).
+        """
+        forward_executor = make_executor(_ForwardBC())
         forward_result = forward_executor.run(max_rounds=max_rounds)
 
-        dist = forward.gather_master_values(
-            partitioned.partitions, forward_executor.states, "dist"
-        )
+        dist = forward_executor.gather_result("dist")
         finite = dist[dist != INFINITY]
         max_level = int(finite.max()) if len(finite) else 0
 
-        backward = _BackwardBC(forward_executor.states, max_level)
-        backward_executor = DistributedExecutor(
-            partitioned, engine, backward, ctx,
-            level=level, network=network, enable_sync=enable_sync,
-            system_name=system_name, aggregate_comm=aggregate_comm,
-            sanitize=sanitize, runtime=runtime, workers=workers,
+        backward_executor = make_executor(
+            _BackwardBC(forward_executor.states, max_level)
         )
         backward_result = backward_executor.run(max_rounds=max_rounds)
 

@@ -16,19 +16,23 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis import experiments
 from repro.analysis.tables import format_table
-from repro.apps import APP_BY_NAME, runnable_app_names
+from repro.apps import runnable_app_names
 from repro.apps.specs import PROGRAM_SPECS
 from repro.core.optimization import OptimizationLevel
 from repro.core.sync_structures import COMPRESSION_MODES
 from repro.errors import FaultPlanError
+from repro.observability import Observability
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.partition import PARTITIONER_BY_NAME
 from repro.resilience import RECOVERY_MODES, FaultPlan, ResilienceConfig
 from repro.runtime.executor import PROCESS_RUNTIME_UNSUPPORTED
+from repro.service import JobSpec, ServiceCache
 from repro.systems import ALL_SYSTEMS, run_app
 from repro.workloads import WORKLOAD_NAMES, load_workload
 
@@ -61,36 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    runnable_apps = runnable_app_names()
 
     run_cmd = commands.add_parser("run", help="run one application")
-    run_cmd.add_argument(
-        "--system", required=True, choices=sorted(ALL_SYSTEMS)
-    )
-    run_cmd.add_argument(
-        "--app",
-        required=True,
-        choices=runnable_apps,
-    )
-    run_cmd.add_argument(
-        "--workload", required=True, choices=sorted(WORKLOAD_NAMES)
-    )
-    run_cmd.add_argument("--hosts", type=int, default=4)
-    run_cmd.add_argument(
-        "--policy", choices=sorted(PARTITIONER_BY_NAME), default=None
-    )
-    run_cmd.add_argument(
-        "--level",
-        choices=[level.value for level in OptimizationLevel],
-        default=None,
-        help="communication-optimization level (default: system's own)",
-    )
-    run_cmd.add_argument(
-        "--scale-delta",
-        type=int,
-        default=0,
-        help="shift the workload generator scale (negative = smaller)",
-    )
+    _add_job_flags(run_cmd)
     run_cmd.add_argument(
         "--scaled-fabric",
         action="store_true",
@@ -267,20 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
             "of graph mutation batches"
         ),
     )
-    mutate_cmd.add_argument(
-        "--system", default="d-galois", choices=sorted(ALL_SYSTEMS)
-    )
-    mutate_cmd.add_argument(
-        "--app", required=True, choices=sorted(APP_BY_NAME)
-    )
-    mutate_cmd.add_argument(
-        "--workload", required=True, choices=sorted(WORKLOAD_NAMES)
-    )
-    mutate_cmd.add_argument("--hosts", type=int, default=4)
-    mutate_cmd.add_argument(
-        "--policy", choices=sorted(PARTITIONER_BY_NAME), default=None
-    )
-    mutate_cmd.add_argument("--scale-delta", type=int, default=0)
+    _add_job_flags(mutate_cmd, system_default="d-galois", level=False)
     stream_source = mutate_cmd.add_mutually_exclusive_group(required=True)
     stream_source.add_argument(
         "--stream",
@@ -360,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_targets = lint_cmd.add_mutually_exclusive_group()
     lint_targets.add_argument(
         "--app",
-        choices=runnable_apps,
+        choices=runnable_app_names(),
         default=None,
         help="lint one built-in application (default: all of them)",
     )
@@ -515,25 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit one job to the service (cache-aware single run)",
     )
-    submit_cmd.add_argument(
-        "--app", required=True, choices=sorted(APP_BY_NAME)
-    )
-    submit_cmd.add_argument(
-        "--workload", required=True, choices=sorted(WORKLOAD_NAMES)
-    )
-    submit_cmd.add_argument(
-        "--system", default="d-galois", choices=sorted(ALL_SYSTEMS)
-    )
-    submit_cmd.add_argument("--hosts", type=int, default=4)
-    submit_cmd.add_argument(
-        "--policy", choices=sorted(PARTITIONER_BY_NAME), default=None
-    )
-    submit_cmd.add_argument(
-        "--level",
-        choices=[level.value for level in OptimizationLevel],
-        default=None,
-    )
-    submit_cmd.add_argument("--scale-delta", type=int, default=0)
+    _add_job_flags(submit_cmd, system_default="d-galois")
     submit_cmd.add_argument(
         "--priority", type=int, default=0, help="scheduling priority"
     )
@@ -552,6 +498,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_job_flags(
+    cmd: argparse.ArgumentParser,
+    system_default: Optional[str] = None,
+    level: bool = True,
+) -> None:
+    """The flags that name a job, declared once for ``run``/``mutate``/``submit``.
+
+    Dests are :class:`~repro.service.spec.JobSpec`'s field names.  ``run``
+    requires ``--system``; ``mutate`` has no ``--level``.
+    """
+    cmd.add_argument(
+        "--system", choices=sorted(ALL_SYSTEMS), default=system_default,
+        required=system_default is None,
+    )
+    cmd.add_argument("--app", required=True, choices=runnable_app_names())
+    cmd.add_argument("--workload", required=True, choices=sorted(WORKLOAD_NAMES))
+    cmd.add_argument("--hosts", type=int, default=4)
+    cmd.add_argument("--policy", choices=sorted(PARTITIONER_BY_NAME), default=None)
+    if level:
+        cmd.add_argument(
+            "--level",
+            choices=[lv.value for lv in OptimizationLevel],
+            default=None,
+            help="communication-optimization level (default: system's own)",
+        )
+    cmd.add_argument(
+        "--scale-delta",
+        type=int,
+        default=0,
+        help="shift the workload generator scale (negative = smaller)",
+    )
+
+
 def _add_service_flags(cmd: argparse.ArgumentParser) -> None:
     """Flags shared by the service-backed subcommands."""
     cmd.add_argument(
@@ -565,10 +544,28 @@ def _add_service_flags(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _validate_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
+def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject malformed flag values with a friendly parser error."""
+    if args.command == "run" and args.stream is not None:
+        # A live session resumes one simulated, fault-free executor per
+        # version; per-run checks have no per-version meaning.
+        for flag, given in (
+            ("--runtime process", args.runtime == "process"),
+            ("--inject-fault", args.inject_fault is not None),
+            ("--checkpoint-every", args.checkpoint_every is not None),
+            ("--checkpoint-dir", args.checkpoint_dir is not None),
+            ("--sanitize", args.sanitize),
+            (
+                "--verify (repro mutate --verify-cold checks a stream "
+                "against a cold recompute)",
+                args.verify,
+            ),
+            ("--per-round", args.per_round),
+        ):
+            if given:
+                parser.error(f"--stream is incompatible with {flag}")
+    if args.command in ("run", "mutate", "submit") and args.hosts < 1:
+        parser.error(f"--hosts must be at least 1, got {args.hosts}")
     if args.command == "serve":
         if args.workers < 1:
             parser.error(f"--workers must be at least 1, got {args.workers}")
@@ -581,16 +578,10 @@ def _validate_args(
                 "--stream keeps live executors between versions; "
                 "it requires --backend serial"
             )
-        return
-    if args.command == "submit":
-        if args.hosts < 1:
-            parser.error(f"--hosts must be at least 1, got {args.hosts}")
+    elif args.command == "submit":
         if args.retries < 0:
             parser.error(f"--retries must be >= 0, got {args.retries}")
-        return
-    if args.command == "mutate":
-        if args.hosts < 1:
-            parser.error(f"--hosts must be at least 1, got {args.hosts}")
+    elif args.command == "mutate":
         if args.generate is not None and args.generate < 1:
             parser.error(
                 f"--generate must be at least 1 batch, got {args.generate}"
@@ -605,47 +596,27 @@ def _validate_args(
             parser.error(f"--add-nodes must be >= 0, got {args.add_nodes}")
         if args.save is not None and args.generate is None:
             parser.error("--save only applies to --generate")
-        return
-    if args.command != "run":
-        return
-    if args.stream is not None:
-        for flag, given in (
-            ("--runtime process", args.runtime == "process"),
-            ("--inject-fault", args.inject_fault is not None),
-            ("--checkpoint-every", args.checkpoint_every is not None),
-            ("--checkpoint-dir", args.checkpoint_dir is not None),
-            ("--sanitize", args.sanitize),
-        ):
-            if given:
-                parser.error(f"--stream is incompatible with {flag}")
-    if args.hosts < 1:
-        parser.error(
-            f"--hosts must be at least 1, got {args.hosts}"
-        )
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        parser.error(
-            "--checkpoint-every must be at least 1 round, got "
-            f"{args.checkpoint_every}"
-        )
-    if args.workers is not None:
-        if args.runtime != "process":
-            parser.error("--workers only applies to --runtime process")
-        if args.workers < 1:
+    elif args.command == "run":
+        if args.checkpoint_every is not None and args.checkpoint_every < 1:
             parser.error(
-                f"--workers must be at least 1, got {args.workers}"
+                "--checkpoint-every must be at least 1 round, got "
+                f"{args.checkpoint_every}"
             )
+        if args.workers is not None:
+            if args.runtime != "process":
+                parser.error("--workers only applies to --runtime process")
+            if args.workers < 1:
+                parser.error(
+                    f"--workers must be at least 1, got {args.workers}"
+                )
 
 
 def _resilience_config(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> Optional[ResilienceConfig]:
     """Build the ResilienceConfig the run flags describe (None = plain run)."""
-    wants_resilience = (
-        args.inject_fault is not None
-        or args.checkpoint_every is not None
-        or args.checkpoint_dir is not None
-    )
-    if not wants_resilience:
+    flags = (args.inject_fault, args.checkpoint_every, args.checkpoint_dir)
+    if all(flag is None for flag in flags):
         return None
     plan = None
     if args.inject_fault is not None:
@@ -668,56 +639,104 @@ def _resilience_config(
     )
 
 
-def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.stream is not None:
-        return _command_run_stream(args, parser)
-    edges = load_workload(args.workload, args.scale_delta)
-    level = OptimizationLevel.from_name(args.level) if args.level else None
-    network = None
-    if args.scaled_fabric:
-        network = experiments.bench_network(args.system, args.hosts)
-    resilience = _resilience_config(parser, args)
+def _job_spec(args: argparse.Namespace, **scheduling):
+    """The job a subcommand's shared flags name, as the service's plain data."""
+    return JobSpec(
+        app=args.app,
+        workload=args.workload,
+        hosts=args.hosts,
+        system=args.system,
+        policy=args.policy,
+        level=getattr(args, "level", None),
+        scale_delta=args.scale_delta,
+        **scheduling,
+    )
+
+
+def _run_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Dict:
+    """A job subcommand's flags as ``run_app`` keywords.
+
+    What follows ``(args.system, args.app, edges, args.hosts)`` in a
+    :func:`repro.systems.run_app` or ``StreamingSession`` call: the job
+    spec's own adapter, plus the flags only ``run`` declares.
+    """
+    options = _job_spec(args).run_options()
+    if args.command == "run":
+        if args.scaled_fabric:
+            options["network"] = experiments.bench_network(
+                args.system, args.hosts
+            )
+        options.update(
+            aggregate_comm=not args.no_aggregation,
+            feature_dim=args.feature_dim,
+            feature_rounds=args.feature_rounds,
+            compression="none" if args.no_compression else args.compression,
+            resilience=_resilience_config(parser, args),
+            sanitize=args.sanitize,
+            runtime=args.runtime,
+            workers=args.workers,
+        )
+    return options
+
+
+def _observability_and_cache(args: argparse.Namespace, streaming: bool):
+    """The ``(observability, cache)`` pair ``--trace/--metrics/--cache-dir`` ask for.
+
+    A streaming command reads its cache's turnover counters back (the
+    ``--metrics`` export, ``mutate --json``), so there the cache counts
+    into a live registry; a plain run's cache stays uncounted.
+    """
     observability = None
     if args.trace is not None or args.metrics is not None:
-        from repro.observability import Observability
-
         observability = Observability()
-    partition_cache = None
+    cache = None
     if args.cache_dir is not None:
-        from repro.service import ServiceCache
+        metrics = NULL_METRICS
+        if streaming:
+            metrics = observability.metrics if observability else MetricsRegistry()
+        cache = ServiceCache(directory=args.cache_dir, metrics=metrics)
+    return observability, cache
 
-        partition_cache = ServiceCache(directory=args.cache_dir)
+
+def _emit(args: argparse.Namespace, document, tables, lines=()) -> None:
+    """One output policy for every reporting subcommand.
+
+    ``--json``: ``document`` (serialized here unless already a string) is
+    the entire stdout.  Otherwise the ``(title, rows)`` tables, then the
+    ``(label, value)`` lines in the ``label : value`` column layout (a
+    plain string prints as is).
+    """
+    if args.json:
+        if not isinstance(document, str):
+            document = json.dumps(document, indent=2)
+        print(document)
+        return
+    for title, rows in tables:
+        print(format_table(rows, title=title))
+    for line in lines:
+        if not isinstance(line, str):
+            line = f"{line[0]:<19}: {line[1]}"
+        print(line)
+
+
+def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """``run`` and ``mutate``: one job, through ``run_app`` or a live session."""
+    streaming = args.command == "mutate" or args.stream is not None
+    edges = load_workload(args.workload, args.scale_delta)
+    observability, cache = _observability_and_cache(args, streaming)
+    options = {**_run_options(parser, args), "observability": observability}
+    if streaming:
+        return _command_stream(args, parser, edges, options, cache)
     result = run_app(
-        args.system,
-        args.app,
-        edges,
-        num_hosts=args.hosts,
-        policy=args.policy,
-        level=level,
-        network=network,
-        resilience=resilience,
-        observability=observability,
-        partition_cache=partition_cache,
-        aggregate_comm=not args.no_aggregation,
-        sanitize=args.sanitize,
-        runtime=args.runtime,
-        workers=args.workers,
-        feature_dim=args.feature_dim,
-        feature_rounds=args.feature_rounds,
-        compression=(
-            "none" if args.no_compression else args.compression
-        ),
+        args.system, args.app, edges, args.hosts, partition_cache=cache, **options
     )
-    if observability is not None:
-        _export_observability(args, result, observability)
-    sanitizer_failed = bool(result.sanitizer_findings)
-    if sanitizer_failed:
-        for doc in result.sanitizer_findings:
-            print(
-                f"sanitizer: {doc['rule']} [{doc.get('field', '-')}] "
-                f"{doc['message']}",
-                file=sys.stderr,
-            )
+    _export_observability(args, result, observability)
+    for doc in result.sanitizer_findings:
+        print(
+            f"sanitizer: {doc['rule']} [{doc.get('field', '-')}] "
+            f"{doc['message']}",
+            file=sys.stderr,
+        )
     verification = None
     if args.verify:
         from repro.verify import VerificationError, verify_run
@@ -726,65 +745,53 @@ def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             verification = verify_run(result, edges, raise_on_mismatch=False)
         except VerificationError as exc:
             parser.error(str(exc))
-    failed = sanitizer_failed or (
-        verification is not None and not verification.matched
-    )
-    if args.json:
-        # Machine-readable mode: the JSON document is the entire stdout.
-        print(result.to_json())
-        if verification is not None and not verification.matched:
-            detail = verification.detail or "values differ"
-            print(
-                f"verification MISMATCH: {detail} "
-                f"(max |err| {verification.max_abs_error:.3g})",
-                file=sys.stderr,
-            )
-        return 1 if failed else 0
-    print(format_table([result.summary()], title="run summary"))
-    if partition_cache is not None:
+    mismatch = verification is not None and not verification.matched
+    if args.json and mismatch:
+        detail = verification.detail or "values differ"
+        print(
+            f"verification MISMATCH: {detail} "
+            f"(max |err| {verification.max_abs_error:.3g})",
+            file=sys.stderr,
+        )
+    lines = []
+    if cache is not None:
         status = "hit" if result.partition_cache_hit else "miss"
-        print(f"partition cache    : {status} ({args.cache_dir})")
-    print(f"replication factor : {result.replication_factor:.3f}")
-    print(f"construction       : {result.construction_time*1e3:.2f} ms, "
-          f"{result.construction_bytes/1e3:.1f} KB exchanged")
-    print(f"load imbalance     : {result.load_imbalance():.2f} (max/mean)")
+        lines.append(("partition cache", f"{status} ({args.cache_dir})"))
+    lines += [
+        ("replication factor", f"{result.replication_factor:.3f}"),
+        ("construction", f"{result.construction_time*1e3:.2f} ms, "
+                         f"{result.construction_bytes/1e3:.1f} KB exchanged"),
+        ("load imbalance", f"{result.load_imbalance():.2f} (max/mean)"),
+    ]
     if result.runtime != "simulated":
-        print(
-            f"runtime            : {result.runtime}, "
-            f"{result.wall_rounds_s*1e3:.1f} ms measured wall in rounds"
-        )
+        wall_ms = result.wall_rounds_s * 1e3
+        lines.append(("runtime", f"{result.runtime}, {wall_ms:.1f} ms measured wall in rounds"))
     if result.translations:
-        print(f"address translations: {result.translations}")
+        lines.append(("address translations", result.translations))
     if result.num_checkpoints:
-        print(
-            f"checkpoints        : {result.num_checkpoints} taken, "
-            f"{result.checkpoint_bytes/1e3:.1f} KB, "
-            f"{result.checkpoint_time*1e3:.2f} ms"
-        )
+        lines.append(("checkpoints", f"{result.num_checkpoints} taken, "
+                                     f"{result.checkpoint_bytes/1e3:.1f} KB, "
+                                     f"{result.checkpoint_time*1e3:.2f} ms"))
     for event in result.recovery_events:
-        print(
-            f"recovery           : round {event['round']} "
-            f"hosts={event['hosts']} mode={event['mode']} "
-            f"restored_round={event['restored_round']} "
-            f"{event['recovery_bytes']/1e3:.1f} KB"
-        )
+        lines.append(("recovery", f"round {event['round']} "
+                                  f"hosts={event['hosts']} mode={event['mode']} "
+                                  f"restored_round={event['restored_round']} "
+                                  f"{event['recovery_bytes']/1e3:.1f} KB"))
     if args.per_round:
         from repro.observability import round_table
 
-        print()
-        print(round_table(result), end="")
-    if args.sanitize and not sanitizer_failed:
-        print("sanitizer          : clean (no contract violations)")
+        lines.append("\n" + round_table(result)[:-1])
+    if args.sanitize and not result.sanitizer_findings:
+        lines.append(("sanitizer", "clean (no contract violations)"))
     if verification is not None:
         verdict = "matched" if verification.matched else "MISMATCH"
-        line = (
-            f"oracle verification: {verdict} "
-            f"(max |err| {verification.max_abs_error:.3g})"
-        )
+        line = f"{verdict} (max |err| {verification.max_abs_error:.3g})"
         if verification.detail:
             line += f" — {verification.detail}"
-        print(line)
-    return 1 if failed else 0
+        lines.append(("oracle verification", line))
+    document = result.to_json() if args.json else None
+    _emit(args, document, [("run summary", [result.summary()])], lines)
+    return 1 if result.sanitizer_findings or mismatch else 0
 
 
 def _stream_step_row(step) -> Dict:
@@ -802,28 +809,39 @@ def _stream_step_row(step) -> Dict:
     }
 
 
-def _print_stream_summary(session, steps, verify=None) -> None:
-    """Shared text epilogue of the streaming commands."""
-    print(format_table(
-        [_stream_step_row(step) for step in steps], title="mutation stream"
-    ))
-    reused = sum(step.hosts_reused for step in steps)
-    rebuilt = sum(step.hosts_rebuilt for step in steps)
-    print(f"final version      : {session.version.version} "
-          f"({session.version.content_hash[:16]}…)")
-    print(f"host partitions    : {reused} reused warm, {rebuilt} rebuilt")
+def _emit_stream(args, session, base, steps, **extra) -> None:
+    """Shared report of the streaming commands (``extra``: more JSON keys;
+    ``mutate``'s ``verify`` verdict also closes the text form)."""
+    document = {
+        "base": base.summary(),
+        "steps": [step.to_dict() for step in steps],
+        **extra,
+    }
+    tables = [
+        ("base run (version 0)", [base.summary()]),
+        ("mutation stream", [_stream_step_row(step) for step in steps]),
+    ]
+
+    def total(attribute: str) -> int:
+        return sum(getattr(step, attribute) for step in steps)
+
+    version = session.version
+    lines = [
+        ("final version", f"{version.version} ({version.content_hash[:16]}…)"),
+        ("host partitions", f"{total('hosts_reused')} reused warm, "
+                            f"{total('hosts_rebuilt')} rebuilt"),
+    ]
     if session.cache is not None:
-        cache_reuses = sum(step.cache_reuses for step in steps)
-        cache_invalidations = sum(step.cache_invalidations for step in steps)
-        print(f"partition cache    : {cache_reuses} reuse(s), "
-              f"{cache_invalidations} invalidation(s)")
+        lines.append(("partition cache", f"{total('cache_reuses')} reuse(s), "
+                                         f"{total('cache_invalidations')} invalidation(s)"))
+    verify = extra.get("verify")
     if verify is not None:
         streamed = sum(step.result.num_rounds for step in steps)
-        print(f"cold recompute     : {verify['cold_rounds']} rounds/version "
-              f"vs {streamed / max(len(steps), 1):.1f} streamed "
-              "rounds/version")
-        verdict = "identical" if verify["identical"] else "MISMATCH"
-        print(f"bitwise vs cold    : {verdict}")
+        lines.append(("cold recompute", f"{verify['cold_rounds']} rounds/version "
+                                        f"vs {streamed / max(len(steps), 1):.1f} streamed "
+                                        "rounds/version"))
+        lines.append(("bitwise vs cold", "identical" if verify["identical"] else "MISMATCH"))
+    _emit(args, document, tables, lines)
 
 
 def _verify_cold(session) -> Dict:
@@ -846,75 +864,12 @@ def _verify_cold(session) -> Dict:
     }
 
 
-def _command_run_stream(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> int:
-    """The ``run --stream`` path: converge, then replay mutations."""
-    from repro.errors import ReproError
-    from repro.streaming import StreamingSession, load_batches
+def _command_stream(args, parser, edges, options, cache) -> int:
+    """``run --stream`` and ``mutate``: converge, stream the batches, report.
 
-    edges = load_workload(args.workload, args.scale_delta)
-    level = OptimizationLevel.from_name(args.level) if args.level else None
-    network = None
-    if args.scaled_fabric:
-        network = experiments.bench_network(args.system, args.hosts)
-    observability = None
-    if args.trace is not None or args.metrics is not None:
-        from repro.observability import Observability
-
-        observability = Observability()
-    cache = None
-    if args.cache_dir is not None:
-        from repro.observability.metrics import MetricsRegistry
-        from repro.service import ServiceCache
-
-        cache = ServiceCache(
-            directory=args.cache_dir,
-            metrics=(
-                observability.metrics
-                if observability is not None
-                else MetricsRegistry()
-            ),
-        )
-    try:
-        batches = load_batches(args.stream)
-        session = StreamingSession(
-            args.system,
-            args.app,
-            edges,
-            args.hosts,
-            policy=args.policy,
-            level=level,
-            network=network,
-            aggregate_comm=not args.no_aggregation,
-            observability=observability,
-            cache=cache,
-        )
-        base = session.run()
-        steps = session.replay(batches)
-    except (ReproError, OSError) as exc:
-        parser.error(str(exc))
-    if observability is not None:
-        _export_observability(args, base, observability)
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(
-            {
-                "base": base.summary(),
-                "steps": [step.to_dict() for step in steps],
-            },
-            indent=2,
-        ))
-        return 0
-    print(format_table([base.summary()], title="base run (version 0)"))
-    _print_stream_summary(session, steps)
-    return 0
-
-
-def _command_mutate(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> int:
+    ``mutate`` adds what only it declares: generated batches, ``--save``,
+    the ``--verify-cold`` verdict and the cache statistics.
+    """
     from repro.errors import ReproError
     from repro.streaming import (
         StreamingSession,
@@ -924,81 +879,45 @@ def _command_mutate(
     )
     from repro.utils.rng import make_rng
 
-    observability = None
-    if args.trace is not None or args.metrics is not None:
-        from repro.observability import Observability
-
-        observability = Observability()
-    cache = None
-    if args.cache_dir is not None:
-        from repro.observability.metrics import MetricsRegistry
-        from repro.service import ServiceCache
-
-        cache = ServiceCache(
-            directory=args.cache_dir,
-            metrics=(
-                observability.metrics
-                if observability is not None
-                else MetricsRegistry()
-            ),
-        )
-    edges = load_workload(args.workload, args.scale_delta)
-    generated = []
     try:
+        batches = load_batches(args.stream) if args.stream is not None else None
         session = StreamingSession(
-            args.system,
-            args.app,
-            edges,
-            args.hosts,
-            policy=args.policy,
-            observability=observability,
-            cache=cache,
+            args.system, args.app, edges, args.hosts, cache=cache, **options
         )
         base = session.run()
-        if args.stream is not None:
-            steps = session.replay(load_batches(args.stream))
+        if batches is not None:
+            steps = session.replay(batches)
         else:
             rng = make_rng(args.seed)
-            steps = []
+            batches, steps = [], []
             for _ in range(args.generate):
-                batch = random_mutation_batch(
+                batches.append(random_mutation_batch(
                     session.version.edges,
                     rng,
                     delete_fraction=args.delete_fraction,
                     insert_fraction=args.insert_fraction,
                     add_nodes=args.add_nodes,
-                )
-                generated.append(batch)
-                steps.append(session.apply_batch(batch))
+                ))
+                steps.append(session.apply_batch(batches[-1]))
     except (ReproError, OSError) as exc:
         parser.error(str(exc))
-    if args.save is not None:
-        save_batches(generated, args.save)
-        print(f"stream written to {args.save}", file=sys.stderr)
-    verify = _verify_cold(session) if args.verify_cold else None
-    if observability is not None:
-        _export_observability(args, base, observability)
-    failed = verify is not None and not verify["identical"]
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(
-            {
-                "base": base.summary(),
-                "steps": [step.to_dict() for step in steps],
-                "verify": verify,
-                "cache": None if cache is None else cache.stats(),
-            },
-            indent=2,
-        ))
-        return 1 if failed else 0
-    print(format_table([base.summary()], title="base run (version 0)"))
-    _print_stream_summary(session, steps, verify=verify)
-    return 1 if failed else 0
+    extra = {}
+    if args.command == "mutate":
+        if args.save is not None:  # validated: only with --generate
+            save_batches(batches, args.save)
+            print(f"stream written to {args.save}", file=sys.stderr)
+        extra["verify"] = _verify_cold(session) if args.verify_cold else None
+        extra["cache"] = None if cache is None else cache.stats()
+    _export_observability(args, base, options["observability"])
+    _emit_stream(args, session, base, steps, **extra)
+    verify = extra.get("verify")
+    return 1 if verify is not None and not verify["identical"] else 0
 
 
 def _export_observability(args, result, observability) -> None:
     """Write the requested trace/metrics files; notes go to stderr."""
+    if observability is None:
+        return
     from repro.observability import write_chrome_trace, write_metrics
 
     if args.trace is not None:
@@ -1064,7 +983,7 @@ def _command_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _command_experiment(args: argparse.Namespace) -> int:
+def _command_experiment(args: argparse.Namespace, _parser=None) -> int:
     harness = EXPERIMENTS[args.name]
     kwargs = {}
     if args.scale_delta is not None:
@@ -1082,13 +1001,13 @@ def _command_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_inputs(_args: argparse.Namespace) -> int:
+def _command_inputs(_args: argparse.Namespace, _parser=None) -> int:
     rows = experiments.table1_rows()
     print(format_table(rows, title="workload catalog (Table 1 stand-ins)"))
     return 0
 
 
-def _command_analyze(args: argparse.Namespace) -> int:
+def _command_analyze(args: argparse.Namespace, _parser=None) -> int:
     # One source of truth: the same spec registry that backs
     # ``repro run <app>`` and ``repro compile``.
     from repro.apps.specs import spec_for
@@ -1174,8 +1093,6 @@ def _command_compile(
 def _command_serve(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    import json as _json
-
     from repro.errors import ServiceError
     from repro.service import ServiceConfig, load_batch, serve_batch
 
@@ -1198,35 +1115,27 @@ def _command_serve(
         parser.error(str(exc))
     stats = service.stats()
     throughput = len(results) / wall if wall > 0 else 0.0
-    if args.json:
-        print(
-            _json.dumps(
-                {
-                    "results": [result.to_dict() for result in results],
-                    "stats": stats,
-                    "wall_s": wall,
-                    "jobs_per_s": throughput,
-                },
-                indent=2,
-            )
-        )
-        return 0
-    print(format_table([r.row() for r in results], title="serve summary"))
     jobs = stats["jobs"]
-    print(
-        f"jobs               : {jobs['completed']} ok, "
-        f"{jobs['failed']} failed, {jobs['retries']} retries"
+    _emit(
+        args,
+        {
+            "results": [result.to_dict() for result in results],
+            "stats": stats,
+            "wall_s": wall,
+            "jobs_per_s": throughput,
+        },
+        [("serve summary", [r.row() for r in results])],
+        [
+            ("jobs", f"{jobs['completed']} ok, "
+                     f"{jobs['failed']} failed, {jobs['retries']} retries"),
+            ("cache", f"{jobs['result_cache_hits']} result hit(s), "
+                      f"{jobs['partition_cache_hits']} partition hit(s)"),
+            ("throughput", f"{throughput:.1f} jobs/s "
+                           f"({wall*1e3:.1f} ms wall, backend={args.backend}, "
+                           f"workers={args.workers})"),
+        ],
     )
-    print(
-        f"cache              : {jobs['result_cache_hits']} result hit(s), "
-        f"{jobs['partition_cache_hits']} partition hit(s)"
-    )
-    print(
-        f"throughput         : {throughput:.1f} jobs/s "
-        f"({wall*1e3:.1f} ms wall, backend={args.backend}, "
-        f"workers={args.workers})"
-    )
-    return 0 if all(r.status == "ok" for r in results) else 1
+    return 0 if args.json or all(r.status == "ok" for r in results) else 1
 
 
 def _command_serve_stream(
@@ -1238,10 +1147,8 @@ def _command_serve_stream(
     per-host partitions of untouched hosts are reused warm across graph
     versions and across jobs with identical inputs.
     """
-    import json as _json
-
     from repro.errors import ReproError, ServiceError
-    from repro.service import ServiceCache, load_batch
+    from repro.service import load_batch
     from repro.streaming import StreamingSession, load_batches
 
     try:
@@ -1249,116 +1156,82 @@ def _command_serve_stream(
         batches = load_batches(args.stream)
     except (ServiceError, ReproError, OSError) as exc:
         parser.error(str(exc))
-    from repro.observability.metrics import MetricsRegistry
-
     cache = ServiceCache(directory=args.cache_dir, metrics=MetricsRegistry())
     rows = []
     docs = []
-    failures = 0
     for spec in specs:
+        row = {
+            "job": spec.job_id, "app": spec.app, "workload": spec.workload,
+            "status": "failed", "versions": 0, "rounds": 0, "reused": 0, "rebuilt": 0,
+        }
+        doc = {"job": spec.job_id, "status": "failed"}
+        rows.append(row)
+        docs.append(doc)
         try:
             edges = load_workload(spec.workload, spec.scale_delta)
             session = StreamingSession(
-                spec.system,
-                spec.app,
-                edges,
-                spec.hosts,
-                policy=spec.policy,
-                level=spec.optimization_level(),
-                source=spec.source,
-                weight_seed=spec.weight_seed,
-                tolerance=spec.tolerance,
-                max_iterations=spec.max_iterations,
-                k=spec.k,
-                max_rounds=spec.max_rounds,
-                cache=cache,
+                spec.system, spec.app, edges, spec.hosts,
+                cache=cache, **spec.run_options(),
             )
             base = session.run()
             steps = session.replay(batches)
         except (ReproError, ValueError) as exc:
-            failures += 1
-            rows.append({
-                "job": spec.job_id,
-                "app": spec.app,
-                "workload": spec.workload,
-                "status": "failed",
-                "versions": 0,
-            })
-            docs.append({
-                "job": spec.job_id,
-                "status": "failed",
-                "error": f"{type(exc).__name__}: {exc}",
-            })
+            doc["error"] = f"{type(exc).__name__}: {exc}"
             continue
-        rows.append({
-            "job": spec.job_id,
-            "app": spec.app,
-            "workload": spec.workload,
-            "status": "ok",
-            "versions": 1 + len(steps),
-            "rounds": base.num_rounds
-            + sum(step.result.num_rounds for step in steps),
-            "reused": sum(step.hosts_reused for step in steps),
-            "rebuilt": sum(step.hosts_rebuilt for step in steps),
-        })
-        docs.append({
-            "job": spec.job_id,
-            "status": "ok",
-            "base": base.summary(),
-            "steps": [step.to_dict() for step in steps],
-        })
-    if args.json:
-        print(_json.dumps(
-            {"jobs": docs, "stats": cache.stats()}, indent=2
-        ))
-        return 1 if failures else 0
-    print(format_table(rows, title="live-graph serve summary"))
-    partition_stats = cache.stats()["partition"]
-    print(
-        f"partition cache    : {partition_stats['reuses']} warm host "
-        f"reuse(s), {partition_stats['invalidations']} invalidation(s)"
+        row.update(
+            status="ok",
+            versions=1 + len(steps),
+            rounds=base.num_rounds + sum(step.result.num_rounds for step in steps),
+            reused=sum(step.hosts_reused for step in steps),
+            rebuilt=sum(step.hosts_rebuilt for step in steps),
+        )
+        doc.update(
+            status="ok",
+            base=base.summary(),
+            steps=[step.to_dict() for step in steps],
+        )
+    stats = cache.stats()
+    _emit(
+        args,
+        {"jobs": docs, "stats": stats},
+        [("live-graph serve summary", rows)],
+        [(
+            "partition cache",
+            f"{stats['partition']['reuses']} warm host "
+            f"reuse(s), {stats['partition']['invalidations']} invalidation(s)",
+        )],
     )
-    return 1 if failures else 0
+    return 1 if any(doc["status"] == "failed" for doc in docs) else 0
 
 
 def _command_submit(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    import json as _json
-
     from repro.errors import ServiceError
-    from repro.service import JobSpec, ServiceCache, execute_job
+    from repro.service import execute_job
 
     try:
-        spec = JobSpec(
-            app=args.app,
-            workload=args.workload,
-            hosts=args.hosts,
-            system=args.system,
-            policy=args.policy,
-            level=args.level,
-            scale_delta=args.scale_delta,
-            priority=args.priority,
-            max_attempts=args.retries + 1,
+        spec = _job_spec(
+            args, priority=args.priority, max_attempts=args.retries + 1
         )
         cache = ServiceCache(directory=args.cache_dir)
         result = execute_job(spec, cache=cache)
     except ServiceError as exc:
         parser.error(str(exc))
-    if args.json:
-        print(_json.dumps(result.to_dict(), indent=2))
-        return 0
-    print(format_table([result.row()], title=f"job {result.job_id}"))
+    lines = []
     if result.status != "ok":
-        print(f"error              : {result.error}")
-    print(f"result cache       : {result.result_cache}")
-    print(f"partition cache    : {result.partition_cache}")
+        lines.append(("error", result.error))
+    lines.append(("result cache", result.result_cache))
+    lines.append(("partition cache", result.partition_cache))
     if result.output_digest:
-        print(f"output digest      : {result.output_digest[:16]}…")
-    return 0 if result.status == "ok" else 1
+        lines.append(("output digest", f"{result.output_digest[:16]}…"))
+    _emit(
+        args, result.to_dict(), [(f"job {result.job_id}", [result.row()])], lines
+    )
+    return 0 if args.json or result.status == "ok" else 1
 
 
-def _command_report(args: argparse.Namespace) -> int:
+def _command_report(args: argparse.Namespace, _parser=None) -> int:
     from repro.analysis.report import generate_report
 
     text = generate_report(output_path=args.output, quick=not args.full)
@@ -1375,20 +1248,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _validate_args(parser, args)
     handlers = {
-        "run": lambda a: _command_run(a, parser),
-        "mutate": lambda a: _command_mutate(a, parser),
-        "lint": lambda a: _command_lint(a, parser),
+        "run": _command_run,
+        "mutate": _command_run,
+        "lint": _command_lint,
         "experiment": _command_experiment,
         "inputs": _command_inputs,
         "analyze": _command_analyze,
-        "compile": lambda a: _command_compile(a, parser),
+        "compile": _command_compile,
         "report": _command_report,
-        "trace": lambda a: _command_trace(a, parser),
-        "serve": lambda a: _command_serve(a, parser),
-        "submit": lambda a: _command_submit(a, parser),
+        "trace": _command_trace,
+        "serve": _command_serve,
+        "submit": _command_submit,
     }
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](args, parser)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         import os

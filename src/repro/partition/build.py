@@ -1,10 +1,10 @@
 """Shared partition construction: the one place a graph gets partitioned.
 
-Both entry points that build partitions — :func:`repro.systems.run_app`
-(the ``repro run`` path) and the experiment harnesses in
-:mod:`repro.analysis.experiments` — route through :func:`build_partition`,
-so a single partition cache (see :mod:`repro.service.cache`) covers every
-way a partition can come into existence.
+Every run builds its partition here — :meth:`repro.systems.RunPlan.build`
+is the one call site behind ``run_app``, streaming sessions and the job
+service — so a single partition cache (see :mod:`repro.service.cache`)
+covers them all; the experiment harnesses in
+:mod:`repro.analysis.experiments` call it uncached.
 
 The cache is duck-typed: anything with ``get_partition(key)`` returning a
 :class:`CachedPartition` (or ``None``) and ``put_partition(key,

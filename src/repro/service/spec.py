@@ -43,10 +43,10 @@ SCHEDULING_FIELDS = ("priority", "max_attempts")
 class JobSpec:
     """One analytics job: app x graph x policy x hosts x config.
 
-    Attributes mirror :func:`repro.systems.run_app` keyword-for-keyword
-    (``level`` and resilience fields use their CLI string forms so specs
-    stay JSON-serializable); ``priority`` and ``max_attempts`` steer the
-    scheduler only.
+    Plain data (``level`` and the resilience fields in their CLI string
+    forms, so specs stay JSON-serializable) that :meth:`run_options`
+    turns into :func:`repro.systems.run_app` keywords; ``priority`` and
+    ``max_attempts`` steer the scheduler only.
     """
 
     app: str
@@ -180,28 +180,43 @@ class JobSpec:
         """Short human-facing id (content-hash prefix)."""
         return self.content_hash()[:12]
 
-    # -- run_app adapters --------------------------------------------------
+    # -- run_app adapter ---------------------------------------------------
 
-    def optimization_level(self) -> Optional[OptimizationLevel]:
-        """The resolved optimization level (``None`` = system default)."""
-        if self.level is None:
-            return None
-        return OptimizationLevel.from_name(self.level)
+    def run_options(self) -> Dict:
+        """The spec as :func:`repro.systems.run_app` keywords.
 
-    def resilience_config(self) -> Optional[ResilienceConfig]:
-        """The resilience configuration the job asks for, if any."""
-        wants = self.inject_fault is not None or self.checkpoint_every > 0
-        if not wants:
-            return None
-        plan = None
-        if self.inject_fault is not None:
-            plan = FaultPlan.parse(self.inject_fault, seed=self.fault_seed)
-            plan.validate_hosts(self.hosts)
-        return ResilienceConfig(
-            plan=plan,
-            checkpoint_every=self.checkpoint_every,
-            recovery=self.recovery,
-        )
+        Everything after ``(system, app, edges, hosts)``: the string forms
+        resolved (``level`` to its :class:`OptimizationLevel`, the
+        resilience fields to a :class:`ResilienceConfig` — ``None`` for a
+        plain run).  Every consumer of a spec — a job attempt, batch
+        staging, ``serve --stream`` — unpacks this one dict.
+        """
+        resilience = None
+        if self.inject_fault is not None or self.checkpoint_every > 0:
+            plan = None
+            if self.inject_fault is not None:
+                plan = FaultPlan.parse(self.inject_fault, seed=self.fault_seed)
+                plan.validate_hosts(self.hosts)
+            resilience = ResilienceConfig(
+                plan=plan,
+                checkpoint_every=self.checkpoint_every,
+                recovery=self.recovery,
+            )
+        return {
+            "policy": self.policy,
+            "level": (
+                None if self.level is None
+                else OptimizationLevel.from_name(self.level)
+            ),
+            "source": self.source,
+            "max_rounds": self.max_rounds,
+            "weight_seed": self.weight_seed,
+            "partition_seed": self.partition_seed,
+            "tolerance": self.tolerance,
+            "max_iterations": self.max_iterations,
+            "k": self.k,
+            "resilience": resilience,
+        }
 
 
 @dataclass

@@ -68,18 +68,9 @@ def _run_once(spec: JobSpec, cache: Optional[ServiceCache]) -> JobResult:
         spec.system,
         spec.app,
         edges,
-        num_hosts=spec.hosts,
-        policy=spec.policy,
-        level=spec.optimization_level(),
-        source=spec.source,
-        max_rounds=spec.max_rounds,
-        weight_seed=spec.weight_seed,
-        partition_seed=spec.partition_seed,
-        tolerance=spec.tolerance,
-        max_iterations=spec.max_iterations,
-        k=spec.k,
-        resilience=spec.resilience_config(),
+        spec.hosts,
         partition_cache=cache,
+        **spec.run_options(),
     )
     wall_s = time.perf_counter() - started
     key = output_key(spec.app)
@@ -249,10 +240,8 @@ def stage_shared_partitions(specs: List[JobSpec], cache=None):
     system/policy combination) is skipped here: the job itself will
     surface the error through its normal attempt/retry path.
     """
-    from repro.apps import make_app
     from repro.parallel.shm import SharedGraphStore
-    from repro.partition.build import build_partition, partition_cache_key
-    from repro.systems import _resolve_system, prepare_input
+    from repro.systems import plan_run
     from repro.workloads import load_workload
 
     shared: Dict[str, Tuple[object, Optional[object]]] = {}
@@ -260,31 +249,13 @@ def stage_shared_partitions(specs: List[JobSpec], cache=None):
     for spec in specs:
         try:
             edges = load_workload(spec.workload, spec.scale_delta)
-            prepared = prepare_input(
-                spec.app,
-                edges,
-                source=spec.source,
-                weight_seed=spec.weight_seed,
-                tolerance=spec.tolerance,
-                max_iterations=spec.max_iterations,
-                k=spec.k,
+            plan = plan_run(
+                spec.system, spec.app, edges, spec.hosts, **spec.run_options()
             )
-            app = make_app(spec.app)
-            _, partitioner, _, _, _ = _resolve_system(
-                spec.system,
-                app.operator_class,
-                spec.policy,
-                spec.hosts,
-                spec.optimization_level(),
-                None,
-                spec.partition_seed,
-            )
-            key = partition_cache_key(prepared.edges, partitioner, spec.hosts)
+            key = plan.partition_cache_key()
             if key in shared:
                 continue
-            outcome = build_partition(
-                prepared.edges, partitioner, spec.hosts, cache=cache
-            )
+            outcome = plan.build(cache)
             if cache is not None and not outcome.from_cache:
                 # Keep the persistent cache warm for future batches; the
                 # workers themselves hit the shared store, never this.

@@ -32,18 +32,14 @@ it applies, keeping the evolving graph inside the app's input contract.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List
 
 import numpy as np
 
-from repro.apps import make_app
-from repro.apps.base import AppContext
 from repro.errors import ExecutionError
 from repro.graph.edgelist import EdgeList
 from repro.observability import NULL_OBSERVABILITY
-from repro.partition.build import build_partition
-from repro.runtime.executor import DistributedExecutor
 from repro.runtime.migration import migratable_keys
 from repro.runtime.stats import RunResult
 from repro.streaming.batch import MutationBatch
@@ -54,7 +50,17 @@ from repro.streaming.delta import (
 )
 from repro.streaming.incremental import IncrementalPlan, plan_incremental
 from repro.streaming.version import GraphVersion
-from repro.systems import _resolve_system, prepare_input
+from repro.systems import plan_run
+
+#: Executor options a live session cannot honour, with the one value each
+#: may take: ``apply_mutations`` resumes a simulated, unsanitized,
+#: fault-free executor (what ``repro run --stream`` refuses by flag).
+UNSUPPORTED_OPTIONS = {
+    "resilience": None,
+    "runtime": "simulated",
+    "workers": None,
+    "sanitize": False,
+}
 
 
 def mirror_batch(batch: MutationBatch) -> MutationBatch:
@@ -160,7 +166,12 @@ class StreamingSession:
         observability: Optional Observability bundle; the session records
             ``delta-partition`` / ``affected-frontier`` spans and
             ``streaming_*`` counters into it.
-        Remaining keywords mirror :func:`repro.systems.run_app`.
+        Every other keyword of :func:`repro.systems.run_app` (``level``,
+        ``source``, the application parameters, ``max_rounds``,
+        ``aggregate_comm``, ...) is forwarded to
+        :func:`repro.systems.plan_run` unchanged.  What a live session
+        cannot honour — a multi-phase app, or anything but the default
+        for :data:`UNSUPPORTED_OPTIONS` — raises :class:`ExecutionError`.
     """
 
     def __init__(
@@ -170,126 +181,53 @@ class StreamingSession:
         edges: EdgeList,
         num_hosts: int,
         *,
-        policy: Optional[str] = None,
-        level=None,
-        network=None,
-        source: Optional[int] = None,
-        weight_seed: int = 42,
-        partition_seed: int = 0,
-        tolerance: float = 1e-6,
-        max_iterations: int = 100,
-        k: int = 2,
-        max_rounds: int = 100_000,
-        aggregate_comm: bool = True,
-        observability=None,
         cache=None,
+        **options,
     ) -> None:
-        self.app = make_app(app_name)
-        if getattr(self.app, "multi_phase", False):
+        # Canonical base: streaming validation demands a duplicate-free
+        # list, and the version chain must be a pure function of the
+        # batch sequence — so normalize exactly once, up front.
+        plan = plan_run(system, app_name, edges.deduplicate(), num_hosts, **options)
+        if plan.app.multi_phase:
             raise ExecutionError(
                 f"{app_name} is multi-phase; streaming sessions drive a "
                 "single executor"
             )
-        self.system = system.lower()
-        self.num_hosts = num_hosts
-        self.max_rounds = max_rounds
-        self.aggregate_comm = aggregate_comm
-        self.cache = cache
-        obs = observability if observability is not None else NULL_OBSERVABILITY
-        self.tracer, self.metrics = obs.tracer, obs.metrics
-        self._tolerance = tolerance
-        self._max_iterations = max_iterations
-        self._k = k
-        # Canonical base: streaming validation demands a duplicate-free
-        # list, and the version chain must be a pure function of the
-        # batch sequence — so normalize exactly once, up front.
-        prepared = prepare_input(
-            app_name,
-            edges.deduplicate(),
-            source=source,
-            weight_seed=weight_seed,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            k=k,
-        )
-        self.source = prepared.ctx.source
-        self.ctx = prepared.ctx
-        (
-            self.engine,
-            self.partitioner,
-            self.level,
-            self.network,
-            self.sync,
-        ) = _resolve_system(
-            self.system,
-            self.app.operator_class,
-            policy,
-            num_hosts,
-            level,
-            network,
-            partition_seed,
-        )
-        if not hasattr(self.partitioner, "assign"):
+        for option, only in UNSUPPORTED_OPTIONS.items():
+            value = plan.execution.get(option, only)
+            if value != only:
+                raise ExecutionError(
+                    f"streaming sessions do not support {option}={value!r}: "
+                    "mutations resume a simulated, unsanitized, fault-free "
+                    "executor"
+                )
+        if not hasattr(plan.partitioner, "assign"):
             raise ExecutionError(
-                f"{self.partitioner.name} does not expose an edge "
+                f"{plan.partitioner.name} does not expose an edge "
                 "assignment; delta-partitioning needs one"
             )
-        self.version = GraphVersion.initial(prepared.edges)
-        outcome = build_partition(
-            prepared.edges, self.partitioner, num_hosts, cache=cache
-        )
-        self.partitioned = outcome.partitioned
-        self._partition_wall = outcome.wall_s
-        self._partition_key = outcome.key
-        self._partition_from_cache = outcome.from_cache
-        if self.tracer.enabled:
-            self.tracer.record_sequential(
-                "partition",
-                outcome.wall_s,
-                cat="construction",
-                app=self.app.name,
-                policy=self.partitioned.policy_name,
-                hosts=num_hosts,
-            )
-        self.executor = DistributedExecutor(
-            self.partitioned,
-            self.engine,
-            self.app,
-            self.ctx,
-            level=self.level,
-            network=self.network,
-            enable_sync=self.sync,
-            system_name=self.system,
-            observability=observability,
-            prepared_sync=outcome.prepared_sync,
-            aggregate_comm=aggregate_comm,
-        )
-        self._signatures = self._signatures_of(prepared.edges)
-        self._store_host_partitions(range(num_hosts), self._signatures)
+        #: The current version's :class:`~repro.systems.RunPlan`.
+        self.plan = plan
+        self.app = plan.app
+        self.num_hosts = num_hosts
+        self.cache = cache
+        obs = plan.observability
+        if obs is None:
+            obs = NULL_OBSERVABILITY
+        self.tracer, self.metrics = obs.tracer, obs.metrics
+        self.version = GraphVersion.initial(plan.prepared.edges)
+        self.executor = None
+        self.partitioned = None
+        self._signatures: List[str] = []
         self._books = None
         self.results: List[RunResult] = []
         self.steps: List[StreamStepResult] = []
 
     # -- internals ---------------------------------------------------------
 
-    def _ctx_for(self, edges: EdgeList) -> AppContext:
-        """Fresh AppContext for a new version (pinned source)."""
-        ctx = AppContext(
-            num_global_nodes=edges.num_nodes,
-            source=self.source,
-            tolerance=self._tolerance,
-            max_iterations=self._max_iterations,
-            k=self._k,
-        )
-        if self.app.needs_global_degrees:
-            ctx.global_out_degree = np.bincount(
-                edges.src, minlength=edges.num_nodes
-            )
-        return ctx
-
     def _signatures_of(self, edges: EdgeList, assignment=None) -> List[str]:
         if assignment is None:
-            assignment = self.partitioner.assign(edges, self.num_hosts)
+            assignment = self.plan.partitioner.assign(edges, self.num_hosts)
         return [
             signature_of_host(
                 edges, assignment, host, self.partitioned.policy_name
@@ -321,18 +259,12 @@ class StreamingSession:
             raise ExecutionError(
                 "the session already ran; apply_batch() advances it"
             )
-        result = self.executor.run(max_rounds=self.max_rounds)
-        result.construction_time += self._partition_wall
-        result.partition_cache_hit = self._partition_from_cache  # type: ignore[attr-defined]
+        result = self.plan.run(self.cache)
+        self.executor = result.executor  # type: ignore[attr-defined]
+        self.partitioned = self.executor.partitioned
         self._books = self.executor.harvest_prepared_sync()
-        if (
-            self.cache is not None
-            and self._partition_key is not None
-            and not self._partition_from_cache
-        ):
-            self.cache.put_partition(
-                self._partition_key, self.partitioned, self._books
-            )
+        self._signatures = self._signatures_of(self.version.edges)
+        self._store_host_partitions(range(self.num_hosts), self._signatures)
         self.results.append(result)
         return result
 
@@ -355,7 +287,8 @@ class StreamingSession:
         plan_started = time.perf_counter()
         new_version, effect = self.version.apply(batch)
         new_edges = new_version.edges
-        new_ctx = self._ctx_for(new_edges)
+        advanced = self.plan.at(new_edges)
+        new_ctx = advanced.prepared.ctx
         plan = plan_incremental(
             self.app.name,
             old_edges,
@@ -374,7 +307,7 @@ class StreamingSession:
 
         delta_started = time.perf_counter()
         delta = delta_partition(
-            old_edges, old_partitioned, new_edges, self.partitioner
+            old_edges, old_partitioned, new_edges, self.plan.partitioner
         )
         delta_elapsed = time.perf_counter() - delta_started
 
@@ -421,7 +354,7 @@ class StreamingSession:
                 )
 
         exchange = None
-        if self.sync and self._books is not None:
+        if self.plan.sync and self._books is not None:
             old_books = self._books.books
 
             def exchange(transport):
@@ -453,11 +386,11 @@ class StreamingSession:
                 else new_edges.num_nodes
             )
 
-        result = self.executor.run(max_rounds=self.max_rounds)
+        result = self.executor.run(max_rounds=self.plan.max_rounds)
         self._books = self.executor.harvest_prepared_sync()
         self.version = new_version
         self.partitioned = delta.partitioned
-        self.ctx = new_ctx
+        self.plan = advanced
         self._signatures = new_signatures
         self.results.append(result)
         step = StreamStepResult(
@@ -497,24 +430,7 @@ class StreamingSession:
         memoization reuse.  Streaming correctness means
         ``cold_values(cold_run())`` equals :meth:`values` bitwise.
         """
-        outcome = build_partition(
-            self.version.edges, self.partitioner, self.num_hosts
-        )
-        executor = DistributedExecutor(
-            outcome.partitioned,
-            self.engine,
-            self.app,
-            self._ctx_for(self.version.edges),
-            level=self.level,
-            network=self.network,
-            enable_sync=self.sync,
-            system_name=self.system,
-            aggregate_comm=self.aggregate_comm,
-        )
-        result = executor.run(max_rounds=self.max_rounds)
-        result.construction_time += outcome.wall_s
-        result.executor = executor  # type: ignore[attr-defined]
-        return result
+        return replace(self.plan, observability=None).run()
 
     def cold_values(self, cold_result: RunResult) -> Dict[str, np.ndarray]:
         """Global arrays of a :meth:`cold_run` result, keyed like values()."""

@@ -20,8 +20,8 @@ Gluon's central usability claim (§3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -37,7 +37,11 @@ from repro.network.cost_model import (
     NetworkParameters,
 )
 from repro.partition import make_partitioner
-from repro.partition.build import build_partition
+from repro.partition.build import (
+    BuildOutcome,
+    build_partition,
+    partition_cache_key,
+)
 from repro.partition.strategy import OperatorClass
 from repro.runtime.executor import DistributedExecutor
 from repro.runtime.stats import RunResult
@@ -79,6 +83,32 @@ def default_source(
     return int(out_degree.argmax())
 
 
+def context_for(app, edges: EdgeList, params: AppContext) -> AppContext:
+    """``params`` with its graph-derived half recomputed for ``edges``.
+
+    The one context build: :func:`prepare_input` uses it for the input
+    graph, a streaming session for every later version (passing the
+    previous version's context, so source and parameters carry forward).
+    Global degrees cost one ``bincount`` each and are counted only for
+    the apps that read them.
+    """
+    n = edges.num_nodes
+    return replace(
+        params,
+        num_global_nodes=n,
+        global_out_degree=(
+            np.bincount(edges.src, minlength=n)
+            if app.needs_global_degrees
+            else None
+        ),
+        global_in_degree=(
+            np.bincount(edges.dst, minlength=n)
+            if app.needs_global_in_degrees
+            else None
+        ),
+    )
+
+
 def prepare_input(
     app_name: str,
     edges: EdgeList,
@@ -97,26 +127,22 @@ def prepare_input(
         edges = edges.symmetrize()
     if app.needs_weights and not edges.has_weights:
         edges = edges.with_random_weights(make_rng(weight_seed))
-    out_degree = None
-    if app.needs_global_degrees:
-        out_degree = np.bincount(edges.src, minlength=edges.num_nodes)
-    if source is None:
-        source = default_source(edges, out_degree)
-    ctx = AppContext(
-        num_global_nodes=edges.num_nodes,
-        source=source,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        k=k,
-        feature_dim=feature_dim,
-        feature_rounds=feature_rounds,
-        compression=compression,
-        global_out_degree=out_degree,
+    ctx = context_for(
+        app,
+        edges,
+        AppContext(
+            num_global_nodes=edges.num_nodes,
+            tolerance=tolerance,
+            max_iterations=max_iterations,
+            k=k,
+            feature_dim=feature_dim,
+            feature_rounds=feature_rounds,
+            compression=compression,
+        ),
     )
-    if app.needs_global_in_degrees:
-        ctx.global_in_degree = np.bincount(
-            edges.dst, minlength=edges.num_nodes
-        )
+    if source is None:
+        source = default_source(edges, ctx.global_out_degree)
+    ctx.source = source
     return PreparedInput(edges=edges, ctx=ctx)
 
 
@@ -199,6 +225,152 @@ def _resolve_system(
     )
 
 
+#: ``run_app`` keywords that configure the executor; a plan carries them
+#: to every executor it makes (defaults stay ``DistributedExecutor``'s).
+EXECUTOR_OPTIONS = ("resilience", "aggregate_comm", "sanitize", "runtime", "workers")
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """Everything :func:`run_app` decides before round 1.
+
+    The app, its prepared input, the system's engine(s), partitioner,
+    level, fabric and sync switch, and the execution options — but not
+    the partition: :meth:`partition_cache_key` must be answerable without
+    paying for :meth:`build` (the service dedupes a batch on it).  A
+    plan pins the prepared edge list, so it lives as long as its caller
+    needs it and is never attached to an executor or a result.
+    """
+
+    system: str
+    app: object
+    prepared: PreparedInput
+    num_hosts: int
+    engine: object
+    partitioner: object
+    level: OptimizationLevel
+    network: NetworkParameters
+    sync: bool
+    observability: Optional[object]
+    max_rounds: int
+    #: The :data:`EXECUTOR_OPTIONS` the caller gave, by name.
+    execution: Dict
+
+    def at(self, edges: EdgeList) -> "RunPlan":
+        """This plan over a later version of its (already prepared) graph."""
+        ctx = context_for(self.app, edges, self.prepared.ctx)
+        return replace(self, prepared=PreparedInput(edges=edges, ctx=ctx))
+
+    def partition_cache_key(self) -> str:
+        """Content address of the partition :meth:`build` would produce."""
+        return partition_cache_key(
+            self.prepared.edges, self.partitioner, self.num_hosts
+        )
+
+    def build(self, cache=None) -> BuildOutcome:
+        """Partition the prepared graph (or fetch it from ``cache``)."""
+        outcome = build_partition(
+            self.prepared.edges, self.partitioner, self.num_hosts, cache=cache
+        )
+        obs = self.observability
+        if obs is not None and obs.tracer.enabled:
+            obs.tracer.record_sequential(
+                "partition", outcome.wall_s, cat="construction", app=self.app.name,
+                policy=outcome.partitioned.policy_name, hosts=self.num_hosts,
+            )
+        return outcome
+
+    def executor(self, partitioned, app=None, prepared_sync=None) -> DistributedExecutor:
+        """A fresh executor over ``partitioned`` (``app``: one phase of a
+        multi-phase application instead of the plan's own)."""
+        return DistributedExecutor(
+            partitioned,
+            self.engine,
+            app or self.app,
+            self.prepared.ctx,
+            level=self.level,
+            network=self.network,
+            enable_sync=self.sync,
+            system_name=self.system,
+            observability=self.observability,
+            prepared_sync=prepared_sync,
+            **self.execution,
+        )
+
+    def run(self, cache=None) -> RunResult:
+        """Build, execute to convergence, account: the body of ``run_app``."""
+        if self.app.multi_phase:
+            for option, value in (
+                ("resilience", self.execution.get("resilience")),
+                ("observability", self.observability),
+            ):
+                if value is not None:
+                    raise ExecutionError(
+                        f"{self.app.name} is multi-phase; {option} is only "
+                        "supported for single-executor applications"
+                    )
+        outcome = self.build(cache)
+        partitioned = outcome.partitioned
+        if self.app.multi_phase:
+            # Multi-phase applications (betweenness centrality) drive their
+            # own executor passes over the shared partition; only the
+            # partition itself is reusable.
+            result = self.app.run_phases(
+                lambda phase: self.executor(partitioned, phase), self.max_rounds
+            )
+            books, keyed = None, True
+        else:
+            executor = self.executor(partitioned, prepared_sync=outcome.prepared_sync)
+            result = executor.run(max_rounds=self.max_rounds)
+            # Keep the executor alive on the result for state inspection.
+            result.executor = executor  # type: ignore[attr-defined]
+            # The memoized sync structures the run just paid for ride along
+            # (the §4 temporal-invariance amortization, extended across
+            # jobs) — unless a mid-run repartition left them describing a
+            # partition other than the keyed one.
+            books = executor.harvest_prepared_sync()
+            keyed = executor.partitioned is partitioned
+        result.construction_time += outcome.wall_s
+        if cache is not None and not outcome.from_cache and keyed:
+            cache.put_partition(outcome.key, partitioned, books)
+        result.partition_cache_hit = outcome.from_cache  # type: ignore[attr-defined]
+        return result
+
+
+def plan_run(
+    system: str,
+    app_name: str,
+    edges: EdgeList,
+    num_hosts: int,
+    *,
+    policy: Optional[str] = None,
+    level: Optional[OptimizationLevel] = None,
+    network: Optional[NetworkParameters] = None,
+    partition_seed: int = 0,
+    observability=None,
+    max_rounds: int = 100_000,
+    **options,
+) -> RunPlan:
+    """Plan one run: the single "prepare -> resolve" every entry point shares.
+
+    Takes :func:`run_app`'s keywords (all but ``partition_cache``):
+    :data:`EXECUTOR_OPTIONS` ride on the plan to its executors, the rest
+    are the application parameters of :func:`prepare_input`.
+    """
+    execution = {
+        name: options.pop(name) for name in EXECUTOR_OPTIONS if name in options
+    }
+    prepared = prepare_input(app_name, edges, **options)
+    app = make_app(app_name)
+    engine, partitioner, level, network, sync = _resolve_system(
+        system, app.operator_class, policy, num_hosts, level, network, partition_seed
+    )
+    return RunPlan(
+        system.lower(), app, prepared, num_hosts, engine, partitioner,
+        level, network, sync, observability, max_rounds, execution,
+    )
+
+
 def run_app(
     system: str,
     app_name: str,
@@ -270,110 +442,16 @@ def run_app(
     the next caller.  ``result.partition_cache_hit`` records which path
     ran.
     """
-    prepared = prepare_input(
-        app_name,
-        edges,
-        source=source,
-        weight_seed=weight_seed,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        k=k,
-        feature_dim=feature_dim,
-        feature_rounds=feature_rounds,
-        compression=compression,
+    plan = plan_run(
+        system, app_name, edges, num_hosts,
+        policy=policy, level=level, network=network, partition_seed=partition_seed,
+        observability=observability, max_rounds=max_rounds,
+        # -> prepare_input
+        source=source, weight_seed=weight_seed, tolerance=tolerance,
+        max_iterations=max_iterations, k=k, feature_dim=feature_dim,
+        feature_rounds=feature_rounds, compression=compression,
+        # -> every executor the plan makes (EXECUTOR_OPTIONS)
+        resilience=resilience, aggregate_comm=aggregate_comm, sanitize=sanitize,
+        runtime=runtime, workers=workers,
     )
-    app = make_app(app_name)
-    engine, partitioner, resolved_level, resolved_network, sync = (
-        _resolve_system(
-            system,
-            app.operator_class,
-            policy,
-            num_hosts,
-            level,
-            network,
-            partition_seed,
-        )
-    )
-    outcome = build_partition(
-        prepared.edges, partitioner, num_hosts, cache=partition_cache
-    )
-    partitioned = outcome.partitioned
-    partition_time = outcome.wall_s
-    if observability is not None and observability.tracer.enabled:
-        observability.tracer.record_sequential(
-            "partition",
-            partition_time,
-            cat="construction",
-            app=app_name,
-            policy=partitioned.policy_name,
-            hosts=num_hosts,
-        )
-    if getattr(app, "multi_phase", False):
-        if resilience is not None:
-            raise ExecutionError(
-                f"{app_name} is multi-phase; resilience is only supported "
-                "for single-executor applications"
-            )
-        if observability is not None:
-            raise ExecutionError(
-                f"{app_name} is multi-phase; observability is only "
-                "supported for single-executor applications"
-            )
-        # Multi-phase applications (betweenness centrality) drive their
-        # own executor passes over the shared partition.
-        result = app.run_phases(
-            partitioned,
-            engine,
-            prepared.ctx,
-            level=resolved_level,
-            network=resolved_network,
-            enable_sync=sync,
-            system_name=system.lower(),
-            max_rounds=max_rounds,
-            aggregate_comm=aggregate_comm,
-            sanitize=sanitize,
-            runtime=runtime,
-            workers=workers,
-        )
-        result.construction_time += partition_time
-        if partition_cache is not None and not outcome.from_cache:
-            # Multi-phase apps drive their own executors; only the
-            # partition itself is reusable.
-            partition_cache.put_partition(outcome.key, partitioned)
-        result.partition_cache_hit = outcome.from_cache  # type: ignore[attr-defined]
-        return result
-    executor = DistributedExecutor(
-        partitioned,
-        engine,
-        app,
-        prepared.ctx,
-        level=resolved_level,
-        network=resolved_network,
-        enable_sync=sync,
-        system_name=system.lower(),
-        resilience=resilience,
-        observability=observability,
-        prepared_sync=outcome.prepared_sync,
-        aggregate_comm=aggregate_comm,
-        sanitize=sanitize,
-        runtime=runtime,
-        workers=workers,
-    )
-    result = executor.run(max_rounds=max_rounds)
-    result.construction_time += partition_time
-    if (
-        partition_cache is not None
-        and not outcome.from_cache
-        and executor.partitioned is partitioned
-    ):
-        # Store the partition together with the memoized sync structures
-        # the run just paid for (the §4 temporal-invariance amortization,
-        # extended across jobs).  Skipped after a mid-run repartition,
-        # where the books no longer describe the keyed partition.
-        partition_cache.put_partition(
-            outcome.key, partitioned, executor.harvest_prepared_sync()
-        )
-    result.partition_cache_hit = outcome.from_cache  # type: ignore[attr-defined]
-    # Keep the executor alive on the result for state inspection.
-    result.executor = executor  # type: ignore[attr-defined]
-    return result
+    return plan.run(partition_cache)

@@ -156,23 +156,9 @@ def verify_run(
     if oracle_app not in _CHECKS:
         raise VerificationError(f"no oracle for application {result.app!r}")
     key, runner, tolerance = _CHECKS[oracle_app]
-    prepared = prepare_input(
-        result.app,
-        edges,
-        source=executor.ctx.source,
-        tolerance=executor.ctx.tolerance,
-        max_iterations=executor.ctx.max_iterations,
-        k=executor.ctx.k,
-        feature_dim=getattr(executor.ctx, "feature_dim", 8),
-        feature_rounds=getattr(executor.ctx, "feature_rounds", 3),
-        compression=getattr(executor.ctx, "compression", "none"),
-    )
-    # Re-preparation must agree with the run's context (same seeds).
-    if prepared.ctx.source != executor.ctx.source:
-        raise VerificationError(
-            "verification re-prepared a different source; pass the same "
-            "input graph the run used"
-        )
+    # Only the prepared *edges* are needed: the oracle reads every
+    # parameter off the run's own context.
+    prepared = prepare_input(result.app, edges, source=executor.ctx.source)
     expected = runner(prepared.edges, executor.ctx)
     got = executor.app.gather_master_values(
         executor.partitioned.partitions, executor.states, key

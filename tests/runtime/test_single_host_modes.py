@@ -73,7 +73,9 @@ def test_bc_sync_disabled(small_rmat):
     partitioned = make_partitioner("oec").partition(prep.edges, 1)
     app = make_app("bc")
     result = app.run_phases(
-        partitioned, make_engine("ligra"), prep.ctx, enable_sync=False
+        lambda phase: DistributedExecutor(
+            partitioned, make_engine("ligra"), phase, prep.ctx, enable_sync=False
+        )
     )
     assert result.converged
     got = result.executor.gather_result("delta")

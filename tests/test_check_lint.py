@@ -1,0 +1,51 @@
+"""Self-test of the repo rules in ``tools/check_lint.py`` (X001, X002):
+each is fed one offending and one clean snippet."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "check_lint", Path(__file__).resolve().parents[1] / "tools" / "check_lint.py"
+)
+check_lint = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(check_lint)
+
+
+def codes(path, source):
+    return [code for _, _, code, _ in check_lint.check_source(path, source)]
+
+
+@pytest.mark.parametrize(
+    "rule, offending, clean, exempt_path",
+    [
+        (
+            "X001",
+            "def harvest(executor):\n    return executor._memoization_bytes\n",
+            "def harvest(executor):\n    return executor.retired_stats\n",
+            "src/repro/runtime/executor.py",
+        ),
+        (
+            "X002",
+            "from repro.runtime.executor import DistributedExecutor\n\n\n"
+            "def cold(p, e, a, c):\n    return DistributedExecutor(p, e, a, c)\n",
+            "def cold(plan, partitioned):\n    return plan.executor(partitioned)\n",
+            "src/repro/systems.py",
+        ),
+        (
+            "X002",
+            "def stage():\n    from repro.systems import (\n        _resolve_system,\n"
+            "    )\n    return _resolve_system\n",
+            "def stage():\n    from repro.systems import plan_run\n    return plan_run\n",
+            "src/repro/systems.py",
+        ),
+    ],
+)
+def test_repo_rule(rule, offending, clean, exempt_path):
+    elsewhere = "src/repro/streaming/session.py"
+    assert codes(elsewhere, offending) == [rule]
+    assert codes(elsewhere, clean) == []
+    # The owning module, and anything outside src/, may do it.
+    assert codes(exempt_path, offending) == []
+    assert codes("tests/test_x.py", offending) == []

@@ -20,12 +20,16 @@ so contributors without ruff installed can still gate locally:
 * B006 mutable default argument
 * B904 raise without ``from`` inside an except handler
 
-plus one repo rule ruff cannot express:
+plus two repo rules ruff cannot express:
 
 * X001 a module under ``src/`` other than ``runtime/executor.py`` touches
   a private attribute of a ``DistributedExecutor`` (``ex._x``,
   ``executor._x``, ``self.ex._x``) — what other packages need is a
   public, documented attribute or an argument
+* X002 a module under ``src/`` other than ``systems.py`` constructs a
+  ``DistributedExecutor`` or imports an underscore name from
+  ``repro.systems`` — every entry point plans its run through
+  ``repro.systems.plan_run`` and takes executors from the plan
 
 Usage: python tools/check_lint.py [paths...]
 (default: src tests tools benchmarks)
@@ -42,6 +46,7 @@ from pathlib import Path
 MAX_LINE = 100
 EXECUTOR_PRIVATE = re.compile(r"\b(ex|executor|self\.ex)\._[a-z]")
 EXECUTOR_MODULE = Path("src/repro/runtime/executor.py")
+SYSTEMS_MODULE = Path("src/repro/systems.py")
 AMBIGUOUS = {"l", "O", "I"}
 VALID_ESCAPES = set("\n\\'\"abfnrtv01234567xNuU")
 
@@ -108,6 +113,10 @@ class _AstChecker(ast.NodeVisitor):
         self.path = path
         self.problems = problems
         self.tree = ast.parse(source)
+        #: X002 applies: under ``src/`` and not the planning module itself.
+        self.plans_elsewhere = (
+            Path(path).parts[:1] == ("src",) and Path(path) != SYSTEMS_MODULE
+        )
         self.used_names = {
             node.id
             for node in ast.walk(self.tree)
@@ -182,6 +191,23 @@ class _AstChecker(ast.NodeVisitor):
             and bound not in self.used_attr_roots
         ):
             self.report(node, "F401", f"{bound!r} imported but unused")
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if self.plans_elsewhere and name == "DistributedExecutor":
+            self.report(
+                node, "X002",
+                "DistributedExecutor constructed outside systems.py (use RunPlan.executor)",
+            )
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if self.plans_elsewhere and node.module == "repro.systems":
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    self.report(
+                        node, "X002", f"private {alias.name!r} imported from repro.systems"
+                    )
 
     def visit_Compare(self, node):
         for comparator, op in zip(node.comparators, node.ops):
@@ -273,19 +299,27 @@ class _AstChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def check_source(path, source):
+    """Every problem in one file's ``source``; ``path`` (relative to the
+    repo root) decides which repo rules apply."""
+    path = Path(path)
+    problems = []
+    lines = source.splitlines(True)
+    _line_checks(path, lines, problems)
+    _seam_checks(path, lines, problems)
+    _string_escapes(path, source, problems)
+    try:
+        _AstChecker(str(path), source, problems).run()
+    except SyntaxError as exc:
+        problems.append((str(path), exc.lineno or 0, "E999", str(exc)))
+    return [(str(where), *rest) for where, *rest in problems]
+
+
 def main(argv):
     targets = argv or ["src", "tests", "tools", "benchmarks"]
     problems = []
     for path in _iter_files(targets):
-        source = path.read_text()
-        lines = source.splitlines(True)
-        _line_checks(path, lines, problems)
-        _seam_checks(path, lines, problems)
-        _string_escapes(path, source, problems)
-        try:
-            _AstChecker(str(path), source, problems).run()
-        except SyntaxError as exc:
-            problems.append((str(path), exc.lineno or 0, "E999", str(exc)))
+        problems.extend(check_source(path, path.read_text()))
     problems = sorted(set(problems))
     for path, line, code, message in problems:
         print(f"{path}:{line}: {code} {message}")
