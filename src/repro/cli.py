@@ -26,14 +26,14 @@ from repro.apps import runnable_app_names
 from repro.apps.specs import PROGRAM_SPECS
 from repro.core.optimization import OptimizationLevel
 from repro.core.sync_structures import COMPRESSION_MODES
-from repro.errors import FaultPlanError
+from repro.errors import FaultPlanError, ReproError
 from repro.observability import Observability
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.partition import PARTITIONER_BY_NAME
 from repro.resilience import RECOVERY_MODES, FaultPlan, ResilienceConfig
 from repro.runtime.executor import PROCESS_RUNTIME_UNSUPPORTED
 from repro.service import JobSpec, ServiceCache
-from repro.systems import ALL_SYSTEMS, run_app
+from repro.systems import ALL_SYSTEMS, plan_run
 from repro.workloads import WORKLOAD_NAMES, load_workload
 
 #: Experiment harnesses reachable from the CLI, by short name.
@@ -719,17 +719,24 @@ def _emit(args: argparse.Namespace, document, tables, lines=()) -> None:
         print(line)
 
 
+def _plan(parser, system, app, edges, hosts, options):
+    """``plan_run``, with an unsupported combination as a usage error."""
+    try:
+        return plan_run(system, app, edges, hosts, **options)
+    except ReproError as exc:
+        parser.error(str(exc))
+
+
 def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """``run`` and ``mutate``: one job, through ``run_app`` or a live session."""
+    """``run`` and ``mutate``: one job, through a ``RunPlan`` or a live session."""
     streaming = args.command == "mutate" or args.stream is not None
     edges = load_workload(args.workload, args.scale_delta)
     observability, cache = _observability_and_cache(args, streaming)
     options = {**_run_options(parser, args), "observability": observability}
     if streaming:
         return _command_stream(args, parser, edges, options, cache)
-    result = run_app(
-        args.system, args.app, edges, args.hosts, partition_cache=cache, **options
-    )
+    plan = _plan(parser, args.system, args.app, edges, args.hosts, options)
+    result = plan.run(cache)
     _export_observability(args, result, observability)
     for doc in result.sanitizer_findings:
         print(
@@ -1214,6 +1221,9 @@ def _command_submit(
         spec = _job_spec(
             args, priority=args.priority, max_attempts=args.retries + 1
         )
+        # Pre-flight: what no attempt can run is a usage error, not a failed job.
+        edges = load_workload(spec.workload, spec.scale_delta)
+        _plan(parser, spec.system, spec.app, edges, spec.hosts, spec.run_options())
         cache = ServiceCache(directory=args.cache_dir)
         result = execute_job(spec, cache=cache)
     except ServiceError as exc:

@@ -53,7 +53,7 @@ class Channel:
                 f"channel {self.src}->{self.dst}: field {field_index} "
                 "already staged this phase"
             )
-        self._staged[field_index] = bytes(payload)
+        self._staged[field_index] = payload
 
     @property
     def staged_fields(self) -> int:

@@ -36,7 +36,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.metadata import MetadataMode, select_mode
-from repro.core.serialization import decode_message, encode_message
+from repro.core.serialization import (
+    decode_message,
+    empty_message,
+    encode_message,
+)
 from repro.core.sync_structures import FieldSpec
 from repro.errors import SyncError
 from repro.partition.base import LocalPartition
@@ -121,9 +125,7 @@ def encode_memoized_field(
     mode = select_mode(len(agreed), num_updates, field.value_size)
     width = field.width
     if mode is MetadataMode.EMPTY:
-        shape = (0,) if field.values.ndim == 1 else (0, width)
-        payload = encode_message(mode, np.empty(shape, dtype=field.wire_dtype))
-        return EncodedField(mode, payload)
+        return EncodedField(mode, empty_message(field.wire_dtype))
     if mode is MetadataMode.FULL:
         lids = agreed
         values, delta_mask = _wire_rows(field, lids, extract(lids), broadcast)
@@ -131,7 +133,7 @@ def encode_memoized_field(
             mode, values, width=width, delta_mask=delta_mask
         )
         return EncodedField(mode, payload)
-    positions = np.flatnonzero(updated_mask).astype(np.uint32)
+    positions = updated_mask.nonzero()[0]
     lids = agreed[positions]
     values, delta_mask = _wire_rows(field, lids, extract(lids), broadcast)
     payload = encode_message(
@@ -192,7 +194,7 @@ def _reconstruct_delta(
     else:
         identity = field.reduce_op.identity(field.dtype)
         base = np.full(mask.shape, identity, dtype=field.dtype)
-    base[mask] = message.values.astype(field.dtype)
+    base[mask] = message.values
     return base
 
 
@@ -225,38 +227,47 @@ def decode_field_payload(
     message = decode_message(payload)
     if message.mode is MetadataMode.EMPTY:
         return None
-    num_rows = message.num_rows
-    if message.mode is MetadataMode.GLOBAL_IDS:
-        lids = partition.to_local_array(message.selection)
-        values = message.values
-        if message.delta_mask is not None:
-            if field is None:
-                raise SyncError(
-                    f"host {host}: delta payload from {sender} without a field"
-                )
-            values = _reconstruct_delta(field, lids, message, broadcast)
-        return DecodedField(lids, values, translations=len(lids))
-    agreed = recv_arrays.get(sender)
-    if agreed is None:
+    if field is not None and message.width != (field.width if field.width > 1 else 0):
         raise SyncError(
-            f"host {host}: unexpected memoized message from host {sender}"
+            f"host {host}: message from {sender} carries rows of width "
+            f"{message.width or 1} for field {field.name!r} of width {field.width}"
         )
-    if message.mode is MetadataMode.FULL:
-        if num_rows != len(agreed):
+    translations = 0
+    if message.mode is MetadataMode.GLOBAL_IDS:
+        try:
+            lids = partition.to_local_array(message.selection)
+        except KeyError as exc:
             raise SyncError(
-                f"host {host}: FULL message from {sender} has "
-                f"{num_rows} values for {len(agreed)} proxies"
-            )
-        lids = agreed
+                f"host {host}: message from {sender} names global node "
+                f"{exc.args[0]} this host holds no proxy for"
+            ) from None
+        translations = len(lids)
     else:
-        # BITVEC / INDICES: selection holds positions in the agreed array.
-        positions = message.selection
-        if len(positions) and positions.max() >= len(agreed):
+        agreed = recv_arrays.get(sender)
+        if agreed is None:
             raise SyncError(
-                f"host {host}: position {positions.max()} out of range "
-                f"for agreed array of {len(agreed)} from host {sender}"
+                f"host {host}: unexpected memoized message from host {sender}"
             )
-        lids = agreed[positions]
+        if message.mode is MetadataMode.FULL:
+            if message.num_rows != len(agreed):
+                raise SyncError(
+                    f"host {host}: FULL message from {sender} has "
+                    f"{message.num_rows} values for {len(agreed)} proxies"
+                )
+            lids = agreed
+        else:
+            # BITVEC / INDICES: selection holds (unsigned) positions in the
+            # agreed array; NumPy's own bounds check rejects a hostile one.
+            try:
+                lids = agreed[message.selection]
+            except IndexError:
+                raise SyncError(
+                    f"host {host}: position {message.selection.max()} out of "
+                    f"range for agreed array of {len(agreed)} from host {sender}"
+                ) from None
+        # One cast to the native index dtype here instead of one inside
+        # every gather and scatter the apply does with these IDs.
+        lids = lids.astype(np.intp)
     values = message.values
     if message.delta_mask is not None:
         if field is None:
@@ -264,4 +275,4 @@ def decode_field_payload(
                 f"host {host}: delta payload from {sender} without a field"
             )
         values = _reconstruct_delta(field, lids, message, broadcast)
-    return DecodedField(lids, values)
+    return DecodedField(lids, values, translations)

@@ -54,60 +54,53 @@ def encode_frame(submessages: Sequence[Optional[bytes]]) -> bytes:
         raise SerializationError(
             f"frame cannot carry {count} fields (max {MAX_FIELDS})"
         )
-    parts: List[bytes] = [_COUNT.pack(count)]
-    bodies: List[bytes] = []
-    for sub in submessages:
-        if sub is None:
-            parts.append(_LENGTH.pack(0))
-            continue
-        body = bytes(sub)
-        if len(body) == 0:
-            raise SerializationError(
-                "a present sub-message cannot be empty (use None)"
-            )
-        parts.append(_LENGTH.pack(len(body)))
-        bodies.append(body)
-    return b"".join(parts) + b"".join(bodies)
+    bodies = [sub for sub in submessages if sub is not None]
+    if not all(map(len, bodies)):
+        raise SerializationError(
+            "a present sub-message cannot be empty (use None)"
+        )
+    lengths = [0 if sub is None else len(sub) for sub in submessages]
+    return b"".join((struct.pack(f"<H{count}I", count, *lengths), *bodies))
 
 
-def decode_frame(buffer: bytes) -> List[Optional[bytes]]:
+def decode_frame(buffer) -> List[Optional[memoryview]]:
     """Unpack one frame into per-field sub-messages (``None`` = no message).
+
+    The sub-messages are ``memoryview`` slices of ``buffer`` — nothing is
+    copied; they stay valid for as long as the buffer is unchanged.
 
     Raises:
         SerializationError: the frame is truncated, its length prefixes
             overrun the buffer, or trailing bytes follow the last
             sub-message — any shape a corrupted aggregation could take.
     """
-    buffer = bytes(buffer)
-    if len(buffer) < _COUNT.size:
+    view = memoryview(buffer)
+    size = len(view)
+    if size < _COUNT.size:
         raise SerializationError(
-            f"frame too short for field count: {len(buffer)} bytes"
+            f"frame too short for field count: {size} bytes"
         )
-    (count,) = _COUNT.unpack_from(buffer, 0)
+    (count,) = _COUNT.unpack_from(view, 0)
     if count == 0:
         raise SerializationError("frame with zero field slots")
     header = frame_overhead(count)
-    if len(buffer) < header:
+    if size < header:
         raise SerializationError(
-            f"frame truncated in length prefixes: {len(buffer)} bytes for "
+            f"frame truncated in length prefixes: {size} bytes for "
             f"{count} fields"
         )
-    lengths = [
-        _LENGTH.unpack_from(buffer, _COUNT.size + i * _LENGTH.size)[0]
-        for i in range(count)
-    ]
+    lengths = struct.unpack_from(f"<{count}I", view, _COUNT.size)
     expected = header + sum(lengths)
-    if len(buffer) != expected:
+    if size != expected:
         raise SerializationError(
-            f"frame body mismatch: expected {expected} bytes, got "
-            f"{len(buffer)}"
+            f"frame body mismatch: expected {expected} bytes, got {size}"
         )
-    subs: List[Optional[bytes]] = []
+    subs: List[Optional[memoryview]] = []
     offset = header
     for length in lengths:
         if length == 0:
             subs.append(None)
             continue
-        subs.append(buffer[offset : offset + length])
+        subs.append(view[offset : offset + length])
         offset += length
     return subs

@@ -96,11 +96,16 @@ def select_mode(
     """
     if num_updates == 0:
         return MetadataMode.EMPTY
-    candidates = (MetadataMode.FULL, MetadataMode.BITVEC, MetadataMode.INDICES)
-    return min(
-        candidates,
-        key=lambda mode: (
-            encoded_size(mode, num_agreed, num_updates, value_size),
-            int(mode),
-        ),
-    )
+    if num_updates > num_agreed:
+        raise ValueError(
+            f"num_updates {num_updates} exceeds agreed array {num_agreed}"
+        )
+    # The three bodies past their common header + count (encoded_size).
+    full = num_agreed * value_size
+    bitvec = BitVector.wire_size(num_agreed) + num_updates * value_size
+    indices = num_updates * (INDEX_BYTES + value_size)
+    if full <= bitvec and full <= indices:
+        return MetadataMode.FULL
+    if bitvec <= indices:
+        return MetadataMode.BITVEC
+    return MetadataMode.INDICES

@@ -1,11 +1,16 @@
-"""Per-strategy communication plans (§3.2).
+"""The sync plan: what a layout decides about synchronization (§3.2, §4.1).
 
-A :class:`SyncPlan` fixes, for one host, exactly which proxies take part in
-the reduce and broadcast phases of a synchronization, per peer.  With
-structural-invariant optimization (OSI) enabled the plan uses the
-restricted subsets recorded during memoization — mirrors with local
-in-edges for reduce, mirrors with local out-edges for broadcast — which
-reproduces the paper's per-strategy patterns:
+The partitioning strategy fixes which proxies can ever exchange a value
+and the partition never changes, so routing is decided once per layout,
+not per round.  A :class:`SyncPlan` is one host's share of it: per field
+and phase, the peers to send to with the memoized arrays agreed with
+each, the arrays to receive into, the field's constant EMPTY payload, and
+a *cluster-wide* verdict on whether the phase can carry a message at all.
+
+With structural-invariant optimization (OSI) the arrays are the subsets
+recorded during memoization — only mirrors with local in-edges can be
+written, only mirrors with local out-edges are read — which reproduces
+the paper's per-strategy patterns:
 
 * **OEC** — mirrors have no out-edges, so every broadcast subset is empty:
   reduce-only synchronization (§3.2's "reset the mirrors locally").
@@ -21,84 +26,150 @@ gather-apply-scatter baseline of Figure 10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.memoization import AddressBook
+from repro.core.serialization import empty_message
+from repro.core.sync_structures import FieldSpec
+from repro.errors import SyncError
+
+PHASES = ("reduce", "broadcast")
+
+
+def proxy_arrays(
+    book: AddressBook, structural: bool, locations: frozenset
+) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]:
+    """The ``(mirror-side, master-side)`` arrays a field's locations select.
+
+    The paper's ``sync<WriteLocation, ReadLocation>``: with structural
+    optimization only proxies whose local edges allow the access take
+    part — writes (reads) at the destination need in-edges, at the source
+    out-edges.  Reduce passes a field's ``writes``, broadcast its ``reads``.
+    """
+    if not structural:
+        return book.mirrors_all, book.masters_all
+    if locations == {"destination"}:
+        return book.mirrors_reduce, book.masters_reduce
+    if locations == {"source"}:
+        return book.mirrors_broadcast, book.masters_broadcast
+    return book.mirrors_any, book.masters_any
+
+
+def _routes(book: AddressBook, structural: bool, field: FieldSpec):
+    """``phase -> (send arrays, receive arrays)`` of ``field`` on one host."""
+    written_mirrors, written_masters = proxy_arrays(book, structural, field.writes)
+    read_mirrors, read_masters = proxy_arrays(book, structural, field.reads)
+    return {
+        "reduce": (written_mirrors, written_masters),
+        "broadcast": (read_masters, read_mirrors),
+    }
+
+
+def phase_liveness(
+    books: Sequence[AddressBook], structural: bool, fields: Sequence[FieldSpec]
+) -> Tuple[Dict[str, bool], ...]:
+    """Per field slot, ``phase -> live``, judged over the whole cluster.
+
+    Live iff the field declares the phase and *some* host has a non-empty
+    send array for it.  ``books`` must be every host's, never one
+    process's share: all drivers of the collective must skip the same
+    phases, or a receiver waits for end-of-phase markers that never come.
+    ``fields`` is any one host's list (declarations agree across hosts).
+    """
+    return tuple(
+        {
+            phase: phase in field.sync_phases
+            and any(
+                len(agreed)
+                for book in books
+                for agreed in _routes(book, structural, field)[phase][0].values()
+            )
+            for phase in PHASES
+        }
+        for field in fields
+    )
+
+
+@dataclass(frozen=True)
+class FieldPlan:
+    """One bound field's resolved routes on one host, keyed by phase.
+
+    Attributes:
+        sends: phase -> ``(peer, agreed)`` pairs in ascending peer order,
+            peers with an empty agreed array dropped; no pairs at all for
+            a phase the field does not declare.  Arrays hold local IDs,
+            aligned element-by-element with the peer's ``recv`` array.
+        recv: phase -> sender -> my proxies receiving that sender's values.
+        live: phase -> the cluster-wide verdict (:func:`phase_liveness`).
+        empty: the field's constant EMPTY payload.
+    """
+
+    field: FieldSpec
+    sends: Dict[str, Tuple[Tuple[int, np.ndarray], ...]]
+    recv: Dict[str, Dict[int, np.ndarray]]
+    live: Dict[str, bool]
+    empty: bytes
 
 
 @dataclass(frozen=True)
 class SyncPlan:
-    """One host's proxy sets for each sync phase, per peer.
+    """One host's resolved synchronization routes for one layout.
 
-    All arrays hold local IDs; pairs of arrays on opposite hosts are
-    aligned element-by-element by the memoization exchange.
-
-    Attributes:
-        peer_order: all peers in ascending order — memoized once so no
-            sync call ever re-sorts its peer set.
-        reduce_send: peer -> my mirrors whose values I send in reduce.
-        reduce_recv: peer -> my masters receiving that peer's reduce.
-        broadcast_send: peer -> my masters whose values I broadcast.
-        broadcast_recv: peer -> my mirrors receiving that peer's broadcast.
+    ``peer_order`` is all peers, ascending — memoized so no sync call
+    re-sorts its peer set; ``fields`` has one entry per bound field, in
+    slot order.
     """
 
     host: int
     peer_order: Tuple[int, ...]
-    reduce_send: Dict[int, np.ndarray]
-    reduce_recv: Dict[int, np.ndarray]
-    broadcast_send: Dict[int, np.ndarray]
-    broadcast_recv: Dict[int, np.ndarray]
+    fields: Tuple[FieldPlan, ...] = ()
 
-    @property
-    def needs_reduce(self) -> bool:
-        """Whether any peer exchanges reduce data with this host."""
-        return any(len(a) for a in self.reduce_send.values()) or any(
-            len(a) for a in self.reduce_recv.values()
+    def of(self, field: FieldSpec) -> FieldPlan:
+        """The plan entry of a bound field (matched by identity)."""
+        for entry in self.fields:
+            if entry.field is field:
+                return entry
+        raise SyncError(
+            f"host {self.host}: field {field.name!r} is not bound to this "
+            "layout's sync plan (see repro.core.substrate.bind_sync_plans)"
         )
 
-    @property
-    def needs_broadcast(self) -> bool:
-        """Whether any peer exchanges broadcast data with this host."""
-        return any(len(a) for a in self.broadcast_send.values()) or any(
-            len(a) for a in self.broadcast_recv.values()
-        )
-
-    def reduce_partners(self) -> int:
-        """Number of peers this host sends reduce data to."""
-        return sum(1 for a in self.reduce_send.values() if len(a))
-
-    def broadcast_partners(self) -> int:
-        """Number of peers this host sends broadcast data to."""
-        return sum(1 for a in self.broadcast_send.values() if len(a))
+    def live(self, phase: str, members: slice = slice(None)) -> bool:
+        """Whether ``phase`` can carry a message for any field in ``members``."""
+        return any(entry.live[phase] for entry in self.fields[members])
 
 
-def build_sync_plan(book: AddressBook, structural: bool) -> SyncPlan:
-    """Build the host's :class:`SyncPlan` from its memoized address book.
+def build_sync_plan(
+    book: AddressBook,
+    structural: bool,
+    fields: Sequence[FieldSpec] = (),
+    liveness: Sequence[Dict[str, bool]] = (),
+) -> SyncPlan:
+    """Resolve one host's :class:`SyncPlan` from its memoized address book.
 
-    Args:
-        book: the host's memoization result.
-        structural: whether OSI is enabled (restricted proxy subsets).
+    ``fields`` are the host's synchronized fields in slot order and
+    ``liveness`` their :func:`phase_liveness` over the whole cluster.
     """
+    # Old pickled books from a disk cache may predate ``peer_order``.
     peer_order = tuple(
         getattr(book, "peer_order", None)
         or (p for p in range(book.num_hosts) if p != book.host)
     )
-    if structural:
-        return SyncPlan(
-            host=book.host,
-            peer_order=peer_order,
-            reduce_send=dict(book.mirrors_reduce),
-            reduce_recv=dict(book.masters_reduce),
-            broadcast_send=dict(book.masters_broadcast),
-            broadcast_recv=dict(book.mirrors_broadcast),
+    entries = []
+    for slot, field in enumerate(fields):
+        routes = _routes(book, structural, field)
+        sends = {
+            phase: tuple((p, send[p]) for p in peer_order if len(send[p]))
+            if phase in field.sync_phases
+            else ()
+            for phase, (send, _) in routes.items()
+        }
+        recv = {phase: arrays for phase, (_, arrays) in routes.items()}
+        entries.append(
+            FieldPlan(
+                field, sends, recv, liveness[slot], empty_message(field.wire_dtype)
+            )
         )
-    return SyncPlan(
-        host=book.host,
-        peer_order=peer_order,
-        reduce_send=dict(book.mirrors_all),
-        reduce_recv=dict(book.masters_all),
-        broadcast_send=dict(book.masters_all),
-        broadcast_recv=dict(book.mirrors_all),
-    )
+    return SyncPlan(book.host, peer_order, tuple(entries))

@@ -67,6 +67,9 @@ _DTYPE_CODES = {
     np.dtype(np.float16): 7,
 }
 _DTYPE_BY_CODE = {code: dtype for dtype, code in _DTYPE_CODES.items()}
+_MODE_BY_TAG = {int(mode): mode for mode in MetadataMode}
+_U8 = np.dtype(np.uint8)
+_U32 = np.dtype(np.uint32)
 
 #: Mode-byte layout: low 6 bits = metadata mode tag, high 2 bits = flags.
 _MODE_MASK = 0x3F
@@ -115,24 +118,38 @@ class SyncMessage:
         return len(self.values)
 
 
+#: ``tag, dtype code, count`` and ``tag, dtype code, row width, count``:
+#: everything before a non-EMPTY body, packed in one call.
+_SCALAR_HEAD = struct.Struct("<BBI")
+_WIDE_HEAD = struct.Struct("<BBHI")
+_WIDTH = struct.Struct("<H")
+_COUNT = struct.Struct("<I")
+
+_EMPTY_TAG = int(MetadataMode.EMPTY)
+
+
+def empty_message(dtype: np.dtype) -> bytes:
+    """The EMPTY message for ``dtype`` values: the bare header, a constant."""
+    return bytes((_EMPTY_TAG, dtype_code(dtype)))
+
+
+def is_empty_message(payload) -> bool:
+    """Whether ``payload`` is exactly an :func:`empty_message`.
+
+    Told from the two bytes alone (length 2, tag EMPTY with no flag bits,
+    a known dtype code) so a quiet peer costs no :class:`SyncMessage`;
+    anything else, however close, is the full decoder's — and its errors.
+    """
+    return (
+        len(payload) == 2
+        and payload[0] == _EMPTY_TAG
+        and payload[1] in _DTYPE_BY_CODE
+    )
+
+
 def _mask_bytes_per_row(width: int) -> int:
     """Packed column-mask bytes per delta row."""
     return (width + 7) // 8
-
-
-def _encode_value_block(
-    values: np.ndarray, delta_mask: Optional[np.ndarray]
-) -> bytes:
-    """The value section of a message body, delta-compressed if asked."""
-    if delta_mask is None:
-        return values.tobytes()
-    if delta_mask.shape != values.shape:
-        raise SerializationError(
-            f"delta mask shape {delta_mask.shape} does not match values "
-            f"shape {values.shape}"
-        )
-    packed = np.packbits(delta_mask, axis=1)
-    return packed.tobytes() + np.ascontiguousarray(values[delta_mask]).tobytes()
 
 
 def encode_message(
@@ -146,12 +163,16 @@ def encode_message(
 ) -> bytes:
     """Encode one synchronization message.
 
+    Header, metadata and values are gathered as buffers and copied once,
+    by a single ``join``, into the message.
+
     Args:
         mode: encoding to use.
         values: values to ship (ignored for EMPTY).  Scalar messages pass
             a 1-D array; wide messages pass (rows, width).
         num_agreed: memoized array length (BITVEC only; sized bit-vector).
-        selection: positions (BITVEC/INDICES) or global IDs (GLOBAL_IDS).
+        selection: positions (BITVEC/INDICES) or global IDs (GLOBAL_IDS),
+            any integer dtype.
         width: row width of a wide message (0 or 1 means scalar).
         delta_mask: (rows, width) bool mask of columns to ship; the
             unmasked columns are omitted from the wire (wide only).
@@ -172,152 +193,156 @@ def encode_message(
             tag |= _FLAG_DELTA
     elif delta_mask is not None:
         raise SerializationError("delta compression requires a wide message")
-    header = struct.pack("<BB", tag, dtype_code(values.dtype))
     if mode is MetadataMode.EMPTY:
-        return header
-    if wide:
-        header += struct.pack("<H", width)
-    if mode is MetadataMode.FULL:
-        return (
-            header
-            + struct.pack("<I", len(values))
-            + _encode_value_block(values, delta_mask)
-        )
+        return empty_message(values.dtype)
+    code = dtype_code(values.dtype)
+    count = len(values)
+    metadata = b""
     if mode is MetadataMode.BITVEC:
         if selection is None:
             raise SerializationError("BITVEC mode requires selection positions")
-        mask = np.zeros(num_agreed, dtype=bool)
-        mask[selection] = True
-        bitvec = BitVector.from_bool_array(mask)
         if len(values) != len(selection):
             raise SerializationError(
                 f"BITVEC: {len(selection)} positions for {len(values)} values"
             )
-        return (
-            header
-            + struct.pack("<I", num_agreed)
-            + bitvec.to_bytes()
-            + _encode_value_block(values, delta_mask)
-        )
-    if mode in (MetadataMode.INDICES, MetadataMode.GLOBAL_IDS):
+        mask = np.zeros(num_agreed, dtype=bool)
+        mask[selection] = True
+        count = num_agreed
+        metadata = np.packbits(mask, bitorder="little")
+    elif mode in (MetadataMode.INDICES, MetadataMode.GLOBAL_IDS):
         if selection is None:
             raise SerializationError(f"{mode.name} mode requires a selection")
-        selection = np.ascontiguousarray(selection, dtype=np.uint32)
         if len(values) != len(selection):
             raise SerializationError(
                 f"{mode.name}: {len(selection)} ids for {len(values)} values"
             )
-        return (
-            header
-            + struct.pack("<I", len(values))
-            + selection.tobytes()
-            + _encode_value_block(values, delta_mask)
+        metadata = np.ascontiguousarray(selection, dtype=_U32)
+    elif mode is not MetadataMode.FULL:
+        raise SerializationError(f"unknown mode {mode!r}")
+    if wide:
+        head = _WIDE_HEAD.pack(tag, code, width, count)
+    else:
+        head = _SCALAR_HEAD.pack(tag, code, count)
+    if delta_mask is None:
+        return b"".join((head, metadata, values))
+    if delta_mask.shape != values.shape:
+        raise SerializationError(
+            f"delta mask shape {delta_mask.shape} does not match values "
+            f"shape {values.shape}"
         )
-    raise SerializationError(f"unknown mode {mode!r}")
+    packed = np.packbits(delta_mask, axis=1)
+    return b"".join((head, metadata, packed, values[delta_mask]))
+
+
+def _view(payload, dtype: np.dtype, count: int, offset: int) -> np.ndarray:
+    """``count`` items of ``dtype`` at ``payload[offset:]``: read-only, no copy."""
+    try:
+        array = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+    except ValueError as exc:  # a short buffer the length checks let through
+        raise SerializationError(f"message overruns its buffer: {exc}") from None
+    array.flags.writeable = False
+    return array
 
 
 def _decode_value_block(
-    body: bytes, rows: int, width: int, dtype: np.dtype, delta: bool
+    payload, offset: int, rows: int, width: int, dtype: np.dtype, delta: bool
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Decode the value section for ``rows`` shipped rows.
+    """Decode the value section ``payload[offset:]`` for ``rows`` shipped rows.
 
     Returns ``(values, delta_mask)``.  Scalar messages (``width == 0``)
-    return a flat copy; wide messages an (rows, width) array; delta
-    messages the flat masked values plus the unpacked column mask.
+    return a flat view; wide messages an (rows, width) view; delta
+    messages a flat view of the masked values plus the unpacked column
+    mask.
     """
-    if width == 0:
-        expected = rows * dtype.itemsize
-        if len(body) != expected:
-            raise SerializationError(
-                f"value section: expected {expected} bytes, got {len(body)}"
-            )
-        return np.frombuffer(body, dtype=dtype).copy(), None
+    available = len(payload) - offset
     if not delta:
-        expected = rows * width * dtype.itemsize
-        if len(body) != expected:
+        items = rows * width if width else rows
+        expected = items * dtype.itemsize
+        if available != expected:
             raise SerializationError(
-                f"wide value section: expected {expected} bytes, "
-                f"got {len(body)}"
+                f"{'wide ' if width else ''}value section: expected "
+                f"{expected} bytes, got {available}"
             )
-        values = np.frombuffer(body, dtype=dtype).copy()
-        return values.reshape(rows, width), None
+        values = _view(payload, dtype, items, offset)
+        return (values.reshape(rows, width) if width else values), None
     mask_bytes = rows * _mask_bytes_per_row(width)
-    if len(body) < mask_bytes:
+    if available < mask_bytes:
         raise SerializationError("delta value section truncated in masks")
-    packed = np.frombuffer(body[:mask_bytes], dtype=np.uint8)
+    packed = _view(payload, _U8, mask_bytes, offset)
     packed = packed.reshape(rows, _mask_bytes_per_row(width))
     delta_mask = np.unpackbits(packed, axis=1)[:, :width].astype(bool)
-    value_body = body[mask_bytes:]
-    expected = int(delta_mask.sum()) * dtype.itemsize
-    if len(value_body) != expected:
+    shipped = int(np.count_nonzero(delta_mask))
+    expected = shipped * dtype.itemsize
+    if available - mask_bytes != expected:
         raise SerializationError(
-            f"delta values: expected {expected} bytes, got {len(value_body)}"
+            f"delta values: expected {expected} bytes, "
+            f"got {available - mask_bytes}"
         )
-    return np.frombuffer(value_body, dtype=dtype).copy(), delta_mask
+    return _view(payload, dtype, shipped, offset + mask_bytes), delta_mask
 
 
-def decode_message(payload: bytes) -> SyncMessage:
-    """Decode one synchronization message produced by :func:`encode_message`."""
-    if len(payload) < 2:
-        raise SerializationError(f"message too short: {len(payload)} bytes")
-    tag, code = struct.unpack_from("<BB", payload, 0)
+def decode_message(payload) -> SyncMessage:
+    """Decode one synchronization message produced by :func:`encode_message`.
+
+    ``payload`` is any byte buffer (``bytes``, ``bytearray``, a
+    ``memoryview`` slice of a frame).  It is parsed by offset, never
+    sliced, and the returned arrays are **read-only views into it**:
+    consume them before the buffer is reused.  One parser serves scalar,
+    WIDE and DELTA messages.
+    """
+    size = len(payload)
+    if size < 2:
+        raise SerializationError(f"message too short: {size} bytes")
+    tag, code = payload[0], payload[1]
     wide = bool(tag & _FLAG_WIDE)
     delta = bool(tag & _FLAG_DELTA)
     if delta and not wide:
         raise SerializationError(f"delta flag without wide flag in tag {tag:#x}")
-    try:
-        mode = MetadataMode(tag & _MODE_MASK)
-    except ValueError:
-        raise SerializationError(f"unknown mode tag {tag & _MODE_MASK}") from None
-    try:
-        dtype = _DTYPE_BY_CODE[code]
-    except KeyError:
-        raise SerializationError(f"unknown dtype code {code}") from None
-    body = payload[2:]
+    mode = _MODE_BY_TAG.get(tag & _MODE_MASK)
+    if mode is None:
+        raise SerializationError(f"unknown mode tag {tag & _MODE_MASK}")
+    dtype = _DTYPE_BY_CODE.get(code)
+    if dtype is None:
+        raise SerializationError(f"unknown dtype code {code}")
+    offset = 2
     width = 0
     if wide:
-        if len(body) < 2:
+        if size < offset + _WIDTH.size:
             raise SerializationError("wide message truncated before width")
-        (width,) = struct.unpack_from("<H", body, 0)
+        (width,) = _WIDTH.unpack_from(payload, offset)
         if width < 2:
             raise SerializationError(f"wide message with width {width}")
-        body = body[2:]
+        offset += _WIDTH.size
     if mode is MetadataMode.EMPTY:
-        if body:
+        if size != offset:
             raise SerializationError("EMPTY message with a non-empty body")
         shape = (0, width) if wide else (0,)
         return SyncMessage(mode, np.empty(shape, dtype=dtype), None, width=width)
-    if len(body) < 4:
+    if size < offset + _COUNT.size:
         raise SerializationError("message truncated before count field")
-    (count,) = struct.unpack_from("<I", body, 0)
-    body = body[4:]
-    if mode is MetadataMode.FULL:
-        values, delta_mask = _decode_value_block(body, count, width, dtype, delta)
-        return SyncMessage(mode, values, None, width=width, delta_mask=delta_mask)
+    (count,) = _COUNT.unpack_from(payload, offset)
+    offset += _COUNT.size
+    selection = None
+    rows = count
     if mode is MetadataMode.BITVEC:
         bitvec_bytes = BitVector.wire_size(count)
-        if len(body) < bitvec_bytes:
+        if size < offset + bitvec_bytes:
             raise SerializationError("BITVEC body truncated in bit-vector")
-        bitvec = BitVector.from_bytes(body[:bitvec_bytes], count)
-        positions = bitvec.set_indices()
-        values, delta_mask = _decode_value_block(
-            body[bitvec_bytes:], len(positions), width, dtype, delta
+        packed = _view(payload, _U8, bitvec_bytes, offset)
+        selection = np.flatnonzero(
+            np.unpackbits(packed, count=count, bitorder="little")
         )
-        return SyncMessage(
-            mode, values, positions, width=width, delta_mask=delta_mask
-        )
-    if mode in (MetadataMode.INDICES, MetadataMode.GLOBAL_IDS):
-        ids_bytes = count * 4
-        if len(body) < ids_bytes:
+        rows = len(selection)
+        offset += bitvec_bytes
+    elif mode in (MetadataMode.INDICES, MetadataMode.GLOBAL_IDS):
+        if size < offset + count * 4:
             raise SerializationError(f"{mode.name} body truncated in ids")
-        selection = np.frombuffer(body[:ids_bytes], dtype=np.uint32).copy()
-        values, delta_mask = _decode_value_block(
-            body[ids_bytes:], count, width, dtype, delta
-        )
-        return SyncMessage(
-            mode, values, selection, width=width, delta_mask=delta_mask
-        )
-    raise SerializationError(f"unhandled mode {mode!r}")
+        selection = _view(payload, _U32, count, offset)
+        offset += count * 4
+    values, delta_mask = _decode_value_block(
+        payload, offset, rows, width, dtype, delta
+    )
+    return SyncMessage(mode, values, selection, width=width, delta_mask=delta_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ per-peer channels, then flushes the channels:
 4. every host calls :meth:`GluonSubstrate.receive_broadcast_all`.
 
 :func:`repro.runtime.round.synchronize` is the one driver of that
-sequence.  With an aggregating plane the group is all fields and each
-peer gets one multi-field framed buffer per phase; with a pass-through
-plane (the ``--no-aggregation`` ablation) the group is a single field,
-staging sends the raw payload at once and the flush is a no-op — one
-transport message per (field, peer, phase).
+sequence, and it drives only the phases the sync plan calls live: which
+peers a field talks to in which phase is resolved once per layout
+(:func:`bind_sync_plans`), never per round.  With an aggregating plane
+the group is all fields and each peer gets one multi-field framed buffer
+per phase; with a pass-through plane (the ``--no-aggregation`` ablation)
+the group is a single field, staging sends the raw payload at once and
+the flush is a no-op — one transport message per (field, peer, phase).
 
 The strict phase order means each receive drains exactly the messages of
 its own phase — the in-process rendering of BSP-style bulk communication.
@@ -39,14 +41,12 @@ Optimization levels (Figure 10):
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.channel import CommPlane
 from repro.comm.codec import (
-    DecodedField,
-    EncodedField,
     decode_field_payload,
     encode_global_ids_field,
     encode_memoized_field,
@@ -54,7 +54,13 @@ from repro.comm.codec import (
 from repro.core.memoization import AddressBook, exchange_address_books
 from repro.core.metadata import MetadataMode
 from repro.core.optimization import OptimizationLevel
-from repro.core.patterns import SyncPlan, build_sync_plan
+from repro.core.patterns import (
+    SyncPlan,
+    build_sync_plan,
+    phase_liveness,
+    proxy_arrays,
+)
+from repro.core.serialization import is_empty_message
 from repro.core.sync_structures import FieldSpec
 from repro.errors import SyncError
 from repro.network.transport import InProcessTransport
@@ -70,16 +76,14 @@ class SubstrateStats:
         translations: Global<->local ID translations performed (the time
             overhead the memoization optimization removes, §4.1).
         mode_counts: Messages sent per metadata mode.
-        sync_calls: Number of field synchronizations executed.
     """
 
     translations: int = 0
     mode_counts: Dict[MetadataMode, int] = dataclass_field(default_factory=dict)
-    sync_calls: int = 0
 
-    def count_mode(self, mode: MetadataMode) -> None:
-        """Record one sent message of ``mode``."""
-        self.mode_counts[mode] = self.mode_counts.get(mode, 0) + 1
+    def count_mode(self, mode: MetadataMode, count: int = 1) -> None:
+        """Record ``count`` sent messages of ``mode``."""
+        self.mode_counts[mode] = self.mode_counts.get(mode, 0) + count
 
     def absorb(self, other: "SubstrateStats") -> None:
         """Fold another substrate's counters into this total."""
@@ -111,10 +115,10 @@ class GluonSubstrate:
         self.partition = partition
         self.level = level
         self.book = book
+        #: The layout's resolved routes.  Knows the peers from birth; the
+        #: per-field routes arrive with :func:`bind_sync_plans`, once the
+        #: layout's fields exist.
         self.plan: SyncPlan = build_sync_plan(book, level.structural)
-        #: Memoized ascending peer list — computed once, never re-sorted
-        #: per sync call (old books from a disk cache may predate it).
-        self.peer_order: Tuple[int, ...] = self.plan.peer_order
         self.stats = SubstrateStats()
         self.metrics = metrics
         self.plane = CommPlane(
@@ -130,64 +134,6 @@ class GluonSubstrate:
     def num_local_nodes(self) -> int:
         """Number of local proxies."""
         return self.partition.num_nodes
-
-    # -- per-field proxy-set selection ----------------------------------------
-
-    def _select(self, locations: frozenset, by_in, by_out, by_any, by_all):
-        """Pick memoized arrays for a field's read or write locations.
-
-        Implements the paper's ``sync<WriteLocation, ReadLocation>``
-        specialization: with structural optimization, only proxies whose
-        local edges allow the declared access take part.
-        """
-        if not self.level.structural:
-            return by_all
-        if locations == frozenset({"destination"}):
-            return by_in
-        if locations == frozenset({"source"}):
-            return by_out
-        return by_any
-
-    def _reduce_send_arrays(self, field: FieldSpec):
-        # A proxy must be *written* during compute to contribute: writes at
-        # the destination need in-edges, writes at the source out-edges.
-        return self._select(
-            field.writes,
-            self.book.mirrors_reduce,
-            self.book.mirrors_broadcast,
-            self.book.mirrors_any,
-            self.book.mirrors_all,
-        )
-
-    def _reduce_recv_arrays(self, field: FieldSpec):
-        return self._select(
-            field.writes,
-            self.book.masters_reduce,
-            self.book.masters_broadcast,
-            self.book.masters_any,
-            self.book.masters_all,
-        )
-
-    def _broadcast_send_arrays(self, field: FieldSpec):
-        # A proxy must be *read* during compute to need the canonical
-        # value: reads at the source need out-edges, at the destination
-        # in-edges.
-        return self._select(
-            field.reads,
-            self.book.masters_reduce,
-            self.book.masters_broadcast,
-            self.book.masters_any,
-            self.book.masters_all,
-        )
-
-    def _broadcast_recv_arrays(self, field: FieldSpec):
-        return self._select(
-            field.reads,
-            self.book.mirrors_reduce,
-            self.book.mirrors_broadcast,
-            self.book.mirrors_any,
-            self.book.mirrors_all,
-        )
 
     # -- sanitizer support (proxy-set masks over local IDs) ---------------------
 
@@ -206,7 +152,8 @@ class GluonSubstrate:
         ships (the declared-write proxy set).  A write outside this mask
         is a lost update — the ``--sanitize`` mode's GL201.
         """
-        return self._proxy_mask(self._reduce_send_arrays(field))
+        mirrors, _ = proxy_arrays(self.book, self.level.structural, field.writes)
+        return self._proxy_mask(mirrors)
 
     def readable_mirror_mask(self, field: FieldSpec) -> np.ndarray:
         """Local IDs the compute phase may read for ``field``.
@@ -215,71 +162,76 @@ class GluonSubstrate:
         declared-read proxy set).  A read outside this mask sees a stale
         value — the ``--sanitize`` mode's GL202.
         """
-        return self._proxy_mask(self._broadcast_recv_arrays(field))
+        mirrors, _ = proxy_arrays(self.book, self.level.structural, field.reads)
+        return self._proxy_mask(mirrors)
 
-    # -- codec wrappers (stats + metrics accounting) ---------------------------
+    # -- staging (stats + metrics accounting around the field codec) -----------
 
-    def _encode(
-        self,
-        field: FieldSpec,
-        agreed: np.ndarray,
-        updated_mask: np.ndarray,
-        broadcast: bool,
-    ) -> Optional[EncodedField]:
-        """Encode one sub-message via the field codec, counting costs."""
-        if self.level.temporal:
-            encoded = encode_memoized_field(
-                field, agreed, updated_mask, broadcast=broadcast
-            )
-        else:
-            encoded = encode_global_ids_field(
-                field,
-                agreed,
-                updated_mask,
-                self.partition.local_to_global,
-                broadcast=broadcast,
-            )
-            if encoded is None:
-                return None
-        self.stats.count_mode(encoded.mode)
-        if encoded.translations:
-            self.stats.translations += encoded.translations
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "metadata_mode_total", mode=encoded.mode.name
-            ).inc()
-            if encoded.translations:
-                self.metrics.counter(
-                    "translations_total", host=self.host
-                ).inc(encoded.translations)
-        return encoded
-
-    def _decode(
-        self,
-        payload: bytes,
-        recv_arrays: Dict[int, np.ndarray],
-        sender: int,
-        field: Optional[FieldSpec] = None,
-        broadcast: bool = False,
-    ) -> Optional[DecodedField]:
-        """Decode one sub-message via the field codec, counting costs."""
-        decoded = decode_field_payload(
-            payload,
-            recv_arrays,
-            sender,
-            self.partition,
-            field=field,
-            broadcast=broadcast,
-        )
-        if decoded is None:
-            return None
-        if decoded.translations:
-            self.stats.translations += decoded.translations
+    def _count_translations(self, count: int) -> None:
+        if count:
+            self.stats.translations += count
             if self.metrics.enabled:
-                self.metrics.counter(
-                    "translations_total", host=self.host
-                ).inc(decoded.translations)
-        return decoded
+                self.metrics.counter("translations_total", host=self.host).inc(count)
+
+    def _count(self, mode: MetadataMode, count: int, translations: int = 0) -> None:
+        """Account ``count`` staged sub-messages of ``mode``."""
+        self.stats.count_mode(mode, count)
+        if self.metrics.enabled:
+            self.metrics.counter("metadata_mode_total", mode=mode.name).inc(count)
+        self._count_translations(translations)
+
+    def _stage(
+        self, field_index: int, field: FieldSpec, dirty: np.ndarray, phase: str
+    ) -> List[Tuple[int, int]]:
+        """Stage ``field``'s sub-message for every peer of its ``phase`` route.
+
+        A quiet peer costs a constant: with memoization on, EMPTY is
+        decided from the dirty bits alone — one ``any`` over the whole
+        mask for a host with nothing to say, else a popcount of each
+        peer's agreed proxies — and the field's constant EMPTY payload
+        is staged without building anything.
+        """
+        entry = self.plan.of(field)
+        sends = entry.sends[phase]
+        broadcast = phase == "broadcast"
+        self._check_dirty(dirty)
+        if not sends:
+            return []
+        temporal = self.level.temporal
+        stage, empty = self.plane.stage, entry.empty
+        if not dirty.any():
+            if not temporal:
+                return []  # no agreement, so no peer expects a message
+            for peer, _ in sends:
+                stage(peer, field_index, empty)
+            self._count(MetadataMode.EMPTY, len(sends))
+            return [(peer, len(empty)) for peer, _ in sends]
+        staged: List[Tuple[int, int]] = []
+        for peer, agreed in sends:
+            updated_mask = dirty.take(agreed)
+            if not np.count_nonzero(updated_mask):
+                if temporal:
+                    stage(peer, field_index, empty)
+                    self._count(MetadataMode.EMPTY, 1)
+                    staged.append((peer, len(empty)))
+                continue
+            if temporal:
+                encoded = encode_memoized_field(
+                    field, agreed, updated_mask, broadcast=broadcast
+                )
+            else:
+                encoded = encode_global_ids_field(
+                    field, agreed, updated_mask, self.partition.local_to_global,
+                    broadcast=broadcast,
+                )
+            self._count(encoded.mode, 1, encoded.translations)
+            stage(peer, field_index, encoded.payload)
+            staged.append((peer, len(encoded.payload)))
+            if not broadcast:
+                # Mirrors are reset after their contribution is shipped so
+                # the next round accumulates fresh values (§3.2, OEC).
+                field.reset(agreed[updated_mask])
+        return staged
 
     # -- the phase API (driven by repro.runtime.round.synchronize) -------------
 
@@ -295,29 +247,11 @@ class GluonSubstrate:
 
         A field whose ``sync_phases`` excludes ``"reduce"`` (a
         GL301-dead phase dropped by ``compile_program(optimize=True)``)
-        stages nothing: every host resolves the same strategy, so no
-        peer expects the sub-message either.
+        has no reduce sends in the plan and stages nothing: every host
+        resolves the same strategy, so no peer expects the sub-message
+        either.
         """
-        if "reduce" not in field.sync_phases:
-            return []
-        self._check_dirty(dirty)
-        self.stats.sync_calls += 1
-        send_arrays = self._reduce_send_arrays(field)
-        staged: List[Tuple[int, int]] = []
-        for peer in self.peer_order:
-            agreed = send_arrays[peer]
-            if len(agreed) == 0:
-                continue
-            updated_mask = dirty[agreed]
-            encoded = self._encode(field, agreed, updated_mask, broadcast=False)
-            if encoded is None:
-                continue
-            self.plane.stage(peer, field_index, encoded.payload)
-            staged.append((peer, len(encoded.payload)))
-            # Mirrors are reset after their contribution is shipped so the
-            # next round accumulates fresh values (§3.2, OEC discussion).
-            field.reset(agreed[updated_mask])
-        return staged
+        return self._stage(field_index, field, dirty, "reduce")
 
     def stage_broadcast(
         self, field_index: int, field: FieldSpec, dirty: np.ndarray
@@ -328,25 +262,11 @@ class GluonSubstrate:
         stages nothing — the read surface is provably never consumed at
         a mirror under the resolved strategy.
         """
-        if "broadcast" not in field.sync_phases:
-            return []
-        self._check_dirty(dirty)
-        send_arrays = self._broadcast_send_arrays(field)
-        staged: List[Tuple[int, int]] = []
-        for peer in self.peer_order:
-            agreed = send_arrays[peer]
-            if len(agreed) == 0:
-                continue
-            updated_mask = dirty[agreed]
-            encoded = self._encode(field, agreed, updated_mask, broadcast=True)
-            if encoded is None:
-                continue
-            self.plane.stage(peer, field_index, encoded.payload)
-            staged.append((peer, len(encoded.payload)))
+        staged = self._stage(field_index, field, dirty, "broadcast")
         # Delta senders commit the dirty rows only after every peer's
         # payload is encoded: all sharing peers received exactly these
         # rows this phase, so the cache matches every receiver's copy.
-        if field.compression == "delta":
+        if field.compression == "delta" and "broadcast" in field.sync_phases:
             field.commit_broadcast(np.flatnonzero(dirty))
         return staged
 
@@ -355,7 +275,7 @@ class GluonSubstrate:
 
         Returns the flushed ``(peer, frame_bytes)`` pairs.
         """
-        return self.plane.flush(num_fields, self.peer_order)
+        return self.plane.flush(num_fields, self.plan.peer_order)
 
     def receive_reduce_all(
         self, fields: Sequence[FieldSpec]
@@ -365,8 +285,7 @@ class GluonSubstrate:
         Returns, per field, the boolean mask (over local IDs) of masters
         whose value changed — the input to the broadcast phase.
         """
-        recv_arrays = [self._reduce_recv_arrays(f) for f in fields]
-        return self._receive_all(fields, recv_arrays, broadcast=False)
+        return self._receive_all(fields, "reduce")
 
     def receive_broadcast_all(
         self, fields: Sequence[FieldSpec]
@@ -376,27 +295,35 @@ class GluonSubstrate:
         Returns, per field, the boolean mask of mirrors whose value
         changed (feeds the next round's frontier).
         """
-        recv_arrays = [self._broadcast_recv_arrays(f) for f in fields]
-        return self._receive_all(fields, recv_arrays, broadcast=True)
+        return self._receive_all(fields, "broadcast")
 
     def _receive_all(
-        self, fields: Sequence[FieldSpec], recv_arrays: List, broadcast: bool
+        self, fields: Sequence[FieldSpec], phase: str
     ) -> List[np.ndarray]:
-        """Decode the inbox's frames and reduce (or set) each field."""
+        """Decode the inbox's frames and reduce (or set) each field.
+
+        A quiet peer's EMPTY sub-message is recognised from its two
+        bytes and skipped; everything else goes through the field codec.
+        The decoded arrays are views into the frame, consumed here.
+        """
+        broadcast = phase == "broadcast"
+        recv_arrays = [self.plan.of(f).recv[phase] for f in fields]
         changed = [
             np.zeros(self.num_local_nodes, dtype=bool) for _ in fields
         ]
         for sender, subs in self.plane.receive_frames():
             self._check_frame_width(sender, subs, len(fields))
             for index, payload in enumerate(subs):
-                if payload is None:
+                if payload is None or is_empty_message(payload):
                     continue
                 field = fields[index]
-                decoded = self._decode(
-                    payload, recv_arrays[index], sender, field, broadcast
+                decoded = decode_field_payload(
+                    payload, recv_arrays[index], sender, self.partition,
+                    field=field, broadcast=broadcast,
                 )
                 if decoded is None:
                     continue
+                self._count_translations(decoded.translations)
                 apply = field.set if broadcast else field.reduce
                 changed_here = apply(decoded.lids, decoded.values)
                 changed[index][decoded.lids[changed_here]] = True
@@ -440,6 +367,24 @@ def setup_substrates(
     return setup_substrates_from_books(
         partitioned, transport, level, PreparedSync(books), metrics, aggregate
     )
+
+
+def bind_sync_plans(hosts, substrates, fields, books: Sequence[AddressBook]) -> None:
+    """Resolve every substrate's :class:`SyncPlan` for its layout's fields.
+
+    Called once per layout, after the fields exist, by whoever built the
+    substrates (the executor's ``_bind``, a process worker).
+    ``substrates`` and ``fields`` are indexed by the ids in ``hosts``;
+    ``books`` is **every** host's address book, so each caller reaches the
+    same cluster-wide liveness verdict whatever subset it owns.
+    """
+    first = substrates[hosts[0]]
+    liveness = phase_liveness(books, first.level.structural, fields[hosts[0]])
+    for h in hosts:
+        sub = substrates[h]
+        sub.plan = build_sync_plan(
+            sub.book, sub.level.structural, fields[h], liveness
+        )
 
 
 @dataclass(frozen=True)

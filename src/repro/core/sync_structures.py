@@ -331,7 +331,9 @@ class FieldSpec:
                 f"{len(incoming)} values"
             )
         current = self.values[local_ids]
-        reduced = self.reduce_op.combine(current, incoming.astype(self.dtype))
+        reduced = self.reduce_op.combine(
+            current, incoming.astype(self.dtype, copy=False)
+        )
         changed = reduced != current
         if changed.ndim == 2:  # wide field: a row changed if any column did
             changed = changed.any(axis=1)
@@ -349,7 +351,7 @@ class FieldSpec:
                 f"field {self.name!r}: set got {len(local_ids)} ids for "
                 f"{len(incoming)} values"
             )
-        incoming = incoming.astype(self.broadcast_values.dtype)
+        incoming = incoming.astype(self.broadcast_values.dtype, copy=False)
         current = self.broadcast_values[local_ids]
         changed = current != incoming
         if changed.ndim == 2:  # wide field: a row changed if any column did

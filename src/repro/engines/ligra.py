@@ -55,10 +55,11 @@ class LigraEngine(Engine):
             return "push"
         if app.operator_class.value == "pull":
             return "pull"
-        num_edges = part.graph.num_edges
-        if num_edges == 0:
+        graph = part.graph
+        budget = graph.num_edges * self.DIRECTION_THRESHOLD
+        # k frontier nodes have at most k * (max out-degree) out-edges, so
+        # a near-empty frontier is answered without the O(n) masked sum.
+        if np.count_nonzero(frontier) * graph.max_out_degree() <= budget:
             return "push"
-        frontier_edges = int(part.graph.out_degree()[frontier].sum())
-        if frontier_edges > num_edges * self.DIRECTION_THRESHOLD:
-            return "pull"
-        return "push"
+        frontier_edges = int(graph.out_degree()[frontier].sum())
+        return "pull" if frontier_edges > budget else "push"

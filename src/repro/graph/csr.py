@@ -61,6 +61,7 @@ class CSRGraph:
         self._in_csr: Optional["CSRGraph"] = None
         # Lazily cached degree arrays (read-only: every caller shares them).
         self._out_degree: Optional[np.ndarray] = None
+        self._max_out_degree: Optional[int] = None
         self._in_degree: Optional[np.ndarray] = None
 
     # -- construction ------------------------------------------------------
@@ -150,6 +151,12 @@ class CSRGraph:
         if not 0 <= node < self.num_nodes:
             raise IndexError(f"node {node} out of range")
         return int(self._indptr[node + 1] - self._indptr[node])
+
+    def max_out_degree(self) -> int:
+        """The largest out-degree (0 for an empty graph); computed once."""
+        if self._max_out_degree is None:
+            self._max_out_degree = int(self.out_degree().max(initial=0))
+        return self._max_out_degree
 
     def in_degree(self, node: Optional[int] = None):
         """In-degree of ``node``, or the full in-degree array if omitted.

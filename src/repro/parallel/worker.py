@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.substrate import GluonSubstrate
+from repro.core.substrate import GluonSubstrate, bind_sync_plans
 from repro.parallel.pipes import PipeFabric, PipeTransport
 from repro.parallel.shm import GraphManifest, SharedArrayStore, SharedGraphStore
 from repro.runtime.round import run_hosts
@@ -113,6 +113,9 @@ class _HostWorker:
                 )
                 for h in self.owned
             }
+            # All books, not just the owned hosts': every worker must
+            # reach the same verdict on which phases are dead.
+            bind_sync_plans(self.owned, self.substrates, self.fields, task.books)
         self.frontiers = {h: task.frontiers[h] for h in self.owned}
 
     # -- one BSP round ------------------------------------------------------

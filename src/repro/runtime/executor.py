@@ -35,6 +35,7 @@ from repro.core.substrate import (
     GluonSubstrate,
     PreparedSync,
     SubstrateStats,
+    bind_sync_plans,
     setup_substrates,
     setup_substrates_from_books,
 )
@@ -237,10 +238,10 @@ class DistributedExecutor:
         start), from ``exchange(transport)`` when the caller can patch them
         (streaming), else from a full memoization exchange — and closes
         that exchange; derives the field specs from ``states`` (``None`` =
-        fresh ``app.make_state``) and seeds ``frontiers`` (``None`` =
-        ``app.initial_frontier``).  Returns the exchange's ``(bytes,
-        simulated_time)``, priced like a regular round; which account they
-        land in is the caller's business.
+        fresh ``app.make_state``), resolves the substrates' sync plans for
+        them, and seeds ``frontiers`` (``None`` = ``app.initial_frontier``).
+        Returns the exchange's ``(bytes, simulated_time)``, priced like a
+        regular round; which account they land in is the caller's business.
         """
         for sub in self.substrates:
             self.retired_stats.absorb(sub.stats)
@@ -282,6 +283,11 @@ class DistributedExecutor:
         ]
         if len({len(f) for f in self.fields}) != 1:
             raise ExecutionError("hosts disagree on synchronized field count")
+        if self.substrates:
+            bind_sync_plans(
+                range(num_hosts), self.substrates, self.fields,
+                [sub.book for sub in self.substrates],
+            )
         if frontiers is None:
             frontiers = [
                 self.app.initial_frontier(part, state, ctx)

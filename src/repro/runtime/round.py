@@ -40,6 +40,8 @@ _UNGUARDED = nullcontext()
 
 def broadcast_dirty(part, field, reduce_changed, outcome) -> np.ndarray:
     """Master-side apply: which masters broadcast after the reduce."""
+    if reduce_changed is None:  # the reduce was not driven: no master changed
+        reduce_changed = np.zeros(len(outcome.updated), dtype=bool)
     if field.on_master_after_reduce is not None:
         return field.on_master_after_reduce(reduce_changed)
     dirty = reduce_changed | outcome.updated
@@ -58,7 +60,7 @@ def apply_hooks_locally(hosts, fields, next_frontiers) -> None:
                     next_frontiers[h] |= dirty
 
 
-def _phase(kind, hosts, substrates, group, stage, receive, end_phase, record):
+def _phase(kind, live, hosts, substrates, group, stage, receive, end_phase, record):
     """Stage, flush and receive one phase of one field group.
 
     ``stage(h, slot)`` stages host ``h``'s sub-messages for the group's
@@ -68,9 +70,19 @@ def _phase(kind, hosts, substrates, group, stage, receive, end_phase, record):
     field over its sub-message sizes, plus a ``framing:`` entry for the
     flushed frames' header bytes, so the entries' byte totals reconcile
     exactly with the transport's round volume.
+
+    A phase that is not ``live`` is not driven: every mask is ``None``.
+    Its zero-byte records are still left — the tracer splits a byte-less
+    round's window evenly among the records it finds.
     """
     width = len(group[hosts[0]])
     tracing = record is not None
+    if not live:
+        if tracing:
+            record.extend(
+                (f"{kind}:{field.name}", [], 0.0, 0.0) for field in group[hosts[0]]
+            )
+        return {h: [None] * width for h in hosts}
     if tracing:
         messages = [[] for _ in range(width)]
         serialize_walls = [0.0] * width
@@ -131,6 +143,11 @@ def synchronize(
     is the tracer's phase-record sink (see :func:`_phase`); without it
     no clock is read and nothing is collected.
 
+    A phase the sync plan calls dead for a whole field group
+    (:meth:`~repro.core.patterns.SyncPlan.live`, a cluster-wide verdict)
+    is not driven: nothing is staged, flushed, marked or received.  The
+    master-side apply still runs every round.
+
     Field results do not depend on the flush granularity: each field's
     arrays are independent and every receiver applies senders in the
     same mailbox order either way.  A one-field group receives before
@@ -138,6 +155,7 @@ def synchronize(
     field identity on the wire.
     """
     first = hosts[0]
+    plan = substrates[first].plan
     num_fields = len(fields[first])
     if substrates[first].plane.aggregate:
         groups = [slice(0, num_fields)]
@@ -146,7 +164,7 @@ def synchronize(
     for members in groups:
         group = {h: fields[h][members] for h in hosts}
         reduce_changed = _phase(
-            "reduce", hosts, substrates, group,
+            "reduce", plan.live("reduce", members), hosts, substrates, group,
             lambda h, slot: substrates[h].stage_reduce(
                 slot, group[h][slot], outcomes[h].updated
             ),
@@ -160,9 +178,11 @@ def synchronize(
                     parts[h], field, changed, outcomes[h]
                 )
                 dirty[h].append(field_dirty)
-                next_frontiers[h] |= changed | field_dirty
+                if changed is not None:
+                    next_frontiers[h] |= changed
+                next_frontiers[h] |= field_dirty
         broadcast_changed = _phase(
-            "broadcast", hosts, substrates, group,
+            "broadcast", plan.live("broadcast", members), hosts, substrates, group,
             lambda h, slot: substrates[h].stage_broadcast(
                 slot, group[h][slot], dirty[h][slot]
             ),
@@ -171,7 +191,8 @@ def synchronize(
         )
         for h in hosts:
             for mask in broadcast_changed[h]:
-                next_frontiers[h] |= mask
+                if mask is not None:
+                    next_frontiers[h] |= mask
     # Drain guard: a sub-message staged after its phase flush would sit
     # in a channel buffer forever — fail loudly at the round boundary,
     # complementing the transport's own undelivered-mail detection.

@@ -1,0 +1,272 @@
+"""Fuzzing the whole inbound path, now that decoding returns views.
+
+``decode_frame`` -> EMPTY short-cut -> ``decode_field_payload`` ->
+``FieldSpec.reduce`` / ``set``, driven through the real
+``GluonSubstrate.receive_*_all`` over a stub inbox that delivers each
+buffer exactly as handed (``bytes``, ``bytearray`` or ``memoryview``).
+Whatever arrives — random bytes, a valid frame with one byte flipped, any
+truncation — only :class:`SerializationError` / :class:`SyncError` may
+escape, and nothing the decoder hands out is writable.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.comm.frame import decode_frame
+from repro.core.metadata import MetadataMode
+from repro.core.optimization import OptimizationLevel
+from repro.core.serialization import (
+    decode_message,
+    empty_message,
+    encode_message,
+    is_empty_message,
+)
+from repro.core.substrate import bind_sync_plans, setup_substrates
+from repro.core.sync_structures import ADD, MIN, FieldSpec
+from repro.errors import SerializationError, SyncError
+from repro.graph.generators import rmat
+from repro.network.transport import InProcessTransport
+from repro.partition import make_partitioner
+
+REJECTIONS = (SerializationError, SyncError)
+BUFFER_TYPES = [bytes, bytearray, lambda raw: memoryview(bytearray(raw))]
+BUFFER_IDS = ["bytes", "bytearray", "memoryview"]
+EDGES = rmat(scale=7, edge_factor=8, seed=2)
+
+
+class Inbox:
+    """A transport stub: delivers the buffers it holds, untouched."""
+
+    def __init__(self):
+        self.mail = []
+
+    def receive_all(self, host):
+        mail, self.mail = self.mail, []
+        return mail
+
+
+def make_fields(kind, part):
+    n = part.num_nodes
+    if kind == "scalar":
+        return [FieldSpec("v", np.full(n, 50, dtype=np.uint32), MIN)]
+    rows = np.zeros((n, 5), dtype=np.float32)
+    compression = "delta" if kind == "delta" else "none"
+    return [FieldSpec("rows", rows, ADD, compression=compression)]
+
+
+class Cluster:
+    """Two hvc hosts with one bound field; host 1's traffic is captured."""
+
+    def __init__(self, kind, level, aggregate):
+        self.partitioned = make_partitioner("hvc").partition(EDGES, 2)
+        self.transport = InProcessTransport(2)
+        self.subs = setup_substrates(
+            self.partitioned, self.transport, level, aggregate=aggregate
+        )
+        self.transport.end_round()
+        self.fields = [make_fields(kind, p) for p in self.partitioned.partitions]
+        bind_sync_plans(range(2), self.subs, self.fields, [s.book for s in self.subs])
+        self.inbox = Inbox()
+        self.subs[0].plane.transport = self.inbox
+
+    def capture(self, phase, share):
+        """The valid wire buffer host 1 sends host 0 in ``phase`` when
+        ``share`` of the proxies agreed between them are dirty."""
+        sub, (field,) = self.subs[1], self.fields[1]
+        field.values[...] = np.random.default_rng(7).integers(
+            1, 40, size=field.values.shape
+        )
+        ((_, agreed),) = sub.plan.fields[0].sends[phase]
+        dirty = np.zeros(sub.num_local_nodes, dtype=bool)
+        dirty[agreed[: max(1, int(len(agreed) * share))]] = True
+        stage = sub.stage_reduce if phase == "reduce" else sub.stage_broadcast
+        stage(0, field, dirty)
+        sub.flush_phase(1)
+        ((_, buffer),) = self.transport.receive_all(0)
+        return buffer
+
+    def deliver(self, phase, buffer):
+        self.inbox.mail = [(1, buffer)]
+        receive = (
+            self.subs[0].receive_reduce_all
+            if phase == "reduce"
+            else self.subs[0].receive_broadcast_all
+        )
+        return receive(self.fields[0])
+
+
+OSTI, OTI, OSI, UNOPT = (
+    OptimizationLevel.OSTI, OptimizationLevel.OTI,
+    OptimizationLevel.OSI, OptimizationLevel.UNOPT,
+)
+#: name -> (field kind, level, framed?, phase, dirty share, expected mode).
+SHAPES = {
+    "scalar-indices-framed": ("scalar", OTI, True, "broadcast", 0.0, "INDICES"),
+    "scalar-bitvec-framed": ("scalar", OSTI, True, "broadcast", 0.5, "BITVEC"),
+    "scalar-full-raw": ("scalar", OTI, False, "reduce", 1.0, "FULL"),
+    "scalar-global-ids-raw": ("scalar", UNOPT, False, "reduce", 0.3, "GLOBAL_IDS"),
+    "wide-bitvec-framed": ("wide", OTI, True, "reduce", 0.3, "BITVEC"),
+    "wide-global-ids-raw": ("wide", OSI, False, "broadcast", 0.3, "GLOBAL_IDS"),
+    "delta-bitvec-framed": ("delta", OSTI, True, "broadcast", 0.3, "BITVEC"),
+    "delta-full-raw": ("delta", OTI, False, "reduce", 1.0, "FULL"),
+}
+
+
+def cluster_and_buffer(shape):
+    kind, level, framed, phase, share, mode = SHAPES[shape]
+    cluster = Cluster(kind, level, framed)
+    buffer = cluster.capture(phase, share)
+    (payload,) = decode_frame(buffer) if framed else [buffer]
+    message = decode_message(payload)
+    assert message.mode.name == mode, shape
+    assert (message.width > 0) == (kind != "scalar")
+    assert (message.delta_mask is not None) == (kind == "delta")
+    return cluster, phase, buffer
+
+
+@pytest.mark.parametrize("as_buffer", BUFFER_TYPES, ids=BUFFER_IDS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_valid_traffic_applies_the_same_from_any_buffer_type(shape, as_buffer):
+    cluster, phase, raw = cluster_and_buffer(shape)
+    reference, _, _ = cluster_and_buffer(shape)
+    expected = reference.deliver(phase, raw)
+    changed = cluster.deliver(phase, as_buffer(raw))
+    assert np.array_equal(changed[0], expected[0]) and changed[0].any()
+    for got, want in zip(cluster.fields[0], reference.fields[0]):
+        assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("as_buffer", BUFFER_TYPES, ids=BUFFER_IDS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_every_truncation_is_rejected(shape, as_buffer):
+    cluster, phase, raw = cluster_and_buffer(shape)
+    for cut in range(len(raw)):
+        if cut == 2 and is_empty_message(raw[:2]):
+            continue  # a raw payload cut to its header *is* an EMPTY message
+        with pytest.raises(REJECTIONS):
+            cluster.deliver(phase, as_buffer(raw[:cut]))
+
+
+@pytest.mark.parametrize("as_buffer", BUFFER_TYPES, ids=BUFFER_IDS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_single_byte_flips_never_escape(shape, as_buffer):
+    cluster, phase, raw = cluster_and_buffer(shape)
+    rng = np.random.default_rng(11)
+    # Every byte of the headers and metadata, a sample of the values.
+    positions = list(range(min(len(raw), 48))) + rng.integers(
+        0, len(raw), size=40
+    ).tolist()
+    for position in positions:
+        for flipped in {raw[position] ^ 0xFF, raw[position] ^ 0x01, 0x00, 0xC0}:
+            mutated = bytearray(raw)
+            mutated[position] = flipped
+            try:
+                cluster.deliver(phase, as_buffer(bytes(mutated)))
+            except REJECTIONS:
+                pass
+
+
+@given(payload=st.binary(max_size=200), framed=st.booleans(), wide=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_random_bytes_never_escape(payload, framed, wide):
+    cluster = _RANDOM_CLUSTERS[framed, wide]
+    for as_buffer in BUFFER_TYPES:
+        for phase in ("reduce", "broadcast"):
+            try:
+                cluster.deliver(phase, as_buffer(payload))
+            except REJECTIONS:
+                pass
+
+
+_RANDOM_CLUSTERS = {
+    (framed, wide): Cluster(
+        "delta" if wide else "scalar", OptimizationLevel.OSTI, framed
+    )
+    for framed in (True, False)
+    for wide in (True, False)
+}
+
+
+@pytest.mark.parametrize("as_buffer", BUFFER_TYPES, ids=BUFFER_IDS)
+def test_decoded_arrays_are_read_only_views(as_buffer):
+    values = np.arange(12, dtype=np.float32).reshape(4, 3)
+    mask = values % 2 == 0
+    selection = np.array([0, 2, 5, 7], dtype=np.uint32)
+    messages = [
+        encode_message(MetadataMode.FULL, np.arange(6, dtype=np.uint32)),
+        encode_message(
+            MetadataMode.INDICES, np.arange(4, dtype=np.int64), selection=selection
+        ),
+        encode_message(MetadataMode.GLOBAL_IDS, values, selection=selection, width=3),
+        encode_message(
+            MetadataMode.BITVEC, values, num_agreed=9, selection=selection, width=3,
+            delta_mask=mask,
+        ),
+    ]
+    for raw in messages:
+        message = decode_message(as_buffer(raw))
+        assert not message.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            message.values.reshape(-1)[:1] = 0
+        if message.mode is not MetadataMode.FULL:
+            assert np.array_equal(message.selection, selection)
+        if message.mode in (MetadataMode.INDICES, MetadataMode.GLOBAL_IDS):
+            assert not message.selection.flags.writeable
+    for sub in decode_frame(as_buffer(b"\x01\x00\x02\x00\x00\x00\x00\x00")):
+        assert sub.readonly or as_buffer is not bytes
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"\x80\x00", b"\x40\x00", b"\xc0\x02", b"\x00\x08", b"\x00\xff", b"\x01\x00"],
+    ids=["wide-flag", "delta-flag", "both-flags", "dtype-8", "dtype-255", "full-tag"],
+)
+def test_near_empty_headers_are_not_taken_for_empty(header):
+    """Two bytes with a flag bit, an unknown dtype code or another tag
+    take the full decoder, and its error — never the silent short-cut."""
+    assert not is_empty_message(header)
+    assert not is_empty_message(memoryview(header))
+    cluster = Cluster("scalar", OptimizationLevel.OSTI, aggregate=False)
+    with pytest.raises(SerializationError):
+        cluster.deliver("reduce", header)
+
+
+def test_exactly_the_empty_message_is_skipped_without_decoding(monkeypatch):
+    import repro.comm.codec as codec
+
+    assert is_empty_message(empty_message(np.float64))
+    assert not is_empty_message(b"\x00") and not is_empty_message(b"\x00\x00\x00")
+    monkeypatch.setattr(
+        codec, "decode_message", lambda payload: pytest.fail("EMPTY was decoded")
+    )
+    for aggregate, buffer in ((False, b"\x00\x00"), (True, b"\x01\x00\x02\x00\x00\x00\x00\x03")):
+        cluster = Cluster("scalar", OptimizationLevel.OSTI, aggregate)
+        (changed,) = cluster.deliver("reduce", buffer)
+        assert not changed.any()
+
+
+def test_rows_of_the_wrong_width_are_rejected_by_name():
+    """A well-formed message whose row width is not the field's would
+    otherwise broadcast against (or silently into) the field's rows."""
+    cluster = Cluster("wide", OptimizationLevel.OTI, aggregate=False)
+    agreed = cluster.subs[0].plan.fields[0].recv["reduce"][1]
+    ones = np.ones((len(agreed), 5), dtype=np.float32)
+    assert cluster.deliver(
+        "reduce", encode_message(MetadataMode.FULL, ones, width=5)
+    )[0].any()
+    for payload in (
+        encode_message(MetadataMode.FULL, ones[:, 0]),  # scalar into rows
+        encode_message(MetadataMode.FULL, ones[:, :4], width=4),
+        encode_message(
+            MetadataMode.FULL, ones[:, :4], width=4, delta_mask=ones[:, :4] > 0
+        ),
+    ):
+        with pytest.raises(SyncError, match="width"):
+            cluster.deliver("reduce", payload)
+    scalar = Cluster("scalar", OptimizationLevel.OTI, aggregate=False)
+    with pytest.raises(SyncError, match="width"):
+        scalar.deliver("reduce", encode_message(MetadataMode.FULL, ones, width=5))

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.substrate import bind_sync_plans
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import erdos_renyi, grid_graph, path_graph, rmat
 from repro.runtime.round import synchronize
@@ -67,6 +68,14 @@ def small_path() -> EdgeList:
     return path_graph(40)
 
 
+def bind_one_field(subs, fields):
+    """Bind one field per host; returns each host's resolved ``FieldPlan``."""
+    bind_sync_plans(
+        range(len(subs)), subs, [[f] for f in fields], [s.book for s in subs]
+    )
+    return [sub.plan.fields[0] for sub in subs]
+
+
 def sync_one_field(partitioned, subs, fields, dirty_masks, **kwargs):
     """One collective over one field per host, via the shared driver.
 
@@ -75,6 +84,7 @@ def sync_one_field(partitioned, subs, fields, dirty_masks, **kwargs):
     proxy the collective wrote, dirtied or refreshed.
     """
     touched = [np.zeros_like(dirty) for dirty in dirty_masks]
+    bind_one_field(subs, fields)
     synchronize(
         range(len(subs)),
         subs,

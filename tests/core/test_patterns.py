@@ -1,36 +1,58 @@
-"""Unit tests for per-strategy communication plans (§3.2)."""
+"""The §3.2 per-strategy communication patterns, on the live sync plan.
 
-from repro.core.memoization import exchange_address_books
-from repro.core.patterns import build_sync_plan
+Every assertion reads the object the round loop consults — the
+``SyncPlan`` that ``bind_sync_plans`` installs on each substrate — for a
+field with the default ``writes={"destination"}`` / ``reads={"source"}``
+declaration.
+"""
+
+import numpy as np
+
+from repro.core.optimization import OptimizationLevel
+from repro.core.substrate import setup_substrates
+from repro.core.sync_structures import MIN, FieldSpec
 from repro.network.transport import InProcessTransport
 from repro.partition import make_partitioner
+from tests.conftest import bind_one_field
 
 
 def plans_for(edges, policy, num_hosts, structural):
+    """``(partitioned, [host's FieldPlan for the one bound field])``."""
     partitioned = make_partitioner(policy).partition(edges, num_hosts)
-    transport = InProcessTransport(num_hosts)
-    books = exchange_address_books(partitioned, transport)
-    return partitioned, [build_sync_plan(b, structural) for b in books]
+    level = OptimizationLevel.OSTI if structural else OptimizationLevel.OTI
+    subs = setup_substrates(partitioned, InProcessTransport(num_hosts), level)
+    fields = [
+        FieldSpec("v", np.zeros(part.num_nodes, dtype=np.uint32), MIN)
+        for part in partitioned.partitions
+    ]
+    return partitioned, bind_one_field(subs, fields)
+
+
+def exchanges(plan, phase) -> bool:
+    """Whether any peer exchanges ``phase`` data with the host."""
+    return bool(plan.sends[phase]) or any(len(a) for a in plan.recv[phase].values())
 
 
 class TestStructuralPlans:
     def test_oec_is_reduce_only(self, small_rmat):
         """§3.2 OEC: only the reduce pattern is required."""
         _, plans = plans_for(small_rmat, "oec", 4, structural=True)
-        assert any(p.needs_reduce for p in plans)
-        assert all(not p.needs_broadcast for p in plans)
+        assert any(exchanges(p, "reduce") for p in plans)
+        assert all(not exchanges(p, "broadcast") for p in plans)
+        assert all(p.live["reduce"] and not p.live["broadcast"] for p in plans)
 
     def test_iec_is_broadcast_only(self, small_rmat):
         """§3.2 IEC: only the broadcast (halo-exchange) pattern."""
         _, plans = plans_for(small_rmat, "iec", 4, structural=True)
-        assert all(not p.needs_reduce for p in plans)
-        assert any(p.needs_broadcast for p in plans)
+        assert all(not exchanges(p, "reduce") for p in plans)
+        assert any(exchanges(p, "broadcast") for p in plans)
+        assert all(p.live["broadcast"] and not p.live["reduce"] for p in plans)
 
     def test_uvc_needs_both(self, small_rmat):
         """§3.2 UVC: full gather-apply-scatter."""
         _, plans = plans_for(small_rmat, "hvc", 4, structural=True)
-        assert any(p.needs_reduce for p in plans)
-        assert any(p.needs_broadcast for p in plans)
+        assert any(exchanges(p, "reduce") for p in plans)
+        assert any(exchanges(p, "broadcast") for p in plans)
 
     def test_cvc_uses_disjoint_subsets(self, small_rmat):
         """§3.2 CVC: each mirror is in the reduce or broadcast subset,
@@ -38,10 +60,10 @@ class TestStructuralPlans:
         partitioned, plans = plans_for(small_rmat, "cvc", 4, structural=True)
         for plan in plans:
             reduce_set = set()
-            for arr in plan.reduce_send.values():
+            for _, arr in plan.sends["reduce"]:
                 reduce_set.update(arr.tolist())
             broadcast_set = set()
-            for arr in plan.broadcast_recv.values():
+            for arr in plan.recv["broadcast"].values():
                 broadcast_set.update(arr.tolist())
             assert reduce_set.isdisjoint(broadcast_set)
 
@@ -49,11 +71,9 @@ class TestStructuralPlans:
         """§5.6: CVC with OSI broadcasts to fewer partners than without."""
         _, structural = plans_for(medium_rmat, "cvc", 16, structural=True)
         _, unrestricted = plans_for(medium_rmat, "cvc", 16, structural=False)
-        structural_partners = max(
-            p.broadcast_partners() for p in structural
-        )
+        structural_partners = max(len(p.sends["broadcast"]) for p in structural)
         unrestricted_partners = max(
-            p.broadcast_partners() for p in unrestricted
+            len(p.sends["broadcast"]) for p in unrestricted
         )
         assert structural_partners < unrestricted_partners
 
@@ -62,9 +82,9 @@ class TestUnrestrictedPlans:
     def test_gas_plans_cover_all_mirrors(self, small_rmat):
         partitioned, plans = plans_for(small_rmat, "cvc", 4, structural=False)
         for part, plan in zip(partitioned.partitions, plans):
-            reduce_total = sum(len(a) for a in plan.reduce_send.values())
+            reduce_total = sum(len(a) for _, a in plan.sends["reduce"])
             broadcast_total = sum(
-                len(a) for a in plan.broadcast_recv.values()
+                len(a) for a in plan.recv["broadcast"].values()
             )
             assert reduce_total == part.num_mirrors
             assert broadcast_total == part.num_mirrors
@@ -72,30 +92,52 @@ class TestUnrestrictedPlans:
     def test_oec_without_osi_broadcasts(self, small_rmat):
         """With OSI off, even OEC partitions broadcast to all mirrors."""
         _, plans = plans_for(small_rmat, "oec", 4, structural=False)
-        assert any(p.needs_broadcast for p in plans)
+        assert any(exchanges(p, "broadcast") for p in plans)
+        assert all(p.live["broadcast"] for p in plans)
 
     def test_subsets_are_subsets(self, small_rmat):
         _, restricted = plans_for(small_rmat, "hvc", 4, structural=True)
         _, full = plans_for(small_rmat, "hvc", 4, structural=False)
         for r, f in zip(restricted, full):
-            for peer, arr in r.reduce_send.items():
+            full_sends = dict(f.sends["reduce"])
+            for peer, arr in r.sends["reduce"]:
+                assert set(arr.tolist()) <= set(full_sends[peer].tolist())
+            for peer, arr in r.recv["broadcast"].items():
                 assert set(arr.tolist()) <= set(
-                    f.reduce_send[peer].tolist()
-                )
-            for peer, arr in r.broadcast_recv.items():
-                assert set(arr.tolist()) <= set(
-                    f.broadcast_recv[peer].tolist()
+                    f.recv["broadcast"][peer].tolist()
                 )
 
 
 class TestPlanProperties:
-    def test_partner_counts(self, small_rmat):
+    def test_sends_drop_empty_peers_in_peer_order(self, small_rmat):
         _, plans = plans_for(small_rmat, "cvc", 4, structural=True)
         for plan in plans:
-            assert 0 <= plan.reduce_partners() <= 3
-            assert 0 <= plan.broadcast_partners() <= 3
+            for sends in plan.sends.values():
+                peers = [peer for peer, _ in sends]
+                assert peers == sorted(peers)
+                assert 0 <= len(peers) <= 3
+                assert all(len(arr) for _, arr in sends)
 
     def test_single_host_plan_is_empty(self, small_rmat):
         _, plans = plans_for(small_rmat, "cvc", 1, structural=True)
-        assert not plans[0].needs_reduce
-        assert not plans[0].needs_broadcast
+        assert not exchanges(plans[0], "reduce") and not plans[0].live["reduce"]
+        assert not exchanges(plans[0], "broadcast") and not plans[0].live["broadcast"]
+
+    def test_undeclared_phase_has_no_sends_and_is_dead(self, small_rmat):
+        partitioned = make_partitioner("hvc").partition(small_rmat, 4)
+        subs = setup_substrates(
+            partitioned, InProcessTransport(4), OptimizationLevel.OSTI
+        )
+        fields = [
+            FieldSpec(
+                "v", np.zeros(part.num_nodes, dtype=np.uint32), MIN,
+                sync_phases={"reduce"},
+            )
+            for part in partitioned.partitions
+        ]
+        bind_one_field(subs, fields)
+        for sub in subs:
+            (entry,) = sub.plan.fields
+            assert entry.sends["broadcast"] == () and not entry.live["broadcast"]
+            assert entry.live["reduce"]
+            assert not sub.plan.live("broadcast") and sub.plan.live("reduce")

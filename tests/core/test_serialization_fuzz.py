@@ -7,6 +7,7 @@ must be either a valid :class:`SyncMessage` or a
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,3 +92,37 @@ def test_truncated_messages_rejected(data, mode):
         f"truncated {mode.name} message of {cut}/{len(payload)} bytes "
         f"decoded as {message.mode.name}"
     )
+
+
+@pytest.mark.parametrize(
+    "as_buffer",
+    [bytes, bytearray, lambda raw: memoryview(bytearray(raw))],
+    ids=["bytes", "bytearray", "memoryview"],
+)
+@pytest.mark.parametrize("delta", [False, True], ids=["wide", "delta"])
+@pytest.mark.parametrize(
+    "mode",
+    [
+        MetadataMode.FULL, MetadataMode.BITVEC, MetadataMode.INDICES,
+        MetadataMode.GLOBAL_IDS,
+    ],
+    ids=lambda mode: mode.name,
+)
+def test_wide_and_delta_truncations_rejected_from_any_buffer(mode, delta, as_buffer):
+    """The offset parser reads views, not copies: every strict prefix of a
+    WIDE / DELTA message must still end in a SerializationError (never
+    numpy's own ValueError for a short buffer), whatever holds the bytes."""
+    values = np.arange(24, dtype=np.float64).reshape(6, 4)
+    payload = encode_message(
+        mode,
+        values,
+        num_agreed=16,
+        selection=np.arange(6, dtype=np.uint32) * 2,
+        width=4,
+        delta_mask=(values % 3 != 0) if delta else None,
+    )
+    whole = decode_message(as_buffer(payload))
+    assert whole.num_rows == 6 and not whole.values.flags.writeable
+    for cut in range(len(payload)):
+        with pytest.raises(SerializationError):
+            decode_message(as_buffer(payload[:cut]))

@@ -15,7 +15,7 @@ from repro.core.sync_structures import ADD, MIN, FieldSpec
 from repro.errors import SyncError
 from repro.network.transport import InProcessTransport
 from repro.partition import make_partitioner
-from tests.conftest import sync_one_field
+from tests.conftest import bind_one_field, sync_one_field
 
 LEVELS = list(OptimizationLevel)
 
@@ -46,11 +46,10 @@ def test_min_sync_reaches_master(small_rmat, level, policy, request):
     fields = min_fields_with_global_values(partitioned)
     # Pick a mirror that participates in reduce under this plan.
     chosen = None
-    for sub in subs:
-        for peer, arr in sub.plan.reduce_send.items():
-            if len(arr):
-                chosen = (sub, peer, int(arr[0]))
-                break
+    for sub, plan in zip(subs, bind_one_field(subs, fields)):
+        for peer, arr in plan.sends["reduce"]:
+            chosen = (sub, peer, int(arr[0]))
+            break
         if chosen:
             break
     if chosen is None:
@@ -75,11 +74,10 @@ def test_broadcast_reaches_reading_mirrors(small_rmat, level):
     fields = min_fields_with_global_values(partitioned)
     # Find a master with at least one mirror.
     chosen = None
-    for sub in subs:
-        for peer, arr in sub.plan.broadcast_send.items():
-            if len(arr):
-                chosen = (sub, int(arr[0]))
-                break
+    for sub, plan in zip(subs, bind_one_field(subs, fields)):
+        for peer, arr in plan.sends["broadcast"]:
+            chosen = (sub, int(arr[0]))
+            break
         if chosen:
             break
     assert chosen is not None
@@ -117,9 +115,10 @@ def test_add_reduce_sums_partials_and_resets_mirrors(small_rmat, level):
     # Every reduce-participating mirror contributes exactly 1.
     contributions = np.zeros(partitioned.num_global_nodes, dtype=np.int64)
     dirty = []
+    plans = bind_one_field(subs, fields)
     for sub, field in zip(subs, fields):
         mask = np.zeros(sub.partition.num_nodes, dtype=bool)
-        for arr in sub.plan.reduce_send.values():
+        for _, arr in plans[sub.host].sends["reduce"]:
             field.values[arr] = 1
             mask[arr] = True
             contributions[sub.partition.local_to_global[arr]] += 1
@@ -134,7 +133,7 @@ def test_add_reduce_sums_partials_and_resets_mirrors(small_rmat, level):
         # Mirrors that sent were reset to 0 (ADD identity).
         for sub in subs:
             if sub.host == part.host:
-                for arr in sub.plan.reduce_send.values():
+                for _, arr in plans[sub.host].sends["reduce"]:
                     assert np.all(field.values[arr] == 0)
 
 
@@ -147,7 +146,12 @@ def test_dirty_mask_validation(small_rmat):
         values=np.zeros(subs[0].partition.num_nodes, dtype=np.uint32),
         reduce_op=MIN,
     )
-    with pytest.raises(SyncError):
+    with pytest.raises(SyncError, match="not bound"):
+        subs[0].stage_reduce(
+            0, field, np.zeros(subs[0].partition.num_nodes, dtype=bool)
+        )
+    bind_one_field(subs, [field, field])
+    with pytest.raises(SyncError, match="dirty mask"):
         subs[0].stage_reduce(0, field, np.zeros(3, dtype=bool))
     with pytest.raises(SyncError):
         subs[0].stage_reduce(
@@ -178,9 +182,10 @@ def test_non_temporal_levels_translate(small_rmat):
         fields = min_fields_with_global_values(partitioned)
         # Improve every mirror so reduce traffic exists.
         dirty = []
+        plans = bind_one_field(subs, fields)
         for sub, field in zip(subs, fields):
             mask = np.zeros(sub.partition.num_nodes, dtype=bool)
-            for arr in sub.plan.reduce_send.values():
+            for _, arr in plans[sub.host].sends["reduce"]:
                 field.values[arr] = 0
                 mask[arr] = True
             dirty.append(mask)
@@ -228,5 +233,6 @@ def test_unexpected_memoized_sender_rejected(small_rmat):
         MetadataMode.FULL, np.array([1, 2, 3], dtype=np.uint32)
     )
     transport.send(1, 0, bogus)
+    bind_one_field(subs, [field, field])
     with pytest.raises(SyncError):
         subs[0].receive_reduce_all([field])

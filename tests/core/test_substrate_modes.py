@@ -9,6 +9,7 @@ from repro.core.substrate import setup_substrates
 from repro.core.sync_structures import MIN, FieldSpec
 from repro.network.transport import InProcessTransport
 from repro.partition import make_partitioner
+from tests.conftest import bind_one_field
 
 
 def setup(edges, policy, num_hosts, level):
@@ -24,6 +25,7 @@ def setup(edges, policy, num_hosts, level):
         )
         for p in partitioned.partitions
     ]
+    bind_one_field(subs, fields)
     return partitioned, transport, subs, fields
 
 

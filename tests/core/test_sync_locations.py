@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.optimization import OptimizationLevel
+from repro.core.patterns import build_sync_plan, phase_liveness
 from repro.core.substrate import setup_substrates
 from repro.core.sync_structures import ADD, MIN, FieldSpec
 from repro.errors import SyncError
@@ -53,6 +54,24 @@ class TestFieldLocationValidation:
             )
 
 
+def resolved(sub, field):
+    """``field``'s entry in the plan ``sub`` would consult, bound alone."""
+    liveness = phase_liveness([sub.book], sub.level.structural, [field])
+    plan = build_sync_plan(sub.book, sub.level.structural, [field], liveness)
+    return plan.of(field)
+
+
+def assert_routes(entry, phase, send_arrays, recv_arrays):
+    """In ``phase`` the field sends the non-empty ``send_arrays`` and
+    receives into ``recv_arrays`` — the address book's own arrays."""
+    sends = entry.sends[phase]
+    assert [peer for peer, _ in sends] == [
+        peer for peer in sorted(send_arrays) if len(send_arrays[peer])
+    ]
+    assert all(agreed is send_arrays[peer] for peer, agreed in sends)
+    assert entry.recv[phase] is recv_arrays
+
+
 class TestSetSelection:
     def test_write_at_source_selects_out_edge_mirrors(self, small_rmat):
         _, _, subs = make_setup(small_rmat, "cvc", 4)
@@ -64,10 +83,13 @@ class TestSetSelection:
             reads=frozenset({"destination"}),
         )
         sub = subs[0]
-        assert sub._reduce_send_arrays(field) is sub.book.mirrors_broadcast
-        assert sub._reduce_recv_arrays(field) is sub.book.masters_broadcast
-        assert sub._broadcast_send_arrays(field) is sub.book.masters_reduce
-        assert sub._broadcast_recv_arrays(field) is sub.book.mirrors_reduce
+        entry = resolved(sub, field)
+        assert_routes(
+            entry, "reduce", sub.book.mirrors_broadcast, sub.book.masters_broadcast
+        )
+        assert_routes(
+            entry, "broadcast", sub.book.masters_reduce, sub.book.mirrors_reduce
+        )
 
     def test_read_both_selects_any(self, small_rmat):
         _, _, subs = make_setup(small_rmat, "cvc", 4)
@@ -78,8 +100,12 @@ class TestSetSelection:
             reads=BOTH,
         )
         sub = subs[0]
-        assert sub._broadcast_send_arrays(field) is sub.book.masters_any
-        assert sub._broadcast_recv_arrays(field) is sub.book.mirrors_any
+        assert_routes(
+            resolved(sub, field),
+            "broadcast",
+            sub.book.masters_any,
+            sub.book.mirrors_any,
+        )
 
     def test_unopt_ignores_locations(self, small_rmat):
         _, _, subs = make_setup(
@@ -92,8 +118,13 @@ class TestSetSelection:
             writes=frozenset({"source"}),
         )
         sub = subs[0]
-        assert sub._reduce_send_arrays(field) is sub.book.mirrors_all
-        assert sub._broadcast_recv_arrays(field) is sub.book.mirrors_all
+        entry = resolved(sub, field)
+        assert_routes(
+            entry, "reduce", sub.book.mirrors_all, sub.book.masters_all
+        )
+        assert_routes(
+            entry, "broadcast", sub.book.masters_all, sub.book.mirrors_all
+        )
 
 
 class TestWriteAtSourceCollective:

@@ -179,7 +179,7 @@ class TestDrainGuard:
             # round's final call is past every flush of both phases.
             flushes.append(host)
             if len(flushes) == 2 * len(parts):
-                substrate.plane.stage(substrate.peer_order[0], 0, b"\x00\x01")
+                substrate.plane.stage(substrate.plan.peer_order[0], 0, b"\x00\x01")
 
         with pytest.raises(TransportError, match="un-flushed channel"):
             sync_one_field(

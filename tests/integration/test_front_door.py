@@ -19,7 +19,7 @@ from repro.resilience import ResilienceConfig
 from repro.service import JobSpec, execute_job
 from repro.service.spec import values_digest
 from repro.streaming import StreamingSession
-from repro.systems import run_app
+from repro.systems import RunPlan, run_app
 from repro.verify import output_key
 
 HOSTS = 4
@@ -90,10 +90,11 @@ def test_every_entry_point_runs_the_same_job(
             "digest": job.output_digest,
         } == {k: v for k, v in direct.items() if k != "comm_messages"}
 
-    # The CLI prints no answer; catch the result its run_app call returns.
+    # The CLI prints no answer; catch the result its plan's run returns.
     seen = []
+    run_plan = RunPlan.run
     monkeypatch.setattr(
-        cli, "run_app", lambda *a, **kw: seen.append(run_app(*a, **kw)) or seen[-1]
+        RunPlan, "run", lambda *a, **kw: seen.append(run_plan(*a, **kw)) or seen[-1]
     )
     argv = [
         "run", "--system", "d-galois", "--app", app, "--workload", "rmat22s",

@@ -4,8 +4,10 @@ modes — plus the guard rails and the measured wall-clock columns."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +174,58 @@ class TestBitwiseIdentity:
             faulty.executor.gather_result("dist"),
             clean.executor.gather_result("dist"),
         )
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail (and let the runner abort its fleet) instead of hanging."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"the run did not finish within {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestDeadPhases:
+    """A phase the sync plan calls dead is skipped by every worker or by
+    none — the verdict is cluster-wide, never read off a worker's own
+    hosts.  On a directed path over two hosts the only sender of the one
+    live phase is host 0: judged from its own routes, host 1's worker
+    would skip that phase and never emit the end-of-phase markers host
+    0's worker waits for."""
+
+    @pytest.mark.parametrize(
+        "app_name, policy, key, live, params",
+        [
+            ("bfs", "oec", "dist", "reduce", {}),
+            ("featprop", "iec", "feat", "broadcast",
+             {"feature_dim": 4, "feature_rounds": 3, "compression": "delta"}),
+        ],
+        ids=["bfs-oec", "featprop-iec"],
+    )
+    def test_two_workers_agree_on_what_is_dead(
+        self, small_path, app_name, policy, key, live, params
+    ):
+        job = dict(num_hosts=2, policy=policy, **params)
+        sim = run_app("d-galois", app_name, small_path, **job)
+        sends = [sub.plan.fields[0].sends[live] for sub in sim.executor.substrates]
+        dead = "broadcast" if live == "reduce" else "reduce"
+        for sub in sim.executor.substrates:
+            assert sub.plan.live(live) and not sub.plan.live(dead)
+        # Worker-local evidence disagrees: only one host sends at all.
+        assert [bool(pairs) for pairs in sends] == [True, False]
+        with deadline(60):
+            proc = run_app(
+                "d-galois", app_name, small_path, runtime="process", workers=2, **job
+            )
+        assert_identical(sim, proc, key)
+        assert proc.mode_counts == sim.mode_counts
 
 
 class TestLifecycle:

@@ -116,3 +116,33 @@ class TestServeStreamText:
         out = capsys.readouterr().out
         assert "live-graph serve summary" in out
         assert " failed " in out and " ok " in out
+
+
+class TestUnsupportedCombinationIsAUsageError:
+    """``run``/``submit`` report what ``plan_run`` refuses the way the
+    streaming path does: exit 2, the message on stderr, no traceback."""
+
+    TINY = ["--app", "bfs", "--workload", "rmat22s", "--scale-delta", "-8"]
+
+    @pytest.mark.parametrize("command", ["run", "submit"])
+    @pytest.mark.parametrize(
+        "job, message",
+        [
+            (
+                ["--system", "gemini", "--hosts", "4", "--policy", "cvc"],
+                "Gemini supports only its own edge cut",
+            ),
+            (
+                ["--system", "galois", "--hosts", "4"],
+                "galois is a shared-memory system; use d-galois for 4 hosts",
+            ),
+        ],
+        ids=["gemini-cvc", "single-host-system-on-4-hosts"],
+    )
+    def test_exit_2_with_the_message_on_stderr(self, command, job, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command] + job + self.TINY)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"repro: error: {message}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""

@@ -49,9 +49,8 @@ def test_run_multi_phase_app(capsys):
 
 
 def test_run_rejects_bad_combination(capsys):
-    from repro.errors import ExecutionError
-
-    with pytest.raises(ExecutionError):
+    """An unsupported system x hosts pair is a usage error, not a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
         main(
             [
                 "run",
@@ -62,3 +61,5 @@ def test_run_rejects_bad_combination(capsys):
                 "--scale-delta", "-4",
             ]
         )
+    assert excinfo.value.code == 2
+    assert "repro: error: Gunrock is single-node" in capsys.readouterr().err
