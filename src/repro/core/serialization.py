@@ -234,6 +234,35 @@ def encode_message(
     return b"".join((head, metadata, packed, values[delta_mask]))
 
 
+def max_message_bytes(
+    num_agreed: int,
+    value_size: int,
+    width: int = 0,
+    *,
+    delta: bool = False,
+    global_ids: bool = False,
+) -> int:
+    """The largest :func:`encode_message` output for one agreed array.
+
+    Closed form, over every update set of ``num_agreed`` proxies whose
+    wire rows are ``value_size`` bytes: the head plus, per proxy, its row,
+    its packed column mask (``delta``) and its u32 global ID
+    (``global_ids``, the path without memoization).  With memoization the
+    mode is the smallest of FULL / BITVEC / INDICES
+    (:func:`~repro.core.metadata.select_mode`), so FULL — every row, no
+    metadata — is the bound, and a FULL message without ``delta`` meets
+    it exactly.  A transport that sizes its buffers once per layout (the
+    process runtime's rings) sizes them from this.
+    """
+    head = _WIDE_HEAD.size if width > 1 else _SCALAR_HEAD.size
+    per_row = value_size
+    if delta:
+        per_row += _mask_bytes_per_row(width)
+    if global_ids:
+        per_row += _U32.itemsize
+    return head + num_agreed * per_row
+
+
 def _view(payload, dtype: np.dtype, count: int, offset: int) -> np.ndarray:
     """``count`` items of ``dtype`` at ``payload[offset:]``: read-only, no copy."""
     try:
@@ -351,9 +380,15 @@ def decode_message(payload) -> SyncMessage:
 
 #: Frame layout: u64 sequence number, u32 CRC-32 of (sequence || payload).
 _FRAME_HEADER = struct.Struct("<QI")
+_SEQ = struct.Struct("<Q")
 
 #: Bytes the frame adds on top of the payload.
 FRAME_OVERHEAD = _FRAME_HEADER.size
+
+
+def frame_crc(seq: int, payload) -> int:
+    """The frame checksum: CRC-32 over the u64 sequence number, then the body."""
+    return zlib.crc32(payload, zlib.crc32(_SEQ.pack(seq)))
 
 
 def frame_payload(seq: int, payload: bytes) -> bytes:
@@ -366,9 +401,7 @@ def frame_payload(seq: int, payload: bytes) -> bytes:
     if seq < 0 or seq >= 1 << 64:
         raise SerializationError(f"sequence number {seq} out of u64 range")
     payload = bytes(payload)
-    seq_bytes = struct.pack("<Q", seq)
-    crc = zlib.crc32(payload, zlib.crc32(seq_bytes))
-    return _FRAME_HEADER.pack(seq, crc) + payload
+    return _FRAME_HEADER.pack(seq, frame_crc(seq, payload)) + payload
 
 
 def unframe_payload(frame: bytes) -> Tuple[int, bytes]:
@@ -385,7 +418,7 @@ def unframe_payload(frame: bytes) -> Tuple[int, bytes]:
         )
     seq, crc = _FRAME_HEADER.unpack_from(frame, 0)
     payload = frame[FRAME_OVERHEAD:]
-    expected = zlib.crc32(payload, zlib.crc32(frame[:8]))
+    expected = frame_crc(seq, payload)
     if crc != expected:
         raise ChecksumError(
             f"checksum mismatch on frame seq={seq}: "

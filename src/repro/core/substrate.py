@@ -46,6 +46,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.comm.channel import CommPlane
+from repro.comm.frame import frame_overhead
 from repro.comm.codec import (
     decode_field_payload,
     encode_global_ids_field,
@@ -55,12 +56,13 @@ from repro.core.memoization import AddressBook, exchange_address_books
 from repro.core.metadata import MetadataMode
 from repro.core.optimization import OptimizationLevel
 from repro.core.patterns import (
+    PHASES,
     SyncPlan,
     build_sync_plan,
     phase_liveness,
     proxy_arrays,
 )
-from repro.core.serialization import is_empty_message
+from repro.core.serialization import is_empty_message, max_message_bytes
 from repro.core.sync_structures import FieldSpec
 from repro.errors import SyncError
 from repro.network.transport import InProcessTransport
@@ -328,6 +330,37 @@ class GluonSubstrate:
                 changed_here = apply(decoded.lids, decoded.values)
                 changed[index][decoded.lids[changed_here]] = True
         return changed
+
+    def max_send_bytes(self) -> Dict[int, int]:
+        """Per peer, the largest payload one phase can hand the transport.
+
+        A closed form over the bound plan: each live (field, phase) send
+        costs at most :func:`max_message_bytes` of its agreed array at
+        this level and compression.  An aggregating plane sends a phase's
+        fields to a peer as one frame (their sum plus the frame header);
+        a pass-through plane sends each field in a phase of its own.
+        Peers this host never sends to are absent.
+        """
+        bound: Dict[int, int] = {}
+        for phase in PHASES:
+            fields: Dict[int, List[int]] = {}
+            for entry in self.plan.fields:
+                spec = entry.field
+                for peer, agreed in entry.sends[phase]:
+                    fields.setdefault(peer, []).append(
+                        max_message_bytes(
+                            len(agreed), spec.value_size, spec.width,
+                            delta=spec.compression == "delta",
+                            global_ids=not self.level.temporal,
+                        )
+                    )
+            for peer, sizes in fields.items():
+                if self.plane.aggregate:
+                    size = frame_overhead(len(self.plan.fields)) + sum(sizes)
+                else:
+                    size = max(sizes)
+                bound[peer] = max(bound.get(peer, 0), size)
+        return bound
 
     def assert_drained(self) -> None:
         """Check no channel still buffers un-flushed sub-messages."""

@@ -2,15 +2,15 @@
 
 Real parallel execution of the simulated cluster: worker processes
 attach zero-copy shared-memory graph stores (:mod:`repro.parallel.shm`),
-exchange the comm plane's framed buffers over real inter-process queues
-(:mod:`repro.parallel.pipes`), and a coordinator
+exchange the comm plane's framed buffers through shared-memory rings
+(:mod:`repro.parallel.rings`), and a coordinator
 (:mod:`repro.parallel.coordinator`) merges their raw reports so every
 result — values, byte counts, alpha-beta "cluster time" — stays bitwise
 identical to the default simulated runtime
 (:class:`~repro.parallel.runner.InProcessRunner`).
 """
 
-from repro.parallel.pipes import PhasedCommRecords, PipeFabric, PipeTransport
+from repro.parallel.rings import PhasedCommRecords, RingFabric, RingTransport
 from repro.parallel.runner import InProcessRunner, RoundData
 from repro.parallel.shm import (
     GraphManifest,
@@ -23,8 +23,8 @@ __all__ = [
     "GraphManifest",
     "InProcessRunner",
     "PhasedCommRecords",
-    "PipeFabric",
-    "PipeTransport",
+    "RingFabric",
+    "RingTransport",
     "RoundData",
     "SharedArrayStore",
     "SharedGraphStore",

@@ -9,7 +9,8 @@
 2. forks ``workers`` processes (``fork`` start method: address books,
    engines, and the app are inherited, never pickled), each owning the
    hosts ``{h : h % workers == w}``;
-3. wires them through a :class:`~repro.parallel.pipes.PipeFabric`.
+3. wires them through a :class:`~repro.parallel.rings.RingFabric` — one
+   more segment, its slots sized from the executor's bound sync plans.
 
 Per round it broadcasts a command, collects every worker's raw report,
 and *replays* the workers' per-phase ``(src, dst, nbytes)`` traffic
@@ -31,19 +32,21 @@ name.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_module
 import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.serialization import FRAME_OVERHEAD
 from repro.core.substrate import SubstrateStats
 from repro.errors import ExecutionError
-from repro.parallel.pipes import SEQ_STRIDE, PipeFabric
+from repro.parallel.rings import SEQ_STRIDE, RingFabric
 from repro.parallel.runner import RoundData
 from repro.parallel.shm import SharedArrayStore, SharedGraphStore
 from repro.parallel.worker import WorkerTask, worker_main
-from repro.resilience.transport import FaultyTransport
+from repro.resilience.transport import MAX_TRANSMISSIONS, FaultyTransport
 from repro.runtime.round import close_round
 
 #: Default seconds the coordinator waits for a round's worker reports.
@@ -56,7 +59,13 @@ _POLL_S = 1.0
 def resolve_workers(workers: Optional[int], num_hosts: int) -> int:
     """Validate and clamp a worker count against the cluster size."""
     if workers is None:
-        workers = min(num_hosts, multiprocessing.cpu_count())
+        # One per CPU this process may run on: under taskset, a cgroup
+        # cpuset or a pinned benchmark that is not the machine's count.
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = multiprocessing.cpu_count()
+        workers = min(num_hosts, cpus)
     if workers < 1:
         raise ExecutionError(f"workers must be >= 1, got {workers}")
     # More workers than hosts would fork idle processes whose empty
@@ -79,7 +88,7 @@ class ProcessRunner:
         self.round_timeout_s = round_timeout_s
         self.graph_store: Optional[SharedGraphStore] = None
         self.arena: Optional[SharedArrayStore] = None
-        self.fabric: Optional[PipeFabric] = None
+        self.fabric: Optional[RingFabric] = None
         self._procs: List = []
         self._cmd_qs: List = []
         self._report_q = None
@@ -110,13 +119,27 @@ class ProcessRunner:
                     plain[key] = value
             scalars.append(plain)
         self.arena = SharedArrayStore.create(arrays)
-        self.fabric = PipeFabric(self.num_hosts, ctx)
-        self._report_q = ctx.Queue()
-        self._cmd_qs = [ctx.Queue() for _ in range(self.workers)]
-        books = [sub.book for sub in ex.substrates]
         fault_plan = (
             ex.fault_injector.plan if ex.fault_injector is not None else None
         )
+        # Slots for the two phases that can be in flight per ring (DESIGN
+        # §12); the fault layer frames a message once more and hands over
+        # at most MAX_TRANSMISSIONS copies of it.
+        copies, framing = 2, 0
+        if fault_plan is not None:
+            copies, framing = 2 * MAX_TRANSMISSIONS, FRAME_OVERHEAD
+        self.fabric = RingFabric(
+            self.num_hosts,
+            {
+                (sub.host, peer): (copies, nbytes + framing)
+                for sub in ex.substrates
+                for peer, nbytes in sub.max_send_bytes().items()
+            },
+            ctx,
+        )
+        self._report_q = ctx.Queue()
+        self._cmd_qs = [ctx.Queue() for _ in range(self.workers)]
+        books = [sub.book for sub in ex.substrates]
         for w in range(self.workers):
             task = WorkerTask(
                 worker_index=w,
@@ -315,8 +338,6 @@ class ProcessRunner:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=10.0)
-        if self.fabric is not None:
-            self.fabric.shutdown()
         for q in self._cmd_qs:
             q.cancel_join_thread()
             q.close()
@@ -327,9 +348,8 @@ class ProcessRunner:
         self._finished = True
 
     def _release_stores(self) -> None:
-        if self.arena is not None:
-            self.arena.release()
-            self.arena = None
-        if self.graph_store is not None:
-            self.graph_store.release()
-            self.graph_store = None
+        for name in ("fabric", "arena", "graph_store"):
+            store = getattr(self, name)
+            if store is not None:
+                store.release()
+                setattr(self, name, None)

@@ -104,20 +104,26 @@ class SharedArrayStore:
         self._finalizer = weakref.finalize(self, _cleanup, shm, owner)
 
     @classmethod
+    def allocate(
+        cls, layout: Mapping[str, Tuple[Tuple[int, ...], str]]
+    ) -> "SharedArrayStore":
+        """A fresh zero-filled segment of ``name -> (shape, dtype)`` arrays."""
+        entries: Dict[str, Tuple[int, Tuple[int, ...], str]] = {}
+        offset = 0
+        for name, (shape, dtype) in layout.items():
+            offset = _aligned(offset)
+            entries[name] = (offset, tuple(shape), np.dtype(dtype).str)
+            offset += int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
+        return cls(shm, StoreManifest(shm_name=shm.name, entries=entries), owner=True)
+
+    @classmethod
     def create(cls, arrays: Mapping[str, np.ndarray]) -> "SharedArrayStore":
         """Lay ``arrays`` into a fresh segment (copying once)."""
-        entries: Dict[str, Tuple[int, Tuple[int, ...], str]] = {}
-        staged: Dict[str, np.ndarray] = {}
-        offset = 0
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            offset = _aligned(offset)
-            entries[name] = (offset, tuple(arr.shape), arr.dtype.str)
-            staged[name] = arr
-            offset += arr.nbytes
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        manifest = StoreManifest(shm_name=shm.name, entries=entries)
-        store = cls(shm, manifest, owner=True)
+        staged = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+        store = cls.allocate(
+            {name: (arr.shape, arr.dtype.str) for name, arr in staged.items()}
+        )
         for name, arr in staged.items():
             store.views[name][...] = arr
         return store

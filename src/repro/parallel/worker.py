@@ -9,7 +9,7 @@ the coordinator's command.
 A round is the shared body of :mod:`repro.runtime.round` — the very
 function the simulated runtime runs — over the worker's owned hosts,
 with one addition: the collective's ``end_phase`` hook emits the
-:class:`~repro.parallel.pipes.PipeTransport` end-of-phase markers that
+:class:`~repro.parallel.rings.RingTransport` end-of-phase doorbells that
 unblock the receivers.  All of a worker's flushes precede all of its
 receives within a phase, so the barrier-per-phase protocol cannot
 deadlock.
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.substrate import GluonSubstrate, bind_sync_plans
-from repro.parallel.pipes import PipeFabric, PipeTransport
+from repro.parallel.rings import RingFabric, RingTransport
 from repro.parallel.shm import GraphManifest, SharedArrayStore, SharedGraphStore
 from repro.runtime.round import run_hosts
 
@@ -71,15 +71,15 @@ class WorkerTask:
 class _HostWorker:
     """One worker's live state: partitions, states, fields, substrates."""
 
-    def __init__(self, task: WorkerTask, fabric: PipeFabric) -> None:
+    def __init__(self, task: WorkerTask, fabric: RingFabric) -> None:
         self.task = task
         self.owned = task.owned
         self.graph_store = SharedGraphStore.attach(task.graph_manifest)
         self.arena = SharedArrayStore.attach(task.arena_manifest)
         partitioned = self.graph_store.build_partitioned()
         self.parts = {h: partitioned.partitions[h] for h in self.owned}
-        self.pipe = PipeTransport(fabric)
-        self.transport = self.pipe
+        self.rings = RingTransport(fabric)
+        self.transport = self.rings
         if task.fault_plan is not None:
             from repro.resilience.faults import FaultInjector
             from repro.resilience.transport import FaultyTransport
@@ -87,7 +87,7 @@ class _HostWorker:
             self.transport = FaultyTransport(
                 task.num_hosts,
                 FaultInjector(task.fault_plan, seq_base=task.fault_seq_base),
-                inner=self.pipe,
+                inner=self.rings,
             )
         self.states: Dict[int, Dict] = {}
         for h in self.owned:
@@ -126,7 +126,7 @@ class _HostWorker:
         comp_times, next_frontiers, translation_deltas = run_hosts(
             self.owned, task.engines, app, self.parts, self.states,
             self.fields, self.frontiers, self.substrates,
-            end_phase=self.pipe.finish_phase,
+            end_phase=self.rings.finish_phase,
         )
         active = {
             h: int(np.count_nonzero(next_frontiers[h])) for h in self.owned
@@ -140,10 +140,10 @@ class _HostWorker:
                 for h in self.owned
             }
         fault_bytes = 0
-        if self.transport is not self.pipe:
+        if self.transport is not self.rings:
             fault_bytes = self.transport.take_round_fault_bytes()
-        records = self.pipe.stats.take()
-        self.pipe.end_round()
+        records = self.rings.stats.take()
+        self.rings.end_round()
         return {
             "comp_times": comp_times,
             "active": active,
@@ -175,7 +175,7 @@ class _HostWorker:
             for h in self.substrates
         }
         faults = None
-        if self.transport is not self.pipe:
+        if self.transport is not self.rings:
             f = self.transport.faults
             faults = {
                 "dropped": f.dropped,
@@ -197,7 +197,7 @@ class _HostWorker:
         self.graph_store.close()
 
 
-def worker_main(task: WorkerTask, fabric: PipeFabric, cmd_q, report_q) -> None:
+def worker_main(task: WorkerTask, fabric: RingFabric, cmd_q, report_q) -> None:
     """Process entry point: attach, then serve round commands until stop."""
     worker = None
     try:

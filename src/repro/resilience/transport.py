@@ -54,6 +54,12 @@ from repro.resilience.faults import (
 )
 
 
+#: The most copies of one message :meth:`FaultyTransport.send` ever hands
+#: the inner transport (corrupt + clean, or the duplicate pair) — what a
+#: transport with pre-sized buffers must leave room for.
+MAX_TRANSMISSIONS = 2
+
+
 @dataclass
 class FaultStats:
     """Counters of injected and detected transient faults."""
@@ -89,7 +95,7 @@ class FaultyTransport:
         stats: optional pre-existing traffic accounting to append to.
         inner: the channel being made unreliable.  Defaults to a fresh
             :class:`InProcessTransport`; the multiprocess runtime passes
-            its :class:`~repro.parallel.pipes.PipeTransport` so faults
+            its :class:`~repro.parallel.rings.RingTransport` so faults
             are injected across real process boundaries.  When ``inner``
             is supplied it brings its own stats (``stats`` must be
             ``None``).
