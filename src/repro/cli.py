@@ -24,17 +24,13 @@ from repro.analysis import experiments
 from repro.analysis.tables import format_table
 from repro.apps import runnable_app_names
 from repro.apps.specs import PROGRAM_SPECS
-from repro.core.optimization import OptimizationLevel
-from repro.core.sync_structures import COMPRESSION_MODES
-from repro.errors import FaultPlanError, ReproError
+from repro.errors import JobSpecError, ReproError
 from repro.observability import Observability
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
-from repro.partition import PARTITIONER_BY_NAME
-from repro.resilience import RECOVERY_MODES, FaultPlan, ResilienceConfig
-from repro.runtime.executor import PROCESS_RUNTIME_UNSUPPORTED
-from repro.service import JobSpec, ServiceCache
-from repro.systems import ALL_SYSTEMS, plan_run
-from repro.workloads import WORKLOAD_NAMES, load_workload
+from repro.options import JobSpec, add_job_flags
+from repro.service import ServiceCache
+from repro.systems import plan_run
+from repro.workloads import load_workload
 
 #: Experiment harnesses reachable from the CLI, by short name.
 EXPERIMENTS: Dict[str, Callable] = {
@@ -67,57 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run_cmd = commands.add_parser("run", help="run one application")
-    _add_job_flags(run_cmd)
+    add_job_flags(run_cmd, "run")
     run_cmd.add_argument(
         "--scaled-fabric",
         action="store_true",
         help="use the benchmark harness's scaled network model",
-    )
-    run_cmd.add_argument(
-        "--no-aggregation",
-        action="store_true",
-        help=(
-            "ablation: disable per-peer cross-field message aggregation "
-            "(one transport message per field, peer, and phase — the "
-            "pre-channel wire shape; results are bitwise identical)"
-        ),
-    )
-    run_cmd.add_argument(
-        "--feature-dim",
-        type=int,
-        default=8,
-        metavar="D",
-        help=(
-            "feature apps: columns per vertex row — the feature width, "
-            "or the class count for labelprop (default: 8)"
-        ),
-    )
-    run_cmd.add_argument(
-        "--feature-rounds",
-        type=int,
-        default=3,
-        metavar="N",
-        help="feature apps: aggregation rounds to run (default: 3)",
-    )
-    run_cmd.add_argument(
-        "--compression",
-        choices=sorted(COMPRESSION_MODES),
-        default="none",
-        help=(
-            "wide-payload wire compression for feature apps: 'none', "
-            "'delta' (ship only changed row columns vs the last "
-            "broadcast), or 'fp16' (lossy float16 quantization with a "
-            "documented error bound)"
-        ),
-    )
-    run_cmd.add_argument(
-        "--no-compression",
-        action="store_true",
-        help=(
-            "ablation: force compression off even if --compression set "
-            "one (mirrors --no-aggregation; results are bitwise "
-            "identical for 'delta', bounded-error for 'fp16')"
-        ),
     )
     run_cmd.add_argument(
         "--verify",
@@ -127,34 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(bitwise for exact runs, within the documented tolerance "
             "for fp16 compression); mismatch flips the exit status"
         ),
-    )
-    run_cmd.add_argument(
-        "--inject-fault",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "fault plan, e.g. 'crash:1@3' or "
-            "'crash:0@2,drop:0.01,corrupt:0.005,dup:0.01'"
-        ),
-    )
-    run_cmd.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the transient-fault RNG (default: 0)",
-    )
-    run_cmd.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="snapshot executor state every N rounds (N >= 1)",
-    )
-    run_cmd.add_argument(
-        "--recovery",
-        choices=RECOVERY_MODES,
-        default="restart",
-        help="crash recovery protocol (default: restart)",
     )
     run_cmd.add_argument(
         "--checkpoint-dir",
@@ -177,15 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record metrics and dump them here (.json, or .csv for CSV)",
     )
     run_cmd.add_argument(
-        "--sanitize",
-        action="store_true",
-        help=(
-            "debug mode: audit every endpoint-indexed field access "
-            "against the declared sync contract (results stay bitwise "
-            "identical; violations are reported and exit non-zero)"
-        ),
-    )
-    run_cmd.add_argument(
         "--json",
         action="store_true",
         help="emit the full RunResult as JSON on stdout (for scripting)",
@@ -202,28 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "route partitioning through the service's content-addressed "
             "cache in DIR (reused across runs and by `repro serve`)"
-        ),
-    )
-    run_cmd.add_argument(
-        "--runtime",
-        choices=["simulated", "process"],
-        default="simulated",
-        help=(
-            "round-execution backend: 'simulated' runs every host "
-            "in-process (default); 'process' runs hosts in real worker "
-            "processes over shared-memory graph stores (bitwise-identical "
-            "results, adds a measured wall-clock column; simulated-only "
-            f"features: {', '.join(PROCESS_RUNTIME_UNSUPPORTED)})"
-        ),
-    )
-    run_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for --runtime process "
-            "(default: min(hosts, cpu count))"
         ),
     )
     run_cmd.add_argument(
@@ -244,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
             "of graph mutation batches"
         ),
     )
-    _add_job_flags(mutate_cmd, system_default="d-galois", level=False)
+    add_job_flags(mutate_cmd, "mutate")
     stream_source = mutate_cmd.add_mutually_exclusive_group(required=True)
     stream_source.add_argument(
         "--stream",
@@ -479,16 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit one job to the service (cache-aware single run)",
     )
-    _add_job_flags(submit_cmd, system_default="d-galois")
-    submit_cmd.add_argument(
-        "--priority", type=int, default=0, help="scheduling priority"
-    )
-    submit_cmd.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retry a failed job up to N times with backoff (default: 0)",
-    )
+    add_job_flags(submit_cmd, "submit")
     _add_service_flags(submit_cmd)
     submit_cmd.add_argument(
         "--json",
@@ -496,39 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the job result as JSON on stdout",
     )
     return parser
-
-
-def _add_job_flags(
-    cmd: argparse.ArgumentParser,
-    system_default: Optional[str] = None,
-    level: bool = True,
-) -> None:
-    """The flags that name a job, declared once for ``run``/``mutate``/``submit``.
-
-    Dests are :class:`~repro.service.spec.JobSpec`'s field names.  ``run``
-    requires ``--system``; ``mutate`` has no ``--level``.
-    """
-    cmd.add_argument(
-        "--system", choices=sorted(ALL_SYSTEMS), default=system_default,
-        required=system_default is None,
-    )
-    cmd.add_argument("--app", required=True, choices=runnable_app_names())
-    cmd.add_argument("--workload", required=True, choices=sorted(WORKLOAD_NAMES))
-    cmd.add_argument("--hosts", type=int, default=4)
-    cmd.add_argument("--policy", choices=sorted(PARTITIONER_BY_NAME), default=None)
-    if level:
-        cmd.add_argument(
-            "--level",
-            choices=[lv.value for lv in OptimizationLevel],
-            default=None,
-            help="communication-optimization level (default: system's own)",
-        )
-    cmd.add_argument(
-        "--scale-delta",
-        type=int,
-        default=0,
-        help="shift the workload generator scale (negative = smaller)",
-    )
 
 
 def _add_service_flags(cmd: argparse.ArgumentParser) -> None:
@@ -547,14 +396,10 @@ def _add_service_flags(cmd: argparse.ArgumentParser) -> None:
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject malformed flag values with a friendly parser error."""
     if args.command == "run" and args.stream is not None:
-        # A live session resumes one simulated, fault-free executor per
-        # version; per-run checks have no per-version meaning.
+        # Per-run outputs have no per-version meaning in a live session
+        # (what a session refuses of the *job* is repro.options.REFUSALS').
         for flag, given in (
-            ("--runtime process", args.runtime == "process"),
-            ("--inject-fault", args.inject_fault is not None),
-            ("--checkpoint-every", args.checkpoint_every is not None),
             ("--checkpoint-dir", args.checkpoint_dir is not None),
-            ("--sanitize", args.sanitize),
             (
                 "--verify (repro mutate --verify-cold checks a stream "
                 "against a cold recompute)",
@@ -564,8 +409,6 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         ):
             if given:
                 parser.error(f"--stream is incompatible with {flag}")
-    if args.command in ("run", "mutate", "submit") and args.hosts < 1:
-        parser.error(f"--hosts must be at least 1, got {args.hosts}")
     if args.command == "serve":
         if args.workers < 1:
             parser.error(f"--workers must be at least 1, got {args.workers}")
@@ -578,9 +421,6 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
                 "--stream keeps live executors between versions; "
                 "it requires --backend serial"
             )
-    elif args.command == "submit":
-        if args.retries < 0:
-            parser.error(f"--retries must be >= 0, got {args.retries}")
     elif args.command == "mutate":
         if args.generate is not None and args.generate < 1:
             parser.error(
@@ -596,87 +436,15 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error(f"--add-nodes must be >= 0, got {args.add_nodes}")
         if args.save is not None and args.generate is None:
             parser.error("--save only applies to --generate")
-    elif args.command == "run":
-        if args.checkpoint_every is not None and args.checkpoint_every < 1:
-            parser.error(
-                "--checkpoint-every must be at least 1 round, got "
-                f"{args.checkpoint_every}"
-            )
-        if args.workers is not None:
-            if args.runtime != "process":
-                parser.error("--workers only applies to --runtime process")
-            if args.workers < 1:
-                parser.error(
-                    f"--workers must be at least 1, got {args.workers}"
-                )
 
 
-def _resilience_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> Optional[ResilienceConfig]:
-    """Build the ResilienceConfig the run flags describe (None = plain run)."""
-    flags = (args.inject_fault, args.checkpoint_every, args.checkpoint_dir)
-    if all(flag is None for flag in flags):
-        return None
-    plan = None
-    if args.inject_fault is not None:
-        try:
-            plan = FaultPlan.parse(args.inject_fault, seed=args.fault_seed)
-            plan.validate_hosts(args.hosts)
-        except FaultPlanError as exc:
-            parser.error(f"--inject-fault: {exc}")
-        if plan.is_empty:
-            parser.error(
-                f"--inject-fault: spec {args.inject_fault!r} injects no "
-                "faults (expected crash:HOST@ROUND, drop:RATE, "
-                "corrupt:RATE, or dup:RATE clauses)"
-            )
-    return ResilienceConfig(
-        plan=plan,
-        checkpoint_every=args.checkpoint_every or 0,
-        recovery=args.recovery,
-        checkpoint_dir=args.checkpoint_dir,
-    )
-
-
-def _job_spec(args: argparse.Namespace, **scheduling):
-    """The job a subcommand's shared flags name, as the service's plain data."""
-    return JobSpec(
-        app=args.app,
-        workload=args.workload,
-        hosts=args.hosts,
-        system=args.system,
-        policy=args.policy,
-        level=getattr(args, "level", None),
-        scale_delta=args.scale_delta,
-        **scheduling,
-    )
-
-
-def _run_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Dict:
-    """A job subcommand's flags as ``run_app`` keywords.
-
-    What follows ``(args.system, args.app, edges, args.hosts)`` in a
-    :func:`repro.systems.run_app` or ``StreamingSession`` call: the job
-    spec's own adapter, plus the flags only ``run`` declares.
-    """
-    options = _job_spec(args).run_options()
-    if args.command == "run":
-        if args.scaled_fabric:
-            options["network"] = experiments.bench_network(
-                args.system, args.hosts
-            )
-        options.update(
-            aggregate_comm=not args.no_aggregation,
-            feature_dim=args.feature_dim,
-            feature_rounds=args.feature_rounds,
-            compression="none" if args.no_compression else args.compression,
-            resilience=_resilience_config(parser, args),
-            sanitize=args.sanitize,
-            runtime=args.runtime,
-            workers=args.workers,
-        )
-    return options
+def _spec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> JobSpec:
+    """The job a subcommand's generated flags name; a value or a
+    combination the option table refuses is a usage error."""
+    try:
+        return JobSpec.from_args(args)
+    except JobSpecError as exc:
+        parser.error(str(exc))
 
 
 def _observability_and_cache(args: argparse.Namespace, streaming: bool):
@@ -719,23 +487,23 @@ def _emit(args: argparse.Namespace, document, tables, lines=()) -> None:
         print(line)
 
 
-def _plan(parser, system, app, edges, hosts, options):
-    """``plan_run``, with an unsupported combination as a usage error."""
-    try:
-        return plan_run(system, app, edges, hosts, **options)
-    except ReproError as exc:
-        parser.error(str(exc))
-
-
 def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """``run`` and ``mutate``: one job, through a ``RunPlan`` or a live session."""
+    spec = _spec(parser, args)
     streaming = args.command == "mutate" or args.stream is not None
-    edges = load_workload(args.workload, args.scale_delta)
+    edges = load_workload(spec.workload, spec.scale_delta)
     observability, cache = _observability_and_cache(args, streaming)
-    options = {**_run_options(parser, args), "observability": observability}
+    on_run = args.command == "run"  # ``mutate`` lacks the deployment flags
+    options = spec.run_options(checkpoint_dir=args.checkpoint_dir if on_run else None)
+    options["observability"] = observability
+    if on_run and args.scaled_fabric:
+        options["network"] = experiments.bench_network(spec.system, spec.hosts)
     if streaming:
-        return _command_stream(args, parser, edges, options, cache)
-    plan = _plan(parser, args.system, args.app, edges, args.hosts, options)
+        return _command_stream(args, parser, spec, edges, options, cache)
+    try:
+        plan = plan_run(spec.system, spec.app, edges, spec.hosts, **options)
+    except ReproError as exc:  # what only the run knows: --trace with a multi-phase app
+        parser.error(str(exc))
     result = plan.run(cache)
     _export_observability(args, result, observability)
     for doc in result.sanitizer_findings:
@@ -788,7 +556,7 @@ def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         from repro.observability import round_table
 
         lines.append("\n" + round_table(result)[:-1])
-    if args.sanitize and not result.sanitizer_findings:
+    if spec.sanitize and not result.sanitizer_findings:
         lines.append(("sanitizer", "clean (no contract violations)"))
     if verification is not None:
         verdict = "matched" if verification.matched else "MISMATCH"
@@ -871,7 +639,7 @@ def _verify_cold(session) -> Dict:
     }
 
 
-def _command_stream(args, parser, edges, options, cache) -> int:
+def _command_stream(args, parser, spec, edges, options, cache) -> int:
     """``run --stream`` and ``mutate``: converge, stream the batches, report.
 
     ``mutate`` adds what only it declares: generated batches, ``--save``,
@@ -889,7 +657,7 @@ def _command_stream(args, parser, edges, options, cache) -> int:
     try:
         batches = load_batches(args.stream) if args.stream is not None else None
         session = StreamingSession(
-            args.system, args.app, edges, args.hosts, cache=cache, **options
+            spec.system, spec.app, edges, spec.hosts, cache=cache, **options
         )
         base = session.run()
         if batches is not None:
@@ -1217,13 +985,9 @@ def _command_submit(
     from repro.errors import ServiceError
     from repro.service import execute_job
 
+    # What no attempt can run is a usage error here, not a failed job.
+    spec = _spec(parser, args)
     try:
-        spec = _job_spec(
-            args, priority=args.priority, max_attempts=args.retries + 1
-        )
-        # Pre-flight: what no attempt can run is a usage error, not a failed job.
-        edges = load_workload(spec.workload, spec.scale_delta)
-        _plan(parser, spec.system, spec.app, edges, spec.hosts, spec.run_options())
         cache = ServiceCache(directory=args.cache_dir)
         result = execute_job(spec, cache=cache)
     except ServiceError as exc:

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.bitvector import BitVector
 from repro.errors import SerializationError, SyncError
 from repro.network.transport import InProcessTransport
-from repro.partition.base import PartitionedGraph
+from repro.partition.base import HostGroups, PartitionedGraph
 
 
 @dataclass
@@ -148,11 +148,11 @@ def exchange_address_books(
         out_deg = part.graph.out_degree()
         in_deg = part.graph.in_degree()
         mirror_lids = part.mirror_locals()
-        owners = part.mirror_master_host
+        by_owner = HostGroups(part.mirror_master_host, num_hosts)
         for peer in range(num_hosts):
             if peer == part.host:
                 continue
-            mine = mirror_lids[owners == peer]
+            mine = mirror_lids[by_owner.of(peer)]
             book.mirrors_all[peer] = mine
             book.mirrors_reduce[peer] = mine[in_deg[mine] > 0]
             book.mirrors_broadcast[peer] = mine[out_deg[mine] > 0]

@@ -85,8 +85,7 @@ class CSRGraph:
         if len(src) > 0 and int(max(src.max(), dst.max())) >= num_nodes:
             raise GraphError("edge endpoint out of range")
         order = np.argsort(src, kind="stable")
-        sorted_src = src[order]
-        counts = np.bincount(sorted_src, minlength=num_nodes)
+        counts = np.bincount(src, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         indices = dst[order]

@@ -22,11 +22,10 @@ byte counter are therefore bitwise identical to ``--runtime simulated``;
 the wall clock (the executor's ``wall_rounds_s``) is where real
 parallelism shows up.
 
-The runtime is deliberately restricted: the features listed in
-:data:`repro.runtime.executor.PROCESS_RUNTIME_UNSUPPORTED` need the
-coordinator to observe or replace host state mid-run, which only the
-simulated runtime can do.  The executor rejects those combinations by
-name.
+The runtime is deliberately restricted: the "process runtime" rows of
+:data:`repro.options.REFUSALS` need the coordinator to observe or replace
+host state mid-run, which only the simulated runtime can do.  They are
+refused by name when the run is planned.
 """
 
 from __future__ import annotations

@@ -68,26 +68,8 @@ from repro.runtime.stats import RoundRecord, RunResult
 if TYPE_CHECKING:  # imported for annotations only (avoids an import cycle)
     from repro.apps.base import AppContext, VertexProgram
 
-#: What ``--runtime process`` cannot do, and why — the one place that says
-#: so (DESIGN §12 and the CLI ``--runtime`` help cite this table).  Each
-#: feature needs the coordinator to observe or replace host state mid-run,
-#: which only the simulated runtime can do.
-PROCESS_RUNTIME_UNSUPPORTED = {
-    "sanitize": "the proxy sanitizer requires --runtime simulated",
-    "crash faults": (
-        "crash-fault plans require --runtime simulated "
-        "(transient drop/corrupt/dup faults are fine)"
-    ),
-    "periodic checkpoints": "periodic checkpoints require --runtime simulated",
-    "repartition": (
-        "mid-run repartitioning requires --runtime simulated "
-        "(the workers' shared graph store is immutable)"
-    ),
-    "apply_mutations": (
-        "apply_mutations requires --runtime simulated "
-        "(the workers' shared graph store is immutable)"
-    ),
-}
+#: The round-execution backends ``runtime=`` may name.
+RUNTIMES = ("simulated", "process")
 
 
 class DistributedExecutor:
@@ -122,14 +104,17 @@ class DistributedExecutor:
             raise ExecutionError(
                 "synchronization can only be disabled on a single host"
             )
-        if runtime not in ("simulated", "process"):
+        if runtime not in RUNTIMES:
             raise ExecutionError(
-                f"unknown runtime {runtime!r} (known: simulated, process)"
+                f"unknown runtime {runtime!r} (known: {', '.join(RUNTIMES)})"
             )
-        if workers is not None and runtime != "process":
-            raise ExecutionError(
-                "workers only applies to the process runtime"
-            )
+        # Direct construction gets the verdict ``plan_run`` gives (imported
+        # lazily: repro.options imports this module).
+        from repro.options import check_refusals
+
+        check_refusals(
+            runtime=runtime, workers=workers, sanitize=sanitize, resilience=resilience
+        )
         self.runtime = runtime
         self.workers = workers
         check_strategy_legal(
@@ -156,7 +141,6 @@ class DistributedExecutor:
         # -- proxy-access sanitizer (the ``--sanitize`` debug mode) ---------
         self.sanitizer = None
         if sanitize:
-            self._require_simulated("sanitize")
             # Imported lazily: repro.analysis pulls in the experiment
             # harness, which imports this module.
             from repro.analysis.sanitizer import ProxySanitizer
@@ -193,12 +177,8 @@ class DistributedExecutor:
         self.checkpoints: Optional[CheckpointManager] = None
         if resilience is not None:
             if resilience.plan is not None and not resilience.plan.is_empty:
-                if resilience.plan.crashes:
-                    self._require_simulated("crash faults")
                 resilience.plan.validate_hosts(partitioned.num_hosts)
                 self.fault_injector = FaultInjector(resilience.plan)
-            if resilience.checkpoint_every > 0:
-                self._require_simulated("periodic checkpoints")
             self.checkpoints = resilience.make_checkpoint_manager()
         # Recovery accounting waiting to be attached to the next round.
         self._pending_recovery = (0, 0.0)
@@ -217,11 +197,6 @@ class DistributedExecutor:
     def result(self) -> Optional[RunResult]:
         """The current graph version's result (``None`` before ``run``)."""
         return self._result
-
-    def _require_simulated(self, feature: str) -> None:
-        """Reject ``feature`` by name under ``--runtime process``."""
-        if self.runtime == "process":
-            raise ExecutionError(PROCESS_RUNTIME_UNSUPPORTED[feature])
 
     # -- binding a layout (§4: memoize once per partition) -------------------------
 
@@ -460,7 +435,9 @@ class DistributedExecutor:
         (fresh state, the app's initial frontier).  The rebind is charged
         to ``result`` as construction; returns its wall time.
         """
-        self._require_simulated(feature)
+        from repro.options import check_refusals  # lazily: it imports this module
+
+        check_refusals(runtime=self.runtime, operation=feature)
         if new_partitioned.num_hosts != self.partitioned.num_hosts:
             raise ExecutionError(
                 f"{feature} to a different host count is not supported"

@@ -40,6 +40,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.graph.edgelist import EdgeList
 from repro.observability import NULL_OBSERVABILITY
+from repro.options import check_refusals
 from repro.runtime.migration import migratable_keys
 from repro.runtime.stats import RunResult
 from repro.streaming.batch import MutationBatch
@@ -51,17 +52,6 @@ from repro.streaming.delta import (
 from repro.streaming.incremental import IncrementalPlan, plan_incremental
 from repro.streaming.version import GraphVersion
 from repro.systems import plan_run
-
-#: Executor options a live session cannot honour, with the one value each
-#: may take: ``apply_mutations`` resumes a simulated, unsanitized,
-#: fault-free executor (what ``repro run --stream`` refuses by flag).
-UNSUPPORTED_OPTIONS = {
-    "resilience": None,
-    "runtime": "simulated",
-    "workers": None,
-    "sanitize": False,
-}
-
 
 def mirror_batch(batch: MutationBatch) -> MutationBatch:
     """Close a batch under edge reversal (for symmetrized-input apps).
@@ -170,8 +160,10 @@ class StreamingSession:
         ``source``, the application parameters, ``max_rounds``,
         ``aggregate_comm``, ...) is forwarded to
         :func:`repro.systems.plan_run` unchanged.  What a live session
-        cannot honour — a multi-phase app, or anything but the default
-        for :data:`UNSUPPORTED_OPTIONS` — raises :class:`ExecutionError`.
+        cannot honour — the "streaming session" rows of
+        :data:`repro.options.REFUSALS`: a multi-phase app, or anything
+        but a simulated, unsanitized, fault-free executor — raises
+        :class:`ExecutionError`.
     """
 
     def __init__(
@@ -188,24 +180,7 @@ class StreamingSession:
         # list, and the version chain must be a pure function of the
         # batch sequence — so normalize exactly once, up front.
         plan = plan_run(system, app_name, edges.deduplicate(), num_hosts, **options)
-        if plan.app.multi_phase:
-            raise ExecutionError(
-                f"{app_name} is multi-phase; streaming sessions drive a "
-                "single executor"
-            )
-        for option, only in UNSUPPORTED_OPTIONS.items():
-            value = plan.execution.get(option, only)
-            if value != only:
-                raise ExecutionError(
-                    f"streaming sessions do not support {option}={value!r}: "
-                    "mutations resume a simulated, unsanitized, fault-free "
-                    "executor"
-                )
-        if not hasattr(plan.partitioner, "assign"):
-            raise ExecutionError(
-                f"{plan.partitioner.name} does not expose an edge "
-                "assignment; delta-partitioning needs one"
-            )
+        check_refusals(streaming=True, app=plan.app, **plan.execution)
         #: The current version's :class:`~repro.systems.RunPlan`.
         self.plan = plan
         self.app = plan.app

@@ -36,6 +36,14 @@ from repro.network.cost_model import (
     LCI_PARAMETERS,
     NetworkParameters,
 )
+from repro.options import (
+    ALL_SYSTEMS,
+    GLUON_SYSTEMS,
+    GPUS_PER_NODE,
+    SHARED_MEMORY_SYSTEMS,
+    check_refusals,
+    plan_options,
+)
 from repro.partition import make_partitioner
 from repro.partition.build import (
     BuildOutcome,
@@ -53,14 +61,6 @@ from repro.utils.rng import make_rng
 INTRA_NODE_PARAMETERS = NetworkParameters(
     name="intra-node", latency_s=5.0e-7, bandwidth_bytes_per_s=40.0e9
 )
-
-#: Number of GPUs per physical node on the Bridges-like platform (§5.1).
-GPUS_PER_NODE = 4
-
-GLUON_SYSTEMS = ("d-galois", "d-ligra", "d-irgl", "d-hybrid")
-SHARED_MEMORY_SYSTEMS = ("galois", "ligra", "irgl")
-BASELINE_SYSTEMS = ("gemini", "gunrock")
-ALL_SYSTEMS = GLUON_SYSTEMS + SHARED_MEMORY_SYSTEMS + BASELINE_SYSTEMS
 
 
 @dataclass
@@ -155,8 +155,12 @@ def _resolve_system(
     network: Optional[NetworkParameters],
     partition_seed: int,
 ):
-    """Map a system name to (engine, partitioner, level, network, sync)."""
-    system = system.lower()
+    """Map a system name to (engine, partitioner, level, network, sync).
+
+    Which (system, policy, hosts) combinations exist at all is
+    :data:`repro.options.REFUSALS`' business; ``plan_run`` has already
+    checked it.
+    """
     if system in GLUON_SYSTEMS:
         if system == "d-hybrid":
             # Figure 1's heterogeneous cluster: alternating CPU hosts
@@ -180,38 +184,18 @@ def _resolve_system(
                 network = LCI_PARAMETERS
         return engine, partitioner, resolved_level, network, True
     if system in SHARED_MEMORY_SYSTEMS:
-        if num_hosts != 1:
-            raise ExecutionError(
-                f"{system} is a shared-memory system; use d-{system} for "
-                f"{num_hosts} hosts"
-            )
-        if policy is not None:
-            raise ExecutionError(
-                f"{system} runs unpartitioned; the policy flag applies to "
-                "distributed systems"
-            )
         engine = make_engine(system)
         partitioner = make_partitioner("oec")
         return engine, partitioner, OptimizationLevel.OSTI, (
             network or LCI_PARAMETERS
         ), False
     if system == "gemini":
-        if policy not in (None, "gemini"):
-            raise ExecutionError("Gemini supports only its own edge cut (§5)")
         mode = "pull" if app_operator is OperatorClass.PULL else "push"
         engine = make_engine("gemini")
         return engine, GeminiPartitioner(mode=mode), (
             level or OptimizationLevel.UNOPT
         ), (network or LCI_PARAMETERS), True
     if system == "gunrock":
-        if num_hosts > GPUS_PER_NODE:
-            raise ExecutionError(
-                f"Gunrock is single-node: at most {GPUS_PER_NODE} GPUs (§5.5)"
-            )
-        if policy not in (None, "random", "oec"):
-            raise ExecutionError(
-                "Gunrock supports only outgoing edge cuts (§5.5)"
-            )
         engine = make_engine("gunrock")
         partitioner = make_partitioner(
             policy or "random",
@@ -223,11 +207,6 @@ def _resolve_system(
     raise ExecutionError(
         f"unknown system {system!r} (known: {', '.join(ALL_SYSTEMS)})"
     )
-
-
-#: ``run_app`` keywords that configure the executor; a plan carries them
-#: to every executor it makes (defaults stay ``DistributedExecutor``'s).
-EXECUTOR_OPTIONS = ("resilience", "aggregate_comm", "sanitize", "runtime", "workers")
 
 
 @dataclass(frozen=True)
@@ -253,7 +232,7 @@ class RunPlan:
     sync: bool
     observability: Optional[object]
     max_rounds: int
-    #: The :data:`EXECUTOR_OPTIONS` the caller gave, by name.
+    #: The executor-stage options (:data:`repro.options.PLAN_KEYWORDS`), by name.
     execution: Dict
 
     def at(self, edges: EdgeList) -> "RunPlan":
@@ -299,16 +278,6 @@ class RunPlan:
 
     def run(self, cache=None) -> RunResult:
         """Build, execute to convergence, account: the body of ``run_app``."""
-        if self.app.multi_phase:
-            for option, value in (
-                ("resilience", self.execution.get("resilience")),
-                ("observability", self.observability),
-            ):
-                if value is not None:
-                    raise ExecutionError(
-                        f"{self.app.name} is multi-phase; {option} is only "
-                        "supported for single-executor applications"
-                    )
         outcome = self.build(cache)
         partitioned = outcome.partitioned
         if self.app.multi_phase:
@@ -343,31 +312,33 @@ def plan_run(
     edges: EdgeList,
     num_hosts: int,
     *,
-    policy: Optional[str] = None,
-    level: Optional[OptimizationLevel] = None,
     network: Optional[NetworkParameters] = None,
-    partition_seed: int = 0,
     observability=None,
-    max_rounds: int = 100_000,
     **options,
 ) -> RunPlan:
-    """Plan one run: the single "prepare -> resolve" every entry point shares.
+    """Plan one run: the single "refuse -> prepare -> resolve" every entry
+    point shares.
 
-    Takes :func:`run_app`'s keywords (all but ``partition_cache``):
-    :data:`EXECUTOR_OPTIONS` ride on the plan to its executors, the rest
-    are the application parameters of :func:`prepare_input`.
+    ``options`` are the job options of :class:`repro.options.JobSpec` in
+    their resolved forms (:data:`repro.options.PLAN_KEYWORDS`; what is not
+    given takes the table's default, an unknown keyword is a ``TypeError``
+    naming it).  A combination :data:`repro.options.REFUSALS` refuses
+    raises its :class:`ExecutionError` here, before anything is built.
     """
-    execution = {
-        name: options.pop(name) for name in EXECUTOR_OPTIONS if name in options
-    }
-    prepared = prepare_input(app_name, edges, **options)
+    stages = plan_options(options)
+    system = system.lower()
     app = make_app(app_name)
+    check_refusals(
+        system=system, app=app, num_hosts=num_hosts, observability=observability, **options
+    )
+    prepared = prepare_input(app_name, edges, **stages["input"])
     engine, partitioner, level, network, sync = _resolve_system(
-        system, app.operator_class, policy, num_hosts, level, network, partition_seed
+        system, app.operator_class, num_hosts=num_hosts, network=network,
+        **stages["system"],
     )
     return RunPlan(
-        system.lower(), app, prepared, num_hosts, engine, partitioner,
-        level, network, sync, observability, max_rounds, execution,
+        system, app, prepared, num_hosts, engine, partitioner, level, network,
+        sync, observability, stages["run"]["max_rounds"], stages["executor"],
     )
 
 
@@ -376,47 +347,19 @@ def run_app(
     app_name: str,
     edges: EdgeList,
     num_hosts: int,
-    policy: Optional[str] = None,
-    level: Optional[OptimizationLevel] = None,
-    network: Optional[NetworkParameters] = None,
-    source: Optional[int] = None,
-    max_rounds: int = 100_000,
-    weight_seed: int = 42,
-    partition_seed: int = 0,
-    tolerance: float = 1e-6,
-    max_iterations: int = 100,
-    k: int = 2,
-    feature_dim: int = 8,
-    feature_rounds: int = 3,
-    compression: str = "none",
-    resilience=None,
-    observability=None,
+    *,
     partition_cache=None,
-    aggregate_comm: bool = True,
-    sanitize: bool = False,
-    runtime: str = "simulated",
-    workers=None,
+    **options,
 ) -> RunResult:
     """Run ``app_name`` on ``edges`` under ``system`` with ``num_hosts``.
 
-    ``runtime`` selects the round-execution backend: ``"simulated"``
-    (default, every host round-robins in this process) or ``"process"``
-    (the CLI's ``--runtime process`` — hosts execute in real worker
-    processes over zero-copy shared-memory graph stores; ``workers``
-    caps the fleet size).  Results are bitwise identical either way;
-    only ``result.wall_rounds_s`` differs.
-
-    ``aggregate_comm`` selects the communication plane's mode: per-peer
-    cross-field message aggregation (default) or the per-field ablation
-    (the CLI's ``--no-aggregation``).  Application results are bitwise
-    identical either way; only the wire shape — and therefore the
-    simulated communication time — differs.
-
-    ``sanitize`` turns on the proxy-access sanitizer (the CLI's
-    ``--sanitize``): compute rounds run over guarded field views that
-    audit endpoint-indexed accesses against each field's declared proxy
-    sets.  Results stay bitwise identical; violations land on
-    ``result.sanitizer_findings``.
+    ``options`` are :func:`plan_run`'s: the job options declared by
+    :class:`repro.options.JobSpec` (``policy``, ``level``, ``source``,
+    ``compression``, ``aggregate_comm``, ``sanitize``, ``runtime``,
+    ``workers``, ... — the table gives each one's default and meaning;
+    results are bitwise identical under every executor option, only the
+    wire shape resp. ``result.wall_rounds_s`` differ) plus ``network``,
+    ``resilience`` and ``observability``.
 
     Returns the :class:`~repro.runtime.stats.RunResult`, whose
     ``construction_time`` includes the measured partitioning wall-clock
@@ -442,16 +385,4 @@ def run_app(
     the next caller.  ``result.partition_cache_hit`` records which path
     ran.
     """
-    plan = plan_run(
-        system, app_name, edges, num_hosts,
-        policy=policy, level=level, network=network, partition_seed=partition_seed,
-        observability=observability, max_rounds=max_rounds,
-        # -> prepare_input
-        source=source, weight_seed=weight_seed, tolerance=tolerance,
-        max_iterations=max_iterations, k=k, feature_dim=feature_dim,
-        feature_rounds=feature_rounds, compression=compression,
-        # -> every executor the plan makes (EXECUTOR_OPTIONS)
-        resilience=resilience, aggregate_comm=aggregate_comm, sanitize=sanitize,
-        runtime=runtime, workers=workers,
-    )
-    return plan.run(partition_cache)
+    return plan_run(system, app_name, edges, num_hosts, **options).run(partition_cache)

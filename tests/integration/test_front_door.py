@@ -9,12 +9,14 @@ numbers recorded before the entry points shared a plan.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro import cli
 from repro.errors import ExecutionError
 from repro.graph.generators import rmat
+from repro.options import PLAN_KEYWORDS
 from repro.resilience import ResilienceConfig
 from repro.service import JobSpec, execute_job
 from repro.service.spec import values_digest
@@ -77,18 +79,17 @@ def test_every_entry_point_runs_the_same_job(
     )
     assert fingerprint(session.run(), session.executor) == direct
 
-    if not params:  # JobSpec has no feature fields
-        job = execute_job(
-            JobSpec(app=app, workload="rmat22s", hosts=HOSTS, policy=policy)
-        )
-        assert job.status == "ok", job.error
-        assert {
-            "rounds": job.rounds,
-            "comm_bytes": job.comm_bytes,
-            "construction_bytes": job.construction_bytes,
-            "sim_time_s": job.sim_time_s,
-            "digest": job.output_digest,
-        } == {k: v for k, v in direct.items() if k != "comm_messages"}
+    job = execute_job(
+        JobSpec(app=app, workload="rmat22s", hosts=HOSTS, policy=policy, **params)
+    )
+    assert job.status == "ok", job.error
+    assert {
+        "rounds": job.rounds,
+        "comm_bytes": job.comm_bytes,
+        "construction_bytes": job.construction_bytes,
+        "sim_time_s": job.sim_time_s,
+        "digest": job.output_digest,
+    } == {k: v for k, v in direct.items() if k != "comm_messages"}
 
     # The CLI prints no answer; catch the result its plan's run returns.
     seen = []
@@ -159,14 +160,195 @@ def test_content_hashes_are_the_recorded_ones():
 
 
 def test_run_options_are_run_app_keywords():
-    import inspect
-
     spec = JobSpec(
         app="bfs", workload="rmat22s", level="oti",
         inject_fault="crash:1@3", checkpoint_every=2,
     )
     options = spec.run_options()
-    assert set(options) <= set(inspect.signature(run_app).parameters)
+    assert set(options) == set(PLAN_KEYWORDS)
     assert options["level"].value == "oti"
     assert options["resilience"].checkpoint_every == 2
     assert JobSpec(app="bfs", workload="rmat22s").run_options()["resilience"] is None
+
+
+# -- every door names every option (ISSUE 22) ---------------------------------------
+
+#: A job only ``repro run`` could name before the option table.
+WIDE_JOB = {
+    "app": "featprop", "workload": "rmat22s", "hosts": HOSTS, "policy": "iec",
+    "feature_dim": 16, "feature_rounds": 4, "compression": "delta",
+    "aggregate_comm": False,
+}
+WIDE_FLAGS = [
+    "--app", "featprop", "--workload", "rmat22s", "--hosts", str(HOSTS), "--policy", "iec",
+    "--feature-dim", "16", "--feature-rounds", "4", "--compression", "delta",
+    "--no-aggregation",
+]
+JOB_KEYS = ("rounds", "comm_bytes", "construction_bytes", "sim_time_s", "digest")
+
+
+def job_fingerprint(document):
+    assert document["status"] == "ok", document.get("error")
+    return {**{key: document[key] for key in JOB_KEYS[:-1]}, "digest": document["output_digest"]}
+
+
+@pytest.mark.parametrize(
+    "placement, flags",
+    [
+        ({}, []),
+        ({"runtime": "process", "workers": 2}, ["--runtime", "process", "--workers", "2"]),
+    ],
+    ids=["simulated", "process"],
+)
+def test_every_door_runs_the_same_wide_job(graph, monkeypatch, capsys, tmp_path, placement, flags):
+    options = {k: v for k, v in WIDE_JOB.items() if k not in ("app", "workload", "hosts")}
+    direct = fingerprint(run_app("d-galois", "featprop", graph, HOSTS, **options, **placement))
+    expected = {key: direct[key] for key in JOB_KEYS}
+
+    # The CLI prints no answer: fingerprint each plan's run as it returns
+    # (a session's executor moves on to the next graph version afterwards).
+    seen = []
+    run_plan = RunPlan.run
+
+    def fingerprinted(*args, **kwargs):
+        result = run_plan(*args, **kwargs)
+        seen.append(fingerprint(result))
+        return result
+
+    monkeypatch.setattr(RunPlan, "run", fingerprinted)
+    doors = [["run", "--system", "d-galois", "--json"]]
+    if not placement:  # a live session is simulated only
+        doors.append(["mutate", "--generate", "1", "--json"])
+    for door in doors:
+        assert cli.main(door + WIDE_FLAGS + flags) == 0
+        capsys.readouterr()
+        assert seen == [direct], door[0]
+        seen.clear()
+
+    assert cli.main(["submit", "--json"] + WIDE_FLAGS + flags) == 0
+    assert job_fingerprint(json.loads(capsys.readouterr().out)) == expected
+
+    batch = tmp_path / "jobs.json"
+    batch.write_text(json.dumps([{**WIDE_JOB, **placement}]))
+    assert cli.main(["serve", str(batch), "--json"]) == 0
+    (served,) = json.loads(capsys.readouterr().out)["results"]
+    assert job_fingerprint(served) == expected
+    assert served["spec_hash"] == JobSpec(**WIDE_JOB).content_hash()
+
+
+def test_placement_never_enters_the_hash_and_new_options_only_when_set():
+    plain = JobSpec(app="featprop", workload="rmat22s")
+    placed = JobSpec(app="featprop", workload="rmat22s", runtime="process", workers=2)
+    assert placed.content_hash() == plain.content_hash()
+    for option, value in [
+        ("feature_dim", 16), ("feature_rounds", 4), ("compression", "delta"),
+        ("aggregate_comm", False), ("sanitize", True),
+    ]:
+        changed = JobSpec(app="featprop", workload="rmat22s", **{option: value})
+        assert changed.content_hash() != plain.content_hash(), option
+        assert option not in plain.hashed_dict()
+
+
+def test_a_spec_with_every_option_set_round_trips():
+    spec = JobSpec(
+        app="featprop", workload="kron25s", hosts=2, system="d-ligra", policy="hvc",
+        level="oti", scale_delta=-3, source=5, max_rounds=500, weight_seed=7,
+        partition_seed=3, tolerance=1e-9, max_iterations=40, k=3,
+        inject_fault="drop:0.02", fault_seed=11, checkpoint_every=2,
+        recovery="confined", feature_dim=16, feature_rounds=4, compression="delta",
+        aggregate_comm=False, sanitize=True, runtime="simulated", workers=None,
+        priority=9, max_attempts=4,
+    )
+    unset = [f.name for f in fields(JobSpec) if getattr(spec, f.name) == f.default]
+    assert unset == ["runtime", "workers"]  # placement: covered with --runtime process below
+    assert JobSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+    placed = JobSpec(app="bfs", workload="rmat22s", runtime="process", workers=2)
+    assert JobSpec.from_dict(placed.to_dict()) == placed
+
+
+def test_options_are_declared_once():
+    """Fields == generated flags == the keywords ``plan_run`` takes (modulo
+    the resolved forms), and the lower layers' own defaults agree."""
+    import inspect
+
+    from repro.options import PLAN_KEYWORDS, PLAN_STAGES
+    from repro.runtime.executor import DistributedExecutor
+    from repro.systems import prepare_input
+
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    names = [f.name for f in fields(JobSpec)]
+    dests = {
+        command: {
+            action.dest.removeprefix("no_")
+            for action in commands[command]._actions
+            if action.dest.removeprefix("no_") in names
+        }
+        for command in ("run", "mutate", "submit")
+    }
+    # The only per-command exceptions:
+    assert dests["submit"] == set(names)
+    assert dests["run"] == dests["mutate"] == set(names) - {"priority", "max_attempts"}
+    required = {
+        command: {a.dest for a in commands[command]._actions if a.required} & set(names)
+        for command in dests
+    }
+    assert required["run"] == {"app", "workload", "system"}
+    assert required["mutate"] == required["submit"] == {"app", "workload"}
+
+    by_stage = {
+        stage: {f.name for f in fields(JobSpec) if f.metadata["feeds"] == stage}
+        for stage in PLAN_STAGES + ("job", "resilience", "scheduler")
+    }
+    assert set().union(*by_stage.values()) == set(names)
+    assert by_stage["job"] == {"app", "workload", "scale_delta", "system", "hosts"}
+    assert by_stage["scheduler"] == {"priority", "max_attempts"}
+    keywords = set(names) - by_stage["job"] - by_stage["scheduler"]
+    assert set(PLAN_KEYWORDS) == keywords - by_stage["resilience"] | {"resilience"}
+    assert set(JobSpec(app="bfs", workload="rmat22s").run_options()) == set(PLAN_KEYWORDS)
+
+    defaults = {f.name: f.default for f in fields(JobSpec)}
+    prepare = inspect.signature(prepare_input).parameters
+    assert set(prepare) - {"app_name", "edges"} == by_stage["input"]
+    executor = inspect.signature(DistributedExecutor.__init__).parameters
+    assert by_stage["executor"] | {"resilience"} <= set(executor)
+    for name in by_stage["input"] | by_stage["executor"]:
+        assert (prepare.get(name) or executor[name]).default == defaults[name], name
+    with pytest.raises(TypeError, match="unknown run option.*polcy"):
+        run_app("d-galois", "bfs", rmat(4, 4, 1), 1, polcy="oec")
+
+
+def test_a_result_cached_by_the_parent_commit_is_still_a_hit(graph, tmp_path, capsys):
+    """The cache key of a spec the parent could express has not moved: an
+    entry written under the parent's hash (all of its 20 fields minus the
+    scheduling pair, canonical JSON) is served to the same batch file."""
+    import hashlib
+
+    from repro.service import JobResult, ServiceCache
+
+    parent_spec = {
+        "app": "bfs", "workload": "rmat22s", "hosts": HOSTS, "system": "d-galois",
+        "policy": "cvc", "level": None, "scale_delta": 0, "source": None,
+        "max_rounds": 100_000, "weight_seed": 42, "partition_seed": 0,
+        "tolerance": 1e-6, "max_iterations": 100, "k": 2, "inject_fault": None,
+        "fault_seed": 0, "checkpoint_every": 0, "recovery": "restart",
+        "priority": 0, "max_attempts": 1,
+    }
+    hashed = {k: v for k, v in parent_spec.items() if k not in ("priority", "max_attempts")}
+    parent_hash = hashlib.sha256(
+        json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    answer = run_app("d-galois", "bfs", graph, HOSTS, policy="cvc").executor.gather_result("dist")
+    ServiceCache(directory=str(tmp_path / "cache")).put_result(
+        parent_hash,
+        JobResult(
+            job_id=parent_hash[:12], spec_hash=parent_hash, spec=parent_spec, rounds=4,
+            output_key="dist", output_digest=values_digest(answer), values=answer,
+        ),
+    )
+    batch = tmp_path / "jobs.json"
+    batch.write_text(json.dumps([{"app": "bfs", "workload": "rmat22s", "policy": "cvc"}]))
+    argv = ["serve", str(batch), "--cache-dir", str(tmp_path / "cache"), "--json"]
+    assert cli.main(argv) == 0
+    (served,) = json.loads(capsys.readouterr().out)["results"]
+    assert served["result_cache"] == "hit" and served["spec_hash"] == parent_hash

@@ -1,5 +1,5 @@
-"""Self-test of the repo rules in ``tools/check_lint.py`` (X001, X002):
-each is fed one offending and one clean snippet."""
+"""Self-test of the repo rules in ``tools/check_lint.py`` (X001, X002,
+X003): each is fed one offending and one clean snippet."""
 
 import importlib.util
 from pathlib import Path
@@ -39,6 +39,21 @@ def codes(path, source):
             "    )\n    return _resolve_system\n",
             "def stage():\n    from repro.systems import plan_run\n    return plan_run\n",
             "src/repro/systems.py",
+        ),
+        (
+            "X003",
+            "def flags(cmd):\n    add_job_flags(cmd, 'run')\n"
+            "    cmd.add_argument('--feature-dim', type=int, default=8)\n",
+            "def flags(cmd, lint_cmd):\n    add_job_flags(cmd, 'run')\n"
+            "    cmd.add_argument('--verify', action='store_true')\n"
+            "    lint_cmd.add_argument('--app', default=None)\n",
+            "src/repro/options.py",
+        ),
+        (
+            "X003",
+            "EXECUTOR_OPTIONS = ('resilience', 'aggregate_comm', 'sanitize', 'runtime')\n",
+            "ROW = {'app': 1, 'workload': 2, 'hosts': 3, 'policy': 4, 'rounds': 5}\n",
+            "src/repro/options.py",
         ),
     ],
 )

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import JobSpecError
+from repro.service import JobSpec
 
 JOB = ["--workload", "rmat22s", "--scale-delta", "-5", "--hosts", "2"]
 WIDE = ["--feature-dim", "32", "--compression", "delta"]
@@ -118,31 +120,134 @@ class TestServeStreamText:
         assert " failed " in out and " ok " in out
 
 
+MULTI_PHASE = "bc is multi-phase; {} is only supported for single-executor applications"
+
+#: name -> (flags, the same job as batch-file fields, the refusal table's message).
+REFUSED = {
+    "gemini-cvc": (
+        ["--system", "gemini", "--hosts", "4", "--policy", "cvc"],
+        {"system": "gemini", "hosts": 4, "policy": "cvc"},
+        "Gemini supports only its own edge cut",
+    ),
+    "single-host-system-on-4-hosts": (
+        ["--system", "galois", "--hosts", "4"],
+        {"system": "galois", "hosts": 4},
+        "galois is a shared-memory system; use d-galois for 4 hosts",
+    ),
+    # The next four used to leave ``run`` as a traceback with exit 1.
+    "bc-checkpoints": (
+        ["--system", "d-galois", "--app", "bc", "--checkpoint-every", "2"],
+        {"app": "bc", "checkpoint_every": 2},
+        MULTI_PHASE.format("resilience"),
+    ),
+    "process-sanitize": (
+        ["--system", "d-galois", "--runtime", "process", "--sanitize"],
+        {"runtime": "process", "sanitize": True},
+        "the proxy sanitizer requires --runtime simulated",
+    ),
+    "process-crash": (
+        ["--system", "d-galois", "--runtime", "process", "--inject-fault", "crash:1@2"],
+        {"runtime": "process", "inject_fault": "crash:1@2"},
+        "crash-fault plans require --runtime simulated",
+    ),
+    "bc-trace": (  # --trace is an output flag of ``run``, not a job option
+        ["--system", "d-galois", "--app", "bc", "--trace", "unwritten.json"],
+        None,
+        MULTI_PHASE.format("observability"),
+    ),
+    "workers-without-process": (
+        ["--system", "d-galois", "--workers", "2"],
+        {"workers": 2},
+        "--workers only applies to --runtime process",
+    ),
+}
+AS_JOB_FIELDS = sorted(name for name, row in REFUSED.items() if row[1] is not None)
+
+
 class TestUnsupportedCombinationIsAUsageError:
-    """``run``/``submit`` report what ``plan_run`` refuses the way the
-    streaming path does: exit 2, the message on stderr, no traceback."""
+    """``run``/``submit``/``serve`` report what the refusal table refuses
+    the way the streaming path does: exit 2, the table's message on
+    stderr, no traceback, and no partition built."""
 
-    TINY = ["--app", "bfs", "--workload", "rmat22s", "--scale-delta", "-8"]
+    TINY = ["--workload", "rmat22s", "--scale-delta", "-8"]
 
-    @pytest.mark.parametrize("command", ["run", "submit"])
-    @pytest.mark.parametrize(
-        "job, message",
-        [
-            (
-                ["--system", "gemini", "--hosts", "4", "--policy", "cvc"],
-                "Gemini supports only its own edge cut",
-            ),
-            (
-                ["--system", "galois", "--hosts", "4"],
-                "galois is a shared-memory system; use d-galois for 4 hosts",
-            ),
-        ],
-        ids=["gemini-cvc", "single-host-system-on-4-hosts"],
-    )
-    def test_exit_2_with_the_message_on_stderr(self, command, job, message, capsys):
+    @pytest.fixture(autouse=True)
+    def nothing_is_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a refused job reached build_partition")
+
+        monkeypatch.setattr("repro.systems.build_partition", built)
+
+    def refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main([command] + job + self.TINY)
+            main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert f"repro: error: {message}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [("run", name) for name in sorted(REFUSED)]
+        + [("submit", name) for name in AS_JOB_FIELDS],
+    )
+    def test_exit_2_with_the_message_on_stderr(self, command, case, capsys):
+        job, _, message = REFUSED[case]
+        app = [] if "--app" in job else ["--app", "bfs"]
+        err = self.refused([command] + job + app + self.TINY, capsys)
+        assert f"repro: error: {message}" in err
+
+    @pytest.mark.parametrize("case", AS_JOB_FIELDS)
+    def test_serve_refuses_the_entry_at_load(self, case, tmp_path, capsys):
+        _, job, message = REFUSED[case]
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps({
+            "defaults": {"app": "bfs", "workload": "rmat22s", "scale_delta": -8},
+            "jobs": [{"app": "cc"}, job],
+        }))
+        err = self.refused(["serve", str(jobs)], capsys)
+        assert f"repro: error: job #2: {message}" in err
+
+    @pytest.mark.parametrize("door", ["run", "submit", "serve", "JobSpec"])
+    @pytest.mark.parametrize(
+        "fault, complaint",
+        [
+            ("drop:0", "injects no faults"),
+            ("crash:5@1", "crash targets host 5, but the cluster has 2 hosts"),
+        ],
+        ids=["empty-plan", "crash-beyond-the-cluster"],
+    )
+    def test_one_resilience_verdict_at_every_door(
+        self, door, fault, complaint, tmp_path, capsys
+    ):
+        job = {"app": "bfs", "workload": "rmat22s", "hosts": 2, "inject_fault": fault}
+        if door == "JobSpec":
+            with pytest.raises(JobSpecError) as refused:
+                JobSpec(**job)
+            err = str(refused.value)
+        elif door == "serve":
+            jobs = tmp_path / "jobs.json"
+            jobs.write_text(json.dumps([job]))
+            err = self.refused(["serve", str(jobs)], capsys)
+        else:
+            system = ["--system", "d-galois"] if door == "run" else []
+            err = self.refused(
+                [door, *system, "--app", "bfs", "--hosts", "2", "--inject-fault", fault]
+                + self.TINY,
+                capsys,
+            )
+        assert "inject_fault: " in err and complaint in err
+
+
+class TestResilienceFlagsKeepTheirMeaning:
+    RUN = ["run", "--system", "d-galois", "--app", "bfs", "--hosts", "2",
+           "--workload", "rmat22s", "--scale-delta", "-8"]
+
+    def test_checkpoint_dir_alone_still_checkpoints(self, tmp_path, capsys):
+        assert main(self.RUN + ["--checkpoint-dir", str(tmp_path / "ckpts")]) == 0
+        assert "1 taken" in capsys.readouterr().out
+
+    def test_a_stored_cadence_of_zero_means_off(self):
+        spec = JobSpec(app="bfs", workload="rmat22s", checkpoint_every=0)
+        assert spec.run_options()["resilience"] is None
+        # ... while ``--checkpoint-every 0`` stays a usage error (tests/test_cli.py).

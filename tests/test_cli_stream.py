@@ -164,7 +164,8 @@ class TestRunStream:
                 "--workload", "rmat22s", "--stream", stream_file,
                 "--runtime", "process",
             ])
-        assert "--stream is incompatible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "streaming sessions do not support runtime='process'" in err
 
     def test_incompatible_with_fault_injection(self, stream_file, capsys):
         with pytest.raises(SystemExit):
@@ -173,7 +174,8 @@ class TestRunStream:
                 "--workload", "rmat22s", "--stream", stream_file,
                 "--inject-fault", "crash:0@1",
             ])
-        assert "--stream is incompatible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "streaming sessions do not support resilience=" in err
 
     def test_missing_stream_file_is_a_parser_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

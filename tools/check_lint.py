@@ -20,7 +20,7 @@ so contributors without ruff installed can still gate locally:
 * B006 mutable default argument
 * B904 raise without ``from`` inside an except handler
 
-plus two repo rules ruff cannot express:
+plus three repo rules ruff cannot express:
 
 * X001 a module under ``src/`` other than ``runtime/executor.py`` touches
   a private attribute of a ``DistributedExecutor`` (``ex._x``,
@@ -30,6 +30,13 @@ plus two repo rules ruff cannot express:
   ``DistributedExecutor`` or imports an underscore name from
   ``repro.systems`` — every entry point plans its run through
   ``repro.systems.plan_run`` and takes executors from the plan
+* X003 a module under ``src/`` other than ``options.py`` declares a job
+  option a second time: an ``add_argument`` whose flag literal spells one,
+  on a parser that takes the generated flags (``add_job_flags(cmd, ...)``;
+  other subcommands keep their own ``--app`` / ``--workers``), or a dict /
+  tuple / list / set literal naming three or more of them (the five
+  fields that name the job itself — app, workload, hosts, system,
+  scale_delta — label every result row and are not counted)
 
 Usage: python tools/check_lint.py [paths...]
 (default: src tests tools benchmarks)
@@ -47,8 +54,33 @@ MAX_LINE = 100
 EXECUTOR_PRIVATE = re.compile(r"\b(ex|executor|self\.ex)\._[a-z]")
 EXECUTOR_MODULE = Path("src/repro/runtime/executor.py")
 SYSTEMS_MODULE = Path("src/repro/systems.py")
+OPTIONS_MODULE = Path("src/repro/options.py")
 AMBIGUOUS = {"l", "O", "I"}
 VALID_ESCAPES = set("\n\\'\"abfnrtv01234567xNuU")
+
+
+def _option_table():
+    """``(option names, flag spellings)`` X003 guards, read off the
+    ``option(...)`` declarations of ``JobSpec`` without importing ``repro``."""
+    source = (Path(__file__).resolve().parents[1] / OPTIONS_MODULE).read_text()
+    names, flags = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call)):
+            continue
+        if getattr(node.value.func, "id", None) != "option":
+            continue
+        given = {kw.arg: kw.value for kw in node.value.keywords}
+        name = node.target.id
+        if given["feeds"].value != "job":
+            names.add(name)
+        flag = given.get("flag")
+        flags.add(flag.value if flag is not None else "--" + name.replace("_", "-"))
+        if "off_flag" in given:
+            flags.add(given["off_flag"].elts[0].value)
+    return names, flags
+
+
+OPTION_NAMES, OPTION_FLAGS = _option_table()
 
 
 def _iter_files(paths):
@@ -117,6 +149,10 @@ class _AstChecker(ast.NodeVisitor):
         self.plans_elsewhere = (
             Path(path).parts[:1] == ("src",) and Path(path) != SYSTEMS_MODULE
         )
+        #: X003 applies: under ``src/`` and not the option table itself.
+        self.declares_elsewhere = (
+            Path(path).parts[:1] == ("src",) and Path(path) != OPTIONS_MODULE
+        )
         self.used_names = {
             node.id
             for node in ast.walk(self.tree)
@@ -130,6 +166,14 @@ class _AstChecker(ast.NodeVisitor):
         }
         self.exported = self._exported_names()
         self.in_except = 0
+        #: Names of the parsers handed to ``add_job_flags`` (X003).
+        self.job_parsers = {
+            node.args[0].id
+            for node in ast.walk(self.tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "add_job_flags"
+            and node.args and isinstance(node.args[0], ast.Name)
+        }
 
     def _exported_names(self):
         names = set()
@@ -199,7 +243,32 @@ class _AstChecker(ast.NodeVisitor):
                 node, "X002",
                 "DistributedExecutor constructed outside systems.py (use RunPlan.executor)",
             )
+        receiver = getattr(getattr(node.func, "value", None), "id", None)
+        if self.declares_elsewhere and name == "add_argument" and receiver in self.job_parsers:
+            spelled = {getattr(arg, "value", None) for arg in node.args} & OPTION_FLAGS
+            if spelled:
+                self.report(
+                    node, "X003",
+                    f"job flag {min(spelled)} declared by hand (repro.options generates it)",
+                )
         self.generic_visit(node)
+
+    def _check_option_list(self, node, elements):
+        named = {getattr(element, "value", None) for element in elements} & OPTION_NAMES
+        if self.declares_elsewhere and len(named) >= 3:
+            self.report(
+                node, "X003",
+                f"second list of job options ({', '.join(sorted(named))}) outside options.py",
+            )
+        self.generic_visit(node)
+
+    def visit_Dict(self, node):
+        self._check_option_list(node, node.keys)
+
+    def visit_Tuple(self, node):
+        self._check_option_list(node, node.elts)
+
+    visit_List = visit_Set = visit_Tuple
 
     def visit_ImportFrom(self, node):
         if self.plans_elsewhere and node.module == "repro.systems":
