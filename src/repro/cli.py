@@ -763,7 +763,10 @@ def _command_experiment(args: argparse.Namespace, _parser=None) -> int:
     kwargs = {}
     if args.scale_delta is not None:
         if args.name == "metadata":
-            print("note: --scale-delta does not apply to 'metadata'")
+            print(
+                "note: --scale-delta does not apply to 'metadata'",
+                file=sys.stderr,
+            )
         else:
             kwargs["scale_delta"] = args.scale_delta
     rows = harness(**kwargs)

@@ -41,6 +41,44 @@ def _as_u32(values, name: str) -> np.ndarray:
     return arr
 
 
+def _json_id(value, where: str) -> int:
+    """``value`` if it is a JSON integer in ``[0, 2**32)``, else GraphError.
+
+    ``bool`` is refused: ``True`` is an ``int`` to Python but not an
+    integer in a stream file.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{where}: expected an integer, got {value!r}")
+    if not 0 <= value < 2**32:
+        raise GraphError(f"{where}: {value} is outside [0, 2**32)")
+    return value
+
+
+def _json_ids(values, where: str) -> list:
+    """``values`` if it is a JSON list of ids, else GraphError naming the entry."""
+    if not isinstance(values, list):
+        raise GraphError(
+            f"{where} must be a list, got {type(values).__name__}"
+        )
+    for index, value in enumerate(values):
+        _json_id(value, f"{where}[{index}]")
+    return values
+
+
+def _json_rows(doc: dict, key: str, widths: Tuple[int, ...], shape: str) -> list:
+    """``doc[key]`` (default ``[]``) as rows of ids, each ``shape`` wide."""
+    rows = doc.get(key, [])
+    if not isinstance(rows, list):
+        raise GraphError(f"{key} must be a list, got {type(rows).__name__}")
+    for index, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) not in widths:
+            raise GraphError(
+                f"{key} rows must be {shape}; {key}[{index}] is {row!r}"
+            )
+        _json_ids(row, f"{key}[{index}]")
+    return rows
+
+
 @dataclass(frozen=True)
 class MutationEffect:
     """What a batch actually did to a concrete edge list.
@@ -307,15 +345,17 @@ class MutationBatch:
                               "delete_nodes"}
         if unknown:
             raise GraphError(f"unknown batch keys: {sorted(unknown)}")
-        inserts = doc.get("insert", [])
+        inserts = _json_rows(
+            doc, "insert", (2, 3), "[src, dst] or [src, dst, w]"
+        )
+        deletes = _json_rows(doc, "delete_edges", (2,), "[src, dst]")
+        delete_nodes = _json_ids(doc.get("delete_nodes", []), "delete_nodes")
         widths = {len(row) for row in inserts}
-        if widths - {2, 3}:
-            raise GraphError("insert rows must be [src, dst] or [src, dst, w]")
         if widths == {2, 3}:
             raise GraphError("insert rows mix weighted and unweighted forms")
         weighted = widths == {3}
         return cls(
-            add_nodes=int(doc.get("add_nodes", 0)),
+            add_nodes=_json_id(doc.get("add_nodes", 0), "add_nodes"),
             insert_src=np.array([r[0] for r in inserts], dtype=np.uint32),
             insert_dst=np.array([r[1] for r in inserts], dtype=np.uint32),
             insert_weight=(
@@ -323,13 +363,9 @@ class MutationBatch:
                 if weighted
                 else None
             ),
-            delete_src=np.array(
-                [r[0] for r in doc.get("delete_edges", [])], dtype=np.uint32
-            ),
-            delete_dst=np.array(
-                [r[1] for r in doc.get("delete_edges", [])], dtype=np.uint32
-            ),
-            delete_nodes=np.array(doc.get("delete_nodes", []), dtype=np.uint32),
+            delete_src=np.array([r[0] for r in deletes], dtype=np.uint32),
+            delete_dst=np.array([r[1] for r in deletes], dtype=np.uint32),
+            delete_nodes=np.array(delete_nodes, dtype=np.uint32),
         )
 
 
@@ -343,14 +379,23 @@ def save_batches(batches: List[MutationBatch], path: Union[str, Path]) -> None:
 
 def load_batches(path: Union[str, Path]) -> List[MutationBatch]:
     """Read a batch stream from JSON; accepts a list or {"batches": [...]}."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise GraphError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(doc, dict):
         doc = doc.get("batches")
     if not isinstance(doc, list):
         raise GraphError(
             f"{path}: expected a list of batches or {{'batches': [...]}}"
         )
-    return [MutationBatch.from_dict(entry) for entry in doc]
+    batches = []
+    for index, entry in enumerate(doc):
+        try:
+            batches.append(MutationBatch.from_dict(entry))
+        except GraphError as exc:
+            raise GraphError(f"{path}: batch #{index}: {exc}") from exc
+    return batches
 
 
 def random_mutation_batch(

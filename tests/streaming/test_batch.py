@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.edgelist import EdgeList
+from repro.streaming import StreamingSession
 from repro.streaming.batch import (
     MutationBatch,
     load_batches,
@@ -242,3 +245,115 @@ class TestRandomBatch:
             )
             edges, _ = batch.apply(edges)  # apply() validates
         assert edges.num_nodes == n + 10
+
+
+#: The hostile stream entries of ROADMAP 3(c), each with the part of the
+#: message that names the key and the row.
+HOSTILE = [
+    ({"insert": [[1, -2]]}, r"insert\[0\]\[1\]: -2 is outside"),
+    ({"insert": [[1, 2**40]]}, r"insert\[0\]\[1\]: 1099511627776 is outside"),
+    ({"insert": [[1, "x"]]}, r"insert\[0\]\[1\]: expected an integer, got 'x'"),
+    ({"add_nodes": "many"}, "add_nodes: expected an integer, got 'many'"),
+    ({"insert": [5]}, r"insert rows must be .*insert\[0\] is 5"),
+    ({"delete_edges": [[1]]}, r"delete_edges rows must be \[src, dst\]"),
+    ({"insert": [[1.5, 2]]}, r"insert\[0\]\[0\]: expected an integer, got 1.5"),
+    ({"insert": [[1, 2, True]]}, r"insert\[0\]\[2\]: expected an integer"),
+    ({"delete_nodes": [0, None]}, r"delete_nodes\[1\]: expected an integer"),
+    ({"delete_nodes": 3}, "delete_nodes must be a list"),
+    ({"add_nodes": -1}, "add_nodes: -1 is outside"),
+]
+
+
+class TestHostileJson:
+    @pytest.mark.parametrize("doc, message", HOSTILE)
+    def test_malformed_entry_is_a_graph_error(self, doc, message):
+        with pytest.raises(GraphError, match=message):
+            MutationBatch.from_dict(doc)
+
+    def test_truncated_file_is_a_graph_error(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"batches": [{"insert": [[0, 1]')
+        with pytest.raises(GraphError, match="not valid JSON"):
+            load_batches(path)
+
+    def test_stream_file_error_names_the_batch(self, tmp_path):
+        path = tmp_path / "stream.json"
+        path.write_text('[{"insert": [[0, 1]]}, {"insert": [[1.5, 2]]}]')
+        with pytest.raises(GraphError, match=r"batch #1: insert\[0\]\[0\]"):
+            load_batches(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+#: Well-formed entries over (and just past) the ids of the 6-node chain:
+#: these get through from_dict, so validate_against decides.
+NODES = st.integers(0, 7)
+PAIRS = st.lists(NODES, min_size=2, max_size=2)
+CHAIN_EDGES = st.integers(0, 5).map(lambda node: [node, node + 1])
+WELL_FORMED_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "add_nodes": st.integers(0, 2),
+        "insert": st.lists(PAIRS, max_size=3),
+        "delete_edges": st.lists(CHAIN_EDGES | PAIRS, max_size=2),
+        "delete_nodes": st.lists(NODES, max_size=2),
+    },
+)
+#: The same keys holding anything at all.
+IDS = NODES | st.integers(-2, 2**33) | JSON_VALUES
+ROWS = st.lists(st.lists(IDS, max_size=4) | JSON_VALUES, max_size=3)
+HOSTILE_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "add_nodes": IDS,
+        "insert": ROWS | JSON_VALUES,
+        "delete_edges": ROWS | JSON_VALUES,
+        "delete_nodes": st.lists(IDS, max_size=3) | JSON_VALUES,
+        "inserts": JSON_VALUES,
+    },
+)
+BATCH_DOCS = WELL_FORMED_DOCS | HOSTILE_DOCS
+
+
+class TestJsonFuzz:
+    @given(BATCH_DOCS | JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_from_dict_round_trips_or_names_the_fault(self, doc):
+        try:
+            batch = MutationBatch.from_dict(doc)
+        except GraphError:
+            return
+        # Accepted means taken literally: nothing truncated or coerced.
+        restored = batch.to_dict()
+        assert restored.get("add_nodes", 0) == doc.get("add_nodes", 0)
+        for key in ("insert", "delete_edges", "delete_nodes"):
+            assert restored.get(key, []) == doc.get(key, [])
+        again = MutationBatch.from_dict(restored)
+        assert again.to_dict() == restored
+        assert again.batch_hash() == batch.batch_hash()
+
+    @given(BATCH_DOCS)
+    @settings(max_examples=200, deadline=None)
+    def test_refused_batch_leaves_the_session_where_it_was(self, doc):
+        session = StreamingSession("d-galois", "bfs", chain_graph(), 2)
+        session.run()
+        before, values = session.version, session.values()
+        try:
+            session.apply_batch(MutationBatch.from_dict(doc))
+        except GraphError:
+            assert session.version is before
+            after = session.values()
+            assert set(after) == set(values)
+            for key, value in values.items():
+                assert after[key].dtype == value.dtype
+                assert np.array_equal(after[key], value)
+        else:
+            assert session.version.version == before.version + 1

@@ -163,9 +163,12 @@ class TestCommands:
         assert "iec: broadcast" in out
 
     def test_experiment_metadata(self, capsys):
-        assert main(["experiment", "metadata"]) == 0
-        out = capsys.readouterr().out
-        assert "BITVEC" in out
+        assert main(["experiment", "metadata", "--scale-delta", "-3"]) == 0
+        captured = capsys.readouterr()
+        assert "BITVEC" in captured.out
+        # The note is not part of the table: stderr, like the other notes.
+        assert "does not apply" in captured.err
+        assert "note:" not in captured.out
 
     def test_experiment_with_scale_delta(self, capsys):
         assert main(

@@ -65,6 +65,27 @@ class TestMutateValidation:
             )
         assert "--save only applies to --generate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"batches": [{"insert": [[1, -2]]}]}',
+        '{"batches": [{"insert": [[1, 1099511627776]]}]}',
+        '{"batches": [{"insert": [[1, "x"]]}]}',
+        '{"batches": [{"add_nodes": "many"}]}',
+        '{"batches": [{"insert": [5]}]}',
+        '{"batches": [{"delete_edges": [[1]]}]}',
+        '{"batches": [{"insert": [[1.5, 2]]}]}',
+        '{"batches": [{"insert": [[0, 1]',
+    ])
+    def test_malformed_stream_exits_2_by_name(self, text, tmp_path, capsys):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(_MUTATE + ["--stream", str(path)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "repro: error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestMutate:
     def test_generated_stream_verifies_bitwise_vs_cold(self, capsys):
