@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="service cache for warm per-host partition reuse across versions",
+        help="service cache the base version's partition is built and run through",
     )
     mutate_cmd.add_argument(
         "--trace", default=None, metavar="FILE",
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "live-graph serving: keep every job in the batch converged "
             "across this mutation-batch stream (requires --backend serial; "
-            "per-host partitions are reused warm through the cache)"
+            "jobs over the same graph share the base version's partition)"
         ),
     )
 
@@ -606,9 +606,6 @@ def _emit_stream(args, session, base, steps, **extra) -> None:
         ("host partitions", f"{total('hosts_reused')} reused warm, "
                             f"{total('hosts_rebuilt')} rebuilt"),
     ]
-    if session.cache is not None:
-        lines.append(("partition cache", f"{total('cache_reuses')} reuse(s), "
-                                         f"{total('cache_invalidations')} invalidation(s)"))
     verify = extra.get("verify")
     if verify is not None:
         streamed = sum(step.result.num_rounds for step in steps)
@@ -921,9 +918,9 @@ def _command_serve_stream(
 ) -> int:
     """Live-graph serving: every batch job stays converged across a stream.
 
-    One streaming session per job spec, all sharing one service cache, so
-    per-host partitions of untouched hosts are reused warm across graph
-    versions and across jobs with identical inputs.
+    One streaming session per job spec, all sharing one service cache:
+    jobs with identical inputs share the base version's partition; later
+    versions reuse each session's in-memory partitions of untouched hosts.
     """
     from repro.errors import ReproError, ServiceError
     from repro.service import load_batch
@@ -968,15 +965,14 @@ def _command_serve_stream(
             base=base.summary(),
             steps=[step.to_dict() for step in steps],
         )
-    stats = cache.stats()
     _emit(
         args,
-        {"jobs": docs, "stats": stats},
+        {"jobs": docs, "stats": cache.stats()},
         [("live-graph serve summary", rows)],
         [(
-            "partition cache",
-            f"{stats['partition']['reuses']} warm host "
-            f"reuse(s), {stats['partition']['invalidations']} invalidation(s)",
+            "host partitions",
+            f"{sum(row['reused'] for row in rows)} reused warm, "
+            f"{sum(row['rebuilt'] for row in rows)} rebuilt",
         )],
     )
     return 1 if any(doc["status"] == "failed" for doc in docs) else 0

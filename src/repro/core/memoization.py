@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,14 +118,53 @@ def _decode_exchange(payload: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     return gids.copy(), has_in, has_out
 
 
+def _record_masters(book, part, sender, gids, has_in, has_out) -> None:
+    """Enter what ``sender`` says it mirrors of ``part``'s masters into ``book``."""
+    try:
+        lids = part.to_local_array(gids)
+    except KeyError as exc:
+        raise SyncError(
+            f"host {part.host}: peer {sender} mirrors global node "
+            f"{exc.args[0]} this host holds no proxy for"
+        ) from exc
+    if len(lids) and lids.max() >= part.num_masters:
+        raise SyncError(
+            f"host {part.host}: peer {sender} mirrors a node this "
+            "host does not master"
+        )
+    book.masters_all[sender] = lids
+    book.masters_reduce[sender] = lids[has_in]
+    book.masters_broadcast[sender] = lids[has_out]
+    book.masters_any[sender] = lids[has_in | has_out]
+
+
+_MASTER_ARRAYS = ("masters_all", "masters_reduce", "masters_broadcast", "masters_any")
+_MIRROR_ARRAYS = ("mirrors_all", "mirrors_reduce", "mirrors_broadcast", "mirrors_any")
+
+
 def exchange_address_books(
-    partitioned: PartitionedGraph, transport: InProcessTransport
+    partitioned: PartitionedGraph,
+    transport: InProcessTransport,
+    previous: Optional[Tuple[List[AddressBook], PartitionedGraph, Iterable[int]]] = None,
 ) -> List[AddressBook]:
     """Run the memoization exchange for every host; returns per-host books.
 
     This is the one-time, pre-computation collective of §4.1.  Its traffic
     flows through ``transport`` and is therefore part of the measured graph
     construction communication.
+
+    When a partition changes, "memoization is simply redone" (§4.1
+    footnote) — by this same function.  ``previous = (old_books,
+    old_partitioned, changed_hosts)`` describes the layout ``partitioned``
+    was patched from: every host *not* in ``changed_hosts`` holds the very
+    :class:`LocalPartition` it held in ``old_partitioned``.  Such a host
+    keeps its mirror groups and sends nothing; entries between two
+    unchanged hosts are kept; a changed receiver re-translates an
+    unchanged sender's entries through its new proxy table (their gids and
+    edge flags are recoverable from the old book, so no message is
+    needed).  The books are array-for-array those of a cold exchange, at
+    ``|changed| * (hosts - 1)`` messages instead of ``hosts * (hosts - 1)``.
+    A cold exchange is the case where every host changed.
     """
     num_hosts = partitioned.num_hosts
     if transport.num_hosts != num_hosts:
@@ -133,6 +172,18 @@ def exchange_address_books(
             f"transport has {transport.num_hosts} hosts for a "
             f"{num_hosts}-host partition"
         )
+    old_books, old_partitioned, changed = None, None, set(range(num_hosts))
+    if previous is not None:
+        old_books, old_partitioned, changed_hosts = previous
+        if len(old_books) != num_hosts or old_partitioned.num_hosts != num_hosts:
+            raise SyncError(
+                f"previous layout has {len(old_books)} address books and "
+                f"{old_partitioned.num_hosts} hosts for a {num_hosts}-host partition"
+            )
+        unknown = set(changed_hosts) - changed
+        if unknown:
+            raise SyncError(f"changed hosts {sorted(unknown)} out of range")
+        changed = set(changed_hosts)
     books = [
         AddressBook(
             host=h,
@@ -145,13 +196,15 @@ def exchange_address_books(
     # Local phase: group my mirrors by owning peer and compute edge flags.
     for part in partitioned.partitions:
         book = books[part.host]
+        if part.host not in changed:
+            for name in _MIRROR_ARRAYS:
+                getattr(book, name).update(getattr(old_books[part.host], name))
+            continue
         out_deg = part.graph.out_degree()
         in_deg = part.graph.in_degree()
         mirror_lids = part.mirror_locals()
         by_owner = HostGroups(part.mirror_master_host, num_hosts)
-        for peer in range(num_hosts):
-            if peer == part.host:
-                continue
+        for peer in book.peer_order:
             mine = mirror_lids[by_owner.of(peer)]
             book.mirrors_all[peer] = mine
             book.mirrors_reduce[peer] = mine[in_deg[mine] > 0]
@@ -162,12 +215,12 @@ def exchange_address_books(
 
     # Exchange phase: ship (gids, has_in, has_out) to each owning peer.
     for part in partitioned.partitions:
+        if part.host not in changed:
+            continue
         book = books[part.host]
         in_deg = part.graph.in_degree()
         out_deg = part.graph.out_degree()
-        for peer in range(num_hosts):
-            if peer == part.host:
-                continue
+        for peer in book.peer_order:
             mine = book.mirrors_all[peer]
             if len(mine) == 0:
                 continue
@@ -179,33 +232,28 @@ def exchange_address_books(
             transport.send(part.host, peer, payload)
 
     # Translate phase: owners map received global IDs to local master IDs.
+    empty = np.empty(0, dtype=np.uint32)
     for part in partitioned.partitions:
         book = books[part.host]
         for sender, payload in transport.receive_all(part.host):
-            gids, has_in, has_out = _decode_exchange(payload)
-            try:
-                lids = part.to_local_array(gids)
-            except KeyError as exc:
-                raise SyncError(
-                    f"host {part.host}: peer {sender} mirrors global node "
-                    f"{exc.args[0]} this host holds no proxy for"
-                ) from exc
-            if len(lids) and lids.max() >= part.num_masters:
-                raise SyncError(
-                    f"host {part.host}: peer {sender} mirrors a node this "
-                    "host does not master"
-                )
-            book.masters_all[sender] = lids
-            book.masters_reduce[sender] = lids[has_in]
-            book.masters_broadcast[sender] = lids[has_out]
-            book.masters_any[sender] = lids[has_in | has_out]
-    empty = np.empty(0, dtype=np.uint32)
-    for book in books:
-        for peer in range(num_hosts):
-            if peer == book.host:
+            _record_masters(book, part, sender, *_decode_exchange(payload))
+        for sender in book.peer_order:
+            if sender in changed:
+                continue  # told above, or mirrors nothing of mine any more
+            old = old_books[part.host]
+            if part.host not in changed:
+                for name in _MASTER_ARRAYS:
+                    getattr(book, name)[sender] = getattr(old, name)[sender]
                 continue
-            book.masters_all.setdefault(peer, empty)
-            book.masters_reduce.setdefault(peer, empty)
-            book.masters_broadcast.setdefault(peer, empty)
-            book.masters_any.setdefault(peer, empty)
+            # My local IDs may have shifted; what the sender would say has not.
+            old_all = old.masters_all[sender]
+            _record_masters(
+                book, part, sender,
+                old_partitioned.partitions[part.host].local_to_global[old_all],
+                np.isin(old_all, old.masters_reduce[sender]),
+                np.isin(old_all, old.masters_broadcast[sender]),
+            )
+        for peer in book.peer_order:
+            for name in _MASTER_ARRAYS:
+                getattr(book, name).setdefault(peer, empty)
     return books

@@ -389,14 +389,17 @@ def setup_substrates(
     level: OptimizationLevel = OptimizationLevel.OSTI,
     metrics: MetricsRegistry = NULL_METRICS,
     aggregate: bool = False,
+    previous=None,
 ) -> List[GluonSubstrate]:
     """Create one substrate per host, running the memoization exchange.
 
     The exchange happens regardless of optimization level (its arrays also
     drive the structural subsets), but with temporal optimization disabled
-    the memoized order is never used on the wire.
+    the memoized order is never used on the wire.  ``previous`` is
+    forwarded to :func:`exchange_address_books` (the layout this one was
+    patched from, so only changed hosts exchange).
     """
-    books = exchange_address_books(partitioned, transport)
+    books = exchange_address_books(partitioned, transport, previous)
     return setup_substrates_from_books(
         partitioned, transport, level, PreparedSync(books), metrics, aggregate
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -76,11 +76,49 @@ def marked_nodes(
     return np.flatnonzero(mark)
 
 
-def host_edges(edges: EdgeList, assignment: "EdgeAssignment", host: int):
-    """``host``'s edges in input order: ``(src, dst, weight or None)``."""
+class HostInputs(NamedTuple):
+    """Everything :func:`build_local_partition` reads to build one host.
+
+    Two versions of a graph whose ``HostInputs`` for a host are equal
+    build identical :class:`LocalPartition` objects for it; this tuple is
+    therefore also what a per-host content signature digests
+    (:func:`repro.streaming.delta.signature_of_host`).
+    """
+
+    #: Global ids mastered here (incident or isolated), ascending, intp.
+    owned: np.ndarray
+    #: The host's edge subsequence in input order (order matters: the local
+    #: CSR's stable sort preserves it within a source); endpoints as intp.
+    src: np.ndarray
+    dst: np.ndarray
+    weight: Optional[np.ndarray]
+    #: The policy's extra (edge-less) proxies for this host, or ``None``.
+    extra: Optional[np.ndarray]
+    #: Every mirror — endpoints *and* extra proxies owned elsewhere —
+    #: ascending, intp; and the host mastering each (a boundary shift
+    #: elsewhere can move a mirror's master without touching this host).
+    mirrors: np.ndarray
+    mirror_master_host: np.ndarray
+
+
+def host_inputs(edges: EdgeList, assignment: "EdgeAssignment", host: int) -> HostInputs:
+    """``host``'s construction inputs: the one definition of them."""
     mine = assignment.edge_groups.of(host)
     weight = edges.weight[mine] if edges.weight is not None else None
-    return edges.src[mine], edges.dst[mine], weight
+    # Endpoints index twice (mark, translate): intp, like every index here.
+    src, dst = edges.src[mine].astype(np.intp), edges.dst[mine].astype(np.intp)
+    extra = None
+    if assignment.extra_proxies is not None:
+        extra = assignment.extra_proxies[host]
+    owned = assignment.node_groups.of(host)
+    mirrors = marked_nodes(
+        edges.num_nodes,
+        (src, dst) if extra is None else (src, dst, extra),
+        exclude=owned,
+    )
+    return HostInputs(
+        owned, src, dst, weight, extra, mirrors, assignment.master_host[mirrors]
+    )
 
 
 @dataclass(frozen=True)
@@ -377,17 +415,9 @@ def build_local_partition(
         )
     if gid_to_lid is None:
         gid_to_lid = np.full(edges.num_nodes, NO_PROXY, dtype=np.uint32)
-    src, dst, weight = host_edges(edges, assignment, host)
-    # Endpoints index twice (mark, translate): intp, like every index here.
-    src, dst = src.astype(np.intp), dst.astype(np.intp)
-    extra = assignment.extra_proxies
-    # Masters: every node owned by this host (incident or isolated).
-    # Mirrors: incident nodes owned elsewhere, ascending.
-    owned = assignment.node_groups.of(host)
-    mirrors = marked_nodes(
-        edges.num_nodes,
-        (src, dst) if extra is None else (src, dst, extra[host]),
-        exclude=owned,
+    # Unpacked, not held: rebinding src/dst below must free the gid copies.
+    owned, src, dst, weight, _, mirrors, mirror_master_host = host_inputs(
+        edges, assignment, host
     )
     proxies = np.concatenate([owned, mirrors])
     gid_to_lid[proxies] = np.arange(len(proxies), dtype=np.uint32)
@@ -400,7 +430,7 @@ def build_local_partition(
         graph=graph,
         local_to_global=proxies.astype(np.uint32),
         num_masters=len(owned),
-        mirror_master_host=assignment.master_host[mirrors],
+        mirror_master_host=mirror_master_host,
     )
 
 
@@ -409,10 +439,13 @@ def build_partitioned_graph(
     assignment: EdgeAssignment,
     strategy: PartitionStrategy,
     policy_name: str,
+    reuse: Optional[Dict[int, LocalPartition]] = None,
 ) -> PartitionedGraph:
     """Materialize per-host local graphs from an edge assignment.
 
-    Loops :func:`build_local_partition` over every host.
+    Loops :func:`build_local_partition` over every host not in ``reuse``
+    (host -> an already built partition whose construction inputs are
+    unchanged: the streaming delta; a cold build reuses nothing).
     """
     num_hosts = assignment.num_hosts
     partitioned = PartitionedGraph(
@@ -426,9 +459,10 @@ def build_partitioned_graph(
     # Scratch gid -> lid lookup reused across hosts.
     gid_to_lid = np.full(edges.num_nodes, NO_PROXY, dtype=np.uint32)
     for host in range(num_hosts):
-        partitioned.partitions.append(
-            build_local_partition(edges, assignment, host, gid_to_lid)
-        )
+        part = reuse.get(host) if reuse else None
+        if part is None:
+            part = build_local_partition(edges, assignment, host, gid_to_lid)
+        partitioned.partitions.append(part)
     partitioned.tag_partitions()
     return partitioned
 

@@ -204,22 +204,28 @@ class DistributedExecutor:
         self, partitioned: PartitionedGraph, ctx: AppContext,
         states: Optional[List[Dict]] = None,
         frontiers: Optional[List[np.ndarray]] = None,
-        *, books=None, exchange=None,
+        *, books=None, changed_hosts=None,
     ):
         """Bind the executor to a layout: the one place memoization is (re)done.
 
         Retires the old substrates' counters, births a new fabric, builds
         one substrate per host — from ``books`` when already memoized (warm
-        start), from ``exchange(transport)`` when the caller can patch them
-        (streaming), else from a full memoization exchange — and closes
-        that exchange; derives the field specs from ``states`` (``None`` =
-        fresh ``app.make_state``), resolves the substrates' sync plans for
-        them, and seeds ``frontiers`` (``None`` = ``app.initial_frontier``).
+        start), else from a memoization exchange in which only
+        ``changed_hosts`` of the layout being replaced take part (``None``
+        = all: a cold exchange) — and closes that exchange; derives the
+        field specs from ``states`` (``None`` = fresh ``app.make_state``),
+        resolves the substrates' sync plans for them, and seeds
+        ``frontiers`` (``None`` = ``app.initial_frontier``).
         Returns the exchange's ``(bytes, simulated_time)``, priced like a
         regular round; which account they land in is the caller's business.
         """
         for sub in self.substrates:
             self.retired_stats.absorb(sub.stats)
+        previous = None
+        if changed_hosts is not None and self.substrates:
+            previous = (
+                [sub.book for sub in self.substrates], self.partitioned, changed_hosts
+            )
         self.partitioned, self.ctx = partitioned, ctx
         num_hosts = partitioned.num_hosts
         observer = None
@@ -235,8 +241,6 @@ class DistributedExecutor:
         self.substrates = []
         nbytes, sim_time = 0, 0.0
         if self.enable_sync:
-            if books is None and exchange is not None:
-                books = exchange(transport)
             if books is not None:
                 self.substrates = setup_substrates_from_books(
                     partitioned, transport, self.level, PreparedSync(books=books),
@@ -245,7 +249,7 @@ class DistributedExecutor:
             else:
                 self.substrates = setup_substrates(
                     partitioned, transport, self.level, self.metrics,
-                    aggregate=self.aggregate_comm,
+                    aggregate=self.aggregate_comm, previous=previous,
                 )
             nbytes, sim_time = close_exchange(transport, self.cost_model)
         parts = partitioned.partitions
@@ -425,15 +429,17 @@ class DistributedExecutor:
     def _relayout(
         self, feature: str, new_partitioned: PartitionedGraph, ctx: AppContext,
         result: RunResult, frontier: Optional[np.ndarray],
-        keep: Optional[np.ndarray] = None, exchange=None,
+        keep: Optional[np.ndarray] = None, changed_hosts=None,
     ) -> float:
         """Adopt a new layout: the one body of repartition / apply_mutations.
 
         ``frontier`` is a global bool mask: per-node state is carried over
         wherever ``keep`` (``None`` = everywhere) allows and the mask seeds
         the new per-host frontiers; ``frontier=None`` is a full restart
-        (fresh state, the app's initial frontier).  The rebind is charged
-        to ``result`` as construction; returns its wall time.
+        (fresh state, the app's initial frontier).  ``changed_hosts`` are
+        the hosts whose :class:`LocalPartition` is not the object the
+        current layout holds (``None`` = all of them).  The rebind is
+        charged to ``result`` as construction; returns its wall time.
         """
         from repro.options import check_refusals  # lazily: it imports this module
 
@@ -454,7 +460,9 @@ class DistributedExecutor:
             frontiers = [
                 frontier[part.local_to_global] for part in new_partitioned.partitions
             ]
-        nbytes, _ = self._bind(new_partitioned, ctx, states, frontiers, exchange=exchange)
+        nbytes, _ = self._bind(
+            new_partitioned, ctx, states, frontiers, changed_hosts=changed_hosts
+        )
         return self._charge_construction(result, nbytes, started)
 
     def repartition(self, new_partitioned: PartitionedGraph) -> None:
@@ -496,7 +504,7 @@ class DistributedExecutor:
         *,
         affected: Optional[np.ndarray] = None,
         frontier: Optional[np.ndarray] = None,
-        exchange=None,
+        changed_hosts=None,
     ) -> None:
         """Adopt a delta-partitioned graph and arm a versioned resumption.
 
@@ -509,10 +517,11 @@ class DistributedExecutor:
         opens a fresh :class:`RunResult` for the next :meth:`run` call —
         one result per graph version.
 
-        ``exchange`` is a callable ``(transport) -> address books`` that
-        runs the memoization *patch* exchange on the executor's new
-        transport (so its — much smaller — traffic is the construction
-        communication this version pays); ``None`` falls back to a full
+        ``changed_hosts`` are the hosts the delta rebuilt; every other
+        host's :class:`LocalPartition` must be the very object the
+        executor already holds, so only the changed hosts take part in
+        the memoization exchange (whose — much smaller — traffic is the
+        construction communication this version pays); ``None`` is a full
         exchange.  ``affected=None`` requests a full restart: fresh
         state and initial frontier over the new partition (how
         trajectory-dependent apps like pagerank stay bitwise-faithful).
@@ -546,7 +555,8 @@ class DistributedExecutor:
         # here, rounds accumulate on it from the next run() call.
         result = self._new_result()
         elapsed = self._relayout(
-            "apply_mutations", new_partitioned, new_ctx, result, frontier, keep, exchange
+            "apply_mutations", new_partitioned, new_ctx, result, frontier, keep,
+            changed_hosts,
         )
         # Old substrates retired with the already-finalized previous
         # result; the new version accounts only its own work.

@@ -103,15 +103,6 @@ class CacheLevel:
             "service_cache_corruptions_total", level=name
         )
         self.stores = metrics.counter("service_cache_stores_total", level=name)
-        # Streaming turnover counters: a *reuse* is an entry carried warm
-        # across a graph-version mutation; an *invalidation* is an entry
-        # dropped because its version's content changed.  Per mutation
-        # batch, reuses + invalidations reconcile exactly with the host
-        # count (every per-host entry is either reused or invalidated).
-        self.reuses = metrics.counter("service_cache_reuses_total", level=name)
-        self.invalidations = metrics.counter(
-            "service_cache_invalidations_total", level=name
-        )
 
     # -- internals ---------------------------------------------------------
 
@@ -198,40 +189,9 @@ class CacheLevel:
         self.stores.inc()
         self._evict_over_capacity()
 
-    def invalidate(self, key: str) -> bool:
-        """Drop ``key`` because its content is superseded (streaming).
-
-        Counted (and True) only when the entry was actually present, so
-        the invalidation counter reconciles exactly with the reuse
-        counter across a mutation: one or the other fires per live
-        entry, never both, never neither.
-        """
-        present = key in self
-        if present:
-            self._drop(key)
-            self.invalidations.inc()
-        return present
-
-    def reuse(self, key: str):
-        """Fetch ``key`` as a warm cross-version reuse.
-
-        A :meth:`get` that additionally counts a reuse on success —
-        how a streaming session reads an untouched host's partition
-        forward into the next graph version.
-        """
-        value = self.get(key)
-        if value is not None:
-            self.reuses.inc()
-        return value
-
     def keys(self) -> List[str]:
         """Keys in LRU order (least recently used first)."""
         return list(self._order)
-
-    def __contains__(self, key: str) -> bool:
-        if self.directory is not None:
-            return self._path(key).exists()
-        return key in self._order
 
     def __len__(self) -> int:
         return len(self._order)
@@ -245,8 +205,6 @@ class CacheLevel:
             "evictions": self.evictions.value,
             "corruptions": self.corruptions.value,
             "stores": self.stores.value,
-            "reuses": self.reuses.value,
-            "invalidations": self.invalidations.value,
         }
 
 
@@ -299,38 +257,6 @@ class ServiceCache:
             key,
             {"partitioned": partitioned, "prepared_sync": prepared_sync},
         )
-
-    # -- level 1b: per-host partitions across graph versions ---------------
-    #
-    # The streaming subsystem keys each host's LocalPartition by the
-    # content signature of that host's construction inputs (see
-    # repro.streaming.delta.signature_of_host).  A mutation leaves most
-    # signatures unchanged, so untouched hosts are read back warm
-    # (counted as reuses) while touched hosts' superseded entries are
-    # dropped (counted as invalidations).  Entries share the partition
-    # level's LRU and integrity framing; the "host-" prefix keeps them
-    # disjoint from whole-partition keys.
-
-    @staticmethod
-    def host_partition_key(signature: str) -> str:
-        """Level-1 key for one host's partition content signature."""
-        return f"host-{signature}"
-
-    def get_host_partition(self, signature: str):
-        """Cached LocalPartition for a host-input signature, or None."""
-        return self.partitions.get(self.host_partition_key(signature))
-
-    def reuse_host_partition(self, signature: str):
-        """Warm cross-version fetch (counts a reuse on success)."""
-        return self.partitions.reuse(self.host_partition_key(signature))
-
-    def put_host_partition(self, signature: str, partition) -> None:
-        """Store one host's partition under its content signature."""
-        self.partitions.put(self.host_partition_key(signature), partition)
-
-    def invalidate_host_partition(self, signature: str) -> bool:
-        """Drop a superseded host entry (counts an invalidation)."""
-        return self.partitions.invalidate(self.host_partition_key(signature))
 
     # -- level 2: completed job results ------------------------------------
 

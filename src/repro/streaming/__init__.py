@@ -8,15 +8,15 @@ rest on that.  This package opens the frozen world up:
   batches of edge/vertex inserts and deletes;
 - :mod:`repro.streaming.version` — a hash chain of graph versions whose
   content address updates in O(|batch|) instead of O(|E|);
-- :mod:`repro.streaming.delta` — delta-partitioning that reuses every
-  host whose inputs did not change and rebuilds only the rest, plus an
-  address-book patch exchange where only changed hosts send messages;
+- :mod:`repro.streaming.delta` — delta-partitioning: every host whose
+  construction inputs did not change keeps its partition, the builder
+  rebuilds the rest, and only they redo the memoization exchange;
 - :mod:`repro.streaming.incremental` — per-app affected-frontier
   computation so re-execution starts from the vertices a mutation
   actually touched, bitwise-identical to a cold full recompute;
 - :mod:`repro.streaming.session` — the orchestrator tying versions,
-  delta-partitioning, the executor resume seam, the service cache, and
-  observability together.
+  delta-partitioning, the executor resume seam and observability
+  together.
 """
 
 from repro.streaming.batch import (

@@ -2,11 +2,10 @@
 
 A :class:`StreamingSession` holds one application on one evolving graph
 and ties the streaming pieces together: the :class:`GraphVersion` chain
-(provenance hashes), :func:`delta_partition` (patched proxy tables),
-:func:`patch_address_books` (patched §4.1 memoization), the incremental
-planners (:func:`plan_incremental`), the executor's
-``apply_mutations`` resume seam, and the service cache's per-host
-partition entries (warm across versions for untouched hosts).
+(provenance hashes), :func:`delta_partition` (untouched hosts keep their
+partition objects), the incremental planners (:func:`plan_incremental`)
+and the executor's ``apply_mutations`` resume seam (which redoes the
+§4.1 memoization for the rebuilt hosts only).
 
 Lifecycle::
 
@@ -16,7 +15,7 @@ Lifecycle::
 
 Each :meth:`apply_batch` produces a :class:`StreamStepResult`: the new
 version's content address, the incremental plan that ran, how many hosts
-were patched versus rebuilt, the cache turnover, and the per-version
+were reused versus rebuilt, and the per-version
 :class:`~repro.runtime.stats.RunResult` whose rounds cover only the
 resumed work.  :meth:`cold_run` recomputes the current version from
 scratch — the oracle every streaming result is asserted bitwise
@@ -44,11 +43,7 @@ from repro.options import check_refusals
 from repro.runtime.migration import migratable_keys
 from repro.runtime.stats import RunResult
 from repro.streaming.batch import MutationBatch
-from repro.streaming.delta import (
-    delta_partition,
-    patch_address_books,
-    signature_of_host,
-)
+from repro.streaming.delta import delta_partition, host_signatures
 from repro.streaming.incremental import IncrementalPlan, plan_incremental
 from repro.streaming.version import GraphVersion
 from repro.systems import plan_run
@@ -112,8 +107,6 @@ class StreamStepResult:
     inserted_edges: int
     hosts_reused: int
     hosts_rebuilt: int
-    cache_reuses: int
-    cache_invalidations: int
     result: RunResult
 
     def to_dict(self) -> dict:
@@ -129,8 +122,6 @@ class StreamStepResult:
             "inserted_edges": self.inserted_edges,
             "hosts_reused": self.hosts_reused,
             "hosts_rebuilt": self.hosts_rebuilt,
-            "cache_reuses": self.cache_reuses,
-            "cache_invalidations": self.cache_invalidations,
             "rounds": self.result.num_rounds,
             "comm_bytes": self.result.communication_volume,
             "comm_messages": self.result.communication_messages,
@@ -150,9 +141,9 @@ class StreamingSession:
         num_hosts: Host count — fixed for the session's lifetime.
         policy: Partition policy (any of the six; delta-partitioning is
             policy-agnostic).
-        cache: Optional :class:`~repro.service.cache.ServiceCache`; the
-            session stores per-host partitions under content signatures
-            so untouched hosts are reused warm across versions.
+        cache: Optional :class:`~repro.service.cache.ServiceCache`;
+            version 0 is built and run through it (shared with every
+            other job over the same graph, policy and host count).
         observability: Optional Observability bundle; the session records
             ``delta-partition`` / ``affected-frontier`` spans and
             ``streaming_*`` counters into it.
@@ -193,30 +184,12 @@ class StreamingSession:
         self.version = GraphVersion.initial(plan.prepared.edges)
         self.executor = None
         self.partitioned = None
+        #: Per-host content signatures of the current version.
         self._signatures: List[str] = []
-        self._books = None
         self.results: List[RunResult] = []
         self.steps: List[StreamStepResult] = []
 
     # -- internals ---------------------------------------------------------
-
-    def _signatures_of(self, edges: EdgeList, assignment=None) -> List[str]:
-        if assignment is None:
-            assignment = self.plan.partitioner.assign(edges, self.num_hosts)
-        return [
-            signature_of_host(
-                edges, assignment, host, self.partitioned.policy_name
-            )
-            for host in range(self.num_hosts)
-        ]
-
-    def _store_host_partitions(self, hosts, signatures: List[str]) -> None:
-        if self.cache is None:
-            return
-        for host in hosts:
-            self.cache.put_host_partition(
-                signatures[host], self.partitioned.partitions[host]
-            )
 
     def _values_of(self, executor) -> Dict[str, np.ndarray]:
         keys = migratable_keys(
@@ -237,9 +210,12 @@ class StreamingSession:
         result = self.plan.run(self.cache)
         self.executor = result.executor  # type: ignore[attr-defined]
         self.partitioned = self.executor.partitioned
-        self._books = self.executor.harvest_prepared_sync()
-        self._signatures = self._signatures_of(self.version.edges)
-        self._store_host_partitions(range(self.num_hosts), self._signatures)
+        partitioner = self.plan.partitioner
+        self._signatures = host_signatures(
+            self.version.edges,
+            partitioner.assign(self.version.edges, self.num_hosts),
+            partitioner.name,
+        )
         self.results.append(result)
         return result
 
@@ -247,8 +223,9 @@ class StreamingSession:
         """Apply one mutation batch and re-converge incrementally.
 
         Validates the batch against the current version, advances the
-        hash chain, delta-patches the partition and address books, plans
-        the affected frontier, resumes the executor, and runs it to
+        hash chain, delta-patches the partition, plans the affected
+        frontier, resumes the executor (which re-memoizes the rebuilt
+        hosts), and runs it to
         convergence.  Returns the step summary; the session then *is*
         the new version.
         """
@@ -282,7 +259,7 @@ class StreamingSession:
 
         delta_started = time.perf_counter()
         delta = delta_partition(
-            old_edges, old_partitioned, new_edges, self.plan.partitioner
+            old_partitioned, self._signatures, new_edges, self.plan.partitioner
         )
         delta_elapsed = time.perf_counter() - delta_started
 
@@ -306,46 +283,12 @@ class StreamingSession:
                 frontier=plan.frontier_count,
             )
 
-        # Service-cache turnover: untouched hosts read back warm under
-        # their unchanged signature; touched hosts retire the old entry
-        # and store the rebuilt one.  Per batch, reuses + invalidations
-        # reconcile with the host count (absent evictions).
-        new_signatures = self._signatures_of(new_edges, delta.assignment)
-        cache_reuses = 0
-        cache_invalidations = 0
-        if self.cache is not None:
-            for host in delta.reused_hosts:
-                if self.cache.reuse_host_partition(new_signatures[host]) is not None:
-                    cache_reuses += 1
-                else:  # evicted meanwhile: restore the entry
-                    self.cache.put_host_partition(
-                        new_signatures[host], delta.partitioned.partitions[host]
-                    )
-            for host in delta.rebuilt_hosts:
-                if self.cache.invalidate_host_partition(self._signatures[host]):
-                    cache_invalidations += 1
-                self.cache.put_host_partition(
-                    new_signatures[host], delta.partitioned.partitions[host]
-                )
-
-        exchange = None
-        if self.plan.sync and self._books is not None:
-            old_books = self._books.books
-
-            def exchange(transport):
-                return patch_address_books(
-                    old_books,
-                    old_partitioned,
-                    delta.partitioned,
-                    delta.rebuilt_hosts,
-                    transport,
-                )
         self.executor.apply_mutations(
             delta.partitioned,
             new_ctx,
             affected=None if plan.full_restart else plan.affected,
             frontier=None if plan.full_restart else plan.frontier,
-            exchange=exchange,
+            changed_hosts=delta.rebuilt_hosts,
         )
         if self.metrics.enabled:
             self.metrics.counter("streaming_mutations_total").inc()
@@ -362,11 +305,10 @@ class StreamingSession:
             )
 
         result = self.executor.run(max_rounds=self.plan.max_rounds)
-        self._books = self.executor.harvest_prepared_sync()
         self.version = new_version
         self.partitioned = delta.partitioned
         self.plan = advanced
-        self._signatures = new_signatures
+        self._signatures = delta.signatures
         self.results.append(result)
         step = StreamStepResult(
             version=new_version.version,
@@ -380,8 +322,6 @@ class StreamingSession:
             inserted_edges=effect.inserted_count,
             hosts_reused=delta.num_reused,
             hosts_rebuilt=delta.num_rebuilt,
-            cache_reuses=cache_reuses,
-            cache_invalidations=cache_invalidations,
             result=result,
         )
         self.steps.append(step)

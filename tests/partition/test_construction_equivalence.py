@@ -235,9 +235,14 @@ def test_build_matches_per_host_rescan(
         assert_same_partition(
             part, old_build_local_partition(edges, assignment, host)
         )
-        assert signatures[host] == old_signature_of_host(
-            edges, assignment, host, policy
-        )
+        if not policy.startswith("gemini"):
+            # The old digest skipped the masters of Gemini's edge-less
+            # extra mirrors (unsound); what holds there instead is
+            # tests/streaming/test_delta.py::
+            # test_equal_signature_means_identical_local_partition.
+            assert signatures[host] == old_signature_of_host(
+                edges, assignment, host, policy
+            )
     if policy.startswith("gemini"):
         expected = old_gemini_extra(edges, assignment, policy.split("-")[1])
         for mine, theirs in zip(assignment.extra_proxies, expected):

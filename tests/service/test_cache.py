@@ -119,7 +119,6 @@ class TestCounters:
         assert snapshot == {
             "entries": 1, "hits": 1, "misses": 1,
             "evictions": 1, "corruptions": 0, "stores": 2,
-            "reuses": 0, "invalidations": 0,
         }
         assert (
             metrics.counter_total("service_cache_hits_total") == 1

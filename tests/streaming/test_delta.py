@@ -4,28 +4,37 @@ The load-bearing streaming property (ISSUE satellite): for arbitrary
 graphs, mutation batches, host counts, and *every* partition policy, the
 patched partition must equal a from-scratch partition of the mutated
 list — CSR arrays, proxy tables, and local-to-global maps — and the
-patched address books must equal a from-scratch memoization exchange
-array-for-array.
+address books of an ``exchange_address_books(previous=)`` in which only
+the rebuilt hosts take part must equal a from-scratch memoization
+exchange array-for-array.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.memoization import exchange_address_books
-from repro.errors import PartitionError
+from repro.engines.gemini import GeminiPartitioner
+from repro.errors import PartitionError, SyncError
 from repro.graph.edgelist import EdgeList
 from repro.network.transport import InProcessTransport
 from repro.partition import PARTITIONER_BY_NAME, make_partitioner
-from repro.streaming.batch import random_mutation_batch
+from repro.partition.base import build_local_partition, build_partitioned_graph
+from repro.streaming.batch import MutationBatch, random_mutation_batch
 from repro.streaming.delta import (
     delta_partition,
-    patch_address_books,
+    host_signatures,
     signature_of_host,
 )
 
-ALL_POLICIES = sorted(PARTITIONER_BY_NAME)
+ALL_POLICIES = sorted(PARTITIONER_BY_NAME) + ["gemini-push", "gemini-pull"]
+
+
+def partitioner_of(policy):
+    if policy.startswith("gemini-"):
+        return GeminiPartitioner(mode=policy.split("-")[1])
+    return make_partitioner(policy)
 
 
 @st.composite
@@ -96,23 +105,109 @@ def assert_books_identical(actual, expected):
                 ), f"host {mine.host} {attr}[{peer}] diverged"
 
 
+#: Host 2 owns {4, 5, 6}, keeps its two edges and its extra proxies
+#: {0, 1, 2} through the batch — but the batch shifts Gemini's chunk
+#: boundary, so the master of its *edge-less* mirror 1 moves from host 0
+#: to host 1.  A signature over edge-incident mirrors only misses that.
+EDGELESS_MIRROR_MOVES = (
+    EdgeList(
+        7,
+        np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 5], dtype=np.uint32),
+        np.array([2, 4, 0, 3, 6, 2, 6, 1, 2, 6, 6], dtype=np.uint32),
+    ),
+    MutationBatch(
+        insert_src=[1], insert_dst=[4], delete_src=[3], delete_dst=[2]
+    ),
+)
+
+
+def old_version(policy, edges, num_hosts):
+    """(partitioner, partition, signatures) of the version a batch mutates."""
+    partitioner = partitioner_of(policy)
+    assignment = partitioner.assign(edges, num_hosts)
+    partitioned = build_partitioned_graph(
+        edges, assignment, partitioner.strategy, partitioner.name
+    )
+    return partitioner, partitioned, host_signatures(
+        edges, assignment, partitioner.name
+    )
+
+
 @given(
     data=graph_and_batch(),
     num_hosts=st.integers(min_value=1, max_value=6),
     policy=st.sampled_from(ALL_POLICIES),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 def test_delta_partition_equals_full_rebuild(data, num_hosts, policy):
     edges, batch = data
-    partitioner = make_partitioner(policy)
-    old_partitioned = partitioner.partition(edges, num_hosts)
+    partitioner, old_partitioned, old_signatures = old_version(
+        policy, edges, num_hosts
+    )
     new_edges, _ = batch.apply(edges)
-    delta = delta_partition(edges, old_partitioned, new_edges, partitioner)
+    delta = delta_partition(
+        old_partitioned, old_signatures, new_edges, partitioner
+    )
     expected = partitioner.partition(new_edges, num_hosts)
     assert_partitions_identical(delta.partitioned, expected)
+    assert delta.partitioned.strategy == expected.strategy
+    assert delta.partitioned.policy_name == expected.policy_name
+    assert (
+        delta.partitioned.has_edgeless_mirrors == expected.has_edgeless_mirrors
+    )
     assert sorted(delta.reused_hosts + delta.rebuilt_hosts) == list(
         range(num_hosts)
     )
+    for host in delta.reused_hosts:
+        assert delta.partitioned.partitions[host] is old_partitioned.partitions[host]
+
+
+@given(
+    data=graph_and_batch(),
+    num_hosts=st.integers(min_value=1, max_value=6),
+    policy=st.sampled_from(ALL_POLICIES),
+)
+@example(data=EDGELESS_MIRROR_MOVES, num_hosts=3, policy="gemini-push")
+@settings(max_examples=90, deadline=None)
+def test_equal_signature_means_identical_local_partition(
+    data, num_hosts, policy
+):
+    """The soundness of signature reuse, host by host: a signature that
+    survives the batch must describe a host whose fresh build is the old
+    build.  (Fails at the parent under Gemini, whose signature skipped
+    the masters of edge-less extra mirrors.)"""
+    edges, batch = data
+    partitioner = partitioner_of(policy)
+    new_edges, _ = batch.apply(edges)
+    old_assignment = partitioner.assign(edges, num_hosts)
+    new_assignment = partitioner.assign(new_edges, num_hosts)
+    for host in range(num_hosts):
+        # Signatures are per-host unique: the host index is digested.
+        new_signature = signature_of_host(new_edges, new_assignment, host, policy)
+        other = (host + 1) % num_hosts
+        if other != host:
+            assert new_signature != signature_of_host(
+                new_edges, new_assignment, other, policy
+            )
+        if new_signature != signature_of_host(edges, old_assignment, host, policy):
+            continue
+        mine = build_local_partition(new_edges, new_assignment, host)
+        theirs = build_local_partition(edges, old_assignment, host)
+        assert mine.num_masters == theirs.num_masters
+        assert np.array_equal(mine.local_to_global, theirs.local_to_global)
+        assert np.array_equal(mine.mirror_master_host, theirs.mirror_master_host)
+        assert np.array_equal(mine.graph.indptr, theirs.graph.indptr)
+        assert np.array_equal(mine.graph.indices, theirs.graph.indices)
+        if theirs.graph.weights is None:
+            assert mine.graph.weights is None
+        else:
+            assert np.array_equal(mine.graph.weights, theirs.graph.weights)
+
+
+def cold_exchange(partitioned):
+    transport = InProcessTransport(partitioned.num_hosts)
+    books = exchange_address_books(partitioned, transport)
+    return books, transport.stats.end_round()
 
 
 @given(
@@ -120,83 +215,105 @@ def test_delta_partition_equals_full_rebuild(data, num_hosts, policy):
     num_hosts=st.integers(min_value=2, max_value=5),
     policy=st.sampled_from(ALL_POLICIES),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_patched_books_equal_full_exchange(data, num_hosts, policy):
     edges, batch = data
-    partitioner = make_partitioner(policy)
-    old_partitioned = partitioner.partition(edges, num_hosts)
-    old_books = exchange_address_books(
-        old_partitioned, InProcessTransport(num_hosts)
+    partitioner, old_partitioned, old_signatures = old_version(
+        policy, edges, num_hosts
     )
+    old_books, _ = cold_exchange(old_partitioned)
     new_edges, _ = batch.apply(edges)
-    delta = delta_partition(edges, old_partitioned, new_edges, partitioner)
-    patched = patch_address_books(
-        old_books,
-        old_partitioned,
+    delta = delta_partition(
+        old_partitioned, old_signatures, new_edges, partitioner
+    )
+    transport = InProcessTransport(num_hosts)
+    patched = exchange_address_books(
         delta.partitioned,
-        delta.rebuilt_hosts,
-        InProcessTransport(num_hosts),
+        transport,
+        previous=(old_books, old_partitioned, delta.rebuilt_hosts),
     )
-    expected = exchange_address_books(
-        delta.partitioned, InProcessTransport(num_hosts)
-    )
+    expected, _ = cold_exchange(delta.partitioned)
     assert_books_identical(patched, expected)
+    # Only rebuilt hosts talk.
+    sent = transport.stats.end_round().messages
+    assert len(sent) <= delta.num_rebuilt * (num_hosts - 1)
+    assert {src for src, _, _ in sent} <= set(delta.rebuilt_hosts)
 
 
-@given(
-    data=graph_and_batch(),
-    num_hosts=st.integers(min_value=1, max_value=6),
-    policy=st.sampled_from(ALL_POLICIES),
-)
-@settings(max_examples=40, deadline=None)
-def test_host_signature_tracks_reuse(data, num_hosts, policy):
-    """Signatures change exactly when the host rebuilds (modulo collisions:
-    a rebuilt host may coincidentally keep equal inputs — never the
-    reverse)."""
-    edges, batch = data
-    partitioner = make_partitioner(policy)
-    old_partitioned = partitioner.partition(edges, num_hosts)
-    new_edges, _ = batch.apply(edges)
-    old_assignment = partitioner.assign(edges, num_hosts)
-    delta = delta_partition(edges, old_partitioned, new_edges, partitioner)
-    for host in range(num_hosts):
-        old_sig = signature_of_host(edges, old_assignment, host, policy)
-        new_sig = signature_of_host(
-            new_edges, delta.assignment, host, policy
+def sample_version(policy="cvc", num_hosts=4, seed=5):
+    rng = np.random.default_rng(seed)
+    edges = EdgeList(
+        40,
+        rng.integers(0, 40, size=200, dtype=np.uint32),
+        rng.integers(0, 40, size=200, dtype=np.uint32),
+    ).deduplicate()
+    return (edges, *old_version(policy, edges, num_hosts))
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_no_changed_host_moves_zero_bytes(policy):
+    _, _, partitioned, _ = sample_version(policy)
+    old_books, cold = cold_exchange(partitioned)
+    assert cold.num_messages > 0
+    transport = InProcessTransport(4)
+    books = exchange_address_books(
+        partitioned, transport, previous=(old_books, partitioned, [])
+    )
+    assert transport.stats.end_round().messages == []
+    assert_books_identical(books, old_books)
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_every_host_changed_is_the_cold_exchange(policy):
+    edges, partitioner, old_partitioned, _ = sample_version(policy)
+    old_books, _ = cold_exchange(old_partitioned)
+    batch = random_mutation_batch(
+        edges, np.random.default_rng(3), delete_fraction=0.2, insert_fraction=0.2
+    )
+    new_partitioned = partitioner.partition(batch.apply(edges)[0], 4)
+    expected, cold = cold_exchange(new_partitioned)
+    transport = InProcessTransport(4)
+    books = exchange_address_books(
+        new_partitioned,
+        transport,
+        previous=(old_books, old_partitioned, range(4)),
+    )
+    assert transport.stats.end_round().messages == cold.messages
+    assert_books_identical(books, expected)
+
+
+def test_out_of_range_changed_host_rejected():
+    _, _, partitioned, _ = sample_version()
+    old_books, _ = cold_exchange(partitioned)
+    with pytest.raises(SyncError, match=r"changed hosts \[4, 9\] out of range"):
+        exchange_address_books(
+            partitioned,
+            InProcessTransport(4),
+            previous=(old_books, partitioned, [1, 9, 4]),
         )
-        if host in delta.reused_hosts:
-            assert old_sig == new_sig
-        # Signatures are per-host unique: host index is digested.
-        other = (host + 1) % num_hosts
-        if other != host:
-            assert new_sig != signature_of_host(
-                new_edges, delta.assignment, other, policy
-            )
+
+
+def test_previous_books_of_another_host_count_rejected():
+    _, _, partitioned, _ = sample_version()
+    old_books, _ = cold_exchange(partitioned)
+    with pytest.raises(SyncError, match="previous layout has 3 address books"):
+        exchange_address_books(
+            partitioned,
+            InProcessTransport(4),
+            previous=(old_books[:3], partitioned, [0]),
+        )
 
 
 def test_policy_mismatch_rejected():
-    rng = np.random.default_rng(0)
-    edges = EdgeList(
-        10,
-        rng.integers(0, 10, size=30, dtype=np.uint32),
-        rng.integers(0, 10, size=30, dtype=np.uint32),
-    ).deduplicate()
-    old = make_partitioner("oec").partition(edges, 2)
+    edges, _, old, signatures = sample_version("oec", 2)
     with pytest.raises(PartitionError, match="policy"):
-        delta_partition(edges, old, edges, make_partitioner("cvc"))
+        delta_partition(old, signatures, edges, make_partitioner("cvc"))
 
 
-def test_stale_old_partition_rejected():
-    rng = np.random.default_rng(1)
-    edges = EdgeList(
-        10,
-        rng.integers(0, 10, size=30, dtype=np.uint32),
-        rng.integers(0, 10, size=30, dtype=np.uint32),
-    ).deduplicate()
-    bigger = EdgeList(11, edges.src, edges.dst)
-    old = make_partitioner("oec").partition(edges, 2)
-    with pytest.raises(PartitionError, match="old edge list"):
-        delta_partition(bigger, old, bigger, make_partitioner("oec"))
+def test_signature_count_mismatch_rejected():
+    edges, partitioner, old, signatures = sample_version("oec", 2)
+    with pytest.raises(PartitionError, match="3 old signatures for a 2-host"):
+        delta_partition(old, signatures + ["x"], edges, partitioner)
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES)
@@ -204,20 +321,13 @@ def test_untouched_hosts_reused_under_single_edge_insert(policy):
     """Edge cuts keep most hosts warm under a tiny batch; vertex cuts may
     legitimately rebuild everything (chunk boundaries shift), but must
     still account for every host."""
-    rng = np.random.default_rng(11)
-    n = 40
-    edges = EdgeList(
-        n,
-        rng.integers(0, n, size=200, dtype=np.uint32),
-        rng.integers(0, n, size=200, dtype=np.uint32),
-    ).deduplicate()
-    partitioner = make_partitioner(policy)
-    old = partitioner.partition(edges, 4)
+    edges, partitioner, old, signatures = sample_version(policy, seed=11)
     batch = random_mutation_batch(
-        edges, rng, delete_fraction=0.0, insert_fraction=0.005
+        edges, np.random.default_rng(11), delete_fraction=0.0,
+        insert_fraction=0.005,
     )
     new_edges, _ = batch.apply(edges)
-    delta = delta_partition(edges, old, new_edges, partitioner)
+    delta = delta_partition(old, signatures, new_edges, partitioner)
     assert delta.num_reused + delta.num_rebuilt == 4
     for host in delta.reused_hosts:
         assert delta.partitioned.partitions[host] is old.partitions[host]

@@ -88,12 +88,15 @@ class TestMutateValidation:
 
 
 class TestMutate:
-    def test_generated_stream_verifies_bitwise_vs_cold(self, capsys):
+    def test_generated_stream_verifies_bitwise_vs_cold(self, tmp_path, capsys):
         assert main(
-            _MUTATE + ["--generate", "2", "--seed", "7", "--verify-cold"]
+            _MUTATE + ["--generate", "2", "--seed", "7", "--verify-cold",
+                       "--cache-dir", str(tmp_path / "cache")]
         ) == 0
         out = capsys.readouterr().out
         assert "mutation stream" in out
+        assert "host partitions    : " in out and "reused warm" in out
+        assert "partition cache" not in out
         assert "bitwise vs cold    : identical" in out
         assert "final version      : 2" in out
 
@@ -113,7 +116,7 @@ class TestMutate:
         # Deterministic replay: same batches => same content hashes.
         assert doc["steps"][0]["content_hash"]
 
-    def test_json_mode_reports_cache_turnover(self, tmp_path, capsys):
+    def test_json_mode_reports_host_turnover(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         assert main(
             _MUTATE
@@ -122,9 +125,9 @@ class TestMutate:
         doc = json.loads(capsys.readouterr().out)
         step = doc["steps"][0]
         assert step["hosts_reused"] + step["hosts_rebuilt"] == 4
-        partition = doc["cache"]["partition"]
-        assert partition["reuses"] == step["cache_reuses"]
-        assert partition["invalidations"] == step["cache_invalidations"]
+        assert "cache_reuses" not in step
+        # Only the base version goes through the cache.
+        assert doc["cache"]["partition"]["stores"] == 1
 
     def test_incremental_strategy_reported_for_cc(self, capsys):
         assert main([
@@ -235,7 +238,8 @@ class TestServeStream:
         out = capsys.readouterr().out
         assert "live-graph serve summary" in out
         assert out.count(" ok ") >= 2
-        assert "partition cache" in out
+        assert "host partitions" in out and "reused warm" in out
+        assert "partition cache" not in out
 
     def test_json_mode_reports_per_job_steps(
         self, stream_file, tmp_path, capsys
