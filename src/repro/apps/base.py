@@ -174,10 +174,13 @@ def gather_frontier_edges(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collect all out-edges of the frontier, fully vectorized.
 
-    Returns (sources-repeated, destinations, edge-positions).  Edge
-    positions index into the CSR arrays (for weight lookup).
+    ``frontier`` is a boolean node mask or the same set as an ascending
+    index array (what ``np.flatnonzero`` of the mask returns); both give
+    the same triple.  Returns (sources-repeated, destinations,
+    edge-positions).  Edge positions index into the CSR arrays (for
+    weight lookup).
     """
-    active = np.flatnonzero(frontier)
+    active = np.flatnonzero(frontier) if frontier.dtype == bool else frontier
     if len(active) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty

@@ -16,9 +16,10 @@ Kernel/guard strings reference fields through placeholders:
   (renders ``dist[src_rep]`` in a push phase, ``dist[neighbor[active]]``
   in a sparse pull phase, ``dist[src]`` in a dense pull phase);
 * ``{dst.dist}`` — the field gathered at the edge *destination*;
-* ``{dist}`` — the whole local array (guards; active-side reads);
-* ``{w}`` — the per-edge weights; ``{mask}`` — the active-node mask
-  (post lines only).
+* ``{dist}`` — the whole local array (active-side reads; a push guard
+  renders it at the frontier's indices, ``dist[usable]``);
+* ``{w}`` — the per-edge weights; ``{mask}`` — the active nodes as an
+  index array (post lines only).
 
 The placeholders double as the access sets the endpoint derivation
 consumes: a field appearing as ``{src.f}`` (or whole-array on the

@@ -41,7 +41,7 @@ Optimization levels (Figure 10):
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -281,38 +281,40 @@ class GluonSubstrate:
 
     def receive_reduce_all(
         self, fields: Sequence[FieldSpec]
-    ) -> List[np.ndarray]:
+    ) -> List[Optional[np.ndarray]]:
         """Apply incoming mirror contributions at masters.
 
         Returns, per field, the boolean mask (over local IDs) of masters
-        whose value changed — the input to the broadcast phase.
+        whose value changed — the input to the broadcast phase — or
+        ``None`` when the inbox changed none of them.
         """
         return self._receive_all(fields, "reduce")
 
     def receive_broadcast_all(
         self, fields: Sequence[FieldSpec]
-    ) -> List[np.ndarray]:
+    ) -> List[Optional[np.ndarray]]:
         """Install canonical master values at mirrors.
 
         Returns, per field, the boolean mask of mirrors whose value
-        changed (feeds the next round's frontier).
+        changed (feeds the next round's frontier), or ``None`` when the
+        inbox changed none of them.
         """
         return self._receive_all(fields, "broadcast")
 
     def _receive_all(
         self, fields: Sequence[FieldSpec], phase: str
-    ) -> List[np.ndarray]:
+    ) -> List[Optional[np.ndarray]]:
         """Decode the inbox's frames and reduce (or set) each field.
 
         A quiet peer's EMPTY sub-message is recognised from its two
         bytes and skipped; everything else goes through the field codec.
-        The decoded arrays are views into the frame, consumed here.
+        The decoded arrays are views into the frame, consumed here.  A
+        field's changed mask is allocated on its first changed proxy;
+        ``None`` means nothing changed.
         """
         broadcast = phase == "broadcast"
         recv_arrays = [self.plan.of(f).recv[phase] for f in fields]
-        changed = [
-            np.zeros(self.num_local_nodes, dtype=bool) for _ in fields
-        ]
+        changed: List[Optional[np.ndarray]] = [None] * len(fields)
         for sender, subs in self.plane.receive_frames():
             self._check_frame_width(sender, subs, len(fields))
             for index, payload in enumerate(subs):
@@ -328,6 +330,10 @@ class GluonSubstrate:
                 self._count_translations(decoded.translations)
                 apply = field.set if broadcast else field.reduce
                 changed_here = apply(decoded.lids, decoded.values)
+                if not changed_here.any():
+                    continue
+                if changed[index] is None:
+                    changed[index] = np.zeros(self.num_local_nodes, dtype=bool)
                 changed[index][decoded.lids[changed_here]] = True
         return changed
 

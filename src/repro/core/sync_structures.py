@@ -147,8 +147,9 @@ class FieldSpec:
         on_master_after_reduce: Optional hook run at each host between the
             reduce and broadcast phases.  Receives the boolean mask of
             masters whose reduced value changed and returns the mask of
-            masters to broadcast (or ``None`` to broadcast the changed
-            ones).  Pull-style pagerank uses this to turn reduced partial
+            masters to broadcast (or ``None`` to broadcast what a
+            hook-less field would: the changed masters and those the
+            step wrote).  Pull-style pagerank uses this to turn reduced partial
             sums into the contribution values it broadcasts.
         writes: Edge endpoints where the compute phase may *write* this
             field — the paper's ``WriteAtDestination``/``WriteAtSource``

@@ -39,12 +39,23 @@ _UNGUARDED = nullcontext()
 
 
 def broadcast_dirty(part, field, reduce_changed, outcome) -> np.ndarray:
-    """Master-side apply: which masters broadcast after the reduce."""
-    if reduce_changed is None:  # the reduce was not driven: no master changed
-        reduce_changed = np.zeros(len(outcome.updated), dtype=bool)
+    """Master-side apply: which masters broadcast after the reduce.
+
+    ``reduce_changed`` is ``None`` when no master changed (nothing
+    arrived, or the reduce was not driven).  A hook's mask wins; without
+    a hook, or when it returns ``None``, the changed masters and the
+    masters the step itself wrote broadcast.
+    """
     if field.on_master_after_reduce is not None:
-        return field.on_master_after_reduce(reduce_changed)
-    dirty = reduce_changed | outcome.updated
+        if reduce_changed is None:
+            reduce_changed = np.zeros(len(outcome.updated), dtype=bool)
+        dirty = field.on_master_after_reduce(reduce_changed)
+        if dirty is not None:
+            return dirty
+    if reduce_changed is None:
+        dirty = outcome.updated.copy()
+    else:
+        dirty = reduce_changed | outcome.updated
     dirty[part.num_masters :] = False
     return dirty
 
@@ -65,9 +76,10 @@ def _phase(kind, live, hosts, substrates, group, stage, receive, end_phase, reco
 
     ``stage(h, slot)`` stages host ``h``'s sub-messages for the group's
     ``slot``-th field; ``receive(h)`` applies ``h``'s inbox and returns
-    its per-field changed masks.  A ``record`` sink gets one ``(label,
-    [(src, dst, nbytes)...], serialize_wall_s, apply_wall_s)`` entry per
-    field over its sub-message sizes, plus a ``framing:`` entry for the
+    its per-field changed masks (``None`` where nothing changed).  A
+    ``record`` sink gets one ``(label, [(src, dst, nbytes)...],
+    serialize_wall_s, apply_wall_s)`` entry per field over its
+    sub-message sizes, plus a ``framing:`` entry for the
     flushed frames' header bytes, so the entries' byte totals reconcile
     exactly with the transport's round volume.
 

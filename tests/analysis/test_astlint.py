@@ -1,5 +1,7 @@
 """Static sync-contract lint: every rule fires, every app is clean."""
 
+import inspect
+
 import pytest
 
 from repro.analysis import lint_all_apps, lint_programs
@@ -10,6 +12,7 @@ from repro.apps import APP_BY_NAME
 
 from tests.analysis.broken_programs import (
     RULE_FIXTURES,
+    StaleCandidateRead,
     UnsyncedWrite,
     WrongWriteEndpoint,
 )
@@ -43,6 +46,19 @@ class TestBrokenFixtures:
         findings = lint_program(UnsyncedWrite)
         finding = next(f for f in findings if f.rule_id == "GL003")
         assert "hops" in finding.message
+
+    def test_index_form_idiom_hides_no_genuine_read(self):
+        """The guard over the frontier's indices and the scatter's
+        snapshots of its own slots are no endpoint reads; the candidate's
+        ``dist[dst]`` is the one GL002."""
+        findings = lint_program(StaleCandidateRead)
+        assert {f.rule_id for f in findings} == {"GL002"}
+        (finding,) = findings
+        source, start = inspect.getsourcelines(StaleCandidateRead.step)
+        assert finding.line == next(
+            number for number, text in enumerate(source, start)
+            if "candidate = " in text
+        )
 
     def test_module_path_lints_the_fixture_file(self):
         import tests.analysis.broken_programs as module

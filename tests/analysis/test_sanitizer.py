@@ -14,6 +14,7 @@ from repro.runtime.executor import DistributedExecutor
 from repro.systems import prepare_input, run_app
 
 from tests.analysis.broken_programs import (
+    StaleCandidateRead,
     WrongReadEndpoint,
     WrongWriteEndpoint,
 )
@@ -70,6 +71,22 @@ class TestTransparency:
             guarded.executor.gather_result("delta"),
         )
 
+    @pytest.mark.parametrize("policy", ["oec", "cvc", "iec", "hvc"])
+    @pytest.mark.parametrize(
+        "app_name", ["bfs", "cc", "sssp", "kcore", "pr-push"]
+    )
+    def test_index_form_kernels_are_clean(
+        self, sanitizer_rmat, app_name, policy
+    ):
+        """The generated push kernels read the guard through the
+        frontier's indices, write post lines through them, and snapshot
+        the slots a sparse scatter writes: no endpoint access among them."""
+        result = run_app(
+            "d-galois", app_name, sanitizer_rmat, 3, policy=policy,
+            sanitize=True,
+        )
+        assert result.sanitizer_findings == []
+
     def test_guards_are_removed_after_each_round(self, sanitizer_rmat):
         executor, _ = _run_broken(
             sanitizer_rmat, WrongWriteEndpoint(), sanitize=True
@@ -101,6 +118,12 @@ class TestViolations:
         # Reads are only audited once a sync has completed: round 1's
         # pre-broadcast reads are legitimately unchecked.
         assert finding["details"]["first_round"] >= 2
+
+    def test_index_form_stale_read_fires_gl202(self, sanitizer_rmat):
+        """The frontier-index and scatter-snapshot exemptions leave the
+        candidate's genuine ``dist[dst]`` read audited."""
+        _, result = _run_broken(sanitizer_rmat, StaleCandidateRead())
+        assert {f["rule"] for f in result.sanitizer_findings} == {"GL202"}
 
     def test_wide_kernel_lost_update_fires_gl201(self, sanitizer_rmat):
         """The column-wise feature kernel stays visible to the guard.

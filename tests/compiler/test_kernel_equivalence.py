@@ -5,13 +5,15 @@ Each property drives one scatter idiom of
 Hypothesis-drawn single-host partition and compares it, bit for bit,
 with a reference written the way the generator used to emit it: one
 ``np.<ufunc>.at`` over the gathered edges, ``updated`` re-scattered or
-diffed every round, popcounts by ``mask.sum()``.  Arrays are compared by
+diffed over the whole array every round (a NaN that stays NaN counts as
+unchanged), popcounts by ``mask.sum()``.  Arrays are compared by
 ``tobytes`` so ``-0.0`` and ``inf`` count; only a NaN's payload bits are
 exempt (which operand's payload an add of two NaNs keeps is the inner
 loop's choice, and nothing reads it).
 """
 
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from repro.apps import make_app
 from repro.apps.base import AppContext, gather_frontier_edges
 from repro.apps.specs import PROGRAM_SPECS, optimized_app_names
-from repro.compiler import compile_program
+from repro.compiler import compile_program, program_codegen
 from repro.compiler.spec import FieldDecl, PhaseSpec, ProgramSpec, SyncDecl
 from repro.features.kernels import aggregate_neighbor_rows
 from repro.graph.csr import CSRGraph
@@ -57,10 +59,23 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
+def _changed(after: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """The written-and-changed mask; a NaN that stays NaN is unchanged."""
+    changed = after != before
+    if after.dtype.kind == "f":
+        changed &= ~(np.isnan(after) & np.isnan(before))
+    return changed
+
+
 @st.composite
 def _graphs(draw):
-    """(n, src, dst): duplicate, unsorted, possibly empty edge lists."""
-    n = draw(st.integers(1, 9))
+    """(n, src, dst): duplicate, unsorted, possibly empty edge lists.
+
+    Small ``n`` keeps every idempotent scatter dense; ``n`` of a few
+    hundred with at most 30 edges puts most of them under the sparse
+    cut-off (``len(index) * program_codegen.SPARSE_SCATTER_RATIO < n``).
+    """
+    n = draw(st.integers(1, 9) | st.integers(100, 600))
     m = draw(st.integers(0, 30))
     node = st.integers(0, n - 1)
     src = np.array(draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int64)
@@ -80,8 +95,8 @@ def _values(draw, reduce: str, n: int) -> np.ndarray:
 def _frontier(draw, n: int) -> np.ndarray:
     choice = draw(st.sampled_from(["none", "all", "some"]))
     if choice == "some":
-        bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        return np.array(bits, dtype=bool)
+        rng = np.random.default_rng(draw(_SEEDS))
+        return rng.random(n) < draw(st.floats(0.0, 1.0))
     return np.full(n, choice == "all", dtype=bool)
 
 
@@ -98,9 +113,12 @@ def _single_host(n, src, dst) -> LocalPartition:
 _PROGRAMS = {}
 
 
-def _program(kind: str, reduce: str):
-    """One-phase program: ``val[dst] <reduce>= val[src]`` (guarded)."""
-    key = (kind, reduce)
+def _program(
+    kind: str, reduce: str, ratio: int = program_codegen.SPARSE_SCATTER_RATIO
+):
+    """One-phase program: ``val[dst] <reduce>= val[src]`` (guarded),
+    compiled with ``ratio`` as the sparse-scatter cut-off."""
+    key = (kind, reduce, ratio)
     if key not in _PROGRAMS:
         dtype = "np.uint32" if reduce == "bor" else "np.float64"
         spec = ProgramSpec(
@@ -124,7 +142,10 @@ def _program(kind: str, reduce: str):
             ),
             sync=(SyncDecl(field="val"),),
         )
-        _PROGRAMS[key] = compile_program(spec)
+        with mock.patch.object(
+            program_codegen, "SPARSE_SCATTER_RATIO", ratio
+        ):
+            _PROGRAMS[key] = compile_program(spec)
     return _PROGRAMS[key]
 
 
@@ -139,7 +160,7 @@ def _reference(kind, reduce, part, val, frontier):
         before = val.copy()
         scatter(val, dst, val[src])
         if reduce in IDEMPOTENT:
-            updated = val != before
+            updated = _changed(val, before)
         else:
             updated[dst] = True
         return updated, WorkStats(len(dst), n)
@@ -164,7 +185,7 @@ def _reference(kind, reduce, part, val, frontier):
         before = val.copy()
         scatter(val, index, candidate)
         if reduce in IDEMPOTENT:
-            updated = val != before
+            updated = _changed(val, before)
         else:
             updated[index] = True
     return updated, work
@@ -192,6 +213,46 @@ def test_generated_step_matches_reference(kind, reduce, data):
     assert _same_bits(outcome.updated, ref_updated)
     assert outcome.work == ref_work
     assert type(outcome.work.nodes_processed) is int
+
+
+#: Cut-offs that force one changed-set branch for any non-empty scatter.
+ALWAYS_SPARSE, ALWAYS_DENSE = 0, 2**40
+
+
+@pytest.mark.parametrize("reduce", sorted(IDEMPOTENT))
+@pytest.mark.parametrize("kind", ("frontier_push", "sparse_pull"))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_changed_set_branches_agree(kind, reduce, data):
+    """The sparse snapshot diff and the whole-array diff give the same
+    values and the same ``updated`` bits on the same input."""
+    n, src, dst = data.draw(_graphs())
+    part = _single_host(n, src, dst)
+    start = _values(data.draw, reduce, n)
+    frontier = _frontier(data.draw, n)
+    results = []
+    for ratio in (ALWAYS_SPARSE, ALWAYS_DENSE):
+        app = _program(kind, reduce, ratio)
+        state = app.make_state(part, AppContext(num_global_nodes=n))
+        state["val"][...] = start
+        with np.errstate(all="ignore"):
+            outcome = app.step(part, state, frontier.copy())
+        results.append((state["val"], outcome.updated))
+    (sparse_val, sparse_updated), (dense_val, dense_updated) = results
+    assert _same_bits(sparse_val, dense_val)
+    assert _same_bits(sparse_updated, dense_updated)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_graphs(), data=st.data())
+def test_gather_takes_a_mask_or_its_indices(graph, data):
+    n, src, dst = graph
+    csr = CSRGraph.from_edges(n, src, dst)
+    mask = _frontier(data.draw, n)
+    by_mask = gather_frontier_edges(csr, mask)
+    by_index = gather_frontier_edges(csr, np.flatnonzero(mask))
+    for got, want in zip(by_index, by_mask):
+        assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 32])

@@ -1,6 +1,7 @@
 """The shared round body (``repro.runtime.round``): one collective for
 both runtimes, both flush granularities, recovery, and tracing."""
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -8,14 +9,17 @@ import numpy as np
 import pytest
 
 import repro.runtime.round as round_module
+from repro.apps import make_app
 from repro.core.optimization import OptimizationLevel
 from repro.core.substrate import setup_substrates
 from repro.core.sync_structures import MIN, FieldSpec
+from repro.engines import make_engine
 from repro.graph.generators import rmat
 from repro.network.transport import InProcessTransport
 from repro.partition import make_partitioner
 from repro.resilience import FaultPlan, ResilienceConfig
-from repro.systems import run_app
+from repro.runtime.executor import DistributedExecutor
+from repro.systems import prepare_input, run_app
 from tests.conftest import sync_one_field
 
 EDGES = rmat(scale=8, edge_factor=6, seed=13)
@@ -102,3 +106,34 @@ def test_untraced_collective_never_reads_the_clock(monkeypatch):
     record = []
     sync_one_field(partitioned, subs, fields, dirty, record=record)
     assert [label for label, *_ in record] == ["reduce:v", "broadcast:v"]
+
+
+def test_hook_returning_none_broadcasts_the_changed_masters():
+    """``on_master_after_reduce`` may return ``None`` ("broadcast the
+    changed ones"): the run is the hook-less run, bit for bit."""
+    bfs = make_app("bfs")
+
+    class NoneHook(type(bfs)):
+        def make_fields(self, part, state):
+            return [
+                dataclasses.replace(
+                    field, on_master_after_reduce=lambda changed: None
+                )
+                for field in super().make_fields(part, state)
+            ]
+
+    prep = prepare_input("bfs", EDGES)
+    partitioned = make_partitioner("cvc").partition(prep.edges, 2)
+    runs = []
+    for app in (bfs, NoneHook()):
+        executor = DistributedExecutor(
+            partitioned, make_engine("galois"), app, prep.ctx
+        )
+        runs.append((executor.run(), executor.gather_result("dist")))
+    (plain, plain_dist), (hooked, hooked_dist) = runs
+    assert plain_dist.dtype == hooked_dist.dtype
+    assert plain_dist.tobytes() == hooked_dist.tobytes()
+    assert [r.comm_bytes for r in hooked.rounds] == [
+        r.comm_bytes for r in plain.rounds
+    ]
+    assert hooked.communication_messages == plain.communication_messages
