@@ -625,10 +625,10 @@ class _MethodScanner:
         if func_name == "aggregate_neighbor_rows" and len(call.args) >= 4:
             # The shared feature kernel
             # ``aggregate_neighbor_rows(acc, features, edge_src, edge_dst)``
-            # is, column by column, ``np.add.at(acc[:, j], edge_dst,
-            # features[:, j][edge_src])`` — a write of acc at the
-            # destination endpoint and a read of features at the source
-            # endpoint.
+            # is ``np.add.at(acc, edge_dst, features[edge_src])`` in one
+            # compiled CSR pass — a write of acc at the destination
+            # endpoint and a read of features at the source endpoint,
+            # the same two accesses it declares to the sanitizer.
             self._record(
                 self._key(call.args[0]),
                 self._tag(call.args[3]),

@@ -55,17 +55,6 @@ def _is_index_array(index) -> bool:
     )
 
 
-def _is_column(index) -> bool:
-    """True for ``field[:, j]``: one column over the whole proxy axis."""
-    return (
-        isinstance(index, tuple)
-        and len(index) == 2
-        and isinstance(index[0], slice)
-        and index[0] == slice(None)
-        and isinstance(index[1], (int, np.integer))
-    )
-
-
 @dataclass
 class FieldGuard:
     """Access policy for one field on one host, valid for one round."""
@@ -82,7 +71,7 @@ class FieldGuard:
     global_ids: Optional[np.ndarray]
     sink: "ProxySanitizer"
 
-    def record(self, kind: str, index: np.ndarray) -> None:
+    def record(self, kind: str, index: np.ndarray, depth: int = 2) -> None:
         mask = self.writable if kind == "write" else self.readable
         if kind == "read" and not self.check_reads:
             return
@@ -94,9 +83,10 @@ class FieldGuard:
             # user-facing error; the sanitizer stays silent.
             return
         if len(violating):
-            # Frame 2 is the program statement behind __getitem__,
-            # __setitem__ or __array_ufunc__.
-            caller = sys._getframe(2)
+            # Frame ``depth`` is the program statement behind
+            # __getitem__, __setitem__, __array_ufunc__, or the kernel
+            # call whose body declared the access through audit_access.
+            caller = sys._getframe(depth)
             where = (caller.f_code.co_filename, caller.f_lineno)
             if where in self.sink.non_endpoint_lines:
                 return
@@ -108,10 +98,9 @@ class GuardedArray(np.ndarray):
 
     Every operation is delegated to the underlying memory, and derived
     arrays (views, copies, ufunc results) drop the guard — so data flow,
-    dtype promotion, and results are identical to the plain array.  The
-    one derived array that stays guarded is a column ``field[:, j]`` of
-    a wide field: it is still indexed by proxy, and the column-wise
-    kernels scatter into and gather from exactly that view.
+    dtype promotion, and results are identical to the plain array.  A
+    kernel whose compiled loop bypasses NumPy's indexing declares its
+    endpoint accesses through :meth:`audit_access` instead.
     """
 
     _guard: Optional[FieldGuard]
@@ -121,14 +110,16 @@ class GuardedArray(np.ndarray):
         # into the state dict audits accesses.
         self._guard = None
 
+    def audit_access(self, kind: str, index: np.ndarray) -> None:
+        """Audit a ``"read"`` or ``"write"`` of the rows at ``index``."""
+        if self._guard is not None:
+            self._guard.record(kind, index, depth=3)
+
     def __getitem__(self, index):
         guard = self._guard
         if guard is not None and _is_index_array(index):
             guard.record("read", index)
         result = super().__getitem__(index)
-        if guard is not None and _is_column(index):
-            result._guard = guard
-            return result
         if isinstance(result, np.ndarray):
             return result.view(np.ndarray)
         return result

@@ -185,7 +185,8 @@ class JobSpec:
         choices=sorted(COMPRESSION_MODES),
         help="wide-payload wire compression for feature apps: 'none', 'delta' (ship "
         "only changed row columns vs the last broadcast), or 'fp16' (lossy float16 "
-        "quantization with a documented error bound)",
+        "quantization with a documented error bound; small magnitudes only — a value "
+        "past the float16 range is a SyncError)",
         off_flag=(
             "--no-compression",
             "ablation: force compression off even if --compression set one (mirrors "

@@ -1,10 +1,14 @@
 """Proxy-access sanitizer: transparent on clean runs, loud on broken ones."""
 
 import dataclasses
+import inspect
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.analysis import sanitizer as sanitizer_module
 from repro.apps.specs import FEATPROP_SPEC
 from repro.compiler import compile_program
 from repro.engines import make_engine
@@ -147,6 +151,52 @@ class TestViolations:
         ]
         assert gl201 and gl201[0]["field"] == "feat_acc"
         assert gl201[0]["details"]["count"] > 0
+
+    def test_wide_kernel_stale_read_fires_gl202(self, sanitizer_rmat):
+        """The read-side twin: the kernel gathers ``feat`` rows at edge
+        sources, and iec mirrors are sources only, so declaring
+        ``reads={"destination"}`` leaves every one of them stale.
+
+        The finding is anchored in the generated module, and the audited
+        statement is the step's kernel call: exempting that one line
+        silences the rule.
+        """
+        tampered = dataclasses.replace(
+            FEATPROP_SPEC,
+            name="featprop-wrong-read",
+            endpoint_overrides=(
+                ("feat_acc", (
+                    frozenset({"destination"}), frozenset({"destination"}),
+                )),
+            ),
+        )
+        program = compile_program(tampered)
+        _, result = _run_broken(
+            sanitizer_rmat, program, policy="iec", app="featprop"
+        )
+        gl202 = [
+            f for f in result.sanitizer_findings if f["rule"] == "GL202"
+        ]
+        assert gl202 and gl202[0]["field"] == "feat_acc"
+        assert gl202[0]["details"]["count"] > 0
+        assert gl202[0]["file"].startswith("<compiled:featprop-wrong-read")
+
+        step = type(program)._step_pull
+        lines, first = inspect.getsourcelines(step)
+        call = next(
+            first + i for i, line in enumerate(lines)
+            if "aggregate_neighbor_rows(" in line
+        )
+        exempt = SimpleNamespace(
+            non_endpoint_lines={(gl202[0]["file"], call)}
+        )
+        with mock.patch.object(
+            sanitizer_module, "analyze_program", return_value=exempt
+        ):
+            _, exempted = _run_broken(
+                sanitizer_rmat, program, policy="iec", app="featprop"
+            )
+        assert exempted.sanitizer_findings == []
 
     def test_unsanitized_broken_run_stays_silent(self, sanitizer_rmat):
         _, result = _run_broken(

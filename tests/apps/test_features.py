@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps import make_app
 from repro.engines import make_engine
+from repro.errors import SyncError
 from repro.features import fp16_tolerance
 from repro.features.oracles import (
     featprop_features,
@@ -105,6 +106,20 @@ class TestFp16:
         expected = labelprop_labels(EDGES, DIM, ROUNDS)
         result = run("labelprop", compression="fp16")
         assert np.array_equal(gather(result, "label"), expected)
+
+    def test_large_magnitudes_are_a_named_error(self):
+        """fp16 is for small magnitudes only: at the perf suite's
+        featprop_wide size (rmat 14, d = 32, 6 rounds, iec x 8, seed 3)
+        the sums leave the float16 range and the run stops by name."""
+        with pytest.raises(
+            SyncError,
+            match="fp16 compression overflows — magnitude 786656 exceeds "
+            "the float16 range",
+        ):
+            run_app(
+                "d-galois", "featprop", rmat(14, 16, 3), 8, policy="iec",
+                feature_dim=32, feature_rounds=6, compression="fp16",
+            )
 
 
 class TestDeltaBytes:

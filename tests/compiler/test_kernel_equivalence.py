@@ -1,7 +1,8 @@
 """Generated kernels vs the plain ``ufunc.at`` forms they replaced.
 
 Each property drives one scatter idiom of
-:mod:`repro.compiler.program_codegen` (or the shared wide kernel) on a
+:mod:`repro.compiler.program_codegen` (or the shared wide kernel, whose
+reference is its former column-wise ``np.add.at`` body) on a
 Hypothesis-drawn single-host partition and compares it, bit for bit,
 with a reference written the way the generator used to emit it: one
 ``np.<ufunc>.at`` over the gathered edges, ``updated`` re-scattered or
@@ -255,19 +256,62 @@ def test_gather_takes_a_mask_or_its_indices(graph, data):
         assert _same_bits(got, want)
 
 
+def _column_scatter(acc, features, edge_src, edge_dst) -> None:
+    """The wide kernel as it was: one 1-D ``np.add.at`` per column."""
+    for j in range(acc.shape[1]):
+        np.add.at(acc[:, j], edge_dst, features[:, j][edge_src])
+
+
 @pytest.mark.parametrize("dim", [1, 3, 32])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_wide_kernel_matches_row_scatter(dim, data):
+    """Unsorted and duplicate edges (possibly none), NaN / ±inf / -0.0 on
+    both sides, int64 or uint32 endpoints, extra feature rows, and an
+    ``acc`` that may not be C-contiguous but must be updated in place."""
     n, src, dst = data.draw(_graphs())
-    feat = _floats(data.draw(_SEEDS), (n, dim))
-    acc = _floats(data.draw(_SEEDS), (n, dim))
+    index_dtype = data.draw(st.sampled_from([np.int64, np.uint32]))
+    src, dst = src.astype(index_dtype), dst.astype(index_dtype)
+    feat = _floats(data.draw(_SEEDS), (n + data.draw(st.integers(0, 3)), dim))
+    start = _floats(data.draw(_SEEDS), (n, dim))
+    layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+    base = np.full((n, 2 * dim), 7.0)  # the strided layout's owner
+    if layout == "strided":
+        base[:, ::2] = start
+        acc = base[:, ::2]
+    else:
+        acc = np.array(start, order=layout)
+    expected = start.copy()
+    with np.errstate(all="ignore"):
+        aggregate_neighbor_rows(acc, feat, src, dst)
+        _column_scatter(expected, feat, src, dst)
+    assert _same_bits(np.ascontiguousarray(acc), expected)
+    assert (base[:, 1::2] == 7.0).all()
+
+
+def test_wide_kernel_past_the_radix_key():
+    """More than 65,536 rows: the destination key no longer fits 16 bits."""
+    rng = np.random.default_rng(5)
+    n, m = 70_000, 5_000
+    src = rng.integers(0, n, m)
+    dst = np.concatenate([[n - 1, 0, n - 1], rng.integers(0, n, m - 3)])
+    feat, acc = _floats(1, (n, 2)), _floats(2, (n, 2))
     expected = acc.copy()
     with np.errstate(all="ignore"):
         aggregate_neighbor_rows(acc, feat, src, dst)
-        if len(dst):
-            np.add.at(expected, dst, feat[src])
+        _column_scatter(expected, feat, src, dst)
     assert _same_bits(acc, expected)
+
+
+@pytest.mark.parametrize("src, dst", [([0, 4], [1, 0]), ([0, 1], [1, 4]),
+                                      ([-1, 0], [1, 0]), ([0, 1], [0, -1])])
+def test_wide_kernel_rejects_out_of_range_endpoints(src, dst):
+    acc = np.zeros((4, 2))
+    with pytest.raises(IndexError):
+        aggregate_neighbor_rows(
+            acc, np.ones((4, 2)), np.array(src), np.array(dst)
+        )
+    assert not acc.any()
 
 
 @settings(max_examples=40, deadline=None)
