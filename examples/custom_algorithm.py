@@ -66,12 +66,10 @@ class WidestPath(VertexProgram):
 
     def step(self, part, state, frontier, direction="push"):
         capacity = state["capacity"]
-        # The active set as indices: the guard only touches active nodes.
-        usable = np.flatnonzero(frontier)
-        usable = usable[capacity[usable] > 0]
-        src_rep, dst, positions = gather_frontier_edges(part.graph, usable)
+        active = frontier & (capacity > 0)
+        src_rep, dst, positions = gather_frontier_edges(part.graph, active)
         updated = np.zeros(part.num_nodes, dtype=bool)
-        work = WorkStats(len(dst), len(usable))
+        work = WorkStats(len(dst), int(np.count_nonzero(active)))
         if len(dst) == 0:
             return StepOutcome(updated=updated, work=work)
         weights = part.graph.weights[positions].astype(np.uint32)

@@ -7,7 +7,8 @@ rows the way the paper prints them.  The benchmark suite under
 
 The sync-contract checking layer (``repro lint`` / ``--sanitize``) also
 lives here: :mod:`~repro.analysis.findings` (rule catalog),
-:mod:`~repro.analysis.astlint` (static endpoint-provenance lint),
+:mod:`~repro.analysis.astlint` (static endpoint-provenance lint of
+handwritten programs),
 :mod:`~repro.analysis.algebra` (reduction-law checker),
 :mod:`~repro.analysis.linter` (orchestration),
 :mod:`~repro.analysis.sanitizer` (runtime proxy-access sanitizer), and
@@ -41,7 +42,6 @@ from repro.analysis.findings import (
     sort_findings,
 )
 from repro.analysis.linter import (
-    lint_all_apps,
     lint_app,
     lint_module_path,
     lint_programs,
@@ -66,7 +66,6 @@ __all__ = [
     "check_reductions",
     "lint_app",
     "lint_module_path",
-    "lint_all_apps",
     "lint_programs",
     "run_lint",
     "DataflowGraph",

@@ -1,4 +1,4 @@
-"""Static lint pass over :class:`~repro.apps.base.VertexProgram` code.
+"""Static lint pass over handwritten ``VertexProgram`` code.
 
 The paper's C++ rendering of Gluon gets its sync contracts checked by the
 type system: ``sync<WriteLocation, ReadLocation>`` is a template
@@ -8,7 +8,11 @@ data (:class:`~repro.core.sync_structures.FieldSpec` ``writes``/``reads``
 sets), which the substrate silently *trusts* when it elides traffic — a
 wrong declaration produces wrong answers, not errors.
 
-This module recovers a compile-time-style check by AST analysis:
+A compiled program never comes here: its endpoints are derived from its
+:class:`~repro.compiler.spec.ProgramSpec`, and :mod:`repro.analysis.linter`
+checks it against that spec.  For handwritten programs (bc, ``repro lint
+--module``) this module recovers a compile-time-style check by AST
+analysis:
 
 * ``make_state`` is scanned for state entries holding edge-endpoint
   arrays (e.g. pull-pagerank's pre-gathered ``edge_src``/``edge_dst``);
@@ -58,12 +62,6 @@ NON_COMPUTE_METHODS = frozenset(
         "gather_master_values",
         "run_phases",
     }
-)
-
-#: Functions whose return value is a wide (n, d) row matrix — the
-#: :mod:`repro.features.kernels` initializers.
-WIDE_PRODUCERS = frozenset(
-    {"feature_rows", "init_features", "one_hot_rows", "sage_weights"}
 )
 
 #: numpy allocators whose first argument is the shape.
@@ -122,11 +120,6 @@ class ProgramReport:
     gathers_forward: bool = False
     gathers_transpose: bool = False
     class_lineno: int = 0
-    #: ``(file, line)`` of compute statements whose every array-indexed
-    #: state access addresses no endpoint — the frontier's index form or
-    #: a scatter's snapshot of its own slots.  The runtime sanitizer
-    #: exempts accesses made there, as it exempts boolean masks.
-    non_endpoint_lines: Set[Tuple[str, int]] = field(default_factory=set)
 
 
 def _class_ast(cls: type) -> Tuple[ast.ClassDef, Optional[str]]:
@@ -248,22 +241,11 @@ class _MethodScanner:
     index arrays address; ``keys`` maps local names to the state-dict
     key of the array they alias; ``transposed`` marks graph-valued
     locals obtained via ``.transpose()``.
-
-    Two kinds of integer-indexed access are classified as addressing no
-    endpoint and never become events: the frontier's index form
-    (:meth:`_frontier_indices`) and a scatter's snapshot of its own
-    slots (:meth:`_scatter_snapshots`).
     """
 
-    def __init__(
-        self,
-        report: ProgramReport,
-        method: ast.FunctionDef,
-        file: Optional[str] = None,
-    ):
+    def __init__(self, report: ProgramReport, method: ast.FunctionDef):
         self.report = report
         self.method = method
-        self.file = file
         self.tags: Dict[str, str] = {}
         self.keys: Dict[str, str] = {}
         self.transposed: Set[str] = set()
@@ -351,13 +333,12 @@ class _MethodScanner:
             )
         )
 
-    def _scan_reads(self, node: ast.AST, skip: Set[int]) -> None:
-        """Record endpoint-indexed loads inside ``node``, bar ``skip``."""
+    def _scan_reads(self, node: ast.AST) -> None:
+        """Record every endpoint-indexed load inside ``node``."""
         for sub in ast.walk(node):
             if (
                 isinstance(sub, ast.Subscript)
                 and isinstance(sub.ctx, ast.Load)
-                and id(sub) not in skip
             ):
                 self._record(
                     self._key(sub.value),
@@ -391,162 +372,7 @@ class _MethodScanner:
                 self._scan_compare(stmt)
         # With the environments built, record every endpoint-indexed
         # load in one pass (each Subscript node is visited exactly once).
-        snapshots = self._scatter_snapshots()
-        self._scan_reads(self.method, snapshots)
-        if self.file is not None:
-            self._mark_non_endpoint_lines(snapshots)
-
-    # -- accesses that address no endpoint -----------------------------------
-
-    def _scatter_snapshots(self) -> Set[int]:
-        """Subscripts that are a scatter's bookkeeping, not endpoint reads.
-
-        ``v = t[i]`` where the method scatters ``<ufunc>.at(t, i, ...)``
-        and every use of ``v`` is an ``==``/``!=`` comparison whose
-        operands are all ``t`` itself or such snapshots of ``t[i]``: the
-        sparse idempotent scatter reading back the slots it writes to
-        learn which changed.  The value never reaches a candidate, so it
-        cannot carry a stale endpoint value into the computation.
-        """
-        scatters = {
-            (self._key(call.args[0]), call.args[1].id)
-            for call in ast.walk(self.method)
-            if _is_scatter_call(call) and isinstance(call.args[1], ast.Name)
-        }
-        slots: Dict[str, Set[Tuple[Optional[str], str]]] = {}
-        reads: Dict[str, List[ast.Subscript]] = {}
-        for node in ast.walk(self.method):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Subscript)
-                and isinstance(node.value.slice, ast.Name)
-            ):
-                slot = (self._key(node.value.value), node.value.slice.id)
-                if slot in scatters:
-                    name = node.targets[0].id
-                    slots.setdefault(name, set()).add(slot)
-                    reads.setdefault(name, []).append(node.value)
-        compares: Dict[int, ast.Compare] = {}
-        uses: Dict[str, List[ast.Name]] = {}
-        for node in ast.walk(self.method):
-            if isinstance(node, ast.Compare) and all(
-                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
-            ):
-                for operand in (node.left, *node.comparators):
-                    compares[id(operand)] = node
-            elif (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and node.id in slots
-            ):
-                uses.setdefault(node.id, []).append(node)
-
-        def same_slots(compare: ast.Compare) -> bool:
-            common = None
-            for operand in (compare.left, *compare.comparators):
-                if isinstance(operand, ast.Name) and operand.id in slots:
-                    mine = slots[operand.id]
-                else:  # the whole target, or anything else (no slots)
-                    key = self._key(operand)
-                    mine = {s for s in scatters if key and s[0] == key}
-                common = mine if common is None else common & mine
-            return bool(common)
-
-        return {
-            id(sub)
-            for name, subs in reads.items()
-            if all(
-                id(use) in compares and same_slots(compares[id(use)])
-                for use in uses.get(name, ())
-            )
-            for sub in subs
-        }
-
-    def _frontier_indices(self) -> Set[str]:
-        """Locals bound only to the frontier's index form or a subset of it.
-
-        ``usable = np.flatnonzero(frontier)`` and ``usable[...]`` of such
-        a local address active nodes exactly as the frontier mask does —
-        no edge endpoint.  ``frontier`` is the compute method's fourth
-        parameter (``self, part, state, frontier``).
-        """
-        params = self.method.args.args
-        if len(params) < 4:
-            return set()
-        frontier = params[3].arg
-        direct = {
-            id(target): node.value
-            for node in ast.walk(self.method)
-            if isinstance(node, ast.Assign)
-            for target in node.targets
-        }
-        bound: Dict[str, List[Optional[ast.AST]]] = {}
-        for node in ast.walk(self.method):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                bound.setdefault(node.id, []).append(direct.get(id(node)))
-        if frontier in bound:
-            return set()
-
-        def is_index_form(value, names: Set[str]) -> bool:
-            if isinstance(value, ast.Call):
-                func = value.func
-                name = func.attr if isinstance(func, ast.Attribute) else (
-                    func.id if isinstance(func, ast.Name) else None
-                )
-                return (
-                    name == "flatnonzero"
-                    and len(value.args) == 1
-                    and isinstance(value.args[0], ast.Name)
-                    and value.args[0].id == frontier
-                )
-            return (
-                isinstance(value, ast.Subscript)
-                and isinstance(value.value, ast.Name)
-                and value.value.id in names
-            )
-
-        names = set(bound)
-        while True:
-            kept = {
-                name for name in names
-                if all(is_index_form(v, names) for v in bound[name])
-            }
-            if kept == names:
-                return names
-            names = kept
-
-    def _mark_non_endpoint_lines(self, snapshots: Set[int]) -> None:
-        """Record the lines whose state accesses all address no endpoint.
-
-        A line qualifies when every array-indexed access of a state array
-        on it is a frontier-index access or a scatter snapshot, and it
-        holds no scatter call; slices and constants are not array
-        indexes (the sanitizer never audits them).
-        """
-        frontier = self._frontier_indices()
-        verdict: Dict[int, bool] = {}
-        for node in ast.walk(self.method):
-            if _is_scatter_call(node):
-                classified = False
-            elif (
-                isinstance(node, ast.Subscript)
-                and self._key(node.value) is not None
-                and not isinstance(
-                    node.slice, (ast.Slice, ast.Constant, ast.Tuple)
-                )
-            ):
-                classified = id(node) in snapshots or (
-                    isinstance(node.slice, ast.Name)
-                    and node.slice.id in frontier
-                )
-            else:
-                continue
-            verdict[node.lineno] = verdict.get(node.lineno, True) and classified
-        self.report.non_endpoint_lines.update(
-            (self.file, line) for line, ok in verdict.items() if ok
-        )
+        self._scan_reads(self.method)
 
     def _scan_assign(self, stmt: ast.Assign) -> None:
         value = stmt.value
@@ -607,39 +433,11 @@ class _MethodScanner:
             )
 
     def _scan_call(self, call: ast.Call) -> None:
-        func = call.func
         if _is_scatter_call(call):
             self._record(
                 self._key(call.args[0]),
                 self._tag(call.args[1]),
                 "write",
-                call.lineno,
-                statement=self._stmt_of(call),
-            )
-            return
-        func_name = None
-        if isinstance(func, ast.Name):
-            func_name = func.id
-        elif isinstance(func, ast.Attribute):
-            func_name = func.attr
-        if func_name == "aggregate_neighbor_rows" and len(call.args) >= 4:
-            # The shared feature kernel
-            # ``aggregate_neighbor_rows(acc, features, edge_src, edge_dst)``
-            # is ``np.add.at(acc, edge_dst, features[edge_src])`` in one
-            # compiled CSR pass — a write of acc at the destination
-            # endpoint and a read of features at the source endpoint,
-            # the same two accesses it declares to the sanitizer.
-            self._record(
-                self._key(call.args[0]),
-                self._tag(call.args[3]),
-                "write",
-                call.lineno,
-                statement=self._stmt_of(call),
-            )
-            self._record(
-                self._key(call.args[1]),
-                self._tag(call.args[2]),
-                "read",
                 call.lineno,
                 statement=self._stmt_of(call),
             )
@@ -655,8 +453,8 @@ class _MakeStateScanner(_MethodScanner):
     """``make_state`` scan: which state keys hold endpoint arrays.
 
     Also recovers which keys hold *wide* (n, d) row matrices — 2-D
-    allocations and :mod:`repro.features.kernels` initializers — so the
-    reporter can check their reductions row-wise (GL011).
+    allocations and arrays shaped like them — so the reporter can check
+    their reductions row-wise (GL011).
     """
 
     def __init__(self, report: ProgramReport, method: ast.FunctionDef):
@@ -710,8 +508,6 @@ class _MakeStateScanner(_MethodScanner):
             func_name = node.func.id
         elif isinstance(node.func, ast.Attribute):
             func_name = node.func.attr
-        if func_name in WIDE_PRODUCERS:
-            return True
         if func_name in _SHAPE_ALLOCATORS:
             return bool(
                 node.args
@@ -786,22 +582,19 @@ def _scan_make_fields(
         )
 
 
-def _mro_methods(
-    cls: type,
-) -> Tuple[Dict[str, Tuple[ast.FunctionDef, Dict, Optional[str]]],
-           Optional[str], int]:
+def _mro_methods(cls: type) -> Tuple[Dict[str, Tuple[ast.FunctionDef, Dict]],
+                                     Optional[str], int]:
     """Methods of ``cls`` with inherited bodies, most-derived wins.
 
-    Programs may share their compute skeleton through a base class (the
-    feature apps inherit ``step``/``make_fields``); the pass must see
-    the *effective* method set, each paired with the globals of its
-    defining module (reduction-op and location names resolve there) and
-    that module's source file.  Returns (methods, file of the concrete
-    class, its line number).
+    Programs may share their skeleton through a base class (the broken
+    fixtures inherit ``make_state``); the pass must see the *effective*
+    method set, each paired with the globals of its defining module
+    (reduction-op and location names resolve there).  Returns (methods,
+    file of the concrete class, its line number).
     """
     import sys
 
-    methods: Dict[str, Tuple[ast.FunctionDef, Dict, Optional[str]]] = {}
+    methods: Dict[str, Tuple[ast.FunctionDef, Dict]] = {}
     filename: Optional[str] = None
     class_lineno = 0
     from repro.apps.base import VertexProgram
@@ -822,7 +615,7 @@ def _mro_methods(
         )
         for node in class_node.body:
             if isinstance(node, ast.FunctionDef):
-                methods[node.name] = (node, module_globals, ancestor_file)
+                methods[node.name] = (node, module_globals)
         if ancestor is cls:
             filename = ancestor_file
             class_lineno = class_node.lineno
@@ -837,14 +630,14 @@ def analyze_program(cls: type) -> ProgramReport:
     if "make_state" in methods:
         _MakeStateScanner(report, methods["make_state"][0]).scan()
     if "make_fields" in methods:
-        node, module_globals, _ = methods["make_fields"]
+        node, module_globals = methods["make_fields"]
         _scan_make_fields(report, node, module_globals)
-    for name, (node, _, method_file) in methods.items():
+    for name, (node, _) in methods.items():
         if name in NON_COMPUTE_METHODS:
             continue
         # State entries holding endpoint arrays seed the provenance:
         # ``src = state["edge_src"]`` tags ``src`` with its role.
-        _MethodScanner(report, node, method_file).scan()
+        _MethodScanner(report, node).scan()
     if "_step_pull" in methods:
         report.has_pull_path = True
     _apply_state_tags(report)
@@ -863,12 +656,6 @@ def _apply_state_tags(report: ProgramReport) -> None:
     report.events = [
         event for event in report.events if event.key not in report.state_tags
     ]
-
-
-def lint_program(cls: type) -> List[Finding]:
-    """Lint one concrete vertex program class; returns its findings."""
-    report = analyze_program(cls)
-    return report_findings(report)
 
 
 def report_findings(report: ProgramReport) -> List[Finding]:

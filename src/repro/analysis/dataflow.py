@@ -57,7 +57,8 @@ import re
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.astlint import ProgramReport, analyze_program
+from repro.analysis import astlint
+from repro.analysis.astlint import ProgramReport
 from repro.analysis.findings import Finding
 from repro.compiler.spec import (
     PhaseSpec,
@@ -728,7 +729,7 @@ def certificate_for(
         certificate = certify_spec(spec)
     else:
         try:
-            certificate = certify_report(analyze_program(cls))
+            certificate = certify_report(astlint.analyze_program(cls))
         except (LintError, OSError, TypeError):
             certificate = None
     _CERT_CACHE[cls] = certificate
@@ -961,7 +962,7 @@ def analyze_class(cls: type) -> List[Finding]:
     spec = getattr(cls, "spec", None)
     if isinstance(spec, ProgramSpec):
         return analyze_spec(spec)
-    report = analyze_program(cls)
+    report = astlint.analyze_program(cls)
     graph = graph_from_report(report)
     findings = _gl301(graph)
     findings.extend(_gl304_report(report, graph))

@@ -1,11 +1,13 @@
 """Sync-contract findings: rule catalog, severities, and rendering.
 
-Every check in the contract-checking layer — the static AST lint pass
-(:mod:`repro.analysis.astlint`), the algebraic reduction checker
-(:mod:`repro.analysis.algebra`), and the runtime proxy-access sanitizer
-(:mod:`repro.analysis.sanitizer`) — reports through the same
-machine-readable :class:`Finding` shape: a rule ID from the catalog
-below, a severity, a human message, and a ``file:line`` anchor.
+Every check in the contract-checking layer — the static lint pass
+(:mod:`repro.analysis.linter`: a compiled program against its spec, a
+handwritten one through :mod:`repro.analysis.astlint`), the algebraic
+reduction checker (:mod:`repro.analysis.algebra`), and the runtime
+proxy-access sanitizer (:mod:`repro.analysis.sanitizer`) — reports
+through the same machine-readable :class:`Finding` shape: a rule ID
+from the catalog below, a severity, a human message, and a
+``file:line`` anchor when one is known.
 
 The catalog is the contract: each rule guards one invariant the Gluon
 substrate silently *relies on* when it elides communication (the

@@ -5,30 +5,32 @@ This is the engine behind ``repro lint``.  A *target* is a concrete
 own ``step`` and ``make_fields``); targets come from
 
 * a built-in app name (``--app bfs``) — for a spec app the class the
-  compiler generated (its source lives in :mod:`linecache`), for a
-  composite app like bc the forward/backward phase programs its module
-  contributes;
+  compiler generated, for a composite app like bc the forward/backward
+  phase programs its module contributes;
 * a module path (``--module my_programs.py``) — every concrete program
   defined in that file;
-* nothing — all built-in applications (the CI sweep; for the spec
-  apps this *is* the compiler's verification loop over generated code).
+* nothing — all built-in applications (the CI sweep).
 
-For each target the static AST pass runs, plus the algebraic checker
-over exactly the reduction ops the target's fields reference (registry
-ops are assumed checked elsewhere only in the sense that duplicates are
-collapsed — an op shared by many programs is measured once).
+A compiled program (one carrying its ``spec``) is checked against that
+spec (:func:`lint_spec`), as ``dataflow.analyze_class`` decides GL3xx;
+a handwritten one goes through the AST pass
+(:mod:`repro.analysis.astlint`).  Either way the algebraic checker
+runs over exactly the reduction ops the targets' fields reference (an
+op shared by many programs is measured once).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import sys
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.algebra import check_reductions
-from repro.analysis.astlint import analyze_program, report_findings
+from repro.analysis import astlint
+from repro.analysis.algebra import check_reductions, rowwise_well_defined
 from repro.analysis.findings import Finding
 from repro.apps.base import VertexProgram
+from repro.compiler.spec import ProgramSpec, derive_endpoints
 from repro.errors import LintError
 
 
@@ -111,6 +113,90 @@ def all_builtin_programs() -> List[Tuple[str, List[type]]]:
     return resolved
 
 
+def lint_spec(spec: ProgramSpec) -> List[Finding]:
+    """GL001–GL011 decided from a compiled program's spec.
+
+    Each sync wire's emitted endpoints (:func:`derive_endpoints`, which
+    applies ``endpoint_overrides``) are compared with the ones its phases
+    derive: a derived endpoint missing from the emitted set fires GL001
+    (writes) or GL002 (reads), an emitted one no phase derives GL004 or
+    GL005.  A phase target no wire carries fires GL003, a
+    non-commutative reduction GL009, a wide field whose op is not
+    row-wise well-defined GL011.  GL006/GL007/GL008/GL010 cannot fire:
+    the spec derives the class flags, and ``SyncDecl`` refuses a hook
+    without a broadcast array.
+    """
+    findings: List[Finding] = []
+
+    def finding(rule_id, message, field_name, **details):
+        findings.append(
+            Finding(
+                rule_id=rule_id,
+                message=message,
+                subject=spec.name,
+                field_name=field_name,
+                details=details,
+            )
+        )
+
+    emitted = derive_endpoints(spec)
+    derived = derive_endpoints(
+        dataclasses.replace(spec, endpoint_overrides=())
+    )
+    for decl in spec.sync:
+        wire = decl.wire_name
+        for side, (name, verb, missing, extra, loss) in enumerate((
+            ("writes", "write", "GL001", "GL004",
+             "the reduce phase elides this update"),
+            ("reads", "read", "GL002", "GL005",
+             "the broadcast never refreshes this proxy"),
+        )):
+            have, need = emitted[wire][side], derived[wire][side]
+            for endpoint in sorted(need - have):
+                finding(
+                    missing,
+                    f"the phases {verb} at the {endpoint} endpoint but "
+                    f"`{name}` declares only {sorted(have)} — {loss}",
+                    wire,
+                    endpoint=endpoint,
+                )
+            for endpoint in sorted(have - need):
+                finding(
+                    extra,
+                    f"declared {verb} endpoint {endpoint!r} is derived by "
+                    "no phase — the proxy set is wider than needed",
+                    wire,
+                    endpoint=endpoint,
+                )
+        field_decl = spec.field_decl(decl.field)
+        op = field_decl.reduction
+        if not op.commutative:
+            finding(
+                "GL009",
+                f"reduction {op.name!r} is not commutative — results "
+                "depend on the order peers are applied in",
+                wire,
+            )
+        if field_decl.width is not None and not rowwise_well_defined(op):
+            finding(
+                "GL011",
+                f"wide field {decl.field!r} reduced with {op.name!r}, whose "
+                "combine is not row-wise well-defined — wide sync diverges "
+                "from d per-column syncs",
+                wire,
+            )
+    synced = {d.field for d in spec.sync} | {d.read_surface for d in spec.sync}
+    for target in dict.fromkeys(p.target for p in spec.phases):
+        if target not in synced:
+            finding(
+                "GL003",
+                f"{target!r} is a phase's scatter target but no sync wire "
+                "carries it — cross-host updates to it are lost",
+                target,
+            )
+    return findings
+
+
 def lint_programs(programs: Iterable[type]) -> List[Finding]:
     """Static + algebraic findings for a set of program classes."""
     findings: List[Finding] = []
@@ -120,8 +206,15 @@ def lint_programs(programs: Iterable[type]) -> List[Finding]:
         if cls in seen_classes:
             continue
         seen_classes.add(cls)
-        report = analyze_program(cls)
-        findings.extend(report_findings(report))
+        spec = getattr(cls, "spec", None)
+        if isinstance(spec, ProgramSpec):
+            findings.extend(lint_spec(spec))
+            referenced_ops.extend(
+                spec.field_decl(decl.field).reduction for decl in spec.sync
+            )
+            continue
+        report = astlint.analyze_program(cls)
+        findings.extend(astlint.report_findings(report))
         for decl in report.fields:
             if decl.reduce_op is not None:
                 referenced_ops.append(decl.reduce_op)
@@ -137,16 +230,6 @@ def lint_app(name: str) -> List[Finding]:
 def lint_module_path(path: str) -> List[Finding]:
     """Lint every concrete program defined in a module file."""
     return lint_programs(resolve_module_path(path))
-
-
-def lint_all_apps() -> Tuple[List[str], List[Finding]]:
-    """Lint every built-in app; returns (target names, findings)."""
-    programs: List[type] = []
-    names: List[str] = []
-    for name, app_programs in all_builtin_programs():
-        names.append(name)
-        programs.extend(app_programs)
-    return names, lint_programs(programs)
 
 
 def _resolve_targets(

@@ -19,14 +19,14 @@ endpoint-indexed accesses against the field's *proxy sets*:
 Only integer fancy-index accesses are checked: boolean masks, slices,
 and scalars are local control flow (a frontier update like
 ``pushed[to_push] = True``), carry no endpoint information, and are
-deliberately exempt.  So is an integer access made by a statement the
-static pass classified as addressing no endpoint
-(:attr:`~repro.analysis.astlint.ProgramReport.non_endpoint_lines`): the
-frontier's index form (``dist[usable]`` for ``usable =
-np.flatnonzero(frontier)``, the same nodes the mask form read) and a
-sparse scatter's snapshot of the very slots it writes.  The sanitizer,
-like the lint pass, under-approximates and never false-positives on the
-built-in programs.
+deliberately exempt.  So is an integer access made on a line the
+compiler declared as addressing no endpoint
+(:attr:`~repro.apps.base.VertexProgram.non_endpoint_lines`, empty for a
+handwritten program): the frontier's index form (``dist[usable]`` for
+``usable = np.flatnonzero(frontier)``, the same nodes the mask form
+read) and a sparse scatter's snapshot of the very slots it writes.  The
+sanitizer, like the lint pass, under-approximates and never
+false-positives on the built-in programs.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.astlint import analyze_program
 from repro.analysis.findings import Finding
-from repro.errors import LintError
 
 #: Cap on sample node IDs carried in one finding's details.
 SAMPLE_IDS = 8
@@ -190,11 +188,7 @@ class ProxySanitizer:
         self.rounds_synced = 0
         self._violations: Dict[tuple, _Violation] = {}
         self._anchor = self._step_anchor(app)
-        try:
-            lines = analyze_program(type(app)).non_endpoint_lines
-        except LintError:  # no source to read: audit every access
-            lines = set()
-        self.non_endpoint_lines = frozenset(lines)
+        self.non_endpoint_lines = type(app).non_endpoint_lines
 
     @staticmethod
     def _step_anchor(app):

@@ -11,7 +11,7 @@ IrGL), to a local fixpoint for the asynchronous-within-host engine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,6 +101,12 @@ class VertexProgram:
     #: Whether the app drives its own executor passes through
     #: ``run_phases`` instead of being one operator (bc).
     multi_phase: bool = False
+    #: ``(file, line)`` of statements whose integer-indexed state accesses
+    #: address no edge endpoint (the frontier's index form, a scatter's
+    #: snapshot of its own slots), which ``--sanitize`` does not audit.
+    #: The compiler declares them for the code it emits; a handwritten
+    #: program has none, so every such access of its is audited.
+    non_endpoint_lines: FrozenSet[Tuple[str, int]] = frozenset()
 
     # -- per-host setup --------------------------------------------------------
 

@@ -14,8 +14,8 @@ compute phases with textual vectorized kernels, and sync pairings.
 complete :class:`~repro.apps.base.VertexProgram` with state allocation,
 the local super-step and the Gluon field specs — whose sync endpoints
 are *derived* from the phases' declared access sets
-(:func:`derive_endpoints`), and the GL001–GL011 lint rules verify the
-generated code (``repro lint``).
+(:func:`derive_endpoints`), and the GL001–GL011 lint rules check the
+endpoints it emitted against that derivation (``repro lint``).
 
 Example (sssp; :data:`repro.apps.specs.SSSP_SPEC` adds only the
 unreached-source guard)::

@@ -10,14 +10,15 @@ sync endpoints in every generated ``FieldSpec`` coming from
 
 The source is executed into a registered module whose text is seeded
 into :mod:`linecache`, so the generated class is a first-class citizen:
-tracebacks show generated lines, ``inspect.getsource`` works, and —
-the point of the exercise — the GL001–GL011 AST lint rules of
-:mod:`repro.analysis.astlint` run over the generated code exactly as
-they do over handwritten programs (``repro lint``).  The
-templates deliberately emit the same idioms the linter infers endpoint
-provenance from: ``x = state["key"]`` aliasing, tuple-unpacked
-``gather_frontier_edges`` calls, ``src, dst = part.graph.edges()``
-pre-gathers, and ``np.<op>.at`` scatter-combines.
+tracebacks show generated lines and ``inspect.getsource`` works.  Its
+sync contract is checked against the spec, not re-read from the source:
+``repro lint`` and ``compile_program(verify=True)`` compare the emitted
+endpoints with the derived ones (:func:`repro.analysis.linter.lint_spec`),
+and the emitter itself tells the runtime sanitizer which lines it wrote
+to address no endpoint (the class's ``non_endpoint_lines``).  A
+template may change its idioms freely as long as the spec's access
+sets hold — ``tests/compiler/test_kernel_equivalence.py``, the golden
+matrix and the sanitizer sweep check that they do.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import linecache
 import re
 import sys
 import types
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -107,12 +108,20 @@ def _render_fragment(
 class _Emitter:
     def __init__(self) -> None:
         self.lines: List[str] = []
+        #: 1-based numbers of the lines emitted with ``non_endpoint=True``:
+        #: their indexed state accesses address no edge endpoint (the
+        #: frontier's indices, a scatter's snapshot of its own slots).
+        self.non_endpoint_lines: Set[int] = set()
 
-    def emit(self, indent: int, text: str = "") -> None:
+    def emit(
+        self, indent: int, text: str = "", non_endpoint: bool = False
+    ) -> None:
         if text:
             self.lines.append("    " * indent + text)
         else:
             self.lines.append("")
+        if non_endpoint:
+            self.non_endpoint_lines.add(len(self.lines))
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -183,9 +192,9 @@ def _emit_scatter(
         indent,
         f"if len({index_var}) * {SPARSE_SCATTER_RATIO} < len({target}):",
     )
-    out.emit(indent + 1, f"before = {target}[{index_var}]")
+    out.emit(indent + 1, f"before = {target}[{index_var}]", non_endpoint=True)
     out.emit(indent + 1, scatter)
-    out.emit(indent + 1, f"after = {target}[{index_var}]")
+    out.emit(indent + 1, f"after = {target}[{index_var}]", non_endpoint=True)
     changed = _changed(spec, target, "after", "before")
     out.emit(indent + 1, f"updated[{index_var}[{changed}]] = True")
     out.emit(indent, "else:")
@@ -204,6 +213,15 @@ def _changed(spec: ProgramSpec, target: str, after: str, before: str) -> str:
     return (
         f"({after} != {before}) & "
         f"(({after} == {after}) | ({before} == {before}))"
+    )
+
+
+def _emit_post(out: _Emitter, line: str) -> None:
+    """A post line; indexing by ``{mask}`` addresses active nodes only."""
+    out.emit(
+        2,
+        _render_fragment(line, local="{f}", mask="usable"),
+        non_endpoint="{mask}" in line,
     )
 
 
@@ -230,7 +248,7 @@ def _emit_push_prologue(
     out.emit(2, "usable = np.flatnonzero(frontier)")
     if lead.guard:
         guard = _render_fragment(lead.guard, local="{f}[usable]")
-        out.emit(2, f"usable = usable[{guard}]")
+        out.emit(2, f"usable = usable[{guard}]", non_endpoint=True)
     out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
     out.emit(2, "active = len(usable)")
     if not (lead.post_gather or lead.post_scatter):
@@ -242,7 +260,7 @@ def _emit_push_prologue(
         "part.graph, usable)",
     )
     for line in lead.post_gather:
-        out.emit(2, _render_fragment(line, local="{f}", mask="usable"))
+        _emit_post(out, line)
     out.emit(2, "work = WorkStats(")
     out.emit(
         2,
@@ -270,7 +288,7 @@ def _emit_frontier_push(
     out.emit(3, f"candidate = {kernel}")
     _emit_scatter(out, spec, phase, 3, "dst", "candidate")
     for line in phase.post_scatter:
-        out.emit(2, _render_fragment(line, local="{f}", mask="usable"))
+        _emit_post(out, line)
     out.emit(2, "return StepOutcome(updated=updated, work=work)")
 
 
@@ -541,6 +559,11 @@ def render_program(spec: ProgramSpec, optimize: bool = False) -> str:
     ``endpoint_overrides`` (GL305) is rendered unoptimized — a
     tampered contract proves nothing.
     """
+    return _render(spec, optimize).source()
+
+
+def _render(spec: ProgramSpec, optimize: bool) -> _Emitter:
+    """The emitter holding :func:`render_program`'s lines."""
     dead_table: Dict[str, Dict[str, Tuple[str, ...]]] = {}
     fused_pairs: List[Tuple[str, str]] = []
     if optimize:
@@ -698,7 +721,7 @@ def render_program(spec: ProgramSpec, optimize: bool = False) -> str:
             2, "return bool(_CONVERGED(residual_sum, round_index, ctx))"
         )
         out.emit(0, "")
-    return out.source()
+    return out
 
 
 def _seed_globals(spec: ProgramSpec) -> Dict:
@@ -717,7 +740,7 @@ def _materialize(spec: ProgramSpec, source: str) -> types.ModuleType:
 
     The module lands in ``sys.modules`` with a virtual ``__file__`` whose
     text is seeded into :mod:`linecache`, so :func:`inspect.getsource`
-    (and therefore the AST linter) reads the generated code verbatim.
+    and tracebacks read the generated code verbatim.
     """
     serial = next(_COMPILE_COUNTER)
     modname = f"repro.apps._compiled.{_ident(spec.name)}_{serial}"
@@ -750,11 +773,12 @@ def compile_program(
     """Compile a :class:`ProgramSpec` into a runnable vertex program.
 
     Returns an *instance* of the generated class (the shape ``make_app``
-    hands out).  The class itself carries ``spec`` and
-    ``generated_source`` attributes; pass ``verify=True`` to run the
-    GL001–GL011 sweep over the generated code and fail the compile on
-    any error-severity finding (``repro lint`` runs the same sweep
-    standalone).
+    hands out).  The class itself carries ``spec``,
+    ``generated_source`` and ``non_endpoint_lines`` (the emitter's
+    declared exemptions, read by ``--sanitize``); pass ``verify=True``
+    to check the emitted sync contract against the spec (GL001–GL011)
+    and fail the compile on any error-severity finding (``repro lint``
+    runs the same check standalone).
 
     ``optimize=True`` first runs the GL3xx whole-program dataflow
     sweep (:mod:`repro.analysis.dataflow`) and refuses to compile a
@@ -777,12 +801,16 @@ def compile_program(
                 f"{spec.name}: refusing to optimize a program with "
                 f"static sync hazards — {detail}"
             )
-    source = render_program(spec, optimize=optimize)
+    out = _render(spec, optimize)
+    source = out.source()
     module = _materialize(spec, source)
     cls = module.__dict__[_class_name(spec)]
     cls.spec = spec
     cls.generated_source = source
     cls.optimized = optimize
+    cls.non_endpoint_lines = frozenset(
+        (module.__file__, line) for line in out.non_endpoint_lines
+    )
     if verify:
         findings = verify_compiled(cls)
         errors = [f for f in findings if f.severity == "error"]
@@ -792,13 +820,13 @@ def compile_program(
             )
             raise CompileError(
                 f"{spec.name}: generated program failed the sync-contract "
-                f"sweep — {detail}"
+                f"check — {detail}"
             )
     return cls()
 
 
 def verify_compiled(program_cls) -> List:
-    """Run the sync-contract lint sweep over one generated class."""
+    """Check one generated class's sync contract against its spec."""
     from repro.analysis.linter import lint_programs
 
     return lint_programs([program_cls])

@@ -179,39 +179,6 @@ class WrongReadEndpoint(_BrokenBFSBase):
         return StepOutcome(updated=updated, work=work)
 
 
-class StaleCandidateRead(_BrokenBFSBase):
-    """GL002: the candidate reads ``dist[dst]``; ``reads`` says source.
-
-    Written in the generated kernels' idiom — the frontier as indices,
-    the guard over those indices, a sparse scatter snapshotting and
-    re-reading the slots it writes — so it shows that the idiom's
-    exemptions hide no genuine read: the candidate's destination read
-    alone fires GL002 statically and GL202 under ``--sanitize``.
-    """
-
-    name = "stale-candidate-read"
-
-    def make_fields(self, part, state) -> List[FieldSpec]:
-        return [FieldSpec(name="dist", values=state["dist"], reduce_op=MIN)]
-
-    def step(self, part, state, frontier, direction="push") -> StepOutcome:
-        dist = state["dist"]
-        usable = np.flatnonzero(frontier)
-        usable = usable[dist[usable] != INFINITY]
-        src_rep, dst, _ = gather_frontier_edges(part.graph, usable)
-        updated = np.zeros(part.num_nodes, dtype=bool)
-        work = WorkStats(len(dst), len(usable))
-        if len(dst) == 0:
-            return StepOutcome(updated=updated, work=work)
-        relaxed = dist[src_rep].astype(np.int64) + 1
-        candidate = np.minimum(relaxed, dist[dst]).astype(np.uint32)
-        before = dist[dst]
-        np.minimum.at(dist, dst, candidate)
-        after = dist[dst]
-        updated[dst[after != before]] = True
-        return StepOutcome(updated=updated, work=work)
-
-
 class UnsyncedWrite(_BrokenBFSBase):
     """GL003: scatters to ``state["hops"]`` but never synchronizes it."""
 

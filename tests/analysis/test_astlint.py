@@ -1,21 +1,61 @@
 """Static sync-contract lint: every rule fires, every app is clean."""
 
-import inspect
-
+import numpy as np
 import pytest
 
-from repro.analysis import lint_all_apps, lint_programs
-from repro.analysis.astlint import analyze_program, lint_program
+from repro.analysis import lint_programs, run_lint
+from repro.analysis.astlint import analyze_program
 from repro.analysis.findings import RULES, has_errors
 from repro.analysis.linter import lint_module_path
 from repro.apps import APP_BY_NAME
+from repro.apps.base import StepOutcome, VertexProgram
+from repro.apps.bc import _BackwardBC, _ForwardBC
+from repro.core.sync_structures import ADD, FieldSpec
+from repro.partition.strategy import OperatorClass
+from repro.runtime.timing import WorkStats
 
 from tests.analysis.broken_programs import (
     RULE_FIXTURES,
-    StaleCandidateRead,
     UnsyncedWrite,
     WrongWriteEndpoint,
 )
+
+
+class DensePull(VertexProgram):
+    """Pagerank-shaped pull whose edge endpoints ``make_state`` pre-gathers."""
+
+    name = "dense-pull"
+    operator_class = OperatorClass.PULL
+    supports_pull = True
+    uses_frontier = False
+    iterate_locally = False
+
+    def make_state(self, part, ctx):
+        src, dst = part.graph.edges()
+        return {
+            "edge_src": src.astype(np.int64),
+            "edge_dst": dst.astype(np.int64),
+            "contrib": np.ones(part.num_nodes),
+            "acc": np.zeros(part.num_nodes),
+        }
+
+    def make_fields(self, part, state):
+        return [
+            FieldSpec(
+                name="acc",
+                values=state["acc"],
+                reduce_op=ADD,
+                broadcast_values=state["contrib"],
+                on_master_after_reduce=lambda changed: changed,
+            )
+        ]
+
+    def step(self, part, state, frontier, direction="pull"):
+        src = state["edge_src"]
+        dst = state["edge_dst"]
+        np.add.at(state["acc"], dst, state["contrib"][src])
+        work = WorkStats(len(dst), part.num_nodes)
+        return StepOutcome(updated=part.graph.in_degree() > 0, work=work)
 
 
 class TestBrokenFixtures:
@@ -43,22 +83,9 @@ class TestBrokenFixtures:
         assert "destination" in finding.message
 
     def test_unsynced_write_names_the_state_key(self):
-        findings = lint_program(UnsyncedWrite)
+        findings = lint_programs([UnsyncedWrite])
         finding = next(f for f in findings if f.rule_id == "GL003")
         assert "hops" in finding.message
-
-    def test_index_form_idiom_hides_no_genuine_read(self):
-        """The guard over the frontier's indices and the scatter's
-        snapshots of its own slots are no endpoint reads; the candidate's
-        ``dist[dst]`` is the one GL002."""
-        findings = lint_program(StaleCandidateRead)
-        assert {f.rule_id for f in findings} == {"GL002"}
-        (finding,) = findings
-        source, start = inspect.getsourcelines(StaleCandidateRead.step)
-        assert finding.line == next(
-            number for number, text in enumerate(source, start)
-            if "candidate = " in text
-        )
 
     def test_module_path_lints_the_fixture_file(self):
         import tests.analysis.broken_programs as module
@@ -70,49 +97,41 @@ class TestBrokenFixtures:
 
 
 class TestEndpointInference:
-    """The AST front end reads the generated bfs out of ``linecache``."""
+    """The AST front end on handwritten programs."""
 
-    def test_bfs_push_endpoints(self):
-        report = analyze_program(APP_BY_NAME["bfs"])
-        writes = {
-            e.key: e.endpoint for e in report.events if e.kind == "write"
-        }
-        reads = {e.key: e.endpoint for e in report.events if e.kind == "read"}
-        assert writes.get("dist") == "destination"
-        assert reads.get("dist") == "source"
+    def test_push_endpoints(self):
+        report = analyze_program(_ForwardBC)
+        writes = {(e.key, e.endpoint) for e in report.events if e.kind == "write"}
+        reads = {(e.key, e.endpoint) for e in report.events if e.kind == "read"}
+        assert writes == {("dist", "destination"), ("sigma_acc", "destination")}
+        assert ("sigma", "source") in reads
+        assert report.gathers_forward and not report.gathers_transpose
 
-    def test_bfs_pull_path_detected(self):
-        report = analyze_program(APP_BY_NAME["bfs"])
+    def test_transposed_gather_flips_roles(self):
+        report = analyze_program(_BackwardBC)
+        writes = {(e.key, e.endpoint) for e in report.events if e.kind == "write"}
+        assert writes == {("delta_acc", "source")}
+        assert report.gathers_transpose and not report.gathers_forward
+        assert not report.has_pull_path
+
+    def test_pull_path_and_state_tags(self):
+        """``src = state["edge_src"]`` carries the role ``make_state``
+        gave the array; the round-invariant ``updated`` mask off the
+        graph's in-degree is no field write, so GL003 has nothing to
+        flag."""
+        report = analyze_program(DensePull)
         assert report.has_pull_path
-        assert report.gathers_forward
-        assert report.gathers_transpose
-
-    @pytest.mark.parametrize(
-        "app_name, target, source",
-        [("pr", "acc", "contrib"), ("featprop", "acc", "feat")],
-    )
-    def test_dense_pull_written_mask_is_not_a_field(
-        self, app_name, target, source
-    ):
-        """The round-invariant ``updated`` mask comes off the graph's
-        cached in-degree, not a scattered state array: the only endpoint
-        accesses a dense pull records are its field write and read, so
-        GL003 (scattered but never synchronized) has nothing to flag."""
-        report = analyze_program(APP_BY_NAME[app_name])
-        step = [e for e in report.events if e.method == "_step_pull"]
-        assert {(e.key, e.endpoint, e.kind) for e in step} == {
-            (target, "destination", "write"),
-            (source, "source", "read"),
-        }
         assert set(report.state_tags) == {"edge_src", "edge_dst"}
-        findings = lint_program(APP_BY_NAME[app_name])
-        assert "GL003" not in {f.rule_id for f in findings}
-
+        assert {(e.key, e.endpoint, e.kind) for e in report.events} == {
+            ("acc", "destination", "write"),
+            ("contrib", "source", "read"),
+        }
+        assert lint_programs([DensePull]) == []
 
 
 class TestBuiltinAppsClean:
     def test_all_apps_have_no_errors(self):
-        names, findings = lint_all_apps()
+        names, findings = run_lint()
         # Aliases collapse to one target, but every app class is covered.
         assert {APP_BY_NAME[n] for n in names} == set(APP_BY_NAME.values())
         errors = [f for f in findings if f.severity == "error"]

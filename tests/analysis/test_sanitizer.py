@@ -2,26 +2,29 @@
 
 import dataclasses
 import inspect
-from types import SimpleNamespace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.analysis import sanitizer as sanitizer_module
-from repro.apps.specs import FEATPROP_SPEC
-from repro.compiler import compile_program
+from repro.analysis.linter import resolve_module_path
+from repro.apps.base import AppContext
+from repro.apps.specs import FEATPROP_SPEC, PROGRAM_SPECS
+from repro.compiler import compile_program, program_codegen
 from repro.engines import make_engine
 from repro.graph.generators import rmat
 from repro.partition import make_partitioner
 from repro.runtime.executor import DistributedExecutor
 from repro.systems import prepare_input, run_app
+from repro.utils.rng import make_rng
 
 from tests.analysis.broken_programs import (
-    StaleCandidateRead,
     WrongReadEndpoint,
     WrongWriteEndpoint,
 )
+
+EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "custom_algorithm.py"
 
 RESULT_KEYS = {
     "bfs": "dist", "cc": "label", "pr-push": "rank", "featprop": "feat",
@@ -33,7 +36,7 @@ def sanitizer_rmat():
     return rmat(scale=7, edge_factor=8, seed=3)
 
 
-def _run_broken(
+def _run_program(
     edges, program, policy="oec", num_hosts=3, sanitize=True, app="bfs"
 ):
     prep = prepare_input(app, edges)
@@ -75,24 +78,68 @@ class TestTransparency:
             guarded.executor.gather_result("delta"),
         )
 
+    @pytest.mark.parametrize(
+        "ratio", [None, 0, 2**40], ids=["registry", "sparse", "dense"]
+    )
     @pytest.mark.parametrize("policy", ["oec", "cvc", "iec", "hvc"])
     @pytest.mark.parametrize(
         "app_name", ["bfs", "cc", "sssp", "kcore", "pr-push"]
     )
     def test_index_form_kernels_are_clean(
-        self, sanitizer_rmat, app_name, policy
+        self, sanitizer_rmat, app_name, policy, ratio
     ):
         """The generated push kernels read the guard through the
         frontier's indices, write post lines through them, and snapshot
-        the slots a sparse scatter writes: no endpoint access among them."""
-        result = run_app(
-            "d-galois", app_name, sanitizer_rmat, 3, policy=policy,
-            sanitize=True,
-        )
+        the slots a sparse scatter writes: no endpoint access among them.
+
+        The compiler declares those lines; rendering the sparse-scatter
+        cut-off as 0 (every scatter snapshots) or 2**40 (every scatter
+        diffs the whole array) exercises each branch's lines.
+        """
+        if ratio is None:
+            result = run_app(
+                "d-galois", app_name, sanitizer_rmat, 3, policy=policy,
+                sanitize=True,
+            )
+        else:
+            with mock.patch.object(
+                program_codegen, "SPARSE_SCATTER_RATIO", ratio
+            ):
+                program = compile_program(PROGRAM_SPECS[app_name])
+            _, result = _run_program(
+                sanitizer_rmat, program, policy=policy, app=app_name
+            )
         assert result.sanitizer_findings == []
 
+    @pytest.mark.parametrize("policy", ["oec", "cvc", "iec"])
+    def test_handwritten_mask_form_is_clean(self, policy):
+        """A handwritten program gets no exempt lines: the example's
+        push step holds its frontier as a mask, which is never audited."""
+        (widest_path,) = resolve_module_path(str(EXAMPLE))
+        edges = rmat(scale=9, edge_factor=8, seed=9).with_random_weights(
+            make_rng(5), low=1, high=50
+        )
+        ctx = AppContext(
+            num_global_nodes=edges.num_nodes,
+            source=prepare_input("bfs", edges).ctx.source,
+        )
+        runs = []
+        for sanitize in (False, True):
+            executor = DistributedExecutor(
+                make_partitioner(policy).partition(edges, 4),
+                make_engine("galois"),
+                widest_path(),
+                ctx,
+                sanitize=sanitize,
+            )
+            result = executor.run()
+            runs.append((result, executor.gather_result("capacity")))
+        (_, plain), (guarded, capacity) = runs
+        assert guarded.sanitizer_findings == []
+        assert capacity.tobytes() == plain.tobytes()
+
     def test_guards_are_removed_after_each_round(self, sanitizer_rmat):
-        executor, _ = _run_broken(
+        executor, _ = _run_program(
             sanitizer_rmat, WrongWriteEndpoint(), sanitize=True
         )
         for state in executor.states:
@@ -101,7 +148,7 @@ class TestTransparency:
 
 class TestViolations:
     def test_lost_update_fires_gl201(self, sanitizer_rmat):
-        _, result = _run_broken(sanitizer_rmat, WrongWriteEndpoint())
+        _, result = _run_program(sanitizer_rmat, WrongWriteEndpoint())
         rules = {f["rule"] for f in result.sanitizer_findings}
         assert rules == {"GL201"}
         finding = result.sanitizer_findings[0]
@@ -113,7 +160,7 @@ class TestViolations:
         assert finding["file"].endswith("broken_programs.py")
 
     def test_stale_read_fires_gl202(self, sanitizer_rmat):
-        _, result = _run_broken(sanitizer_rmat, WrongReadEndpoint())
+        _, result = _run_program(sanitizer_rmat, WrongReadEndpoint())
         rules = {f["rule"] for f in result.sanitizer_findings}
         assert "GL202" in rules
         finding = next(
@@ -122,12 +169,6 @@ class TestViolations:
         # Reads are only audited once a sync has completed: round 1's
         # pre-broadcast reads are legitimately unchecked.
         assert finding["details"]["first_round"] >= 2
-
-    def test_index_form_stale_read_fires_gl202(self, sanitizer_rmat):
-        """The frontier-index and scatter-snapshot exemptions leave the
-        candidate's genuine ``dist[dst]`` read audited."""
-        _, result = _run_broken(sanitizer_rmat, StaleCandidateRead())
-        assert {f["rule"] for f in result.sanitizer_findings} == {"GL202"}
 
     def test_wide_kernel_lost_update_fires_gl201(self, sanitizer_rmat):
         """The column-wise feature kernel stays visible to the guard.
@@ -143,7 +184,7 @@ class TestViolations:
                 ("feat_acc", (frozenset({"source"}), frozenset({"source"}))),
             ),
         )
-        _, result = _run_broken(
+        _, result = _run_program(
             sanitizer_rmat, compile_program(tampered), app="featprop"
         )
         gl201 = [
@@ -158,8 +199,8 @@ class TestViolations:
         ``reads={"destination"}`` leaves every one of them stale.
 
         The finding is anchored in the generated module, and the audited
-        statement is the step's kernel call: exempting that one line
-        silences the rule.
+        statement is the step's kernel call: declaring that one line
+        exempt on the class silences the rule.
         """
         tampered = dataclasses.replace(
             FEATPROP_SPEC,
@@ -171,7 +212,7 @@ class TestViolations:
             ),
         )
         program = compile_program(tampered)
-        _, result = _run_broken(
+        _, result = _run_program(
             sanitizer_rmat, program, policy="iec", app="featprop"
         )
         gl202 = [
@@ -187,19 +228,17 @@ class TestViolations:
             first + i for i, line in enumerate(lines)
             if "aggregate_neighbor_rows(" in line
         )
-        exempt = SimpleNamespace(
-            non_endpoint_lines={(gl202[0]["file"], call)}
-        )
         with mock.patch.object(
-            sanitizer_module, "analyze_program", return_value=exempt
+            type(program), "non_endpoint_lines",
+            frozenset({(gl202[0]["file"], call)}),
         ):
-            _, exempted = _run_broken(
+            _, exempted = _run_program(
                 sanitizer_rmat, program, policy="iec", app="featprop"
             )
         assert exempted.sanitizer_findings == []
 
     def test_unsanitized_broken_run_stays_silent(self, sanitizer_rmat):
-        _, result = _run_broken(
+        _, result = _run_program(
             sanitizer_rmat, WrongWriteEndpoint(), sanitize=False
         )
         assert result.sanitizer_findings == []
@@ -207,6 +246,6 @@ class TestViolations:
     def test_findings_reach_json_payload(self, sanitizer_rmat):
         import json
 
-        _, result = _run_broken(sanitizer_rmat, WrongWriteEndpoint())
+        _, result = _run_program(sanitizer_rmat, WrongWriteEndpoint())
         payload = json.loads(result.to_json())
         assert payload["sanitizer_findings"][0]["rule"] == "GL201"

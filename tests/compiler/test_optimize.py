@@ -199,13 +199,3 @@ class TestGeneratedArtifacts:
         optimized = make_app("bfs@optimized")
         assert plain.__class__ is not optimized.__class__
         assert optimized.__class__ is make_app("bfs@optimized").__class__
-
-    def test_optimized_source_passes_astlint(self):
-        from repro.analysis.astlint import analyze_program
-        from repro.analysis.linter import lint_programs
-
-        cls = compile_program(PROGRAM_SPECS["sssp"], optimize=True).__class__
-        findings = lint_programs([cls])
-        assert not findings, [f.message for f in findings]
-        report = analyze_program(cls)
-        assert report.fields, "lint saw no fields in optimized source"

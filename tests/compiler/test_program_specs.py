@@ -1,22 +1,28 @@
 """The compiled-program contract: the registry hands out the program
 generated from each spec, its sync endpoints are derived (never
-declared), and the GL lint pass verifies the generated source like any
-handwritten program.  (That the generated programs compute what the
-handwritten apps they replaced computed is pinned absolutely by
-``tests/integration/test_golden_matrix.py``.)
+declared), and the GL lint rules check the emitted endpoints against the
+spec — never by re-reading the generated source.  (That the generated
+programs compute what the handwritten apps they replaced computed is
+pinned absolutely by ``tests/integration/test_golden_matrix.py``.)
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.analysis.linter import run_lint
+from repro.analysis import astlint
+from repro.analysis.dataflow import dataflow_programs
+from repro.analysis.findings import RULES
+from repro.analysis.linter import lint_programs, lint_spec, run_lint
 from repro.apps import APP_BY_NAME, bc, make_app
 from repro.apps.specs import (
     BFS_SPEC,
     PROGRAM_SPECS,
+    SSSP_SPEC,
     base_app_name,
+    optimized_app_names,
     spec_for,
 )
 from repro.compiler import (
@@ -30,8 +36,78 @@ from repro.compiler import (
     verify_compiled,
 )
 from repro.compiler.spec import CompileError
+from repro.core.sync_structures import REDUCTIONS
+from repro.graph.generators import rmat
+from repro.systems import run_app
+
+from tests.analysis.broken_programs import ROWMIX
 
 MIGRATED = sorted(PROGRAM_SPECS)
+
+
+def _overridden(writes, reads):
+    """sssp with its one wire's emitted endpoints pinned by hand."""
+    return dataclasses.replace(
+        SSSP_SPEC,
+        endpoint_overrides=(
+            ("dist", (frozenset(writes), frozenset(reads))),
+        ),
+    )
+
+
+def _unsynced_target():
+    """A second phase scatters into a field no wire carries."""
+    return ProgramSpec(
+        name="unsynced-target",
+        fields=tuple(
+            FieldDecl(name, np.uint32, reduce="min",
+                      init="np.zeros(n, dtype=np.uint32)")
+            for name in ("x", "y")
+        ),
+        phases=(
+            PhaseSpec("p", "frontier_push", "x", kernel="{src.x}"),
+            PhaseSpec("q", "frontier_push", "y", kernel="{src.x}"),
+        ),
+        sync=(SyncDecl("x"),),
+    )
+
+
+def _reduced_with(reduce, wide=False):
+    """One field, aggregated over all edges and reduced with ``reduce``."""
+    return ProgramSpec(
+        name=f"reduced-with-{reduce}",
+        fields=(
+            FieldDecl(
+                "x", np.float64, reduce=reduce,
+                init="np.zeros((n, dim))" if wide else "np.zeros(n)",
+                width="dim" if wide else None,
+            ),
+        ),
+        phases=(
+            PhaseSpec("p", "dense_pull", "x", source_rows="x")
+            if wide
+            else PhaseSpec("p", "dense_pull", "x", kernel="{src.x}"),
+        ),
+        sync=(SyncDecl("x"),),
+        wide_dim="4" if wide else None,
+    )
+
+
+#: Spec-decidable rule -> (minimal tampered spec, every rule it fires).
+SPEC_RULES = {
+    "GL001": (lambda: _overridden({"source"}, {"source"}),
+              {"GL001", "GL004"}),
+    "GL002": (lambda: _overridden({"destination"}, {"destination"}),
+              {"GL002", "GL005"}),
+    "GL003": (_unsynced_target, {"GL003"}),
+    "GL004": (lambda: _overridden({"source", "destination"}, {"source"}),
+              {"GL004"}),
+    "GL005": (lambda: _overridden({"destination"},
+                                  {"source", "destination"}),
+              {"GL005"}),
+    "GL009": (lambda: _reduced_with("assign"), {"GL009"}),
+    "GL011": (lambda: _reduced_with("rowmix", wide=True), {"GL011"}),
+}
 
 
 class TestDerivedEndpoints:
@@ -87,7 +163,7 @@ class TestDerivedEndpoints:
 
 
 class TestVerificationLoop:
-    """compile → lint: tampered access sets must trip GL001."""
+    """compile → lint against the spec: tampered endpoints trip GL001."""
 
     def _tampered_bfs(self):
         return dataclasses.replace(
@@ -99,7 +175,7 @@ class TestVerificationLoop:
         )
 
     def test_lint_clean_on_every_migrated_spec(self):
-        """The default sweep *is* the generated-code sweep."""
+        """The default sweep checks every spec app against its spec."""
         names, findings = run_lint()
         assert set(MIGRATED) <= set(names)
         errors = [f for f in findings if f.severity == "error"]
@@ -115,6 +191,39 @@ class TestVerificationLoop:
     def test_compile_verify_gate_rejects_tampered_spec(self):
         with pytest.raises(CompileError, match="GL001"):
             compile_program(self._tampered_bfs(), verify=True)
+
+    @pytest.mark.parametrize("name", MIGRATED + optimized_app_names())
+    def test_every_build_is_finding_free(self, name):
+        assert lint_programs([type(make_app(name))]) == []
+
+    @pytest.mark.parametrize("rule_id", sorted(SPEC_RULES))
+    def test_rule_fires_on_tampered_spec(self, rule_id, monkeypatch):
+        monkeypatch.setitem(REDUCTIONS, ROWMIX.name, ROWMIX)
+        build, expected = SPEC_RULES[rule_id]
+        spec = build()
+        findings = lint_spec(spec)
+        assert {f.rule_id for f in findings} == expected
+        finding = next(f for f in findings if f.rule_id == rule_id)
+        assert finding.severity == RULES[rule_id].severity
+        assert finding.subject == spec.name
+
+    def test_compiled_programs_never_reach_the_ast_pass(self):
+        refuse = mock.Mock(side_effect=AssertionError("AST pass reached"))
+        with mock.patch.object(astlint, "analyze_program", refuse), \
+                mock.patch.object(astlint, "_mro_methods", refuse):
+            classes = [
+                type(compile_program(spec, verify=True, optimize=optimize))
+                for spec in PROGRAM_SPECS.values()
+                for optimize in (False, True)
+            ]
+            assert lint_programs(classes) == []
+            dataflow_programs(classes)
+            result = run_app(
+                "d-galois", "bfs", rmat(scale=7, edge_factor=8, seed=3), 3,
+                sanitize=True,
+            )
+        assert result.sanitizer_findings == []
+        refuse.assert_not_called()
 
     def test_render_is_deterministic(self):
         assert render_program(BFS_SPEC) == render_program(BFS_SPEC)
