@@ -10,7 +10,7 @@ wrong declaration produces wrong answers, not errors.
 
 A compiled program never comes here: its endpoints are derived from its
 :class:`~repro.compiler.spec.ProgramSpec`, and :mod:`repro.analysis.linter`
-checks it against that spec.  For handwritten programs (bc, ``repro lint
+checks it against that spec.  For handwritten programs (``repro lint
 --module``) this module recovers a compile-time-style check by AST
 analysis:
 
@@ -60,7 +60,6 @@ NON_COMPUTE_METHODS = frozenset(
         "local_residual",
         "is_globally_converged",
         "gather_master_values",
-        "run_phases",
     }
 )
 

@@ -99,10 +99,13 @@ class PhaseNode:
     #: deliberately ignores (pull-target masks and post lines).
     reads: Dict[str, FrozenSet[str]]
     #: Spec-path-only structure the fusion rule needs.
-    target: Optional[str] = None
+    targets: Tuple[str, ...] = ()
     guard: Optional[str] = None
+    select: Optional[str] = None
+    edge_filter: Optional[str] = None
     uses_weights: bool = False
     has_post: bool = False
+    stage: int = 0  # phases of different stages never share a round
 
 
 @dataclass
@@ -137,9 +140,14 @@ class DataflowGraph:
     file: Optional[str] = None
     line: Optional[int] = None
 
-    def group(self, direction: str) -> List[PhaseNode]:
-        """The phases of one direction group, in program order."""
-        return [p for p in self.phases if p.direction == direction]
+    def groups(self) -> List[List[PhaseNode]]:
+        """The phases one round runs back-to-back: per stage, the push
+        group then the pull group, each in program order."""
+        keys = sorted({(p.stage, p.direction != "push") for p in self.phases})
+        return [
+            [p for p in self.phases if (p.stage, p.direction != "push") == key]
+            for key in keys
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +164,14 @@ def _phase_access(
     :func:`derive_phase_access` the compiler's endpoint derivation runs.
     The use surface is then widened with the consumption sites the
     derivation deliberately ignores (they do not change *which* proxies
-    sync, only whether a sync phase is removable): ``pull_targets``
+    sync, only whether a sync phase is removable): sparse pulls' ``select``
     masks read the surface on the destination side to pick gather
     targets, and post-gather/post-scatter lines read whole local arrays
     on the active side.
     """
     writes, reads = derive_phase_access(phase, field, read_surface=surface)
     extra = set()
-    if surface in _local_refs(phase.pull_targets):
+    if phase.kind == "sparse_pull" and surface in _local_refs(phase.select):
         extra.add(phase.dest_endpoint)
     for line in phase.post_gather + phase.post_scatter:
         if surface in _local_refs(line):
@@ -180,7 +188,8 @@ def graph_from_spec(spec: ProgramSpec) -> DataflowGraph:
         overridden=bool(spec.endpoint_overrides),
     )
     field_names = [f.name for f in spec.fields]
-    for index, phase in enumerate(spec.phases):
+    staged = [(i, phase) for i, stage in enumerate(spec.stage_list) for phase in stage.phases]
+    for index, (stage, phase) in enumerate(staged):
         writes: Dict[str, FrozenSet[str]] = {}
         reads: Dict[str, FrozenSet[str]] = {}
         for name in field_names:
@@ -200,10 +209,13 @@ def graph_from_spec(spec: ProgramSpec) -> DataflowGraph:
                 orientation=phase.orientation,
                 writes=writes,
                 reads=reads,
-                target=phase.target,
+                targets=phase.targets,
                 guard=phase.guard,
+                select=phase.select,
+                edge_filter=phase.edge_filter,
                 uses_weights=phase.uses_weights,
                 has_post=bool(phase.post_gather or phase.post_scatter),
+                stage=stage,
             )
         )
     for decl in spec.sync:
@@ -437,24 +449,21 @@ def fusible(a: PhaseNode, b: PhaseNode) -> bool:
 
     Spec-path only (kernel structure is invisible on the AST path).
     They must gather identically (same kind, orientation, guard,
-    weights), carry no one-shot post lines (those order against the
-    gather), scatter *different* fields, and ``b`` must not consume
-    anything ``a`` defines — otherwise fusing would feed ``b`` the
-    pre-``a`` gather.
+    selection, edge filter, weights), carry no one-shot post lines
+    (those order against the gather), scatter *different* fields, and
+    ``b`` must not consume anything ``a`` defines — otherwise fusing
+    would feed ``b`` the pre-``a`` gather.
     """
     if a.kind != "frontier_push" or b.kind != "frontier_push":
         return False
-    if a.orientation != b.orientation:
-        return False
-    if a.guard != b.guard or a.uses_weights != b.uses_weights:
+    gather = ("orientation", "guard", "select", "edge_filter", "uses_weights")
+    if any(getattr(a, key) != getattr(b, key) for key in gather):
         return False
     if a.has_post or b.has_post:
         return False
-    if a.target is None or b.target is None or a.target == b.target:
+    if not a.targets or not b.targets or set(a.targets) & set(b.targets):
         return False
-    if a.target in b.reads:
-        return False
-    return True
+    return not set(a.targets) & set(b.reads)
 
 
 def fusion_candidates(
@@ -463,12 +472,12 @@ def fusion_candidates(
     """Adjacent (earlier, later) push-phase pairs one gather can drive."""
     if graph.origin != "spec" or graph.overridden:
         return []
-    pairs = []
-    group = graph.group("push")
-    for a, b in zip(group, group[1:]):
-        if fusible(a, b):
-            pairs.append((a, b))
-    return pairs
+    return [
+        (a, b)
+        for group in graph.groups()
+        for a, b in zip(group, group[1:])
+        if fusible(a, b)
+    ]
 
 
 def _gl302(graph: DataflowGraph) -> List[Finding]:
@@ -656,7 +665,9 @@ def certify_spec(spec: ProgramSpec) -> StabilizationCertificate:
         op is not None and op.idempotent for op in reductions
     )
     no_hooks = not any(d.hook is not None for d in spec.sync)
-    monotone = all(kernel_is_monotone(p.kernel) for p in spec.phases)
+    monotone = all(
+        kernel_is_monotone(kernel) for p in spec.phases for _, kernel in p.scatters
+    )
     conditions = (
         ("data-driven-frontier", frontier),
         ("idempotent-reductions", idempotent),
@@ -774,11 +785,12 @@ def _gl304_spec(graph: DataflowGraph) -> List[Finding]:
     fresh local proxies but stale remote ones (the partitioning decides
     which — GL202's static twin), and two phases scattering one field
     at different endpoints disagree about where the reduce must gather
-    (GL201's static twin).
+    (GL201's static twin).  Phases of different stages never share a
+    round.
     """
     findings = []
-    for direction in ("push", "pull"):
-        group = graph.group(direction)
+    for group in graph.groups():
+        direction = group[0].direction
         for i, earlier in enumerate(group):
             for later in group[i + 1:]:
                 for name in sorted(

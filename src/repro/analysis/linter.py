@@ -4,9 +4,8 @@ This is the engine behind ``repro lint``.  A *target* is a concrete
 :class:`~repro.apps.base.VertexProgram` subclass (one that defines its
 own ``step`` and ``make_fields``); targets come from
 
-* a built-in app name (``--app bfs``) — for a spec app the class the
-  compiler generated, for a composite app like bc the forward/backward
-  phase programs its module contributes;
+* a built-in app name (``--app bfs``) — the class the compiler
+  generated from its spec;
 * a module path (``--module my_programs.py``) — every concrete program
   defined in that file;
 * nothing — all built-in applications (the CI sweep).
@@ -60,25 +59,13 @@ def _programs_in_module(module) -> List[type]:
 
 
 def resolve_app(name: str) -> List[type]:
-    """Programs behind one built-in app name.
-
-    For a composite app (bc's two-phase driver) the facade class itself
-    is not concrete; the phase programs living in its module are linted
-    in its place.
-    """
+    """The program behind one built-in app name."""
     from repro.apps import make_app
 
     try:
-        cls = type(make_app(name))
+        return [type(make_app(name))]
     except ValueError as exc:
         raise LintError(str(exc)) from None
-    module = sys.modules[cls.__module__]
-    programs = _programs_in_module(module)
-    if not programs:
-        raise LintError(
-            f"app {name!r} has no concrete vertex program to lint"
-        )
-    return programs
 
 
 def resolve_module_path(path: str) -> List[type]:
@@ -186,7 +173,7 @@ def lint_spec(spec: ProgramSpec) -> List[Finding]:
                 wire,
             )
     synced = {d.field for d in spec.sync} | {d.read_surface for d in spec.sync}
-    for target in dict.fromkeys(p.target for p in spec.phases):
+    for target in dict.fromkeys(t for p in spec.phases for t in p.targets):
         if target not in synced:
             finding(
                 "GL003",

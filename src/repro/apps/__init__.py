@@ -1,18 +1,18 @@
-"""Benchmark applications (§5.1): bfs, sssp, cc, pagerank, plus k-core.
+"""Benchmark applications (§5.1): bfs, sssp, cc, pagerank, plus k-core,
+bc and the feature apps.
 
 Each application is a vertex program in the paper's sense (§2.1): node
 labels, an operator applied until global quiescence, and per-field
-synchronization structures handed to Gluon.  Every single-operator app
-is defined once, as a :class:`~repro.compiler.spec.ProgramSpec` in
+synchronization structures handed to Gluon.  Every app is defined once,
+as a :class:`~repro.compiler.spec.ProgramSpec` in
 :mod:`repro.apps.specs`; the class registered here is the one the sync
-compiler generates from it.  ``bc`` (two executor passes) is the one
-handwritten :class:`VertexProgram` driver.
+compiler generates from it.  ``bc`` is a staged spec: its forward and
+backward sweeps run one after another in one executor.
 """
 
 import functools
 
 from repro.apps.base import AppContext, StepOutcome, VertexProgram
-from repro.apps.bc import BetweennessCentrality
 from repro.apps.specs import (
     OPTIMIZED_SUFFIX,
     PROGRAM_SPECS,
@@ -30,7 +30,6 @@ APP_BY_NAME = {
 APP_BY_NAME.update(
     {alias: APP_BY_NAME[name] for alias, name in SPEC_ALIASES.items()}
 )
-APP_BY_NAME["bc"] = BetweennessCentrality
 
 
 def runnable_app_names():
@@ -47,8 +46,8 @@ def _optimized_class(spec) -> type:
 def make_app(name: str):
     """Construct an application by its short name (bfs/sssp/cc/pr/kcore/...).
 
-    A bare name resolves through ``APP_BY_NAME`` — for every spec app,
-    the program generated from ``PROGRAM_SPECS[name]``.
+    A bare name resolves through ``APP_BY_NAME`` — the program generated
+    from ``PROGRAM_SPECS[name]``.
     ``<app>@optimized`` is the same spec built with
     ``compile_program(optimize=True)`` (GL301 dead-sync elimination +
     GL302 phase fusion): bitwise-identical results, fewer messages.
@@ -68,7 +67,6 @@ __all__ = [
     "VertexProgram",
     "AppContext",
     "StepOutcome",
-    "BetweennessCentrality",
     "make_app",
     "APP_BY_NAME",
     "runnable_app_names",

@@ -88,7 +88,7 @@ class VertexProgram:
     needs_global_in_degrees: bool = False
     #: Whether per-node state can move across a mid-run repartitioning
     #: (§4.1 footnote).  Apps with per-*proxy* semantics (one-shot push
-    #: flags) must opt out.
+    #: flags) or a stage index and counters (staged specs) opt out.
     supports_migration: bool = True
     #: Whether an asynchronous engine may iterate the step to a local
     #: fixpoint within one round (safe for idempotent label propagation;
@@ -98,9 +98,6 @@ class VertexProgram:
     uses_frontier: bool = True
     #: Whether a pull-direction step is available (Ligra's direction opt).
     supports_pull: bool = False
-    #: Whether the app drives its own executor passes through
-    #: ``run_phases`` instead of being one operator (bc).
-    multi_phase: bool = False
     #: ``(file, line)`` of statements whose integer-indexed state accesses
     #: address no edge endpoint (the frontier's index form, a scatter's
     #: snapshot of its own slots), which ``--sanitize`` does not audit.
@@ -147,6 +144,12 @@ class VertexProgram:
     ) -> bool:
         """Whether a topology-driven app may stop (frontier apps: never)."""
         return False
+
+    def next_stage(self, state: Dict, gather) -> Optional[Dict]:
+        """Once the frontier drains: the state entries every host takes to
+        enter a staged program's next stage (``gather(key)`` assembles a
+        field's global master values), or ``None`` — the run converged."""
+        return None
 
     # -- verification ------------------------------------------------------------
 

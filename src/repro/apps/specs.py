@@ -1,9 +1,9 @@
 """The built-in applications, as declarative program specs.
 
-Every single-operator benchmark app *is* a
-:class:`~repro.compiler.spec.ProgramSpec` — fields, phases, kernels,
-and sync pairings — and the program :func:`repro.apps.make_app` hands
-out is the class the compiler generates from it.  The sync endpoints
+Every benchmark app *is* a :class:`~repro.compiler.spec.ProgramSpec` —
+fields, phases (or, for bc, stages of phases), kernels, and sync
+pairings — and the program :func:`repro.apps.make_app` hands out is the
+class the compiler generates from it.  The sync endpoints
 are *derived* from the phase access sets by the compiler; nothing here
 declares ``writes=`` or ``reads=``.
 
@@ -25,6 +25,7 @@ from repro.compiler.spec import (
     FieldDecl,
     PhaseSpec,
     ProgramSpec,
+    StageSpec,
     SyncDecl,
 )
 
@@ -183,6 +184,29 @@ def _sage_converged(residual_sum: float, round_index: int, ctx) -> bool:
     return round_index >= 1
 
 
+def _fold(acc: str, surface: str):
+    """Master-side hook: fold the ADD accumulator ``acc`` into the
+    canonical ``surface`` and broadcast the masters it changed."""
+
+    def fold(part, state: Dict) -> np.ndarray:
+        m = part.num_masters
+        changed = state[acc][:m] != 0.0
+        state[surface][:m] += state[acc][:m]
+        state[acc][:m] = 0.0
+        broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
+        broadcast_dirty[:m] = changed
+        return broadcast_dirty
+
+    return fold
+
+
+def _deepest_level(gather) -> Dict:
+    """bc's backward sweep starts at the deepest BFS level reached."""
+    dist = gather("dist")
+    finite = dist[dist != _INFINITY]
+    return {"level": int(finite.max()) if len(finite) else 0}
+
+
 # ---------------------------------------------------------------------------
 # The specs.
 # ---------------------------------------------------------------------------
@@ -212,7 +236,7 @@ BFS_SPEC = ProgramSpec(
             target="dist",
             kernel=_BFS_KERNEL,
             guard="{dist} != INFINITY",
-            pull_targets="{dist} == INFINITY",
+            select="{dist} == INFINITY",
         ),
     ),
     sync=(SyncDecl(field="dist"),),
@@ -592,6 +616,59 @@ SAGE_SPEC = dataclasses.replace(
     converged=_sage_converged,
 )
 
+#: Single-source betweenness centrality (Brandes) in two stages.  Forward:
+#: level-synchronous BFS counting shortest paths into ``sigma``.  Backward,
+#: deepest level first, over the transposed edges: ``delta[u] += sigma[u] /
+#: sigma[v] * (1 + delta[v])``, written at the edge *source* and read at the
+#: *destination* (the full ``sync<WriteLocation, ReadLocation>``, Figure 4).
+BC_SPEC = ProgramSpec(
+    name="bc",
+    fields=(
+        FieldDecl("dist", np.uint32, "min", "np.full(n, INFINITY, dtype=np.uint32)",
+                  source_value="0"),
+        FieldDecl("sigma", np.float64, None, "np.zeros(n)", source_value="1.0"),
+        FieldDecl("sigma_acc", np.float64, "add", "np.zeros(n)"),
+        FieldDecl("delta", np.float64, None, "np.zeros(n)"),
+        FieldDecl("delta_acc", np.float64, "add", "np.zeros(n)"),
+    ),
+    stages=(
+        StageSpec(
+            name="forward",
+            phases=(
+                PhaseSpec(
+                    "relax", "frontier_push", "dist", kernel="np.uint32(level + 1)",
+                    guard="{dist} == level", edge_filter="{dst.dist} > level",
+                    extra_scatters=(("sigma_acc", "{src.sigma}"),),
+                ),
+            ),
+            sync=(
+                SyncDecl("dist"),
+                SyncDecl("sigma_acc", broadcast="sigma", hook=_fold("sigma_acc", "sigma")),
+            ),
+            frontier="source",
+            counter=("level", 1),
+        ),
+        StageSpec(
+            name="backward",
+            phases=(
+                PhaseSpec(
+                    "dependency", "frontier_push", "delta_acc",
+                    kernel="{dst.sigma} / np.maximum({src.sigma}, 1.0) * (1.0 + {src.delta})",
+                    select="({dist} == level) & (level >= 1)",
+                    edge_filter="{dst.dist} == level - 1", orientation="transpose",
+                ),
+            ),
+            sync=(
+                SyncDecl("delta_acc", broadcast="delta", hook=_fold("delta_acc", "delta")),
+            ),
+            counter=("level", -1),
+            enter=_deepest_level,
+        ),
+    ),
+    constants=(("INFINITY", _INFINITY),),
+    scalars=(("level", "0"),),
+)
+
 #: Every spec app, keyed by its canonical app name.
 PROGRAM_SPECS: Dict[str, ProgramSpec] = {
     spec.name: spec
@@ -606,6 +683,7 @@ PROGRAM_SPECS: Dict[str, ProgramSpec] = {
         FEATPROP_MEAN_SPEC,
         LABELPROP_SPEC,
         SAGE_SPEC,
+        BC_SPEC,
     )
 }
 

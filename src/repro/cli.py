@@ -502,7 +502,7 @@ def _command_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         return _command_stream(args, parser, spec, edges, options, cache)
     try:
         plan = plan_run(spec.system, spec.app, edges, spec.hosts, **options)
-    except ReproError as exc:  # what only the run knows: --trace with a multi-phase app
+    except ReproError as exc:  # a refused combination: exit 2, no traceback
         parser.error(str(exc))
     result = plan.run(cache)
     _export_observability(args, result, observability)

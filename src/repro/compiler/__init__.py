@@ -36,7 +36,7 @@ unreached-source guard)::
     )
     sssp = compile_program(spec)   # a ready-to-run VertexProgram
 
-Every built-in single-operator app is such a spec; the programs
+Every built-in app is such a spec (bc a staged one); the programs
 ``make_app`` hands out are the classes generated from them.
 """
 
@@ -50,6 +50,7 @@ from repro.compiler.spec import (
     FieldDecl,
     PhaseSpec,
     ProgramSpec,
+    StageSpec,
     SyncDecl,
     derive_endpoints,
     derive_phase_access,
@@ -60,6 +61,7 @@ __all__ = [
     "required_patterns",
     "ProgramSpec",
     "PhaseSpec",
+    "StageSpec",
     "SyncDecl",
     "derive_endpoints",
     "derive_phase_access",

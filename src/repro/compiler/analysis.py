@@ -3,8 +3,8 @@
 Given a :class:`~repro.compiler.spec.ProgramSpec`, the analysis derives
 what the paper's compiler derives from application source:
 
-* the data-flow direction (all spec-expressible operators flow
-  source -> destination, the case §3.2 analyzes);
+* §3.2's table for source -> destination data flow (a transposed push
+  reverses it; ``repro analyze --dataflow`` gives the per-wire truth);
 * which synchronization patterns (reduce and/or broadcast) each
   partitioning strategy needs for this operator.
 """
@@ -51,7 +51,7 @@ def _strategy_lines():
 
 
 def describe_program(spec: ProgramSpec) -> str:
-    """Human-readable summary of a multi-phase program spec.
+    """Human-readable summary of a program spec.
 
     Shows the phase pipeline, the *derived* sync endpoints per wire (the
     part the paper's compiler extracts from application source), and the
@@ -65,15 +65,18 @@ def describe_program(spec: ProgramSpec) -> str:
         detail = []
         if phase.guard:
             detail.append(f"guard: {phase.guard}")
-        if phase.pull_targets:
-            detail.append(f"targets: {phase.pull_targets}")
+        if phase.select:
+            detail.append(f"select: {phase.select}")
+        if phase.edge_filter:
+            detail.append(f"filter: {phase.edge_filter}")
         if phase.uses_weights:
             detail.append("weighted")
         if phase.orientation != "forward":
             detail.append(phase.orientation)
         suffix = f"  ({'; '.join(detail)})" if detail else ""
         lines.append(
-            f"  phase {phase.name} [{phase.kind}] -> {phase.target}{suffix}"
+            f"  phase {phase.name} [{phase.kind}] -> "
+            f"{', '.join(phase.targets)}{suffix}"
         )
     endpoints = derive_endpoints(spec)
     for decl in spec.sync:

@@ -38,6 +38,8 @@ from repro.compiler.spec import (
     CompileError,
     PhaseSpec,
     ProgramSpec,
+    StageSpec,
+    SyncDecl,
     derive_endpoints,
 )
 from repro.core.sync_structures import REDUCTIONS
@@ -127,13 +129,12 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _target_reduce(spec: ProgramSpec, phase: PhaseSpec) -> str:
-    """The reduction combining scatters into ``phase.target``."""
-    reduce = spec.field_decl(phase.target).reduce
+def _target_reduce(spec: ProgramSpec, target: str) -> str:
+    """The reduction combining scatters into ``target``."""
+    reduce = spec.field_decl(target).reduce
     if reduce is None:
         raise CompileError(
-            f"{spec.name}/{phase.name}: scatter target {phase.target!r} "
-            "declares no reduction"
+            f"{spec.name}: scatter target {target!r} declares no reduction"
         )
     if reduce not in _SCATTER_SRC:
         raise CompileError(
@@ -144,9 +145,14 @@ def _target_reduce(spec: ProgramSpec, phase: PhaseSpec) -> str:
     return reduce
 
 
-def _phase_aliases(spec: ProgramSpec, phase: PhaseSpec) -> List[str]:
-    """State keys the phase method aliases, in declaration order."""
-    wanted = phase.referenced_fields()
+def _phase_aliases(spec: ProgramSpec, *phases: PhaseSpec) -> List[str]:
+    """State keys the phase methods alias, in declaration order: every
+    field they reference and every scalar their fragments name bare."""
+    wanted = set()
+    for phase in phases:
+        wanted |= phase.referenced_fields()
+        for text in phase.expressions():
+            wanted.update(re.findall(r"[A-Za-z_]\w*", re.sub(r"\{[^{}]*\}", " ", text)))
     ordered = [f.name for f in spec.fields if f.name in wanted]
     ordered += [key for key, _ in spec.scalars if key in wanted]
     return ordered
@@ -160,7 +166,7 @@ def _emit_aliases(out: _Emitter, names: List[str]) -> None:
 def _emit_scatter(
     out: _Emitter,
     spec: ProgramSpec,
-    phase: PhaseSpec,
+    target: str,
     indent: int,
     index_var: str,
     candidate: str,
@@ -177,12 +183,11 @@ def _emit_scatter(
     bits, and NaN -> NaN is "not changed" in both.
 
     ``accumulate`` ORs into an existing ``updated`` mask instead of
-    rebinding it — the form a GL302-fused method needs, where several
-    phases share one mask exactly as the unfused driver ORs their
-    separate outcome masks.
+    rebinding it — the form a method with several scatters needs (a
+    multi-scatter phase, a GL302-fused group), where the scatters share
+    one mask exactly as the unfused driver ORs separate outcome masks.
     """
-    reduce = _target_reduce(spec, phase)
-    target = phase.target
+    reduce = _target_reduce(spec, target)
     scatter = f"{_SCATTER_SRC[reduce]}({target}, {index_var}, {candidate})"
     if not REDUCTIONS[reduce].idempotent:
         out.emit(indent, scatter)
@@ -229,12 +234,15 @@ def _emit_push_prologue(
     out: _Emitter, lead: PhaseSpec, method: str, aliases: List[str],
     copies: int = 1,
 ) -> None:
-    """Guard, popcount, gather and work counters shared by push methods.
+    """Guard, popcount, gather, work counters and edge filter shared by
+    push methods.
 
     The active set is held as indices: one ``flatnonzero`` of the
-    frontier, the guard evaluated on those nodes only, so a step costs
-    its active set rather than a pass over every proxy per guard term.
-    ``{mask}`` in post lines is that index array.
+    frontier (or of the ``select`` mask), the guard evaluated on those
+    nodes only, so a step costs its active set rather than a pass over
+    every proxy per guard term.  ``{mask}`` in post lines is that index
+    array.  A transposed phase gathers the transposed graph (``dst`` are
+    the stored edges' sources).
 
     ``copies`` scales the work counters (a GL302 group replays one
     gather for several phases).  A phase without post lines returns the
@@ -245,7 +253,11 @@ def _emit_push_prologue(
     scale = f" * {copies}" if copies > 1 else ""
     out.emit(1, f"def {method}(self, part, state, frontier):")
     _emit_aliases(out, aliases)
-    out.emit(2, "usable = np.flatnonzero(frontier)")
+    if lead.select:
+        selected = _render_fragment(lead.select, local="{f}")
+        out.emit(2, f"usable = np.flatnonzero({selected})")
+    else:
+        out.emit(2, "usable = np.flatnonzero(frontier)")
     if lead.guard:
         guard = _render_fragment(lead.guard, local="{f}[usable]")
         out.emit(2, f"usable = usable[{guard}]", non_endpoint=True)
@@ -254,10 +266,10 @@ def _emit_push_prologue(
     if not (lead.post_gather or lead.post_scatter):
         out.emit(2, "if active == 0:")
         out.emit(3, "return StepOutcome(updated=updated, work=WorkStats())")
+    graph = "part.graph.transpose()" if lead.orientation == "transpose" else "part.graph"
     out.emit(
         2,
-        "src_rep, dst, positions = gather_frontier_edges("
-        "part.graph, usable)",
+        f"src_rep, dst, positions = gather_frontier_edges({graph}, usable)",
     )
     for line in lead.post_gather:
         _emit_post(out, line)
@@ -269,6 +281,14 @@ def _emit_push_prologue(
     )
     out.emit(2, ")")
     out.emit(2, "if len(dst):")
+    if lead.edge_filter:
+        keep = _render_fragment(
+            lead.edge_filter, src="{f}[src_rep]", dst="{f}[dst]", local="{f}"
+        )
+        out.emit(3, f"keep = {keep}")
+        out.emit(
+            3, "src_rep, dst, positions = src_rep[keep], dst[keep], positions[keep]"
+        )
     if lead.uses_weights:
         out.emit(3, "if part.graph.weights is None:")
         out.emit(4, "weights = np.ones(len(positions), dtype=np.int64)")
@@ -278,45 +298,30 @@ def _emit_push_prologue(
         )
 
 
-def _emit_frontier_push(
-    out: _Emitter, spec: ProgramSpec, phase: PhaseSpec, method: str
-) -> None:
-    _emit_push_prologue(out, phase, method, _phase_aliases(spec, phase))
-    kernel = _render_fragment(
-        phase.kernel, src="{f}[src_rep]", dst="{f}[dst]", local="{f}"
-    )
-    out.emit(3, f"candidate = {kernel}")
-    _emit_scatter(out, spec, phase, 3, "dst", "candidate")
-    for line in phase.post_scatter:
-        _emit_post(out, line)
-    out.emit(2, "return StepOutcome(updated=updated, work=work)")
-
-
-def _emit_fused_push(
+def _emit_push(
     out: _Emitter, spec: ProgramSpec, phases: List[PhaseSpec], method: str
 ) -> None:
-    """One gather driving every phase's scatter (a GL302 fusion group).
+    """One gather driving every scatter of ``phases``: a push phase's
+    scatters, counted once, or a GL302 fusion group's.
 
-    :func:`repro.analysis.dataflow.fusible` guarantees the phases
-    gather identically (same guard/weights, no post lines) and that no
-    later phase reads an earlier phase's target, so replaying the
-    scatters against a single ``gather_frontier_edges`` pass is
-    bitwise-identical to the unfused phase-major driver — including the
-    work counters, which are scaled by the number of fused phases.
+    :func:`repro.analysis.dataflow.fusible` guarantees a group's phases
+    gather identically and that no later phase reads an earlier phase's
+    target, so replaying the scatters against one ``gather_frontier_edges``
+    pass is bitwise-identical to the unfused phase-major driver —
+    including the work counters, scaled by the number of fused phases.
     """
-    wanted = set()
-    for phase in phases:
-        wanted.update(_phase_aliases(spec, phase))
-    ordered = [f.name for f in spec.fields if f.name in wanted]
-    ordered += [key for key, _ in spec.scalars if key in wanted]
-    _emit_push_prologue(out, phases[0], method, ordered, len(phases))
-    for phase in phases:
+    lead = phases[0]
+    _emit_push_prologue(out, lead, method, _phase_aliases(spec, *phases), len(phases))
+    scatters = [pair for phase in phases for pair in phase.scatters]
+    for target, kernel in scatters:
         kernel = _render_fragment(
-            phase.kernel, src="{f}[src_rep]", dst="{f}[dst]", local="{f}"
+            kernel, src="{f}[src_rep]", dst="{f}[dst]", local="{f}"
         )
         out.emit(3, f"candidate = {kernel}")
-        _emit_scatter(out, spec, phase, 3, "dst", "candidate",
-                      accumulate=True)
+        _emit_scatter(out, spec, target, 3, "dst", "candidate",
+                      accumulate=len(scatters) > 1)
+    for line in lead.post_scatter:  # fusion groups carry none
+        _emit_post(out, line)
     out.emit(2, "return StepOutcome(updated=updated, work=work)")
 
 
@@ -356,8 +361,8 @@ def _emit_sparse_pull(
         )
     out.emit(1, f"def {method}(self, part, state, frontier):")
     _emit_aliases(out, _phase_aliases(spec, phase))
-    if phase.pull_targets:
-        targets = _render_fragment(phase.pull_targets, local="{f}")
+    if phase.select:
+        targets = _render_fragment(phase.select, local="{f}")
         out.emit(2, f"targets = {targets}")
     else:
         out.emit(2, "targets = np.ones(part.num_nodes, dtype=bool)")
@@ -387,7 +392,7 @@ def _emit_sparse_pull(
         phase.kernel, src="{f}[neighbor[active]]", local="{f}"
     )
     out.emit(4, f"candidate = {kernel}")
-    _emit_scatter(out, spec, phase, 4, "node_rep", "candidate")
+    _emit_scatter(out, spec, phase.target, 4, "node_rep", "candidate")
     out.emit(2, "return StepOutcome(updated=updated, work=work)")
 
 
@@ -411,7 +416,7 @@ def _emit_dense_pull(
         )
         idempotent = False
     else:
-        reduce = _target_reduce(spec, phase)
+        reduce = _target_reduce(spec, phase.target)
         kernel = _render_fragment(phase.kernel, src="{f}[src]", local="{f}")
         idempotent = REDUCTIONS[reduce].idempotent
         if idempotent:
@@ -472,6 +477,8 @@ def _emit_make_state(out: _Emitter, spec: ProgramSpec) -> None:
             out.emit(2, line)
     for key, expr in spec.scalars:
         out.emit(2, f'state["{key}"] = {expr}')
+    if spec.stages:
+        out.emit(2, 'state["stage"] = 0')
     out.emit(2, "return state")
 
 
@@ -499,13 +506,17 @@ def _emit_dead_sync_table(
 def _emit_make_fields(
     out: _Emitter,
     spec: ProgramSpec,
-    dead_table: Optional[Dict[str, Dict[str, Tuple[str, ...]]]] = None,
+    sync: Tuple[SyncDecl, ...],
+    method: str,
+    dead_table: Dict[str, Dict[str, Tuple[str, ...]]],
 ) -> None:
+    """``method`` building the ``FieldSpec``\\ s of the ``sync`` wires."""
     endpoints = derive_endpoints(spec)
     dead_wires = set()
-    for per_wire in (dead_table or {}).values():
+    for per_wire in dead_table.values():
         dead_wires.update(per_wire)
-    out.emit(1, "def make_fields(self, part, state):")
+    dead_wires &= {decl.wire_name for decl in sync}
+    out.emit(1, f"def {method}(self, part, state):")
     if dead_wires:
         out.emit(2, '_strategy = getattr(part, "strategy", None)')
         out.emit(2, "_dead = _DEAD_SYNC.get(")
@@ -514,7 +525,7 @@ def _emit_make_fields(
         )
         out.emit(2, ")")
     out.emit(2, "fields = []")
-    for decl in spec.sync:
+    for decl in sync:
         wire = decl.wire_name
         ident = _ident(wire)
         field_decl = spec.field_decl(decl.field)
@@ -545,6 +556,119 @@ def _emit_make_fields(
             )
         out.emit(2, "))")
     out.emit(2, "return fields")
+
+
+def _emit_stage(
+    out: _Emitter, spec: ProgramSpec, stage: StageSpec, suffix: str,
+    dead_table: Dict[str, Dict[str, Tuple[str, ...]]],
+    fused_pairs: List[Tuple[str, str]],
+) -> None:
+    """One stage's ``make_fields``, ``initial_frontier`` and phase-major
+    ``step``: the class's own methods for a single-stage program (empty
+    ``suffix``), private per-stage methods for a staged one."""
+
+    def name(method: str) -> str:
+        return f"_{method}{suffix}" if suffix else method
+
+    _emit_make_fields(out, spec, stage.sync, name("make_fields"), dead_table)
+    out.emit(0, "")
+    out.emit(1, f"def {name('initial_frontier')}(self, part, state, ctx):")
+    if stage.frontier == "all":
+        out.emit(2, "return np.ones(part.num_nodes, dtype=bool)")
+    else:
+        out.emit(2, "frontier = np.zeros(part.num_nodes, dtype=bool)")
+        out.emit(2, "if part.has_proxy(ctx.source):")
+        out.emit(3, "frontier[part.to_local(ctx.source)] = True")
+        out.emit(2, "return frontier")
+    out.emit(0, "")
+    # -- the phase-major step ------------------------------------------------
+    push_phases = [p for p in stage.phases if p.kind == "frontier_push"]
+    pull_phases = [p for p in stage.phases if p.kind != "frontier_push"]
+    default = "pull" if spec.operator_class is OperatorClass.PULL else "push"
+    out.emit(
+        1,
+        f'def {name("step")}(self, part, state, frontier, direction: str = '
+        f'"{default}"):',
+    )
+    at = 2 if stage.counter is None else 3
+    if stage.counter is not None:
+        out.emit(2, "try:")
+    push = f"return self._step_push{suffix}(part, state, frontier)"
+    pull = f"return self._step_pull{suffix}(part, state, frontier)"
+    if push_phases and pull_phases:
+        out.emit(at, 'if direction == "pull":')
+        out.emit(at + 1, pull)
+        out.emit(at, push)
+    else:
+        out.emit(at, push if push_phases else pull)
+    if stage.counter is not None:
+        key, step = stage.counter
+        out.emit(2, "finally:  # the stage's round counter")
+        out.emit(3, f'state["{key}"] {"-" if step < 0 else "+"}= {abs(step)}')
+    out.emit(0, "")
+
+    def _emit_group(group: List[PhaseSpec], method: str) -> None:
+        if group[0].kind == "frontier_push":
+            _emit_push(out, spec, group, method)
+        elif group[0].kind == "sparse_pull":
+            _emit_sparse_pull(out, spec, group[0], method)
+        else:
+            _emit_dense_pull(out, spec, group[0], method)
+        out.emit(0, "")
+
+    def _emit_direction(phases: List[PhaseSpec], method: str) -> None:
+        groups = _fusion_groups(phases, fused_pairs)
+        if len(groups) == 1:
+            _emit_group(groups[0], method)
+            return
+        # Phase-major: run the direction's groups in declared order,
+        # merging their outcome masks and work counters.
+        out.emit(1, f"def {method}(self, part, state, frontier):")
+        out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
+        out.emit(2, "edges = 0")
+        out.emit(2, "nodes = 0")
+        subs = []
+        for group in groups:
+            sub = "_phase_" + "__".join(_ident(p.name) for p in group)
+            subs.append(sub)
+            out.emit(2, f"outcome = self.{sub}(part, state, frontier)")
+            out.emit(2, "updated |= outcome.updated")
+            out.emit(2, "edges += outcome.work.edges_processed")
+            out.emit(2, "nodes += outcome.work.nodes_processed")
+        out.emit(2, "work = WorkStats(")
+        out.emit(2, "    edges_processed=edges, nodes_processed=nodes")
+        out.emit(2, ")")
+        out.emit(2, "return StepOutcome(updated=updated, work=work)")
+        out.emit(0, "")
+        for group, sub in zip(groups, subs):
+            _emit_group(group, sub)
+
+    if push_phases:
+        _emit_direction(push_phases, f"_step_push{suffix}")
+    if pull_phases:
+        _emit_direction(pull_phases, f"_step_pull{suffix}")
+
+
+def _emit_stage_dispatch(out: _Emitter, stages: Tuple[StageSpec, ...]) -> None:
+    """A staged program's entry points: each runs the method of the stage
+    ``state["stage"]`` names; ``next_stage`` gives the entries of the
+    stage after it — its index and its ``enter`` scalars."""
+    for method, params in (
+        ("make_fields", "part, state"),
+        ("initial_frontier", "part, state, ctx"),
+        ("step", "part, state, frontier, direction"),
+    ):
+        table = ", ".join(f"self._{method}_{_ident(s.name)}" for s in stages)
+        default = '="push"' if method == "step" else ""
+        out.emit(1, f"def {method}(self, {params}{default}):")
+        out.emit(2, f'return ({table})[state["stage"]]({params})')
+        out.emit(0, "")
+    out.emit(1, "def next_stage(self, state, gather):")
+    out.emit(2, 'stage = state["stage"] + 1')
+    out.emit(2, f"if stage < {len(stages)}:")
+    out.emit(3, "return dict(_ENTER[stage](gather), stage=stage)")
+    out.emit(2, "return None")
+    out.emit(0, "")
 
 
 def render_program(spec: ProgramSpec, optimize: bool = False) -> str:
@@ -578,8 +702,6 @@ def _render(spec: ProgramSpec, optimize: bool) -> _Emitter:
         fused_pairs = [
             (a.name, b.name) for a, b in fusion_candidates(graph)
         ]
-    push_phases = [p for p in spec.phases if p.kind == "frontier_push"]
-    pull_phases = [p for p in spec.phases if p.kind != "frontier_push"]
     cls = _class_name(spec)
     out = _Emitter()
     out.emit(0, f'"""Generated vertex program for spec {spec.name!r}.')
@@ -637,76 +759,11 @@ def _render(spec: ProgramSpec, optimize: bool) -> _Emitter:
     out.emit(0, "")
     _emit_make_state(out, spec)
     out.emit(0, "")
-    _emit_make_fields(out, spec, dead_table)
-    out.emit(0, "")
-    out.emit(1, "def initial_frontier(self, part, state, ctx):")
-    if spec.frontier == "all":
-        out.emit(2, "return np.ones(part.num_nodes, dtype=bool)")
-    else:
-        out.emit(2, "frontier = np.zeros(part.num_nodes, dtype=bool)")
-        out.emit(2, "if part.has_proxy(ctx.source):")
-        out.emit(3, "frontier[part.to_local(ctx.source)] = True")
-        out.emit(2, "return frontier")
-    out.emit(0, "")
-    # -- the phase-major step ------------------------------------------------
-    default = "pull" if spec.operator_class is OperatorClass.PULL else "push"
-    out.emit(
-        1,
-        f'def step(self, part, state, frontier, direction: str = '
-        f'"{default}"):',
-    )
-    if push_phases and pull_phases:
-        out.emit(2, 'if direction == "pull":')
-        out.emit(3, "return self._step_pull(part, state, frontier)")
-        out.emit(2, "return self._step_push(part, state, frontier)")
-    elif push_phases:
-        out.emit(2, "return self._step_push(part, state, frontier)")
-    else:
-        out.emit(2, "return self._step_pull(part, state, frontier)")
-    out.emit(0, "")
-
-    def _emit_group(group: List[PhaseSpec], method: str) -> None:
-        if len(group) > 1:
-            _emit_fused_push(out, spec, group, method)
-        elif group[0].kind == "frontier_push":
-            _emit_frontier_push(out, spec, group[0], method)
-        elif group[0].kind == "sparse_pull":
-            _emit_sparse_pull(out, spec, group[0], method)
-        else:
-            _emit_dense_pull(out, spec, group[0], method)
-        out.emit(0, "")
-
-    def _emit_direction(phases: List[PhaseSpec], method: str) -> None:
-        groups = _fusion_groups(phases, fused_pairs)
-        if len(groups) == 1:
-            _emit_group(groups[0], method)
-            return
-        # Phase-major: run the direction's groups in declared order,
-        # merging their outcome masks and work counters.
-        out.emit(1, f"def {method}(self, part, state, frontier):")
-        out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
-        out.emit(2, "edges = 0")
-        out.emit(2, "nodes = 0")
-        subs = []
-        for group in groups:
-            sub = "_phase_" + "__".join(_ident(p.name) for p in group)
-            subs.append(sub)
-            out.emit(2, f"outcome = self.{sub}(part, state, frontier)")
-            out.emit(2, "updated |= outcome.updated")
-            out.emit(2, "edges += outcome.work.edges_processed")
-            out.emit(2, "nodes += outcome.work.nodes_processed")
-        out.emit(2, "work = WorkStats(")
-        out.emit(2, "    edges_processed=edges, nodes_processed=nodes")
-        out.emit(2, ")")
-        out.emit(2, "return StepOutcome(updated=updated, work=work)")
-        out.emit(0, "")
-        for group, sub in zip(groups, subs):
-            _emit_group(group, sub)
-
-    if push_phases:
-        _emit_direction(push_phases, "_step_push")
-    if pull_phases:
-        _emit_direction(pull_phases, "_step_pull")
+    if spec.stages:
+        _emit_stage_dispatch(out, spec.stages)
+    for stage in spec.stage_list:
+        suffix = f"_{_ident(stage.name)}" if spec.stages else ""
+        _emit_stage(out, spec, stage, suffix, dead_table, fused_pairs)
     if spec.residual is not None:
         out.emit(1, "def local_residual(self, state):")
         out.emit(2, f'return float(state["{spec.residual}"])')
@@ -732,6 +789,8 @@ def _seed_globals(spec: ProgramSpec) -> Dict:
             seeds[f"_HOOK_{_ident(decl.wire_name)}"] = decl.hook
     if spec.converged is not None:
         seeds["_CONVERGED"] = spec.converged
+    if spec.stages:
+        seeds["_ENTER"] = tuple(stage.enter for stage in spec.stages)
     return seeds
 
 

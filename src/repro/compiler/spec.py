@@ -3,7 +3,9 @@
 A :class:`ProgramSpec` is an ordered tuple of :class:`PhaseSpec` compute
 phases (push / sparse-pull / dense-pull, each a textual vectorized
 kernel over declared :class:`FieldDecl` fields) plus :class:`SyncDecl`
-synchronization pairings.  Crucially the sync *endpoints* — which edge
+synchronization pairings — or, for a program run in passes (bc), ordered
+:class:`StageSpec` stages of them, run one after another by one executor
+over one layout.  Crucially the sync *endpoints* — which edge
 end a field is written at and which end it is read at, the
 ``WriteAtDestination`` / ``ReadAtSource`` parameters of the paper's
 Figure 4 — are **derived** from the phases' access sets by
@@ -21,9 +23,11 @@ Kernel/guard strings reference fields through placeholders:
 * ``{w}`` — the per-edge weights; ``{mask}`` — the active nodes as an
   index array (post lines only).
 
+A declared scalar is named bare (``level``, not ``{level}``).
+
 The placeholders double as the access sets the endpoint derivation
 consumes: a field appearing as ``{src.f}`` (or whole-array on the
-active side) is *read at source*; the phase's scatter ``target`` is
+active side) is *read at source*; the phase's scatter targets are
 *written at destination* (both flipped for ``orientation="transpose"``).
 """
 
@@ -126,6 +130,10 @@ def _dst_refs(text: str) -> FrozenSet[str]:
     return frozenset(_DST_REF.findall(text or ""))
 
 
+def _all_refs(text: str) -> FrozenSet[str]:
+    return _src_refs(text) | _dst_refs(text) | _local_refs(text)
+
+
 @dataclass(frozen=True)
 class PhaseSpec:
     """One ordered compute phase of a :class:`ProgramSpec`.
@@ -136,8 +144,8 @@ class PhaseSpec:
 
             * ``"frontier_push"``: gather out-edges of guarded frontier
               nodes, scatter-combine the kernel's candidates into the
-              destinations (bfs/sssp/cc/kcore/pr-push);
-            * ``"sparse_pull"``: gather in-edges of the ``pull_targets``
+              destinations (bfs/sssp/cc/kcore/pr-push/bc);
+            * ``"sparse_pull"``: gather in-edges of the ``select``
               destinations, adopt candidates from frontier in-neighbors
               (bfs/cc pull directions);
             * ``"dense_pull"``: scatter-combine over *all* local edges,
@@ -149,8 +157,9 @@ class PhaseSpec:
             where ``source_rows`` names the row matrix to aggregate.
         guard: Source-side predicate expression; push phases apply it to
             the frontier, sparse pulls to the gathered in-neighbors.
-        pull_targets: Destination mask expression for sparse pulls;
-            ``None`` gathers every local node.
+        select: Mask of the nodes whose edges are gathered: a sparse
+            pull's destinations (``None``: all), or a push's active nodes
+            instead of the frontier (active-side reads, like a guard's).
         uses_weights: Whether the kernel references ``{w}``.
         source_rows: Wide dense pull only — the field whose rows feed
             ``aggregate_neighbor_rows`` into ``target``.
@@ -159,8 +168,14 @@ class PhaseSpec:
         post_scatter: Statements emitted after the scatter, *outside*
             the non-empty-edge-set branch (pr-push's delta clearing).
         orientation: ``"forward"`` iterates the stored edge direction;
-            ``"transpose"`` flips which endpoint the derivation calls
-            source/destination (bc's backward sweep).
+            ``"transpose"`` (push only) gathers the transposed graph: the
+            active node is the stored edge's destination, the write its source.
+        edge_filter: Push only — a predicate over the gathered edges, taken
+            after the work counters and before any kernel; its reads derive
+            like kernel reads.
+        extra_scatters: Push only — further ``(target, kernel)`` pairs
+            scattered off the same gather, in order; the work is counted
+            once.  A later kernel may not read an earlier target.
     """
 
     name: str
@@ -168,12 +183,14 @@ class PhaseSpec:
     target: str
     kernel: Optional[str] = None
     guard: Optional[str] = None
-    pull_targets: Optional[str] = None
+    select: Optional[str] = None
     uses_weights: bool = False
     source_rows: Optional[str] = None
     post_gather: Tuple[str, ...] = ()
     post_scatter: Tuple[str, ...] = ()
     orientation: str = "forward"
+    edge_filter: Optional[str] = None
+    extra_scatters: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in PHASE_KINDS:
@@ -194,18 +211,45 @@ class PhaseSpec:
                 )
         elif self.kernel is None:
             raise CompileError(f"phase {self.name!r}: kernel is required")
-        if self.uses_weights and self.kind != "frontier_push":
+        push_only = {
+            "weighted kernels": self.uses_weights,
+            "transposed gathers": self.orientation == "transpose",
+            "edge filters": self.edge_filter is not None,
+            "extra scatters": bool(self.extra_scatters),
+        }
+        misplaced = [name for name, given in push_only.items() if given]
+        if misplaced and self.kind != "frontier_push":
             raise CompileError(
-                f"phase {self.name!r}: weighted kernels are only "
+                f"phase {self.name!r}: {', '.join(misplaced)} are only "
                 "supported in frontier_push phases"
             )
-        if self.pull_targets is not None and self.kind != "sparse_pull":
-            raise CompileError(
-                f"phase {self.name!r}: pull_targets only applies to "
-                "sparse_pull phases"
-            )
+        if self.select is not None and self.kind == "dense_pull":
+            raise CompileError(f"phase {self.name!r}: dense pulls take no select")
+        targets = self.targets
+        for i, (target, kernel) in enumerate(self.scatters[1:], start=1):
+            if target in targets[:i] or set(targets[:i]) & _all_refs(kernel):
+                raise CompileError(
+                    f"phase {self.name!r}: scatter into {target!r} repeats "
+                    "or reads an earlier scatter's target"
+                )
 
     # -- access sets (what the endpoint derivation consumes) -----------------
+
+    @property
+    def scatters(self) -> Tuple[Tuple[str, Optional[str]], ...]:
+        """Every ``(target, kernel)`` pair the phase scatters, in order."""
+        return ((self.target, self.kernel),) + self.extra_scatters
+
+    @property
+    def targets(self) -> Tuple[str, ...]:
+        """The fields the phase's reductions write."""
+        return tuple(target for target, _ in self.scatters)
+
+    def expressions(self) -> Tuple[str, ...]:
+        """Every source fragment of the phase, kernels first."""
+        texts = [kernel for _, kernel in self.scatters]
+        texts += [self.guard, self.select, self.edge_filter]
+        return tuple(t for t in texts if t) + self.post_gather + self.post_scatter
 
     @property
     def source_endpoint(self) -> str:
@@ -217,26 +261,35 @@ class PhaseSpec:
         """Which edge end the phase's reduction writes."""
         return "destination" if self.orientation == "forward" else "source"
 
+    def _edge_texts(self) -> Tuple[Optional[str], ...]:
+        """The fragments evaluated per gathered edge: kernels and filter."""
+        return tuple(kernel for _, kernel in self.scatters) + (self.edge_filter,)
+
     def reads_at_source(self) -> FrozenSet[str]:
         """Fields the phase reads on the active side (incl. guards)."""
-        refs = set(_src_refs(self.kernel))
-        refs |= _local_refs(self.kernel)
-        refs |= _local_refs(self.guard)
+        refs = set(_local_refs(self.guard))
+        for text in self._edge_texts():
+            refs |= _src_refs(text) | _local_refs(text)
+        if self.kind == "frontier_push":
+            refs |= _local_refs(self.select)
         if self.source_rows is not None:
             refs.add(self.source_rows)
         return frozenset(refs)
 
     def reads_at_destination(self) -> FrozenSet[str]:
         """Fields the phase reads on the written side."""
-        return _dst_refs(self.kernel) | _dst_refs(self.guard)
+        refs = set(_dst_refs(self.guard))
+        for text in self._edge_texts():
+            refs |= _dst_refs(text)
+        return frozenset(refs)
 
     def referenced_fields(self) -> FrozenSet[str]:
         """Every field the phase touches (for alias emission/validation)."""
-        refs = set(self.reads_at_source() | self.reads_at_destination())
-        refs.add(self.target)
-        refs |= _local_refs(self.pull_targets)
-        for line in self.post_gather + self.post_scatter:
-            refs |= _local_refs(line)
+        refs = set(self.targets)
+        for text in self.expressions():
+            refs |= _all_refs(text)
+        if self.source_rows is not None:
+            refs.add(self.source_rows)
         return frozenset(refs)
 
 
@@ -280,8 +333,34 @@ class SyncDecl:
 
 
 @dataclass(frozen=True)
+class StageSpec:
+    """One ordered stage of a staged :class:`ProgramSpec`: it runs rounds
+    until its global frontier drains, then the executor enters the next
+    stage over the same layout.
+
+    Attributes:
+        name: Stage name (for generated method names).
+        phases: The stage's phases; at least one is a ``frontier_push``.
+        sync: The wires the stage synchronizes.
+        frontier: The stage's initial frontier, ``"all"`` or ``"source"``.
+        counter: ``(scalar, step)`` — a declared scalar advanced by
+            ``step`` after every step (bc's BFS level), or ``None``.
+        enter: Every stage but the first: ``enter(gather) -> {scalar:
+            value}``, run once on the coordinator as the stage begins;
+            ``gather(key)`` assembles a field's global master values.
+    """
+
+    name: str
+    phases: Tuple[PhaseSpec, ...]
+    sync: Tuple[SyncDecl, ...]
+    frontier: str = "all"
+    counter: Optional[Tuple[str, int]] = None
+    enter: Optional[Callable] = None
+
+
+@dataclass(frozen=True)
 class ProgramSpec:
-    """A complete multi-phase vertex program, ready to compile.
+    """A complete vertex program of ordered phases, ready to compile.
 
     Attributes:
         name: Application name (the generated class's ``name``).
@@ -289,8 +368,10 @@ class ProgramSpec:
             this order, so inits may reference earlier fields).
         phases: Ordered compute phases.  Push-direction steps run every
             ``frontier_push`` phase; pull-direction steps run every
-            ``sparse_pull``/``dense_pull`` phase.
-        sync: Synchronization pairings (endpoints derived, never given).
+            ``sparse_pull``/``dense_pull`` phase.  A staged program
+            leaves it empty: it becomes every stage's phases, in order.
+        sync: Synchronization pairings (endpoints derived, never given);
+            a staged program's are every stage's wires.
         constants: ``(name, value)`` pairs bound in the generated
             module's namespace (e.g. ``("INFINITY", np.uint32(...))``).
         scalars: ``(state_key, source_expression)`` pairs for non-array
@@ -309,12 +390,15 @@ class ProgramSpec:
             reads))`` pairs substituted for the derived endpoints, so the
             lint suite can prove ``repro lint`` catches a tampered
             contract.  Never set this in a real spec.
+        stages: Ordered :class:`StageSpec` stages (empty: one stage made
+            of ``phases``, ``sync`` and ``frontier``).  The generated
+            class keeps the stage index in ``state["stage"]``.
     """
 
     name: str
     fields: Tuple[FieldDecl, ...]
-    phases: Tuple[PhaseSpec, ...]
-    sync: Tuple[SyncDecl, ...]
+    phases: Tuple[PhaseSpec, ...] = ()
+    sync: Tuple[SyncDecl, ...] = ()
     constants: Tuple[Tuple[str, Any], ...] = ()
     scalars: Tuple[Tuple[str, str], ...] = ()
     imports: Tuple[str, ...] = ()
@@ -329,17 +413,29 @@ class ProgramSpec:
     endpoint_overrides: Tuple[
         Tuple[str, Tuple[FrozenSet[str], FrozenSet[str]]], ...
     ] = ()
+    stages: Tuple[StageSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.stages:
+            phases = tuple(p for stage in self.stages for p in stage.phases)
+            sync = tuple(d for stage in self.stages for d in stage.sync)
+            if self.phases not in ((), phases) or self.sync not in ((), sync):
+                raise CompileError(
+                    f"{self.name}: a staged program declares its phases "
+                    "and wires in its stages"
+                )
+            object.__setattr__(self, "phases", phases)
+            object.__setattr__(self, "sync", sync)
         if not self.phases:
             raise CompileError(f"{self.name}: a program needs >= 1 phase")
         if not self.fields:
             raise CompileError(f"{self.name}: a program needs >= 1 field")
-        if self.frontier not in ("all", "source"):
-            raise CompileError(
-                f"{self.name}: frontier must be 'all' or 'source', not "
-                f"{self.frontier!r}"
-            )
+        for stage in self.stage_list:
+            if stage.frontier not in ("all", "source"):
+                raise CompileError(
+                    f"{self.name}: frontier must be 'all' or 'source', not "
+                    f"{stage.frontier!r}"
+                )
         declared = {f.name for f in self.fields}
         if len(declared) != len(self.fields):
             raise CompileError(f"{self.name}: duplicate field declarations")
@@ -353,11 +449,12 @@ class ProgramSpec:
                     f"{self.name}/{phase.name}: kernel references "
                     f"undeclared fields {sorted(unknown)}"
                 )
-            if phase.target not in declared:
-                raise CompileError(
-                    f"{self.name}/{phase.name}: scatter target "
-                    f"{phase.target!r} is not a declared field"
-                )
+            for target in phase.targets:
+                if target not in declared:
+                    raise CompileError(
+                        f"{self.name}/{phase.name}: scatter target "
+                        f"{target!r} is not a declared field"
+                    )
         wire_names = set()
         for decl in self.sync:
             if decl.field not in declared:
@@ -389,6 +486,14 @@ class ProgramSpec:
                 f"{self.name}: wide fields need wide_dim= (the column "
                 "count expression)"
             )
+        for index, stage in enumerate(self.stages):
+            where = f"{self.name}/{stage.name}"
+            if not any(p.kind == "frontier_push" for p in stage.phases):
+                raise CompileError(f"{where}: a stage ends when its frontier drains")
+            if stage.counter is not None and stage.counter[0] not in scalar_keys:
+                raise CompileError(f"{where}: counter {stage.counter[0]!r} is not a scalar")
+            if (stage.enter is None) != (index == 0):
+                raise CompileError(f"{where}: every stage but the first takes enter=")
         # Endpoints are derived, never declared — validate they derive
         # to something coherent for every synchronized field.
         derive_endpoints(self)
@@ -413,8 +518,9 @@ class ProgramSpec:
     @property
     def iterate_locally(self) -> bool:
         """Chaotic local re-application is legal only for data-driven
-        programs whose reductions are all idempotent (§2.3)."""
-        if not self.uses_frontier:
+        programs whose reductions are all idempotent (§2.3), and never
+        for a staged one (its counters count rounds)."""
+        if not self.uses_frontier or self.stages:
             return False
         by_name = {f.name: f for f in self.fields}
         return all(
@@ -423,8 +529,19 @@ class ProgramSpec:
 
     @property
     def supports_migration(self) -> bool:
-        """One-shot per-proxy flags (post lines) pin proxies to hosts."""
-        return not any(p.post_gather or p.post_scatter for p in self.phases)
+        """One-shot per-proxy flags (post lines) pin proxies to hosts, and
+        a staged program's stage index and counters are not per-node
+        state: ``migrate_states`` would reset them to their initial values."""
+        return not self.stages and not any(
+            p.post_gather or p.post_scatter for p in self.phases
+        )
+
+    @property
+    def stage_list(self) -> Tuple[StageSpec, ...]:
+        """The ordered stages; a single-stage program is its own stage."""
+        return self.stages or (
+            StageSpec(self.name, self.phases, self.sync, self.frontier),
+        )
 
     def field_decl(self, name: str) -> FieldDecl:
         for decl in self.fields:
@@ -439,14 +556,13 @@ def derive_phase_access(
     """Derive one phase's ``(writes, reads)`` endpoints for ``field``.
 
     This is the per-phase core of :func:`derive_endpoints`, exported so
-    handwritten programs (bc's two-pass sweeps) can derive their
-    ``FieldSpec`` endpoints from a declarative phase description instead
-    of hand-writing location sets.
+    a handwritten program can derive its ``FieldSpec`` endpoints from a
+    declarative phase description instead of hand-writing location sets.
     """
     surface = read_surface if read_surface is not None else field
     writes = set()
     reads = set()
-    if phase.target == field:
+    if field in phase.targets:
         writes.add(phase.dest_endpoint)
     if surface in phase.reads_at_source():
         reads.add(phase.source_endpoint)
@@ -460,9 +576,10 @@ def derive_endpoints(
 ) -> Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]]:
     """Derive every synchronized field's ``(writes, reads)`` endpoints.
 
-    The union over phases of :func:`derive_phase_access` — writes where
-    a phase scatters the field, reads where a phase consumes its read
-    surface (the broadcast pair for derived broadcasts).  Raises
+    The union over phases — of every stage: a field one stage syncs and
+    a later stage reads keeps those reads — of :func:`derive_phase_access`:
+    writes where a phase scatters the field, reads where a phase consumes
+    its read surface (the broadcast pair for derived broadcasts).  Raises
     :class:`CompileError` when a sync declaration derives an empty set:
     a field nothing writes needs no reduce, one nothing reads needs no
     broadcast, so an empty side means the spec's access sets are wrong.

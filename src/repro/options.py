@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from types import SimpleNamespace
 from typing import Callable, Dict, NamedTuple, Optional
 
-from repro.apps import make_app, runnable_app_names
+from repro.apps import runnable_app_names
 from repro.core.optimization import OptimizationLevel
 from repro.core.sync_structures import COMPRESSION_MODES
 from repro.errors import ExecutionError, FaultPlanError, JobSpecError
@@ -244,10 +244,7 @@ class JobSpec:
                     f"{spec_field.name} must be >= {meta['minimum']}, got {value}"
                 )
         try:
-            check_refusals(
-                system=self.system, app=make_app(self.app), num_hosts=self.hosts,
-                **self.run_options(),
-            )
+            check_refusals(system=self.system, num_hosts=self.hosts, **self.run_options())
         except FaultPlanError as exc:
             raise JobSpecError(f"inject_fault: {exc}") from exc
         except ExecutionError as exc:
@@ -457,12 +454,9 @@ class Refusal(NamedTuple):
 CONTEXTS = {
     "any run": lambda r: True,
     "process runtime": lambda r: r.runtime == "process",
-    "multi-phase app": lambda r: r.app is not None and r.app.multi_phase,
     "streaming session": lambda r: r.streaming,
 }
 
-_MULTI_PHASE = "{app.name} is multi-phase; "
-_SINGLE_EXECUTOR = " is only supported for single-executor applications"
 _IMMUTABLE = " requires --runtime simulated (the workers' shared graph store is immutable)"
 _SESSION = (
     "streaming sessions do not support {0}={{{0}!r}}: mutations resume a "
@@ -508,12 +502,6 @@ REFUSALS = tuple(Refusal(*row) for row in (
      "mid-run repartitioning" + _IMMUTABLE),
     ("process runtime", "apply_mutations", lambda r: r.operation == "apply_mutations",
      "apply_mutations" + _IMMUTABLE),
-    ("multi-phase app", "resilience", lambda r: r.resilience is not None,
-     _MULTI_PHASE + "resilience" + _SINGLE_EXECUTOR),
-    ("multi-phase app", "observability", lambda r: r.observability is not None,
-     _MULTI_PHASE + "observability" + _SINGLE_EXECUTOR),
-    ("streaming session", "multi-phase app", CONTEXTS["multi-phase app"],
-     _MULTI_PHASE + "streaming sessions drive a single executor"),
     *(
         ("streaming session", name,
          lambda r, name=name: getattr(r, name) != PLAN_KEYWORDS[name][1],
@@ -526,18 +514,18 @@ REFUSALS = tuple(Refusal(*row) for row in (
 #: The request under which no row fires: every option at its default.
 _NOTHING_ASKED = dict(
     {name: default for name, (_, default) in PLAN_KEYWORDS.items()},
-    system=None, app=None, num_hosts=1, observability=None, streaming=False, operation=None,
+    system=None, num_hosts=1, streaming=False, operation=None,
 )
 
 
 def refusal_for(**request) -> Optional[str]:
     """The message of the first :data:`REFUSALS` row ``request`` triggers.
 
-    ``request`` is whatever the caller knows of: ``system``, ``app`` (the
-    program object), ``num_hosts``, ``observability``, ``streaming``,
-    ``operation`` (an executor method being called) and the ``plan_run``
-    keywords; what it leaves out takes its default, under which no row
-    fires.  ``None``: the combination runs.
+    ``request`` is whatever the caller knows of: ``system``, ``num_hosts``,
+    ``streaming``, ``operation`` (an executor method being called) and the
+    ``plan_run`` keywords; what it leaves out takes its default, under
+    which no row fires, and what no row reads is ignored.  ``None``: the
+    combination runs.
     """
     asked = {**_NOTHING_ASKED, **request}
     view = SimpleNamespace(**asked)

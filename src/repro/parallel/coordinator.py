@@ -45,7 +45,7 @@ from repro.parallel.rings import SEQ_STRIDE, RingFabric
 from repro.parallel.runner import RoundData
 from repro.parallel.shm import SharedArrayStore, SharedGraphStore
 from repro.parallel.worker import WorkerTask, worker_main
-from repro.resilience.transport import MAX_TRANSMISSIONS, FaultyTransport
+from repro.resilience.transport import MAX_TRANSMISSIONS
 from repro.runtime.round import close_round
 
 #: Default seconds the coordinator waits for a round's worker reports.
@@ -313,8 +313,8 @@ class ProcessRunner:
                 # The substrates that did the work lived in the worker.
                 for counters in final["substrate_stats"].values():
                     ex.retired_stats.absorb(SubstrateStats(*counters))
-                if final["faults"] and isinstance(ex.transport, FaultyTransport):
-                    faults = ex.transport.faults
+                if final["faults"]:
+                    faults = ex.fault_stats
                     for name, value in final["faults"].items():
                         setattr(faults, name, getattr(faults, name) + value)
         finally:

@@ -99,6 +99,8 @@ class FaultyTransport:
             are injected across real process boundaries.  When ``inner``
             is supplied it brings its own stats (``stats`` must be
             ``None``).
+        faults: the counters to add to (a run's one :class:`FaultStats`,
+            shared by every fabric it binds); default: fresh ones.
     """
 
     def __init__(
@@ -107,6 +109,7 @@ class FaultyTransport:
         injector: FaultInjector,
         stats: Optional[CommStats] = None,
         inner=None,
+        faults: Optional[FaultStats] = None,
     ) -> None:
         if inner is None:
             inner = InProcessTransport(num_hosts, stats)
@@ -121,7 +124,7 @@ class FaultyTransport:
             )
         self.inner = inner
         self.injector = injector
-        self.faults = FaultStats()
+        self.faults = faults if faults is not None else FaultStats()
         self._seen_seqs: Set[int] = set()
         self._round_fault_bytes = 0
 

@@ -60,7 +60,7 @@ from repro.resilience.recovery import (
     survive_crash,
     take_checkpoint,
 )
-from repro.resilience.transport import FaultyTransport
+from repro.resilience.transport import FaultStats, FaultyTransport
 from repro.runtime.migration import gather_frontier, migrate_states
 from repro.runtime.round import close_exchange
 from repro.runtime.stats import RoundRecord, RunResult
@@ -174,11 +174,15 @@ class DistributedExecutor:
         # -- resilience (fault injection + checkpointing + recovery) -------
         self.resilience = resilience
         self.fault_injector: Optional[FaultInjector] = None
+        #: The run's transient-fault counters: every fabric a bind births
+        #: (and the process runtime's workers, at ``finish``) adds to them.
+        self.fault_stats: Optional[FaultStats] = None
         self.checkpoints: Optional[CheckpointManager] = None
         if resilience is not None:
             if resilience.plan is not None and not resilience.plan.is_empty:
                 resilience.plan.validate_hosts(partitioned.num_hosts)
                 self.fault_injector = FaultInjector(resilience.plan)
+                self.fault_stats = FaultStats()
             self.checkpoints = resilience.make_checkpoint_manager()
         # Recovery accounting waiting to be attached to the next round.
         self._pending_recovery = (0, 0.0)
@@ -234,7 +238,9 @@ class DistributedExecutor:
         stats = CommStats(num_hosts, observer)
         # The cluster fabric: faulty when a fault plan is injected.
         if self.fault_injector is not None:
-            transport = FaultyTransport(num_hosts, self.fault_injector, stats=stats)
+            transport = FaultyTransport(
+                num_hosts, self.fault_injector, stats=stats, faults=self.fault_stats
+            )
         else:
             transport = InProcessTransport(num_hosts, stats)
         self.transport = transport
@@ -337,18 +343,7 @@ class DistributedExecutor:
             if self.checkpoints is not None:
                 take_checkpoint(self, 0)
         result = self._result
-        if self._runner is None:
-            # Imported lazily: the runners import repro.runtime.round, and
-            # importing the repro.runtime package imports this module.
-            from repro.parallel.runner import start_runner
-
-            started = time.perf_counter()
-            self._runner = start_runner(self)
-            # Forking a worker fleet and exporting the shared stores is
-            # real construction work: charge it where the partition build
-            # and memoization exchange already land.
-            result.construction_time += time.perf_counter() - started
-        runner = self._runner
+        runner = self._runner or self._start_runner(result)
         executed = 0
         loop_start = time.perf_counter()
         try:
@@ -393,8 +388,13 @@ class DistributedExecutor:
                 )
                 if self.app.uses_frontier:
                     if data.active == 0:
-                        result.converged = True
-                        break
+                        # The process runtime merges its workers' state back.
+                        runner.finish(result)
+                        entries = self.app.next_stage(self.states[0], self.gather_result)
+                        if entries is None:
+                            result.converged = True
+                            break
+                        runner = self._enter_stage(entries, result)
                 else:
                     if self.app.is_globally_converged(
                         data.residual_sum, round_index, self.ctx
@@ -406,13 +406,45 @@ class DistributedExecutor:
                 ):
                     take_checkpoint(self, round_index)
         except BaseException:
-            runner.abort()
+            self._runner.abort()
             raise
         result.wall_rounds_s += time.perf_counter() - loop_start
         if result.converged:
             runner.finish(result)
         self._finalize(result)
         return result
+
+    def _start_runner(self, result: RunResult):
+        """Create and start the round backend; returns it."""
+        # Imported lazily: the runners import repro.runtime.round, and
+        # importing the repro.runtime package imports this module.
+        from repro.parallel.runner import start_runner
+
+        started = time.perf_counter()
+        self._runner = start_runner(self)
+        # Forking a worker fleet and exporting the shared stores is real
+        # construction work: charge it where the partition build and
+        # memoization exchange already land.
+        result.construction_time += time.perf_counter() - started
+        return self._runner
+
+    def _enter_stage(self, entries: Dict, result: RunResult):
+        """Move every host into a staged program's next stage: ``entries``
+        set, the layout rebound warm with the address books already held
+        — no second exchange (§4: memoize once per partition) — under a
+        fresh runner, which is returned."""
+        started = time.perf_counter()
+        for state in self.states:
+            state.update(entries)
+        self._bind(self.partitioned, self.ctx, self.states, books=[s.book for s in self.substrates])
+        runner = self._start_runner(result)
+        if self.tracer.enabled:
+            # Overlaps the timeline (wall time, not a simulated stall).
+            self.tracer.record(
+                "stage", cat="construction", begin_s=self.tracer.cursor,
+                duration_s=time.perf_counter() - started, **entries,
+            )
+        return runner
 
     def _new_result(self) -> RunResult:
         """An empty result for the graph version the executor now holds."""
@@ -589,8 +621,7 @@ class DistributedExecutor:
         result.translations = totals.translations
         result.mode_counts = totals.mode_counts
         if self.metrics.enabled:
-            faults = getattr(self.transport, "faults", None)
-            publish_run_metrics(self.metrics, result, faults)
+            publish_run_metrics(self.metrics, result, self.fault_stats)
 
     def gather_result(self, key: str) -> np.ndarray:
         """Assemble the global result array for state field ``key``."""

@@ -106,8 +106,9 @@ def migrate_states(
         )
     if not getattr(app, "supports_migration", True):
         raise ExecutionError(
-            f"{app.name} carries per-proxy state that cannot be migrated "
-            "across partitions"
+            f"{app.name} cannot change layout mid-run: migrate_states carries "
+            "per-node arrays only and re-runs make_state for the rest, which "
+            "would lose its per-proxy flags or reset its stage and counters"
         )
     keys = migratable_keys(
         app, old_states[0], old_partitioned.partitions[0].num_nodes

@@ -152,8 +152,8 @@ class StreamingSession:
         ``aggregate_comm``, ...) is forwarded to
         :func:`repro.systems.plan_run` unchanged.  What a live session
         cannot honour — the "streaming session" rows of
-        :data:`repro.options.REFUSALS`: a multi-phase app, or anything
-        but a simulated, unsanitized, fault-free executor — raises
+        :data:`repro.options.REFUSALS`: anything but a simulated,
+        unsanitized, fault-free executor — raises
         :class:`ExecutionError`.
     """
 
@@ -171,7 +171,7 @@ class StreamingSession:
         # list, and the version chain must be a pure function of the
         # batch sequence — so normalize exactly once, up front.
         plan = plan_run(system, app_name, edges.deduplicate(), num_hosts, **options)
-        check_refusals(streaming=True, app=plan.app, **plan.execution)
+        check_refusals(streaming=True, **plan.execution)
         #: The current version's :class:`~repro.systems.RunPlan`.
         self.plan = plan
         self.app = plan.app

@@ -259,13 +259,12 @@ class RunPlan:
             )
         return outcome
 
-    def executor(self, partitioned, app=None, prepared_sync=None) -> DistributedExecutor:
-        """A fresh executor over ``partitioned`` (``app``: one phase of a
-        multi-phase application instead of the plan's own)."""
+    def executor(self, partitioned, prepared_sync=None) -> DistributedExecutor:
+        """A fresh executor over ``partitioned``."""
         return DistributedExecutor(
             partitioned,
             self.engine,
-            app or self.app,
+            self.app,
             self.prepared.ctx,
             level=self.level,
             network=self.network,
@@ -280,28 +279,17 @@ class RunPlan:
         """Build, execute to convergence, account: the body of ``run_app``."""
         outcome = self.build(cache)
         partitioned = outcome.partitioned
-        if self.app.multi_phase:
-            # Multi-phase applications (betweenness centrality) drive their
-            # own executor passes over the shared partition; only the
-            # partition itself is reusable.
-            result = self.app.run_phases(
-                lambda phase: self.executor(partitioned, phase), self.max_rounds
-            )
-            books, keyed = None, True
-        else:
-            executor = self.executor(partitioned, prepared_sync=outcome.prepared_sync)
-            result = executor.run(max_rounds=self.max_rounds)
-            # Keep the executor alive on the result for state inspection.
-            result.executor = executor  # type: ignore[attr-defined]
-            # The memoized sync structures the run just paid for ride along
-            # (the §4 temporal-invariance amortization, extended across
-            # jobs) — unless a mid-run repartition left them describing a
-            # partition other than the keyed one.
-            books = executor.harvest_prepared_sync()
-            keyed = executor.partitioned is partitioned
+        executor = self.executor(partitioned, prepared_sync=outcome.prepared_sync)
+        result = executor.run(max_rounds=self.max_rounds)
+        # Keep the executor alive on the result for state inspection.
+        result.executor = executor  # type: ignore[attr-defined]
         result.construction_time += outcome.wall_s
-        if cache is not None and not outcome.from_cache and keyed:
-            cache.put_partition(outcome.key, partitioned, books)
+        # The memoized sync structures the run just paid for ride along
+        # (the §4 temporal-invariance amortization, extended across jobs) —
+        # unless a mid-run repartition left them describing a partition
+        # other than the keyed one.
+        if cache is not None and not outcome.from_cache and executor.partitioned is partitioned:
+            cache.put_partition(outcome.key, partitioned, executor.harvest_prepared_sync())
         result.partition_cache_hit = outcome.from_cache  # type: ignore[attr-defined]
         return result
 
@@ -328,9 +316,7 @@ def plan_run(
     stages = plan_options(options)
     system = system.lower()
     app = make_app(app_name)
-    check_refusals(
-        system=system, app=app, num_hosts=num_hosts, observability=observability, **options
-    )
+    check_refusals(system=system, num_hosts=num_hosts, **options)
     prepared = prepare_input(app_name, edges, **stages["input"])
     engine, partitioner, level, network, sync = _resolve_system(
         system, app.operator_class, num_hosts=num_hosts, network=network,

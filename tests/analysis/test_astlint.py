@@ -1,15 +1,16 @@
 """Static sync-contract lint: every rule fires, every app is clean."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.analysis import lint_programs, run_lint
 from repro.analysis.astlint import analyze_program
 from repro.analysis.findings import RULES, has_errors
-from repro.analysis.linter import lint_module_path
+from repro.analysis.linter import lint_module_path, resolve_module_path
 from repro.apps import APP_BY_NAME
-from repro.apps.base import StepOutcome, VertexProgram
-from repro.apps.bc import _BackwardBC, _ForwardBC
+from repro.apps.base import StepOutcome, VertexProgram, gather_frontier_edges
 from repro.core.sync_structures import ADD, FieldSpec
 from repro.partition.strategy import OperatorClass
 from repro.runtime.timing import WorkStats
@@ -19,6 +20,73 @@ from tests.analysis.broken_programs import (
     UnsyncedWrite,
     WrongWriteEndpoint,
 )
+
+EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "custom_algorithm.py"
+
+
+def widest_path():
+    """The handwritten push example: a MAX relaxation over out-edges."""
+    (program,) = resolve_module_path(str(EXAMPLE))
+    return program
+
+
+class TransposedPush(VertexProgram):
+    """Pushes every active node's weight to its in-neighbors: a gather
+    over the transposed graph, so the scatter lands at the stored edge's
+    *source* and the read at its destination."""
+
+    name = "transposed-push"
+
+    def make_state(self, part, ctx):
+        return {"weight": np.ones(part.num_nodes), "acc": np.zeros(part.num_nodes)}
+
+    def make_fields(self, part, state):
+        return [
+            FieldSpec(
+                name="acc", values=state["acc"], reduce_op=ADD,
+                writes=frozenset({"source"}), reads=frozenset({"destination"}),
+            )
+        ]
+
+    def step(self, part, state, frontier, direction="push"):
+        node_rep, pred, _ = gather_frontier_edges(part.graph.transpose(), frontier)
+        np.add.at(state["acc"], pred, state["weight"][node_rep])
+        updated = np.zeros(part.num_nodes, dtype=bool)
+        updated[pred] = True
+        work = WorkStats(len(pred), int(np.count_nonzero(frontier)))
+        return StepOutcome(updated=updated, work=work)
+
+
+class FoldedCount(VertexProgram):
+    """Counts paths into an ADD accumulator that a master hook folds into
+    the canonical ``total`` — the accumulator shape GL303 denies."""
+
+    name = "folded-count"
+
+    def make_state(self, part, ctx):
+        return {"total": np.ones(part.num_nodes), "acc": np.zeros(part.num_nodes)}
+
+    def make_fields(self, part, state):
+        def fold(changed):
+            m = part.num_masters
+            state["total"][:m] += state["acc"][:m]
+            state["acc"][:m] = 0.0
+            return changed
+
+        return [
+            FieldSpec(
+                name="acc", values=state["acc"], reduce_op=ADD,
+                broadcast_values=state["total"], on_master_after_reduce=fold,
+            )
+        ]
+
+    def step(self, part, state, frontier, direction="push"):
+        src_rep, dst, _ = gather_frontier_edges(part.graph, frontier)
+        np.add.at(state["acc"], dst, state["total"][src_rep])
+        updated = np.zeros(part.num_nodes, dtype=bool)
+        updated[dst] = True
+        work = WorkStats(len(dst), int(np.count_nonzero(frontier)))
+        return StepOutcome(updated=updated, work=work)
 
 
 class DensePull(VertexProgram):
@@ -100,17 +168,19 @@ class TestEndpointInference:
     """The AST front end on handwritten programs."""
 
     def test_push_endpoints(self):
-        report = analyze_program(_ForwardBC)
+        report = analyze_program(widest_path())
         writes = {(e.key, e.endpoint) for e in report.events if e.kind == "write"}
         reads = {(e.key, e.endpoint) for e in report.events if e.kind == "read"}
-        assert writes == {("dist", "destination"), ("sigma_acc", "destination")}
-        assert ("sigma", "source") in reads
+        assert writes == {("capacity", "destination")}
+        assert ("capacity", "source") in reads
         assert report.gathers_forward and not report.gathers_transpose
 
     def test_transposed_gather_flips_roles(self):
-        report = analyze_program(_BackwardBC)
+        report = analyze_program(TransposedPush)
         writes = {(e.key, e.endpoint) for e in report.events if e.kind == "write"}
-        assert writes == {("delta_acc", "source")}
+        reads = {(e.key, e.endpoint) for e in report.events if e.kind == "read"}
+        assert writes == {("acc", "source")}
+        assert reads == {("weight", "destination")}
         assert report.gathers_transpose and not report.gathers_forward
         assert not report.has_pull_path
 

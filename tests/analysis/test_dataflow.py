@@ -8,13 +8,13 @@ Three obligations:
 * the analyzer is *exact* on the migrated specs — the dead-sync tables
   and stabilization certificates below are the hand-checked ground
   truth this PR's optimizer relies on;
-* the sweep is *clean* on every registered program, handwritten (bc),
-  generated and optimized: info-severity eliminations only, no hazards,
-  no certificate mismatches (no false positives).
+* the sweep is *clean* on every registered program, generated and
+  optimized: info-severity eliminations only, no hazards, no certificate
+  mismatches (no false positives).
 
-The AST front end is exercised on handwritten programs only — bc's two
-sweeps and the widest-path example; a compiled class is analyzed from
-its spec.
+The AST front end is exercised on handwritten programs only — the
+widest-path example and the small fixtures of ``test_astlint``; a
+compiled class is analyzed from its spec.
 """
 
 import dataclasses
@@ -39,12 +39,13 @@ from repro.analysis.dataflow import (
 from repro.analysis.linter import all_builtin_programs, resolve_module_path
 from repro.apps import make_app
 from repro.apps.base import StepOutcome, VertexProgram, gather_frontier_edges
-from repro.apps.bc import _BackwardBC, _ForwardBC
 from repro.apps.specs import PROGRAM_SPECS, optimized_app_names
 from repro.compiler import FieldDecl, PhaseSpec, ProgramSpec, SyncDecl
 from repro.core.sync_structures import MIN, FieldSpec
 from repro.partition.strategy import PartitionStrategy
 from repro.runtime.timing import WorkStats
+
+from tests.analysis.test_astlint import FoldedCount, TransposedPush, widest_path
 
 
 def _noop_hook(part, state):
@@ -178,6 +179,12 @@ EXPECTED_DEAD = {
                  "oec": {"feat_acc": ("broadcast",)}},
     "labelprop": {"iec": {"count_acc": ("reduce",)},
                   "oec": {"count_acc": ("broadcast",)}},
+    # Forward writes land at destinations (masters under IEC); backward
+    # writes at sources (masters under OEC) and reads at destinations
+    # (never mirrors under IEC).
+    "bc": {"iec": {"dist": ("reduce",), "sigma_acc": ("reduce",),
+                   "delta_acc": ("broadcast",)},
+           "oec": {"delta_acc": ("reduce",)}},
 }
 
 #: Hand-checked ground truth: which migrated specs certify GL303.
@@ -190,6 +197,7 @@ EXPECTED_CERTIFIED = {
     "pr-push": False,
     "featprop": False,
     "labelprop": False,
+    "bc": False,
 }
 
 
@@ -204,7 +212,7 @@ class TestGraphModel:
         assert wire.uses == frozenset({"source"})
 
     def test_bfs_pull_targets_keep_destination_use(self):
-        """bfs's adopt phase reads dist in its pull_targets mask — a
+        """bfs's adopt phase reads dist in its select mask — a
         destination-side read invisible to derive_phase_access that the
         analyzer must add, or it would wrongly kill the broadcast
         under OEC."""
@@ -212,12 +220,23 @@ class TestGraphModel:
         wire = graph.wires[0]
         assert "destination" in wire.uses
 
-    @pytest.mark.parametrize("cls", [_ForwardBC, _BackwardBC])
-    def test_ast_graph_recovered_from_source(self, cls):
-        """bc's two handwritten sweeps."""
+    @pytest.mark.parametrize("name", ["WidestPath", "TransposedPush"])
+    def test_ast_graph_recovered_from_source(self, name):
+        """A forward and a transposed handwritten push."""
+        cls = widest_path() if name == "WidestPath" else TransposedPush
         graph = graph_from_report(analyze_program(cls))
         assert graph.origin == "ast"
-        assert graph.wires, f"no wires recovered from {cls.__name__}"
+        assert graph.wires, f"no wires recovered from {name}"
+
+    def test_stages_never_share_a_round(self):
+        """bc's forward phase scatters dist, its backward phase reads it:
+        different stages, so no GL304 stale read and no fusion."""
+        graph = graph_from_spec(PROGRAM_SPECS["bc"])
+        assert [[p.name for p in group] for group in graph.groups()] == [
+            ["relax"], ["dependency"],
+        ]
+        assert not [f for f in analyze_spec(PROGRAM_SPECS["bc"])
+                    if f.rule.rule_id == "GL304"]
 
 
 class TestGL301:
@@ -317,18 +336,17 @@ class TestGL303:
         assert len(found) == 1
         assert found[0].severity == "warning"
 
-    def test_handwritten_bc_denied(self):
-        """bc folds accumulators through ADD — denied by heuristic and
-        certificate alike (the ISSUE's misclassification concern turns
-        out to be guarded twice)."""
-        from repro.apps.bc import _ForwardBC
-
-        cert = certificate_for(_ForwardBC)
-        assert cert is not None
-        assert not cert.self_stabilizing
+    def test_add_folding_denied_handwritten_and_compiled(self):
+        """An ADD accumulator folded by a master hook is denied by
+        heuristic and certificate alike — on the AST path (a handwritten
+        fold) and on bc's spec."""
+        for target, origin in ((FoldedCount, "ast"), (make_app("bc"), "spec")):
+            cert = certificate_for(target)
+            assert cert is not None and cert.origin == origin
+            assert not cert.self_stabilizing and not cert.heuristic
 
     def test_certificate_for_handwritten_and_compiled(self):
-        ast_cert = certificate_for(_ForwardBC)
+        ast_cert = certificate_for(widest_path())
         assert ast_cert is not None
         assert ast_cert.origin == "ast"
         spec_cert = certificate_for(make_app("bfs"))

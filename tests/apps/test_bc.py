@@ -92,7 +92,7 @@ def test_star_graph_dependencies():
 
 
 def test_rounds_cover_both_phases(small_rmat):
-    """The merged result spans forward + backward sweeps."""
+    """One executor's result spans the forward and backward stages."""
     result, _ = distributed_bc(small_rmat, num_hosts=4, policy="cvc")
     assert result.app == "bc"
     assert result.converged
@@ -110,3 +110,16 @@ def test_sigma_counts_are_integers(small_rmat):
         executor.partitioned.partitions, executor.states, "sigma"
     )
     assert np.allclose(sigma, np.round(sigma))
+
+
+@pytest.mark.parametrize("runtime", ["simulated", "process"])
+def test_one_memoization_exchange(small_rmat, runtime):
+    """The backward stage rebinds with the address books the forward
+    stage holds: bc pays exactly bfs's exchange on the same layout."""
+    workers = 2 if runtime == "process" else None
+    result, _ = distributed_bc(
+        small_rmat, num_hosts=4, policy="cvc", runtime=runtime, workers=workers
+    )
+    bfs = run_app("d-galois", "bfs", small_rmat, num_hosts=4, policy="cvc")
+    assert result.construction_bytes == bfs.construction_bytes > 0
+    assert result.executor.states[0]["stage"] == 1

@@ -58,7 +58,7 @@ def sssp_spec():
     )
 
 
-def bfs_spec(pull_targets="{dist} == INFINITY"):
+def bfs_spec(select="{dist} == INFINITY"):
     return ProgramSpec(
         name="bfs-fixture",
         fields=(DIST,),
@@ -69,7 +69,7 @@ def bfs_spec(pull_targets="{dist} == INFINITY"):
             ),
             PhaseSpec(
                 "adopt", "sparse_pull", "dist", kernel=_saturating("1"),
-                guard="{dist} != INFINITY", pull_targets=pull_targets,
+                guard="{dist} != INFINITY", select=select,
             ),
         ),
         sync=(SyncDecl("dist"),),
@@ -177,9 +177,9 @@ class TestCompiledPull:
         got = state["label"].astype(np.uint64)
         assert np.array_equal(got, reference_cc(prep.edges))
 
-    def _second_pull(self, small_rmat, pull_targets):
+    def _second_pull(self, small_rmat, select):
         _, program, part, state, frontier = one_host(
-            bfs_spec(pull_targets), small_rmat, "bfs"
+            bfs_spec(select), small_rmat, "bfs"
         )
         # The first pull settles level 1; the second is where the
         # target restriction pays (most nodes are still unreached).

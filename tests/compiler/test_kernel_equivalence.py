@@ -351,3 +351,84 @@ def test_generated_steps_carry_no_round_invariant_work(name):
         if 'state["edge_dst"]' in body:
             assert "updated[" not in body, (name, method)
             assert "np.zeros" not in body, (name, method)
+
+
+_BC_INFINITY = np.uint32(2**32 - 1)
+
+
+def _bc_forward_reference(part, state, frontier):
+    """bc's handwritten forward sweep: guard, accept filter, two scatters."""
+    level = state["level"]
+    state["level"] = level + 1
+    dist, sigma, sigma_acc = state["dist"], state["sigma"], state["sigma_acc"]
+    active = frontier & (dist == level)
+    src_rep, dst, _ = gather_frontier_edges(part.graph, active)
+    updated = np.zeros(part.num_nodes, dtype=bool)
+    work = WorkStats(len(dst), int(active.sum()))
+    accept = dist[dst] > level
+    dst, src_rep = dst[accept], src_rep[accept]
+    if len(dst):
+        np.minimum.at(dist, dst, np.uint32(level + 1))
+        np.add.at(sigma_acc, dst, sigma[src_rep])
+        updated[dst] = True
+    return updated, work
+
+
+def _bc_backward_reference(part, state):
+    """bc's handwritten backward sweep: the level's nodes, not the frontier,
+    over transposed edges, with the predecessor filter."""
+    level = state["level"]
+    state["level"] = level - 1
+    updated = np.zeros(part.num_nodes, dtype=bool)
+    if level < 1:
+        return updated, WorkStats(0, 0)
+    dist, sigma, delta = state["dist"], state["sigma"], state["delta"]
+    settled_here = dist == level
+    node_rep, pred, _ = gather_frontier_edges(part.graph.transpose(), settled_here)
+    work = WorkStats(len(pred), int(settled_here.sum()))
+    is_predecessor = dist[pred] == level - 1
+    node_rep, pred = node_rep[is_predecessor], pred[is_predecessor]
+    if len(pred):
+        contribution = (
+            sigma[pred] / np.maximum(sigma[node_rep], 1.0) * (1.0 + delta[node_rep])
+        )
+        np.add.at(state["delta_acc"], pred, contribution)
+        updated[pred] = True
+    return updated, work
+
+
+@pytest.mark.parametrize("name", ["bc", "bc@optimized"])
+@pytest.mark.parametrize("stage", [0, 1], ids=["forward", "backward"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_staged_bc_steps_match_the_handwritten_sweeps(name, stage, data):
+    """The forward step (guard, edge filter, two scatters off one gather,
+    counted once) and the backward step (a selection instead of the
+    frontier, a transposed gather, an edge filter) against the sweeps
+    they replaced: values, ``updated``, the pre-filter work counts, the
+    ``level < 1`` empty round and the round counter."""
+    n, src, dst = data.draw(_graphs())
+    part = _single_host(n, src, dst)
+    app = make_app(name)
+    state = app.make_state(part, AppContext(num_global_nodes=n))
+    levels = [0, 1, 2, 3, int(_BC_INFINITY)]
+    state["dist"][...] = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    for key in ("sigma", "sigma_acc", "delta", "delta_acc"):
+        state[key][...] = _floats(data.draw(_SEEDS), n)
+    state["stage"], state["level"] = stage, data.draw(st.integers(0, 4))
+    frontier = _frontier(data.draw, n)
+    expected = {key: value.copy() if isinstance(value, np.ndarray) else value
+                for key, value in state.items()}
+    with np.errstate(all="ignore"):
+        outcome = app.step(part, state, frontier.copy())
+        if stage == 0:
+            ref_updated, ref_work = _bc_forward_reference(part, expected, frontier)
+        else:
+            ref_updated, ref_work = _bc_backward_reference(part, expected)
+    for key, value in expected.items():
+        if isinstance(value, np.ndarray):
+            assert _same_bits(state[key], value), key
+        else:
+            assert state[key] == value, key
+    assert _same_bits(outcome.updated, ref_updated)
+    assert outcome.work == ref_work

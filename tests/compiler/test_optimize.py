@@ -77,6 +77,19 @@ class TestBitwiseIdentity:
         plain, optimized = _pair("sssp", hosts, policy)
         _assert_bitwise("sssp", plain, optimized)
 
+    @pytest.mark.parametrize("level", ("unopt", "osti"))
+    @pytest.mark.parametrize("hosts", (1, 4))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_staged_bc_full_matrix(self, policy, hosts, level):
+        """bc's dead phases fall in both stages (dist and sigma_acc's
+        reduce under IEC, delta_acc's reduce under OEC and broadcast under
+        IEC): every cell bitwise equal, never more messages."""
+        plain, optimized = _pair(
+            "bc", hosts, policy, level=OptimizationLevel.from_name(level)
+        )
+        _assert_bitwise("bc", plain, optimized)
+        assert optimized.communication_messages <= plain.communication_messages
+
     @pytest.mark.parametrize("app", ("bfs", "cc"))
     def test_identical_on_process_runtime(self, app):
         plain, optimized = _pair(app, 2, "cvc", runtime="process")

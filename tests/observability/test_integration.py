@@ -184,11 +184,39 @@ class TestResilienceObservability:
         checkpoint_spans = obs.tracer.spans_named("checkpoint")
         assert len(checkpoint_spans) == result.num_checkpoints
 
-    def test_multi_phase_apps_reject_observability(self):
-        from repro.errors import ExecutionError
+    def test_fault_gauges_survive_rebinds(self):
+        """A crash rebinds the fabric; the gauges count the whole run's
+        faults, not the post-recovery fabric's."""
+        obs = Observability()
+        plan = FaultPlan.parse("crash:1@3,drop:0.05,dup:0.05", seed=0)
+        result = run_app(
+            "d-galois", "bfs", generators.rmat(9, 8, 3), num_hosts=4, policy="cvc",
+            resilience=ResilienceConfig(plan=plan, checkpoint_every=2),
+            observability=obs,
+        )
+        assert result.num_recoveries == 1
+        charged = result.recovery_bytes - sum(
+            event["recovery_bytes"] for event in result.recovery_events
+        )
+        assert charged > 0
+        assert result.metrics["gauges"]["fault_bytes"] == charged
+        faults = result.executor.fault_stats
+        assert result.metrics["gauges"]["faults_injected"] == faults.total_injected > 0
 
-        with pytest.raises(ExecutionError, match="multi-phase"):
-            run_app(
-                "d-galois", "bc", small_edges(6), num_hosts=2, policy="oec",
-                observability=Observability(),
-            )
+
+class TestStagedProgram:
+    def test_staged_app_runs_observed_and_traces_its_stage_switch(self):
+        """bc's two stages run in one executor: one memoization exchange,
+        one ``stage`` span, and the same run as an unobserved one."""
+        obs = Observability()
+        edges = small_edges(6)
+        result = run_app(
+            "d-galois", "bc", edges, num_hosts=2, policy="oec", observability=obs,
+        )
+        plain = run_app("d-galois", "bc", edges, num_hosts=2, policy="oec")
+        assert result.summary() == plain.summary()
+        assert len(obs.tracer.spans_named("memoization")) == 1
+        (switch,) = obs.tracer.spans_named("stage")
+        assert switch.cat == "construction" and switch.tags["stage"] == 1
+        assert switch.tags["level"] > 0
+        assert obs.metrics.counter("rounds_total").value == result.num_rounds

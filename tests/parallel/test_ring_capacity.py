@@ -79,9 +79,10 @@ class TestClosedForm:
 
 
 def observed_and_bound(monkeypatch, app, edges, **job):
-    """Run ``app`` on the simulated runtime; per executor, the largest
-    payload each ``(src, dst)`` pair's transport saw during rounds, and
-    the ``(slots, payload bytes)`` the coordinator would give its ring."""
+    """Run ``app`` on the simulated runtime; per fabric (each bind births
+    one), its executor, the largest payload each ``(src, dst)`` pair sent
+    through it during rounds, and the payload bytes the coordinator would
+    give that pair's ring."""
     seen = {}
     executors = {}
     in_round = []
@@ -94,8 +95,15 @@ def observed_and_bound(monkeypatch, app, edges, **job):
         plain_send(self, src, dst, payload)
 
     def run_round(self, round_index):
-        transport = getattr(self.ex.transport, "inner", self.ex.transport)
-        executors[id(transport)] = self.ex
+        ex = self.ex
+        transport = getattr(ex.transport, "inner", ex.transport)
+        # Every bind (a staged program's next stage, too) births a fabric
+        # for its own sync plans: each is held to the bound of those plans.
+        executors[id(transport)] = ex, {
+            (sub.host, peer): nbytes
+            for sub in ex.substrates
+            for peer, nbytes in sub.max_send_bytes().items()
+        }
         in_round.append(True)
         try:
             return plain_round(self, round_index)
@@ -106,13 +114,10 @@ def observed_and_bound(monkeypatch, app, edges, **job):
     monkeypatch.setattr(InProcessRunner, "run_round", run_round)
     run_app("d-galois", app, edges, num_hosts=4, **job)
     framing = FRAME_OVERHEAD if "resilience" in job else 0
-    for key, ex in executors.items():
-        bound = {
-            (sub.host, peer): nbytes + framing
-            for sub in ex.substrates
-            for peer, nbytes in sub.max_send_bytes().items()
+    for key, (ex, bound) in executors.items():
+        yield ex, seen.get(key, {}), {
+            pair: nbytes + framing for pair, nbytes in bound.items()
         }
-        yield ex, seen.get(key, {}), bound
 
 
 @pytest.mark.parametrize("aggregate", [True, False], ids=["aggregated", "per-field"])

@@ -50,12 +50,6 @@ class TestConfig:
         with pytest.raises(FaultPlanError, match="cluster has 2"):
             run_app("d-galois", "bfs", edges, num_hosts=2, resilience=config)
 
-    def test_multi_phase_app_rejected(self, edges):
-        with pytest.raises(ExecutionError, match="multi-phase"):
-            run_app(
-                "d-galois", "bc", edges, num_hosts=2,
-                resilience=crash_config(),
-            )
 
 
 class TestCheckpointRestart:
@@ -114,6 +108,39 @@ class TestCheckpointRestart:
 
     def test_fault_free_summary_keeps_paper_shape(self, baseline):
         assert "recoveries" not in baseline.summary()
+
+
+class TestStagedProgramRecovery:
+    """bc runs its forward stage (rounds 1-4 here; round 4 drains it and
+    switches) and its backward stage (rounds 5-8) in one executor.  A
+    restart rolls back to whichever stage the checkpoint holds and
+    replays across the switch."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, edges):
+        return run_app("d-galois", "bc", edges, num_hosts=2)
+
+    @pytest.mark.parametrize(
+        "every, crash_round, restored",
+        [(1, 7, 6), (2, 5, 4), (3, 6, 3)],
+        ids=["backward-checkpoint", "switch-round-checkpoint", "forward-checkpoint"],
+    )
+    def test_crash_restarts_bitwise_equal(self, edges, clean, every, crash_round, restored):
+        assert [r.active_nodes for r in clean.rounds][3] == 0  # the switch
+        config = ResilienceConfig(
+            plan=FaultPlan(crashes=(CrashFault(1, crash_round),), seed=7),
+            checkpoint_every=every,
+            recovery="confined",  # bc folds accumulators: escalates
+        )
+        result = run_app("d-galois", "bc", edges, num_hosts=2, resilience=config)
+        (event,) = result.recovery_events
+        assert event["mode"] == "confined->restart"
+        assert event["restored_round"] == restored
+        assert result.num_rounds == clean.num_rounds
+        np.testing.assert_array_equal(
+            result.executor.gather_result("delta"),
+            clean.executor.gather_result("delta"),
+        )
 
 
 class TestConfinedRecovery:

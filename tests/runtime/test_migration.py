@@ -157,7 +157,18 @@ class TestRepartition:
     def test_non_migratable_app_rejected(self, small_rmat):
         prep, executor = build(small_rmat, "kcore", "oec")
         executor.run(max_rounds=1)
-        with pytest.raises(ExecutionError, match="migrated"):
+        with pytest.raises(ExecutionError, match="per-proxy flags"):
+            executor.repartition(
+                make_partitioner("cvc").partition(prep.edges, 4)
+            )
+
+    def test_staged_program_refuses_repartition_by_name(self, small_rmat):
+        """``migrate_states`` re-runs ``make_state``, which would reset
+        bc's stage index and level counter mid-run."""
+        prep, executor = build(small_rmat, "bc", "oec")
+        executor.run(max_rounds=2)
+        assert not executor.app.supports_migration
+        with pytest.raises(ExecutionError, match="bc cannot change layout.*stage"):
             executor.repartition(
                 make_partitioner("cvc").partition(prep.edges, 4)
             )

@@ -65,19 +65,15 @@ def test_push_pagerank_sync_disabled(small_rmat):
 
 
 def test_bc_sync_disabled(small_rmat):
-    from repro.apps.base import AppContext
     from repro.oracles import bc_dependencies
-    from repro.systems import default_source
 
     prep = prepare_input("bc", small_rmat)
     partitioned = make_partitioner("oec").partition(prep.edges, 1)
-    app = make_app("bc")
-    result = app.run_phases(
-        lambda phase: DistributedExecutor(
-            partitioned, make_engine("ligra"), phase, prep.ctx, enable_sync=False
-        )
+    executor = DistributedExecutor(
+        partitioned, make_engine("ligra"), make_app("bc"), prep.ctx,
+        enable_sync=False,
     )
-    assert result.converged
-    got = result.executor.gather_result("delta")
+    assert executor.run().converged
+    got = executor.gather_result("delta")
     expected = bc_dependencies(prep.edges, prep.ctx.source)
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)

@@ -87,6 +87,29 @@ class TestPartitionCache:
         cc = execute_job(_spec("cc", policy="oec"), cache=cache)
         assert cc.partition_cache == "miss"
 
+    def test_staged_job_caches_its_address_books(self, monkeypatch):
+        """bc's partition is stored with its memoized books, so a second
+        bc job on it runs no memoization exchange and is credited the
+        cold one's bytes.  (``tolerance``, which bc does not read, keeps
+        the result cache from answering the second job.)"""
+        import repro.runtime.executor as executor_module
+
+        cache = ServiceCache()
+        cold = execute_job(_spec("bc"), cache=cache)
+        exchanges = []
+        real = executor_module.setup_substrates
+        monkeypatch.setattr(
+            executor_module, "setup_substrates",
+            lambda *a, **kw: exchanges.append(a) or real(*a, **kw),
+        )
+        warm = execute_job(_spec("bc", tolerance=1e-3), cache=cache)
+        assert (cold.partition_cache, warm.partition_cache) == ("miss", "hit")
+        assert warm.result_cache == "miss" and exchanges == []
+        for quantity in ("rounds", "comm_bytes", "construction_bytes"):
+            assert getattr(warm, quantity) == getattr(cold, quantity), quantity
+        assert cold.construction_bytes > 0
+        assert np.array_equal(cold.values, warm.values)
+
     def test_warm_and_cold_runs_agree_on_everything_deterministic(self):
         cold = execute_job(_spec("pr"), cache=ServiceCache())
         shared = ServiceCache()

@@ -84,9 +84,17 @@ class TestLifecycle:
         with pytest.raises(ExecutionError, match="already ran"):
             session.run()
 
-    def test_multi_phase_app_rejected(self):
-        with pytest.raises(ExecutionError, match="multi-phase"):
-            StreamingSession("d-galois", "bc", small_graph(), num_hosts=2)
+    def test_staged_app_replays_each_version(self):
+        """bc streams: every batch replays both stages from scratch, and
+        the result equals a cold run of the new version bitwise."""
+        session = StreamingSession("d-galois", "bc", small_graph(), num_hosts=2)
+        session.run()
+        step = session.apply_batch(one_edge_delete(session))
+        assert step.strategy == "replay"
+        assert step.result.converged
+        cold = session.cold_values(session.cold_run())
+        for key, values in session.values().items():
+            np.testing.assert_array_equal(values, cold[key], err_msg=key)
 
     def test_symmetrized_app_mirrors_batches(self):
         session = StreamingSession(

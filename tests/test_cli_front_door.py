@@ -46,13 +46,14 @@ class TestSameAppNamesEverywhere:
             ran = (document.get("summary") or document["base"])["app"]
         assert ran == "bfs@optimized"
 
-    def test_mutate_refuses_multi_phase_by_name(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["mutate", "--app", "bc", "--generate", "1"] + JOB)
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "bc is multi-phase" in err
-        assert "invalid choice" not in err
+    def test_mutate_streams_a_staged_app(self, capsys):
+        document = json_out(
+            ["mutate", "--app", "bc", "--generate", "1", "--verify-cold",
+             "--json"] + JOB,
+            capsys,
+        )
+        assert document["verify"]["identical"] is True
+        assert document["steps"][0]["strategy"] == "replay"
 
     def test_mutate_streams_a_mean_style_app(self, capsys):
         # Crashed with a bare ValueError traceback on the first batch.
@@ -108,19 +109,17 @@ class TestServeStreamText:
         self, stream_file, tmp_path, capsys
     ):
         # Text mode used to die in format_table: a failed job's row had
-        # fewer columns than an ok one.
+        # fewer columns than an ok one.  A session refuses the sanitizer.
         jobs = tmp_path / "jobs.json"
         jobs.write_text(json.dumps({
             "defaults": {"workload": "rmat22s", "scale_delta": -5, "hosts": 2},
-            "jobs": [{"app": "bc"}, {"app": "bfs"}],
+            "jobs": [{"app": "bfs", "sanitize": True}, {"app": "bfs"}],
         }))
         assert main(["serve", str(jobs), "--stream", stream_file]) == 1
         out = capsys.readouterr().out
         assert "live-graph serve summary" in out
         assert " failed " in out and " ok " in out
 
-
-MULTI_PHASE = "bc is multi-phase; {} is only supported for single-executor applications"
 
 #: name -> (flags, the same job as batch-file fields, the refusal table's message).
 REFUSED = {
@@ -134,12 +133,7 @@ REFUSED = {
         {"system": "galois", "hosts": 4},
         "galois is a shared-memory system; use d-galois for 4 hosts",
     ),
-    # The next four used to leave ``run`` as a traceback with exit 1.
-    "bc-checkpoints": (
-        ["--system", "d-galois", "--app", "bc", "--checkpoint-every", "2"],
-        {"app": "bc", "checkpoint_every": 2},
-        MULTI_PHASE.format("resilience"),
-    ),
+    # The next two used to leave ``run`` as a traceback with exit 1.
     "process-sanitize": (
         ["--system", "d-galois", "--runtime", "process", "--sanitize"],
         {"runtime": "process", "sanitize": True},
@@ -149,11 +143,6 @@ REFUSED = {
         ["--system", "d-galois", "--runtime", "process", "--inject-fault", "crash:1@2"],
         {"runtime": "process", "inject_fault": "crash:1@2"},
         "crash-fault plans require --runtime simulated",
-    ),
-    "bc-trace": (  # --trace is an output flag of ``run``, not a job option
-        ["--system", "d-galois", "--app", "bc", "--trace", "unwritten.json"],
-        None,
-        MULTI_PHASE.format("observability"),
     ),
     "workers-without-process": (
         ["--system", "d-galois", "--workers", "2"],
@@ -242,6 +231,17 @@ class TestUnsupportedCombinationIsAUsageError:
 class TestResilienceFlagsKeepTheirMeaning:
     RUN = ["run", "--system", "d-galois", "--app", "bfs", "--hosts", "2",
            "--workload", "rmat22s", "--scale-delta", "-8"]
+
+    def test_staged_app_checkpoints_and_traces(self, tmp_path, capsys):
+        """bc's two stages run in one executor, so every executor option
+        applies to it: checkpoints and a trace showing the stage switch."""
+        trace = tmp_path / "bc.json"
+        run = ["run", "--system", "d-galois", "--app", "bc", "--hosts", "2",
+               "--workload", "rmat22s", "--scale-delta", "-8"]
+        assert main(run + ["--checkpoint-every", "2", "--trace", str(trace)]) == 0
+        assert "checkpoints" in capsys.readouterr().out
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert [e["args"]["stage"] for e in events if e["name"] == "stage"] == [1]
 
     def test_checkpoint_dir_alone_still_checkpoints(self, tmp_path, capsys):
         assert main(self.RUN + ["--checkpoint-dir", str(tmp_path / "ckpts")]) == 0

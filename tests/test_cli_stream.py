@@ -262,15 +262,16 @@ class TestServeStream:
     ):
         jobs = tmp_path / "jobs.json"
         jobs.write_text(json.dumps([
-            {"app": "bc", "workload": "rmat22s", "scale_delta": -4,
-             "hosts": 2},  # multi-phase: streaming rejects it
             {"app": "bfs", "workload": "rmat22s", "scale_delta": -4,
-             "hosts": 2},
+             "hosts": 2, "sanitize": True},  # a session refuses the sanitizer
+            {"app": "bc", "workload": "rmat22s", "scale_delta": -4,
+             "hosts": 2},  # staged: streams like any other app
         ]))
         assert main([
             "serve", str(jobs), "--stream", stream_file, "--json",
         ]) == 1
         doc = json.loads(capsys.readouterr().out)
-        statuses = {job["job"]: job["status"] for job in doc["jobs"]}
-        assert "failed" in statuses.values()
-        assert "ok" in statuses.values()
+        statuses = [job["status"] for job in doc["jobs"]]
+        assert statuses == ["failed", "ok"]
+        assert "sanitize" in doc["jobs"][0]["error"]
+        assert len(doc["jobs"][1]["steps"]) == 2
