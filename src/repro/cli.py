@@ -28,7 +28,7 @@ from repro.errors import JobSpecError, ReproError
 from repro.observability import Observability
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.options import JobSpec, add_job_flags
-from repro.service import ServiceCache
+from repro.service import BACKENDS, ServiceCache
 from repro.systems import plan_run
 from repro.workloads import load_workload
 
@@ -336,11 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker pool width for --backend thread/process (default: 1)",
+        help="worker pool width for --backend process (default: 1)",
     )
     serve_cmd.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
+        choices=BACKENDS,
         default="serial",
         help="worker pool backend (default: serial)",
     )

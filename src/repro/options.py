@@ -210,7 +210,7 @@ class JobSpec:
     runtime: str = option(
         "simulated", feeds="executor", hashed="never", choices=RUNTIMES,
         help="round-execution backend: 'simulated' runs every host in-process (default); "
-        "'process' runs hosts in real worker processes over shared-memory graph stores "
+        "'process' runs hosts in forked worker processes that inherit their partitions "
         "(bitwise-identical results, adds a measured wall-clock column; simulated-only "
         "features: {simulated_only})",
     )
@@ -457,7 +457,7 @@ CONTEXTS = {
     "streaming session": lambda r: r.streaming,
 }
 
-_IMMUTABLE = " requires --runtime simulated (the workers' shared graph store is immutable)"
+_IMMUTABLE = " requires --runtime simulated (the workers run on the layout they were forked with)"
 _SESSION = (
     "streaming sessions do not support {0}={{{0}!r}}: mutations resume a "
     "simulated, unsanitized, fault-free executor"

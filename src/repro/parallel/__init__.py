@@ -1,32 +1,25 @@
 """The shared-memory multiprocess host runtime (``--runtime process``).
 
-Real parallel execution of the simulated cluster: worker processes
-attach zero-copy shared-memory graph stores (:mod:`repro.parallel.shm`),
-exchange the comm plane's framed buffers through shared-memory rings
-(:mod:`repro.parallel.rings`), and a coordinator
-(:mod:`repro.parallel.coordinator`) merges their raw reports so every
-result — values, byte counts, alpha-beta "cluster time" — stays bitwise
-identical to the default simulated runtime
+Real parallel execution of the simulated cluster: forked worker
+processes inherit the partitioned graph, attach a shared-memory state
+arena (:mod:`repro.parallel.shm`), exchange the comm plane's framed
+buffers through shared-memory rings (:mod:`repro.parallel.rings`), and a
+coordinator (:mod:`repro.parallel.coordinator`) merges their raw reports
+so every result — values, byte counts, alpha-beta "cluster time" — stays
+bitwise identical to the default simulated runtime
 (:class:`~repro.parallel.runner.InProcessRunner`).
 """
 
 from repro.parallel.rings import PhasedCommRecords, RingFabric, RingTransport
 from repro.parallel.runner import InProcessRunner, RoundData
-from repro.parallel.shm import (
-    GraphManifest,
-    SharedArrayStore,
-    SharedGraphStore,
-    StoreManifest,
-)
+from repro.parallel.shm import SharedArrayStore, StoreManifest
 
 __all__ = [
-    "GraphManifest",
     "InProcessRunner",
     "PhasedCommRecords",
     "RingFabric",
     "RingTransport",
     "RoundData",
     "SharedArrayStore",
-    "SharedGraphStore",
     "StoreManifest",
 ]

@@ -3,14 +3,14 @@
 :class:`ProcessRunner` is the process-backed
 :class:`~repro.parallel.runner.RoundData` producer.  On :meth:`start` it
 
-1. exports the partitioned graph and every host's ndarray state entries
-   into shared-memory stores (:mod:`repro.parallel.shm`) — one copy,
-   attached zero-copy by every worker;
-2. forks ``workers`` processes (``fork`` start method: address books,
-   engines, and the app are inherited, never pickled), each owning the
-   hosts ``{h : h % workers == w}``;
-3. wires them through a :class:`~repro.parallel.rings.RingFabric` — one
-   more segment, its slots sized from the executor's bound sync plans.
+1. lays every host's ndarray state entries into one shared-memory arena
+   (:mod:`repro.parallel.shm`), attached zero-copy by every worker;
+2. forks ``workers`` processes (``fork`` start method: the partitioned
+   graph, address books, engines, and the app are inherited
+   copy-on-write, never pickled or copied), each owning the hosts
+   ``{h : h % workers == w}``;
+3. wires them through a :class:`~repro.parallel.rings.RingFabric` — the
+   second segment, its slots sized from the executor's bound sync plans.
 
 Per round it broadcasts a command, collects every worker's raw report,
 and *replays* the workers' per-phase ``(src, dst, nbytes)`` traffic
@@ -43,16 +43,13 @@ from repro.core.substrate import SubstrateStats
 from repro.errors import ExecutionError
 from repro.parallel.rings import SEQ_STRIDE, RingFabric
 from repro.parallel.runner import RoundData
-from repro.parallel.shm import SharedArrayStore, SharedGraphStore
-from repro.parallel.worker import WorkerTask, worker_main
+from repro.parallel.shm import SharedArrayStore
+from repro.parallel.worker import LIVENESS_POLL_S, WorkerTask, worker_main
 from repro.resilience.transport import MAX_TRANSMISSIONS
 from repro.runtime.round import close_round
 
 #: Default seconds the coordinator waits for a round's worker reports.
 DEFAULT_ROUND_TIMEOUT_S = 600.0
-
-#: Seconds between liveness checks while waiting on the report queue.
-_POLL_S = 1.0
 
 
 def resolve_workers(workers: Optional[int], num_hosts: int) -> int:
@@ -85,7 +82,6 @@ class ProcessRunner:
         self.num_hosts = executor.partitioned.num_hosts
         self.workers = resolve_workers(workers, self.num_hosts)
         self.round_timeout_s = round_timeout_s
-        self.graph_store: Optional[SharedGraphStore] = None
         self.arena: Optional[SharedArrayStore] = None
         self.fabric: Optional[RingFabric] = None
         self._procs: List = []
@@ -97,7 +93,7 @@ class ProcessRunner:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Export the stores and fork the worker fleet."""
+        """Lay out the state arena and the rings, then fork the fleet."""
         ex = self.ex
         try:
             ctx = multiprocessing.get_context("fork")
@@ -106,7 +102,6 @@ class ProcessRunner:
                 "the process runtime needs the 'fork' start method "
                 "(POSIX only)"
             ) from None
-        self.graph_store = SharedGraphStore.export(ex.partitioned)
         arrays: Dict[str, np.ndarray] = {}
         scalars: List[Dict] = []
         for h, state in enumerate(ex.states):
@@ -144,7 +139,7 @@ class ProcessRunner:
                 worker_index=w,
                 num_workers=self.workers,
                 num_hosts=self.num_hosts,
-                graph_manifest=self.graph_store.manifest,
+                partitioned=ex.partitioned,
                 arena_manifest=self.arena.manifest,
                 app=ex.app,
                 ctx=ex.ctx,
@@ -247,7 +242,7 @@ class ProcessRunner:
         deadline = time.monotonic() + self.round_timeout_s
         while len(reports) < self.workers:
             try:
-                msg = self._report_q.get(timeout=_POLL_S)
+                msg = self._report_q.get(timeout=LIVENESS_POLL_S)
             except queue_module.Empty:
                 dead = [
                     w
@@ -347,7 +342,7 @@ class ProcessRunner:
         self._finished = True
 
     def _release_stores(self) -> None:
-        for name in ("fabric", "arena", "graph_store"):
+        for name in ("fabric", "arena"):
             store = getattr(self, name)
             if store is not None:
                 store.release()

@@ -12,8 +12,8 @@ Two implementations exist:
 * :class:`InProcessRunner` (default) — the historical simulated runtime:
   every host executes round-robin inside the calling process.
 * :class:`~repro.parallel.coordinator.ProcessRunner` — hosts execute in
-  real worker processes over shared-memory graph stores
-  (``--runtime process``).
+  forked worker processes that inherit their partitions and share their
+  state through shared memory (``--runtime process``).
 
 Both run the same round body and produce the same :class:`RoundData`,
 so the executor's results are invariant to which runner executed the

@@ -1,10 +1,11 @@
 """The per-process host worker of the multiprocess runtime.
 
 :func:`worker_main` is the ``fork`` entry point.  Worker ``w`` of ``W``
-owns the simulated hosts ``{h : h % W == w}``: it attaches the shared
-topology and field arenas (zero-copy), rebuilds its hosts' partitions,
-states, fields, and Gluon substrates locally, then executes rounds on
-the coordinator's command.
+owns the simulated hosts ``{h : h % W == w}``: it indexes their
+partitions in the coordinator's ``PartitionedGraph`` (inherited through
+``fork``), attaches the state arena (zero-copy), rebuilds its hosts'
+states, fields, and Gluon substrates, then executes rounds on the
+coordinator's command — or exits once the coordinator is gone.
 
 A round is the shared body of :mod:`repro.runtime.round` — the very
 function the simulated runtime runs — over the worker's owned hosts,
@@ -25,6 +26,9 @@ simulated runtime.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import queue as queue_module
 import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -33,8 +37,12 @@ import numpy as np
 
 from repro.core.substrate import GluonSubstrate, bind_sync_plans
 from repro.parallel.rings import RingFabric, RingTransport
-from repro.parallel.shm import GraphManifest, SharedArrayStore, SharedGraphStore
+from repro.parallel.shm import SharedArrayStore
 from repro.runtime.round import run_hosts
+
+#: Seconds between liveness checks while a queue read waits: the
+#: coordinator's for dead workers, a worker's for a dead coordinator.
+LIVENESS_POLL_S = 1.0
 
 
 @dataclass
@@ -44,7 +52,7 @@ class WorkerTask:
     worker_index: int
     num_workers: int
     num_hosts: int
-    graph_manifest: GraphManifest
+    partitioned: object
     arena_manifest: object
     app: object
     ctx: object
@@ -74,10 +82,8 @@ class _HostWorker:
     def __init__(self, task: WorkerTask, fabric: RingFabric) -> None:
         self.task = task
         self.owned = task.owned
-        self.graph_store = SharedGraphStore.attach(task.graph_manifest)
         self.arena = SharedArrayStore.attach(task.arena_manifest)
-        partitioned = self.graph_store.build_partitioned()
-        self.parts = {h: partitioned.partitions[h] for h in self.owned}
+        self.parts = {h: task.partitioned.partitions[h] for h in self.owned}
         self.rings = RingTransport(fabric)
         self.transport = self.rings
         if task.fault_plan is not None:
@@ -194,16 +200,24 @@ class _HostWorker:
 
     def close(self) -> None:
         self.arena.close()
-        self.graph_store.close()
 
 
 def worker_main(task: WorkerTask, fabric: RingFabric, cmd_q, report_q) -> None:
     """Process entry point: attach, then serve round commands until stop."""
+    coordinator = multiprocessing.parent_process().pid
     worker = None
     try:
         worker = _HostWorker(task, fabric)
         while True:
-            cmd = cmd_q.get()
+            try:
+                cmd = cmd_q.get(timeout=LIVENESS_POLL_S)
+            except queue_module.Empty:
+                if os.getppid() != coordinator:
+                    # Orphaned: nobody will read a report, so do not let
+                    # the queue's feeder thread hold the exit.
+                    report_q.cancel_join_thread()
+                    break
+                continue
             if cmd[0] == "stop":
                 report_q.put(
                     ("done", task.worker_index, worker.final_report())

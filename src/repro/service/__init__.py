@@ -16,7 +16,7 @@ memoization exactly once.
 * :mod:`repro.service.worker` — cache-aware execution with per-job
   retry-with-backoff, one fresh executor per attempt;
 * :mod:`repro.service.service` — :class:`JobService`, composing all of
-  the above over serial / thread / multiprocessing worker pools;
+  the above over a serial or a forked multiprocessing worker pool;
 * :mod:`repro.service.batch` — the ``repro serve`` batch-file format.
 
 CLI surface: ``repro serve jobs.json``, ``repro submit``, and

@@ -3,19 +3,15 @@
 :class:`JobService` accepts jobs through admission control
 (:meth:`~JobService.submit`), holds them in the bounded priority queue,
 and drains them through a worker pool (:meth:`~JobService.run_pending` /
-:meth:`~JobService.run_batch`).  Three pool backends:
+:meth:`~JobService.run_batch`).  Two pool backends:
 
 * ``"serial"`` — jobs run inline, one at a time, in priority order (the
   default; deterministic, zero overhead).
-* ``"thread"`` — a ``ThreadPoolExecutor`` with ``workers`` threads; the
-  in-memory cache is shared, so concurrent *identical* jobs may race to
-  compute (both answers are identical by construction — last store wins).
-* ``"process"`` — a ``multiprocessing`` pool.  The batch's partitions
-  are staged once into shared-memory graph stores that every child
-  attaches zero-copy (see
-  :func:`~repro.service.worker.stage_shared_partitions`); *result*
-  reuse across jobs still needs a disk-backed cache (``cache_dir``),
-  since each child opens its own view of the result store.
+* ``"process"`` — a pool forked after the parent built each distinct
+  partition of the batch once
+  (:func:`~repro.service.worker.stage_shared_partitions`), so the
+  children read them copy-on-write; *result* reuse across jobs still
+  needs a disk-backed cache (``cache_dir``).
 
 Every job-level event — submitted, completed, failed, retried, cache
 provenance — is counted in the observability metrics registry, so
@@ -37,7 +33,7 @@ from repro.service.spec import JobResult, JobSpec
 from repro.service.worker import DEFAULT_BACKOFF_S, execute_job, run_job_payload
 
 #: Worker-pool backends.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @dataclass
@@ -45,8 +41,8 @@ class ServiceConfig:
     """Tunables of one :class:`JobService`.
 
     Attributes:
-        workers: Pool width for the ``thread``/``process`` backends.
-        backend: ``"serial"``, ``"thread"``, or ``"process"``.
+        workers: Pool width for the ``process`` backend.
+        backend: ``"serial"`` or ``"process"``.
         max_pending: Queue capacity (admission control bound).
         admission: Full-queue policy (see
             :class:`~repro.service.queue.JobQueue`).
@@ -159,49 +155,32 @@ class JobService:
                 )
                 for spec in specs
             ]
-        elif backend == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                max_workers=self.config.workers
-            ) as pool:
-                results = list(
-                    pool.map(
-                        lambda spec: execute_job(
-                            spec,
-                            cache=self.cache,
-                            backoff_s=self.config.retry_backoff_s,
-                        ),
-                        specs,
-                    )
-                )
         else:  # process
             import multiprocessing
 
-            from repro.service.worker import stage_shared_partitions
+            from repro.service.worker import adopt_partitions, stage_shared_partitions
 
-            ctx = multiprocessing.get_context()
-            # Stage each unique partition into a shared-memory graph
-            # store once; workers attach zero-copy instead of each
-            # re-unpickling its own copy from the disk cache.
-            shared, stores = stage_shared_partitions(specs, cache=self.cache)
             try:
-                with ctx.Pool(processes=self.config.workers) as pool:
-                    results = pool.starmap(
-                        run_job_payload,
-                        [
-                            (
-                                spec.to_dict(),
-                                self.config.cache_dir,
-                                self.config.retry_backoff_s,
-                                shared,
-                            )
-                            for spec in specs
-                        ],
-                    )
-            finally:
-                for store in stores:
-                    store.release()
+                ctx = multiprocessing.get_context("fork")
+            except ValueError:
+                raise ServiceError(
+                    "the process backend needs the 'fork' start method (POSIX only)"
+                ) from None
+            # Build each distinct partition once, here; the pool forks
+            # afterwards, so its children inherit them copy-on-write.
+            shared = stage_shared_partitions(specs, cache=self.cache)
+            with ctx.Pool(self.config.workers, adopt_partitions, (shared,)) as pool:
+                results = pool.starmap(
+                    run_job_payload,
+                    [
+                        (
+                            spec.to_dict(),
+                            self.config.cache_dir,
+                            self.config.retry_backoff_s,
+                        )
+                        for spec in specs
+                    ],
+                )
             # Child processes wrote through their own cache views; keep
             # the parent's (disk-backed) view coherent for later lookups.
             if self.config.cache_dir is not None:

@@ -21,21 +21,17 @@
 
 ``run_job_payload`` is the ``multiprocessing``-friendly entry point: it
 takes plain data, reopens the (disk) cache in the child, and returns a
-picklable result.  When the parent staged the batch's partitions into
-shared memory (:func:`stage_shared_partitions`), the child *attaches*
-to those :class:`~repro.parallel.shm.SharedGraphStore` segments instead
-of re-unpickling a partition per worker — zero-copy, and bitwise
-identical because the memoized sync structures (and their
-``memoization_bytes`` accounting) ride along exactly as on the disk
-cache's warm path.
+picklable result.  In a process pool it also reads the partitions the
+parent built before forking (:func:`stage_shared_partitions`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ReproError
+from repro.partition.build import CachedPartition
 from repro.service.cache import ServiceCache
 from repro.service.spec import JobResult, JobSpec, values_digest
 from repro.verify import output_key
@@ -162,46 +158,26 @@ def execute_job(
 
 
 class SharedPartitionCache:
-    """A partition-cache view over pre-staged shared-memory graph stores.
-
-    The service's process pool stages each unique partition a batch
-    needs into a :class:`~repro.parallel.shm.SharedGraphStore` once
-    (parent side, :func:`stage_shared_partitions`); workers consult this
-    adapter, which resolves staged keys by *attaching* to the shared
-    segment — zero-copy, no per-worker unpickling — and delegates
-    everything else (unstaged partitions, the result level) to the
-    wrapped inner cache.  The staged ``prepared_sync`` carries its
-    ``memoization_bytes``, so a shared-store hit accounts construction
-    exactly like the disk cache's warm path: warm == cold, bitwise.
-    """
+    """The batch's staged partitions (the parent's objects, inherited
+    through ``fork``), then the inner cache for everything else.  A
+    staged ``prepared_sync`` carries its ``memoization_bytes``, so a hit
+    accounts construction like the disk cache's warm path, bitwise."""
 
     def __init__(
         self,
-        shared: Dict[str, Tuple[object, Optional[object]]],
+        shared: Dict[str, CachedPartition],
         inner: Optional[ServiceCache] = None,
     ) -> None:
         self._shared = shared
         self._inner = inner
-        self._stores: List[object] = []
 
     # -- partition level (duck-typed build_partition protocol) -------------
 
-    def get_partition(self, key: str):
+    def get_partition(self, key: str) -> Optional[CachedPartition]:
         entry = self._shared.get(key)
-        if entry is None:
-            if self._inner is None:
-                return None
+        if entry is None and self._inner is not None:
             return self._inner.get_partition(key)
-        from repro.parallel.shm import SharedGraphStore
-        from repro.partition.build import CachedPartition
-
-        manifest, prepared_sync = entry
-        store = SharedGraphStore.attach(manifest)
-        self._stores.append(store)
-        return CachedPartition(
-            partitioned=store.build_partitioned(),
-            prepared_sync=prepared_sync,
-        )
+        return entry
 
     def put_partition(self, key: str, partitioned, prepared_sync=None) -> None:
         if self._inner is not None and key not in self._shared:
@@ -218,34 +194,19 @@ class SharedPartitionCache:
         if self._inner is not None:
             self._inner.put_result(spec_hash, result)
 
-    def close(self) -> None:
-        """Drop this process's shared mappings (parent keeps the unlink)."""
-        for store in self._stores:
-            store.close()
-        self._stores = []
 
+def stage_shared_partitions(specs: List[JobSpec], cache=None) -> Dict[str, CachedPartition]:
+    """Parent-side: build each distinct partition ``specs`` need, once.
 
-def stage_shared_partitions(specs: List[JobSpec], cache=None):
-    """Parent-side: export each unique partition ``specs`` need, once.
-
-    Builds (or fetches from ``cache``) the partition behind every
-    distinct (graph, policy, hosts) triple in the batch and lays it into
-    a shared-memory graph store.  Returns ``(shared, stores)``:
-    ``shared`` maps the partition-cache key to ``(GraphManifest,
-    prepared_sync)`` — small and picklable, what workers need to attach
-    — and ``stores`` are the live segments, which the caller must
-    ``release()`` after the worker pool has finished.
-
-    A spec whose inputs cannot even be staged (unknown workload, invalid
-    system/policy combination) is skipped here: the job itself will
-    surface the error through its normal attempt/retry path.
+    Returns ``{partition-cache key: CachedPartition}``, one entry per
+    distinct (graph, policy, hosts) triple.  A spec whose inputs cannot
+    be staged is skipped: its job surfaces the error itself, through the
+    normal attempt/retry path.
     """
-    from repro.parallel.shm import SharedGraphStore
     from repro.systems import plan_run
     from repro.workloads import load_workload
 
-    shared: Dict[str, Tuple[object, Optional[object]]] = {}
-    stores: List[SharedGraphStore] = []
+    shared: Dict[str, CachedPartition] = {}
     for spec in specs:
         try:
             edges = load_workload(spec.workload, spec.scale_delta)
@@ -258,38 +219,37 @@ def stage_shared_partitions(specs: List[JobSpec], cache=None):
             outcome = plan.build(cache)
             if cache is not None and not outcome.from_cache:
                 # Keep the persistent cache warm for future batches; the
-                # workers themselves hit the shared store, never this.
+                # workers themselves hit the staged dict, never this.
                 cache.put_partition(key, outcome.partitioned)
-            store = SharedGraphStore.export(outcome.partitioned)
-            stores.append(store)
-            shared[key] = (store.manifest, outcome.prepared_sync)
+            shared[key] = CachedPartition(outcome.partitioned, outcome.prepared_sync)
         except (ReproError, ValueError):
             # ValueError covers unknown workload/app names, which the
             # loaders raise directly.
             continue
-    return shared, stores
+    return shared
+
+
+#: In a process-pool child: the parent's staged partitions.
+_STAGED: Dict[str, CachedPartition] = {}
+
+
+def adopt_partitions(shared: Dict[str, CachedPartition]) -> None:
+    """Pool initializer; ``fork`` hands ``initargs`` over unpickled."""
+    global _STAGED
+    _STAGED = shared
 
 
 def run_job_payload(
     spec_dict: Dict,
     cache_dir: Optional[str] = None,
     backoff_s: float = DEFAULT_BACKOFF_S,
-    shared_partitions: Optional[Dict] = None,
 ) -> JobResult:
     """``multiprocessing`` entry point: plain data in, picklable result out.
 
     Each worker process opens its own view of the (shared, disk-backed)
-    cache; with no ``cache_dir`` the child runs uncached.
-    ``shared_partitions`` (from :func:`stage_shared_partitions`) lets
-    the child attach the batch's partitions zero-copy from shared
-    memory instead of re-unpickling them — with or without a disk cache.
+    cache; with no ``cache_dir`` only the adopted partitions are cached.
     """
     spec = JobSpec.from_dict(spec_dict)
     inner = ServiceCache(directory=cache_dir) if cache_dir else None
-    if not shared_partitions:
-        return execute_job(spec, cache=inner, backoff_s=backoff_s)
-    cache = SharedPartitionCache(shared_partitions, inner=inner)
-    try:
-        return execute_job(spec, cache=cache, backoff_s=backoff_s)
-    finally:
-        cache.close()
+    cache = SharedPartitionCache(_STAGED, inner=inner) if _STAGED else inner
+    return execute_job(spec, cache=cache, backoff_s=backoff_s)

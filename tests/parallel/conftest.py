@@ -10,8 +10,8 @@ import pytest
 
 @pytest.fixture
 def no_leaked_segments():
-    """The test must leave ``/dev/shm`` exactly as it found it: no graph,
-    state or ring segment survives, whatever path the run exits by."""
+    """The test must leave ``/dev/shm`` exactly as it found it: no state
+    or ring segment survives, whatever path the run exits by."""
     before = set(os.listdir("/dev/shm"))
     yield
     gc.collect()

@@ -1,28 +1,29 @@
-"""Shared-memory partition staging for the service's process backend:
-the parent exports each unique partition once, workers attach zero-copy,
+"""The service's process backend: the parent builds each distinct
+partition of a batch once, the forked pool inherits them, nothing
+partition-sized crosses a process boundary or lands in shared memory,
 and the answers stay bitwise identical to the serial backend."""
 
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
+import pickle
+from multiprocessing import reduction, shared_memory
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.parallel.shm import SharedGraphStore
-from repro.service import JobService, JobSpec, ServiceConfig
-from repro.service.worker import (
-    SharedPartitionCache,
-    run_job_payload,
-    stage_shared_partitions,
-)
+from repro.errors import ExecutionError, ServiceError
+from repro.service import JobService, JobSpec, ServiceCache, ServiceConfig
+from repro.service.worker import SharedPartitionCache, stage_shared_partitions
+from repro.systems import RunPlan
 
 SHM_DIR = Path("/dev/shm")
 
 pytestmark = pytest.mark.skipif(
-    not SHM_DIR.is_dir(), reason="shared staging needs a POSIX /dev/shm"
+    not SHM_DIR.is_dir(), reason="the process backend needs a POSIX /dev/shm"
 )
 
 #: Small enough to keep every test fast; big enough to run real rounds.
@@ -44,95 +45,121 @@ def no_leaked_segments():
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 
-class TestStaging:
-    def test_one_store_per_unique_partition(self):
+def _process(specs, **config):
+    return JobService(ServiceConfig(backend="process", workers=2, **config)).run_batch(specs)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every partition this (parent) process builds or fetches."""
+    seen = []
+    plain = RunPlan.build
+
+    def build(self, cache=None):
+        seen.append(self.partition_cache_key())
+        return plain(self, cache)
+
+    monkeypatch.setattr(RunPlan, "build", build)
+    return seen
+
+
+class TestProcessBackend:
+    def test_one_parent_build_per_distinct_partition(self, builds):
         # Three jobs, two distinct (graph, policy, hosts) triples: the
         # bfs and pr jobs share a partition, the oec job does not.
         specs = [_spec("bfs"), _spec("pr"), _spec("bfs", policy="oec")]
-        shared, stores = stage_shared_partitions(specs)
-        try:
-            assert len(shared) == 2
-            assert len(stores) == 2
-        finally:
-            for store in stores:
-                store.release()
+        shared = stage_shared_partitions(specs)
+        assert len(builds) == 2 and set(builds) == set(shared)
+        # Cold staging (no cache) carries no memoized sync structures;
+        # each job runs the exchange itself, the reference path.
+        assert all(entry.prepared_sync is None for entry in shared.values())
+        del builds[:]
+        assert all(r.status == "ok" for r in _process(specs))
+        assert len(builds) == 2  # the children built nothing
 
-    def test_manifests_rebuild_the_partition(self):
-        shared, stores = stage_shared_partitions([_spec("bfs")])
-        try:
-            ((manifest, prepared_sync),) = shared.values()
-            attached = SharedGraphStore.attach(manifest)
-            rebuilt = attached.build_partitioned()
-            assert rebuilt.num_hosts == stores[0].num_hosts
-            np.testing.assert_array_equal(
-                rebuilt.master_host,
-                stores[0].build_partitioned().master_host,
-            )
-            # Cold staging (no cache) ships no memoized sync structures;
-            # each worker runs the exchange itself — still bitwise, the
-            # cold path is the reference.
-            assert prepared_sync is None
-            attached.close()
-        finally:
-            for store in stores:
-                store.release()
+    def test_every_job_is_a_partition_hit_without_a_disk_cache(self):
+        specs = [_spec("bfs"), _spec("pr"), _spec("cc", policy="oec")]
+        serial = JobService(ServiceConfig()).run_batch(specs)
+        process = _process(specs)
+        for s, p in zip(serial, process):
+            assert p.status == "ok"
+            assert p.partition_cache == "hit"
+            assert p.result_cache == "miss"
+            assert p.payload() == s.payload()
+            assert p.construction_bytes == s.construction_bytes
+            np.testing.assert_array_equal(p.values, s.values)
 
-    def test_unstageable_specs_are_skipped_not_fatal(self):
-        bad = _spec("bfs")
-        object.__setattr__(bad, "workload", "no-such-workload")
-        shared, stores = stage_shared_partitions([bad, _spec("bfs")])
-        try:
-            assert len(shared) == 1  # the good spec still staged
-        finally:
-            for store in stores:
-                store.release()
+    def test_batch_creates_no_segment_and_pickles_no_partition(self, monkeypatch):
+        created, frames = [], []
+        plain_init = shared_memory.SharedMemory.__init__
+        plain_dumps = reduction.ForkingPickler.dumps
+
+        def init(self, name=None, create=False, size=0, **kw):
+            plain_init(self, name=name, create=create, size=size, **kw)
+            if create:
+                created.append(self.name)
+
+        def dumps(cls, obj, protocol=None):
+            frame = plain_dumps(obj, protocol)
+            frames.append(len(frame))
+            return frame
+
+        monkeypatch.setattr(shared_memory.SharedMemory, "__init__", init)
+        monkeypatch.setattr(reduction.ForkingPickler, "dumps", classmethod(dumps))
+        specs = [_spec("bfs"), _spec("pr"), _spec("bfs", policy="oec")]
+        smallest = min(
+            len(pickle.dumps(entry.partitioned))
+            for entry in stage_shared_partitions(specs).values()
+        )
+        assert all(r.status == "ok" for r in _process(specs))
+        assert created == []
+        # What the parent sent the pool: specs, never a partition.
+        assert frames and max(frames) < smallest
+
+    def test_an_unstageable_spec_fails_alone(self, monkeypatch):
+        from repro import workloads
+
+        plain = workloads.load_workload
+
+        def load(name, scale_delta=0):
+            if scale_delta == SCALE - 1:
+                raise ExecutionError("input store offline")
+            return plain(name, scale_delta)
+
+        # Forked children inherit the patched loader too.
+        monkeypatch.setattr(workloads, "load_workload", load)
+        bad = _spec("bfs", scale_delta=SCALE - 1)
+        results = _process([_spec("bfs"), bad, _spec("pr")])
+        assert [r.status for r in results] == ["ok", "failed", "ok"]
+        assert "input store offline" in results[1].error
+        assert results[0].partition_cache == results[2].partition_cache == "hit"
+
+    def test_without_fork_the_pool_is_a_named_error(self, monkeypatch):
+        def get_context(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        with pytest.raises(ServiceError, match="needs the 'fork' start method"):
+            _process([_spec("bfs")])
 
 
 class TestSharedPartitionCache:
-    def test_attach_hit_and_put_skip(self):
-        spec = _spec("bfs")
-        shared, stores = stage_shared_partitions([spec])
-        try:
-            (key,) = shared.keys()
-            cache = SharedPartitionCache(shared)
-            hit = cache.get_partition(key)
-            assert hit is not None
-            np.testing.assert_array_equal(
-                hit.partitioned.master_host,
-                stores[0].build_partitioned().master_host,
-            )
-            assert cache.get_partition("not-staged") is None
-            # No inner cache: puts and result lookups are no-ops.
-            cache.put_partition(key, hit.partitioned)
-            assert cache.get_result("anything") is None
-            cache.close()
-        finally:
-            for store in stores:
-                store.release()
+    def test_hit_falls_through_and_put_skip(self):
+        shared = stage_shared_partitions([_spec("bfs")])
+        ((key, staged),) = shared.items()
+        inner = ServiceCache()
+        cache = SharedPartitionCache(shared, inner=inner)
+        assert cache.get_partition(key) is staged  # the parent's object
+        # A staged key is never written through; anything else is.
+        cache.put_partition(key, staged.partitioned)
+        assert inner.partitions.keys() == []
+        cache.put_partition("elsewhere", staged.partitioned)
+        assert cache.get_partition("elsewhere") is not None
+        assert SharedPartitionCache(shared).get_partition("elsewhere") is None
+        assert SharedPartitionCache(shared).get_result("anything") is None
 
 
 class TestEndToEnd:
-    def test_payload_attaches_without_a_disk_cache(self):
-        spec = _spec("bfs")
-        baseline = run_job_payload(spec.to_dict())
-        shared, stores = stage_shared_partitions([spec])
-        try:
-            result = run_job_payload(
-                spec.to_dict(), shared_partitions=shared
-            )
-        finally:
-            for store in stores:
-                store.release()
-        assert result.status == "ok"
-        # The shared store counts as a partition-cache hit even with no
-        # disk cache configured, and the answer is bitwise the uncached
-        # run's (memoization_bytes accounting rides along).
-        assert result.partition_cache == "hit"
-        assert result.output_digest == baseline.output_digest
-        assert result.sim_time_s == baseline.sim_time_s
-        assert result.construction_bytes == baseline.construction_bytes
-        np.testing.assert_array_equal(result.values, baseline.values)
-
     def test_process_backend_matches_serial_bitwise(self):
         specs = [_spec("bfs"), _spec("pr"), _spec("cc")]
         serial = JobService(ServiceConfig()).run_batch(

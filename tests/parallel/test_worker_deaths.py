@@ -1,5 +1,6 @@
 """A *running* worker really dies (ROADMAP 3b): named error, bounded
-time, no survivor, no ``/dev/shm`` residue — graph, state or rings.
+time, no survivor, no ``/dev/shm`` residue — state or rings.  And when
+the coordinator is the one that dies, its workers exit on their own.
 
 The victim is parked inside the kernel of its round by a test-only app
 whose ``step`` waits on an inherited ``Event`` (not a sleep), so the
@@ -11,9 +12,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import select
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +133,96 @@ def test_keyboard_interrupt_in_the_coordinator_tears_everything_down(small_grid)
         ex.run()
     thread.join(timeout=10)
     assert_fleet_is_gone(fleet)  # one parked on the gate, one on a doorbell
+
+
+#: A coordinator that announces its resource tracker, its two segments
+#: and its workers once the fleet is up, then runs slow rounds — so the
+#: SIGKILL lands while it waits for reports, not between two commands.
+COORDINATOR = textwrap.dedent(
+    """
+    import time
+    from multiprocessing import resource_tracker
+
+    from repro.apps import make_app
+    from repro.engines import make_engine
+    from repro.graph.generators import grid_graph
+    from repro.parallel.coordinator import ProcessRunner
+    from repro.partition import make_partitioner
+    from repro.runtime.executor import DistributedExecutor
+    from repro.systems import prepare_input
+
+    class SlowBfs(type(make_app("bfs"))):
+        def step(self, part, state, frontier, direction="push"):
+            time.sleep(0.2)
+            return super().step(part, state, frontier, direction)
+
+    plain_start = ProcessRunner.start
+
+    def start(self):
+        plain_start(self)
+        print(resource_tracker._resource_tracker._pid,
+              self.arena.manifest.shm_name, self.fabric.store.manifest.shm_name,
+              *(proc.pid for proc in self._procs), flush=True)
+
+    ProcessRunner.start = start
+    prep = prepare_input("bfs", grid_graph(12, 12))
+    DistributedExecutor(
+        make_partitioner("cvc").partition(prep.edges, 4), make_engine("galois"),
+        SlowBfs(), prep.ctx, runtime="process", workers=2,
+    ).run()
+    """
+)
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` still runs; a zombie nobody has reaped yet does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def wait_gone(pids, seconds: float) -> list:
+    """Poll until every pid is gone or ``seconds`` pass; the survivors."""
+    deadline = time.monotonic() + seconds
+    while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if alive(pid)]
+
+
+def test_workers_exit_when_their_coordinator_is_sigkilled():
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", COORDINATOR],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,  # the tracker's leak warnings
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    with coordinator.stdout:
+        started = select.select([coordinator.stdout], [], [], 60)[0]
+        announced = coordinator.stdout.readline().split() if started else []
+    if len(announced) != 5:
+        coordinator.kill()
+        coordinator.wait(timeout=10)
+        pytest.fail("the coordinator never started its fleet")
+    tracker, arena, rings, *workers = announced
+    workers = [int(pid) for pid in workers]
+    try:
+        time.sleep(1.0)  # a few slow rounds in
+        coordinator.kill()
+        coordinator.wait(timeout=10)
+        assert wait_gone(workers, 10.0) == [], "workers outlived their coordinator"
+        # The tracker outlives the last process holding its pipe, then
+        # unlinks whatever the dead coordinator could not.
+        assert wait_gone([int(tracker)], 10.0) == []
+        assert not {arena, rings} & set(os.listdir("/dev/shm"))
+    finally:
+        # Leave nothing behind even on failure: kill the survivors, then
+        # give the tracker its chance to unlink before it goes too.
+        for pid in workers:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        for pid in wait_gone(workers + [int(tracker)], 10.0):
+            os.kill(pid, signal.SIGKILL)
