@@ -57,7 +57,7 @@ PLAN_STAGES = ("system", "input", "executor", "run")
 
 _OPTION_DEFAULTS = dict(
     flag=None, choices=None, label=None, minimum=None, flag_minimum=None, metavar=None,
-    parse=None, off_flag=None, hashed="always", only=None, wire=False,
+    parse=None, hashed="always", only=None, wire=False,
 )
 
 
@@ -68,8 +68,7 @@ def option(default=MISSING, *, feeds: str, help: str, **declared):
     switches it off its default); ``choices`` may be a callable; ``label``
     names the option in errors; ``minimum`` bounds the stored value and
     ``flag_minimum`` (default: ``minimum``) the command-line one;
-    ``parse`` turns the flag's text into the stored value; ``off_flag`` is
-    ``(spelling, help)`` of a second flag that forces the default.
+    ``parse`` turns the flag's text into the stored value.
     ``hashed``: "always", "non-default" (in the content hash only when it
     differs from the default — for options added after results were first
     cached) or "never" (cannot change a payload).  ``only`` names the one
@@ -187,12 +186,6 @@ class JobSpec:
         "only changed row columns vs the last broadcast), or 'fp16' (lossy float16 "
         "quantization with a documented error bound; small magnitudes only — a value "
         "past the float16 range is a SyncError)",
-        off_flag=(
-            "--no-compression",
-            "ablation: force compression off even if --compression set one (mirrors "
-            "--no-aggregation; results are bitwise identical for 'delta', "
-            "bounded-error for 'fp16')",
-        ),
     )
     aggregate_comm: bool = option(
         True, feeds="executor", hashed="non-default", wire=True, flag="--no-aggregation",
@@ -296,8 +289,6 @@ class JobSpec:
                     raise JobSpecError(
                         f"{_flag(spec_field)} must be at least {low}, got {given[name]}"
                     )
-            if getattr(args, f"no_{name}", False):
-                given[name] = spec_field.default
         return cls(**given)
 
     # -- identity ----------------------------------------------------------
@@ -401,11 +392,6 @@ def add_job_flags(cmd: argparse.ArgumentParser, command: str) -> None:
                 or (spec_field.name == "system" and command == "run"),
             )
         cmd.add_argument(_flag(spec_field), **keywords)
-        if meta["off_flag"] is not None:
-            spelling, text = meta["off_flag"]
-            cmd.add_argument(
-                spelling, dest=f"no_{spec_field.name}", action="store_true", help=text
-            )
 
 
 #: ``plan_run``'s option keywords: name -> (consuming stage, default).  The
@@ -558,8 +544,6 @@ def option_table() -> str:
     for spec_field in fields(JobSpec):
         meta = spec_field.metadata
         flags = f"`{_flag(spec_field)}`"
-        if meta["off_flag"] is not None:
-            flags += f", `{meta['off_flag'][0]}`"
         if meta["only"] is not None:
             flags += f" ({meta['only']} only)"
         default = "required" if spec_field.default is MISSING else f"`{spec_field.default!r}`"

@@ -5,10 +5,10 @@
 
 1. lays every host's ndarray state entries into one shared-memory arena
    (:mod:`repro.parallel.shm`), attached zero-copy by every worker;
-2. forks ``workers`` processes (``fork`` start method: the partitioned
-   graph, address books, engines, and the app are inherited
-   copy-on-write, never pickled or copied), each owning the hosts
-   ``{h : h % workers == w}``;
+2. forks ``workers`` processes (``fork`` start method: the executor is
+   inherited copy-on-write — its partitioned graph, address books,
+   engines, app and non-array state — never pickled or copied), each
+   owning the hosts ``{h : h % workers == w}``;
 3. wires them through a :class:`~repro.parallel.rings.RingFabric` — the
    second segment, its slots sized from the executor's bound sync plans.
 
@@ -39,16 +39,15 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.serialization import FRAME_OVERHEAD
-from repro.core.substrate import SubstrateStats
 from repro.errors import ExecutionError
-from repro.parallel.rings import SEQ_STRIDE, RingFabric
+from repro.parallel.rings import RingFabric
 from repro.parallel.runner import RoundData
 from repro.parallel.shm import SharedArrayStore
-from repro.parallel.worker import LIVENESS_POLL_S, WorkerTask, worker_main
+from repro.parallel.worker import LIVENESS_POLL_S, worker_main
 from repro.resilience.transport import MAX_TRANSMISSIONS
 from repro.runtime.round import close_round
 
-#: Default seconds the coordinator waits for a round's worker reports.
+#: Seconds the coordinator waits for a round's worker reports.
 DEFAULT_ROUND_TIMEOUT_S = 600.0
 
 
@@ -72,16 +71,10 @@ def resolve_workers(workers: Optional[int], num_hosts: int) -> int:
 class ProcessRunner:
     """Real parallel execution: one forked worker per host group."""
 
-    def __init__(
-        self,
-        executor,
-        workers: Optional[int] = None,
-        round_timeout_s: float = DEFAULT_ROUND_TIMEOUT_S,
-    ) -> None:
+    def __init__(self, executor) -> None:
         self.ex = executor
         self.num_hosts = executor.partitioned.num_hosts
-        self.workers = resolve_workers(workers, self.num_hosts)
-        self.round_timeout_s = round_timeout_s
+        self.workers = resolve_workers(executor.workers, self.num_hosts)
         self.arena: Optional[SharedArrayStore] = None
         self.fabric: Optional[RingFabric] = None
         self._procs: List = []
@@ -102,25 +95,19 @@ class ProcessRunner:
                 "the process runtime needs the 'fork' start method "
                 "(POSIX only)"
             ) from None
-        arrays: Dict[str, np.ndarray] = {}
-        scalars: List[Dict] = []
-        for h, state in enumerate(ex.states):
-            plain = {}
-            for key, value in state.items():
-                if isinstance(value, np.ndarray):
-                    arrays[f"s{h}/{key}"] = value
-                else:
-                    plain[key] = value
-            scalars.append(plain)
-        self.arena = SharedArrayStore.create(arrays)
-        fault_plan = (
-            ex.fault_injector.plan if ex.fault_injector is not None else None
+        self.arena = SharedArrayStore.create(
+            {
+                f"s{h}/{key}": value
+                for h, state in enumerate(ex.states)
+                for key, value in state.items()
+                if isinstance(value, np.ndarray)
+            }
         )
         # Slots for the two phases that can be in flight per ring (DESIGN
         # §12); the fault layer frames a message once more and hands over
         # at most MAX_TRANSMISSIONS copies of it.
         copies, framing = 2, 0
-        if fault_plan is not None:
+        if ex.fault_injector is not None:
             copies, framing = 2 * MAX_TRANSMISSIONS, FRAME_OVERHEAD
         self.fabric = RingFabric(
             self.num_hosts,
@@ -133,33 +120,14 @@ class ProcessRunner:
         )
         self._report_q = ctx.Queue()
         self._cmd_qs = [ctx.Queue() for _ in range(self.workers)]
-        books = [sub.book for sub in ex.substrates]
         for w in range(self.workers):
-            task = WorkerTask(
-                worker_index=w,
-                num_workers=self.workers,
-                num_hosts=self.num_hosts,
-                partitioned=ex.partitioned,
-                arena_manifest=self.arena.manifest,
-                app=ex.app,
-                ctx=ex.ctx,
-                engines=ex.engines,
-                level=ex.level,
-                aggregate_comm=ex.aggregate_comm,
-                enable_sync=ex.enable_sync,
-                books=books,
-                scalars=scalars,
-                frontiers=ex.frontiers,
-                fault_plan=fault_plan,
-                # Disjoint per-worker sequence namespaces so frames from
-                # different workers never collide at a receiver's
-                # duplicate filter (the coordinator's own injector, used
-                # by the memoization exchange, owns the base-0 range).
-                fault_seq_base=(w + 1) * SEQ_STRIDE,
-            )
+            # Under ``fork`` the executor is inherited, never pickled.
             proc = ctx.Process(
                 target=worker_main,
-                args=(task, self.fabric, self._cmd_qs[w], self._report_q),
+                args=(
+                    ex, w, self.workers, self.arena.manifest, self.fabric,
+                    self._cmd_qs[w], self._report_q,
+                ),
                 daemon=True,
             )
             self._procs.append(proc)
@@ -239,7 +207,7 @@ class ProcessRunner:
     def _collect(self, kind: str) -> Dict[int, Dict]:
         """Gather one report of ``kind`` from every worker, or die loudly."""
         reports: Dict[int, Dict] = {}
-        deadline = time.monotonic() + self.round_timeout_s
+        deadline = time.monotonic() + DEFAULT_ROUND_TIMEOUT_S
         while len(reports) < self.workers:
             try:
                 msg = self._report_q.get(timeout=LIVENESS_POLL_S)
@@ -257,7 +225,7 @@ class ProcessRunner:
                     ) from None
                 if time.monotonic() > deadline:
                     raise ExecutionError(
-                        f"timed out after {self.round_timeout_s:.0f}s "
+                        f"timed out after {DEFAULT_ROUND_TIMEOUT_S:.0f}s "
                         f"waiting for worker reports "
                         f"({sorted(reports)} of {self.workers} arrived)"
                     ) from None
@@ -306,12 +274,10 @@ class ProcessRunner:
             for w in range(self.workers):
                 final = finals[w]
                 # The substrates that did the work lived in the worker.
-                for counters in final["substrate_stats"].values():
-                    ex.retired_stats.absorb(SubstrateStats(*counters))
-                if final["faults"]:
-                    faults = ex.fault_stats
-                    for name, value in final["faults"].items():
-                        setattr(faults, name, getattr(faults, name) + value)
+                for stats in final["substrate_stats"]:
+                    ex.retired_stats.absorb(stats)
+                if final["faults"] is not None:
+                    ex.fault_stats.absorb(final["faults"])
         finally:
             self._teardown()
 

@@ -12,8 +12,9 @@ Two implementations exist:
 * :class:`InProcessRunner` (default) — the historical simulated runtime:
   every host executes round-robin inside the calling process.
 * :class:`~repro.parallel.coordinator.ProcessRunner` — hosts execute in
-  forked worker processes that inherit their partitions and share their
-  state through shared memory (``--runtime process``).
+  forked worker processes that inherit the executor (partitions, app,
+  books) and share their state through shared memory
+  (``--runtime process``).
 
 Both run the same round body and produce the same :class:`RoundData`,
 so the executor's results are invariant to which runner executed the
@@ -122,7 +123,7 @@ def start_runner(executor):
         # Imported lazily: the coordinator imports this module.
         from repro.parallel.coordinator import ProcessRunner
 
-        runner = ProcessRunner(executor, executor.workers)
+        runner = ProcessRunner(executor)
     else:
         runner = InProcessRunner(executor)
     runner.start()

@@ -1,8 +1,8 @@
 """The per-process host worker of the multiprocess runtime.
 
 :func:`worker_main` is the ``fork`` entry point.  Worker ``w`` of ``W``
-owns the simulated hosts ``{h : h % W == w}``: it indexes their
-partitions in the coordinator's ``PartitionedGraph`` (inherited through
+owns the simulated hosts ``{h : h % W == w}``: it reads their partitions
+and address books off the executor it was forked from (inherited through
 ``fork``), attaches the state arena (zero-copy), rebuilds its hosts'
 states, fields, and Gluon substrates, then executes rounds on the
 coordinator's command — or exits once the coordinator is gone.
@@ -30,14 +30,15 @@ import multiprocessing
 import os
 import queue as queue_module
 import traceback
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.core.substrate import GluonSubstrate, bind_sync_plans
-from repro.parallel.rings import RingFabric, RingTransport
+from repro.parallel.rings import SEQ_STRIDE, RingFabric, RingTransport
 from repro.parallel.shm import SharedArrayStore
+from repro.resilience.faults import FaultInjector
+from repro.resilience.transport import FaultyTransport
 from repro.runtime.round import run_hosts
 
 #: Seconds between liveness checks while a queue read waits: the
@@ -45,92 +46,60 @@ from repro.runtime.round import run_hosts
 LIVENESS_POLL_S = 1.0
 
 
-@dataclass
-class WorkerTask:
-    """Everything one worker needs (inherited through ``fork``)."""
-
-    worker_index: int
-    num_workers: int
-    num_hosts: int
-    partitioned: object
-    arena_manifest: object
-    app: object
-    ctx: object
-    engines: List[object]
-    level: object
-    aggregate_comm: bool
-    enable_sync: bool
-    books: List[object]
-    scalars: List[Dict]
-    frontiers: List[Optional[np.ndarray]]
-    fault_plan: Optional[object] = None
-    fault_seq_base: int = 0
-
-    @property
-    def owned(self) -> List[int]:
-        """The hosts this worker executes, ascending."""
-        return [
-            h
-            for h in range(self.num_hosts)
-            if h % self.num_workers == self.worker_index
-        ]
-
-
 class _HostWorker:
     """One worker's live state: partitions, states, fields, substrates."""
 
-    def __init__(self, task: WorkerTask, fabric: RingFabric) -> None:
-        self.task = task
-        self.owned = task.owned
-        self.arena = SharedArrayStore.attach(task.arena_manifest)
-        self.parts = {h: task.partitioned.partitions[h] for h in self.owned}
+    def __init__(self, ex, index: int, workers: int, arena_manifest, fabric: RingFabric) -> None:
+        self.ex = ex
+        self.owned = list(range(index, ex.partitioned.num_hosts, workers))
+        self.arena = SharedArrayStore.attach(arena_manifest)
+        self.parts = ex.partitioned.partitions
         self.rings = RingTransport(fabric)
         self.transport = self.rings
-        if task.fault_plan is not None:
-            from repro.resilience.faults import FaultInjector
-            from repro.resilience.transport import FaultyTransport
-
+        if ex.fault_injector is not None:
+            # Disjoint per-worker sequence namespaces so frames from
+            # different workers never collide at a receiver's duplicate
+            # filter (the coordinator's own injector, used by the
+            # memoization exchange, owns the base-0 range).
             self.transport = FaultyTransport(
-                task.num_hosts,
-                FaultInjector(task.fault_plan, seq_base=task.fault_seq_base),
+                ex.partitioned.num_hosts,
+                FaultInjector(
+                    ex.fault_injector.plan, seq_base=(index + 1) * SEQ_STRIDE
+                ),
                 inner=self.rings,
             )
-        self.states: Dict[int, Dict] = {}
-        for h in self.owned:
-            state = dict(task.scalars[h])
-            prefix = f"s{h}/"
-            for name, view in self.arena.views.items():
-                if name.startswith(prefix):
-                    state[name[len(prefix) :]] = view
-            self.states[h] = state
+        self.states = {
+            h: {
+                key: self.arena.views.get(f"s{h}/{key}", value)
+                for key, value in ex.states[h].items()
+            }
+            for h in self.owned
+        }
         self.fields = {
-            h: task.app.make_fields(self.parts[h], self.states[h])
+            h: ex.app.make_fields(self.parts[h], self.states[h])
             for h in self.owned
         }
         self.substrates: Dict[int, GluonSubstrate] = {}
-        if task.enable_sync:
+        if ex.enable_sync:
+            books = [sub.book for sub in ex.substrates]
             self.substrates = {
                 h: GluonSubstrate(
-                    self.parts[h],
-                    self.transport,
-                    task.level,
-                    task.books[h],
-                    aggregate=task.aggregate_comm,
+                    self.parts[h], self.transport, ex.level, books[h],
+                    aggregate=ex.aggregate_comm,
                 )
                 for h in self.owned
             }
             # All books, not just the owned hosts': every worker must
             # reach the same verdict on which phases are dead.
-            bind_sync_plans(self.owned, self.substrates, self.fields, task.books)
-        self.frontiers = {h: task.frontiers[h] for h in self.owned}
+            bind_sync_plans(self.owned, self.substrates, self.fields, books)
+        self.frontiers = {h: ex.frontiers[h] for h in self.owned}
 
     # -- one BSP round ------------------------------------------------------
 
     def run_round(self) -> Dict:
-        task = self.task
-        app = task.app
+        app = self.ex.app
         comp_times, next_frontiers, translation_deltas = run_hosts(
-            self.owned, task.engines, app, self.parts, self.states,
+            self.owned, self.ex.engines, app, self.parts, self.states,
             self.fields, self.frontiers, self.substrates,
             end_phase=self.rings.finish_phase,
         )
@@ -162,7 +131,7 @@ class _HostWorker:
     # -- teardown -----------------------------------------------------------
 
     def final_report(self) -> Dict:
-        """State divergences and substrate stats, shipped once at stop."""
+        """State divergences and counters, shipped once at stop."""
         divergent = {}
         for h in self.owned:
             prefix = f"s{h}/"
@@ -173,28 +142,12 @@ class _HostWorker:
                     continue
                 entries[key] = value
             divergent[h] = entries
-        substrate_stats = {
-            h: (
-                self.substrates[h].stats.translations,
-                dict(self.substrates[h].stats.mode_counts),
-            )
-            for h in self.substrates
-        }
         faults = None
         if self.transport is not self.rings:
-            f = self.transport.faults
-            faults = {
-                "dropped": f.dropped,
-                "duplicated": f.duplicated,
-                "corrupted": f.corrupted,
-                "checksum_failures": f.checksum_failures,
-                "duplicates_discarded": f.duplicates_discarded,
-                "fault_bytes": f.fault_bytes,
-                "framing_bytes": f.framing_bytes,
-            }
+            faults = self.transport.faults
         return {
             "divergent": divergent,
-            "substrate_stats": substrate_stats,
+            "substrate_stats": [sub.stats for sub in self.substrates.values()],
             "faults": faults,
         }
 
@@ -202,12 +155,12 @@ class _HostWorker:
         self.arena.close()
 
 
-def worker_main(task: WorkerTask, fabric: RingFabric, cmd_q, report_q) -> None:
+def worker_main(ex, index, workers, arena_manifest, fabric, cmd_q, report_q) -> None:
     """Process entry point: attach, then serve round commands until stop."""
     coordinator = multiprocessing.parent_process().pid
     worker = None
     try:
-        worker = _HostWorker(task, fabric)
+        worker = _HostWorker(ex, index, workers, arena_manifest, fabric)
         while True:
             try:
                 cmd = cmd_q.get(timeout=LIVENESS_POLL_S)
@@ -219,14 +172,11 @@ def worker_main(task: WorkerTask, fabric: RingFabric, cmd_q, report_q) -> None:
                     break
                 continue
             if cmd[0] == "stop":
-                report_q.put(
-                    ("done", task.worker_index, worker.final_report())
-                )
+                report_q.put(("done", index, worker.final_report()))
                 break
-            report = worker.run_round()
-            report_q.put(("round", task.worker_index, report))
+            report_q.put(("round", index, worker.run_round()))
     except BaseException:
-        report_q.put(("error", task.worker_index, traceback.format_exc()))
+        report_q.put(("error", index, traceback.format_exc()))
     finally:
         if worker is not None:
             worker.close()

@@ -35,7 +35,7 @@ is framed (and on fault, retransmitted) individually.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Set, Tuple
 
 from repro.core.serialization import (
@@ -83,6 +83,11 @@ class FaultStats:
     def total_injected(self) -> int:
         """Total transient faults injected."""
         return self.dropped + self.duplicated + self.corrupted
+
+    def absorb(self, other: "FaultStats") -> None:
+        """Fold another fabric's counters into this total."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class FaultyTransport:

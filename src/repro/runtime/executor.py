@@ -422,8 +422,8 @@ class DistributedExecutor:
 
         started = time.perf_counter()
         self._runner = start_runner(self)
-        # Forking a worker fleet and exporting the shared stores is real
-        # construction work: charge it where the partition build and
+        # Forking a worker fleet and laying out its state arena and rings
+        # is real construction work: charge it where the partition build and
         # memoization exchange already land.
         result.construction_time += time.perf_counter() - started
         return self._runner

@@ -203,6 +203,28 @@ class TestResilienceObservability:
         faults = result.executor.fault_stats
         assert result.metrics["gauges"]["faults_injected"] == faults.total_injected > 0
 
+    def test_process_fault_counters_reach_the_coordinator(self):
+        """The process runtime's workers count faults on their own fabrics
+        and ship the counters back at stop.  A sender counts each
+        ``corrupted`` / ``duplicated`` and its receiver, often on another
+        worker, the matching rejection — so a counter lost on the way back
+        breaks an equality."""
+        plan = FaultPlan.parse("drop:0.05,dup:0.05,corrupt:0.05", seed=0)
+
+        def run(**runtime):
+            return run_app(
+                "d-galois", "pr", generators.rmat(9, 8, 3), num_hosts=4, policy="cvc",
+                resilience=ResilienceConfig(plan=plan), observability=Observability(),
+                **runtime,
+            )
+
+        result, simulated = run(runtime="process", workers=2), run()
+        assert result.metrics["gauges"]["fault_bytes"] == result.recovery_bytes
+        faults = result.executor.fault_stats
+        assert faults.checksum_failures == faults.corrupted > 0
+        assert faults.duplicates_discarded == faults.duplicated > 0
+        assert faults.framing_bytes == simulated.executor.fault_stats.framing_bytes
+
 
 class TestStagedProgram:
     def test_staged_app_runs_observed_and_traces_its_stage_switch(self):

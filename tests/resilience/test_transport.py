@@ -1,11 +1,13 @@
 """Unit tests for the fault-injecting transport and its reliability layer."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.serialization import FRAME_OVERHEAD
 from repro.errors import HostCrashedError, TransportError
 from repro.resilience.faults import CrashFault, FaultInjector, FaultPlan
-from repro.resilience.transport import FaultyTransport
+from repro.resilience.transport import FaultStats, FaultyTransport
 
 
 def make_transport(num_hosts=2, **plan_kwargs):
@@ -121,3 +123,13 @@ class TestSequenceContinuity:
         reborn.send(0, 1, b"new")
         assert injector._seq == 2
         assert [p for _, p in reborn.receive_all(1)] == [b"new"]
+
+
+class TestFaultStats:
+    def test_absorb_adds_every_counter(self):
+        # Distinct values per field, so a counter absorb forgets (or adds
+        # into the wrong field) cannot cancel out.
+        names = [f.name for f in dataclasses.fields(FaultStats)]
+        total = FaultStats(**{name: i + 1 for i, name in enumerate(names)})
+        total.absorb(FaultStats(**{name: 10 * (i + 1) for i, name in enumerate(names)}))
+        assert dataclasses.asdict(total) == {name: 11 * (i + 1) for i, name in enumerate(names)}

@@ -113,11 +113,11 @@ def test_dead_phases_carry_nothing_and_skipping_them_is_invisible(
 @pytest.mark.parametrize("policy", ["oec", "iec", "cvc"])
 def test_every_worker_reaches_the_coordinators_verdict(policy, workers):
     """A worker binds only its own hosts, but judges liveness over all
-    of ``task.books`` — the verdict must not depend on which hosts it
+    of the executor's books — the verdict must not depend on which hosts it
     owns, or one worker would wait on markers another never sends."""
     result = run_app("d-galois", "bfs", GRAPH, 4, policy=policy)
     ex = result.executor
-    books = [sub.book for sub in ex.substrates]  # what WorkerTask.books holds
+    books = [sub.book for sub in ex.substrates]  # what a forked worker reads
     coordinator = [
         [(e.live["reduce"], e.live["broadcast"]) for e in sub.plan.fields]
         for sub in ex.substrates

@@ -82,7 +82,7 @@ class TestRunStreamFlags:
 
     def test_no_compression_reaches_the_session(self, stream_file, capsys):
         uncompressed = json_out(
-            self.RUN + WIDE + ["--no-compression", "--stream", stream_file], capsys
+            self.RUN + WIDE + ["--compression", "none", "--stream", stream_file], capsys
         )
         compressed = json_out(self.RUN + WIDE + ["--stream", stream_file], capsys)
         # Dense featprop rows change wholesale, so delta is no saving

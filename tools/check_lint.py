@@ -75,8 +75,6 @@ def _option_table():
             names.add(name)
         flag = given.get("flag")
         flags.add(flag.value if flag is not None else "--" + name.replace("_", "-"))
-        if "off_flag" in given:
-            flags.add(given["off_flag"].elts[0].value)
     return names, flags
 
 
