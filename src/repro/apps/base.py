@@ -98,6 +98,11 @@ class VertexProgram:
     uses_frontier: bool = True
     #: Whether a pull-direction step is available (Ligra's direction opt).
     supports_pull: bool = False
+    #: Whether every engine's round over an all-False frontier is idle:
+    #: it writes nothing and costs one empty step (``WorkStats()``), so
+    #: the round body skips a quiet host's compute.  The compiler derives
+    #: it from the spec; a handwritten program keeps ``False``.
+    empty_frontier_is_idle: bool = False
     #: ``(file, line)`` of statements whose integer-indexed state accesses
     #: address no edge endpoint (the frontier's index form, a scatter's
     #: snapshot of its own slots), which ``--sanitize`` does not audit.

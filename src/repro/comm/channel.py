@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.comm.frame import decode_frame, encode_frame
+from repro.core.serialization import is_empty_message
 from repro.errors import SyncError, TransportError
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 
@@ -35,14 +36,19 @@ class Channel:
     sub-message is waiting — the invariant the executor checks at every
     round close (mail buffered past a flush boundary would silently
     vanish from the round's traffic).
+
+    A quiet peer's frame — every sub-message the constant EMPTY payload —
+    is kept, and a flush of the same sub-messages re-sends it instead of
+    encoding it again.
     """
 
-    __slots__ = ("src", "dst", "_staged")
+    __slots__ = ("src", "dst", "_staged", "_last")
 
     def __init__(self, src: int, dst: int) -> None:
         self.src = src
         self.dst = dst
         self._staged: Dict[int, bytes] = {}
+        self._last: Optional[Tuple[List[Optional[bytes]], bytes]] = None
 
     def stage(self, field_index: int, payload: bytes) -> None:
         """Buffer ``payload`` as field ``field_index``'s sub-message."""
@@ -72,7 +78,13 @@ class Channel:
             )
         subs = [self._staged.get(i) for i in range(num_fields)]
         self._staged.clear()
-        return encode_frame(subs)
+        last = self._last
+        if last is not None and last[0] == subs:
+            return last[1]
+        frame = encode_frame(subs)
+        quiet = all(sub is None or is_empty_message(sub) for sub in subs)
+        self._last = (subs, frame) if quiet else None
+        return frame
 
     def assert_drained(self) -> None:
         """Raise unless every staged sub-message has been flushed.
@@ -112,6 +124,7 @@ class CommPlane:
         self.aggregate = aggregate
         self.metrics = metrics
         self._channels: Dict[int, Channel] = {}
+        self._quiet: Dict[int, Tuple[bytes, List[Optional[bytes]]]] = {}
 
     def channel(self, peer: int) -> Channel:
         """The (lazily created) channel toward ``peer``."""
@@ -176,9 +189,22 @@ class CommPlane:
         inbox = self.transport.receive_all(self.host)
         if not self.aggregate:
             return [(sender, [payload]) for sender, payload in inbox]
-        return [(sender, decode_frame(buffer)) for sender, buffer in inbox]
+        return [(sender, self._decode(sender, buffer)) for sender, buffer in inbox]
+
+    def _decode(self, sender: int, buffer) -> List[Optional[bytes]]:
+        """:func:`decode_frame`, once per quiet frame: a sender re-sending
+        the very buffer object of its last all-EMPTY frame gets that
+        frame's decoding back."""
+        last = self._quiet.get(sender)
+        if last is not None and last[0] is buffer:
+            return last[1]
+        subs = decode_frame(buffer)
+        if all(sub is None or is_empty_message(sub) for sub in subs):
+            self._quiet[sender] = (buffer, subs)
+        return subs
 
     def assert_drained(self) -> None:
         """Check every channel is drained (see :meth:`Channel.assert_drained`)."""
-        for peer in sorted(self._channels):
-            self._channels[peer].assert_drained()
+        if any(chan.staged_fields for chan in self._channels.values()):
+            for peer in sorted(self._channels):
+                self._channels[peer].assert_drained()

@@ -28,6 +28,7 @@ per phase instead of one per field.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import List, Optional, Sequence
 
@@ -45,6 +46,12 @@ def frame_overhead(num_fields: int) -> int:
     return _COUNT.size + num_fields * _LENGTH.size
 
 
+@functools.lru_cache(maxsize=64)
+def _header(num_fields: int) -> struct.Struct:
+    """The compiled header layout of a ``num_fields``-slot frame."""
+    return struct.Struct(f"<H{num_fields}I")
+
+
 def encode_frame(submessages: Sequence[Optional[bytes]]) -> bytes:
     """Pack per-field sub-messages (``None`` = empty slot) into one frame."""
     count = len(submessages)
@@ -60,7 +67,7 @@ def encode_frame(submessages: Sequence[Optional[bytes]]) -> bytes:
             "a present sub-message cannot be empty (use None)"
         )
     lengths = [0 if sub is None else len(sub) for sub in submessages]
-    return b"".join((struct.pack(f"<H{count}I", count, *lengths), *bodies))
+    return b"".join((_header(count).pack(count, *lengths), *bodies))
 
 
 def decode_frame(buffer) -> List[Optional[memoryview]]:
@@ -89,7 +96,7 @@ def decode_frame(buffer) -> List[Optional[memoryview]]:
             f"frame truncated in length prefixes: {size} bytes for "
             f"{count} fields"
         )
-    lengths = struct.unpack_from(f"<{count}I", view, _COUNT.size)
+    lengths = _header(count).unpack_from(view)[1:]
     expected = header + sum(lengths)
     if size != expected:
         raise SerializationError(

@@ -516,6 +516,19 @@ class ProgramSpec:
         return any(p.kind == "frontier_push" for p in self.phases)
 
     @property
+    def empty_frontier_is_idle(self) -> bool:
+        """An empty frontier leaves every push phase with no usable node:
+        each gathers from the frontier itself (no ``select``) and, with no
+        post lines, returns the empty outcome before its gather.  Every
+        engine steps push over an empty frontier, and no stage counter
+        advances in a single-stage program."""
+        return self.uses_frontier and not self.stages and not any(
+            p.select or p.post_gather or p.post_scatter
+            for p in self.phases
+            if p.kind == "frontier_push"
+        )
+
+    @property
     def iterate_locally(self) -> bool:
         """Chaotic local re-application is legal only for data-driven
         programs whose reductions are all idempotent (§2.3), and never

@@ -115,6 +115,8 @@ class GluonSubstrate:
         aggregate: bool = False,
     ) -> None:
         self.partition = partition
+        #: Number of local proxies (masters + mirrors).
+        self.num_local_nodes = partition.num_nodes
         self.level = level
         self.book = book
         #: The layout's resolved routes.  Knows the peers from birth; the
@@ -131,11 +133,6 @@ class GluonSubstrate:
     def host(self) -> int:
         """This substrate's host id."""
         return self.partition.host
-
-    @property
-    def num_local_nodes(self) -> int:
-        """Number of local proxies."""
-        return self.partition.num_nodes
 
     # -- sanitizer support (proxy-set masks over local IDs) ---------------------
 
@@ -313,7 +310,6 @@ class GluonSubstrate:
         ``None`` means nothing changed.
         """
         broadcast = phase == "broadcast"
-        recv_arrays = [self.plan.of(f).recv[phase] for f in fields]
         changed: List[Optional[np.ndarray]] = [None] * len(fields)
         for sender, subs in self.plane.receive_frames():
             self._check_frame_width(sender, subs, len(fields))
@@ -322,15 +318,15 @@ class GluonSubstrate:
                     continue
                 field = fields[index]
                 decoded = decode_field_payload(
-                    payload, recv_arrays[index], sender, self.partition,
-                    field=field, broadcast=broadcast,
+                    payload, self.plan.of(field).recv[phase], sender,
+                    self.partition, field=field, broadcast=broadcast,
                 )
                 if decoded is None:
                     continue
                 self._count_translations(decoded.translations)
                 apply = field.set if broadcast else field.reduce
                 changed_here = apply(decoded.lids, decoded.values)
-                if not changed_here.any():
+                if not np.count_nonzero(changed_here):  # cheaper than .any() here
                     continue
                 if changed[index] is None:
                     changed[index] = np.zeros(self.num_local_nodes, dtype=bool)

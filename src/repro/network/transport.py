@@ -48,17 +48,20 @@ class InProcessTransport:
         Self-sends are rejected: Gluon never synchronizes a proxy with
         itself, so a self-send indicates a substrate bug.
         """
-        self._check_host(src)
-        self._check_host(dst)
-        self._check_alive(src)
-        self._check_alive(dst)
+        if not (0 <= src < self.num_hosts and 0 <= dst < self.num_hosts):
+            self._check_host(src)
+            self._check_host(dst)
+        if self._dead:
+            self._check_alive(src)
+            self._check_alive(dst)
         if src == dst:
             raise TransportError(f"host {src} attempted to send to itself")
-        if not isinstance(payload, (bytes, bytearray, memoryview)):
-            raise TransportError(
-                f"payload must be bytes-like, got {type(payload)!r}"
-            )
-        payload = bytes(payload)
+        if not isinstance(payload, bytes):
+            if not isinstance(payload, (bytearray, memoryview)):
+                raise TransportError(
+                    f"payload must be bytes-like, got {type(payload)!r}"
+                )
+            payload = bytes(payload)
         self._mailboxes[dst].append((src, payload))
         self.stats.record(src, dst, len(payload))
 

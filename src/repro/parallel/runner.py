@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.network.stats import RoundTraffic
 from repro.runtime.round import close_round, run_hosts
 
@@ -78,24 +76,23 @@ class InProcessRunner:
                     ex.states[h], round_index,
                 )
 
-        comp_times, next_frontiers, translation_deltas = run_hosts(
+        comp_times, next_frontiers, counts, translation_deltas = run_hosts(
             hosts, ex.engines, ex.app, parts, ex.states,
             ex.fields, ex.frontiers, ex.substrates,
             record=record, guard=guard,
         )
         comp_times = [comp_times[h] for h in hosts]
-        next_frontiers = [next_frontiers[h] for h in hosts]
         if ex.sanitizer is not None and ex.enable_sync:
             ex.sanitizer.note_sync_completed()
         fault_bytes = ex.transport.take_round_fault_bytes()
         traffic, comm_time = close_round(
             ex.transport, ex.engines, ex.cost_model, translation_deltas
         )
-        active = sum(int(np.count_nonzero(f)) for f in next_frontiers)
+        active = sum(counts.values())
         residual_sum = None
         if ex.app.uses_frontier:
             if active > 0:
-                ex.frontiers = next_frontiers
+                ex.frontiers = [next_frontiers[h] for h in hosts]
         else:
             residual_sum = sum(
                 ex.app.local_residual(state) for state in ex.states

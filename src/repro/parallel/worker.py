@@ -98,14 +98,11 @@ class _HostWorker:
 
     def run_round(self) -> Dict:
         app = self.ex.app
-        comp_times, next_frontiers, translation_deltas = run_hosts(
+        comp_times, next_frontiers, active, translation_deltas = run_hosts(
             self.owned, self.ex.engines, app, self.parts, self.states,
             self.fields, self.frontiers, self.substrates,
             end_phase=self.rings.finish_phase,
         )
-        active = {
-            h: int(np.count_nonzero(next_frontiers[h])) for h in self.owned
-        }
         residuals = None
         if app.uses_frontier:
             self.frontiers.update(next_frontiers)

@@ -12,6 +12,11 @@ Every container is indexed by host id: the simulated runtime passes its
 per-host lists with ``hosts=range(n)``, a process worker passes
 ``{host: ...}`` dicts with the hosts it owns.
 
+A round costs its updates (§4): a quiet host — empty frontier, under a
+program whose empty-frontier round is idle — is not computed, an apply
+mask nothing reads is not built, and frontiers are merged copy-on-write
+instead of copied up front.
+
 Whether traffic is aggregated is the communication plane's business;
 here it only picks the *flush granularity*.  An aggregating plane syncs
 all fields as one group — one framed buffer per peer per phase; a
@@ -23,12 +28,12 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.frame import frame_overhead
-from repro.runtime.timing import round_communication_time
+from repro.runtime.timing import WorkStats, round_communication_time
 
 #: Simulated cost of the substrate scanning one proxy's dirty bit during a
 #: field synchronization.  This is the (small) per-round price of the
@@ -36,6 +41,15 @@ from repro.runtime.timing import round_communication_time
 SYNC_SCAN_PER_NODE_S = 2.0e-10
 
 _UNGUARDED = nullcontext()
+
+
+class _IdleRound(NamedTuple):
+    """The outcome of a step over an empty frontier (see
+    ``VertexProgram.empty_frontier_is_idle``): nothing written, one empty
+    step of work."""
+
+    updated: np.ndarray
+    work: WorkStats = WorkStats()
 
 
 def broadcast_dirty(part, field, reduce_changed, outcome) -> np.ndarray:
@@ -60,7 +74,22 @@ def broadcast_dirty(part, field, reduce_changed, outcome) -> np.ndarray:
     return dirty
 
 
-def apply_hooks_locally(hosts, fields, next_frontiers) -> None:
+def merge_frontier(next_frontiers, h, step_mask, mask) -> None:
+    """OR ``mask`` into host ``h``'s next frontier.
+
+    A next frontier may still be ``step_mask`` itself — the step's own
+    written mask, which :func:`run_hosts` hands over uncopied because a
+    quiet host merges nothing.  The first merge into it copies, so the
+    step's mask is never written through.
+    """
+    frontier = next_frontiers[h]
+    if frontier is step_mask:
+        next_frontiers[h] = frontier | mask
+    else:
+        frontier |= mask
+
+
+def apply_hooks_locally(hosts, fields, outcomes, next_frontiers) -> None:
     """Run master-side apply hooks when sync is disabled (1 host)."""
     for h in hosts:
         for field in fields[h]:
@@ -68,7 +97,7 @@ def apply_hooks_locally(hosts, fields, next_frontiers) -> None:
                 no_changes = np.zeros(len(field.values), dtype=bool)
                 dirty = field.on_master_after_reduce(no_changes)
                 if dirty is not None:
-                    next_frontiers[h] |= dirty
+                    merge_frontier(next_frontiers, h, outcomes[h].updated, dirty)
 
 
 def _phase(kind, live, hosts, substrates, group, stage, receive, end_phase, record):
@@ -147,7 +176,9 @@ def synchronize(
     """Run the reduce/apply/broadcast collective over ``hosts``.
 
     ``outcomes[h].updated`` is host ``h``'s dirty mask; every proxy the
-    collective changes is OR-ed into ``next_frontiers[h]``.
+    collective changes, and every master the apply marks dirty, is OR-ed
+    into ``next_frontiers[h]`` (see :func:`merge_frontier`: an entry that
+    *is* the dirty mask is replaced, never written through).
     ``end_phase(h)`` runs after each of ``h``'s flushes — how a
     cross-process transport tells its peers the phase's mail is
     complete; all of a caller's flushes precede all of its receives
@@ -158,7 +189,8 @@ def synchronize(
     A phase the sync plan calls dead for a whole field group
     (:meth:`~repro.core.patterns.SyncPlan.live`, a cluster-wide verdict)
     is not driven: nothing is staged, flushed, marked or received.  The
-    master-side apply still runs every round.
+    master-side apply runs every round its mask has a reader: a hook, or
+    a live broadcast.
 
     Field results do not depend on the flush granularity: each field's
     arrays are independent and every receiver applies senders in the
@@ -169,6 +201,7 @@ def synchronize(
     first = hosts[0]
     plan = substrates[first].plan
     num_fields = len(fields[first])
+    seeded = {h for h in hosts if next_frontiers[h] is outcomes[h].updated}
     if substrates[first].plane.aggregate:
         groups = [slice(0, num_fields)]
     else:
@@ -183,18 +216,27 @@ def synchronize(
             lambda h: substrates[h].receive_reduce_all(group[h]),
             end_phase, record,
         )
+        broadcast_live = plan.live("broadcast", members)
         dirty = {h: [] for h in hosts}
         for h in hosts:
+            step_mask = outcomes[h].updated
             for field, changed in zip(group[h], reduce_changed[h]):
-                field_dirty = broadcast_dirty(
-                    parts[h], field, changed, outcomes[h]
-                )
-                dirty[h].append(field_dirty)
                 if changed is not None:
-                    next_frontiers[h] |= changed
-                next_frontiers[h] |= field_dirty
+                    merge_frontier(next_frontiers, h, step_mask, changed)
+                if broadcast_live or field.on_master_after_reduce is not None:
+                    field_dirty = broadcast_dirty(parts[h], field, changed, outcomes[h])
+                    dirty[h].append(field_dirty)
+                    merge_frontier(next_frontiers, h, step_mask, field_dirty)
+                elif h not in seeded:
+                    # The apply's mask has no reader — no hook rewrites
+                    # it, no broadcast stages it — so it is not built.
+                    # Its frontier share beyond the changed masters is
+                    # the masters the step wrote, which a frontier seeded
+                    # with the step's mask already holds.
+                    masters = parts[h].num_masters
+                    next_frontiers[h][:masters] |= step_mask[:masters]
         broadcast_changed = _phase(
-            "broadcast", plan.live("broadcast", members), hosts, substrates, group,
+            "broadcast", broadcast_live, hosts, substrates, group,
             lambda h, slot: substrates[h].stage_broadcast(
                 slot, group[h][slot], dirty[h][slot]
             ),
@@ -204,7 +246,7 @@ def synchronize(
         for h in hosts:
             for mask in broadcast_changed[h]:
                 if mask is not None:
-                    next_frontiers[h] |= mask
+                    merge_frontier(next_frontiers, h, outcomes[h].updated, mask)
     # Drain guard: a sub-message staged after its phase flush would sit
     # in a channel buffer forever — fail loudly at the round boundary,
     # complementing the transport's own undelivered-mail detection.
@@ -221,37 +263,55 @@ def run_hosts(
     ``guard(h)``, when given, is a context manager around host ``h``'s
     compute (the proxy sanitizer).  Empty ``substrates`` means
     synchronization is disabled (single host): only the master-side
-    hooks run.  Returns ``(comp_times, next_frontiers,
+    hooks run.  Returns ``(comp_times, next_frontiers, active,
     translation_deltas)`` keyed by host: simulated compute seconds
-    including the sync-scan term, the proxies active next round, and the
-    address translations this round's sync performed.
+    including the sync-scan term, the proxies active next round and
+    their count, and the address translations this round's sync
+    performed.  A next frontier may be the step's own mask (nothing
+    merged into it); no caller writes a frontier in place.
     """
     outcomes = {}
     comp_times = {}
+    quiet = set()
     for h in hosts:
-        with guard(h) if guard is not None else _UNGUARDED:
-            outcome = engines[h].compute_round(
-                app, parts[h], states[h], frontiers[h]
-            )
+        frontier = frontiers[h]
+        if app.empty_frontier_is_idle and not frontier.any():
+            # A quiet host: its round is the idle step, known without
+            # running it.  The all-False frontier doubles as the step's
+            # written mask (no caller writes either in place).
+            outcome = _IdleRound(frontier)
+            quiet.add(h)
+        else:
+            with guard(h) if guard is not None else _UNGUARDED:
+                outcome = engines[h].compute_round(
+                    app, parts[h], states[h], frontier
+                )
         outcomes[h] = outcome
         comp_times[h] = engines[h].compute_time(outcome.work)
         if substrates:
             comp_times[h] += (
                 parts[h].num_nodes * len(fields[h]) * SYNC_SCAN_PER_NODE_S
             )
-    next_frontiers = {h: outcomes[h].updated.copy() for h in hosts}
-    if not substrates:
-        apply_hooks_locally(hosts, fields, next_frontiers)
-        return comp_times, next_frontiers, {}
-    before = {h: substrates[h].stats.translations for h in hosts}
-    synchronize(
-        hosts, substrates, fields, parts, outcomes, next_frontiers,
-        end_phase, record,
-    )
-    translation_deltas = {
-        h: substrates[h].stats.translations - before[h] for h in hosts
+    next_frontiers = {h: outcomes[h].updated for h in hosts}
+    translation_deltas = {}
+    if substrates:
+        before = {h: substrates[h].stats.translations for h in hosts}
+        synchronize(
+            hosts, substrates, fields, parts, outcomes, next_frontiers,
+            end_phase, record,
+        )
+        translation_deltas = {
+            h: substrates[h].stats.translations - before[h] for h in hosts
+        }
+    else:
+        apply_hooks_locally(hosts, fields, outcomes, next_frontiers)
+    # A quiet host nothing was merged into still holds its empty frontier.
+    active = {
+        h: 0 if h in quiet and next_frontiers[h] is frontiers[h]
+        else int(np.count_nonzero(next_frontiers[h]))
+        for h in hosts
     }
-    return comp_times, next_frontiers, translation_deltas
+    return comp_times, next_frontiers, active, translation_deltas
 
 
 def close_round(transport, engines, cost_model, translation_deltas):
@@ -267,11 +327,14 @@ def close_round(transport, engines, cost_model, translation_deltas):
     extras = [0.0] * num_hosts
     for h, delta in translation_deltas.items():
         extras[h] += delta * engines[h].cost.translation_s
-    sent, received = traffic.bytes_by_host(num_hosts)
-    for h in range(num_hosts):
+    devices = [
+        h for h in range(num_hosts)
+        if engines[h].is_gpu and engines[h].cost.device_bandwidth_bytes_per_s
+    ]
+    if devices:
+        sent, received = traffic.bytes_by_host(num_hosts)
+    for h in devices:
         cost = engines[h].cost
-        if not (engines[h].is_gpu and cost.device_bandwidth_bytes_per_s):
-            continue
         moved = sent[h] + received[h]
         if moved:
             extras[h] += (

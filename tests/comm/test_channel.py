@@ -1,12 +1,17 @@
 """Channel layer: staging, flushing, drain checks, and the comm plane."""
 
+import numpy as np
 import pytest
 
+import repro.comm.channel as channel_module
 from repro.comm.channel import Channel, CommPlane
 from repro.comm.frame import decode_frame, frame_overhead
+from repro.core.serialization import empty_message
 from repro.errors import SyncError, TransportError
 from repro.network.transport import InProcessTransport
 from repro.observability.metrics import MetricsRegistry
+
+EMPTY = empty_message(np.dtype(np.uint32))
 
 
 class TestChannel:
@@ -37,6 +42,31 @@ class TestChannel:
         chan.stage(5, b"x")
         with pytest.raises(SyncError, match="outside the 3-field frame"):
             chan.take_frame(3)
+
+    def test_a_quiet_frame_is_encoded_once(self, monkeypatch):
+        """A quiet peer's frame (every slot EMPTY or absent) is re-sent
+        as the very bytes object built the first time; a frame carrying
+        data is always encoded afresh."""
+        encoded = []
+        real = channel_module.encode_frame
+        monkeypatch.setattr(
+            channel_module, "encode_frame", lambda subs: encoded.append(subs) or real(subs)
+        )
+        chan = Channel(0, 1)
+        frames = []
+        for payload in (EMPTY, EMPTY, b"data", b"data", EMPTY, EMPTY):
+            chan.stage(1, payload)
+            frames.append(chan.take_frame(2))
+        assert [decode_frame(f) for f in frames] == [
+            [None, p] for p in (EMPTY, EMPTY, b"data", b"data", EMPTY, EMPTY)
+        ]
+        assert frames[1] is frames[0] and frames[5] is frames[4]
+        assert len(encoded) == 4  # first EMPTY, both data frames, EMPTY again
+        # A different quiet shape (one more slot) is its own frame.
+        chan.stage(0, EMPTY)
+        chan.stage(1, EMPTY)
+        assert decode_frame(chan.take_frame(2)) == [EMPTY, EMPTY]
+        assert len(encoded) == 5
 
     def test_assert_drained_passes_when_empty(self):
         chan = Channel(0, 1)
@@ -118,6 +148,29 @@ class TestCommPlane:
             (1, [b"from1"]),
             (2, [b"from2"]),
         ]
+
+    def test_a_repeated_quiet_frame_is_decoded_once(self, monkeypatch):
+        """The receiver keeps a sender's last all-EMPTY frame: the same
+        buffer object again gets the same decoding without a decode; a
+        data frame, or an equal but distinct buffer, is decoded."""
+        decoded = []
+        real = channel_module.decode_frame
+        monkeypatch.setattr(
+            channel_module, "decode_frame", lambda buf: decoded.append(buf) or real(buf)
+        )
+        transport = InProcessTransport(2)
+        sender = CommPlane(1, transport, aggregate=True)
+        plane = CommPlane(0, transport, aggregate=True)
+        seen = []
+        for payload in (EMPTY, EMPTY, b"data", EMPTY):
+            sender.stage(0, 0, payload)
+            sender.flush(1, peer_order=[0])
+            seen.append(plane.receive_frames())
+        assert [subs for ((_, subs),) in seen] == [[EMPTY], [EMPTY], [b"data"], [EMPTY]]
+        assert len(decoded) == 3  # the second EMPTY frame is the first one
+        transport.send(1, 0, bytes(bytearray(decoded[0])))  # equal, not identical
+        assert plane.receive_frames() == [(1, [EMPTY])]
+        assert len(decoded) == 4
 
     def test_flush_metrics(self):
         metrics = MetricsRegistry()

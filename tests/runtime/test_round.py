@@ -86,6 +86,41 @@ def test_confined_recovery_heals_through_the_shared_collective(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("phases", [{"reduce"}, {"reduce", "broadcast"}])
+@pytest.mark.parametrize("policy", ["oec", "cvc"])
+def test_a_frontier_not_seeded_with_the_step_gets_the_dirty_masters(
+    monkeypatch, policy, phases
+):
+    """A caller's own frontier (recovery's, a test's zero mask) receives
+    every master the apply marks dirty — changed or written — whether or
+    not the apply's mask has a reader; forcing every phase live (the
+    mask always built) gives the same masks."""
+    partitioned = make_partitioner(policy).partition(EDGES, 4)
+    masks = {}
+    for forced in (False, True):
+        subs = setup_substrates(partitioned, InProcessTransport(4), OptimizationLevel.OSTI)
+        fields = [
+            FieldSpec(
+                "v", np.arange(p.num_nodes, dtype=np.uint32)[::-1].copy(), MIN,
+                sync_phases=phases,
+            )
+            for p in partitioned.partitions
+        ]
+        dirty = [
+            np.random.default_rng(3).random(p.num_nodes) < 0.3
+            for p in partitioned.partitions
+        ]
+        with monkeypatch.context() as patch:
+            if forced:
+                patch.setattr("repro.core.patterns.SyncPlan.live", lambda *_: True)
+            masks[forced] = sync_one_field(partitioned, subs, fields, dirty)
+        for part, touched, written in zip(partitioned.partitions, masks[forced], dirty):
+            m = part.num_masters
+            assert (touched[:m] >= written[:m]).all()
+    for obeyed, driven in zip(masks[False], masks[True]):
+        assert np.array_equal(obeyed, driven)
+
+
 def test_untraced_collective_never_reads_the_clock(monkeypatch):
     partitioned = make_partitioner("cvc").partition(EDGES, 4)
     transport = InProcessTransport(4)

@@ -194,7 +194,9 @@ def test_exact_counts_bfs_oec_never_drives_the_broadcast(monkeypatch):
     assert calls["decode_message"] == spoken
     # Routes are resolved per field at bind, not per round.
     assert 0 < calls["proxy_arrays"] <= 6 * hosts
-    assert calls["broadcast_dirty"] == hosts * rounds  # master apply: every round
+    # bfs has no hook and its broadcast is dead: the apply's mask has no
+    # reader, so it is never built.
+    assert calls["broadcast_dirty"] == 0
 
 
 def test_exact_counts_featprop_iec_never_drives_the_reduce(monkeypatch):
