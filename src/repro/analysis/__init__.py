@@ -7,10 +7,9 @@ rows the way the paper prints them.  The benchmark suite under
 
 The sync-contract checking layer (``repro lint`` / ``--sanitize``) also
 lives here: :mod:`~repro.analysis.findings` (rule catalog),
-:mod:`~repro.analysis.astlint` (static endpoint-provenance lint of
-handwritten programs),
 :mod:`~repro.analysis.algebra` (reduction-law checker),
-:mod:`~repro.analysis.linter` (orchestration),
+:mod:`~repro.analysis.linter` (orchestration: each target is a
+``ProgramSpec``, checked against its compiled class),
 :mod:`~repro.analysis.sanitizer` (runtime proxy-access sanitizer), and
 :mod:`~repro.analysis.dataflow` (whole-program sync dataflow analyzer:
 GL301 dead-sync elimination, GL302 phase fusion, GL303 stabilization
@@ -21,13 +20,11 @@ from repro.analysis.algebra import check_reduction, check_reductions
 from repro.analysis.dataflow import (
     DataflowGraph,
     StabilizationCertificate,
-    analyze_class,
     analyze_spec,
     certificate_for,
     dataflow_programs,
     dead_sync_table,
     fusion_candidates,
-    graph_from_report,
     graph_from_spec,
     kernel_is_monotone,
 )
@@ -70,13 +67,11 @@ __all__ = [
     "run_lint",
     "DataflowGraph",
     "StabilizationCertificate",
-    "analyze_class",
     "analyze_spec",
     "certificate_for",
     "dataflow_programs",
     "dead_sync_table",
     "fusion_candidates",
-    "graph_from_report",
     "graph_from_spec",
     "kernel_is_monotone",
 ]

@@ -44,10 +44,9 @@ flows along) and runs four proofs over it:
   above is void for it, so the analyzer says so instead of silently
   skipping derivation.
 
-Handwritten programs get the same graph recovered from
-:func:`repro.analysis.astlint.analyze_program`'s endpoint inference
-(with the documented asymmetry that kernel monotonicity and fusion
-candidates are only visible on the spec path).
+A handwritten program carries no spec, so nothing here analyzes it:
+it gets no certificate and no GL3xx findings, and is checked at run
+time by the GL201/GL202 sanitizer instead.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ import re
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis import astlint
-from repro.analysis.astlint import ProgramReport
 from repro.analysis.findings import Finding
 from repro.compiler.spec import (
     PhaseSpec,
@@ -66,7 +63,6 @@ from repro.compiler.spec import (
     _local_refs,
     derive_phase_access,
 )
-from repro.errors import LintError
 from repro.partition.strategy import (
     MIRROR_MAY_HAVE_IN_EDGES,
     MIRROR_MAY_HAVE_OUT_EDGES,
@@ -98,7 +94,7 @@ class PhaseNode:
     #: the derivation's read set plus the consumption sites it
     #: deliberately ignores (pull-target masks and post lines).
     reads: Dict[str, FrozenSet[str]]
-    #: Spec-path-only structure the fusion rule needs.
+    #: Gather structure the fusion rule compares.
     targets: Tuple[str, ...] = ()
     guard: Optional[str] = None
     select: Optional[str] = None
@@ -118,11 +114,10 @@ class WireEdge:
     reduce: Optional[str]
     idempotent: Optional[bool]
     has_hook: bool
-    #: Endpoints any phase defines the field at (``None`` = unknown).
-    writes: Optional[FrozenSet[str]]
-    #: Endpoints any phase uses the read surface at (``None`` = unknown).
-    uses: Optional[FrozenSet[str]]
-    lineno: Optional[int] = None
+    #: Endpoints any phase defines the field at.
+    writes: FrozenSet[str]
+    #: Endpoints any phase uses the read surface at.
+    uses: FrozenSet[str]
 
 
 @dataclass
@@ -130,15 +125,11 @@ class DataflowGraph:
     """Phase-level def-use graph of one vertex program."""
 
     program: str
-    #: Where the graph came from: "spec" or "ast".
-    origin: str
     phases: List[PhaseNode] = dc_field(default_factory=list)
     wires: List[WireEdge] = dc_field(default_factory=list)
     uses_frontier: bool = False
     #: True when endpoint_overrides void every proof (GL305).
     overridden: bool = False
-    file: Optional[str] = None
-    line: Optional[int] = None
 
     def groups(self) -> List[List[PhaseNode]]:
         """The phases one round runs back-to-back: per stage, the push
@@ -183,7 +174,6 @@ def graph_from_spec(spec: ProgramSpec) -> DataflowGraph:
     """Build the def-use graph of a declarative program spec."""
     graph = DataflowGraph(
         program=spec.name,
-        origin="spec",
         uses_frontier=spec.uses_frontier,
         overridden=bool(spec.endpoint_overrides),
     )
@@ -246,92 +236,6 @@ def graph_from_spec(spec: ProgramSpec) -> DataflowGraph:
 
 
 # ---------------------------------------------------------------------------
-# Recovering the graph from astlint's endpoint inference.
-# ---------------------------------------------------------------------------
-
-
-def graph_from_report(report: ProgramReport) -> DataflowGraph:
-    """Recover the def-use graph of a handwritten program.
-
-    The AST pass already inferred per-access endpoints
-    (:class:`~repro.analysis.astlint.AccessEvent`) and the declared
-    contract (:class:`~repro.analysis.astlint.FieldDecl`); this
-    reassembles them into the same graph shape the spec path builds.
-    Each compute method becomes one phase node (its events define the
-    def/use sets); the wire surfaces union the *declared* endpoints with
-    the *observed* ones, and — because frontier-mask reads are invisible
-    to the AST pass (the GL005 caveat) — a program with a pull path
-    keeps ``"destination"`` in every use surface, so the dead-broadcast
-    proof stays conservative exactly where the inference is blind.
-    """
-    cls = report.cls
-    graph = DataflowGraph(
-        program=getattr(cls, "name", cls.__name__),
-        origin="ast",
-        uses_frontier=bool(getattr(cls, "uses_frontier", False)),
-        file=report.file,
-        line=report.class_lineno or None,
-    )
-    by_method: Dict[str, List] = {}
-    for event in report.events:
-        by_method.setdefault(event.method, []).append(event)
-    for index, (method, events) in enumerate(sorted(by_method.items())):
-        writes: Dict[str, set] = {}
-        reads: Dict[str, set] = {}
-        for event in events:
-            bucket = writes if event.kind == "write" else reads
-            bucket.setdefault(event.key, set()).add(event.endpoint)
-        graph.phases.append(
-            PhaseNode(
-                name=method,
-                index=index,
-                direction="pull" if "pull" in method else "push",
-                kind=method,
-                orientation="forward",
-                writes={k: frozenset(v) for k, v in writes.items()},
-                reads={k: frozenset(v) for k, v in reads.items()},
-            )
-        )
-    observed_writes: Dict[str, set] = {}
-    observed_reads: Dict[str, set] = {}
-    for event in report.events:
-        bucket = (
-            observed_writes if event.kind == "write" else observed_reads
-        )
-        bucket.setdefault(event.key, set()).add(event.endpoint)
-    for decl in report.fields:
-        writes: Optional[FrozenSet[str]] = None
-        uses: Optional[FrozenSet[str]] = None
-        if decl.writes is not None:
-            writes = frozenset(
-                set(decl.writes)
-                | observed_writes.get(decl.values_key or "", set())
-            )
-        if decl.reads is not None:
-            surface = set(decl.reads)
-            surface |= observed_reads.get(decl.read_surface_key or "", set())
-            if report.has_pull_path:
-                surface.add("destination")
-            uses = frozenset(surface)
-        graph.wires.append(
-            WireEdge(
-                wire=decl.name,
-                field=decl.values_key or decl.name,
-                read_surface=decl.read_surface_key or decl.name,
-                reduce=decl.reduce_op.name if decl.reduce_op else None,
-                idempotent=(
-                    decl.reduce_op.idempotent if decl.reduce_op else None
-                ),
-                has_hook=decl.has_hook,
-                writes=writes,
-                uses=uses,
-                lineno=decl.lineno,
-            )
-        )
-    return graph
-
-
-# ---------------------------------------------------------------------------
 # GL301 — dead-sync elimination.
 # ---------------------------------------------------------------------------
 
@@ -361,8 +265,6 @@ def dead_phases_for(
       the refreshed values are never consumed before the next write and
       the phase is dead.
     """
-    if wire.writes is None or wire.uses is None:
-        return frozenset()
     dead = set()
     if wire.writes and not any(
         _mirror_possible(e, strategy) for e in wire.writes
@@ -410,10 +312,10 @@ def _gl301(graph: DataflowGraph) -> List[Finding]:
                 continue
             surface = (
                 "write endpoints %s are never mirror-writable"
-                % sorted(wire.writes or ())
+                % sorted(wire.writes)
                 if phase == "reduce"
                 else "read surface %r is only consumed at %s"
-                % (wire.read_surface, sorted(wire.uses or ()))
+                % (wire.read_surface, sorted(wire.uses))
             )
             findings.append(
                 Finding(
@@ -426,13 +328,11 @@ def _gl301(graph: DataflowGraph) -> List[Finding]:
                     ),
                     subject=graph.program,
                     field_name=wire.wire,
-                    file=graph.file,
-                    line=wire.lineno or graph.line,
                     details={
                         "sync_phase": phase,
                         "strategies": sorted(strategies),
-                        "writes": sorted(wire.writes or ()),
-                        "uses": sorted(wire.uses or ()),
+                        "writes": sorted(wire.writes),
+                        "uses": sorted(wire.uses),
                     },
                 )
             )
@@ -447,7 +347,6 @@ def _gl301(graph: DataflowGraph) -> List[Finding]:
 def fusible(a: PhaseNode, b: PhaseNode) -> bool:
     """Can consecutive phases ``a`` then ``b`` share one edge gather?
 
-    Spec-path only (kernel structure is invisible on the AST path).
     They must gather identically (same kind, orientation, guard,
     selection, edge filter, weights), carry no one-shot post lines
     (those order against the gather), scatter *different* fields, and
@@ -470,7 +369,7 @@ def fusion_candidates(
     graph: DataflowGraph,
 ) -> List[Tuple[PhaseNode, PhaseNode]]:
     """Adjacent (earlier, later) push-phase pairs one gather can drive."""
-    if graph.origin != "spec" or graph.overridden:
+    if graph.overridden:
         return []
     return [
         (a, b)
@@ -493,8 +392,6 @@ def _gl302(graph: DataflowGraph) -> List[Finding]:
                     "drive both scatters"
                 ),
                 subject=graph.program,
-                file=graph.file,
-                line=graph.line,
                 details={"earlier": a.name, "later": b.name},
             )
         )
@@ -630,7 +527,6 @@ class StabilizationCertificate:
     """Machine-checked confined-recovery eligibility for one program."""
 
     program: str
-    origin: str
     self_stabilizing: bool
     #: (condition name, holds) pairs, in check order.
     conditions: Tuple[Tuple[str, bool], ...]
@@ -646,15 +542,6 @@ class StabilizationCertificate:
     def mismatch(self) -> bool:
         """True when the weak heuristic certifies what the proof denies."""
         return self.heuristic and not self.self_stabilizing
-
-    def to_dict(self) -> Dict:
-        return {
-            "program": self.program,
-            "origin": self.origin,
-            "self_stabilizing": self.self_stabilizing,
-            "conditions": dict(self.conditions),
-            "heuristic": self.heuristic,
-        }
 
 
 def certify_spec(spec: ProgramSpec) -> StabilizationCertificate:
@@ -676,47 +563,10 @@ def certify_spec(spec: ProgramSpec) -> StabilizationCertificate:
     )
     return StabilizationCertificate(
         program=spec.name,
-        origin="spec",
         self_stabilizing=all(holds for _, holds in conditions),
         conditions=conditions,
         heuristic=frontier and idempotent,
     )
-
-
-def certify_report(report: ProgramReport) -> StabilizationCertificate:
-    """GL303 certificate from AST inference.
-
-    The monotone-kernel condition is unverifiable without the spec's
-    kernel expressions, so the AST path substitutes "no master-side
-    hooks" as its strongest available proxy (accumulator folding — the
-    non-monotone pattern every registered hook implements — always goes
-    through a hook).  The documented asymmetry: a handwritten program
-    with a non-monotone inline kernel and no hook would still certify
-    here; migrating it to a spec closes the gap.
-    """
-    cls = report.cls
-    frontier = bool(getattr(cls, "uses_frontier", False))
-    ops = [decl.reduce_op for decl in report.fields]
-    idempotent = bool(ops) and all(
-        op is not None and op.idempotent for op in ops
-    )
-    no_hooks = not any(decl.has_hook for decl in report.fields)
-    conditions = (
-        ("data-driven-frontier", frontier),
-        ("idempotent-reductions", idempotent),
-        ("no-master-hooks", no_hooks),
-    )
-    return StabilizationCertificate(
-        program=getattr(cls, "name", cls.__name__),
-        origin="ast",
-        self_stabilizing=all(holds for _, holds in conditions),
-        conditions=conditions,
-        heuristic=frontier and idempotent,
-    )
-
-
-#: Per-class certificate cache (recovery consults this on every fault).
-_CERT_CACHE: Dict[type, Optional[StabilizationCertificate]] = {}
 
 
 def certificate_for(
@@ -724,27 +574,14 @@ def certificate_for(
 ) -> Optional[StabilizationCertificate]:
     """The GL303 certificate for a spec, program class, or instance.
 
-    Compiled programs carry their spec (``cls.spec``) and certify on the
-    spec path; handwritten ones go through AST inference.  Returns
-    ``None`` when no proof is obtainable (source unavailable) — callers
+    Compiled programs carry their spec (``cls.spec``) and certify from
+    it.  A handwritten program has no spec and gets ``None`` — callers
     must treat that as "not certified", not as a license.
     """
     if isinstance(target, ProgramSpec):
         return certify_spec(target)
-    cls = target if isinstance(target, type) else type(target)
-    if cls in _CERT_CACHE:
-        return _CERT_CACHE[cls]
-    spec = getattr(cls, "spec", None)
-    certificate: Optional[StabilizationCertificate]
-    if isinstance(spec, ProgramSpec):
-        certificate = certify_spec(spec)
-    else:
-        try:
-            certificate = certify_report(astlint.analyze_program(cls))
-        except (LintError, OSError, TypeError):
-            certificate = None
-    _CERT_CACHE[cls] = certificate
-    return certificate
+    spec = getattr(target, "spec", None)
+    return certify_spec(spec) if isinstance(spec, ProgramSpec) else None
 
 
 def _gl303(
@@ -756,18 +593,14 @@ def _gl303(
         Finding(
             "GL303",
             message=(
-                "the reduce-op-only heuristic certifies this program "
+                "a reduce-op-only check (data-driven frontier and "
+                "idempotent reductions) would call this program "
                 "self-stabilizing but the dataflow proof denies it "
-                f"({', '.join(certificate.reasons)} failed) — confined "
-                "recovery and bounded staleness must not trust it"
+                f"({', '.join(certificate.reasons)} failed) — it gets "
+                "restart recovery, not confined recovery"
             ),
             subject=graph.program,
-            file=graph.file,
-            line=graph.line,
-            details={
-                "conditions": dict(certificate.conditions),
-                "origin": certificate.origin,
-            },
+            details={"conditions": dict(certificate.conditions)},
         )
     ]
 
@@ -777,8 +610,8 @@ def _gl303(
 # ---------------------------------------------------------------------------
 
 
-def _gl304_spec(graph: DataflowGraph) -> List[Finding]:
-    """Cross-phase hazards inside one direction group (spec path).
+def _gl304(graph: DataflowGraph) -> List[Finding]:
+    """Cross-phase hazards inside one direction group.
 
     Phases of a group run back-to-back in one round with no sync in
     between: a later phase consuming what an earlier one scattered sees
@@ -811,8 +644,6 @@ def _gl304_spec(graph: DataflowGraph) -> List[Finding]:
                                 ),
                                 subject=graph.program,
                                 field_name=name,
-                                file=graph.file,
-                                line=graph.line,
                                 details={
                                     "hazard": "write-write",
                                     "earlier": earlier.name,
@@ -836,84 +667,10 @@ def _gl304_spec(graph: DataflowGraph) -> List[Finding]:
                             ),
                             subject=graph.program,
                             field_name=name,
-                            file=graph.file,
-                            line=graph.line,
                             details={
                                 "hazard": "stale-read",
                                 "earlier": earlier.name,
                                 "later": later.name,
-                            },
-                        )
-                    )
-    return findings
-
-
-def _gl304_report(report: ProgramReport, graph: DataflowGraph) -> List[Finding]:
-    """Cross-access hazards from AST event ordering (handwritten path).
-
-    Within one compute method, events are ordered by *statement*: a
-    read of a key in a statement strictly after a scatter-write of the
-    same key consumes locally-fresh / remotely-stale values
-    (read-before-write — the gather-then-scatter idiom every app uses —
-    is clean, and so is a gather feeding its own scatter statement),
-    and scatter-writes of one key at two endpoints race.
-    """
-    findings = []
-    by_method: Dict[str, List] = {}
-    for event in report.events:
-        by_method.setdefault(event.method, []).append(event)
-    for method, events in sorted(by_method.items()):
-        ordered = sorted(events, key=lambda e: e.statement or e.lineno)
-        first_write: Dict[str, object] = {}
-        for event in ordered:
-            if event.kind == "write":
-                prior = first_write.get(event.key)
-                if prior is not None and prior.endpoint != event.endpoint:
-                    findings.append(
-                        Finding(
-                            "GL304",
-                            message=(
-                                f"{method} scatter-writes "
-                                f"{event.key!r} at both "
-                                f"{prior.endpoint!r} (line "
-                                f"{prior.lineno}) and "
-                                f"{event.endpoint!r} — write-write "
-                                "race across endpoints"
-                            ),
-                            subject=graph.program,
-                            field_name=event.key,
-                            file=report.file,
-                            line=event.lineno,
-                            details={
-                                "hazard": "write-write",
-                                "method": method,
-                            },
-                        )
-                    )
-                first_write.setdefault(event.key, event)
-            else:
-                prior = first_write.get(event.key)
-                if prior is not None and (event.statement or event.lineno) > (
-                    prior.statement or prior.lineno
-                ):
-                    findings.append(
-                        Finding(
-                            "GL304",
-                            message=(
-                                f"{method} reads {event.key!r} at "
-                                f"{event.endpoint!r} after scatter-"
-                                f"writing it (line {prior.lineno}) — "
-                                "locally fresh, remotely stale until "
-                                "the round's sync (equally under "
-                                "--runtime process)"
-                            ),
-                            subject=graph.program,
-                            field_name=event.key,
-                            file=report.file,
-                            line=event.lineno,
-                            details={
-                                "hazard": "stale-read",
-                                "method": method,
                             },
                         )
                     )
@@ -960,26 +717,8 @@ def analyze_spec(spec: ProgramSpec) -> List[Finding]:
     graph = graph_from_spec(spec)
     findings.extend(_gl301(graph))
     findings.extend(_gl302(graph))
-    findings.extend(_gl304_spec(graph))
+    findings.extend(_gl304(graph))
     findings.extend(_gl303(graph, certify_spec(spec)))
-    return findings
-
-
-def analyze_class(cls: type) -> List[Finding]:
-    """Every GL3xx finding for one program class.
-
-    Compiled classes carry their spec and take the spec path (which
-    sees kernels); handwritten ones go through AST recovery.
-    """
-    spec = getattr(cls, "spec", None)
-    if isinstance(spec, ProgramSpec):
-        return analyze_spec(spec)
-    report = astlint.analyze_program(cls)
-    graph = graph_from_report(report)
-    findings = _gl301(graph)
-    findings.extend(_gl304_report(report, graph))
-    certificate = certify_report(report)
-    findings.extend(_gl303(graph, certificate))
     return findings
 
 
@@ -991,5 +730,5 @@ def dataflow_programs(programs: Sequence[type]) -> List[Finding]:
         if cls in seen:
             continue
         seen.add(cls)
-        findings.extend(analyze_class(cls))
+        findings.extend(analyze_spec(cls.spec))
     return findings

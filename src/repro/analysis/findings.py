@@ -1,13 +1,13 @@
 """Sync-contract findings: rule catalog, severities, and rendering.
 
 Every check in the contract-checking layer — the static lint pass
-(:mod:`repro.analysis.linter`: a compiled program against its spec, a
-handwritten one through :mod:`repro.analysis.astlint`), the algebraic
-reduction checker (:mod:`repro.analysis.algebra`), and the runtime
-proxy-access sanitizer (:mod:`repro.analysis.sanitizer`) — reports
-through the same machine-readable :class:`Finding` shape: a rule ID
-from the catalog below, a severity, a human message, and a
-``file:line`` anchor when one is known.
+(:mod:`repro.analysis.linter`: a compiled program against its spec),
+the algebraic reduction checker (:mod:`repro.analysis.algebra`), and
+the runtime proxy-access sanitizer (:mod:`repro.analysis.sanitizer`) —
+reports through the same machine-readable :class:`Finding` shape: a
+rule ID from the catalog below, a severity, a human message, and a
+``file:line`` anchor when one is known (the sanitizer's, at the
+offending access; static findings name the spec and wire instead).
 
 The catalog is the contract: each rule guards one invariant the Gluon
 substrate silently *relies on* when it elides communication (the
@@ -75,35 +75,10 @@ RULES: Dict[str, Rule] = {
             "linter, so this stays informational).",
         ),
         Rule(
-            "GL006", "warning", "pull-flag-mismatch",
-            "§2.1: `supports_pull` must match the step's direction "
-            "handling; Ligra's direction optimization calls the pull "
-            "path whenever the flag says it exists.",
-        ),
-        Rule(
-            "GL007", "error", "unsafe-local-iteration",
-            "§2.3/§3.3: iterating a non-idempotent reduction (add) to a "
-            "local fixpoint re-applies contributions within one round — "
-            "double counting.",
-        ),
-        Rule(
-            "GL008", "warning", "same-array-hook",
-            "Figure 5: `on_master_after_reduce` exists to fold a reduced "
-            "accumulator into a *separate* broadcast array; on a "
-            "same-array field the folded value feeds back into the next "
-            "reduce.",
-        ),
-        Rule(
             "GL009", "warning", "noncommutative-reduce",
             "§3.3: peers are applied in ascending host order, so a "
             "non-commutative reduction makes the answer depend on the "
             "partitioning.",
-        ),
-        Rule(
-            "GL010", "warning", "operator-class-mismatch",
-            "§2.1/§3.1: `operator_class` drives partitioning-strategy "
-            "legality; a PULL declaration over a push-shaped step "
-            "mis-steers the strategy checks.",
         ),
         Rule(
             "GL011", "error", "non-rowwise-reduction",

@@ -1,21 +1,22 @@
 """Lint orchestration: resolve targets, run every checker, merge findings.
 
-This is the engine behind ``repro lint``.  A *target* is a concrete
-:class:`~repro.apps.base.VertexProgram` subclass (one that defines its
-own ``step`` and ``make_fields``); targets come from
+This is the engine behind ``repro lint``.  A *target* is a program
+class the compiler generated from a
+:class:`~repro.compiler.spec.ProgramSpec` (it carries that ``spec``);
+targets come from
 
-* a built-in app name (``--app bfs``) — the class the compiler
-  generated from its spec;
-* a module path (``--module my_programs.py``) — every concrete program
-  defined in that file;
+* a built-in app name (``--app bfs``);
+* a module path (``--module my_programs.py``) — every ``ProgramSpec``
+  bound at that file's top level (imported by name or defined there),
+  compiled once each;
 * nothing — all built-in applications (the CI sweep).
 
-A compiled program (one carrying its ``spec``) is checked against that
-spec (:func:`lint_spec`), as ``dataflow.analyze_class`` decides GL3xx;
-a handwritten one goes through the AST pass
-(:mod:`repro.analysis.astlint`).  Either way the algebraic checker
+Each target is checked against its spec (:func:`lint_spec`), as
+``dataflow.analyze_spec`` decides GL3xx, and the algebraic checker
 runs over exactly the reduction ops the targets' fields reference (an
-op shared by many programs is measured once).
+op shared by many programs is measured once).  A handwritten
+:class:`~repro.apps.base.VertexProgram` has no spec to lint: it is
+checked at run time by ``repro run --sanitize`` (GL201/GL202).
 """
 
 from __future__ import annotations
@@ -25,37 +26,11 @@ import importlib.util
 import sys
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis import astlint
 from repro.analysis.algebra import check_reductions, rowwise_well_defined
 from repro.analysis.findings import Finding
-from repro.apps.base import VertexProgram
-from repro.compiler.spec import ProgramSpec, derive_endpoints
+from repro.compiler.program_codegen import compile_program
+from repro.compiler.spec import CompileError, ProgramSpec, derive_endpoints
 from repro.errors import LintError
-
-
-def is_concrete_program(cls: type) -> bool:
-    """A lintable program: defines its own ``step`` and ``make_fields``."""
-    if not (isinstance(cls, type) and issubclass(cls, VertexProgram)):
-        return False
-    if cls is VertexProgram:
-        return False
-    return (
-        cls.step is not VertexProgram.step
-        and cls.make_fields is not VertexProgram.make_fields
-    )
-
-
-def _programs_in_module(module) -> List[type]:
-    """Concrete programs *defined* in ``module`` (not just imported)."""
-    programs = []
-    for value in vars(module).values():
-        if (
-            is_concrete_program(value)
-            and value.__module__ == module.__name__
-        ):
-            programs.append(value)
-    programs.sort(key=lambda cls: cls.__qualname__)
-    return programs
 
 
 def resolve_app(name: str) -> List[type]:
@@ -69,21 +44,38 @@ def resolve_app(name: str) -> List[type]:
 
 
 def resolve_module_path(path: str) -> List[type]:
-    """Concrete programs defined in a user module file."""
+    """Compile every ``ProgramSpec`` bound at a module file's top level."""
     spec = importlib.util.spec_from_file_location("repro_lint_target", path)
     if spec is None or spec.loader is None:
         raise LintError(f"cannot import module {path!r}")
     module = importlib.util.module_from_spec(spec)
-    # Registered so inspect.getsource and dataclass machinery resolve.
+    # Registered so dataclass machinery resolves.
     sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
     except Exception as exc:
         raise LintError(f"error importing {path!r}: {exc}") from exc
-    programs = _programs_in_module(module)
-    if not programs:
-        raise LintError(f"no concrete vertex programs found in {path!r}")
-    return programs
+    # One entry per spec object: an alias (``DEFAULT = MY_SPEC``) is
+    # linted once.  A spec imported by name is bound here too, so it is
+    # linted with the module's own.
+    specs = list({
+        id(value): value for value in vars(module).values()
+        if isinstance(value, ProgramSpec)
+    }.values())
+    if not specs:
+        raise LintError(
+            f"no ProgramSpec found in {path!r}: repro lint checks specs; "
+            "check a handwritten VertexProgram at run time with the "
+            "sanitizer (`repro run --sanitize`, or sanitize=True on its "
+            "executor)"
+        )
+    try:
+        return [
+            type(compile_program(spec))
+            for spec in sorted(specs, key=lambda s: s.name)
+        ]
+    except CompileError as exc:
+        raise LintError(f"{path!r}: {exc}") from exc
 
 
 def all_builtin_programs() -> List[Tuple[str, List[type]]]:
@@ -109,9 +101,7 @@ def lint_spec(spec: ProgramSpec) -> List[Finding]:
     (writes) or GL002 (reads), an emitted one no phase derives GL004 or
     GL005.  A phase target no wire carries fires GL003, a
     non-commutative reduction GL009, a wide field whose op is not
-    row-wise well-defined GL011.  GL006/GL007/GL008/GL010 cannot fire:
-    the spec derives the class flags, and ``SyncDecl`` refuses a hook
-    without a broadcast array.
+    row-wise well-defined GL011.
     """
     findings: List[Finding] = []
 
@@ -185,7 +175,7 @@ def lint_spec(spec: ProgramSpec) -> List[Finding]:
 
 
 def lint_programs(programs: Iterable[type]) -> List[Finding]:
-    """Static + algebraic findings for a set of program classes."""
+    """Spec + algebraic findings for a set of compiled program classes."""
     findings: List[Finding] = []
     referenced_ops = []
     seen_classes = set()
@@ -193,18 +183,11 @@ def lint_programs(programs: Iterable[type]) -> List[Finding]:
         if cls in seen_classes:
             continue
         seen_classes.add(cls)
-        spec = getattr(cls, "spec", None)
-        if isinstance(spec, ProgramSpec):
-            findings.extend(lint_spec(spec))
-            referenced_ops.extend(
-                spec.field_decl(decl.field).reduction for decl in spec.sync
-            )
-            continue
-        report = astlint.analyze_program(cls)
-        findings.extend(astlint.report_findings(report))
-        for decl in report.fields:
-            if decl.reduce_op is not None:
-                referenced_ops.append(decl.reduce_op)
+        spec = cls.spec
+        findings.extend(lint_spec(spec))
+        referenced_ops.extend(
+            spec.field_decl(decl.field).reduction for decl in spec.sync
+        )
     findings.extend(check_reductions(referenced_ops))
     return findings
 
@@ -215,7 +198,7 @@ def lint_app(name: str) -> List[Finding]:
 
 
 def lint_module_path(path: str) -> List[Finding]:
-    """Lint every concrete program defined in a module file."""
+    """Lint every ``ProgramSpec`` a module file binds."""
     return lint_programs(resolve_module_path(path))
 
 

@@ -93,6 +93,7 @@ class VertexProgram:
     #: Whether an asynchronous engine may iterate the step to a local
     #: fixpoint within one round (safe for idempotent label propagation;
     #: not for round-structured algorithms like pagerank or k-core).
+    #: The executor refuses to bind it over a non-idempotent reduction.
     iterate_locally: bool = True
     #: Whether the algorithm is data-driven (frontier) or topology-driven.
     uses_frontier: bool = True

@@ -208,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd = commands.add_parser(
         "lint",
         help=(
-            "check vertex programs against the sync contract "
-            "(static endpoint analysis + reduction-law checks)"
+            "check program specs against the sync contract "
+            "(derived endpoints + reduction-law checks)"
         ),
     )
     lint_targets = lint_cmd.add_mutually_exclusive_group()
@@ -223,7 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--module",
         default=None,
         metavar="PATH",
-        help="lint every VertexProgram subclass defined in a module file",
+        help=(
+            "lint every ProgramSpec bound at a module file's top level, "
+            "including one imported by name (a handwritten VertexProgram "
+            "is checked at run time: --sanitize)"
+        ),
     )
     lint_cmd.add_argument(
         "--dataflow",

@@ -122,24 +122,16 @@ def _is_self_stabilizing(executor: "DistributedExecutor") -> bool:
 
     Consults the GL303 stabilization certificate
     (:func:`repro.analysis.dataflow.certificate_for`), which adds the
-    no-master-hooks and (on the spec path) monotone-kernel conditions
+    no-master-hooks and monotone-kernel conditions
     the old reduce-op-only heuristic missed — an idempotent program
     whose master hook folds an accumulator is *not* safe to restart
-    from stale checkpoints.  Falls back to the field-level heuristic
-    only when no certificate is obtainable (program source
-    unavailable).
+    from stale checkpoints.  A handwritten program has no spec, hence
+    no certificate, and is never certified.
     """
     from repro.analysis.dataflow import certificate_for
 
     certificate = certificate_for(executor.app)
-    if certificate is not None:
-        return certificate.self_stabilizing
-    if not executor.app.uses_frontier:
-        return False
-    fields = next((f for f in executor.fields if f is not None), None)
-    if fields is None:
-        return False
-    return all(spec.reduce_op.idempotent for spec in fields)
+    return certificate is not None and certificate.self_stabilizing
 
 
 def confined_applicable(executor: "DistributedExecutor") -> bool:

@@ -268,6 +268,16 @@ class DistributedExecutor:
         ]
         if len({len(f) for f in self.fields}) != 1:
             raise ExecutionError("hosts disagree on synchronized field count")
+        if self.app.iterate_locally:
+            for spec in self.fields[0]:
+                if not spec.reduce_op.idempotent:
+                    raise ExecutionError(
+                        f"{self.app.name}: field {spec.name!r} reduces with "
+                        f"the non-idempotent {spec.reduce_op.name!r} but "
+                        "iterate_locally is set — a local fixpoint would "
+                        "re-apply contributions (double counting); set "
+                        "iterate_locally = False"
+                    )
         if self.substrates:
             bind_sync_plans(
                 range(num_hosts), self.substrates, self.fields,

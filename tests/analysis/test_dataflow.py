@@ -12,40 +12,62 @@ Three obligations:
   optimized: info-severity eliminations only, no hazards, no certificate
   mismatches (no false positives).
 
-The AST front end is exercised on handwritten programs only — the
-widest-path example and the small fixtures of ``test_astlint``; a
-compiled class is analyzed from its spec.
+Only a compiled class is analyzed (from its spec); a handwritten
+program gets no certificate.
 """
 
 import dataclasses
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis.astlint import analyze_program
 from repro.analysis.dataflow import (
-    analyze_class,
     analyze_spec,
     certificate_for,
     certify_spec,
     dataflow_programs,
     dead_sync_table,
     fusion_candidates,
-    graph_from_report,
     graph_from_spec,
     kernel_is_monotone,
 )
-from repro.analysis.linter import all_builtin_programs, resolve_module_path
+from repro.analysis.linter import all_builtin_programs
 from repro.apps import make_app
-from repro.apps.base import StepOutcome, VertexProgram, gather_frontier_edges
 from repro.apps.specs import PROGRAM_SPECS, optimized_app_names
 from repro.compiler import FieldDecl, PhaseSpec, ProgramSpec, SyncDecl
-from repro.core.sync_structures import MIN, FieldSpec
 from repro.partition.strategy import PartitionStrategy
-from repro.runtime.timing import WorkStats
 
-from tests.analysis.test_astlint import FoldedCount, TransposedPush, widest_path
+from tests.analysis.broken_programs import WrongWriteEndpoint
+
+
+def widest_path_spec():
+    """The spec ``examples/custom_algorithm.py`` binds beside its class."""
+    path = Path(__file__).resolve().parents[2] / "examples" / "custom_algorithm.py"
+    loader = importlib.util.spec_from_file_location("custom_algorithm", path)
+    example = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(example)
+    return example.WIDEST_PATH_SPEC
+
+
+def transposed_push_spec():
+    """Pushes every node's label to its in-neighbors: a gather over the
+    transposed graph, so the scatter lands at the stored edge's *source*
+    and the read at its destination."""
+    return ProgramSpec(
+        name="fixture-transposed-push",
+        fields=(
+            FieldDecl("label", np.uint32, "min",
+                      "np.arange(n, dtype=np.uint32)"),
+        ),
+        phases=(
+            PhaseSpec("spread", "frontier_push", "label",
+                      kernel="{src.label}", orientation="transpose"),
+        ),
+        sync=(SyncDecl("label"),),
+        frontier="all",
+    )
 
 
 def _noop_hook(part, state):
@@ -129,39 +151,6 @@ def tampered_spec():
     )
 
 
-class SameStatementPull(VertexProgram):
-    """cc-style pull whose gather and scatter share one statement
-    spanning several source lines (the GL304 line-order regression)."""
-
-    name = "same-statement-pull"
-    supports_pull = True
-
-    def make_state(self, part, ctx):
-        return {"label": part.local_to_global.astype(np.uint32).copy()}
-
-    def make_fields(self, part, state):
-        return [FieldSpec(name="label", values=state["label"], reduce_op=MIN)]
-
-    def step(self, part, state, frontier, direction="pull"):
-        return self._step_pull(part, state, frontier)
-
-    def _step_pull(self, part, state, frontier):
-        label = state["label"]
-        transpose = part.graph.transpose()
-        node_rep, neighbor, _ = gather_frontier_edges(
-            transpose, np.ones(part.num_nodes, dtype=bool)
-        )
-        work = WorkStats(
-            edges_processed=len(neighbor), nodes_processed=part.num_nodes
-        )
-        in_frontier = frontier[neighbor]
-        before = label.copy()
-        np.minimum.at(
-            label, node_rep[in_frontier], label[neighbor[in_frontier]]
-        )
-        return StepOutcome(updated=label != before, work=work)
-
-
 #: Hand-checked ground truth: dead sync phases per migrated spec.
 EXPECTED_DEAD = {
     "bfs": {"iec": {"dist": ("reduce",)}},
@@ -204,7 +193,6 @@ EXPECTED_CERTIFIED = {
 class TestGraphModel:
     def test_spec_graph_shape(self):
         graph = graph_from_spec(PROGRAM_SPECS["sssp"])
-        assert graph.origin == "spec"
         assert [p.name for p in graph.phases] == ["relax"]
         assert [w.wire for w in graph.wires] == ["dist"]
         wire = graph.wires[0]
@@ -220,13 +208,34 @@ class TestGraphModel:
         wire = graph.wires[0]
         assert "destination" in wire.uses
 
-    @pytest.mark.parametrize("name", ["WidestPath", "TransposedPush"])
-    def test_ast_graph_recovered_from_source(self, name):
-        """A forward and a transposed handwritten push."""
-        cls = widest_path() if name == "WidestPath" else TransposedPush
-        graph = graph_from_report(analyze_program(cls))
-        assert graph.origin == "ast"
-        assert graph.wires, f"no wires recovered from {name}"
+    def test_example_spec_graph_shape(self):
+        """The widest-path example is a forward push, like sssp."""
+        graph = graph_from_spec(widest_path_spec())
+        assert [(p.name, p.direction) for p in graph.phases] == [
+            ("relax", "push")
+        ]
+        (wire,) = graph.wires
+        assert (wire.wire, wire.reduce) == ("capacity", "max")
+        assert wire.writes == frozenset({"destination"})
+        assert wire.uses == frozenset({"source"})
+
+    def test_transposed_push_flips_roles(self):
+        graph = graph_from_spec(transposed_push_spec())
+        (phase,) = graph.phases
+        assert phase.orientation == "transpose"
+        assert phase.writes == {"label": frozenset({"source"})}
+        (wire,) = graph.wires
+        assert wire.writes == frozenset({"source"})
+        assert wire.uses == frozenset({"destination"})
+
+    def test_dense_pull_runs_in_the_pull_group(self):
+        """pagerank's pull writes its accumulator at the destination and
+        reads contributions at the source."""
+        graph = graph_from_spec(PROGRAM_SPECS["pr"])
+        assert {p.direction for p in graph.phases} == {"pull"}
+        for wire in graph.wires:
+            assert wire.writes == frozenset({"destination"}), wire.wire
+            assert wire.uses == frozenset({"source"}), wire.wire
 
     def test_stages_never_share_a_round(self):
         """bc's forward phase scatters dist, its backward phase reads it:
@@ -260,17 +269,10 @@ class TestGL301:
             assert found, f"{app}: no GL301 finding"
             assert all(f.severity == "info" for f in found)
 
-    def test_ast_path_agrees_with_spec_on_push_shape(self):
-        """AST recovery over the handwritten widest-path example (a
-        push-only relaxation, like sssp) reaches the dead table the spec
-        path proves for sssp (no pull path, so the AST conservatism does
-        not mask it)."""
-        example = Path(__file__).resolve().parents[2] / "examples"
-        (widest_path,) = resolve_module_path(
-            str(example / "custom_algorithm.py")
-        )
-        graph = graph_from_report(analyze_program(widest_path))
-        assert dead_sync_table(graph) == {
+    def test_example_dead_table_matches_sssp(self):
+        """The widest-path spec, a push-only relaxation like sssp, gets
+        the dead table sssp's spec gets."""
+        assert dead_sync_table(graph_from_spec(widest_path_spec())) == {
             strategy: {"capacity": phases["dist"]}
             for strategy, phases in EXPECTED_DEAD["sssp"].items()
         }
@@ -336,22 +338,25 @@ class TestGL303:
         assert len(found) == 1
         assert found[0].severity == "warning"
 
-    def test_add_folding_denied_handwritten_and_compiled(self):
-        """An ADD accumulator folded by a master hook is denied by
-        heuristic and certificate alike — on the AST path (a handwritten
-        fold) and on bc's spec."""
-        for target, origin in ((FoldedCount, "ast"), (make_app("bc"), "spec")):
-            cert = certificate_for(target)
-            assert cert is not None and cert.origin == origin
-            assert not cert.self_stabilizing and not cert.heuristic
+    def test_add_folding_denied(self):
+        """An ADD accumulator folded by a master hook (bc's spec) is
+        denied by heuristic and certificate alike."""
+        cert = certificate_for(make_app("bc"))
+        assert cert is not None
+        assert not cert.self_stabilizing and not cert.heuristic
+
+    def test_example_spec_is_certified(self):
+        """Max reduction, data-driven frontier, no hook, and a monotone
+        ``np.minimum`` kernel: all four conditions hold."""
+        cert = certify_spec(widest_path_spec())
+        assert cert.self_stabilizing, cert.reasons
+        assert not cert.mismatch
 
     def test_certificate_for_handwritten_and_compiled(self):
-        ast_cert = certificate_for(widest_path())
-        assert ast_cert is not None
-        assert ast_cert.origin == "ast"
+        assert certificate_for(WrongWriteEndpoint) is None
+        assert certificate_for(WrongWriteEndpoint()) is None
         spec_cert = certificate_for(make_app("bfs"))
         assert spec_cert is not None
-        assert spec_cert.origin == "spec"
         assert spec_cert.self_stabilizing
 
 
@@ -399,17 +404,6 @@ class TestGL304:
         # The unoptimized build is still allowed (hazard diagnostics
         # are for the optimizer's proofs, not a new compile gate).
         assert compile_program(hazard_spec()) is not None
-
-    def test_same_statement_gather_scatter_is_clean(self):
-        """A pull that gathers and scatters in one statement spanning
-        several source lines; line-order comparison used to misread it
-        as a stale read-after-write.  Statement identity
-        (AccessEvent.statement) must keep it clean."""
-        findings = analyze_class(SameStatementPull)
-        assert not [
-            f for f in findings if f.rule.rule_id == "GL304"
-        ]
-
 
 class TestGL305:
     def test_tampered_spec_flagged_and_analysis_halts(self):

@@ -7,13 +7,10 @@ pinned absolutely by ``tests/integration/test_golden_matrix.py``.)
 """
 
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.analysis import astlint
-from repro.analysis.dataflow import dataflow_programs
 from repro.analysis.findings import RULES
 from repro.analysis.linter import lint_programs, lint_spec, run_lint
 from repro.apps import APP_BY_NAME, make_app
@@ -37,8 +34,6 @@ from repro.compiler import (
 )
 from repro.compiler.spec import CompileError
 from repro.core.sync_structures import REDUCTIONS
-from repro.graph.generators import rmat
-from repro.systems import run_app
 
 from tests.analysis.broken_programs import ROWMIX
 
@@ -210,24 +205,6 @@ class TestVerificationLoop:
         finding = next(f for f in findings if f.rule_id == rule_id)
         assert finding.severity == RULES[rule_id].severity
         assert finding.subject == spec.name
-
-    def test_compiled_programs_never_reach_the_ast_pass(self):
-        refuse = mock.Mock(side_effect=AssertionError("AST pass reached"))
-        with mock.patch.object(astlint, "analyze_program", refuse), \
-                mock.patch.object(astlint, "_mro_methods", refuse):
-            classes = [
-                type(compile_program(spec, verify=True, optimize=optimize))
-                for spec in PROGRAM_SPECS.values()
-                for optimize in (False, True)
-            ]
-            assert lint_programs(classes) == []
-            dataflow_programs(classes)
-            result = run_app(
-                "d-galois", "bfs", rmat(scale=7, edge_factor=8, seed=3), 3,
-                sanitize=True,
-            )
-        assert result.sanitizer_findings == []
-        refuse.assert_not_called()
 
     def test_render_is_deterministic(self):
         assert render_program(BFS_SPEC) == render_program(BFS_SPEC)

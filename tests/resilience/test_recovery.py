@@ -235,11 +235,11 @@ class TestStabilizationCertificate:
     """Confined recovery is gated by the GL303 certificate, not the old
     reduce-op-only heuristic."""
 
-    def _stub(self, app, fields_idempotent=True):
+    def _stub(self, app):
         from types import SimpleNamespace
 
         field = SimpleNamespace(
-            reduce_op=SimpleNamespace(idempotent=fields_idempotent)
+            reduce_op=SimpleNamespace(idempotent=True)
         )
         return SimpleNamespace(
             enable_sync=True,
@@ -265,22 +265,42 @@ class TestStabilizationCertificate:
         # ...and the certificate still refuses.
         assert not confined_applicable(executor)
 
-    def test_fallback_without_certificate(self, monkeypatch):
-        """When no certificate is obtainable (program source
-        unavailable) the old field-level heuristic remains as the
-        conservative fallback."""
-        from repro.analysis import dataflow
+    def test_no_certificate_is_not_applicable(self):
+        """A handwritten program has no spec, hence no certificate, and
+        is never certified — even when every field-level input of the
+        old heuristic (data-driven frontier, idempotent reductions)
+        says yes."""
+        from repro.analysis.dataflow import certificate_for
 
-        monkeypatch.setattr(
-            dataflow, "certificate_for", lambda target: None
-        )
         cls = type(
             "SyntheticProgram", (), {"uses_frontier": True, "name": "syn"}
         )
-        assert confined_applicable(self._stub(cls()))
-        assert not confined_applicable(
-            self._stub(cls(), fields_idempotent=False)
+        assert certificate_for(cls()) is None
+        assert not confined_applicable(self._stub(cls()))
+
+    def test_not_applicable_to_handwritten_bfs(self, edges):
+        """A real executor over a handwritten idempotent frontier
+        program gets no confined recovery.  (The fixture is a MIN bfs
+        whose only defect is its declared write endpoints, which the
+        certificate never reads.)"""
+        from repro.engines import make_engine
+        from repro.partition import make_partitioner
+        from repro.runtime.executor import DistributedExecutor
+        from repro.systems import prepare_input
+        from tests.analysis.broken_programs import WrongWriteEndpoint
+
+        prep = prepare_input("bfs", edges)
+        executor = DistributedExecutor(
+            make_partitioner("oec").partition(prep.edges, 2),
+            make_engine("galois"),
+            WrongWriteEndpoint(),
+            prep.ctx,
         )
+        executor.run(max_rounds=1)
+        assert all(
+            f.reduce_op.idempotent for f in executor.fields[0]
+        )
+        assert not confined_applicable(executor)
 
     def test_applicable_to_optimized_bfs(self, edges):
         """Spec-path certificate: the optimized build is eligible too."""

@@ -52,6 +52,26 @@ class TestLifecycle:
         with pytest.raises(ExecutionError):
             build_executor(small_rmat, num_hosts=2, enable_sync=False)
 
+    def test_local_iteration_over_non_idempotent_reduction_refused(
+        self, small_rmat
+    ):
+        from tests.analysis.broken_programs import UnsafeLocalIteration
+
+        prep = prepare_input("bfs", small_rmat)
+        partitioned = make_partitioner("cvc").partition(prep.edges, 2)
+        executor = DistributedExecutor(
+            partitioned, make_engine("galois"), UnsafeLocalIteration(), prep.ctx
+        )
+        with pytest.raises(ExecutionError, match="'dist'.*'add'"):
+            executor.run()
+
+    def test_compiled_add_program_iterates_once_and_binds(self, small_rmat):
+        """A compiled ADD push derives ``iterate_locally = False``, so
+        the bind-time refusal never reaches it."""
+        executor = build_executor(small_rmat, app_name="pr-push", num_hosts=2)
+        assert not executor.app.iterate_locally
+        assert executor.run(max_rounds=2).num_rounds == 2
+
     def test_sync_disabled_single_host_works(self, small_rmat):
         from tests.conftest import reference_bfs
 
