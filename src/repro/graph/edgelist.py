@@ -111,6 +111,10 @@ class EdgeList:
         else:
             order = np.argsort(key)
             key, weight = key[order], weight[order]
+        return self._from_sorted_keys(key, weight)
+
+    def _from_sorted_keys(self, key: np.ndarray, weight: Optional[np.ndarray] = None) -> "EdgeList":
+        """The edges of sorted packed ``key``, each run of equals kept once."""
         first = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=first[1:])
         if weight is not None:
@@ -128,14 +132,37 @@ class EdgeList:
     def symmetrize(self) -> "EdgeList":
         """Return the union of this list and its reverse, deduplicated.
 
-        Used to build undirected inputs for connected components.
+        Used to build undirected inputs for connected components.  An
+        unweighted list that is already its own symmetrization (sorted,
+        duplicate-free and closed under reversal, as ``kronecker()``
+        returns) comes back as ``self``.
         """
-        src = np.concatenate([self.src, self.dst])
-        dst = np.concatenate([self.dst, self.src])
-        weight = None
         if self.weight is not None:
-            weight = np.concatenate([self.weight, self.weight])
-        return EdgeList(self.num_nodes, src, dst, weight).deduplicate()
+            return EdgeList(
+                self.num_nodes,
+                np.concatenate([self.src, self.dst]),
+                np.concatenate([self.dst, self.src]),
+                np.concatenate([self.weight, self.weight]),
+            ).deduplicate()
+        m = self.num_edges
+        key = np.empty(2 * m, dtype=np.uint64)
+        forward, reverse = key[:m], key[m:]
+        for half, high, low in ((forward, self.src, self.dst), (reverse, self.dst, self.src)):
+            half[:] = high
+            half <<= np.uint64(32)
+            half |= low
+        # Two cheap exact filters before the transpose check: a symmetric
+        # list has equal endpoint sums (mod 2**64 too), and the result is
+        # strictly increasing; an input failing either is not the result.
+        if (
+            self.src.sum(dtype=np.uint64) == self.dst.sum(dtype=np.uint64)
+            and (forward[1:] > forward[:-1]).all()
+        ):
+            reverse.sort()
+            if np.array_equal(forward, reverse):
+                return self
+        key.sort()
+        return self._from_sorted_keys(key)
 
     def reversed(self) -> "EdgeList":
         """Return the edge list with every edge direction flipped."""

@@ -45,11 +45,13 @@ class CartesianVertexCut(Partitioner):
         rows, cols = grid_shape(num_hosts)
         # Block nodes contiguously, balancing total (in + out) degree so
         # both the row and column dimensions stay balanced.
-        degree = np.bincount(edges.src, minlength=edges.num_nodes).astype(np.int64)
+        degree = np.bincount(edges.src, minlength=edges.num_nodes)
         degree += np.bincount(edges.dst, minlength=edges.num_nodes)
         boundaries = _chunk_boundaries(degree, num_hosts)
         master_host = _block_owner(boundaries, np.arange(edges.num_nodes))
-        src_owner = master_host[edges.src]
-        dst_owner = master_host[edges.dst]
-        edge_host = (src_owner // cols) * cols + (dst_owner % cols)
-        return EdgeAssignment(num_hosts, master_host, edge_host.astype(np.int32))
+        # Grid row start of the source's master plus the destination
+        # master's column, each computed once per node, not per edge.
+        column = master_host % cols
+        edge_host = (master_host - column)[edges.src]
+        edge_host += column[edges.dst]
+        return EdgeAssignment(num_hosts, master_host, edge_host)

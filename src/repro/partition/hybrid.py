@@ -39,12 +39,11 @@ class HybridVertexCut(Partitioner):
         in_degree = np.bincount(edges.dst, minlength=edges.num_nodes)
         avg_degree = edges.num_edges / max(edges.num_nodes, 1)
         threshold = max(1.0, self.threshold_factor * avg_degree)
-        degree = np.bincount(edges.src, minlength=edges.num_nodes).astype(np.int64)
+        degree = np.bincount(edges.src, minlength=edges.num_nodes)
         degree += in_degree
         boundaries = _chunk_boundaries(degree, num_hosts)
         master_host = _block_owner(boundaries, np.arange(edges.num_nodes))
-        high_degree_dst = in_degree[edges.dst] > threshold
-        edge_host = np.where(
-            high_degree_dst, master_host[edges.src], master_host[edges.dst]
-        )
-        return EdgeAssignment(num_hosts, master_host, edge_host.astype(np.int32))
+        # Pick each edge's placing endpoint, then gather its master once.
+        hub = in_degree > threshold
+        placing = np.where(hub[edges.dst], edges.src, edges.dst)
+        return EdgeAssignment(num_hosts, master_host, master_host[placing])

@@ -1,6 +1,7 @@
 """Proxy-access sanitizer: transparent on clean runs, loud on broken ones."""
 
 import dataclasses
+import importlib.util
 import inspect
 from pathlib import Path
 from unittest import mock
@@ -8,7 +9,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.analysis.linter import resolve_module_path
 from repro.apps.base import AppContext
 from repro.apps.specs import FEATPROP_SPEC, PROGRAM_SPECS
 from repro.compiler import compile_program, program_codegen
@@ -115,7 +115,11 @@ class TestTransparency:
     def test_handwritten_mask_form_is_clean(self, policy):
         """A handwritten program gets no exempt lines: the example's
         push step holds its frontier as a mask, which is never audited."""
-        (widest_path,) = resolve_module_path(str(EXAMPLE))
+        loader = importlib.util.spec_from_file_location("custom_algorithm", EXAMPLE)
+        example = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(example)
+        widest_path = example.WidestPath
+        assert not hasattr(widest_path, "spec")
         edges = rmat(scale=9, edge_factor=8, seed=9).with_random_weights(
             make_rng(5), low=1, high=50
         )

@@ -9,6 +9,11 @@ transcribed below as the reference; the shipped code (one grouping per
 assignment, a mark array, a value sort of the key) must reproduce them
 array for array, **dtype included**, and hand back arrays that own their
 data — a view would pin a whole-graph transient for the run.
+
+``symmetrize`` hands back its input when the input already is its own
+symmetrization, and the HVC/CVC policies place each edge with one
+gather; the concatenate-and-sort symmetrization and the per-edge
+arithmetic they replaced are oracles here too.
 """
 
 import hashlib
@@ -27,11 +32,14 @@ from repro.partition import PARTITIONER_BY_NAME, make_partitioner
 from repro.partition import base
 from repro.partition.base import (
     NO_PROXY,
+    _chunk_boundaries,
     EdgeAssignment,
     HostGroups,
     build_local_partition,
     build_partitioned_graph,
 )
+from repro.partition.cartesian import grid_shape
+from repro.partition.edge_cut import _block_owner
 from repro.partition.strategy import PartitionStrategy
 from repro.streaming.delta import signature_of_host
 
@@ -105,6 +113,35 @@ def old_symmetrize(edges):
             weight,
         )
     )
+
+
+def old_hvc_assign(edges, num_hosts, threshold_factor=4.0):
+    """Gather the in-degree per edge and both endpoints' masters, then pick."""
+    in_degree = np.bincount(edges.dst, minlength=edges.num_nodes)
+    avg_degree = edges.num_edges / max(edges.num_nodes, 1)
+    threshold = max(1.0, threshold_factor * avg_degree)
+    degree = np.bincount(edges.src, minlength=edges.num_nodes).astype(np.int64)
+    degree += in_degree
+    boundaries = _chunk_boundaries(degree, num_hosts)
+    master_host = _block_owner(boundaries, np.arange(edges.num_nodes))
+    high_degree_dst = in_degree[edges.dst] > threshold
+    edge_host = np.where(
+        high_degree_dst, master_host[edges.src], master_host[edges.dst]
+    )
+    return EdgeAssignment(num_hosts, master_host, edge_host.astype(np.int32))
+
+
+def old_cvc_assign(edges, num_hosts):
+    """Grid row and column arithmetic over every edge."""
+    rows, cols = grid_shape(num_hosts)
+    degree = np.bincount(edges.src, minlength=edges.num_nodes).astype(np.int64)
+    degree += np.bincount(edges.dst, minlength=edges.num_nodes)
+    boundaries = _chunk_boundaries(degree, num_hosts)
+    master_host = _block_owner(boundaries, np.arange(edges.num_nodes))
+    src_owner = master_host[edges.src]
+    dst_owner = master_host[edges.dst]
+    edge_host = (src_owner // cols) * cols + (dst_owner % cols)
+    return EdgeAssignment(num_hosts, master_host, edge_host.astype(np.int32))
 
 
 def old_signature_of_host(edges, assignment, host, policy_token):
@@ -365,6 +402,120 @@ def test_presorted_input(weighted, reverse):
         )
     assert_same_edges(edges.deduplicate(), old_deduplicate(edges))
     assert_same_edges(edges.symmetrize(), old_symmetrize(edges))
+
+
+@given(
+    num_nodes=st.integers(1, 30),
+    num_edges=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_canonical_symmetric_input_comes_back_as_itself(
+    num_nodes, num_edges, seed
+):
+    edges = old_symmetrize(
+        random_edges(np.random.default_rng(seed), num_nodes, num_edges, False)
+    )
+    assert edges.symmetrize() is edges
+    assert_same_edges(edges.symmetrize(), old_symmetrize(edges))
+
+
+def _pairs(num_nodes, pairs):
+    src = np.array([s for s, _ in pairs], dtype=np.uint32)
+    dst = np.array([d for _, d in pairs], dtype=np.uint32)
+    return EdgeList(num_nodes, src, dst)
+
+
+def _canonical(num_nodes, pairs):
+    return old_symmetrize(_pairs(num_nodes, pairs))
+
+
+def _shuffled_symmetric():
+    edges = _canonical(6, [(0, 1), (1, 2), (2, 5), (3, 3), (4, 0)])
+    order = np.random.default_rng(4).permutation(edges.num_edges)
+    assert (np.diff(order) < 0).any()
+    return EdgeList(edges.num_nodes, edges.src[order], edges.dst[order])
+
+
+def _duplicated_symmetric():
+    # The self-loop doubled: still sorted and its own transpose, so only
+    # the strictly-increasing filter rejects it.
+    edges = _canonical(6, [(0, 1), (1, 2), (2, 5), (3, 3), (4, 0)])
+    (loop,) = np.flatnonzero(edges.src == edges.dst)
+    keep = np.insert(np.arange(edges.num_edges), loop, loop)
+    return EdgeList(edges.num_nodes, edges.src[keep], edges.dst[keep])
+
+
+def _weighted_symmetric():
+    edges = _canonical(6, [(0, 1), (1, 2), (2, 5)])
+    return edges.with_unit_weights()
+
+
+def test_directed_three_cycle_passes_both_filters_and_is_rebuilt():
+    # Sorted, duplicate-free, sum(src) == sum(dst) and every node has
+    # in-degree == out-degree: only the transpose check tells.
+    cycle = EdgeList(
+        3, np.array([0, 1, 2], np.uint32), np.array([1, 2, 0], np.uint32)
+    )
+    assert int(cycle.src.sum()) == int(cycle.dst.sum())
+    assert np.array_equal(np.bincount(cycle.src), np.bincount(cycle.dst))
+    result = cycle.symmetrize()
+    assert result is not cycle
+    assert result.num_edges == 6
+    assert_same_edges(result, old_symmetrize(cycle))
+
+
+@pytest.mark.parametrize(
+    "make", [_shuffled_symmetric, _duplicated_symmetric, _weighted_symmetric]
+)
+def test_symmetric_but_not_canonical_is_rebuilt(make):
+    edges = make()
+    result = edges.symmetrize()
+    assert result is not edges
+    assert_same_edges(result, old_symmetrize(edges))
+
+
+@pytest.mark.parametrize(
+    "pairs, canonical",
+    [([], True), ([(0, 1)], False), ([(1, 0)], False), ([(2, 2)], True)],
+)
+def test_zero_and_one_edge_lists(pairs, canonical):
+    edges = _pairs(3, pairs)
+    assert (edges.symmetrize() is edges) == canonical
+    assert_same_edges(edges.symmetrize(), old_symmetrize(edges))
+
+
+def test_widest_node_ids_take_the_fast_path():
+    top = (1 << 32) - 2
+    edges = _canonical(top + 1, [(0, top), (top, top), (top // 2, 0), (1, top)])
+    assert edges.symmetrize() is edges
+    assert_same_edges(edges.symmetrize(), old_symmetrize(edges))
+
+
+@given(
+    num_nodes=st.integers(1, 40),
+    num_edges=st.integers(0, 200),
+    symmetric=st.booleans(),
+    num_hosts=st.sampled_from(HOSTS + (300,)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_hvc_and_cvc_place_edges_as_before(
+    num_nodes, num_edges, symmetric, num_hosts, seed
+):
+    edges = random_edges(
+        np.random.default_rng(seed), num_nodes, num_edges, False
+    )
+    if symmetric:
+        edges = edges.symmetrize()
+    for policy, old_assign in (("hvc", old_hvc_assign), ("cvc", old_cvc_assign)):
+        mine = make_partitioner(policy).assign(edges, num_hosts)
+        theirs = old_assign(edges, num_hosts)
+        for name in ("master_host", "edge_host"):
+            assert getattr(mine, name).dtype == np.int32, (policy, name)
+            assert_same_array(
+                getattr(mine, name), getattr(theirs, name), f"{policy} {name}"
+            )
 
 
 # -- (iv) per-host content signatures ----------------------------------------
