@@ -12,8 +12,9 @@ lives here: :mod:`~repro.analysis.findings` (rule catalog),
 ``ProgramSpec``, checked against its compiled class),
 :mod:`~repro.analysis.sanitizer` (runtime proxy-access sanitizer), and
 :mod:`~repro.analysis.dataflow` (whole-program sync dataflow analyzer:
-GL301 dead-sync elimination, GL302 phase fusion, GL303 stabilization
-certificates, GL304 static sync hazards, GL305 tampered endpoints).
+GL301 dead-sync elimination, GL302 phase fusion, GL304 static sync
+hazards, GL305 tampered endpoints; and the stabilization certificates
+that gate confined recovery).
 """
 
 from repro.analysis.algebra import check_reduction, check_reductions

@@ -7,7 +7,7 @@ is written and read.  This module is the pass that *reasons* over that
 structure, the way Gluon's §3 reasons over application code: it builds a
 phase-level def-use graph (fields as values, phases as def/use nodes,
 :class:`~repro.compiler.spec.SyncDecl` wires as the edges communication
-flows along) and runs four proofs over it:
+flows along) and runs three proofs over it:
 
 * **GL301 — dead-sync elimination.**  §3.1's strategy invariants bound
   which edge endpoints a *mirror* can occupy: under OEC mirrors have no
@@ -24,14 +24,6 @@ flows along) and runs four proofs over it:
   intervening write consumed between them can run off a single edge
   pass — the second gather is redundant.
 
-* **GL303 — self-stabilization certificates.**  Confined recovery
-  (§2.3, Phoenix) re-initializes lost state and trusts the algorithm to
-  re-converge.  That is only sound for programs whose reductions are
-  idempotent *and* whose frontier is data-driven *and* whose update
-  kernels are monotone, with no master-side accumulator hooks — the
-  reduce-op-only heuristic certifies too much.  The certificate is the
-  machine-checked replacement :mod:`repro.resilience.recovery` consults.
-
 * **GL304 — static sync hazards.**  The compile-time complement of the
   GL201/GL202 runtime sanitizer (and equally binding under ``--runtime
   process``, where no accidental shared memory can paper over a stale
@@ -43,6 +35,14 @@ flows along) and runs four proofs over it:
   ``endpoint_overrides`` has its contract pinned by hand; every proof
   above is void for it, so the analyzer says so instead of silently
   skipping derivation.
+
+It also issues **self-stabilization certificates**.  Confined recovery
+(§2.3, Phoenix) re-initializes lost state and trusts the algorithm to
+re-converge.  That is only sound for programs whose reductions are
+idempotent *and* whose frontier is data-driven *and* whose update
+kernels are monotone, with no master-side accumulator hooks; the
+certificate checks all four, and :mod:`repro.resilience.recovery`
+consults it.
 
 A handwritten program carries no spec, so nothing here analyzes it:
 it gets no certificate and no GL3xx findings, and is checked at run
@@ -399,7 +399,7 @@ def _gl302(graph: DataflowGraph) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# GL303 — self-stabilization certificates.
+# Self-stabilization certificates.
 # ---------------------------------------------------------------------------
 
 #: Endpoint placeholders, longest-match first ({src.f} before {f}).
@@ -530,22 +530,15 @@ class StabilizationCertificate:
     self_stabilizing: bool
     #: (condition name, holds) pairs, in check order.
     conditions: Tuple[Tuple[str, bool], ...]
-    #: What the old reduce-op-only heuristic would have said.
-    heuristic: bool
 
     @property
     def reasons(self) -> Tuple[str, ...]:
         """Names of the failed conditions (empty when certified)."""
         return tuple(name for name, holds in self.conditions if not holds)
 
-    @property
-    def mismatch(self) -> bool:
-        """True when the weak heuristic certifies what the proof denies."""
-        return self.heuristic and not self.self_stabilizing
-
 
 def certify_spec(spec: ProgramSpec) -> StabilizationCertificate:
-    """GL303 certificate from a declarative spec (all four conditions)."""
+    """The certificate of a declarative spec (all four conditions)."""
     frontier = spec.uses_frontier
     reductions = [spec.field_decl(d.field).reduction for d in spec.sync]
     idempotent = bool(reductions) and all(
@@ -565,14 +558,13 @@ def certify_spec(spec: ProgramSpec) -> StabilizationCertificate:
         program=spec.name,
         self_stabilizing=all(holds for _, holds in conditions),
         conditions=conditions,
-        heuristic=frontier and idempotent,
     )
 
 
 def certificate_for(
     target: Union[ProgramSpec, type, object],
 ) -> Optional[StabilizationCertificate]:
-    """The GL303 certificate for a spec, program class, or instance.
+    """The stabilization certificate for a spec, program class, or instance.
 
     Compiled programs carry their spec (``cls.spec``) and certify from
     it.  A handwritten program has no spec and gets ``None`` — callers
@@ -582,27 +574,6 @@ def certificate_for(
         return certify_spec(target)
     spec = getattr(target, "spec", None)
     return certify_spec(spec) if isinstance(spec, ProgramSpec) else None
-
-
-def _gl303(
-    graph: DataflowGraph, certificate: StabilizationCertificate
-) -> List[Finding]:
-    if not certificate.mismatch:
-        return []
-    return [
-        Finding(
-            "GL303",
-            message=(
-                "a reduce-op-only check (data-driven frontier and "
-                "idempotent reductions) would call this program "
-                "self-stabilizing but the dataflow proof denies it "
-                f"({', '.join(certificate.reasons)} failed) — it gets "
-                "restart recovery, not confined recovery"
-            ),
-            subject=graph.program,
-            details={"conditions": dict(certificate.conditions)},
-        )
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +689,6 @@ def analyze_spec(spec: ProgramSpec) -> List[Finding]:
     findings.extend(_gl301(graph))
     findings.extend(_gl302(graph))
     findings.extend(_gl304(graph))
-    findings.extend(_gl303(graph, certify_spec(spec)))
     return findings
 
 

@@ -128,14 +128,6 @@ RULES: Dict[str, Rule] = {
             "broadcast/gather the compiler can fuse away.",
         ),
         Rule(
-            "GL303", "warning", "self-stabilization-mismatch",
-            "§2.3 (Phoenix): confined recovery re-initializes lost state "
-            "and relies on the algorithm re-converging; that needs "
-            "idempotent reductions AND a data-driven frontier AND "
-            "monotone update expressions. An app certified by a weaker "
-            "test (reduce-op only) may diverge after recovery.",
-        ),
-        Rule(
             "GL304", "error", "static-sync-hazard",
             "§3.2 (compile time): one phase reads a field at a "
             "remote-visible endpoint that an earlier phase in the same "

@@ -227,8 +227,8 @@ def run_lint(
 
     ``dataflow=True`` appends the GL3xx whole-program sweep
     (:func:`repro.analysis.dataflow.dataflow_programs`) — dead syncs,
-    fusion opportunities, stabilization mismatches, and static sync
-    hazards — to the per-program GL0xx/GL1xx findings.
+    fusion opportunities, static sync hazards and tampered endpoints —
+    to the per-program GL0xx/GL1xx findings.
     """
     if app is not None and module is not None:
         raise LintError("--app and --module are mutually exclusive")

@@ -234,9 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also run the GL3xx whole-program dataflow sweep: dead-sync "
-            "elimination (GL301), phase fusion (GL302), stabilization "
-            "certificates (GL303), static sync hazards (GL304), and "
-            "tampered endpoints (GL305)"
+            "elimination (GL301), phase fusion (GL302), static sync "
+            "hazards (GL304), and tampered endpoints (GL305)"
         ),
     )
     lint_cmd.add_argument(

@@ -1,9 +1,9 @@
 """The shared-memory multiprocess host runtime (``--runtime process``).
 
 Real parallel execution of the simulated cluster: forked worker
-processes inherit the partitioned graph, attach a shared-memory state
-arena (:mod:`repro.parallel.shm`), exchange the comm plane's framed
-buffers through shared-memory rings (:mod:`repro.parallel.rings`), and a
+processes inherit the partitioned graph and a shared state arena, exchange
+the comm plane's framed buffers through shared-memory rings
+(:mod:`repro.parallel.rings`), and a
 coordinator (:mod:`repro.parallel.coordinator`) merges their raw reports
 so every result — values, byte counts, alpha-beta "cluster time" — stays
 bitwise identical to the default simulated runtime
@@ -12,7 +12,6 @@ bitwise identical to the default simulated runtime
 
 from repro.parallel.rings import PhasedCommRecords, RingFabric, RingTransport
 from repro.parallel.runner import InProcessRunner, RoundData
-from repro.parallel.shm import SharedArrayStore, StoreManifest
 
 __all__ = [
     "InProcessRunner",
@@ -20,6 +19,4 @@ __all__ = [
     "RingFabric",
     "RingTransport",
     "RoundData",
-    "SharedArrayStore",
-    "StoreManifest",
 ]

@@ -3,14 +3,15 @@
 :class:`ProcessRunner` is the process-backed
 :class:`~repro.parallel.runner.RoundData` producer.  On :meth:`start` it
 
-1. lays every host's ndarray state entries into one shared-memory arena
-   (:mod:`repro.parallel.shm`), attached zero-copy by every worker;
-2. forks ``workers`` processes (``fork`` start method: the executor is
+1. lays every host's ndarray state entries into one anonymous shared
+   mapping, the state arena (:func:`~repro.parallel.rings.shared_arrays`);
+2. lays out a :class:`~repro.parallel.rings.RingFabric` — the second
+   mapping, its slots sized from the executor's bound sync plans;
+3. forks ``workers`` processes (``fork`` start method: the executor is
    inherited copy-on-write — its partitioned graph, address books,
-   engines, app and non-array state — never pickled or copied), each
-   owning the hosts ``{h : h % workers == w}``;
-3. wires them through a :class:`~repro.parallel.rings.RingFabric` — the
-   second segment, its slots sized from the executor's bound sync plans.
+   engines, app and non-array state — never pickled or copied; the two
+   mappings are inherited shared), each owning the hosts
+   ``{h : h % workers == w}``.
 
 Per round it broadcasts a command, collects every worker's raw report,
 and *replays* the workers' per-phase ``(src, dst, nbytes)`` traffic
@@ -34,16 +35,15 @@ import multiprocessing
 import os
 import queue as queue_module
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.serialization import FRAME_OVERHEAD
 from repro.errors import ExecutionError
-from repro.parallel.rings import RingFabric
+from repro.parallel.rings import LIVENESS_POLL_S, RingFabric, shared_arrays
 from repro.parallel.runner import RoundData
-from repro.parallel.shm import SharedArrayStore
-from repro.parallel.worker import LIVENESS_POLL_S, worker_main
+from repro.parallel.worker import worker_main
 from repro.resilience.transport import MAX_TRANSMISSIONS
 from repro.runtime.round import close_round
 
@@ -75,7 +75,8 @@ class ProcessRunner:
         self.ex = executor
         self.num_hosts = executor.partitioned.num_hosts
         self.workers = resolve_workers(executor.workers, self.num_hosts)
-        self.arena: Optional[SharedArrayStore] = None
+        #: ``(host, key) -> view``: the hosts' ndarray state, shared.
+        self.arena: Optional[Dict[Tuple[int, str], np.ndarray]] = None
         self.fabric: Optional[RingFabric] = None
         self._procs: List = []
         self._cmd_qs: List = []
@@ -95,14 +96,17 @@ class ProcessRunner:
                 "the process runtime needs the 'fork' start method "
                 "(POSIX only)"
             ) from None
-        self.arena = SharedArrayStore.create(
-            {
-                f"s{h}/{key}": value
-                for h, state in enumerate(ex.states)
-                for key, value in state.items()
-                if isinstance(value, np.ndarray)
-            }
+        arrays = {
+            (h, key): value
+            for h, state in enumerate(ex.states)
+            for key, value in state.items()
+            if isinstance(value, np.ndarray)
+        }
+        self.arena = shared_arrays(
+            {name: (value.shape, value.dtype) for name, value in arrays.items()}
         )
+        for name, value in arrays.items():
+            self.arena[name][...] = value
         # Slots for the two phases that can be in flight per ring (DESIGN
         # §12); the fault layer frames a message once more and hands over
         # at most MAX_TRANSMISSIONS copies of it.
@@ -121,11 +125,11 @@ class ProcessRunner:
         self._report_q = ctx.Queue()
         self._cmd_qs = [ctx.Queue() for _ in range(self.workers)]
         for w in range(self.workers):
-            # Under ``fork`` the executor is inherited, never pickled.
+            # Under ``fork`` the arguments are inherited, never pickled.
             proc = ctx.Process(
                 target=worker_main,
                 args=(
-                    ex, w, self.workers, self.arena.manifest, self.fabric,
+                    ex, w, self.workers, self.arena, self.fabric,
                     self._cmd_qs[w], self._report_q,
                 ),
                 daemon=True,
@@ -257,20 +261,14 @@ class ProcessRunner:
                 q.put(("stop",))
             finals = self._collect("done")
             # The executor's state dicts still hold the pre-run arrays
-            # (the arena copied them at export): copy the workers' final
-            # values out of shared memory, then overlay every entry a
-            # worker reported as divergent (mutated scalars, reassigned
-            # arrays).
+            # (the arena copied them at start): take the arena's arrays,
+            # which hold the workers' final values, then overlay every
+            # entry a worker reported as divergent (mutated scalars,
+            # reassigned arrays).
+            for (h, key), view in self.arena.items():
+                ex.states[h][key] = view
             for h in range(self.num_hosts):
-                state = ex.states[h]
-                prefix = f"s{h}/"
-                for name, view in self.arena.views.items():
-                    if name.startswith(prefix):
-                        state[name[len(prefix) :]] = np.array(view, copy=True)
-                for key, value in finals[h % self.workers]["divergent"][
-                    h
-                ].items():
-                    state[key] = value
+                ex.states[h].update(finals[h % self.workers]["divergent"][h])
             for w in range(self.workers):
                 final = finals[w]
                 # The substrates that did the work lived in the worker.
@@ -282,10 +280,9 @@ class ProcessRunner:
             self._teardown()
 
     def abort(self) -> None:
-        """Exceptional teardown: kill the fleet, release the stores."""
+        """Exceptional teardown: kill the fleet."""
         if self._finished or not self._started:
             self._finished = True
-            self._release_stores()
             return
         for proc in self._procs:
             if proc.is_alive():
@@ -304,12 +301,6 @@ class ProcessRunner:
         if self._report_q is not None:
             self._report_q.cancel_join_thread()
             self._report_q.close()
-        self._release_stores()
+        # The kernel frees each mapping's pages with its last reference.
+        self.arena = self.fabric = None
         self._finished = True
-
-    def _release_stores(self) -> None:
-        for name in ("fabric", "arena"):
-            store = getattr(self, name)
-            if store is not None:
-                store.release()
-                setattr(self, name, None)

@@ -1,6 +1,9 @@
 """Shared-memory rings: the inter-process transport of ``--runtime process``.
 
-A :class:`RingFabric` is one shared-memory segment: a single-producer /
+:func:`shared_arrays` is the runtime's one allocator of memory that
+forked processes *write*: the coordinator's state arena and the rings.
+
+A :class:`RingFabric` is one shared mapping: a single-producer /
 single-consumer ring of fixed-size slots per ``(src, dst)`` host pair the
 sync plan routes, a finished-phase counter per host, and a doorbell
 semaphore per host.  The coordinator lays it out once — the partition
@@ -25,7 +28,8 @@ DESIGN §12 has the layout and the arguments; in short:
   A producer that finds no released slot, or a payload larger than a
   slot, gets a :class:`TransportError`: the rings are sized for the worst
   case, and at one worker the producer *is* the consumer — waiting would
-  be a hang.
+  be a hang.  A receiver waits in :data:`LIVENESS_POLL_S` slices, so a
+  worker whose coordinator died stops waiting within one.
 * **One doorbell per peer per phase.**  ``finish_phase`` stores the
   host's counter, then posts each peer's semaphore; a woken receiver
   re-compares counters, so a fast peer's next-phase bell never stands in
@@ -41,13 +45,18 @@ are stored before its ring's tail, the tail before the phase counter.
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
+import os
 import struct
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Hashable, List, Mapping, Tuple
+
+import numpy as np
 
 from repro.core.serialization import frame_crc
 from repro.errors import HostCrashedError, TransportError
-from repro.parallel.shm import SharedArrayStore
 
 #: Sequence-number namespace stride per source host: each host may send
 #: up to 2**40 frames before its namespace would touch the next one.
@@ -57,14 +66,40 @@ SEQ_STRIDE = 1 << 40
 #: the cluster wedged (a crashed worker, not a slow one).
 DEFAULT_RECEIVE_TIMEOUT_S = 120.0
 
+#: Seconds between liveness checks while a process waits: the
+#: coordinator's for dead workers, a worker's for a dead coordinator.
+LIVENESS_POLL_S = 1.0
+
 #: Slot header: the integrity frame's u64 sequence number and u32 CRC-32
 #: of (sequence || payload), then the payload length and the send phase.
 _SLOT = struct.Struct("<QIIQ")
 
 
+def shared_arrays(
+    layout: Mapping[Hashable, Tuple[Tuple[int, ...], np.dtype]],
+) -> Dict[Hashable, np.ndarray]:
+    """Zero-filled ``name -> (shape, dtype)`` arrays, 8-byte aligned, in
+    one anonymous ``MAP_SHARED`` mapping.
+
+    Made before a ``fork``, the mapping is shared with every child, so a
+    write by any process is visible to all.  It has no name to attach,
+    unlink or leak: each array holds a reference to the mapping, and the
+    kernel frees the pages once the last process drops it.
+    """
+    offsets, size = {}, 0
+    for name, (shape, dtype) in layout.items():
+        offsets[name] = size = (size + 7) // 8 * 8
+        size += int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+    pages = mmap.mmap(-1, max(size, 1))
+    return {
+        name: np.ndarray(shape, dtype=dtype, buffer=pages, offset=offsets[name])
+        for name, (shape, dtype) in layout.items()
+    }
+
+
 @dataclass(frozen=True)
 class Ring:
-    """Where one ``src -> dst`` ring lives inside the fabric's segment."""
+    """Where one ``src -> dst`` ring lives inside the fabric's slots."""
 
     src: int
     dst: int
@@ -103,14 +138,11 @@ class RingFabric:
             self.into[dst].append(ring)
             words += 2
             nbytes += slots * ring.stride
-        self.store = SharedArrayStore.allocate(
-            {"control": ((words,), "<i8"), "slots": ((nbytes,), "|u1")}
+        shared = shared_arrays(
+            {"control": ((words,), np.int64), "slots": ((nbytes,), np.uint8)}
         )
+        self.control, self.slots = shared["control"], shared["slots"]
         self.bells = [ctx.Semaphore(0) for _ in range(num_hosts)]
-
-    def release(self) -> None:
-        """Unlink and unmap the segment (coordinator, after workers exit)."""
-        self.store.release()
 
 
 class PhasedCommRecords:
@@ -155,8 +187,11 @@ class RingTransport:
         self.fabric = fabric
         self.num_hosts = fabric.num_hosts
         self.receive_timeout_s = receive_timeout_s
-        self._control = memoryview(fabric.store.views["control"])
-        self._slots = memoryview(fabric.store.views["slots"])
+        self._control = memoryview(fabric.control)
+        self._slots = memoryview(fabric.slots)
+        #: The coordinator's pid when this runs in a forked worker.
+        parent = multiprocessing.parent_process()
+        self._coordinator = parent.pid if parent is not None else None
         self._send_phase = [0] * self.num_hosts
         self._recv_phase = [0] * self.num_hosts
         self._seq = [0] * self.num_hosts
@@ -258,14 +293,23 @@ class RingTransport:
         self._recv_phase[host] = phase + 1
         self._release(host)
         control, bell = self._control, self.fabric.bells[host]
+        deadline = time.monotonic() + self.receive_timeout_s
         for src in range(self.num_hosts):
             if src == host or src in self._dead:
                 continue
             while control[src] <= phase:
-                if not bell.acquire(timeout=self.receive_timeout_s):
+                left = deadline - time.monotonic()
+                if left <= 0:
                     raise TransportError(
                         f"host {host} timed out waiting for peers after "
                         f"{self.receive_timeout_s:.0f}s (a worker likely died)"
+                    )
+                if bell.acquire(timeout=min(left, LIVENESS_POLL_S)):
+                    continue
+                if self._coordinator not in (None, os.getppid()):
+                    raise TransportError(
+                        f"host {host} stopped waiting for peers: its "
+                        "coordinator is gone"
                     )
         delivered: List[Tuple[int, memoryview]] = []
         held = self._held[host] = []

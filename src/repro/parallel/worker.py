@@ -3,9 +3,10 @@
 :func:`worker_main` is the ``fork`` entry point.  Worker ``w`` of ``W``
 owns the simulated hosts ``{h : h % W == w}``: it reads their partitions
 and address books off the executor it was forked from (inherited through
-``fork``), attaches the state arena (zero-copy), rebuilds its hosts'
-states, fields, and Gluon substrates, then executes rounds on the
-coordinator's command — or exits once the coordinator is gone.
+``fork``), reads its hosts' arrays out of the state arena it inherited
+with them, rebuilds its hosts' states, fields, and Gluon substrates,
+then executes rounds on the coordinator's command — or exits once the
+coordinator is gone.
 
 A round is the shared body of :mod:`repro.runtime.round` — the very
 function the simulated runtime runs — over the worker's owned hosts,
@@ -32,27 +33,20 @@ import queue as queue_module
 import traceback
 from typing import Dict
 
-import numpy as np
-
 from repro.core.substrate import GluonSubstrate, bind_sync_plans
-from repro.parallel.rings import SEQ_STRIDE, RingFabric, RingTransport
-from repro.parallel.shm import SharedArrayStore
+from repro.parallel.rings import LIVENESS_POLL_S, SEQ_STRIDE, RingFabric, RingTransport
 from repro.resilience.faults import FaultInjector
 from repro.resilience.transport import FaultyTransport
 from repro.runtime.round import run_hosts
-
-#: Seconds between liveness checks while a queue read waits: the
-#: coordinator's for dead workers, a worker's for a dead coordinator.
-LIVENESS_POLL_S = 1.0
 
 
 class _HostWorker:
     """One worker's live state: partitions, states, fields, substrates."""
 
-    def __init__(self, ex, index: int, workers: int, arena_manifest, fabric: RingFabric) -> None:
+    def __init__(self, ex, index: int, workers: int, arena: Dict, fabric: RingFabric) -> None:
         self.ex = ex
         self.owned = list(range(index, ex.partitioned.num_hosts, workers))
-        self.arena = SharedArrayStore.attach(arena_manifest)
+        self.arena = arena
         self.parts = ex.partitioned.partitions
         self.rings = RingTransport(fabric)
         self.transport = self.rings
@@ -70,7 +64,7 @@ class _HostWorker:
             )
         self.states = {
             h: {
-                key: self.arena.views.get(f"s{h}/{key}", value)
+                key: arena.get((h, key), value)
                 for key, value in ex.states[h].items()
             }
             for h in self.owned
@@ -131,14 +125,11 @@ class _HostWorker:
         """State divergences and counters, shipped once at stop."""
         divergent = {}
         for h in self.owned:
-            prefix = f"s{h}/"
-            entries = {}
-            for key, value in self.states[h].items():
-                view = self.arena.views.get(prefix + key)
-                if isinstance(value, np.ndarray) and value is view:
-                    continue
-                entries[key] = value
-            divergent[h] = entries
+            divergent[h] = {
+                key: value
+                for key, value in self.states[h].items()
+                if (h, key) not in self.arena or value is not self.arena[h, key]
+            }
         faults = None
         if self.transport is not self.rings:
             faults = self.transport.faults
@@ -148,24 +139,18 @@ class _HostWorker:
             "faults": faults,
         }
 
-    def close(self) -> None:
-        self.arena.close()
 
-
-def worker_main(ex, index, workers, arena_manifest, fabric, cmd_q, report_q) -> None:
-    """Process entry point: attach, then serve round commands until stop."""
+def worker_main(ex, index, workers, arena, fabric, cmd_q, report_q) -> None:
+    """Process entry point: build the hosts, then serve round commands
+    until stop — or until the coordinator is gone."""
     coordinator = multiprocessing.parent_process().pid
-    worker = None
     try:
-        worker = _HostWorker(ex, index, workers, arena_manifest, fabric)
+        worker = _HostWorker(ex, index, workers, arena, fabric)
         while True:
             try:
                 cmd = cmd_q.get(timeout=LIVENESS_POLL_S)
             except queue_module.Empty:
                 if os.getppid() != coordinator:
-                    # Orphaned: nobody will read a report, so do not let
-                    # the queue's feeder thread hold the exit.
-                    report_q.cancel_join_thread()
                     break
                 continue
             if cmd[0] == "stop":
@@ -175,5 +160,7 @@ def worker_main(ex, index, workers, arena_manifest, fabric, cmd_q, report_q) -> 
     except BaseException:
         report_q.put(("error", index, traceback.format_exc()))
     finally:
-        if worker is not None:
-            worker.close()
+        if os.getppid() != coordinator:
+            # Orphaned: nobody will read a report, so do not let the
+            # queue's feeder thread hold the exit.
+            report_q.cancel_join_thread()

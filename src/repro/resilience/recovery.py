@@ -120,13 +120,13 @@ class RecoveryEvent:
 def _is_self_stabilizing(executor: "DistributedExecutor") -> bool:
     """Whether the executor's program provably re-derives its fixed point.
 
-    Consults the GL303 stabilization certificate
-    (:func:`repro.analysis.dataflow.certificate_for`), which adds the
-    no-master-hooks and monotone-kernel conditions
-    the old reduce-op-only heuristic missed — an idempotent program
-    whose master hook folds an accumulator is *not* safe to restart
-    from stale checkpoints.  A handwritten program has no spec, hence
-    no certificate, and is never certified.
+    Consults the stabilization certificate
+    (:func:`repro.analysis.dataflow.certificate_for`), whose
+    no-master-hooks and monotone-kernel conditions go beyond the
+    reductions — an idempotent program whose master hook folds an
+    accumulator is *not* safe to restart from stale checkpoints.  A
+    handwritten program has no spec, hence no certificate, and is never
+    certified.
     """
     from repro.analysis.dataflow import certificate_for
 
@@ -138,7 +138,7 @@ def confined_applicable(executor: "DistributedExecutor") -> bool:
     """Whether confined recovery is sound for the executor's program.
 
     Requires a synchronized multi-host run of a self-stabilizing vertex
-    program — per the GL303 certificate: a data-driven frontier,
+    program — per the stabilization certificate: a data-driven frontier,
     idempotent reductions, no master-side hooks, and monotone kernels —
     so stale checkpoint values can only lose reductions and a
     full-frontier restart re-derives the fixed point.

@@ -83,7 +83,7 @@ class RunResult:
     sanitizer_findings: List[Dict] = field(default_factory=list)
     #: Which round-execution backend ran the rounds: ``"simulated"``
     #: (in-process round-robin) or ``"process"`` (real worker processes
-    #: over shared-memory stores).  Either way the simulated quantities
+    #: over shared memory).  Either way the simulated quantities
     #: above are bitwise identical; only the wall clock differs.
     runtime: str = "simulated"
     #: Measured wall-clock seconds spent inside the BSP round loop —

@@ -3,14 +3,14 @@
 Three obligations:
 
 * every rule *fires* on a fixture spec engineered to violate it
-  (GL301 dead syncs, GL302 fusion, GL303 stabilization mismatch,
-  GL304 static hazards, GL305 tampered endpoints);
+  (GL301 dead syncs, GL302 fusion, GL304 static hazards, GL305
+  tampered endpoints);
 * the analyzer is *exact* on the migrated specs — the dead-sync tables
   and stabilization certificates below are the hand-checked ground
   truth this PR's optimizer relies on;
 * the sweep is *clean* on every registered program, generated and
-  optimized: info-severity eliminations only, no hazards, no certificate
-  mismatches (no false positives).
+  optimized: info-severity eliminations only, no hazards (no false
+  positives).
 
 Only a compiled class is analyzed (from its spec); a handwritten
 program gets no certificate.
@@ -120,8 +120,8 @@ def hazard_spec():
 
 
 def mismatch_spec():
-    """Idempotent reduction + master hook: the reduce-op-only heuristic
-    certifies it, the GL303 proof denies it — the mismatch must fire."""
+    """Idempotent reduction + master hook: its reductions alone would
+    allow confined recovery, the certificate denies it."""
     return ProgramSpec(
         name="fixture-mismatch",
         fields=(
@@ -176,7 +176,7 @@ EXPECTED_DEAD = {
            "oec": {"delta_acc": ("reduce",)}},
 }
 
-#: Hand-checked ground truth: which migrated specs certify GL303.
+#: Hand-checked ground truth: which migrated specs are certified.
 EXPECTED_CERTIFIED = {
     "bfs": True,
     "sssp": True,
@@ -312,7 +312,7 @@ class TestGL302:
         assert not fusion_candidates(graph_from_spec(spec))
 
 
-class TestGL303:
+class TestStabilizationCertificates:
     @pytest.mark.parametrize("app", sorted(EXPECTED_CERTIFIED))
     def test_certificates_match_ground_truth(self, app):
         cert = certify_spec(PROGRAM_SPECS[app])
@@ -320,37 +320,23 @@ class TestGL303:
             app, cert.reasons,
         )
 
-    def test_no_mismatch_on_migrated_specs(self):
-        """The certificate only *tightens* the old heuristic where the
-        heuristic was wrong; on every migrated spec the two agree."""
-        for app, spec in PROGRAM_SPECS.items():
-            assert not certify_spec(spec).mismatch, app
-
-    def test_mismatch_fixture_fires(self):
+    def test_a_master_hook_is_denied(self):
         cert = certify_spec(mismatch_spec())
-        assert cert.heuristic, "fixture must pass the weak heuristic"
         assert not cert.self_stabilizing
         assert cert.reasons == ("no-master-hooks",)
-        found = [
-            f for f in analyze_spec(mismatch_spec())
-            if f.rule.rule_id == "GL303"
-        ]
-        assert len(found) == 1
-        assert found[0].severity == "warning"
 
     def test_add_folding_denied(self):
         """An ADD accumulator folded by a master hook (bc's spec) is
-        denied by heuristic and certificate alike."""
+        denied."""
         cert = certificate_for(make_app("bc"))
         assert cert is not None
-        assert not cert.self_stabilizing and not cert.heuristic
+        assert not cert.self_stabilizing
 
     def test_example_spec_is_certified(self):
         """Max reduction, data-driven frontier, no hook, and a monotone
         ``np.minimum`` kernel: all four conditions hold."""
         cert = certify_spec(widest_path_spec())
         assert cert.self_stabilizing, cert.reasons
-        assert not cert.mismatch
 
     def test_certificate_for_handwritten_and_compiled(self):
         assert certificate_for(WrongWriteEndpoint) is None
@@ -437,7 +423,7 @@ class TestCleanSweep:
         assert findings, "the sweep found nothing at all"
         bad = [
             f for f in findings
-            if f.rule.rule_id in ("GL303", "GL304", "GL305")
+            if f.rule.rule_id in ("GL304", "GL305")
             or f.severity == "error"
         ]
         assert not bad, [f"{f.rule.rule_id}: {f.message}" for f in bad]

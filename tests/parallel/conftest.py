@@ -10,8 +10,9 @@ import pytest
 
 @pytest.fixture
 def no_leaked_segments():
-    """The test must leave ``/dev/shm`` exactly as it found it: no state
-    or ring segment survives, whatever path the run exits by."""
+    """The test must leave ``/dev/shm`` exactly as it found it, whatever
+    path the run exits by: a guard against a named segment coming back
+    (the state arena and the rings are anonymous mappings)."""
     before = set(os.listdir("/dev/shm"))
     yield
     gc.collect()

@@ -11,11 +11,12 @@ the contract is the same one.)
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import multiprocessing
 import os
 import struct
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.serialization import frame_crc
 from repro.errors import HostCrashedError, TransportError
+from repro.parallel import rings
 from repro.parallel.rings import RingFabric, RingTransport
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.transport import FaultyTransport
@@ -39,20 +41,15 @@ def _ctx():
 @pytest.fixture
 def make_fabric(no_leaked_segments):
     """``make_fabric(hosts, slots, room)``: a ring for every ordered pair;
-    every segment is unlinked — and must then be gone — at test end."""
-    made = []
+    ``/dev/shm`` must be as it was at test end."""
 
     def make(num_hosts, slots=8, room=64):
         pairs = itertools.permutations(range(num_hosts), 2)
-        fabric = RingFabric(
+        return RingFabric(
             num_hosts, {pair: (slots, room) for pair in pairs}, _ctx()
         )
-        made.append(fabric)
-        return fabric
 
-    yield make
-    for fabric in made:
-        fabric.release()
+    return make
 
 
 def _payloads(delivered):
@@ -232,17 +229,50 @@ class TestPhaseBuffers:
             transport.send(0, 1, b"x")
 
     def test_a_pair_the_plan_never_routes_has_no_ring(self):
-        with fabric_of(3, {(0, 1): (2, 8)}) as fabric:
-            transport = RingTransport(fabric)
-            transport.send(0, 1, b"routed")
-            with pytest.raises(TransportError, match="exceeds"):
-                transport.send(0, 2, b"unrouted")
+        fabric = RingFabric(3, {(0, 1): (2, 8)}, _ctx())
+        transport = RingTransport(fabric)
+        transport.send(0, 1, b"routed")
+        with pytest.raises(TransportError, match="exceeds"):
+            transport.send(0, 2, b"unrouted")
 
     def test_receive_timeout_names_a_dead_cluster(self, make_fabric):
         fabric = make_fabric(2)
         transport = RingTransport(fabric, receive_timeout_s=0.05)
         with pytest.raises(TransportError, match="a worker likely died"):
             transport.receive_all(0)
+
+    def test_a_receiver_stops_waiting_once_its_coordinator_is_gone(
+        self, make_fabric, monkeypatch
+    ):
+        """A forked worker whose parent pid no longer matches the
+        coordinator's gives up after one liveness poll, long before its
+        receive timeout."""
+        monkeypatch.setattr(rings, "LIVENESS_POLL_S", 0.05)
+        monkeypatch.setattr(
+            multiprocessing, "parent_process", lambda: SimpleNamespace(pid=-1)
+        )
+        transport = RingTransport(make_fabric(2), receive_timeout_s=60)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="coordinator is gone"):
+            transport.receive_all(0)
+        assert time.monotonic() - started < 5
+
+    def test_a_live_coordinator_keeps_the_receiver_waiting(
+        self, make_fabric, monkeypatch
+    ):
+        """While the parent is the coordinator, the polls run out the
+        whole receive timeout."""
+        monkeypatch.setattr(rings, "LIVENESS_POLL_S", 0.05)
+        monkeypatch.setattr(
+            multiprocessing,
+            "parent_process",
+            lambda: SimpleNamespace(pid=os.getppid()),
+        )
+        transport = RingTransport(make_fabric(2), receive_timeout_s=0.4)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="a worker likely died"):
+            transport.receive_all(0)
+        assert time.monotonic() - started >= 0.4
 
     def test_a_single_host_fabric_has_no_rings(self, make_fabric):
         fabric = make_fabric(1)
@@ -251,16 +281,6 @@ class TestPhaseBuffers:
         transport.finish_phase(0)
         assert transport.receive_all(0) == []
         transport.end_round()
-
-
-@contextlib.contextmanager
-def fabric_of(num_hosts, shape):
-    """A fabric with exactly the rings of ``shape``, unlinked on exit."""
-    fabric = RingFabric(num_hosts, shape, _ctx())
-    try:
-        yield fabric
-    finally:
-        fabric.release()
 
 
 class TestSlots:
@@ -280,17 +300,17 @@ class TestSlots:
     def test_any_size_up_to_the_slot_round_trips(self, sizes, slots, data):
         """0 bytes, the 2-byte EMPTY, exactly-fits — one frame per phase,
         so the ring wraps at every offset — and one byte over is refused."""
-        with fabric_of(2, {(0, 1): (slots, self.ROOM)}) as fabric:
-            producer = RingTransport(fabric)
-            consumer = RingTransport(fabric, receive_timeout_s=5)
-            for size in sizes:
-                payload = data.draw(st.binary(min_size=size, max_size=size))
-                producer.send(0, 1, payload)
-                producer.finish_phase(0)
-                assert consumer.receive_all(1) == [(0, payload)]
-                consumer.finish_phase(1)  # releases the slot
-            with pytest.raises(TransportError, match="exceeds the ring's 24-byte"):
-                producer.send(0, 1, bytes(self.ROOM + 1))
+        fabric = RingFabric(2, {(0, 1): (slots, self.ROOM)}, _ctx())
+        producer = RingTransport(fabric)
+        consumer = RingTransport(fabric, receive_timeout_s=5)
+        for size in sizes:
+            payload = data.draw(st.binary(min_size=size, max_size=size))
+            producer.send(0, 1, payload)
+            producer.finish_phase(0)
+            assert consumer.receive_all(1) == [(0, payload)]
+            consumer.finish_phase(1)  # releases the slot
+        with pytest.raises(TransportError, match="exceeds the ring's 24-byte"):
+            producer.send(0, 1, bytes(self.ROOM + 1))
 
     @settings(max_examples=60, deadline=None)
     @given(slots=st.integers(1, 5), offset=st.integers(0, 4), batch=st.data())
@@ -298,23 +318,23 @@ class TestSlots:
         """A full ring's worth of frames written starting at any slot;
         one more is refused by the head/tail check, not written."""
         offset %= slots
-        with fabric_of(2, {(0, 1): (slots, 16)}) as fabric:
-            producer = RingTransport(fabric)
-            consumer = RingTransport(fabric, receive_timeout_s=5)
-            for i in range(offset):  # advance head and tail to ``offset``
-                producer.send(0, 1, b"skip%d" % i)
-                producer.finish_phase(0)
-                assert consumer.receive_all(1) == [(0, b"skip%d" % i)]
-                consumer.finish_phase(1)  # releases the slot
-            frames = batch.draw(
-                st.lists(st.binary(max_size=16), min_size=slots, max_size=slots)
-            )
-            for frame in frames:
-                producer.send(0, 1, frame)
-            with pytest.raises(TransportError, match="is full"):
-                producer.send(0, 1, b"one too many")
+        fabric = RingFabric(2, {(0, 1): (slots, 16)}, _ctx())
+        producer = RingTransport(fabric)
+        consumer = RingTransport(fabric, receive_timeout_s=5)
+        for i in range(offset):  # advance head and tail to ``offset``
+            producer.send(0, 1, b"skip%d" % i)
             producer.finish_phase(0)
-            assert consumer.receive_all(1) == [(0, f) for f in frames]
+            assert consumer.receive_all(1) == [(0, b"skip%d" % i)]
+            consumer.finish_phase(1)  # releases the slot
+        frames = batch.draw(
+            st.lists(st.binary(max_size=16), min_size=slots, max_size=slots)
+        )
+        for frame in frames:
+            producer.send(0, 1, frame)
+        with pytest.raises(TransportError, match="is full"):
+            producer.send(0, 1, b"one too many")
+        producer.finish_phase(0)
+        assert consumer.receive_all(1) == [(0, f) for f in frames]
 
     PER_PHASE = 2
 
@@ -329,29 +349,29 @@ class TestSlots:
         phase arrives whole, in order, ascending sender, and no send ever
         finds its ring full."""
         shape = {(src, 2): (2 * self.PER_PHASE, 8) for src in (0, 1)}
-        with fabric_of(3, shape) as fabric:
-            producers = RingTransport(fabric)
-            consumer = RingTransport(fabric, receive_timeout_s=5)
-            sent = {0: [], 1: []}  # per producer, the frames of each phase
-            received = 0
-            for step, count in zip(script, counts):
-                if step == "receive":
-                    if min(len(sent[0]), len(sent[1])) <= received:
-                        continue  # would block: a peer has not finished
-                    assert consumer.receive_all(2) == [
-                        (src, f) for src in (0, 1) for f in sent[src][received]
-                    ]
-                    consumer.finish_phase(2)  # as a worker's next flush does
-                    received += 1
-                elif len(sent[step]) <= received + 1:
-                    frames = [
-                        b"%d:%d:%d" % (step, len(sent[step]), i)
-                        for i in range(count)
-                    ]
-                    for frame in frames:
-                        producers.send(step, 2, frame)
-                    producers.finish_phase(step)
-                    sent[step].append(frames)
+        fabric = RingFabric(3, shape, _ctx())
+        producers = RingTransport(fabric)
+        consumer = RingTransport(fabric, receive_timeout_s=5)
+        sent = {0: [], 1: []}  # per producer, the frames of each phase
+        received = 0
+        for step, count in zip(script, counts):
+            if step == "receive":
+                if min(len(sent[0]), len(sent[1])) <= received:
+                    continue  # would block: a peer has not finished
+                assert consumer.receive_all(2) == [
+                    (src, f) for src in (0, 1) for f in sent[src][received]
+                ]
+                consumer.finish_phase(2)  # as a worker's next flush does
+                received += 1
+            elif len(sent[step]) <= received + 1:
+                frames = [
+                    b"%d:%d:%d" % (step, len(sent[step]), i)
+                    for i in range(count)
+                ]
+                for frame in frames:
+                    producers.send(step, 2, frame)
+                producers.finish_phase(step)
+                sent[step].append(frames)
 
     CARGO = b"precious cargo"
 
@@ -365,7 +385,7 @@ class TestSlots:
         consumer = RingTransport(fabric, receive_timeout_s=5)
         producer.send(0, 1, self.CARGO)
         producer.finish_phase(0)
-        fabric.store.views["slots"][fabric.rings[0, 1].base + at] ^= 0x10
+        fabric.slots[fabric.rings[0, 1].base + at] ^= 0x10
         with pytest.raises(TransportError, match="failed its pipe CRC"):
             consumer.receive_all(1)
 
@@ -377,7 +397,7 @@ class TestSlots:
         consumer = RingTransport(fabric, receive_timeout_s=5)
         producer.send(0, 1, self.CARGO)
         producer.finish_phase(0)
-        fabric.store.views["slots"][fabric.rings[0, 1].base + 16] ^= 0x10
+        fabric.slots[fabric.rings[0, 1].base + 16] ^= 0x10
         assert consumer.receive_all(1) == []
         with pytest.raises(TransportError, match="undelivered"):
             consumer.end_round()
@@ -391,7 +411,7 @@ class TestSlots:
         ring = fabric.rings[0, 1]
         forged = 1 << 40  # host 1's namespace, with a checksum to match
         struct.pack_into(
-            "<QI", fabric.store.views["slots"], ring.base, forged,
+            "<QI", fabric.slots, ring.base, forged,
             frame_crc(forged, b"x"),
         )
         with pytest.raises(TransportError, match="sequence namespace 1"):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import mmap
 import os
 import signal
 from pathlib import Path
@@ -295,6 +296,64 @@ class TestLifecycle:
             proc.communication_volume + proc.construction_bytes
         )
         assert proc.mode_counts == sim.mode_counts
+
+
+class StepCountingBfs(type(make_app("bfs"))):
+    """bfs, except that each host counts its kernel calls in a state
+    entry of its own — a scalar no arena slot holds."""
+
+    def step(self, part, state, frontier, direction="push"):
+        state["steps"] = state.get("steps", 0) + 1
+        return super().step(part, state, frontier, direction)
+
+
+class TestFinalState:
+    def test_finish_hands_the_arena_to_the_executor(self, tiny_edges):
+        """After the run, each host's ndarray state *is* its arena view:
+        backed by the shared mapping, writable, equal to the simulated
+        run's state."""
+        sim = build_executor(tiny_edges)
+        sim.run()
+        ex = build_executor(tiny_edges, runtime="process", workers=2)
+        ex.run()
+        assert len(ex.states) == len(sim.states) == 4
+        for h, state in enumerate(ex.states):
+            arrays = {
+                key: value for key, value in state.items()
+                if isinstance(value, np.ndarray)
+            }
+            assert arrays.keys() == {
+                key for key, value in sim.states[h].items()
+                if isinstance(value, np.ndarray)
+            }
+            assert arrays, h
+            for key, view in arrays.items():
+                base = view
+                while isinstance(base, np.ndarray):
+                    base = base.base
+                assert isinstance(base, mmap.mmap), (h, key)
+                assert view.flags.writeable
+                np.testing.assert_array_equal(view, sim.states[h][key])
+                assert view.dtype == sim.states[h][key].dtype
+
+    def test_a_workers_new_state_entries_come_back(self, tiny_edges):
+        """An entry a worker added to a host's state is reported as
+        divergent and lands in the executor's state dict."""
+        prep = prepare_input("bfs", tiny_edges)
+        partitioned = make_partitioner("cvc").partition(prep.edges, 4)
+        runs = [
+            DistributedExecutor(
+                partitioned, make_engine("galois"), StepCountingBfs(),
+                prep.ctx, **kw,
+            )
+            for kw in ({}, {"runtime": "process", "workers": 2})
+        ]
+        for ex in runs:
+            ex.run()
+        sim, proc = runs
+        counts = [state.get("steps") for state in proc.states]
+        assert counts == [state.get("steps") for state in sim.states]
+        assert any(counts), counts
 
 
 class TestGuards:

@@ -1,12 +1,13 @@
-"""What a process-runtime run puts in shared memory: exactly the state
-arena and the rings per runner start — the partitions reach the workers
-through ``fork``, never through a segment — and every segment it creates
-is unlinked, on a normal finish and on ``abort()`` alike."""
+"""What a process-runtime run puts in ``/dev/shm``: nothing.  The state
+arena and the rings are anonymous mappings made before the fork, and the
+partitions reach the workers through ``fork`` too — so no run constructs
+a named segment or starts multiprocessing's resource tracker, on a
+normal finish and on ``abort()`` alike."""
 
 from __future__ import annotations
 
 import os
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 import pytest
 
@@ -25,40 +26,26 @@ pytestmark = [
 ]
 
 
-@pytest.fixture
-def segments(monkeypatch):
-    """``(created, removed)``: the names of every segment this process
-    creates and unlinks while the test runs."""
-    created, removed = [], []
-    plain_init = shared_memory.SharedMemory.__init__
-    plain_unlink = shared_memory.SharedMemory.unlink
+@pytest.fixture(autouse=True)
+def no_named_segments(monkeypatch):
+    """Constructing a ``SharedMemory`` or starting the resource tracker
+    fails the run — in the coordinator and, inherited, in its workers."""
 
-    def init(self, name=None, create=False, size=0, **kw):
-        plain_init(self, name=name, create=create, size=size, **kw)
-        if create:
-            created.append(self.name)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the process runtime used a named segment")
 
-    def unlink(self):
-        plain_unlink(self)
-        removed.append(self.name)
-
-    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", init)
-    monkeypatch.setattr(shared_memory.SharedMemory, "unlink", unlink)
-    return created, removed
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", refuse)
+    monkeypatch.setattr(resource_tracker.ResourceTracker, "ensure_running", refuse)
 
 
 @pytest.mark.parametrize(
-    "app_name,starts",
-    [("bfs", 1), ("pr", 1), ("bc", 2)],  # bc's stage switch restarts the fleet
+    "app_name", ["bfs", "pr", "bc"]  # bc's stage switch restarts the fleet
 )
-def test_two_segments_per_runner_start(tiny_edges, segments, app_name, starts):
-    created, removed = segments
+def test_a_run_creates_no_named_segment(tiny_edges, app_name):
     result = run_app(
         "d-galois", app_name, tiny_edges, 4, runtime="process", workers=2
     )
     assert result.converged
-    assert len(created) == 2 * starts, created
-    assert sorted(removed) == sorted(created)
 
 
 class ExplodingBfs(type(make_app("bfs"))):
@@ -74,15 +61,13 @@ class ExplodingBfs(type(make_app("bfs"))):
         return super().step(part, state, frontier, direction)
 
 
-def test_abort_unlinks_every_segment(small_grid, segments):
-    created, removed = segments
+def test_abort_creates_no_named_segment(small_grid):
     prep = prepare_input("bfs", small_grid)
     ex = DistributedExecutor(
         make_partitioner("cvc").partition(prep.edges, 4),
         make_engine("galois"), ExplodingBfs(), prep.ctx,
         runtime="process", workers=2,
     )
-    with pytest.raises(ExecutionError, match="worker 1 failed"):
+    with pytest.raises(ExecutionError, match="worker 1 failed") as err:
         ex.run()
-    assert len(created) == 2, created
-    assert sorted(removed) == sorted(created)
+    assert "kernel exploded" in str(err.value)

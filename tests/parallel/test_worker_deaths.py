@@ -1,6 +1,7 @@
-"""A *running* worker really dies (ROADMAP 3b): named error, bounded
-time, no survivor, no ``/dev/shm`` residue — state or rings.  And when
-the coordinator is the one that dies, its workers exit on their own.
+"""A *running* worker really dies: named error, bounded time, no
+survivor, no ``/dev/shm`` residue.  And when the coordinator is the one
+that dies — waiting for reports or between two commands — its workers
+exit on their own.
 
 The victim is parked inside the kernel of its round by a test-only app
 whose ``step`` waits on an inherited ``Event`` (not a sleep), so the
@@ -135,11 +136,14 @@ def test_keyboard_interrupt_in_the_coordinator_tears_everything_down(small_grid)
     assert_fleet_is_gone(fleet)  # one parked on the gate, one on a doorbell
 
 
-#: A coordinator that announces its resource tracker, its two segments
-#: and its workers once the fleet is up, then runs slow rounds — so the
-#: SIGKILL lands while it waits for reports, not between two commands.
+#: A coordinator over two workers; ``PATCH`` becomes the lines that
+#: replace one of its methods, and calls ``announce`` once the fleet is
+#: up: the resource tracker's pid (``None``: never started), then the
+#: workers'.
 COORDINATOR = textwrap.dedent(
     """
+    import os
+    import signal
     import time
     from multiprocessing import resource_tracker
 
@@ -156,15 +160,11 @@ COORDINATOR = textwrap.dedent(
             time.sleep(0.2)
             return super().step(part, state, frontier, direction)
 
-    plain_start = ProcessRunner.start
-
-    def start(self):
-        plain_start(self)
+    def announce(runner):
         print(resource_tracker._resource_tracker._pid,
-              self.arena.manifest.shm_name, self.fabric.store.manifest.shm_name,
-              *(proc.pid for proc in self._procs), flush=True)
+              *(proc.pid for proc in runner._procs), flush=True)
 
-    ProcessRunner.start = start
+    PATCH
     prep = prepare_input("bfs", grid_graph(12, 12))
     DistributedExecutor(
         make_partitioner("cvc").partition(prep.edges, 4), make_engine("galois"),
@@ -172,6 +172,51 @@ COORDINATOR = textwrap.dedent(
     ).run()
     """
 )
+
+#: Announces once the fleet is up, then runs slow rounds — so a SIGKILL
+#: lands while it waits for reports, not between two commands.
+SLOW_ROUNDS = """
+plain_start = ProcessRunner.start
+
+def start(self):
+    plain_start(self)
+    announce(self)
+
+ProcessRunner.start = start
+"""
+
+#: Commands worker 0 alone, then dies: worker 0 is left waiting on the
+#: doorbells of worker 1's hosts, which never got a command.
+DIES_BETWEEN_COMMANDS = """
+def run_round(self, round_index):
+    announce(self)
+    self._cmd_qs[0].put(("round", round_index))
+    time.sleep(0.5)  # the queue's feeder thread delivers the command
+    os.kill(os.getpid(), signal.SIGKILL)
+
+ProcessRunner.run_round = run_round
+"""
+
+
+def launch(patch: str):
+    """Start a coordinator; return it, its tracker pid and its workers."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", COORDINATOR.replace("PATCH", patch)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    with coordinator.stdout:
+        started = select.select([coordinator.stdout], [], [], 60)[0]
+        announced = coordinator.stdout.readline().split() if started else []
+    if len(announced) != 3:
+        coordinator.kill()
+        coordinator.wait(timeout=10)
+        pytest.fail("the coordinator never started its fleet")
+    tracker, *workers = announced
+    return coordinator, tracker, [int(pid) for pid in workers]
 
 
 def alive(pid: int) -> bool:
@@ -192,37 +237,29 @@ def wait_gone(pids, seconds: float) -> list:
 
 
 def test_workers_exit_when_their_coordinator_is_sigkilled():
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    coordinator = subprocess.Popen(
-        [sys.executable, "-c", COORDINATOR],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,  # the tracker's leak warnings
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    with coordinator.stdout:
-        started = select.select([coordinator.stdout], [], [], 60)[0]
-        announced = coordinator.stdout.readline().split() if started else []
-    if len(announced) != 5:
-        coordinator.kill()
-        coordinator.wait(timeout=10)
-        pytest.fail("the coordinator never started its fleet")
-    tracker, arena, rings, *workers = announced
-    workers = [int(pid) for pid in workers]
+    coordinator, tracker, workers = launch(SLOW_ROUNDS)
     try:
+        # No named segment, so nothing for a resource tracker to unlink
+        # after the coordinator: it is never started.
+        assert tracker == "None"
         time.sleep(1.0)  # a few slow rounds in
         coordinator.kill()
         coordinator.wait(timeout=10)
         assert wait_gone(workers, 10.0) == [], "workers outlived their coordinator"
-        # The tracker outlives the last process holding its pipe, then
-        # unlinks whatever the dead coordinator could not.
-        assert wait_gone([int(tracker)], 10.0) == []
-        assert not {arena, rings} & set(os.listdir("/dev/shm"))
     finally:
-        # Leave nothing behind even on failure: kill the survivors, then
-        # give the tracker its chance to unlink before it goes too.
-        for pid in workers:
-            if alive(pid):
-                os.kill(pid, signal.SIGKILL)
-        for pid in wait_gone(workers + [int(tracker)], 10.0):
+        for pid in wait_gone(workers, 0.0):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_a_commanded_worker_exits_when_its_coordinator_dies_between_commands():
+    """Worker 0 waits for peers in liveness-poll slices, not for the
+    rings' 120 s receive timeout; worker 1 sees the death in its
+    command wait."""
+    coordinator, tracker, workers = launch(DIES_BETWEEN_COMMANDS)
+    try:
+        assert tracker == "None"
+        assert coordinator.wait(timeout=10) == -signal.SIGKILL
+        assert wait_gone(workers, 10.0) == [], "workers outlived their coordinator"
+    finally:
+        for pid in wait_gone(workers, 0.0):
             os.kill(pid, signal.SIGKILL)

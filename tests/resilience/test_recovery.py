@@ -232,8 +232,8 @@ class TestTransientFaults:
 
 
 class TestStabilizationCertificate:
-    """Confined recovery is gated by the GL303 certificate, not the old
-    reduce-op-only heuristic."""
+    """Confined recovery is gated by the stabilization certificate, not
+    the old reduce-op-only heuristic."""
 
     def _stub(self, app):
         from types import SimpleNamespace
