@@ -2,12 +2,12 @@
 
 The paper's memoization (§4) is justified by the partition never
 changing; the streaming subsystem measures what survives when the graph
-changes a little.  bfs and sssp (min-plus, delete+insert batches) and cc
-(component, insert-only) are kept converged across one mutation batch
-per row, sweeping the batch size; every row runs against a fresh session
-of the pristine base, so the fraction -> savings curve is not confounded
-by earlier batches, and every streamed answer is checked bitwise against
-a cold recompute of the same graph version.
+changes a little.  The certified planner keeps bfs and sssp
+(delete+insert batches) and cc (insert-only) converged across one
+mutation batch per row, sweeping the batch size; every row runs against
+a fresh session of the pristine base, so the fraction -> savings curve
+is not confounded by earlier batches, and every streamed answer is
+checked bitwise against a cold recompute of the same graph version.
 """
 
 import numpy as np
@@ -23,8 +23,8 @@ from repro.workloads import load_workload
 #: (app, policy, delete fraction, insert fraction, carries the >= 2x bar).
 #: bfs keeps its ~1 % batch insert-heavy (inserts re-converge in O(1)
 #: rounds, deletions re-derive a whole SP-DAG region); cc is insert-only
-#: (any deletion on an rmat graph tears the giant component and honestly
-#: affects most vertices).
+#: (any deletion on an rmat graph tears the giant component, all but its
+#: minimum vertex, and honestly affects most vertices).
 SWEEP = (
     ("bfs", "oec", 0.0002, 0.0002, False),
     ("bfs", "oec", 0.002, 0.008, True),

@@ -86,7 +86,7 @@ def _frozenset_literal(values) -> str:
     return "frozenset({%s})" % inner
 
 
-def _render_fragment(
+def render_fragment(
     text: str,
     *,
     src: Optional[str] = None,
@@ -225,7 +225,7 @@ def _emit_post(out: _Emitter, line: str) -> None:
     """A post line; indexing by ``{mask}`` addresses active nodes only."""
     out.emit(
         2,
-        _render_fragment(line, local="{f}", mask="usable"),
+        render_fragment(line, local="{f}", mask="usable"),
         non_endpoint="{mask}" in line,
     )
 
@@ -254,12 +254,12 @@ def _emit_push_prologue(
     out.emit(1, f"def {method}(self, part, state, frontier):")
     _emit_aliases(out, aliases)
     if lead.select:
-        selected = _render_fragment(lead.select, local="{f}")
+        selected = render_fragment(lead.select, local="{f}")
         out.emit(2, f"usable = np.flatnonzero({selected})")
     else:
         out.emit(2, "usable = np.flatnonzero(frontier)")
     if lead.guard:
-        guard = _render_fragment(lead.guard, local="{f}[usable]")
+        guard = render_fragment(lead.guard, local="{f}[usable]")
         out.emit(2, f"usable = usable[{guard}]", non_endpoint=True)
     out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
     out.emit(2, "active = len(usable)")
@@ -282,7 +282,7 @@ def _emit_push_prologue(
     out.emit(2, ")")
     out.emit(2, "if len(dst):")
     if lead.edge_filter:
-        keep = _render_fragment(
+        keep = render_fragment(
             lead.edge_filter, src="{f}[src_rep]", dst="{f}[dst]", local="{f}"
         )
         out.emit(3, f"keep = {keep}")
@@ -314,7 +314,7 @@ def _emit_push(
     _emit_push_prologue(out, lead, method, _phase_aliases(spec, *phases), len(phases))
     scatters = [pair for phase in phases for pair in phase.scatters]
     for target, kernel in scatters:
-        kernel = _render_fragment(
+        kernel = render_fragment(
             kernel, src="{f}[src_rep]", dst="{f}[dst]", local="{f}"
         )
         out.emit(3, f"candidate = {kernel}")
@@ -362,7 +362,7 @@ def _emit_sparse_pull(
     out.emit(1, f"def {method}(self, part, state, frontier):")
     _emit_aliases(out, _phase_aliases(spec, phase))
     if phase.select:
-        targets = _render_fragment(phase.select, local="{f}")
+        targets = render_fragment(phase.select, local="{f}")
         out.emit(2, f"targets = {targets}")
     else:
         out.emit(2, "targets = np.ones(part.num_nodes, dtype=bool)")
@@ -382,13 +382,13 @@ def _emit_sparse_pull(
     out.emit(2, ")")
     out.emit(2, "if len(neighbor):")
     if phase.guard:
-        guard = _render_fragment(phase.guard, local="{f}[neighbor]")
+        guard = render_fragment(phase.guard, local="{f}[neighbor]")
         out.emit(3, f"active = frontier[neighbor] & ({guard})")
     else:
         out.emit(3, "active = frontier[neighbor]")
     out.emit(3, "if np.any(active):")
     out.emit(4, "node_rep = node_rep[active]")
-    kernel = _render_fragment(
+    kernel = render_fragment(
         phase.kernel, src="{f}[neighbor[active]]", local="{f}"
     )
     out.emit(4, f"candidate = {kernel}")
@@ -417,7 +417,7 @@ def _emit_dense_pull(
         idempotent = False
     else:
         reduce = _target_reduce(spec, phase.target)
-        kernel = _render_fragment(phase.kernel, src="{f}[src]", local="{f}")
+        kernel = render_fragment(phase.kernel, src="{f}[src]", local="{f}")
         idempotent = REDUCTIONS[reduce].idempotent
         if idempotent:
             out.emit(2, f"before = {phase.target}.copy()")

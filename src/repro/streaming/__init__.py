@@ -11,8 +11,9 @@ rest on that.  This package opens the frozen world up:
 - :mod:`repro.streaming.delta` — delta-partitioning: every host whose
   construction inputs did not change keeps its partition, the builder
   rebuilds the rest, and only they redo the memoization exchange;
-- :mod:`repro.streaming.incremental` — per-app affected-frontier
-  computation so re-execution starts from the vertices a mutation
+- :mod:`repro.streaming.incremental` — one affected-frontier planner,
+  read off the program's spec and gated on its stabilization
+  certificate, so re-execution starts from the vertices a mutation
   actually touched, bitwise-identical to a cold full recompute;
 - :mod:`repro.streaming.session` — the orchestrator tying versions,
   delta-partitioning, the executor resume seam and observability

@@ -182,8 +182,7 @@ class MutationBatch:
         """Raise :class:`GraphError` if the batch cannot apply to ``edges``.
 
         Checks endpoint ranges, weight discipline (insert weights required
-        iff the base list is weighted, and must be >= 1 so min-plus
-        incremental invariants hold), that deleted edges exist, that
+        iff the base list is weighted), that deleted edges exist, that
         deleted vertices exist, that inserts do not reference vertices
         deleted in the same batch, and that applying the batch cannot
         create duplicate edges (via the shared edge-list validator).
@@ -209,12 +208,6 @@ class MutationBatch:
             raise GraphError(
                 "base graph is unweighted: insert_weight must be omitted"
             )
-        if self.insert_weight is not None and len(self.insert_weight):
-            if int(self.insert_weight.min()) < 1:
-                raise GraphError(
-                    "insert_weight must be >= 1 (zero-weight edges break "
-                    "the monotone min-plus incremental invariant)"
-                )
         if self.num_node_deletes:
             deleted = np.zeros(new_num_nodes, dtype=bool)
             deleted[self.delete_nodes] = True

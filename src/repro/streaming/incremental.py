@@ -2,40 +2,36 @@
 
 After a mutation batch, most converged values are still correct — the
 communication savings live in *not* recomputing them (the DistGNN
-observation, applied to analytics).  A plan names the vertices whose
-values must be **reset** (the affected set) and the vertices that must
+observation, applied to analytics; KickStarter's trimming, Vora et al.,
+ASPLOS 2017).  A plan names the vertices whose values must be **torn**
+(reset to their fresh ``make_state`` value) and the vertices that must
 **push** in the first resumed round (the frontier); everything else
 resumes from its converged value.
 
-Soundness arguments per strategy (bitwise identity with a cold run is
-asserted by the tests; these arguments say why it holds):
+One planner serves every program whose spec passes the stabilization
+certificate (:func:`repro.analysis.dataflow.certificate_for`: data-driven
+frontier, idempotent reductions, no master hooks, monotone kernels) and
+can migrate; it reads everything from the spec, never an app name:
 
-``min-plus`` (bfs, sssp) — converged distances are the unique fixpoint
-of min-plus relaxation.  A vertex's value can only become *stale-high*
-through an insertion (fixed by propagating from inserted-edge sources)
-or *stale-low* through a deletion that removed its shortest-path
-support.  The affected set is the transitive closure, over the old
-shortest-path DAG (edges with ``dist[u] + w == dist[v]``), of the
-vertices whose support edge was deleted; those reset to infinity.  The
-frontier is every unaffected finite vertex with a new-graph edge into
-the affected set, plus inserted-edge sources.  With weights >= 1 the
-support DAG is acyclic, making the unaffected-values-remain-achievable
-induction sound; a zero weight anywhere falls back to a full replay.
+* **seeds** — a vertex's seed is its fresh ``make_state`` value over the
+  new layout; a vertex whose old value equals its seed is *seeded* and
+  never torn (deletions cannot move a value already at its seed);
+* **support** — an old edge ``u -> v`` supports ``v`` when some phase's
+  guard and edge filter hold and its kernel, evaluated on ``u``'s old
+  value and the edge weight, equals ``v``'s old value (the spec's own
+  fragment text, rendered by the codegen's renderer over global arrays);
+* **tear** — the destinations of deleted support edges, closed over the
+  surviving support edges and never entering a seeded vertex; any other
+  unseeded vertex no surviving support path from a root (a seeded
+  initial-frontier vertex) reaches is torn too, and new vertices are;
+* **frontier** — torn initial-frontier vertices, plus every vertex a cold
+  run would push (initial frontier or off its seed, passing a push
+  guard) that has a new-graph edge into the tear or is the source of an
+  inserted edge.
 
-``component`` (cc) — labels are min-gid per component, another unique
-fixpoint.  Deleting an edge can only change labels inside the old
-component(s) of its endpoints, so those components reset wholesale
-(label := own gid) and re-converge among themselves; insertions only
-merge, so their endpoints join the frontier and the smaller label
-flows.  Requires symmetrized input (which cc already mandates).
-
-``replay`` (pagerank and every other app) — pagerank's converged ranks
-depend on the whole *iteration trajectory* (residual-based stopping),
-not on a schedule-independent fixpoint, so warm-starting cannot be
-bitwise-faithful.  The plan honestly requests a full restart: fresh
-state replayed over the **delta-patched** partition.  Identity is then
-trivial, and the streaming savings come from construction (the patch
-exchange and warm partition reuse) rather than from skipped rounds.
+Every other program replays: fresh state over the **delta-patched**
+partition, so identity is trivial and the savings come from
+construction (the patch exchange and warm partition reuse) alone.
 """
 
 from __future__ import annotations
@@ -45,12 +41,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.apps.base import AppContext
-from repro.apps.specs import base_app_name
+from repro.analysis.dataflow import certificate_for
+from repro.apps.base import AppContext, VertexProgram
+from repro.compiler.program_codegen import render_fragment
 from repro.graph.edgelist import EdgeList
+from repro.partition.base import PartitionedGraph
+from repro.runtime.migration import gather_frontier, gather_global
 from repro.streaming.batch import MutationEffect
-
-_UINT32_INF = np.iinfo(np.uint32).max
 
 
 @dataclass
@@ -59,7 +56,7 @@ class IncrementalPlan:
 
     Attributes:
         app_name: Application the plan was computed for.
-        strategy: ``"min-plus"``, ``"component"``, or ``"replay"``.
+        strategy: ``"certified"`` or ``"replay"``.
         full_restart: True when the app must re-run from scratch (over
             the delta-patched partition).
         affected: Bool mask over the *new* global node IDs of vertices
@@ -88,151 +85,113 @@ class IncrementalPlan:
         return self.affected_count / num_nodes
 
 
-def _inserted_sources(
-    new_edges: EdgeList, effect: MutationEffect
-) -> np.ndarray:
-    """Sources of the batch's inserted edges (appended at the list tail)."""
-    if effect.inserted_count == 0:
-        return np.empty(0, dtype=np.int64)
-    return new_edges.src[new_edges.num_edges - effect.inserted_count :].astype(
-        np.int64
-    )
+def _holds(text: Optional[str], scope: dict, **placeholders) -> np.ndarray:
+    """Evaluate a guard/filter fragment (``None`` holds everywhere)."""
+    if text is None:
+        return np.True_
+    return eval(render_fragment(text, **placeholders), scope)
 
 
-def _plan_min_plus(
-    app_name: str,
-    old_edges: EdgeList,
-    new_edges: EdgeList,
-    effect: MutationEffect,
-    old_values: Dict[str, np.ndarray],
-    ctx: AppContext,
-) -> Optional[IncrementalPlan]:
-    old_dist = old_values["dist"]
-    n_new = effect.new_num_nodes
-    source = int(ctx.source)
-    if not 0 <= source < len(old_dist):
-        return None  # source outside the old graph: replay
-    weights = (
-        old_edges.weight
-        if old_edges.weight is not None
-        else np.ones(old_edges.num_edges, dtype=np.uint32)
-    )
-    if len(weights) and int(weights.min()) < 1:
-        return None  # zero weights: the support DAG may cycle; replay
-    dist = np.full(n_new, _UINT32_INF, dtype=np.uint32)
-    dist[: len(old_dist)] = old_dist
-    src = old_edges.src.astype(np.int64)
-    dst = old_edges.dst.astype(np.int64)
-    finite = dist[src] != _UINT32_INF
-    support = finite & (
-        dist[src].astype(np.uint64) + weights == dist[dst].astype(np.uint64)
-    )
-    affected = np.zeros(n_new, dtype=bool)
-    affected[dst[support & effect.deleted_mask]] = True
-    surviving = support & ~effect.deleted_mask
-    s_src = src[surviving]
-    s_dst = dst[surviving]
-    # Transitive closure down the old shortest-path DAG (acyclic under
-    # weights >= 1, so this terminates in <= diameter passes).
+def _spread(mask: np.ndarray, src, dst, stop: np.ndarray) -> np.ndarray:
+    """Grow ``mask`` along ``src -> dst`` until closed, never into ``stop``."""
     while True:
-        spread = affected[s_src] & ~affected[s_dst]
-        if not spread.any():
-            break
-        affected[s_dst[spread]] = True
-    affected[len(old_dist) :] = True  # new vertices start cold
-    affected[source] = False  # the root's 0 is axiomatic, never derived
-    reset = dist.copy()
-    reset[affected] = _UINT32_INF
-    reset[source] = dist[source]
-    frontier = np.zeros(n_new, dtype=bool)
-    nsrc = new_edges.src.astype(np.int64)
-    ndst = new_edges.dst.astype(np.int64)
-    boundary = (
-        ~affected[nsrc] & (reset[nsrc] != _UINT32_INF) & affected[ndst]
-    )
-    frontier[nsrc[boundary]] = True
-    inserted_src = _inserted_sources(new_edges, effect)
-    if len(inserted_src):
-        frontier[inserted_src[reset[inserted_src] != _UINT32_INF]] = True
-    return IncrementalPlan(
-        app_name=app_name,
-        strategy="min-plus",
-        full_restart=False,
-        affected=affected,
-        frontier=frontier,
-    )
-
-
-def _plan_component(
-    app_name: str,
-    old_edges: EdgeList,
-    new_edges: EdgeList,
-    effect: MutationEffect,
-    old_values: Dict[str, np.ndarray],
-    ctx: AppContext,
-) -> Optional[IncrementalPlan]:
-    labels = old_values["label"]
-    n_new = effect.new_num_nodes
-    affected = np.zeros(n_new, dtype=bool)
-    if effect.deleted_mask.any():
-        torn = np.unique(
-            np.concatenate(
-                [
-                    labels[old_edges.src[effect.deleted_mask].astype(np.int64)],
-                    labels[old_edges.dst[effect.deleted_mask].astype(np.int64)],
-                ]
-            )
-        )
-        affected[: len(labels)] = np.isin(labels, torn)
-    affected[len(labels) :] = True  # new vertices start cold
-    # Affected vertices reset to their own gid and must re-propagate, so
-    # they all push; inserted edges can merge untouched components, so
-    # their endpoints push too (symmetrized input means both directions
-    # appear as sources).
-    frontier = affected.copy()
-    inserted_src = _inserted_sources(new_edges, effect)
-    if len(inserted_src):
-        frontier[inserted_src] = True
-    return IncrementalPlan(
-        app_name=app_name,
-        strategy="component",
-        full_restart=False,
-        affected=affected,
-        frontier=frontier,
-    )
-
-
-_PLANNERS = {
-    "bfs": _plan_min_plus,
-    "sssp": _plan_min_plus,
-    "cc": _plan_component,
-}
+        grow = mask[src] & ~mask[dst] & ~stop[dst]
+        if not grow.any():
+            return mask
+        mask[dst[grow]] = True
 
 
 def plan_incremental(
-    app_name: str,
+    app: VertexProgram,
     old_edges: EdgeList,
     new_edges: EdgeList,
     effect: MutationEffect,
     old_values: Dict[str, np.ndarray],
+    new_partitioned: PartitionedGraph,
     ctx: AppContext,
 ) -> IncrementalPlan:
-    """Compute the resume plan for ``app_name`` after ``effect``.
+    """Compute the resume plan for ``app`` after ``effect``.
 
     ``old_edges``/``new_edges`` are the *prepared* (canonical) lists the
-    partition was built from — symmetrized for cc — and ``old_values``
-    maps the app's synchronized state keys to their converged global
-    arrays on the old graph.  Apps without a value-incremental strategy
-    get an honest full-restart plan.  An ``<app>@optimized`` build plans
-    like its bare name: same operator, same fixpoint.
+    partitions were built from — symmetrized for cc — ``old_values``
+    maps the app's per-node state keys to their converged global arrays
+    on the old graph, and ``new_partitioned``/``ctx`` are the new
+    version's layout and context (the seeds are read from them).
     """
-    planner = _PLANNERS.get(base_app_name(app_name))
-    if planner is not None:
-        plan = planner(
-            app_name, old_edges, new_edges, effect, old_values, ctx
+    certificate = certificate_for(app)
+    if not (certificate and certificate.self_stabilizing and app.supports_migration):
+        return IncrementalPlan(app.name, "replay", full_restart=True)
+    spec = app.spec
+    parts = new_partitioned.partitions
+    states = [app.make_state(part, ctx) for part in parts]
+    initial = gather_frontier(
+        new_partitioned,
+        [app.initial_frontier(p, s, ctx) for p, s in zip(parts, states)],
+    )
+    seed = {key: gather_global(new_partitioned, states, key) for key in old_values}
+    value = {}
+    for key, fresh in seed.items():
+        value[key] = fresh.copy()
+        value[key][: effect.old_num_nodes] = old_values[key]
+    targets = {target for phase in spec.phases for target in phase.targets}
+    seeded = np.logical_and.reduce([value[f] == seed[f] for f in targets])
+    scope = dict(spec.constants, np=np)
+    scope.update((k, v) for k, v in states[0].items() if np.ndim(v) == 0)
+
+    # Support: which old edges carry their destination's value.
+    src, dst = old_edges.src.astype(np.int64), old_edges.dst.astype(np.int64)
+    weights = np.ones(len(src), dtype=np.int64) if old_edges.weight is None else (
+        old_edges.weight.astype(np.int64)
+    )
+    supports = {"forward": np.zeros(len(src), dtype=bool)}
+    supports["transpose"] = supports["forward"].copy()
+    for phase in spec.phases:
+        s, d = (src, dst) if phase.orientation == "forward" else (dst, src)
+        edges = dict(scope, **value, src_rep=s, dst=d, weights=weights)
+        ends = dict(src="{f}[src_rep]", dst="{f}[dst]", local="{f}")
+        holds = _holds(phase.guard, edges, local="{f}[src_rep]") & _holds(
+            phase.edge_filter, edges, **ends
         )
-        if plan is not None:
-            return plan
+        for target, kernel in phase.scatters:
+            if kernel is not None:
+                candidate = eval(render_fragment(kernel, **ends), edges)
+                supports[phase.orientation] |= holds & (
+                    candidate == value[target][d]
+                )
+    forward, transpose = supports["forward"], supports["transpose"]
+    sup_src = np.concatenate([src[forward], dst[transpose]])
+    sup_dst = np.concatenate([dst[forward], src[transpose]])
+    deleted = np.concatenate(
+        [effect.deleted_mask[forward], effect.deleted_mask[transpose]]
+    )
+
+    # Tear: the closure of deleted support, then every vertex left with
+    # no surviving support path from a root; new vertices start cold.
+    torn = (np.bincount(sup_dst[deleted], minlength=len(seeded)) > 0) & ~seeded
+    sup_src, sup_dst = sup_src[~deleted], sup_dst[~deleted]
+    torn = _spread(torn, sup_src, sup_dst, seeded)
+    torn[effect.old_num_nodes :] = True
+    grounded = _spread(initial & seeded & ~torn, sup_src, sup_dst, torn)
+    torn |= ~(seeded | grounded)
+
+    # Frontier: whoever a cold run would push, where it can reach the
+    # tear or an inserted edge.
+    vertices = dict(scope)
+    for key, fresh in seed.items():
+        reset = torn.reshape((-1,) + (1,) * (fresh.ndim - 1))
+        vertices[key] = np.where(reset, fresh, value[key])
+    active = initial | ~(seeded | torn)
+    frontier = initial & torn
+    nsrc, ndst = new_edges.src.astype(np.int64), new_edges.dst.astype(np.int64)
+    inserted = slice(new_edges.num_edges - effect.inserted_count, None)
+    for phase in spec.phases:
+        if phase.kind != "frontier_push":
+            continue
+        s, d = (nsrc, ndst) if phase.orientation == "forward" else (ndst, nsrc)
+        pushes = active & _holds(phase.guard, vertices, local="{f}")
+        frontier[s[pushes[s] & torn[d]]] = True
+        frontier[s[inserted][pushes[s[inserted]]]] = True
     return IncrementalPlan(
-        app_name=app_name, strategy="replay", full_restart=True
+        app.name, "certified", full_restart=False, affected=torn,
+        frontier=frontier,
     )

@@ -3,9 +3,9 @@
 A :class:`StreamingSession` holds one application on one evolving graph
 and ties the streaming pieces together: the :class:`GraphVersion` chain
 (provenance hashes), :func:`delta_partition` (untouched hosts keep their
-partition objects), the incremental planners (:func:`plan_incremental`)
-and the executor's ``apply_mutations`` resume seam (which redoes the
-§4.1 memoization for the rebuilt hosts only).
+partition objects), the certified incremental planner
+(:func:`plan_incremental`) and the executor's ``apply_mutations`` resume
+seam (which redoes the §4.1 memoization for the rebuilt hosts only).
 
 Lifecycle::
 
@@ -44,7 +44,7 @@ from repro.runtime.migration import migratable_keys
 from repro.runtime.stats import RunResult
 from repro.streaming.batch import MutationBatch
 from repro.streaming.delta import delta_partition, host_signatures
-from repro.streaming.incremental import IncrementalPlan, plan_incremental
+from repro.streaming.incremental import plan_incremental
 from repro.streaming.version import GraphVersion
 from repro.systems import plan_run
 
@@ -236,32 +236,23 @@ class StreamingSession:
         old_edges = self.version.edges
         old_partitioned = self.partitioned
 
-        plan_started = time.perf_counter()
         new_version, effect = self.version.apply(batch)
         new_edges = new_version.edges
         advanced = self.plan.at(new_edges)
         new_ctx = advanced.prepared.ctx
-        plan = plan_incremental(
-            self.app.name,
-            old_edges,
-            new_edges,
-            effect,
-            self.values(),
-            new_ctx,
-        )
-        if not plan.full_restart and not getattr(
-            self.app, "supports_migration", True
-        ):
-            plan = IncrementalPlan(
-                app_name=self.app.name, strategy="replay", full_restart=True
-            )
-        plan_elapsed = time.perf_counter() - plan_started
 
         delta_started = time.perf_counter()
         delta = delta_partition(
             old_partitioned, self._signatures, new_edges, self.plan.partitioner
         )
         delta_elapsed = time.perf_counter() - delta_started
+
+        plan_started = time.perf_counter()
+        plan = plan_incremental(
+            self.app, old_edges, new_edges, effect, self.values(),
+            delta.partitioned, new_ctx,
+        )
+        plan_elapsed = time.perf_counter() - plan_started
 
         if self.tracer.enabled:
             self.tracer.record_sequential(

@@ -127,7 +127,7 @@ def test_incremental_rows_smoke():
         assert row["bitwise_identical"] is True
         assert row["streamed_messages"] <= row["cold_messages"]
         assert row["hosts_reused"] + row["hosts_rebuilt"] == hosts
-        assert row["strategy"] in {"min-plus", "component", "replay"}
+        assert row["strategy"] == "certified"
     for app in ("bfs", "cc"):  # a sweep, not a pile
         fractions = [
             row["mutated_fraction"] for row in rows if row["app"] == app

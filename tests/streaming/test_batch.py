@@ -57,12 +57,25 @@ class TestValidation:
         with pytest.raises(GraphError, match="must be omitted"):
             batch.validate_against(chain_graph())
 
-    def test_zero_weight_rejected(self):
+    def test_zero_weight_insert_validates(self):
         batch = MutationBatch(
-            insert_src=[0], insert_dst=[3], insert_weight=[0]
+            insert_src=[0, 3], insert_dst=[3, 1], insert_weight=[0, 0]
         )
-        with pytest.raises(GraphError, match=">= 1"):
-            batch.validate_against(chain_graph(weighted=True))
+        new_edges, _ = batch.apply(chain_graph(weighted=True))
+        assert new_edges.weight[-2:].tolist() == [0, 0]
+        # A zero-weight sssp stream still equals a cold recompute.
+        session = StreamingSession(
+            "d-galois", "sssp", chain_graph(weighted=True), num_hosts=2,
+            policy="oec", source=0,
+        )
+        session.run()
+        session.apply_batch(batch)
+        assert session.values()["dist"].tolist() == [0, 0, 2, 0, 2, 4]
+        session.apply_batch(MutationBatch(delete_src=[0], delete_dst=[3]))
+        warm = session.values()["dist"]
+        assert warm.tolist() == [0, 2, 4, 6, 8, 10]
+        cold = session.cold_values(session.cold_run())["dist"]
+        assert warm.tobytes() == cold.tobytes()
 
     def test_insert_referencing_same_batch_deleted_node_rejected(self):
         batch = MutationBatch(

@@ -136,7 +136,7 @@ class TestMutate:
             "--generate", "1", "--verify-cold", "--json",
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["steps"][0]["strategy"] == "component"
+        assert doc["steps"][0]["strategy"] == "certified"
         assert doc["verify"]["identical"] is True
 
     def test_trace_and_metrics_exports(self, tmp_path, capsys):
