@@ -1,42 +1,15 @@
-"""The layered communication plane.
+"""The layered communication plane, bottom up.
 
-Three layers, bottom up:
-
-* :mod:`repro.comm.codec` — the **field codec**: pure encode/decode of
-  one field's synchronization sub-message (all metadata modes).
+* :mod:`repro.comm.codec` — the **field codec**: one field's
+  sub-messages for every peer of a phase in one pass, and one
+  sub-message decoded in place (all metadata modes).
 * :mod:`repro.comm.frame` — the **aggregated wire frame**: many
-  sub-messages packed into one buffer (u16 field count + per-field u32
-  length prefixes).
+  sub-messages in one buffer (u16 field count + per-field u32 lengths).
 * :mod:`repro.comm.channel` — the **channel layer**: one
-  :class:`~repro.comm.channel.Channel` per (src, dst) pair buffering a
-  phase's sub-messages and flushing one framed buffer per peer at the
-  phase boundary, behind the per-host :class:`~repro.comm.channel.CommPlane`.
+  :class:`~repro.comm.channel.Channel` per (src, dst) pair holding a
+  phase's sub-messages and flushing one frame per peer, behind the
+  per-host :class:`~repro.comm.channel.CommPlane`.
 
-The Gluon substrate drives the plane; the distributed executor drives
-the substrate per phase instead of per field.  See DESIGN.md's
-"Communication plane" section for the wire layout and the message-count
-arithmetic.
+The Gluon substrate drives the plane; DESIGN.md's "Communication plane"
+section has the wire layout and the message-count arithmetic.
 """
-
-from repro.comm.channel import Channel, CommPlane
-from repro.comm.codec import (
-    DecodedField,
-    EncodedField,
-    decode_field_payload,
-    encode_global_ids_field,
-    encode_memoized_field,
-)
-from repro.comm.frame import decode_frame, encode_frame, frame_overhead
-
-__all__ = [
-    "Channel",
-    "CommPlane",
-    "DecodedField",
-    "EncodedField",
-    "decode_field_payload",
-    "encode_global_ids_field",
-    "encode_memoized_field",
-    "decode_frame",
-    "encode_frame",
-    "frame_overhead",
-]

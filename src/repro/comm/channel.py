@@ -1,99 +1,108 @@
 """The channel layer: per-peer cross-field message aggregation.
 
 Real Gluon aggregates all synchronization traffic bound for one host
-into a single buffer per round (§4, the LCI backend).  This layer is the
-reproduction's rendering of that idea: one :class:`Channel` per
-``(src, dst)`` host pair buffers each field's encoded sub-message during
-a phase and flushes a single multi-field framed buffer (see
-:mod:`repro.comm.frame`) to the transport at the phase boundary.  A
-round's steady-state message count drops from
-``2 x num_fields x peer_pairs`` to ``2 x peer_pairs``, shrinking the
-per-message alpha term of the simulated communication time.
-
-:class:`CommPlane` is one host's view of the layer — the substrate talks
-to it instead of to the raw transport.  In *pass-through* mode
-(``aggregate=False``, the ``--no-aggregation`` ablation) every staged
-sub-message is sent immediately as its own transport message, preserving
-the historical one-message-per-(field, peer, phase) wire shape bit for
-bit.
+into a single buffer per round (§4, the LCI backend).  Here one
+:class:`Channel` per ``(src, dst)`` host pair holds each field's
+sub-message during a phase and flushes one multi-field frame (see
+:mod:`repro.comm.frame`) at the phase boundary, so a round's steady-state
+message count drops from ``2 x num_fields x peer_pairs`` to
+``2 x peer_pairs``.  :class:`CommPlane` is one host's view of the layer.
+In *pass-through* mode (``aggregate=False``, the ``--no-aggregation``
+ablation) every sub-message is its own transport message, the historical
+one-message-per-(field, peer, phase) wire shape bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.comm.frame import decode_frame, encode_frame
+from repro.comm.frame import encode_frame, frame_overhead, frame_slots
 from repro.core.serialization import is_empty_message
 from repro.errors import SyncError, TransportError
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
+
+#: A frame's per-field ``(start, end)`` byte offsets (``None`` = no message).
+Slots = List[Optional[Tuple[int, int]]]
+
+
+def _short(frame, num_slots: int) -> bool:
+    """Whether ``frame`` is no longer than ``num_slots`` framed EMPTY
+    messages: only such a frame can be quiet."""
+    return len(frame) <= frame_overhead(num_slots) + 2 * num_slots
 
 
 class Channel:
     """Phase buffer of one ``(src, dst)`` host pair.
 
-    Holds at most one sub-message per field slot between a phase's
-    stage calls and its flush.  A channel is *drained* when no staged
-    sub-message is waiting — the invariant the executor checks at every
-    round close (mail buffered past a flush boundary would silently
-    vanish from the round's traffic).
-
-    A quiet peer's frame — every sub-message the constant EMPTY payload —
-    is kept, and a flush of the same sub-messages re-sends it instead of
-    encoding it again.
+    Holds at most one sub-message per field slot, in a list indexed by
+    slot (the frame's slots), between a phase's stage calls and its
+    flush.  A channel is *drained* when nothing staged waits — the
+    invariant the executor checks at every round close.  A quiet peer's
+    frame (every sub-message EMPTY) is kept, and a flush of the same
+    sub-messages re-sends it instead of encoding it again.
     """
 
-    __slots__ = ("src", "dst", "_staged", "_last")
+    __slots__ = ("src", "dst", "_slots", "_staged", "_last")
 
     def __init__(self, src: int, dst: int) -> None:
         self.src = src
         self.dst = dst
-        self._staged: Dict[int, bytes] = {}
+        self._slots: List[Optional[bytes]] = []
+        self._staged = 0
         self._last: Optional[Tuple[List[Optional[bytes]], bytes]] = None
 
     def stage(self, field_index: int, payload: bytes) -> None:
         """Buffer ``payload`` as field ``field_index``'s sub-message."""
-        if field_index < 0:
+        slots = self._slots
+        missing = field_index - len(slots)
+        if missing >= 0:
+            if missing:
+                slots.extend([None] * missing)
+            slots.append(payload)
+        elif field_index < 0:
             raise SyncError(f"field index {field_index} must be >= 0")
-        if field_index in self._staged:
+        elif slots[field_index] is not None:
             raise SyncError(
                 f"channel {self.src}->{self.dst}: field {field_index} "
                 "already staged this phase"
             )
-        self._staged[field_index] = payload
+        else:
+            slots[field_index] = payload
+        self._staged += 1
 
     @property
     def staged_fields(self) -> int:
         """Number of sub-messages waiting for the next flush."""
-        return len(self._staged)
+        return self._staged
 
     def take_frame(self, num_fields: int) -> Optional[bytes]:
         """Drain the staged sub-messages into one frame (``None`` if idle)."""
         if not self._staged:
             return None
-        highest = max(self._staged)
-        if highest >= num_fields:
+        subs = self._slots
+        if len(subs) > num_fields:
             raise SyncError(
-                f"channel {self.src}->{self.dst}: staged field {highest} "
+                f"channel {self.src}->{self.dst}: staged field {len(subs) - 1} "
                 f"outside the {num_fields}-field frame"
             )
-        subs = [self._staged.get(i) for i in range(num_fields)]
-        self._staged.clear()
+        if len(subs) < num_fields:
+            subs.extend([None] * (num_fields - len(subs)))
+        self._slots, self._staged = [], 0
         last = self._last
         if last is not None and last[0] == subs:
             return last[1]
         frame = encode_frame(subs)
-        quiet = all(sub is None or is_empty_message(sub) for sub in subs)
+        quiet = _short(frame, num_fields) and all(
+            sub is None or is_empty_message(sub) for sub in subs
+        )
         self._last = (subs, frame) if quiet else None
         return frame
 
     def assert_drained(self) -> None:
-        """Raise unless every staged sub-message has been flushed.
-
-        The channel-layer twin of the transport's undelivered-mail check:
-        a round must not close while a channel still buffers data.
-        """
+        """Raise unless every staged sub-message has been flushed (the
+        channel-layer twin of the transport's undelivered-mail check)."""
         if self._staged:
-            fields = sorted(self._staged)
+            fields = [i for i, sub in enumerate(self._slots) if sub is not None]
             raise TransportError(
                 f"round ended with un-flushed channel buffers: channel "
                 f"{self.src}->{self.dst} holds {len(fields)} staged "
@@ -102,15 +111,10 @@ class Channel:
 
 
 class CommPlane:
-    """One host's port into the layered communication plane.
-
-    Args:
-        host: the owning host id.
-        transport: the cluster fabric (plain or fault-injecting).
-        aggregate: buffer-and-flush (default) or pass-through ablation.
-        metrics: registry for the per-channel instruments
-            (``channel_flushes_total``, ``channel_fields_per_flush``).
-    """
+    """One host's port into the layered communication plane: ``transport``
+    is the cluster fabric (plain or fault-injecting), ``aggregate``
+    picks buffer-and-flush or the pass-through ablation, and ``metrics``
+    gets ``channel_flushes_total`` / ``channel_fields_per_flush``."""
 
     def __init__(
         self,
@@ -124,7 +128,7 @@ class CommPlane:
         self.aggregate = aggregate
         self.metrics = metrics
         self._channels: Dict[int, Channel] = {}
-        self._quiet: Dict[int, Tuple[bytes, List[Optional[bytes]]]] = {}
+        self._quiet: Dict[int, Tuple[bytes, Slots]] = {}
 
     def channel(self, peer: int) -> Channel:
         """The (lazily created) channel toward ``peer``."""
@@ -136,26 +140,31 @@ class CommPlane:
             self._channels[peer] = chan
         return chan
 
-    def stage(self, peer: int, field_index: int, payload: bytes) -> None:
-        """Queue one field sub-message for ``peer`` (or send it now).
-
-        Aggregating: buffered until :meth:`flush`.  Pass-through: sent
-        immediately as its own transport message — the historical wire
-        shape the ``--no-aggregation`` ablation preserves.
-        """
+    def stage_all(
+        self, field_index: int, peers: Sequence[int], payloads: Sequence[bytes]
+    ) -> None:
+        """Queue field ``field_index``'s sub-message for each of ``peers``:
+        into its peer's frame slots until :meth:`flush`, or (pass-through)
+        sent now as its own transport message."""
         if not self.aggregate:
-            self.transport.send(self.host, peer, payload)
+            send = self.transport.send
+            for peer, payload in zip(peers, payloads):
+                send(self.host, peer, payload)
             return
-        self.channel(peer).stage(field_index, payload)
+        channels = self._channels
+        for peer, payload in zip(peers, payloads):
+            chan = channels.get(peer) or self.channel(peer)
+            chan.stage(field_index, payload)
+
+    def stage(self, peer: int, field_index: int, payload: bytes) -> None:
+        """:meth:`stage_all` for one peer."""
+        self.stage_all(field_index, (peer,), (payload,))
 
     def flush(
         self, num_fields: int, peer_order: Iterable[int]
     ) -> List[Tuple[int, int]]:
-        """Flush every non-empty channel, one framed buffer per peer.
-
-        Returns the flushed ``(peer, frame_bytes)`` pairs.  ``peer_order``
-        fixes the send order so mailbox contents stay deterministic.
-        """
+        """Flush every non-empty channel, one frame per peer, in
+        ``peer_order``; returns the flushed ``(peer, frame_bytes)`` pairs."""
         if not self.aggregate:
             return []
         flushed: List[Tuple[int, int]] = []
@@ -170,38 +179,34 @@ class CommPlane:
             self.transport.send(self.host, peer, frame)
             flushed.append((peer, len(frame)))
             if self.metrics.enabled:
-                self.metrics.counter(
-                    "channel_flushes_total", host=self.host, peer=peer
-                ).inc()
-                self.metrics.histogram("channel_fields_per_flush").observe(
-                    staged
-                )
+                self.metrics.counter("channel_flushes_total", host=self.host, peer=peer).inc()
+                self.metrics.histogram("channel_fields_per_flush").observe(staged)
         return flushed
 
-    def receive_frames(self) -> List[Tuple[int, List[Optional[bytes]]]]:
-        """Drain the host's mailbox into per-field sub-message lists.
+    def receive(self) -> List[Tuple[int, bytes, Slots]]:
+        """Drain the host's mailbox into ``(sender, buffer, slots)`` triples.
 
-        Returns ``(sender, per-field sub-messages)`` pairs in delivery
-        order.  Aggregating: each buffer is a decoded multi-field frame.
-        Pass-through: each message is one field's raw payload, yielded
-        as a one-slot frame so receivers handle both shapes alike.
+        Aggregating: each frame's header is parsed once by
+        :func:`frame_slots` — once per quiet frame: the very buffer object
+        of a sender's last all-EMPTY frame gets that frame's slots back.
+        Pass-through: each raw payload is a one-slot frame.
         """
         inbox = self.transport.receive_all(self.host)
         if not self.aggregate:
-            return [(sender, [payload]) for sender, payload in inbox]
-        return [(sender, self._decode(sender, buffer)) for sender, buffer in inbox]
-
-    def _decode(self, sender: int, buffer) -> List[Optional[bytes]]:
-        """:func:`decode_frame`, once per quiet frame: a sender re-sending
-        the very buffer object of its last all-EMPTY frame gets that
-        frame's decoding back."""
-        last = self._quiet.get(sender)
-        if last is not None and last[0] is buffer:
-            return last[1]
-        subs = decode_frame(buffer)
-        if all(sub is None or is_empty_message(sub) for sub in subs):
-            self._quiet[sender] = (buffer, subs)
-        return subs
+            return [(sender, payload, [(0, len(payload))]) for sender, payload in inbox]
+        received = []
+        for sender, buffer in inbox:
+            last = self._quiet.get(sender)
+            if last is not None and last[0] is buffer:
+                received.append((sender, buffer, last[1]))
+                continue
+            slots = frame_slots(buffer)
+            if _short(buffer, len(slots)) and all(
+                slot is None or is_empty_message(buffer, *slot) for slot in slots
+            ):
+                self._quiet[sender] = (buffer, slots)
+            received.append((sender, buffer, slots))
+        return received
 
     def assert_drained(self) -> None:
         """Check every channel is drained (see :meth:`Channel.assert_drained`)."""

@@ -1,6 +1,6 @@
 """Multi-field channel frame: many sub-messages, one wire buffer.
 
-The aggregated wire format flushed by a :class:`~repro.comm.channel.Channel`
+The aggregated wire format a :class:`~repro.comm.channel.Channel` flushes
 at each phase boundary.  Layout (little-endian)::
 
     ====== ====================================================
@@ -11,26 +11,19 @@ at each phase boundary.  Layout (little-endian)::
     2+4n   the sub-messages, concatenated in field order
     ====== ====================================================
 
-Every synchronized field owns one slot, in the (host-agreed) field
-order of ``VertexProgram.make_fields``.  A length of zero means the
-sender had no sub-message for that field this phase (the UNOPT/OSI
-"nothing updated" case); a present sub-message is always at least the
-2-byte :func:`~repro.core.serialization.encode_message` header, so zero
-is unambiguous.
-
-The frame is deliberately dumb — no checksums, no field names.  Field
-identity is positional (the executor guarantees every host builds the
-same field list), and integrity is the resilience subsystem's job: the
-fault-injecting transport wraps each flushed frame in one CRC frame, so
-aggregation also amortizes the integrity framing to one CRC per peer
-per phase instead of one per field.
+Every synchronized field owns one slot, in the host-agreed field order.
+A length of zero means no sub-message for that field this phase (the
+UNOPT/OSI "nothing updated" case); a present one is at least the 2-byte
+message header, so zero is unambiguous.  The frame carries no checksums
+and no field names: field identity is positional, and the fault-injecting
+transport wraps each frame in one CRC frame (one per peer per phase).
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SerializationError
 
@@ -70,24 +63,20 @@ def encode_frame(submessages: Sequence[Optional[bytes]]) -> bytes:
     return b"".join((_header(count).pack(count, *lengths), *bodies))
 
 
-def decode_frame(buffer) -> List[Optional[memoryview]]:
-    """Unpack one frame into per-field sub-messages (``None`` = no message).
+def frame_slots(buffer) -> List[Optional[Tuple[int, int]]]:
+    """Parse one frame's header: per field slot, its ``(start, end)``
+    byte offsets in ``buffer`` (``None`` = no message), read in place.
 
-    The sub-messages are ``memoryview`` slices of ``buffer`` — nothing is
-    copied; they stay valid for as long as the buffer is unchanged.
-
-    Raises:
-        SerializationError: the frame is truncated, its length prefixes
-            overrun the buffer, or trailing bytes follow the last
-            sub-message — any shape a corrupted aggregation could take.
+    Raises :class:`SerializationError` for a truncated frame, length
+    prefixes that overrun it, or trailing bytes — any shape a corrupted
+    aggregation could take.
     """
-    view = memoryview(buffer)
-    size = len(view)
+    size = len(buffer)
     if size < _COUNT.size:
         raise SerializationError(
             f"frame too short for field count: {size} bytes"
         )
-    (count,) = _COUNT.unpack_from(view, 0)
+    (count,) = _COUNT.unpack_from(buffer, 0)
     if count == 0:
         raise SerializationError("frame with zero field slots")
     header = frame_overhead(count)
@@ -96,18 +85,28 @@ def decode_frame(buffer) -> List[Optional[memoryview]]:
             f"frame truncated in length prefixes: {size} bytes for "
             f"{count} fields"
         )
-    lengths = _header(count).unpack_from(view)[1:]
+    lengths = _header(count).unpack_from(buffer)[1:]
     expected = header + sum(lengths)
     if size != expected:
         raise SerializationError(
             f"frame body mismatch: expected {expected} bytes, got {size}"
         )
-    subs: List[Optional[memoryview]] = []
+    slots: List[Optional[Tuple[int, int]]] = []
     offset = header
     for length in lengths:
         if length == 0:
-            subs.append(None)
+            slots.append(None)
             continue
-        subs.append(view[offset : offset + length])
+        slots.append((offset, offset + length))
         offset += length
-    return subs
+    return slots
+
+
+def decode_frame(buffer) -> List[Optional[memoryview]]:
+    """Unpack one frame into per-field sub-messages (``None`` = no
+    message): ``memoryview`` slices of ``buffer`` at its :func:`frame_slots`."""
+    view = memoryview(buffer)
+    return [
+        None if slot is None else view[slot[0] : slot[1]]
+        for slot in frame_slots(view)
+    ]

@@ -16,12 +16,14 @@ the ``GLOBAL_IDS`` mode used by UNOPT/OSI and by the Gemini baseline.
 
 The paper selects the mode by comparing the encoded sizes ("the number of
 bits set in the bit-vector is used to determine which mode yields the
-smallest message"); :func:`select_mode` does exactly that.
+smallest message"); :func:`select_modes` does exactly that, for every
+peer of a phase at once.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import List, Sequence
 
 from repro.core.bitvector import BitVector
 
@@ -43,17 +45,17 @@ class MetadataMode(enum.IntEnum):
     GLOBAL_IDS = 4
 
 
+_EMPTY, _FULL, _BITVEC, _INDICES = (
+    MetadataMode.EMPTY, MetadataMode.FULL, MetadataMode.BITVEC, MetadataMode.INDICES,
+)
+
+
 def encoded_size(
     mode: MetadataMode, num_agreed: int, num_updates: int, value_size: int
 ) -> int:
-    """Exact wire size (bytes) of a message in ``mode``.
-
-    Args:
-        mode: candidate encoding.
-        num_agreed: length of the memoized proxy array for this host pair.
-        num_updates: number of updated proxies this round.
-        value_size: bytes per value.
-    """
+    """Exact wire size (bytes) of a message in ``mode`` over an agreed
+    array of ``num_agreed`` proxies with ``num_updates`` updated ones,
+    ``value_size`` bytes per value."""
     if num_updates > num_agreed:
         raise ValueError(
             f"num_updates {num_updates} exceeds agreed array {num_agreed}"
@@ -61,51 +63,47 @@ def encoded_size(
     if mode is MetadataMode.EMPTY:
         return HEADER_BYTES
     if mode is MetadataMode.FULL:
-        return HEADER_BYTES + COUNT_BYTES + num_agreed * value_size
-    if mode is MetadataMode.BITVEC:
-        return (
-            HEADER_BYTES
-            + COUNT_BYTES
-            + BitVector.wire_size(num_agreed)
-            + num_updates * value_size
-        )
-    if mode is MetadataMode.INDICES:
-        return (
-            HEADER_BYTES
-            + COUNT_BYTES
-            + num_updates * (INDEX_BYTES + value_size)
-        )
-    if mode is MetadataMode.GLOBAL_IDS:
-        return (
-            HEADER_BYTES
-            + COUNT_BYTES
-            + num_updates * (INDEX_BYTES + value_size)
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        body = num_agreed * value_size
+    elif mode is MetadataMode.BITVEC:
+        body = BitVector.wire_size(num_agreed) + num_updates * value_size
+    elif mode in (MetadataMode.INDICES, MetadataMode.GLOBAL_IDS):
+        body = num_updates * (INDEX_BYTES + value_size)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return HEADER_BYTES + COUNT_BYTES + body
 
 
-def select_mode(
-    num_agreed: int, num_updates: int, value_size: int
-) -> MetadataMode:
-    """Pick the smallest memoized encoding for this round's updates.
+def select_modes(
+    num_agreed: Sequence[int], num_updates: Sequence[int], value_size: int
+) -> List[MetadataMode]:
+    """Pick the smallest memoized encoding for each of many messages.
 
     Implements the paper's rules: no updates -> EMPTY; dense -> FULL (no
     metadata at all); sparse -> BITVEC; very sparse -> INDICES.  The choice
     is made by exact size comparison, with ties broken toward the mode with
-    the cheaper decode (FULL < BITVEC < INDICES).
+    the cheaper decode (FULL < BITVEC < INDICES).  Message ``i`` has
+    ``num_updates[i]`` updates over ``num_agreed[i]`` agreed proxies.
     """
-    if num_updates == 0:
-        return MetadataMode.EMPTY
-    if num_updates > num_agreed:
-        raise ValueError(
-            f"num_updates {num_updates} exceeds agreed array {num_agreed}"
-        )
-    # The three bodies past their common header + count (encoded_size).
-    full = num_agreed * value_size
-    bitvec = BitVector.wire_size(num_agreed) + num_updates * value_size
-    indices = num_updates * (INDEX_BYTES + value_size)
-    if full <= bitvec and full <= indices:
-        return MetadataMode.FULL
-    if bitvec <= indices:
-        return MetadataMode.BITVEC
-    return MetadataMode.INDICES
+    modes = []
+    for agreed, updates in zip(num_agreed, num_updates):
+        if updates == 0:
+            modes.append(_EMPTY)
+            continue
+        if updates > agreed:
+            raise ValueError(
+                f"num_updates {updates} exceeds agreed array {agreed}"
+            )
+        # The three bodies past their common header + count (encoded_size).
+        full = agreed * value_size
+        bitvec = BitVector.wire_size(agreed) + updates * value_size
+        indices = updates * (INDEX_BYTES + value_size)
+        if full <= bitvec and full <= indices:
+            modes.append(_FULL)
+        else:
+            modes.append(_BITVEC if bitvec <= indices else _INDICES)
+    return modes
+
+
+def select_mode(num_agreed: int, num_updates: int, value_size: int) -> MetadataMode:
+    """:func:`select_modes` for one message."""
+    return select_modes((num_agreed,), (num_updates,), value_size)[0]

@@ -96,14 +96,12 @@ def phase_liveness(
 class FieldPlan:
     """One bound field's resolved routes on one host, keyed by phase.
 
-    Attributes:
-        sends: phase -> ``(peer, agreed)`` pairs in ascending peer order,
-            peers with an empty agreed array dropped; no pairs at all for
-            a phase the field does not declare.  Arrays hold local IDs,
-            aligned element-by-element with the peer's ``recv`` array.
-        recv: phase -> sender -> my proxies receiving that sender's values.
-        live: phase -> the cluster-wide verdict (:func:`phase_liveness`).
-        empty: the field's constant EMPTY payload.
+    ``sends`` are ``(peer, agreed)`` pairs in ascending peer order, empty
+    agreed arrays dropped (none for an undeclared phase), aligned element
+    by element with the peer's ``recv`` array (sender -> my receiving
+    proxies); ``layout`` is ``sends`` laid out for a one-pass encode.
+    ``live`` is the cluster-wide verdict (:func:`phase_liveness`) and
+    ``empty`` the field's constant EMPTY payload.
     """
 
     field: FieldSpec
@@ -111,6 +109,37 @@ class FieldPlan:
     recv: Dict[str, Dict[int, np.ndarray]]
     live: Dict[str, bool]
     empty: bytes
+    layout: Dict[str, "SendLayout"]
+
+
+@dataclass(frozen=True)
+class SendLayout:
+    """One field's sends in one phase, laid out once per layout so a phase
+    encodes every peer in one pass: their agreed arrays end to end
+    (``concat``, native ints; peer ``i``'s at ``bounds[i]:bounds[i + 1]``,
+    ``starts`` is ``bounds[:-1]``, ``lengths`` their sizes) and each
+    entry's position in its peer's array (``positions``, u32: every
+    INDICES message by one gather).
+    """
+
+    peers: Tuple[int, ...]
+    concat: np.ndarray
+    bounds: Tuple[int, ...]
+    lengths: Tuple[int, ...]
+    starts: np.ndarray
+    positions: np.ndarray
+
+
+def send_layout(sends: Sequence[Tuple[int, np.ndarray]]) -> SendLayout:
+    """Lay out ``(peer, agreed)`` sends."""
+    lengths = np.array([len(agreed) for _, agreed in sends], dtype=np.intp)
+    bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.intp)
+    concat = np.concatenate([a for _, a in sends] or [[]]).astype(np.intp)
+    return SendLayout(
+        tuple(peer for peer, _ in sends), concat, tuple(bounds.tolist()),
+        tuple(lengths.tolist()), bounds[:-1],
+        (np.arange(len(concat)) - np.repeat(bounds[:-1], lengths)).astype(np.uint32),
+    )
 
 
 @dataclass(frozen=True)
@@ -167,9 +196,11 @@ def build_sync_plan(
             for phase, (send, _) in routes.items()
         }
         recv = {phase: arrays for phase, (_, arrays) in routes.items()}
+        layout = {phase: send_layout(pairs) for phase, pairs in sends.items()}
         entries.append(
             FieldPlan(
-                field, sends, recv, liveness[slot], empty_message(field.wire_dtype)
+                field, sends, recv, liveness[slot], empty_message(field.wire_dtype),
+                layout,
             )
         )
     return SyncPlan(book.host, peer_order, tuple(entries))

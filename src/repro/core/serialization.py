@@ -31,9 +31,6 @@ the mode byte (the low 6 bits remain the mode tag):
   unmasked columns from its own copy (broadcast) or the reduction
   identity (reduce); see :mod:`repro.comm.codec`.
 
-Scalar (1-D) messages never set either flag, so their wire bytes are
-unchanged from earlier revisions.
-
 The resilience subsystem additionally wraps each message in an integrity
 *frame* (see :func:`frame_payload`): a u64 sequence number plus a CRC-32
 of sequence number and body.  The frame lets the fault-injecting
@@ -48,7 +45,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,16 +89,11 @@ def dtype_code(dtype: np.dtype) -> int:
 class SyncMessage:
     """A decoded synchronization message.
 
-    Attributes:
-        mode: The metadata encoding used.
-        values: The transported values (empty for EMPTY mode).  Wide
-            messages carry an (rows, width) array; delta messages carry
-            the masked column values flat (see ``delta_mask``).
-        selection: Positions into the memoized array (BITVEC/INDICES), the
-            raw global IDs (GLOBAL_IDS), or ``None`` (FULL/EMPTY).
-        width: Row width of a wide message; 0 for scalar messages.
-        delta_mask: (rows, width) bool array of shipped columns for a
-            delta-compressed message, else ``None``.
+    ``values`` are (rows, width) for a wide message, the masked columns
+    flat for a delta one (``delta_mask`` is then the (rows, width) bool
+    mask of shipped columns).  ``selection`` holds positions into the
+    memoized array (BITVEC/INDICES), raw global IDs (GLOBAL_IDS) or
+    ``None`` (FULL/EMPTY); ``width`` is 0 for a scalar message.
     """
 
     mode: MetadataMode
@@ -126,6 +118,9 @@ _WIDTH = struct.Struct("<H")
 _COUNT = struct.Struct("<I")
 
 _EMPTY_TAG = int(MetadataMode.EMPTY)
+_FULL_TAG = int(MetadataMode.FULL)
+_BITVEC_TAG = int(MetadataMode.BITVEC)
+_ID_TAGS = (int(MetadataMode.INDICES), int(MetadataMode.GLOBAL_IDS))
 
 
 def empty_message(dtype: np.dtype) -> bytes:
@@ -133,23 +128,114 @@ def empty_message(dtype: np.dtype) -> bytes:
     return bytes((_EMPTY_TAG, dtype_code(dtype)))
 
 
-def is_empty_message(payload) -> bool:
-    """Whether ``payload`` is exactly an :func:`empty_message`.
+def is_empty_message(payload, start: int = 0, end: Optional[int] = None) -> bool:
+    """Whether ``payload[start:end]`` is exactly an :func:`empty_message`.
 
     Told from the two bytes alone (length 2, tag EMPTY with no flag bits,
-    a known dtype code) so a quiet peer costs no :class:`SyncMessage`;
-    anything else, however close, is the full decoder's — and its errors.
+    a known dtype code) so a quiet peer costs no parse; anything else,
+    however close, is the full decoder's — and its errors.
     """
     return (
-        len(payload) == 2
-        and payload[0] == _EMPTY_TAG
-        and payload[1] in _DTYPE_BY_CODE
+        (len(payload) if end is None else end) - start == 2
+        and payload[start] == _EMPTY_TAG
+        and payload[start + 1] in _DTYPE_BY_CODE
     )
 
 
 def _mask_bytes_per_row(width: int) -> int:
     """Packed column-mask bytes per delta row."""
     return (width + 7) // 8
+
+
+def encode_messages(
+    modes: Sequence[int],
+    values: np.ndarray,
+    rows: Sequence[int],
+    *,
+    bits: Optional[np.ndarray] = None,
+    agreed: Sequence[int] = (),
+    ids: Optional[np.ndarray] = None,
+    width: int = 0,
+    delta_mask: Optional[np.ndarray] = None,
+) -> List[bytes]:
+    """Encode one message per entry of ``modes``, all in one pass.
+
+    Message ``i`` ships the rows ``values[rows[i]:rows[i + 1]]`` (scalar:
+    1-D; wide: (rows, ``width``)), only their columns set in
+    ``delta_mask`` when delta-compressed.  INDICES and GLOBAL_IDS name
+    them by ``ids`` over the same rows (positions or global IDs, any
+    integer dtype); BITVEC packs its agreed array's update bits,
+    ``bits[agreed[i]:agreed[i + 1]]``.  EMPTY is the constant
+    :func:`empty_message`.  The checks run once per pass.
+    """
+    if not values.flags.c_contiguous:
+        values = np.ascontiguousarray(values)
+    code = _DTYPE_CODES.get(values.dtype)
+    if code is None:
+        code = dtype_code(values.dtype)  # raises, naming the dtype
+    empty = bytes((_EMPTY_TAG, code))
+    wide = width > 1
+    flags = 0
+    if wide:
+        if width >= 1 << 16:
+            raise SerializationError(f"row width {width} out of u16 range")
+        if values.ndim != 2 or values.shape[1] != width:
+            raise SerializationError(
+                f"wide message: values shape {values.shape} does not match "
+                f"width {width}"
+            )
+        flags = _FLAG_WIDE if delta_mask is None else _FLAG_WIDE | _FLAG_DELTA
+    elif delta_mask is not None:
+        raise SerializationError("delta compression requires a wide message")
+    if delta_mask is not None:
+        if delta_mask.shape != values.shape:
+            raise SerializationError(
+                f"delta mask shape {delta_mask.shape} does not match values "
+                f"shape {values.shape}"
+            )
+        packed = np.packbits(delta_mask, axis=1)
+        shipped = np.zeros(len(values) + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(delta_mask, axis=1), out=shipped[1:])
+        shipped = shipped[list(rows)].tolist()  # masked values before each message
+        masked = values[delta_mask]
+    if ids is not None and ids.dtype != _U32:
+        ids = ids.astype(_U32)
+    messages = []
+    for i, mode in enumerate(modes):
+        if mode == _EMPTY_TAG:
+            messages.append(empty)
+            continue
+        start, end = rows[i], rows[i + 1]
+        count = end - start
+        if mode == _BITVEC_TAG:
+            if bits is None:
+                raise SerializationError("BITVEC mode requires selection positions")
+            count = agreed[i + 1] - agreed[i]
+            metadata = np.packbits(bits[agreed[i] : agreed[i + 1]], bitorder="little")
+        elif mode in _ID_TAGS:
+            if ids is None:
+                raise SerializationError(
+                    f"{_MODE_BY_TAG[mode].name} mode requires a selection"
+                )
+            metadata = ids[start:end]
+        elif mode == _FULL_TAG:
+            metadata = b""
+        else:
+            raise SerializationError(f"unknown mode {mode!r}")
+        if wide:
+            head = _WIDE_HEAD.pack(mode | flags, code, width, count)
+        else:
+            head = _SCALAR_HEAD.pack(mode | flags, code, count)
+        if delta_mask is None:
+            messages.append(b"".join((head, metadata, values[start:end])))
+        else:
+            messages.append(
+                b"".join((
+                    head, metadata, packed[start:end],
+                    masked[shipped[i] : shipped[i + 1]],
+                ))
+            )
+    return messages
 
 
 def encode_message(
@@ -161,77 +247,27 @@ def encode_message(
     width: int = 0,
     delta_mask: Optional[np.ndarray] = None,
 ) -> bytes:
-    """Encode one synchronization message.
+    """:func:`encode_messages` for one message.
 
-    Header, metadata and values are gathered as buffers and copied once,
-    by a single ``join``, into the message.
-
-    Args:
-        mode: encoding to use.
-        values: values to ship (ignored for EMPTY).  Scalar messages pass
-            a 1-D array; wide messages pass (rows, width).
-        num_agreed: memoized array length (BITVEC only; sized bit-vector).
-        selection: positions (BITVEC/INDICES) or global IDs (GLOBAL_IDS),
-            any integer dtype.
-        width: row width of a wide message (0 or 1 means scalar).
-        delta_mask: (rows, width) bool mask of columns to ship; the
-            unmasked columns are omitted from the wire (wide only).
+    ``selection`` holds its positions (BITVEC/INDICES) or global IDs
+    (GLOBAL_IDS); a BITVEC bit-vector spans ``num_agreed`` bits.
     """
     values = np.ascontiguousarray(values)
-    wide = width > 1
-    tag = int(mode)
-    if wide and mode is not MetadataMode.EMPTY:
-        if width >= 1 << 16:
-            raise SerializationError(f"row width {width} out of u16 range")
-        if values.ndim != 2 or values.shape[1] != width:
-            raise SerializationError(
-                f"wide message: values shape {values.shape} does not match "
-                f"width {width}"
-            )
-        tag |= _FLAG_WIDE
-        if delta_mask is not None:
-            tag |= _FLAG_DELTA
-    elif delta_mask is not None:
-        raise SerializationError("delta compression requires a wide message")
-    if mode is MetadataMode.EMPTY:
-        return empty_message(values.dtype)
-    code = dtype_code(values.dtype)
-    count = len(values)
-    metadata = b""
-    if mode is MetadataMode.BITVEC:
-        if selection is None:
-            raise SerializationError("BITVEC mode requires selection positions")
-        if len(values) != len(selection):
-            raise SerializationError(
-                f"BITVEC: {len(selection)} positions for {len(values)} values"
-            )
-        mask = np.zeros(num_agreed, dtype=bool)
-        mask[selection] = True
-        count = num_agreed
-        metadata = np.packbits(mask, bitorder="little")
-    elif mode in (MetadataMode.INDICES, MetadataMode.GLOBAL_IDS):
-        if selection is None:
-            raise SerializationError(f"{mode.name} mode requires a selection")
+    ids = bits = None
+    if selection is not None and mode is not MetadataMode.FULL:
         if len(values) != len(selection):
             raise SerializationError(
                 f"{mode.name}: {len(selection)} ids for {len(values)} values"
             )
-        metadata = np.ascontiguousarray(selection, dtype=_U32)
-    elif mode is not MetadataMode.FULL:
-        raise SerializationError(f"unknown mode {mode!r}")
-    if wide:
-        head = _WIDE_HEAD.pack(tag, code, width, count)
-    else:
-        head = _SCALAR_HEAD.pack(tag, code, count)
-    if delta_mask is None:
-        return b"".join((head, metadata, values))
-    if delta_mask.shape != values.shape:
-        raise SerializationError(
-            f"delta mask shape {delta_mask.shape} does not match values "
-            f"shape {values.shape}"
-        )
-    packed = np.packbits(delta_mask, axis=1)
-    return b"".join((head, metadata, packed, values[delta_mask]))
+        ids = np.ascontiguousarray(selection)
+        if mode is MetadataMode.BITVEC:
+            bits = np.zeros(num_agreed, dtype=bool)
+            bits[selection] = True
+    (message,) = encode_messages(
+        (int(mode),), values, (0, len(values)), bits=bits, agreed=(0, num_agreed),
+        ids=ids, width=width, delta_mask=delta_mask,
+    )
+    return message
 
 
 def max_message_bytes(
@@ -244,15 +280,12 @@ def max_message_bytes(
 ) -> int:
     """The largest :func:`encode_message` output for one agreed array.
 
-    Closed form, over every update set of ``num_agreed`` proxies whose
-    wire rows are ``value_size`` bytes: the head plus, per proxy, its row,
-    its packed column mask (``delta``) and its u32 global ID
-    (``global_ids``, the path without memoization).  With memoization the
-    mode is the smallest of FULL / BITVEC / INDICES
-    (:func:`~repro.core.metadata.select_mode`), so FULL — every row, no
-    metadata — is the bound, and a FULL message without ``delta`` meets
-    it exactly.  A transport that sizes its buffers once per layout (the
-    process runtime's rings) sizes them from this.
+    Closed form over every update set of ``num_agreed`` proxies of
+    ``value_size``-byte rows: the head plus, per proxy, its row, its
+    packed column mask (``delta``) and its u32 global ID (``global_ids``).
+    With memoization FULL is the bound (the smallest mode never exceeds
+    it), met exactly without ``delta``.  The process runtime's rings are
+    sized from this.
     """
     head = _WIDE_HEAD.size if width > 1 else _SCALAR_HEAD.size
     per_row = value_size
@@ -263,41 +296,17 @@ def max_message_bytes(
     return head + num_agreed * per_row
 
 
-def _view(payload, dtype: np.dtype, count: int, offset: int) -> np.ndarray:
-    """``count`` items of ``dtype`` at ``payload[offset:]``: read-only, no copy."""
-    try:
-        array = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-    except ValueError as exc:  # a short buffer the length checks let through
-        raise SerializationError(f"message overruns its buffer: {exc}") from None
-    array.flags.writeable = False
-    return array
-
-
-def _decode_value_block(
-    payload, offset: int, rows: int, width: int, dtype: np.dtype, delta: bool
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Decode the value section ``payload[offset:]`` for ``rows`` shipped rows.
-
-    Returns ``(values, delta_mask)``.  Scalar messages (``width == 0``)
-    return a flat view; wide messages an (rows, width) view; delta
-    messages a flat view of the masked values plus the unpacked column
-    mask.
-    """
-    available = len(payload) - offset
-    if not delta:
-        items = rows * width if width else rows
-        expected = items * dtype.itemsize
-        if available != expected:
-            raise SerializationError(
-                f"{'wide ' if width else ''}value section: expected "
-                f"{expected} bytes, got {available}"
-            )
-        values = _view(payload, dtype, items, offset)
-        return (values.reshape(rows, width) if width else values), None
+def _decode_delta_block(
+    payload, offset: int, end: int, rows: int, width: int, dtype: np.dtype
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode the delta value section ``payload[offset:end]`` of ``rows``
+    shipped rows: a flat view of the masked values plus the unpacked
+    column mask."""
+    available = end - offset
     mask_bytes = rows * _mask_bytes_per_row(width)
     if available < mask_bytes:
         raise SerializationError("delta value section truncated in masks")
-    packed = _view(payload, _U8, mask_bytes, offset)
+    packed = np.frombuffer(payload, _U8, mask_bytes, offset)
     packed = packed.reshape(rows, _mask_bytes_per_row(width))
     delta_mask = np.unpackbits(packed, axis=1)[:, :width].astype(bool)
     shipped = int(np.count_nonzero(delta_mask))
@@ -307,25 +316,30 @@ def _decode_value_block(
             f"delta values: expected {expected} bytes, "
             f"got {available - mask_bytes}"
         )
-    return _view(payload, dtype, shipped, offset + mask_bytes), delta_mask
+    return np.frombuffer(payload, dtype, shipped, offset + mask_bytes), delta_mask
 
 
-def decode_message(payload) -> SyncMessage:
-    """Decode one synchronization message produced by :func:`encode_message`.
+def read_message(payload, start: int = 0, end: Optional[int] = None) -> Tuple:
+    """Parse the message at ``payload[start:end]`` by offset into ``(mode,
+    values, selection, width, delta_mask)``, the fields of
+    :class:`SyncMessage`.
 
-    ``payload`` is any byte buffer (``bytes``, ``bytearray``, a
-    ``memoryview`` slice of a frame).  It is parsed by offset, never
-    sliced, and the returned arrays are **read-only views into it**:
-    consume them before the buffer is reused.  One parser serves scalar,
-    WIDE and DELTA messages.
+    ``payload`` is any byte buffer (a whole frame, given the message's
+    bounds).  It is never sliced, and the arrays returned are **read-only
+    views into it**: consume them before the buffer is reused.
     """
-    size = len(payload)
+    if end is None:
+        end = len(payload)
+    elif end > len(payload):
+        raise SerializationError(f"message overruns its {len(payload)}-byte buffer")
+    if not isinstance(payload, bytes):  # views into it must be read-only
+        payload = memoryview(payload).toreadonly()
+    size = end - start
     if size < 2:
         raise SerializationError(f"message too short: {size} bytes")
-    tag, code = payload[0], payload[1]
-    wide = bool(tag & _FLAG_WIDE)
-    delta = bool(tag & _FLAG_DELTA)
-    if delta and not wide:
+    tag, code = payload[start], payload[start + 1]
+    wide = tag & _FLAG_WIDE
+    if tag & _FLAG_DELTA and not wide:
         raise SerializationError(f"delta flag without wide flag in tag {tag:#x}")
     mode = _MODE_BY_TAG.get(tag & _MODE_MASK)
     if mode is None:
@@ -333,45 +347,61 @@ def decode_message(payload) -> SyncMessage:
     dtype = _DTYPE_BY_CODE.get(code)
     if dtype is None:
         raise SerializationError(f"unknown dtype code {code}")
-    offset = 2
+    offset = start + 2
     width = 0
     if wide:
-        if size < offset + _WIDTH.size:
+        if end < offset + _WIDTH.size:
             raise SerializationError("wide message truncated before width")
         (width,) = _WIDTH.unpack_from(payload, offset)
         if width < 2:
             raise SerializationError(f"wide message with width {width}")
         offset += _WIDTH.size
-    if mode is MetadataMode.EMPTY:
-        if size != offset:
+    if mode == _EMPTY_TAG:
+        if end != offset:
             raise SerializationError("EMPTY message with a non-empty body")
         shape = (0, width) if wide else (0,)
-        return SyncMessage(mode, np.empty(shape, dtype=dtype), None, width=width)
-    if size < offset + _COUNT.size:
+        return mode, np.empty(shape, dtype=dtype), None, width, None
+    if end < offset + _COUNT.size:
         raise SerializationError("message truncated before count field")
     (count,) = _COUNT.unpack_from(payload, offset)
     offset += _COUNT.size
     selection = None
     rows = count
-    if mode is MetadataMode.BITVEC:
+    if mode == _BITVEC_TAG:
         bitvec_bytes = BitVector.wire_size(count)
-        if size < offset + bitvec_bytes:
+        if end < offset + bitvec_bytes:
             raise SerializationError("BITVEC body truncated in bit-vector")
-        packed = _view(payload, _U8, bitvec_bytes, offset)
+        packed = np.frombuffer(payload, _U8, bitvec_bytes, offset)
         selection = np.flatnonzero(
             np.unpackbits(packed, count=count, bitorder="little")
         )
         rows = len(selection)
         offset += bitvec_bytes
-    elif mode in (MetadataMode.INDICES, MetadataMode.GLOBAL_IDS):
-        if size < offset + count * 4:
+    elif mode in _ID_TAGS:
+        if end < offset + count * 4:
             raise SerializationError(f"{mode.name} body truncated in ids")
-        selection = _view(payload, _U32, count, offset)
+        selection = np.frombuffer(payload, _U32, count, offset)
         offset += count * 4
-    values, delta_mask = _decode_value_block(
-        payload, offset, rows, width, dtype, delta
-    )
-    return SyncMessage(mode, values, selection, width=width, delta_mask=delta_mask)
+    if tag & _FLAG_DELTA:
+        values, delta_mask = _decode_delta_block(payload, offset, end, rows, width, dtype)
+        return mode, values, selection, width, delta_mask
+    items = rows * width if width else rows
+    if end - offset != items * dtype.itemsize:
+        raise SerializationError(
+            f"{'wide ' if width else ''}value section: expected "
+            f"{items * dtype.itemsize} bytes, got {end - offset}"
+        )
+    values = np.frombuffer(payload, dtype, items, offset)
+    return mode, values.reshape(rows, width) if width else values, selection, width, None
+
+
+def decode_message(payload) -> SyncMessage:
+    """Decode one synchronization message produced by :func:`encode_message`.
+
+    :func:`read_message` over the whole of ``payload``, as a
+    :class:`SyncMessage`.
+    """
+    return SyncMessage(*read_message(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +422,8 @@ def frame_crc(seq: int, payload) -> int:
 
 
 def frame_payload(seq: int, payload: bytes) -> bytes:
-    """Wrap ``payload`` in an integrity frame.
-
-    Args:
-        seq: transport-unique sequence number (deduplicates re-deliveries).
-        payload: the message body (any :func:`encode_message` output).
-    """
+    """Wrap ``payload`` in an integrity frame; ``seq`` is the
+    transport-unique sequence number that deduplicates re-deliveries."""
     if seq < 0 or seq >= 1 << 64:
         raise SerializationError(f"sequence number {seq} out of u64 range")
     payload = bytes(payload)
@@ -405,12 +431,8 @@ def frame_payload(seq: int, payload: bytes) -> bytes:
 
 
 def unframe_payload(frame: bytes) -> Tuple[int, bytes]:
-    """Unwrap an integrity frame; returns ``(seq, payload)``.
-
-    Raises:
-        ChecksumError: the frame is truncated or its CRC does not match —
-            the payload was corrupted in flight.
-    """
+    """Unwrap an integrity frame into ``(seq, payload)``; raises
+    :class:`ChecksumError` if it is truncated or corrupted in flight."""
     frame = bytes(frame)
     if len(frame) < FRAME_OVERHEAD:
         raise ChecksumError(

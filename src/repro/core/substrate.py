@@ -6,27 +6,19 @@ the structural-invariant sync plan (§3.2), the adaptive metadata encoder
 (§4.2), and the layered communication plane of :mod:`repro.comm` — the
 field codec, the multi-field wire frame, and the per-peer channels.
 
-A synchronization phase stages a group of fields' sub-messages into the
-per-peer channels, then flushes the channels:
-
-1. every host calls :meth:`GluonSubstrate.stage_reduce` per field, then
-   :meth:`GluonSubstrate.flush_phase`,
-2. every host calls :meth:`GluonSubstrate.receive_reduce_all`,
-3. every host calls :meth:`GluonSubstrate.stage_broadcast` per field,
-   then :meth:`GluonSubstrate.flush_phase`,
-4. every host calls :meth:`GluonSubstrate.receive_broadcast_all`.
-
-:func:`repro.runtime.round.synchronize` is the one driver of that
-sequence, and it drives only the phases the sync plan calls live: which
-peers a field talks to in which phase is resolved once per layout
-(:func:`bind_sync_plans`), never per round.  With an aggregating plane
-the group is all fields and each peer gets one multi-field framed buffer
-per phase; with a pass-through plane (the ``--no-aggregation`` ablation)
-the group is a single field, staging sends the raw payload at once and
-the flush is a no-op — one transport message per (field, peer, phase).
-
-The strict phase order means each receive drains exactly the messages of
-its own phase — the in-process rendering of BSP-style bulk communication.
+A synchronization phase is, on every host, one :meth:`stage_reduce` (or
+:meth:`stage_broadcast`) per field — each one encode pass over all of the
+field's peers — then :meth:`flush_phase`, then :meth:`receive_reduce_all`
+(or :meth:`receive_broadcast_all`), which parses each received frame once
+and applies every sub-message in place.
+:func:`repro.runtime.round.synchronize` is the one driver, and it drives
+only the phases the sync plan calls live: routes are resolved once per
+layout (:func:`bind_sync_plans`), never per round.  With an aggregating
+plane the group is all fields and each peer gets one frame per phase;
+with a pass-through plane (the ``--no-aggregation`` ablation) the group
+is a single field and each sub-message is its own transport message.
+The strict phase order means each receive drains exactly the messages
+of its own phase — BSP-style bulk communication.
 
 Optimization levels (Figure 10):
 
@@ -47,11 +39,7 @@ import numpy as np
 
 from repro.comm.channel import CommPlane
 from repro.comm.frame import frame_overhead
-from repro.comm.codec import (
-    decode_field_payload,
-    encode_global_ids_field,
-    encode_memoized_field,
-)
+from repro.comm.codec import decode_update, encode_sends
 from repro.core.memoization import AddressBook, exchange_address_books
 from repro.core.metadata import MetadataMode
 from repro.core.optimization import OptimizationLevel
@@ -69,23 +57,18 @@ from repro.network.transport import InProcessTransport
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.partition.base import LocalPartition, PartitionedGraph
 
+_MODES = tuple(MetadataMode)
+_EMPTY = int(MetadataMode.EMPTY)
+
 
 @dataclass
 class SubstrateStats:
-    """Per-host synchronization counters.
-
-    Attributes:
-        translations: Global<->local ID translations performed (the time
-            overhead the memoization optimization removes, §4.1).
-        mode_counts: Messages sent per metadata mode.
-    """
+    """Per-host synchronization counters: global<->local ID
+    ``translations`` performed (the time overhead memoization removes,
+    §4.1) and messages sent per metadata mode."""
 
     translations: int = 0
     mode_counts: Dict[MetadataMode, int] = dataclass_field(default_factory=dict)
-
-    def count_mode(self, mode: MetadataMode, count: int = 1) -> None:
-        """Record ``count`` sent messages of ``mode``."""
-        self.mode_counts[mode] = self.mode_counts.get(mode, 0) + count
 
     def absorb(self, other: "SubstrateStats") -> None:
         """Fold another substrate's counters into this total."""
@@ -97,12 +80,9 @@ class SubstrateStats:
 class GluonSubstrate:
     """Synchronization substrate for one simulated host.
 
-    ``aggregate`` selects the communication plane's mode: ``True``
-    buffers each field's sub-messages in per-peer channels and flushes
-    one framed buffer per peer per phase; ``False`` is the historical
-    pass-through — one transport message per (field, peer, phase).  The
-    driving API is the same either way; only the group of fields synced
-    per flush differs (see :func:`repro.runtime.round.synchronize`).
+    ``aggregate`` selects the plane's mode: one frame per peer per phase,
+    or the historical pass-through, one transport message per (field,
+    peer, phase).  The driving API is the same either way.
     """
 
     def __init__(
@@ -172,23 +152,26 @@ class GluonSubstrate:
             if self.metrics.enabled:
                 self.metrics.counter("translations_total", host=self.host).inc(count)
 
-    def _count(self, mode: MetadataMode, count: int, translations: int = 0) -> None:
-        """Account ``count`` staged sub-messages of ``mode``."""
-        self.stats.count_mode(mode, count)
+    def _count(self, modes: Sequence[int]) -> None:
+        """Account one staged sub-message per entry of ``modes``."""
+        counts = self.stats.mode_counts
+        for tag in modes:
+            mode = _MODES[tag]
+            counts[mode] = counts.get(mode, 0) + 1
         if self.metrics.enabled:
-            self.metrics.counter("metadata_mode_total", mode=mode.name).inc(count)
-        self._count_translations(translations)
+            for tag in modes:
+                self.metrics.counter("metadata_mode_total", mode=_MODES[tag].name).inc()
 
     def _stage(
         self, field_index: int, field: FieldSpec, dirty: np.ndarray, phase: str
     ) -> List[Tuple[int, int]]:
         """Stage ``field``'s sub-message for every peer of its ``phase`` route.
 
-        A quiet peer costs a constant: with memoization on, EMPTY is
-        decided from the dirty bits alone — one ``any`` over the whole
-        mask for a host with nothing to say, else a popcount of each
-        peer's agreed proxies — and the field's constant EMPTY payload
-        is staged without building anything.
+        One pass over the phase's concatenated send array: one gather of
+        the dirty bits, one :func:`encode_sends` for every peer.  A quiet
+        host costs a constant: with memoization on, a popcount of the
+        gathered bits decides EMPTY for every peer and the field's
+        constant EMPTY payload is staged without building anything.
         """
         entry = self.plan.of(field)
         sends = entry.sends[phase]
@@ -197,40 +180,34 @@ class GluonSubstrate:
         if not sends:
             return []
         temporal = self.level.temporal
-        stage, empty = self.plane.stage, entry.empty
-        if not dirty.any():
+        layout = entry.layout[phase]
+        peers = layout.peers
+        bits = dirty.take(layout.concat)
+        updates = int(np.count_nonzero(bits))  # cheaper than .any() here
+        if not updates:
             if not temporal:
                 return []  # no agreement, so no peer expects a message
-            for peer, _ in sends:
-                stage(peer, field_index, empty)
-            self._count(MetadataMode.EMPTY, len(sends))
-            return [(peer, len(empty)) for peer, _ in sends]
-        staged: List[Tuple[int, int]] = []
-        for peer, agreed in sends:
-            updated_mask = dirty.take(agreed)
-            if not np.count_nonzero(updated_mask):
-                if temporal:
-                    stage(peer, field_index, empty)
-                    self._count(MetadataMode.EMPTY, 1)
-                    staged.append((peer, len(empty)))
-                continue
-            if temporal:
-                encoded = encode_memoized_field(
-                    field, agreed, updated_mask, broadcast=broadcast
-                )
-            else:
-                encoded = encode_global_ids_field(
-                    field, agreed, updated_mask, self.partition.local_to_global,
-                    broadcast=broadcast,
-                )
-            self._count(encoded.mode, 1, encoded.translations)
-            stage(peer, field_index, encoded.payload)
-            staged.append((peer, len(encoded.payload)))
-            if not broadcast:
-                # Mirrors are reset after their contribution is shipped so
-                # the next round accumulates fresh values (§3.2, OEC).
-                field.reset(agreed[updated_mask])
-        return staged
+            empty = entry.empty
+            self.plane.stage_all(field_index, peers, [empty] * len(peers))
+            self._count([_EMPTY] * len(peers))
+            return [(peer, len(empty)) for peer in peers]
+        modes, payloads = encode_sends(
+            field, layout, bits, broadcast,
+            None if temporal else self.partition.local_to_global,
+        )
+        if not temporal:
+            self._count_translations(updates)
+            spoken = [i for i, mode in enumerate(modes) if mode != _EMPTY]
+            peers = [peers[i] for i in spoken]
+            modes = [modes[i] for i in spoken]
+            payloads = [payloads[i] for i in spoken]
+        self.plane.stage_all(field_index, peers, payloads)
+        self._count(modes)
+        if not broadcast:
+            # Mirrors are reset after their contribution is shipped so
+            # the next round accumulates fresh values (§3.2, OEC).
+            field.reset(layout.concat[bits])
+        return [(peer, len(payload)) for peer, payload in zip(peers, payloads)]
 
     # -- the phase API (driven by repro.runtime.round.synchronize) -------------
 
@@ -239,28 +216,18 @@ class GluonSubstrate:
     ) -> List[Tuple[int, int]]:
         """Stage updated mirror values toward their masters, per peer.
 
-        Buffers one sub-message per peer into the channels (flushed by
-        :meth:`flush_phase` at the phase boundary).  Returns the staged
-        ``(peer, payload_bytes)`` pairs so the executor can attribute
-        per-field byte ranges inside the aggregated buffers.
-
-        A field whose ``sync_phases`` excludes ``"reduce"`` (a
-        GL301-dead phase dropped by ``compile_program(optimize=True)``)
-        has no reduce sends in the plan and stages nothing: every host
-        resolves the same strategy, so no peer expects the sub-message
-        either.
+        Returns the staged ``(peer, payload_bytes)`` pairs (the tracer
+        attributes per-field byte ranges inside the frames with them).  A
+        field whose ``sync_phases`` excludes ``"reduce"`` (GL301) has no
+        reduce sends in the plan and stages nothing.
         """
         return self._stage(field_index, field, dirty, "reduce")
 
     def stage_broadcast(
         self, field_index: int, field: FieldSpec, dirty: np.ndarray
     ) -> List[Tuple[int, int]]:
-        """Stage updated master values toward their mirrors, per peer.
-
-        A field whose ``sync_phases`` excludes ``"broadcast"`` (GL301)
-        stages nothing — the read surface is provably never consumed at
-        a mirror under the resolved strategy.
-        """
+        """Stage updated master values toward their mirrors, per peer (a
+        field whose ``sync_phases`` excludes ``"broadcast"`` stages nothing)."""
         staged = self._stage(field_index, field, dirty, "broadcast")
         # Delta senders commit the dirty rows only after every peer's
         # payload is encoded: all sharing peers received exactly these
@@ -270,79 +237,68 @@ class GluonSubstrate:
         return staged
 
     def flush_phase(self, num_fields: int) -> List[Tuple[int, int]]:
-        """Flush every channel: one multi-field framed buffer per peer.
-
-        Returns the flushed ``(peer, frame_bytes)`` pairs.
-        """
+        """Flush every channel, one frame per peer; returns the flushed
+        ``(peer, frame_bytes)`` pairs."""
         return self.plane.flush(num_fields, self.plan.peer_order)
 
     def receive_reduce_all(
         self, fields: Sequence[FieldSpec]
     ) -> List[Optional[np.ndarray]]:
-        """Apply incoming mirror contributions at masters.
-
-        Returns, per field, the boolean mask (over local IDs) of masters
-        whose value changed — the input to the broadcast phase — or
-        ``None`` when the inbox changed none of them.
-        """
+        """Apply incoming mirror contributions at masters; per field, the
+        mask of masters whose value changed (``None``: none did)."""
         return self._receive_all(fields, "reduce")
 
     def receive_broadcast_all(
         self, fields: Sequence[FieldSpec]
     ) -> List[Optional[np.ndarray]]:
-        """Install canonical master values at mirrors.
-
-        Returns, per field, the boolean mask of mirrors whose value
-        changed (feeds the next round's frontier), or ``None`` when the
-        inbox changed none of them.
-        """
+        """Install canonical master values at mirrors; per field, the mask
+        of mirrors whose value changed (``None``: none did)."""
         return self._receive_all(fields, "broadcast")
 
     def _receive_all(
         self, fields: Sequence[FieldSpec], phase: str
     ) -> List[Optional[np.ndarray]]:
-        """Decode the inbox's frames and reduce (or set) each field.
-
-        A quiet peer's EMPTY sub-message is recognised from its two
-        bytes and skipped; everything else goes through the field codec.
-        The decoded arrays are views into the frame, consumed here.  A
-        field's changed mask is allocated on its first changed proxy;
-        ``None`` means nothing changed.
+        """Parse each received frame once and reduce (or set) every
+        sub-message read in place from its offsets.  An EMPTY one is told
+        from its two bytes and skipped; the rest go through
+        :func:`decode_update`, whose arrays are views into the frame.  A
+        field's changed mask is allocated on its first changed proxy.
         """
         broadcast = phase == "broadcast"
         changed: List[Optional[np.ndarray]] = [None] * len(fields)
-        for sender, subs in self.plane.receive_frames():
-            self._check_frame_width(sender, subs, len(fields))
-            for index, payload in enumerate(subs):
-                if payload is None or is_empty_message(payload):
+        for sender, buffer, slots in self.plane.receive():
+            if len(slots) != len(fields):
+                raise SyncError(
+                    f"host {self.host}: frame from {sender} carries "
+                    f"{len(slots)} field slots, expected {len(fields)}"
+                )
+            for index, slot in enumerate(slots):
+                if slot is None or is_empty_message(buffer, *slot):
                     continue
                 field = fields[index]
-                decoded = decode_field_payload(
-                    payload, self.plan.of(field).recv[phase], sender,
-                    self.partition, field=field, broadcast=broadcast,
+                decoded = decode_update(
+                    buffer, *slot, self.plan.of(field).recv[phase], sender,
+                    self.partition, field, broadcast,
                 )
                 if decoded is None:
                     continue
-                self._count_translations(decoded.translations)
+                lids, values, translations = decoded
+                if translations:
+                    self._count_translations(translations)
                 apply = field.set if broadcast else field.reduce
-                changed_here = apply(decoded.lids, decoded.values)
+                changed_here = apply(lids, values)
                 if not np.count_nonzero(changed_here):  # cheaper than .any() here
                     continue
                 if changed[index] is None:
                     changed[index] = np.zeros(self.num_local_nodes, dtype=bool)
-                changed[index][decoded.lids[changed_here]] = True
+                changed[index][lids[changed_here]] = True
         return changed
 
     def max_send_bytes(self) -> Dict[int, int]:
-        """Per peer, the largest payload one phase can hand the transport.
-
-        A closed form over the bound plan: each live (field, phase) send
-        costs at most :func:`max_message_bytes` of its agreed array at
-        this level and compression.  An aggregating plane sends a phase's
-        fields to a peer as one frame (their sum plus the frame header);
-        a pass-through plane sends each field in a phase of its own.
-        Peers this host never sends to are absent.
-        """
+        """Per peer, the largest payload one phase can hand the transport:
+        per (field, phase) send, :func:`max_message_bytes` of its agreed
+        array — summed into one frame per peer when aggregating.  Peers
+        this host never sends to are absent."""
         bound: Dict[int, int] = {}
         for phase in PHASES:
             fields: Dict[int, List[int]] = {}
@@ -367,15 +323,6 @@ class GluonSubstrate:
     def assert_drained(self) -> None:
         """Check no channel still buffers un-flushed sub-messages."""
         self.plane.assert_drained()
-
-    def _check_frame_width(
-        self, sender: int, subs: List, num_fields: int
-    ) -> None:
-        if len(subs) != num_fields:
-            raise SyncError(
-                f"host {self.host}: frame from {sender} carries "
-                f"{len(subs)} field slots, expected {num_fields}"
-            )
 
     def _check_dirty(self, dirty: np.ndarray) -> None:
         if dirty.dtype != np.bool_ or len(dirty) != self.num_local_nodes:

@@ -322,9 +322,10 @@ class FieldSpec:
     def reduce(self, local_ids: np.ndarray, incoming: np.ndarray) -> np.ndarray:
         """Bulk ``reduce`` at masters; returns the changed mask.
 
-        Duplicate local IDs within one call are not supported (and cannot
-        occur: a master appears at most once per peer's memoized array, and
-        each peer's contributions are applied in a separate call).
+        Duplicate local IDs within one call are not supported (they would
+        apply last-write-wins): the decoder rejects a message that names a
+        proxy twice, and each peer's contributions are applied in a
+        separate call.
         """
         if len(local_ids) != len(incoming):
             raise SyncError(

@@ -136,27 +136,34 @@ class TestCommPlane:
         with pytest.raises(TransportError, match="un-flushed channel"):
             plane.assert_drained()
 
-    def test_receive_frames_decodes_per_sender(self):
+    def test_receive_parses_per_sender(self):
         transport = InProcessTransport(3)
         for src in (1, 2):
             peer_plane = CommPlane(src, transport, aggregate=True)
             peer_plane.stage(0, 0, b"from%d" % src)
             peer_plane.flush(1, peer_order=[0])
         plane = CommPlane(0, transport, aggregate=True)
-        frames = plane.receive_frames()
-        assert [(sender, subs) for sender, subs in frames] == [
-            (1, [b"from1"]),
-            (2, [b"from2"]),
+        frames = plane.receive()
+        assert [
+            (sender, [bytes(buffer[start:end]) for start, end in slots])
+            for sender, buffer, slots in frames
+        ] == [(1, [b"from1"]), (2, [b"from2"])]
+
+    def test_pass_through_receives_one_slot_frames(self):
+        transport = InProcessTransport(2)
+        CommPlane(1, transport, aggregate=False).stage(0, 0, b"raw")
+        assert CommPlane(0, transport, aggregate=False).receive() == [
+            (1, b"raw", [(0, 3)])
         ]
 
-    def test_a_repeated_quiet_frame_is_decoded_once(self, monkeypatch):
+    def test_a_repeated_quiet_frame_is_parsed_once(self, monkeypatch):
         """The receiver keeps a sender's last all-EMPTY frame: the same
-        buffer object again gets the same decoding without a decode; a
-        data frame, or an equal but distinct buffer, is decoded."""
-        decoded = []
-        real = channel_module.decode_frame
+        buffer object again gets the same slots without a parse; a data
+        frame, or an equal but distinct buffer, is parsed."""
+        parsed = []
+        real = channel_module.frame_slots
         monkeypatch.setattr(
-            channel_module, "decode_frame", lambda buf: decoded.append(buf) or real(buf)
+            channel_module, "frame_slots", lambda buf: parsed.append(buf) or real(buf)
         )
         transport = InProcessTransport(2)
         sender = CommPlane(1, transport, aggregate=True)
@@ -165,12 +172,13 @@ class TestCommPlane:
         for payload in (EMPTY, EMPTY, b"data", EMPTY):
             sender.stage(0, 0, payload)
             sender.flush(1, peer_order=[0])
-            seen.append(plane.receive_frames())
-        assert [subs for ((_, subs),) in seen] == [[EMPTY], [EMPTY], [b"data"], [EMPTY]]
-        assert len(decoded) == 3  # the second EMPTY frame is the first one
-        transport.send(1, 0, bytes(bytearray(decoded[0])))  # equal, not identical
-        assert plane.receive_frames() == [(1, [EMPTY])]
-        assert len(decoded) == 4
+            ((_, buffer, slots),) = plane.receive()
+            seen.append([bytes(buffer[start:end]) for start, end in slots])
+        assert seen == [[EMPTY], [EMPTY], [b"data"], [EMPTY]]
+        assert len(parsed) == 3  # the second EMPTY frame is the first one
+        transport.send(1, 0, bytes(bytearray(parsed[0])))  # equal, not identical
+        assert plane.receive() == [(1, parsed[0], [(6, 8)])]
+        assert len(parsed) == 4
 
     def test_flush_metrics(self):
         metrics = MetricsRegistry()

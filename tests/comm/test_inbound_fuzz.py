@@ -1,6 +1,6 @@
 """Fuzzing the whole inbound path, now that decoding returns views.
 
-``decode_frame`` -> EMPTY short-cut -> ``decode_field_payload`` ->
+``frame_slots`` -> EMPTY short-cut -> ``decode_update`` ->
 ``FieldSpec.reduce`` / ``set``, driven through the real
 ``GluonSubstrate.receive_*_all`` over a stub inbox that delivers each
 buffer exactly as handed (``bytes``, ``bytearray`` or ``memoryview``).
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.frame import decode_frame
+from repro.comm.frame import decode_frame, encode_frame
 from repro.core.metadata import MetadataMode
 from repro.core.optimization import OptimizationLevel
 from repro.core.serialization import (
@@ -241,7 +241,7 @@ def test_exactly_the_empty_message_is_skipped_without_decoding(monkeypatch):
     assert is_empty_message(empty_message(np.float64))
     assert not is_empty_message(b"\x00") and not is_empty_message(b"\x00\x00\x00")
     monkeypatch.setattr(
-        codec, "decode_message", lambda payload: pytest.fail("EMPTY was decoded")
+        codec, "read_message", lambda *args: pytest.fail("EMPTY was decoded")
     )
     for aggregate, buffer in ((False, b"\x00\x00"), (True, b"\x01\x00\x02\x00\x00\x00\x00\x03")):
         cluster = Cluster("scalar", OptimizationLevel.OSTI, aggregate)
@@ -269,3 +269,49 @@ def test_rows_of_the_wrong_width_are_rejected_by_name():
     scalar = Cluster("scalar", OptimizationLevel.OTI, aggregate=False)
     with pytest.raises(SyncError, match="width"):
         scalar.deliver("reduce", encode_message(MetadataMode.FULL, ones, width=5))
+
+
+def framed(payload):
+    return encode_frame([payload])
+
+
+def test_indices_naming_a_position_twice_are_rejected():
+    """Positions ``[0, 0]`` with values ``[3, 45]`` would leave a MIN
+    master at 45, not 3: a repeated ID is applied last-write-wins."""
+    cluster = Cluster("scalar", OptimizationLevel.OSTI, aggregate=True)
+    values = np.array([3, 45], dtype=np.uint32)
+    for positions in ([0, 0], [1, 0]):
+        payload = encode_message(
+            MetadataMode.INDICES, values, selection=np.array(positions, dtype=np.uint32)
+        )
+        with pytest.raises(SyncError, match="from 1 names a position twice or out of order"):
+            cluster.deliver("reduce", framed(payload))
+    ok = encode_message(
+        MetadataMode.INDICES, values, selection=np.array([0, 1], dtype=np.uint32)
+    )
+    assert cluster.deliver("reduce", framed(ok))[0].any()
+
+
+def test_global_ids_naming_a_node_twice_are_rejected():
+    cluster = Cluster("scalar", OptimizationLevel.UNOPT, aggregate=False)
+    gid = int(cluster.partitioned.partitions[0].local_to_global[0])
+    payload = encode_message(
+        MetadataMode.GLOBAL_IDS, np.array([3, 45], dtype=np.uint32),
+        selection=np.array([gid, gid], dtype=np.uint32),
+    )
+    with pytest.raises(SyncError, match="from 1 names a global node twice"):
+        cluster.deliver("reduce", payload)
+    assert cluster.fields[0][0].values[0] == 50  # nothing was applied
+
+
+def test_wide_indices_naming_a_row_twice_are_rejected():
+    """An ADD field would end with the last row (9), not the sum (10)."""
+    cluster = Cluster("wide", OptimizationLevel.OTI, aggregate=True)
+    rows = np.array([[1] * 5, [9] * 5], dtype=np.float32)
+    payload = encode_message(
+        MetadataMode.INDICES, rows, selection=np.array([0, 0], dtype=np.uint32),
+        width=5,
+    )
+    with pytest.raises(SyncError, match="from 1 names a position twice"):
+        cluster.deliver("reduce", framed(payload))
+    assert not cluster.fields[0][0].values.any()

@@ -7,9 +7,9 @@ Three guards around ``SyncPlan`` / ``runtime.round.synchronize``:
   "live"), so skipping it is invisible — over policies x levels x hosts
   x apps, and every worker reaches the coordinator's verdict;
 * exact call counts on two latency-shaped jobs: dead phases are never
-  driven, quiet peers never reach the codec, routes are resolved per
-  field and not per round — with the pre-change literals of every
-  simulated quantity written in;
+  driven, a host-phase is one encode pass, quiet peers are never
+  parsed, routes are resolved per field and not per round — with the
+  pre-change literals of every simulated quantity written in;
 * the master-side hook still runs every round when its reduce is dead.
 """
 
@@ -158,10 +158,18 @@ def counted_run(monkeypatch, *args, **kwargs):
         "receive_reduce_all", "receive_broadcast_all",
     ):
         count_calls(monkeypatch, GluonSubstrate, method, calls)
-    # The substrate's own bindings of the codec entry points.
-    count_calls(monkeypatch, substrate_module, "encode_memoized_field", calls)
-    count_calls(monkeypatch, substrate_module, "decode_field_payload", calls)
-    count_calls(monkeypatch, codec_module, "decode_message", calls)
+    # The substrate's own bindings of the per-phase codec entry points.
+    count_calls(monkeypatch, substrate_module, "encode_sends", calls)
+    count_calls(monkeypatch, substrate_module, "decode_update", calls)
+    count_calls(monkeypatch, codec_module, "read_message", calls)
+    real_encode = substrate_module.encode_sends
+
+    def spoken(*args, **kwargs):
+        modes, payloads = real_encode(*args, **kwargs)
+        calls["encoded"] += sum(mode != MetadataMode.EMPTY for mode in modes)
+        return modes, payloads
+
+    monkeypatch.setattr(substrate_module, "encode_sends", spoken)
     count_calls(monkeypatch, patterns_module, "proxy_arrays", calls)
     count_calls(monkeypatch, round_module, "broadcast_dirty", calls)
     return run_app(*args, **kwargs), calls
@@ -188,10 +196,13 @@ def test_exact_counts_bfs_oec_never_drives_the_broadcast(monkeypatch):
     assert calls["stage_broadcast"] == calls["receive_broadcast_all"] == 0
     assert calls["stage_reduce"] == calls["receive_reduce_all"] == hosts * rounds
     assert calls["flush_phase"] == hosts * rounds  # the reduce flush only
-    # A quiet peer never reaches the codec, on either side.
+    # A quiet host never reaches the codec, and a quiet peer is never
+    # parsed: one encode pass per host-phase with something to say, one
+    # decode per spoken sub-message.
     spoken = sum(result.mode_counts.values()) - result.mode_counts[MetadataMode.EMPTY]
-    assert calls["encode_memoized_field"] == calls["decode_field_payload"] == spoken
-    assert calls["decode_message"] == spoken
+    assert calls["encoded"] == calls["decode_update"] == spoken
+    assert calls["read_message"] == spoken
+    assert 0 < calls["encode_sends"] <= spoken
     # Routes are resolved per field at bind, not per round.
     assert 0 < calls["proxy_arrays"] <= 6 * hosts
     # bfs has no hook and its broadcast is dead: the apply's mask has no
@@ -221,7 +232,8 @@ def test_exact_counts_featprop_iec_never_drives_the_reduce(monkeypatch):
     # ...but the master-side hook (the whole of featprop's apply) still
     # runs on every host every round — the digest above depends on it.
     assert calls["broadcast_dirty"] == hosts * rounds
-    assert calls["encode_memoized_field"] == calls["decode_field_payload"] == 48
+    assert calls["encoded"] == calls["decode_update"] == calls["read_message"] == 48
+    assert calls["encode_sends"] == hosts * rounds  # one pass per host-phase
     assert 0 < calls["proxy_arrays"] <= 6 * hosts
 
 
