@@ -34,6 +34,14 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.validation import validate_edge_list
 
 
+#: A batch may add at most as many vertices as the graph already has,
+#: or this many to a smaller graph.  Every vertex costs a slot in each
+#: host's label arrays and in the partitioner's degree counts, so a
+#: batch that more than doubles the ID space is a new graph to build,
+#: not a mutation to stream.
+GROWTH_FLOOR = 2**16
+
+
 def _as_u32(values, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.uint32)
     if arr.ndim != 1:
@@ -185,9 +193,22 @@ class MutationBatch:
         iff the base list is weighted), that deleted edges exist, that
         deleted vertices exist, that inserts do not reference vertices
         deleted in the same batch, and that applying the batch cannot
-        create duplicate edges (via the shared edge-list validator).
+        create duplicate edges (via the shared edge-list validator), and
+        that ``add_nodes`` stays within the growth bound
+        (:data:`GROWTH_FLOOR`) and the uint32 ID space.
         """
+        growth_cap = max(edges.num_nodes, GROWTH_FLOOR)
+        if self.add_nodes > growth_cap:
+            raise GraphError(
+                f"add_nodes {self.add_nodes} exceeds the growth bound "
+                f"{growth_cap} for a graph of {edges.num_nodes} nodes"
+            )
         new_num_nodes = edges.num_nodes + self.add_nodes
+        if new_num_nodes > 2**32:
+            raise GraphError(
+                f"add_nodes {self.add_nodes} grows the graph to "
+                f"{new_num_nodes} nodes, past the uint32 ID space"
+            )
         for name, arr, bound in (
             ("insert_src", self.insert_src, new_num_nodes),
             ("insert_dst", self.insert_dst, new_num_nodes),

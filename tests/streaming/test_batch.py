@@ -9,6 +9,7 @@ from repro.errors import GraphError
 from repro.graph.edgelist import EdgeList
 from repro.streaming import StreamingSession
 from repro.streaming.batch import (
+    GROWTH_FLOOR,
     MutationBatch,
     load_batches,
     random_mutation_batch,
@@ -106,6 +107,27 @@ class TestValidation:
     def test_negative_add_nodes_rejected(self):
         with pytest.raises(GraphError, match=">= 0"):
             MutationBatch(add_nodes=-1)
+
+    def test_add_nodes_past_the_growth_bound_rejected(self):
+        edges = chain_graph()
+        MutationBatch(add_nodes=GROWTH_FLOOR).validate_against(edges)
+        with pytest.raises(GraphError, match="growth bound"):
+            MutationBatch(add_nodes=GROWTH_FLOOR + 1).validate_against(edges)
+
+    def test_growth_bound_scales_with_the_graph(self):
+        edges = EdgeList(3 * GROWTH_FLOOR, np.empty(0, np.uint32),
+                         np.empty(0, np.uint32))
+        MutationBatch(add_nodes=3 * GROWTH_FLOOR).validate_against(edges)
+        with pytest.raises(GraphError, match="growth bound"):
+            MutationBatch(add_nodes=3 * GROWTH_FLOOR + 1).validate_against(
+                edges
+            )
+
+    def test_add_nodes_past_the_id_space_rejected(self):
+        edges = EdgeList(2**31 + 1, np.empty(0, np.uint32),
+                         np.empty(0, np.uint32))
+        with pytest.raises(GraphError, match="uint32 ID space"):
+            MutationBatch(add_nodes=2**31).validate_against(edges)
 
 
 class TestApply:
