@@ -73,8 +73,7 @@ def test_dead_phases_are_free_and_real(benchmark):
     for row in rows:
         assert row["messages_optimized"] <= row["messages"], row
         # A proof is worth a phase: where one exists the cut is real,
-        # where none does (bfs/oec: the pull phase reads dist at the
-        # destination, so the broadcast survives) nothing moves.
+        # where none does nothing moves.
         if row["dead_phases"] == "-":
             assert row["messages_optimized"] == row["messages"], row
         else:

@@ -40,9 +40,10 @@ It also issues **self-stabilization certificates**.  Confined recovery
 (§2.3, Phoenix) re-initializes lost state and trusts the algorithm to
 re-converge.  That is only sound for programs whose reductions are
 idempotent *and* whose frontier is data-driven *and* whose update
-kernels are monotone, with no master-side accumulator hooks; the
-certificate checks all four, and :mod:`repro.resilience.recovery`
-consults it.
+kernels are monotone, with no master-side accumulator hooks, *and* whose
+phase predicates never turn an update off for a vertex whose value just
+improved; the certificate checks all five, and
+:mod:`repro.resilience.recovery` consults it.
 
 A handwritten program carries no spec, so nothing here analyzes it:
 it gets no certificate and no GL3xx findings, and is checked at run
@@ -58,6 +59,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import Finding
 from repro.compiler.spec import (
+    FieldDecl,
     PhaseSpec,
     ProgramSpec,
     _local_refs,
@@ -522,6 +524,88 @@ def kernel_is_monotone(kernel: Optional[str]) -> bool:
     return _monotone(tree.body, fields)
 
 
+#: Comparisons that a value moving down (-1) or up (+1) never turns off.
+_KEPT_WHILE_MOVING = {-1: (pyast.Lt, pyast.LtE), 1: (pyast.Gt, pyast.GtE)}
+#: ``c op x`` read as ``x op' c``.
+_MIRRORED = {pyast.Lt: pyast.Gt, pyast.Gt: pyast.Lt, pyast.LtE: pyast.GtE, pyast.GtE: pyast.LtE}
+
+
+def _improvement_direction(decl: Optional[FieldDecl]) -> Optional[int]:
+    """Which way a field's value moves when its reduction improves it:
+    -1 (min), +1 (max), ``None`` when the reduction orders nothing."""
+    reduce = decl.reduce if decl is not None else None
+    return {"min": -1, "max": 1}.get(reduce)
+
+
+def _kept(node: pyast.AST, decls: Dict[str, Optional[FieldDecl]], constants: Dict) -> bool:
+    """Does a predicate that holds keep holding as its fields improve?
+
+    Structural and conservative, like :func:`_monotone`: ``&``/``|`` of
+    kept terms; ``x < c`` / ``x <= c`` over a monotone term of min
+    fields (``>``/``>=`` for max fields) and a field-free ``c``; and
+    ``x != identity`` for a bare field ``x`` (nothing lies beyond the
+    reduction's identity, so an improved value never reaches it).
+    Equality, negation and anything else is refused.
+    """
+    names = frozenset(decls)
+    if not _has_field_vars(node, names):
+        return True
+    if isinstance(node, pyast.BinOp) and isinstance(node.op, (pyast.BitAnd, pyast.BitOr)):
+        return _kept(node.left, decls, constants) and _kept(node.right, decls, constants)
+    if not isinstance(node, pyast.Compare) or len(node.ops) != 1:
+        return False
+    term, op, bound = node.left, type(node.ops[0]), node.comparators[0]
+    if _has_field_vars(bound, names):
+        if _has_field_vars(term, names):
+            return False
+        term, op, bound = bound, _MIRRORED.get(op, op), term
+    directions = {
+        _improvement_direction(decls[sub.id])
+        for sub in pyast.walk(term)
+        if isinstance(sub, pyast.Name) and sub.id in names
+    }
+    if len(directions) != 1 or None in directions or not _monotone(term, names):
+        return False
+    (direction,) = directions
+    if op in _KEPT_WHILE_MOVING[direction]:
+        return True
+    if op is not pyast.NotEq or not isinstance(term, pyast.Name):
+        return False
+    if isinstance(bound, pyast.Constant):
+        value = bound.value
+    elif isinstance(bound, pyast.Name) and bound.id in constants:
+        value = constants[bound.id]
+    else:
+        return False
+    decl = decls[term.id]
+    return bool(value == decl.reduction.identity(decl.dtype))
+
+
+def predicate_kept_under_improvement(predicate: Optional[str], spec: ProgramSpec) -> bool:
+    """Machine check: can a field improving never switch the predicate off?
+
+    A phase's ``select``, guard or edge filter decides which vertices
+    take part in an update.  Once a vertex's value improves — a reseeded
+    host, an inserted edge — the update must still reach it; a predicate
+    like Ligra's ``dist == INFINITY`` (pull only while unvisited) is sound
+    from a clean level-synchronous start but not after a reseed.
+    """
+    if predicate is None:
+        return True
+    source, fields = _desugar_kernel(predicate)
+    decls = {}
+    for var in fields:
+        try:  # "__loc_f" / "__src_f" / "__dst_f" -> "f"
+            decls[var] = spec.field_decl(var.split("_", 3)[3])
+        except KeyError:
+            decls[var] = None
+    try:
+        tree = pyast.parse(source, mode="eval")
+    except SyntaxError:
+        return False
+    return _kept(tree.body, decls, dict(spec.constants))
+
+
 @dataclass(frozen=True)
 class StabilizationCertificate:
     """Machine-checked confined-recovery eligibility for one program."""
@@ -538,7 +622,7 @@ class StabilizationCertificate:
 
 
 def certify_spec(spec: ProgramSpec) -> StabilizationCertificate:
-    """The certificate of a declarative spec (all four conditions)."""
+    """The certificate of a declarative spec (all five conditions)."""
     frontier = spec.uses_frontier
     reductions = [spec.field_decl(d.field).reduction for d in spec.sync]
     idempotent = bool(reductions) and all(
@@ -548,11 +632,17 @@ def certify_spec(spec: ProgramSpec) -> StabilizationCertificate:
     monotone = all(
         kernel_is_monotone(kernel) for p in spec.phases for _, kernel in p.scatters
     )
+    kept = all(
+        predicate_kept_under_improvement(predicate, spec)
+        for p in spec.phases
+        for predicate in (p.guard, p.select, p.edge_filter)
+    )
     conditions = (
         ("data-driven-frontier", frontier),
         ("idempotent-reductions", idempotent),
         ("no-master-hooks", no_hooks),
         ("monotone-kernels", monotone),
+        ("predicates-kept-under-improvement", kept),
     )
     return StabilizationCertificate(
         program=spec.name,

@@ -27,7 +27,8 @@ class AppContext:
 
     Attributes:
         num_global_nodes: |V| of the input graph.
-        source: Source node (global ID) for bfs/sssp.
+        source: Source node (global ID) for bfs/sssp/bc; ``None`` when the
+            app reads none (``needs_source``) and none was asked for.
         global_out_degree: Out-degree of every global node (pagerank needs
             the *global* degree, which real systems compute while loading).
         damping: Pagerank damping factor.
@@ -44,7 +45,7 @@ class AppContext:
     """
 
     num_global_nodes: int
-    source: int = 0
+    source: Optional[int] = 0
     global_out_degree: Optional[np.ndarray] = None
     damping: float = 0.85
     tolerance: float = 1e-6
@@ -79,6 +80,10 @@ class VertexProgram:
     operator_class: OperatorClass = OperatorClass.PUSH
     #: Whether the update is a reduction (all paper benchmarks: yes).
     is_reduction: bool = True
+    #: Whether ``ctx.source`` is read (bfs, sssp, bc: source-seeded
+    #: programs).  The compiler derives it from the spec; a handwritten
+    #: program keeps ``True``, so it always gets a source.
+    needs_source: bool = True
     #: Whether ``ctx.global_out_degree`` must be populated (pagerank
     #: variants and k-core need global degrees, which real systems gather
     #: while loading the graph).

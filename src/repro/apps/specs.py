@@ -236,7 +236,6 @@ BFS_SPEC = ProgramSpec(
             target="dist",
             kernel=_BFS_KERNEL,
             guard="{dist} != INFINITY",
-            select="{dist} == INFINITY",
         ),
     ),
     sync=(SyncDecl(field="dist"),),

@@ -755,6 +755,7 @@ def _render(spec: ProgramSpec, optimize: bool) -> _Emitter:
     out.emit(1, f"supports_pull = {spec.supports_pull}")
     out.emit(1, f"empty_frontier_is_idle = {spec.empty_frontier_is_idle}")
     out.emit(1, f"supports_migration = {spec.supports_migration}")
+    out.emit(1, f"needs_source = {spec.needs_source}")
     out.emit(1, f"needs_global_degrees = {spec.needs_global_degrees}")
     out.emit(1, f"needs_global_in_degrees = {spec.needs_global_in_degrees}")
     out.emit(0, "")

@@ -516,6 +516,14 @@ class ProgramSpec:
         return any(p.kind == "frontier_push" for p in self.phases)
 
     @property
+    def needs_source(self) -> bool:
+        """Whether ``ctx.source`` is read: a stage seeded by the source's
+        frontier, or a field giving the source its own initial value."""
+        return any(stage.frontier == "source" for stage in self.stage_list) or any(
+            decl.source_value is not None for decl in self.fields
+        )
+
+    @property
     def empty_frontier_is_idle(self) -> bool:
         """An empty frontier leaves every push phase with no usable node:
         each gathers from the frontier itself (no ``select``) and, with no

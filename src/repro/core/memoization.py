@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.bitvector import BitVector
 from repro.errors import SerializationError, SyncError
 from repro.network.transport import InProcessTransport
-from repro.partition.base import HostGroups, PartitionedGraph
+from repro.partition.base import HostGroups, PartitionedGraph, for_each_host
 
 
 @dataclass
@@ -193,55 +193,46 @@ def exchange_address_books(
         for h in range(num_hosts)
     ]
 
-    # Local phase: group my mirrors by owning peer and compute edge flags.
-    for part in partitioned.partitions:
-        book = books[part.host]
-        if part.host not in changed:
+    parts = partitioned.partitions
+
+    # Local phase: group my mirrors by owning peer and compute edge flags;
+    # then encode (gids, has_in, has_out) for each owning peer.
+    def group_and_encode(host: int) -> List[Tuple[int, bytes]]:
+        book, part = books[host], parts[host]
+        if host not in changed:
             for name in _MIRROR_ARRAYS:
-                getattr(book, name).update(getattr(old_books[part.host], name))
-            continue
+                getattr(book, name).update(getattr(old_books[host], name))
+            return []
         out_deg = part.graph.out_degree()
         in_deg = part.graph.in_degree()
         mirror_lids = part.mirror_locals()
         by_owner = HostGroups(part.mirror_master_host, num_hosts)
+        outbox = []
         for peer in book.peer_order:
             mine = mirror_lids[by_owner.of(peer)]
+            has_in, has_out = in_deg[mine] > 0, out_deg[mine] > 0
             book.mirrors_all[peer] = mine
-            book.mirrors_reduce[peer] = mine[in_deg[mine] > 0]
-            book.mirrors_broadcast[peer] = mine[out_deg[mine] > 0]
-            book.mirrors_any[peer] = mine[
-                (in_deg[mine] > 0) | (out_deg[mine] > 0)
-            ]
-
-    # Exchange phase: ship (gids, has_in, has_out) to each owning peer.
-    for part in partitioned.partitions:
-        if part.host not in changed:
-            continue
-        book = books[part.host]
-        in_deg = part.graph.in_degree()
-        out_deg = part.graph.out_degree()
-        for peer in book.peer_order:
-            mine = book.mirrors_all[peer]
-            if len(mine) == 0:
-                continue
-            payload = _encode_exchange(
-                part.local_to_global[mine],
-                in_deg[mine] > 0,
-                out_deg[mine] > 0,
-            )
-            transport.send(part.host, peer, payload)
+            book.mirrors_reduce[peer] = mine[has_in]
+            book.mirrors_broadcast[peer] = mine[has_out]
+            book.mirrors_any[peer] = mine[has_in | has_out]
+            if len(mine):
+                outbox.append(
+                    (peer, _encode_exchange(part.local_to_global[mine], has_in, has_out))
+                )
+        return outbox
 
     # Translate phase: owners map received global IDs to local master IDs.
     empty = np.empty(0, dtype=np.uint32)
-    for part in partitioned.partitions:
-        book = books[part.host]
-        for sender, payload in transport.receive_all(part.host):
+
+    def translate(host: int) -> None:
+        book, part = books[host], parts[host]
+        for sender, payload in inboxes[host]:
             _record_masters(book, part, sender, *_decode_exchange(payload))
         for sender in book.peer_order:
             if sender in changed:
                 continue  # told above, or mirrors nothing of mine any more
-            old = old_books[part.host]
-            if part.host not in changed:
+            old = old_books[host]
+            if host not in changed:
                 for name in _MASTER_ARRAYS:
                     getattr(book, name)[sender] = getattr(old, name)[sender]
                 continue
@@ -249,11 +240,20 @@ def exchange_address_books(
             old_all = old.masters_all[sender]
             _record_masters(
                 book, part, sender,
-                old_partitioned.partitions[part.host].local_to_global[old_all],
+                old_partitioned.partitions[host].local_to_global[old_all],
                 np.isin(old_all, old.masters_reduce[sender]),
                 np.isin(old_all, old.masters_broadcast[sender]),
             )
         for peer in book.peer_order:
             for name in _MASTER_ARRAYS:
                 getattr(book, name).setdefault(peer, empty)
+
+    # Both passes run on host shares; the transport is driven only from
+    # this thread, host-ascending and peer-ascending, as one loop would.
+    hosts = range(num_hosts)
+    for host, outbox in zip(hosts, for_each_host(hosts, group_and_encode)):
+        for peer, payload in outbox:
+            transport.send(host, peer, payload)
+    inboxes = [transport.receive_all(host) for host in hosts]
+    for_each_host(hosts, translate)
     return books

@@ -32,7 +32,6 @@ refused by name when the run is planned.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import time
 from typing import Dict, List, Optional, Tuple
@@ -41,6 +40,7 @@ import numpy as np
 
 from repro.core.serialization import FRAME_OVERHEAD
 from repro.errors import ExecutionError
+from repro.partition.base import allowed_cpus
 from repro.parallel.rings import LIVENESS_POLL_S, RingFabric, shared_arrays
 from repro.parallel.runner import RoundData
 from repro.parallel.worker import worker_main
@@ -54,13 +54,7 @@ DEFAULT_ROUND_TIMEOUT_S = 600.0
 def resolve_workers(workers: Optional[int], num_hosts: int) -> int:
     """Validate and clamp a worker count against the cluster size."""
     if workers is None:
-        # One per CPU this process may run on: under taskset, a cgroup
-        # cpuset or a pinned benchmark that is not the machine's count.
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = multiprocessing.cpu_count()
-        workers = min(num_hosts, cpus)
+        workers = min(num_hosts, allowed_cpus())
     if workers < 1:
         raise ExecutionError(f"workers must be >= 1, got {workers}")
     # More workers than hosts would fork idle processes whose empty

@@ -15,9 +15,12 @@ bulk extract/set operate on contiguous slices.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -33,6 +36,8 @@ NO_PROXY = np.iinfo(np.uint32).max
 
 #: Positions grouped per pass; bounds the int64 index ``argsort`` returns.
 _GROUP_BLOCK = 1 << 18
+
+T = TypeVar("T")
 
 
 class HostGroups:
@@ -62,6 +67,62 @@ class HostGroups:
         with; any other is cast again on every use)."""
         pieces = [o[b[host] : b[host + 1]] for o, b in self._blocks]
         return np.concatenate(pieces, dtype=np.intp)
+
+
+def allowed_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (a ``taskset``, a
+    cgroup cpuset, a pinned benchmark), not the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return multiprocessing.cpu_count()
+
+
+def for_each_host(
+    hosts: Sequence[int],
+    fn: Callable[..., T],
+    scratch: Optional[Callable[[], Any]] = None,
+) -> List[T]:
+    """``[fn(h) for h in hosts]``, spread over every CPU this process may use.
+
+    The hosts are split into :func:`allowed_cpus` strided shares,
+    ``hosts[i::shares]``.  The calling thread runs share 0, helper threads
+    the others, and every helper is joined before this returns, so no
+    thread outlives the call: one allowed CPU is exactly the sequential
+    loop.  Each share runs its hosts in ascending order and stops at its
+    first failure; the error of the lowest failing host is re-raised, as
+    the sequential loop would raise it.  With ``scratch``, each share
+    makes one scratch object and calls ``fn(h, scratch_object)``.
+
+    ``fn`` must only write what belongs to its host: that is what makes
+    the result independent of the CPU count.
+    """
+    shares = max(1, min(allowed_cpus(), len(hosts)))
+    results: List[Any] = [None] * len(hosts)
+    errors: Dict[int, BaseException] = {}
+
+    def run_share(first: int) -> None:
+        state = scratch() if scratch is not None else None
+        for i in range(first, len(hosts), shares):
+            try:
+                results[i] = fn(hosts[i]) if scratch is None else fn(hosts[i], state)
+            except BaseException as exc:  # re-raised by the caller
+                errors[i] = exc
+                return
+
+    helpers = [
+        threading.Thread(target=run_share, args=(first,), daemon=True)
+        for first in range(1, shares)
+    ]
+    for thread in helpers:
+        thread.start()
+    try:
+        run_share(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def marked_nodes(
@@ -443,9 +504,10 @@ def build_partitioned_graph(
 ) -> PartitionedGraph:
     """Materialize per-host local graphs from an edge assignment.
 
-    Loops :func:`build_local_partition` over every host not in ``reuse``
+    Runs :func:`build_local_partition` for every host not in ``reuse``
     (host -> an already built partition whose construction inputs are
-    unchanged: the streaming delta; a cold build reuses nothing).
+    unchanged: the streaming delta; a cold build reuses nothing), on
+    strided host shares (:func:`for_each_host`).
     """
     num_hosts = assignment.num_hosts
     partitioned = PartitionedGraph(
@@ -456,13 +518,22 @@ def build_partitioned_graph(
         master_host=assignment.master_host,
         has_edgeless_mirrors=assignment.extra_proxies is not None,
     )
-    # Scratch gid -> lid lookup reused across hosts.
-    gid_to_lid = np.full(edges.num_nodes, NO_PROXY, dtype=np.uint32)
-    for host in range(num_hosts):
-        part = reuse.get(host) if reuse else None
-        if part is None:
-            part = build_local_partition(edges, assignment, host, gid_to_lid)
-        partitioned.partitions.append(part)
+    reuse = reuse or {}
+    todo = [host for host in range(num_hosts) if host not in reuse]
+    if todo:
+        # Grouped on this thread, once, before the shares read them (a
+        # share that built them would keep them in its thread's arena).
+        _ = assignment.edge_groups, assignment.node_groups
+    built = for_each_host(
+        todo,
+        lambda host, gid_to_lid: build_local_partition(edges, assignment, host, gid_to_lid),
+        # One gid -> lid lookup per share, reused across its hosts.
+        scratch=lambda: np.full(edges.num_nodes, NO_PROXY, dtype=np.uint32),
+    )
+    built_by_host = dict(zip(todo, built))
+    partitioned.partitions.extend(
+        reuse[host] if host in reuse else built_by_host[host] for host in range(num_hosts)
+    )
     partitioned.tag_partitions()
     return partitioned
 

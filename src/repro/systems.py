@@ -121,7 +121,11 @@ def prepare_input(
     feature_rounds: int = 3,
     compression: str = "none",
 ) -> PreparedInput:
-    """Apply the app's input requirements (weights, symmetry) and build ctx."""
+    """Apply the app's input requirements (weights, symmetry) and build ctx.
+
+    The default source (§5.1) is picked only for an app that reads one
+    (``needs_source``); the others get ``ctx.source = None``.
+    """
     app = make_app(app_name)
     if app.symmetrize_input:
         edges = edges.symmetrize()
@@ -140,7 +144,7 @@ def prepare_input(
             compression=compression,
         ),
     )
-    if source is None:
+    if source is None and app.needs_source:
         source = default_source(edges, ctx.global_out_degree)
     ctx.source = source
     return PreparedInput(edges=edges, ctx=ctx)

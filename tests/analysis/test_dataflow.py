@@ -32,6 +32,7 @@ from repro.analysis.dataflow import (
     fusion_candidates,
     graph_from_spec,
     kernel_is_monotone,
+    predicate_kept_under_improvement,
 )
 from repro.analysis.linter import all_builtin_programs
 from repro.apps import make_app
@@ -140,6 +141,19 @@ def mismatch_spec():
     )
 
 
+def ligra_cond_bfs():
+    """bfs whose pull gathers only while unvisited (Ligra's edgeMap
+    ``cond``): sound from a clean start, wrong after a reseed."""
+    adopt = dataclasses.replace(
+        PROGRAM_SPECS["bfs"].phases[1], select="{dist} == INFINITY"
+    )
+    return dataclasses.replace(
+        PROGRAM_SPECS["bfs"],
+        name="fixture-ligra-cond",
+        phases=(PROGRAM_SPECS["bfs"].phases[0], adopt),
+    )
+
+
 def tampered_spec():
     """Hand-pinned endpoints void every whole-program proof (GL305)."""
     return dataclasses.replace(
@@ -153,7 +167,8 @@ def tampered_spec():
 
 #: Hand-checked ground truth: dead sync phases per migrated spec.
 EXPECTED_DEAD = {
-    "bfs": {"iec": {"dist": ("reduce",)}},
+    "bfs": {"iec": {"dist": ("reduce",)},
+            "oec": {"dist": ("broadcast",)}},
     "sssp": {"iec": {"dist": ("reduce",)},
              "oec": {"dist": ("broadcast",)}},
     "cc": {"iec": {"label": ("reduce",)},
@@ -199,14 +214,14 @@ class TestGraphModel:
         assert wire.writes == frozenset({"destination"})
         assert wire.uses == frozenset({"source"})
 
-    def test_bfs_pull_targets_keep_destination_use(self):
-        """bfs's adopt phase reads dist in its select mask — a
-        destination-side read invisible to derive_phase_access that the
-        analyzer must add, or it would wrongly kill the broadcast
-        under OEC."""
-        graph = graph_from_spec(PROGRAM_SPECS["bfs"])
+    def test_pull_select_keeps_destination_use(self):
+        """A sparse pull's select reads its field at the destination — a
+        read invisible to derive_phase_access that the analyzer must
+        add, or it would wrongly kill the broadcast under OEC."""
+        graph = graph_from_spec(ligra_cond_bfs())
         wire = graph.wires[0]
         assert "destination" in wire.uses
+        assert "destination" not in graph_from_spec(PROGRAM_SPECS["bfs"]).wires[0].uses
 
     def test_example_spec_graph_shape(self):
         """The widest-path example is a forward push, like sssp."""
@@ -254,11 +269,12 @@ class TestGL301:
         table = dead_sync_table(graph_from_spec(PROGRAM_SPECS[app]))
         assert table == EXPECTED_DEAD[app], app
 
-    def test_bfs_broadcast_survives_oec(self):
-        """The pull-path destination read keeps bfs's broadcast alive
-        under OEC — the one asymmetry in the migrated-spec table."""
-        table = dead_sync_table(graph_from_spec(PROGRAM_SPECS["bfs"]))
+    def test_pull_select_keeps_broadcast_alive_under_oec(self):
+        """The select's destination read keeps the broadcast alive under
+        OEC; without it bfs's table is sssp's."""
+        table = dead_sync_table(graph_from_spec(ligra_cond_bfs()))
         assert "oec" not in table
+        assert EXPECTED_DEAD["bfs"] == EXPECTED_DEAD["sssp"]
 
     def test_findings_fire_on_every_spec(self):
         for app in EXPECTED_DEAD:
@@ -321,9 +337,44 @@ class TestStabilizationCertificates:
         )
 
     def test_a_master_hook_is_denied(self):
+        """Its guard also reads a local field, which no reduction orders."""
         cert = certify_spec(mismatch_spec())
         assert not cert.self_stabilizing
-        assert cert.reasons == ("no-master-hooks",)
+        assert cert.reasons == ("no-master-hooks", "predicates-kept-under-improvement")
+
+    def test_a_select_that_improvement_switches_off_is_denied(self):
+        """Ligra's ``dist == INFINITY`` select stops a vertex pulling once
+        it has any distance, so a lower one never arrives after a reseed:
+        the fifth condition alone denies it."""
+        cert = certify_spec(ligra_cond_bfs())
+        assert not cert.self_stabilizing
+        assert cert.reasons == ("predicates-kept-under-improvement",)
+
+    @pytest.mark.parametrize(
+        "predicate, kept",
+        [
+            ("{dist} != INFINITY", True),  # the min identity: nothing above it
+            ("{dist} == INFINITY", False),
+            ("{dist} != 0", False),
+            ("{dist} < 5", True),
+            ("5 >= {dist}", True),
+            ("{dist} + 1 <= 7", True),
+            ("{dist} > 5", False),
+            ("~({dist} == INFINITY)", False),
+            ("({dist} != INFINITY) & ({src.dist} < 3)", True),
+            ("({dist} < 3) | ({dst.dist} == 3)", False),
+            ("{dist} < {dst.dist}", False),
+            ("level >= 1", True),  # reads no field
+        ],
+    )
+    def test_predicate_kept_under_improvement(self, predicate, kept):
+        """min improves downward: ``<`` survives, ``>`` and ``==`` do not."""
+        assert predicate_kept_under_improvement(predicate, PROGRAM_SPECS["bfs"]) is kept
+
+    def test_max_fields_improve_upward(self):
+        spec = widest_path_spec()
+        assert predicate_kept_under_improvement("{capacity} > 0", spec)
+        assert not predicate_kept_under_improvement("{capacity} < 9", spec)
 
     def test_add_folding_denied(self):
         """An ADD accumulator folded by a master hook (bc's spec) is

@@ -126,15 +126,16 @@ class TestMessageCut:
         )
         assert optimized.communication_volume < plain.communication_volume
 
-    def test_bfs_oec_correctly_uncut(self):
-        """bfs's broadcast stays alive under OEC (pull-path read), so
-        the optimizer must leave its traffic untouched."""
+    def test_bfs_oec_broadcast_cut(self):
+        """bfs's pull reads no destination value, so under OEC (every
+        source a master) its broadcast is dead and the cut is real."""
         plain, optimized = _pair(
             "bfs", 4, "oec", level=OptimizationLevel.OTI,
         )
+        _assert_bitwise("bfs", plain, optimized, rounds=False)
         assert (
             optimized.communication_messages
-            == plain.communication_messages
+            < plain.communication_messages
         )
 
     def test_already_zero_at_default_level(self):

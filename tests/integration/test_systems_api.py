@@ -49,13 +49,20 @@ class TestPrepareInput:
         prep = prepare_input("pr", small_rmat)
         assert prep.ctx.global_out_degree is not None
         assert len(prep.ctx.global_out_degree) == small_rmat.num_nodes
-        # Counted once and shared with the default-source pick: same
-        # values and dtype as a direct count, same source as without it.
+        # Same values and dtype as a direct count.
         direct = np.bincount(small_rmat.src, minlength=small_rmat.num_nodes)
         assert prep.ctx.global_out_degree.dtype == direct.dtype
         assert np.array_equal(prep.ctx.global_out_degree, direct)
-        assert prep.ctx.source == default_source(small_rmat)
         assert prepare_input("bfs", small_rmat).ctx.global_out_degree is None
+
+    @pytest.mark.parametrize("app", ["cc", "pr", "kcore", "featprop"])
+    def test_no_source_is_picked_for_an_app_that_reads_none(self, small_rmat, app):
+        assert prepare_input(app, small_rmat).ctx.source is None
+        assert prepare_input(app, small_rmat, source=3).ctx.source == 3
+
+    @pytest.mark.parametrize("app", ["bfs", "sssp", "bc"])
+    def test_source_seeded_apps_get_the_max_out_degree_node(self, small_rmat, app):
+        assert prepare_input(app, small_rmat).ctx.source == default_source(small_rmat)
 
 
 class TestRunAppValidation:

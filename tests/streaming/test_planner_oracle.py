@@ -195,3 +195,23 @@ def test_certified_planner_against_old_planners(
         else:
             assert new.affected.tolist() == old.affected.tolist()
             assert new.frontier.tolist() == old.frontier.tolist()
+
+
+def test_dligra_bfs_stream_equals_cold_run():
+    """d-ligra pulls whenever the frontier is dense; an insert that
+    lowers a finite distance must still reach the pulling vertex, so the
+    warm answer is the cold one (it was too high before bfs's pull lost
+    its ``dist == INFINITY`` select)."""
+    base = _graph(0, 30, 90, weighted=False)
+    session = StreamingSession("d-ligra", "bfs", base, 2, policy="cvc")
+    session.run()
+    rng = np.random.default_rng(0)
+    step = session.apply_batch(
+        random_mutation_batch(
+            session.version.edges, rng, delete_fraction=0.1, insert_fraction=0.1
+        )
+    )
+    assert step.strategy == "certified"
+    warm = session.values()
+    cold = session.cold_values(session.cold_run())
+    assert warm["dist"].tobytes() == cold["dist"].tobytes()

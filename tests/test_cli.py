@@ -135,6 +135,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "oracle verification: matched" in out
 
+    def test_dligra_bfs_confined_recovery_is_right(self, capsys):
+        """A reborn host mixes BFS levels; a pull that skips every vertex
+        with a finite distance (Ligra's ``cond``) then never lowers one,
+        and this cell verified as ``MISMATCH (max |err| 1)``."""
+        exit_code = main(
+            [
+                "run",
+                "--system", "d-ligra",
+                "--app", "bfs",
+                "--workload", "rmat22s",
+                "--scale-delta", "-3",
+                "--hosts", "2",
+                "--policy", "cvc",
+                "--inject-fault", "crash:0@3",
+                "--recovery", "confined",
+                "--verify",
+            ]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "mode=confined" in out
+        assert "oracle verification: matched" in out
+
     def test_run_verify_fp16_within_tolerance(self, capsys):
         exit_code = main(
             [
