@@ -60,21 +60,30 @@ def _kcore_apply(part, state: Dict) -> np.ndarray:
 
 
 def _pr_apply(part, state: Dict) -> np.ndarray:
-    """Master-side pagerank apply: new rank, new contribution, residual."""
+    """Master-side pagerank apply: new rank, new contribution, residual.
+
+    In place, one scratch buffer: ``acc * d`` then ``+= 1 - d`` is
+    ``(1 - d) + d * acc`` bit for bit (IEEE ``*`` and ``+`` commute
+    exactly), and multiplying the contribution by ``out_degree > 0``
+    zeroes dangling masters exactly as a select would, since every rank
+    is finite and positive (``acc`` sums non-negative contributions).
+    """
     m = part.num_masters
     damping = state["damping"]
     acc = state["acc"]
     rank = state["rank"]
     contrib = state["contrib"]
     out_degree = state["out_degree"]
-    new_rank = (1.0 - damping) + damping * acc[:m]
-    state["residual"] = float(np.abs(new_rank - rank[:m]).sum())
+    new_rank = acc[:m] * damping
+    new_rank += 1.0 - damping
+    scratch = np.subtract(new_rank, rank[:m])
+    state["residual"] = float(np.abs(scratch, out=scratch).sum())
     rank[:m] = new_rank
-    new_contrib = np.where(
-        out_degree[:m] > 0, new_rank / np.maximum(out_degree[:m], 1), 0.0
-    )
+    new_contrib = np.maximum(out_degree[:m], 1, out=scratch)
+    np.divide(new_rank, new_contrib, out=new_contrib)
+    np.multiply(new_contrib, out_degree[:m] > 0, out=new_contrib)
     broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
-    broadcast_dirty[:m] = new_contrib != contrib[:m]
+    np.not_equal(new_contrib, contrib[:m], out=broadcast_dirty[:m])
     contrib[:m] = new_contrib
     acc[:m] = 0.0
     return broadcast_dirty

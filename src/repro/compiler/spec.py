@@ -308,6 +308,9 @@ class SyncDecl:
             master -> mirrors after the reduce (pagerank's ``contrib``).
         hook: Master-side apply ``(part, state) -> dirty_mask`` run
             after the reduce phase (required iff ``broadcast`` is set).
+            Without a frontier it must return the mask: a hooked field
+            of such a program builds no reduce change mask for the plain
+            rule to fall back on (``None`` is a ``SyncError``).
     """
 
     field: str

@@ -148,12 +148,16 @@ class SyncPlan:
 
     ``peer_order`` is all peers, ascending — memoized so no sync call
     re-sorts its peer set; ``fields`` has one entry per bound field, in
-    slot order.
+    slot order.  ``uses_frontier`` is the program's flag: without a
+    frontier, a receive builds a change mask only for the reduce of a
+    field without a hook (the plain apply reads it) and the round merges
+    no frontier.
     """
 
     host: int
     peer_order: Tuple[int, ...]
     fields: Tuple[FieldPlan, ...] = ()
+    uses_frontier: bool = True
 
     def of(self, field: FieldSpec) -> FieldPlan:
         """The plan entry of a bound field (matched by identity)."""
@@ -175,11 +179,13 @@ def build_sync_plan(
     structural: bool,
     fields: Sequence[FieldSpec] = (),
     liveness: Sequence[Dict[str, bool]] = (),
+    uses_frontier: bool = True,
 ) -> SyncPlan:
     """Resolve one host's :class:`SyncPlan` from its memoized address book.
 
     ``fields`` are the host's synchronized fields in slot order and
-    ``liveness`` their :func:`phase_liveness` over the whole cluster.
+    ``liveness`` their :func:`phase_liveness` over the whole cluster;
+    ``uses_frontier`` is the program's.
     """
     # Old pickled books from a disk cache may predate ``peer_order``.
     peer_order = tuple(
@@ -203,4 +209,4 @@ def build_sync_plan(
                 layout,
             )
         )
-    return SyncPlan(book.host, peer_order, tuple(entries))
+    return SyncPlan(book.host, peer_order, tuple(entries), uses_frontier)

@@ -262,9 +262,14 @@ class GluonSubstrate:
         sub-message read in place from its offsets.  An EMPTY one is told
         from its two bytes and skipped; the rest go through
         :func:`decode_update`, whose arrays are views into the frame.  A
-        field's changed mask is allocated on its first changed proxy.
+        field's changed mask is allocated on its first changed proxy —
+        and never when the mask has no reader: without a frontier only
+        the reduce of a field without a hook is compared (the plain
+        apply reads it); every other apply is a plain gather, combine
+        and scatter, and its entry is ``None``.
         """
         broadcast = phase == "broadcast"
+        frontier = self.plan.uses_frontier
         changed: List[Optional[np.ndarray]] = [None] * len(fields)
         for sender, buffer, slots in self.plane.receive():
             if len(slots) != len(fields):
@@ -286,9 +291,12 @@ class GluonSubstrate:
                 if translations:
                     self._count_translations(translations)
                 apply = field.set if broadcast else field.reduce
-                changed_here = apply(lids, values)
-                if not np.count_nonzero(changed_here):  # cheaper than .any() here
-                    continue
+                changes = frontier or (
+                    not broadcast and field.on_master_after_reduce is None
+                )
+                changed_here = apply(lids, values, changes)
+                if not changes or not np.count_nonzero(changed_here):
+                    continue  # count_nonzero: cheaper than .any() here
                 if changed[index] is None:
                     changed[index] = np.zeros(self.num_local_nodes, dtype=bool)
                 changed[index][lids[changed_here]] = True
@@ -354,7 +362,10 @@ def setup_substrates(
     )
 
 
-def bind_sync_plans(hosts, substrates, fields, books: Sequence[AddressBook]) -> None:
+def bind_sync_plans(
+    hosts, substrates, fields, books: Sequence[AddressBook],
+    uses_frontier: bool = True,
+) -> None:
     """Resolve every substrate's :class:`SyncPlan` for its layout's fields.
 
     Called once per layout, after the fields exist, by whoever built the
@@ -362,13 +373,15 @@ def bind_sync_plans(hosts, substrates, fields, books: Sequence[AddressBook]) -> 
     ``substrates`` and ``fields`` are indexed by the ids in ``hosts``;
     ``books`` is **every** host's address book, so each caller reaches the
     same cluster-wide liveness verdict whatever subset it owns.
+    ``uses_frontier`` is the program's flag of that name.
     """
     first = substrates[hosts[0]]
     liveness = phase_liveness(books, first.level.structural, fields[hosts[0]])
     for h in hosts:
         sub = substrates[h]
         sub.plan = build_sync_plan(
-            sub.book, sub.level.structural, fields[h], liveness
+            sub.book, sub.level.structural, fields[h], liveness,
+            uses_frontier,
         )
 
 

@@ -150,7 +150,10 @@ class FieldSpec:
             masters to broadcast (or ``None`` to broadcast what a
             hook-less field would: the changed masters and those the
             step wrote).  Pull-style pagerank uses this to turn reduced partial
-            sums into the contribution values it broadcasts.
+            sums into the contribution values it broadcasts.  Under a
+            program without a frontier (``uses_frontier`` False) nothing
+            else reads the reduce's changes, so none are computed: the
+            hook gets ``None`` and must return its mask.
         writes: Edge endpoints where the compute phase may *write* this
             field — the paper's ``WriteAtDestination``/``WriteAtSource``
             sync parameters.  With structural optimization, only mirrors
@@ -319,8 +322,12 @@ class FieldSpec:
         """Bulk ``extract`` for the broadcast phase (master side)."""
         return self.broadcast_values[local_ids]
 
-    def reduce(self, local_ids: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        """Bulk ``reduce`` at masters; returns the changed mask.
+    def reduce(
+        self, local_ids: np.ndarray, incoming: np.ndarray, changes: bool = True
+    ) -> Optional[np.ndarray]:
+        """Bulk ``reduce`` at masters; returns the changed mask, or
+        ``None`` when ``changes`` is off (one gather, combine and scatter
+        for a program that reads no change mask).
 
         Duplicate local IDs within one call are not supported (they would
         apply last-write-wins): the decoder rejects a message that names a
@@ -336,30 +343,38 @@ class FieldSpec:
         reduced = self.reduce_op.combine(
             current, incoming.astype(self.dtype, copy=False)
         )
+        self.values[local_ids] = reduced
+        if not changes:
+            return None
         changed = reduced != current
         if changed.ndim == 2:  # wide field: a row changed if any column did
             changed = changed.any(axis=1)
-        self.values[local_ids] = reduced
         return changed
 
     def reset(self, local_ids: np.ndarray) -> None:
         """Bulk ``reset`` at mirrors after the reduce phase."""
         self.reduce_op.reset_values(self.values, local_ids)
 
-    def set(self, local_ids: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        """Bulk ``set`` at mirrors during broadcast; returns changed mask."""
+    def set(
+        self, local_ids: np.ndarray, incoming: np.ndarray, changes: bool = True
+    ) -> Optional[np.ndarray]:
+        """Bulk ``set`` at mirrors during broadcast; returns the changed
+        mask, or ``None`` when ``changes`` is off (one scatter)."""
         if len(local_ids) != len(incoming):
             raise SyncError(
                 f"field {self.name!r}: set got {len(local_ids)} ids for "
                 f"{len(incoming)} values"
             )
+        # With a derived broadcast the reduce-side array is not touched at
+        # mirrors; only the broadcast array is cached there.  Same-field
+        # sync writes the shared array either way.
+        if not changes:
+            self.broadcast_values[local_ids] = incoming
+            return None
         incoming = incoming.astype(self.broadcast_values.dtype, copy=False)
         current = self.broadcast_values[local_ids]
         changed = current != incoming
         if changed.ndim == 2:  # wide field: a row changed if any column did
             changed = changed.any(axis=1)
-        # With a derived broadcast the reduce-side array is not touched at
-        # mirrors; only the broadcast array is cached there.  Same-field
-        # sync writes the shared array either way.
         self.broadcast_values[local_ids] = incoming
         return changed

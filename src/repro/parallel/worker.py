@@ -85,7 +85,10 @@ class _HostWorker:
             }
             # All books, not just the owned hosts': every worker must
             # reach the same verdict on which phases are dead.
-            bind_sync_plans(self.owned, self.substrates, self.fields, books)
+            bind_sync_plans(
+                self.owned, self.substrates, self.fields, books,
+                ex.app.uses_frontier,
+            )
         self.frontiers = {h: ex.frontiers[h] for h in self.owned}
 
     # -- one BSP round ------------------------------------------------------

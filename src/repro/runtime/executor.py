@@ -281,7 +281,7 @@ class DistributedExecutor:
         if self.substrates:
             bind_sync_plans(
                 range(num_hosts), self.substrates, self.fields,
-                [sub.book for sub in self.substrates],
+                [sub.book for sub in self.substrates], self.app.uses_frontier,
             )
         if frontiers is None:
             frontiers = [

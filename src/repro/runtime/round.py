@@ -14,8 +14,10 @@ per-host lists with ``hosts=range(n)``, a process worker passes
 
 A round costs its updates (§4): a quiet host — empty frontier, under a
 program whose empty-frontier round is idle — is not computed, an apply
-mask nothing reads is not built, and frontiers are merged copy-on-write
-instead of copied up front.
+mask nothing reads is not built, a program without a frontier gets no
+frontier merges, active counts or change masks beyond what its plain
+apply reads, and frontiers are merged copy-on-write instead of copied
+up front.
 
 Whether traffic is aggregated is the communication plane's business;
 here it only picks the *flush granularity*.  An aggregating plane syncs
@@ -33,6 +35,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.comm.frame import frame_overhead
+from repro.errors import SyncError
 from repro.runtime.timing import WorkStats, round_communication_time
 
 #: Simulated cost of the substrate scanning one proxy's dirty bit during a
@@ -52,20 +55,30 @@ class _IdleRound(NamedTuple):
     work: WorkStats = WorkStats()
 
 
-def broadcast_dirty(part, field, reduce_changed, outcome) -> np.ndarray:
+def broadcast_dirty(
+    part, field, reduce_changed, outcome, uses_frontier: bool = True
+) -> np.ndarray:
     """Master-side apply: which masters broadcast after the reduce.
 
     ``reduce_changed`` is ``None`` when no master changed (nothing
     arrived, or the reduce was not driven).  A hook's mask wins; without
     a hook, or when it returns ``None``, the changed masters and the
-    masters the step itself wrote broadcast.
+    masters the step itself wrote broadcast.  Without a frontier a
+    hooked field's reduce builds no change mask: its hook gets ``None``
+    and must return its mask, since the plain rule has nothing to read.
     """
     if field.on_master_after_reduce is not None:
-        if reduce_changed is None:
+        if reduce_changed is None and uses_frontier:
             reduce_changed = np.zeros(len(outcome.updated), dtype=bool)
         dirty = field.on_master_after_reduce(reduce_changed)
         if dirty is not None:
             return dirty
+        if not uses_frontier:
+            raise SyncError(
+                f"field {field.name!r}: its master-side hook returned no "
+                "dirty mask, and a program without a frontier builds no "
+                "reduce change mask for the plain rule to fall back on"
+            )
     if reduce_changed is None:
         dirty = outcome.updated.copy()
     else:
@@ -90,10 +103,17 @@ def merge_frontier(next_frontiers, h, step_mask, mask) -> None:
 
 
 def apply_hooks_locally(hosts, fields, outcomes, next_frontiers) -> None:
-    """Run master-side apply hooks when sync is disabled (1 host)."""
+    """Run master-side apply hooks when sync is disabled (1 host).
+
+    ``next_frontiers`` is ``None`` for a program without a frontier: a
+    hook then gets ``None`` and its mask is not merged anywhere.
+    """
     for h in hosts:
         for field in fields[h]:
             if field.on_master_after_reduce is not None:
+                if next_frontiers is None:
+                    field.on_master_after_reduce(None)
+                    continue
                 no_changes = np.zeros(len(field.values), dtype=bool)
                 dirty = field.on_master_after_reduce(no_changes)
                 if dirty is not None:
@@ -190,7 +210,9 @@ def synchronize(
     (:meth:`~repro.core.patterns.SyncPlan.live`, a cluster-wide verdict)
     is not driven: nothing is staged, flushed, marked or received.  The
     master-side apply runs every round its mask has a reader: a hook, or
-    a live broadcast.
+    a live broadcast.  Without a frontier (the plan's
+    ``uses_frontier``) nothing is merged: ``next_frontiers`` is left as
+    it came.
 
     Field results do not depend on the flush granularity: each field's
     arrays are independent and every receiver applies senders in the
@@ -200,6 +222,7 @@ def synchronize(
     """
     first = hosts[0]
     plan = substrates[first].plan
+    frontier = plan.uses_frontier
     num_fields = len(fields[first])
     seeded = {h for h in hosts if next_frontiers[h] is outcomes[h].updated}
     if substrates[first].plane.aggregate:
@@ -221,13 +244,16 @@ def synchronize(
         for h in hosts:
             step_mask = outcomes[h].updated
             for field, changed in zip(group[h], reduce_changed[h]):
-                if changed is not None:
+                if frontier and changed is not None:
                     merge_frontier(next_frontiers, h, step_mask, changed)
                 if broadcast_live or field.on_master_after_reduce is not None:
-                    field_dirty = broadcast_dirty(parts[h], field, changed, outcomes[h])
+                    field_dirty = broadcast_dirty(
+                        parts[h], field, changed, outcomes[h], frontier
+                    )
                     dirty[h].append(field_dirty)
-                    merge_frontier(next_frontiers, h, step_mask, field_dirty)
-                elif h not in seeded:
+                    if frontier:
+                        merge_frontier(next_frontiers, h, step_mask, field_dirty)
+                elif frontier and h not in seeded:
                     # The apply's mask has no reader — no hook rewrites
                     # it, no broadcast stages it — so it is not built.
                     # Its frontier share beyond the changed masters is
@@ -268,7 +294,10 @@ def run_hosts(
     including the sync-scan term, the proxies active next round and
     their count, and the address translations this round's sync
     performed.  A next frontier may be the step's own mask (nothing
-    merged into it); no caller writes a frontier in place.
+    merged into it); no caller writes a frontier in place.  A program
+    without a frontier (topology-driven) gets its step masks back
+    unmerged and computes every proxy next round, so its count is
+    ``num_nodes``.
     """
     outcomes = {}
     comp_times = {}
@@ -304,13 +333,18 @@ def run_hosts(
             h: substrates[h].stats.translations - before[h] for h in hosts
         }
     else:
-        apply_hooks_locally(hosts, fields, outcomes, next_frontiers)
-    # A quiet host nothing was merged into still holds its empty frontier.
-    active = {
-        h: 0 if h in quiet and next_frontiers[h] is frontiers[h]
-        else int(np.count_nonzero(next_frontiers[h]))
-        for h in hosts
-    }
+        apply_hooks_locally(
+            hosts, fields, outcomes, next_frontiers if app.uses_frontier else None
+        )
+    if not app.uses_frontier:
+        active = {h: parts[h].num_nodes for h in hosts}
+    else:
+        # A quiet host nothing was merged into still holds its empty frontier.
+        active = {
+            h: 0 if h in quiet and next_frontiers[h] is frontiers[h]
+            else int(np.count_nonzero(next_frontiers[h]))
+            for h in hosts
+        }
     return comp_times, next_frontiers, active, translation_deltas
 
 

@@ -6,11 +6,41 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.substrate import bind_sync_plans
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import erdos_renyi, grid_graph, path_graph, rmat
 from repro.runtime.round import synchronize
+
+
+#: The distributed engines a sweep draws its system from.
+DISTRIBUTED_SYSTEMS = ("d-galois", "d-ligra", "d-irgl", "d-hybrid")
+
+#: Draws per sweep under ``--hypothesis-profile=deep``: the streaming
+#: planner oracle and the confined-recovery sweep at full depth.  Run
+#: them alone: the profile also raises every Hypothesis test that sets
+#: no ``max_examples`` of its own to this count.
+DEEP_EXAMPLES = 3000
+settings.register_profile("deep", max_examples=DEEP_EXAMPLES, deadline=None)
+
+
+def sweep_settings(examples: int) -> settings:
+    """A sweep's settings: ``examples`` draws under the default profile,
+    :data:`DEEP_EXAMPLES` under the deep one."""
+    deep = settings.default is settings.get_profile("deep")
+    return settings(max_examples=DEEP_EXAMPLES if deep else examples, deadline=None)
+
+
+def random_edges(seed: int, n: int, m: int, weighted: bool) -> EdgeList:
+    """``m`` uniform random edges over ``n`` nodes (weights 1..19)."""
+    rng = np.random.default_rng(seed)
+    return EdgeList(
+        n,
+        rng.integers(0, n, size=m, dtype=np.uint32),
+        rng.integers(0, n, size=m, dtype=np.uint32),
+        rng.integers(1, 20, size=m, dtype=np.uint32) if weighted else None,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, FaultPlanError
 from repro.resilience import (
@@ -13,6 +15,7 @@ from repro.resilience import (
 from repro.systems import run_app
 from repro.verify import verify_run
 from repro.workloads import load_workload
+from tests.conftest import DISTRIBUTED_SYSTEMS, random_edges, sweep_settings
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +155,10 @@ class TestConfinedRecovery:
         result = run_app("d-galois", "pr", edges, num_hosts=2)
         assert not confined_applicable(result.executor)
 
-    def test_bfs_confined_bitwise_identical(self, edges, baseline):
+    @pytest.mark.parametrize("system", DISTRIBUTED_SYSTEMS)
+    def test_bfs_confined_bitwise_identical(self, edges, baseline, system):
         result = run_app(
-            "d-galois", "bfs", edges, num_hosts=4,
+            system, "bfs", edges, num_hosts=4,
             resilience=crash_config(mode="confined"),
         )
         assert result.recovery_events[0]["mode"] == "confined"
@@ -176,11 +180,12 @@ class TestConfinedRecovery:
             canonical.executor.gather_result("rank"),
         )
 
-    def test_cc_confined_survives_late_crash(self, edges):
-        canonical = run_app("d-galois", "cc", edges, num_hosts=4)
+    @pytest.mark.parametrize("system", DISTRIBUTED_SYSTEMS)
+    def test_cc_confined_survives_late_crash(self, edges, system):
+        canonical = run_app(system, "cc", edges, num_hosts=4)
         crash_round = max(2, canonical.num_rounds)
         result = run_app(
-            "d-galois", "cc", edges, num_hosts=4,
+            system, "cc", edges, num_hosts=4,
             resilience=crash_config(round_index=crash_round, mode="confined"),
         )
         np.testing.assert_array_equal(
@@ -188,6 +193,46 @@ class TestConfinedRecovery:
             canonical.executor.gather_result("label"),
         )
         verify_run(result, edges)
+
+
+@sweep_settings(100)
+@given(
+    system=st.sampled_from(DISTRIBUTED_SYSTEMS),
+    app=st.sampled_from(
+        ["bfs", "sssp", "cc", "bfs@optimized", "sssp@optimized", "cc@optimized"]
+    ),
+    hosts=st.sampled_from([2, 4, 8]),
+    policy=st.sampled_from(["oec", "iec", "cvc", "hvc", "jagged", "random"]),
+    last_host=st.booleans(),
+    when=st.sampled_from(["first", "middle", "last"]),
+    checkpoint_every=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(8, 60),
+    density=st.integers(1, 5),
+)
+def test_confined_recovery_sweep(
+    system, app, hosts, policy, last_host, when, checkpoint_every, seed, n, density
+):
+    """A certified program crashed on any distributed engine — first or
+    last host, at round 1, R/2 or R, with or without periodic
+    checkpoints — recovers confined to its clean answer, bit for bit."""
+    graph = random_edges(seed, n, n * density, weighted=app.startswith("sssp"))
+    clean = run_app(system, app, graph, hosts, policy=policy)
+    rounds = clean.num_rounds
+    crash_round = {"first": 1, "middle": max(1, rounds // 2), "last": rounds}[when]
+    crash = CrashFault(hosts - 1 if last_host else 0, crash_round)
+    config = ResilienceConfig(
+        plan=FaultPlan(crashes=(crash,), seed=7),
+        checkpoint_every=checkpoint_every,
+        recovery="confined",
+    )
+    result = run_app(system, app, graph, hosts, policy=policy, resilience=config)
+    assert [event["mode"] for event in result.recovery_events] == ["confined"]
+    key = "label" if app.startswith("cc") else "dist"
+    assert (
+        result.executor.gather_result(key).tobytes()
+        == clean.executor.gather_result(key).tobytes()
+    )
 
 
 class TestTransientFaults:
@@ -212,7 +257,8 @@ class TestTransientFaults:
         faults = result.executor.transport.faults
         assert faults.total_injected > 0
 
-    def test_transient_faults_with_crash(self, edges, baseline):
+    @pytest.mark.parametrize("system", DISTRIBUTED_SYSTEMS)
+    def test_transient_faults_with_crash(self, edges, baseline, system):
         config = ResilienceConfig(
             plan=FaultPlan(
                 crashes=(CrashFault(1, 2),),
@@ -222,7 +268,7 @@ class TestTransientFaults:
             recovery="confined",
         )
         result = run_app(
-            "d-galois", "bfs", edges, num_hosts=4, resilience=config
+            system, "bfs", edges, num_hosts=4, resilience=config
         )
         assert result.num_recoveries == 1
         np.testing.assert_array_equal(

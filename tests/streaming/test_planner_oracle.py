@@ -10,7 +10,7 @@ from typing import Dict, Optional
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps.base import AppContext
@@ -19,6 +19,7 @@ from repro.streaming import incremental
 from repro.streaming.batch import MutationEffect, random_mutation_batch
 from repro.streaming.incremental import IncrementalPlan
 from repro.streaming.session import StreamingSession
+from tests.conftest import DISTRIBUTED_SYSTEMS, random_edges, sweep_settings
 
 _UINT32_INF = np.iinfo(np.uint32).max
 
@@ -137,18 +138,9 @@ def old_plan_component(
     )
 
 
-def _graph(seed: int, n: int, m: int, weighted: bool) -> EdgeList:
-    rng = np.random.default_rng(seed)
-    return EdgeList(
-        n,
-        rng.integers(0, n, size=m, dtype=np.uint32),
-        rng.integers(0, n, size=m, dtype=np.uint32),
-        rng.integers(1, 20, size=m, dtype=np.uint32) if weighted else None,
-    )
-
-
-@settings(max_examples=60, deadline=None)
+@sweep_settings(240)  # about 60 per engine
 @given(
+    system=st.sampled_from(DISTRIBUTED_SYSTEMS),
     app=st.sampled_from(
         ["bfs", "sssp", "cc", "bfs@optimized", "sssp@optimized", "cc@optimized"]
     ),
@@ -161,10 +153,10 @@ def _graph(seed: int, n: int, m: int, weighted: bool) -> EdgeList:
     delete_nodes=st.integers(0, 1),
 )
 def test_certified_planner_against_old_planners(
-    app, hosts, policy, seed, n, density, add_nodes, delete_nodes
+    system, app, hosts, policy, seed, n, density, add_nodes, delete_nodes
 ):
-    base = _graph(seed, n, n * density, weighted=app.startswith("sssp"))
-    session = StreamingSession("d-galois", app, base, hosts, policy=policy)
+    base = random_edges(seed, n, n * density, weighted=app.startswith("sssp"))
+    session = StreamingSession(system, app, base, hosts, policy=policy)
     session.run()
     old_planner = old_plan_component if app.startswith("cc") else old_plan_min_plus
     plans = []
@@ -202,7 +194,7 @@ def test_dligra_bfs_stream_equals_cold_run():
     lowers a finite distance must still reach the pulling vertex, so the
     warm answer is the cold one (it was too high before bfs's pull lost
     its ``dist == INFINITY`` select)."""
-    base = _graph(0, 30, 90, weighted=False)
+    base = random_edges(0, 30, 90, weighted=False)
     session = StreamingSession("d-ligra", "bfs", base, 2, policy="cvc")
     session.run()
     rng = np.random.default_rng(0)
