@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="store checkpoints on disk here instead of in memory",
+        help="store checkpoints on disk here instead of in memory "
+        "(needs --checkpoint-every)",
     )
     run_cmd.add_argument(
         "--trace",
@@ -412,6 +413,11 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         ):
             if given:
                 parser.error(f"--stream is incompatible with {flag}")
+    if args.command == "run" and args.checkpoint_dir is not None:
+        # Round 0 is rebuilt from the input, never stored: without a
+        # cadence no snapshot would ever be written.
+        if not getattr(args, "checkpoint_every", 0):
+            parser.error("--checkpoint-dir needs --checkpoint-every")
     if args.command == "serve":
         if args.workers < 1:
             parser.error(f"--workers must be at least 1, got {args.workers}")

@@ -332,7 +332,8 @@ class JobSpec:
         fault plan is parsed, so an empty plan or a crash clause naming a
         host the cluster does not have is one :class:`FaultPlanError`
         everywhere.  ``checkpoint_dir`` (a deployment path, not a job
-        option) stores the run's snapshots on disk.
+        option) stores the run's snapshots on disk; a run without
+        resilience takes none, so there it is ignored.
         """
         # Every plan keyword; ``resilience`` (no field of its own) starts as None.
         options = {name: getattr(self, name, None) for name in PLAN_KEYWORDS}
@@ -347,7 +348,7 @@ class JobSpec:
                     f"spec {self.inject_fault!r} injects no faults (expected "
                     "crash:HOST@ROUND, drop:RATE, corrupt:RATE, or dup:RATE clauses)"
                 )
-        if plan is not None or self.checkpoint_every > 0 or checkpoint_dir is not None:
+        if plan is not None or self.checkpoint_every > 0:
             options["resilience"] = ResilienceConfig(
                 plan=plan, checkpoint_every=self.checkpoint_every,
                 recovery=self.recovery, checkpoint_dir=checkpoint_dir,

@@ -1,9 +1,9 @@
 """Checkpointing: periodic snapshots the recovery protocols restore from.
 
-A snapshot captures everything needed to resume a BSP execution from a
-round boundary: every host's state arrays (masters *and* mirrors, so a
-restored run replays bit-identically), every host's frontier, the round
-counter, and the fault injector's RNG state.  Snapshots are serialized to
+A snapshot captures what a BSP execution cannot rebuild at a round
+boundary (a run's round 0 is rebuilt, never stored): every host's state
+arrays (masters *and* mirrors, so a restored run replays
+bit-identically), every host's frontier, and the round counter.  Snapshots are serialized to
 one content-addressed blob (SHA-256 of the bytes is both the storage key
 and the restore-time integrity check) held by a pluggable backend:
 
@@ -99,8 +99,8 @@ class CheckpointManager:
     Args:
         backend: blob store (defaults to in-memory).
         every: snapshot cadence in rounds; ``0`` disables periodic
-            snapshots (the executor still takes the round-0 snapshot that
-            crash recovery needs).
+            snapshots (a crash then rolls back to round 0, which the
+            executor rebuilds from the input).
     """
 
     def __init__(self, backend=None, every: int = 0) -> None:

@@ -161,7 +161,8 @@ class FaultInjector:
 
     One injector lives for a whole execution, *across* transport rebirths
     (recovery replaces the transport, not the injector), so sequence
-    numbers stay globally unique and fired crashes stay fired.
+    numbers stay globally unique and fired crashes stay fired.  Its RNG
+    is never rewound: replayed rounds draw fresh, equally masked fates.
 
     ``seq_base`` namespaces the sequence counter: the multiprocess
     runtime gives each worker's injector a disjoint base so frames from
@@ -229,17 +230,3 @@ class FaultInjector:
         position = int(self.rng.integers(len(data)))
         data[position] ^= 0xFF
         return bytes(data)
-
-    # -- checkpointable RNG state ---------------------------------------------
-
-    def rng_state(self) -> dict:
-        """The injector RNG's bit-generator state (checkpointed)."""
-        return self.rng.bit_generator.state
-
-    def restore_rng_state(self, state: dict) -> None:
-        """Restore the RNG so replayed rounds see identical fault draws.
-
-        Sequence numbers are deliberately *not* restored: they must stay
-        unique for the lifetime of the execution.
-        """
-        self.rng.bit_generator.state = state

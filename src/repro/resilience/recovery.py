@@ -1,16 +1,18 @@
 """Recovery protocols: surviving a fail-stop host crash.
 
-Two protocols, both driven by :func:`survive_crash` from inside
-:class:`~repro.runtime.executor.DistributedExecutor.run`:
+Both protocols, driven by :func:`survive_crash` from inside
+:class:`~repro.runtime.executor.DistributedExecutor.run`, roll back to
+the latest snapshot or, when none was taken, to round 0 — rebuilt from
+the input and the partition, never stored (§4: memoize once).
 
 * **Global checkpoint-restart** (``"restart"``) — every host rolls back
-  to the last checkpoint; the communication state (transport, substrates,
-  memoization) is rebuilt from scratch; the rounds after the checkpoint
+  to the rollback point; the communication state (transport,
+  substrates, memoization) is rebuilt from scratch; the rounds after it
   are replayed.  Deterministic replay makes the recovered run bitwise
   identical to a fault-free one.  Always applicable.
 
 * **Phoenix-style confined recovery** (``"confined"``) — only the reborn
-  host re-initializes, from the last checkpoint; healthy hosts keep their
+  host re-initializes, from the rollback point; healthy hosts keep their
   current state.  A fresh memoization exchange (the §4.1 repartition
   machinery, over an unchanged partition) rebuilds the communication
   state, then one *healing* synchronization round — every host marks all
@@ -60,7 +62,7 @@ class ResilienceConfig:
         plan: the fault schedule (``None`` = no injection; checkpointing
             alone can still be useful).
         checkpoint_every: periodic snapshot cadence in rounds (``0`` =
-            only the round-0 snapshot recovery requires).
+            none: a crash rolls back to round 0, rebuilt from the input).
         recovery: ``"restart"`` or ``"confined"``.
         checkpoint_dir: when set, snapshots go to disk under this
             directory instead of in-process memory.
@@ -157,7 +159,7 @@ def take_checkpoint(
 ) -> None:
     """Snapshot the execution at a round boundary and account it.
 
-    The snapshot schema lives here, next to :func:`_restore_snapshot`
+    The snapshot schema lives here, next to :func:`_rollback_point`
     which parses and validates it.  ``rebaseline`` first forgets every
     earlier snapshot — they describe a layout or graph version the
     executor just left (:meth:`~DistributedExecutor.repartition`,
@@ -166,19 +168,14 @@ def take_checkpoint(
     manager = executor.checkpoints
     if rebaseline:
         manager.clear()
-    injector = executor.fault_injector
     record = manager.save(
         {
             "round": round_index,
             "app": executor.app.name,
             "policy": executor.partitioned.policy_name,
             "num_hosts": executor.partitioned.num_hosts,
-            "num_global_nodes": executor.partitioned.num_global_nodes,
             "states": executor.states,
             "frontiers": executor.frontiers,
-            "injector_rng": (
-                injector.rng_state() if injector is not None else None
-            ),
         }
     )
     result = executor.result
@@ -200,7 +197,11 @@ def take_checkpoint(
         executor.metrics.counter("checkpoint_bytes_total").inc(record.nbytes)
 
 
-def _restore_snapshot(executor: "DistributedExecutor") -> dict:
+def _rollback_point(executor: "DistributedExecutor") -> dict:
+    """The latest snapshot, validated, else round 0 (``states`` and
+    ``frontiers`` of ``None``: ``bind`` rebuilds them from the input)."""
+    if executor.checkpoints.latest() is None:
+        return {"round": 0, "states": None, "frontiers": None}
     snapshot = executor.checkpoints.restore()
     if snapshot.get("num_hosts") != executor.partitioned.num_hosts:
         raise CheckpointError(
@@ -235,7 +236,7 @@ def survive_crash(
     layout-binding primitive, ``bind(partitioned, ctx, states,
     frontiers) -> (bytes, simulated_time)``: both protocols rebirth the
     fabric through it — new transport, fresh memoization exchange — over
-    the states and frontiers they restored.
+    the states and frontiers they restored (``None`` = round 0).
     """
     for host in crashed_hosts:
         executor.transport.crash(host)
@@ -245,7 +246,7 @@ def survive_crash(
     mode = executor.resilience.recovery
     if mode == "confined" and not confined_applicable(executor):
         mode = "confined->restart"
-    snapshot = _restore_snapshot(executor)
+    snapshot = _rollback_point(executor)
     protocol = _recover_confined if mode == "confined" else _recover_restart
     nbytes, sim_time, replayed = protocol(executor, snapshot, crashed_hosts, bind)
     event = RecoveryEvent(
@@ -280,18 +281,12 @@ def survive_crash(
 
 
 def _recover_restart(executor, snapshot, crashed_hosts, bind):
-    """Global rollback: every host restarts from the last checkpoint.
+    """Global rollback: every host restarts from the rollback point.
 
     Returns ``(bytes, simulated_time, replayed_rounds)``.
     """
-    injector = executor.fault_injector
-    if injector is not None and snapshot.get("injector_rng") is not None:
-        injector.restore_rng_state(snapshot["injector_rng"])
     nbytes, sim_time = bind(
-        executor.partitioned,
-        executor.ctx,
-        list(snapshot["states"]),
-        list(snapshot["frontiers"]),
+        executor.partitioned, executor.ctx, snapshot["states"], snapshot["frontiers"]
     )
     result = executor.result
     restored_round = int(snapshot["round"])
@@ -310,7 +305,10 @@ def _recover_confined(executor, snapshot, crashed_hosts, bind):
     parts = executor.partitioned.partitions
     states, frontiers = list(executor.states), list(executor.frontiers)
     for host in crashed_hosts:
-        states[host] = snapshot["states"][host]
+        states[host] = (
+            snapshot["states"][host] if snapshot["states"] is not None
+            else executor.app.make_state(parts[host], executor.ctx)
+        )
         # Everything the reborn host owns is suspect: activate its whole
         # local proxy set so recomputation re-derives unreplicated values.
         frontiers[host] = np.ones(parts[host].num_nodes, dtype=bool)

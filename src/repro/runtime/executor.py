@@ -348,10 +348,6 @@ class DistributedExecutor:
         if self._result is None:
             self._result = self._new_result()
             self._setup(self._result)
-            # The recovery protocols need a round-0 baseline to roll back
-            # to even before the first periodic snapshot is due.
-            if self.checkpoints is not None:
-                take_checkpoint(self, 0)
         result = self._result
         runner = self._runner or self._start_runner(result)
         executed = 0

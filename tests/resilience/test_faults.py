@@ -135,18 +135,3 @@ class TestFaultInjector:
         diffs = [i for i, (x, y) in enumerate(zip(frame, damaged)) if x != y]
         assert len(diffs) == 1
         assert damaged[diffs[0]] == frame[diffs[0]] ^ 0xFF
-
-    def test_rng_state_roundtrip_replays_fates(self):
-        plan = FaultPlan(drop_rate=0.5, seed=7)
-        injector = FaultInjector(plan)
-        state = injector.rng_state()
-        first = [injector.decide_fate() for _ in range(50)]
-        injector.restore_rng_state(state)
-        assert [injector.decide_fate() for _ in range(50)] == first
-
-    def test_restore_keeps_sequence_numbers_unique(self):
-        injector = FaultInjector(FaultPlan(seed=3))
-        state = injector.rng_state()
-        seen = [injector.next_seq() for _ in range(4)]
-        injector.restore_rng_state(state)
-        assert injector.next_seq() not in seen

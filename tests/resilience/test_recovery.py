@@ -28,10 +28,10 @@ def baseline(edges):
     return run_app("d-galois", "bfs", edges, num_hosts=4)
 
 
-def crash_config(round_index=2, mode="restart", **kwargs):
+def crash_config(round_index=2, mode="restart", every=1, **kwargs):
     return ResilienceConfig(
         plan=FaultPlan(crashes=(CrashFault(1, round_index),), seed=7),
-        checkpoint_every=1,
+        checkpoint_every=every,
         recovery=mode,
         **kwargs,
     )
@@ -56,13 +56,19 @@ class TestConfig:
 
 
 class TestCheckpointRestart:
-    def test_bitwise_identical_after_crash(self, edges, baseline):
+    @pytest.mark.parametrize("every", [1, 0], ids=["cadence-1", "no-cadence"])
+    def test_bitwise_identical_after_crash(self, edges, baseline, every):
+        """With no cadence nothing is stored: the restart rebuilds round 0
+        from the input."""
         result = run_app(
             "d-galois", "bfs", edges, num_hosts=4,
-            resilience=crash_config(mode="restart"),
+            resilience=crash_config(mode="restart", every=every),
         )
         assert result.num_recoveries == 1
         assert result.recovery_events[0]["mode"] == "restart"
+        assert result.recovery_events[0]["restored_round"] == every
+        if every == 0:
+            assert result.num_checkpoints == 0
         np.testing.assert_array_equal(
             result.executor.gather_result("dist"),
             baseline.executor.gather_result("dist"),
@@ -80,14 +86,17 @@ class TestCheckpointRestart:
             range(1, result.num_rounds + 1)
         )
 
-    def test_recovery_accounted(self, edges):
+    def test_recovery_accounted(self, edges, baseline):
         result = run_app(
             "d-galois", "bfs", edges, num_hosts=4,
             resilience=crash_config(mode="restart"),
         )
         assert result.recovery_bytes > 0
         assert result.recovery_time > 0
-        assert result.num_checkpoints >= 2
+        # One snapshot after every round but the converging one: round 1,
+        # then (the crash at round 2 rolls back to it) rounds 2..R-1 of
+        # the replay.  None at round 0, which the input rebuilds.
+        assert result.num_checkpoints == baseline.num_rounds - 1
         assert result.checkpoint_bytes > 0
         assert result.total_time_resilient > result.total_time
         summary = result.summary()
@@ -112,6 +121,18 @@ class TestCheckpointRestart:
     def test_fault_free_summary_keeps_paper_shape(self, baseline):
         assert "recoveries" not in baseline.summary()
 
+    def test_snapshot_holds_only_what_recovery_reads(self, edges):
+        """No fault-RNG state (it is never rewound) and no global node
+        count (nothing reads it)."""
+        result = run_app(
+            "d-galois", "bfs", edges, num_hosts=4,
+            resilience=crash_config(mode="restart"),
+        )
+        snapshot = result.executor.checkpoints.restore()
+        assert set(snapshot) == {
+            "round", "app", "policy", "num_hosts", "states", "frontiers",
+        }
+
 
 class TestStagedProgramRecovery:
     """bc runs its forward stage (rounds 1-4 here; round 4 drains it and
@@ -125,8 +146,11 @@ class TestStagedProgramRecovery:
 
     @pytest.mark.parametrize(
         "every, crash_round, restored",
-        [(1, 7, 6), (2, 5, 4), (3, 6, 3)],
-        ids=["backward-checkpoint", "switch-round-checkpoint", "forward-checkpoint"],
+        [(1, 7, 6), (2, 5, 4), (3, 6, 3), (0, 6, 0)],
+        ids=[
+            "backward-checkpoint", "switch-round-checkpoint", "forward-checkpoint",
+            "no-checkpoint",
+        ],
     )
     def test_crash_restarts_bitwise_equal(self, edges, clean, every, crash_round, restored):
         assert [r.active_nodes for r in clean.rounds][3] == 0  # the switch
@@ -155,13 +179,19 @@ class TestConfinedRecovery:
         result = run_app("d-galois", "pr", edges, num_hosts=2)
         assert not confined_applicable(result.executor)
 
+    @pytest.mark.parametrize("every", [1, 0], ids=["cadence-1", "no-cadence"])
     @pytest.mark.parametrize("system", DISTRIBUTED_SYSTEMS)
-    def test_bfs_confined_bitwise_identical(self, edges, baseline, system):
+    def test_bfs_confined_bitwise_identical(self, edges, baseline, system, every):
+        """With no cadence the reborn host starts from fresh
+        ``make_state``: round 0 is rebuilt, not stored."""
         result = run_app(
             system, "bfs", edges, num_hosts=4,
-            resilience=crash_config(mode="confined"),
+            resilience=crash_config(mode="confined", every=every),
         )
         assert result.recovery_events[0]["mode"] == "confined"
+        assert result.recovery_events[0]["restored_round"] == every
+        if every == 0:
+            assert result.num_checkpoints == 0
         np.testing.assert_array_equal(
             result.executor.gather_result("dist"),
             baseline.executor.gather_result("dist"),
@@ -433,3 +463,21 @@ class TestRecoveryAfterRepartition:
         if expected_mode != "confined":
             # Restart replays deterministically; healing may add rounds.
             assert result.num_rounds == clean.num_rounds
+
+    @pytest.mark.parametrize("mode", ["restart", "confined"])
+    def test_no_cadence_rolls_back_to_the_rebaseline(self, small_rmat, mode):
+        """Round 2 of the new layout cannot be rebuilt from the input, so
+        the repartition snapshots it even with no cadence, and the crash
+        restores it rather than round 0."""
+        clean_executor, clean = self._run(small_rmat, "sssp")
+        config = ResilienceConfig(
+            plan=FaultPlan(crashes=(CrashFault(1, 4),), seed=7),
+            checkpoint_every=0,
+            recovery=mode,
+        )
+        executor, result = self._run(small_rmat, "sssp", config)
+        assert result.num_checkpoints == 1
+        assert [e["restored_round"] for e in result.recovery_events] == [2]
+        np.testing.assert_array_equal(
+            executor.gather_result("dist"), clean_executor.gather_result("dist")
+        )

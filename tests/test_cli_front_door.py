@@ -243,9 +243,18 @@ class TestResilienceFlagsKeepTheirMeaning:
         events = json.loads(trace.read_text())["traceEvents"]
         assert [e["args"]["stage"] for e in events if e["name"] == "stage"] == [1]
 
-    def test_checkpoint_dir_alone_still_checkpoints(self, tmp_path, capsys):
-        assert main(self.RUN + ["--checkpoint-dir", str(tmp_path / "ckpts")]) == 0
-        assert "1 taken" in capsys.readouterr().out
+    def test_checkpoint_dir_needs_a_cadence(self, tmp_path, capsys):
+        """Round 0 is rebuilt from the input, never stored, so without a
+        cadence a checkpoint directory would stay empty: a usage error."""
+        ckpts = tmp_path / "ckpts"
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.RUN + ["--checkpoint-dir", str(ckpts)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--checkpoint-dir needs --checkpoint-every" in captured.err
+        assert "Traceback" not in captured.err and not ckpts.exists()
+        assert main(self.RUN + ["--checkpoint-every", "1", "--checkpoint-dir", str(ckpts)]) == 0
+        assert list(ckpts.glob("*.ckpt"))
 
     def test_a_stored_cadence_of_zero_means_off(self):
         spec = JobSpec(app="bfs", workload="rmat22s", checkpoint_every=0)
