@@ -95,6 +95,11 @@ class VertexProgram:
     #: (§4.1 footnote).  Apps with per-*proxy* semantics (one-shot push
     #: flags) or a stage index and counters (staged specs) opt out.
     supports_migration: bool = True
+    #: The state keys that are per-node arrays, which a layout change
+    #: carries over (``runtime/migration.py``).  The compiler declares
+    #: the spec's fields; a handwritten program keeps ``None`` and gets
+    #: every array with one row per local node.
+    migratable_node_arrays: Optional[Tuple[str, ...]] = None
     #: Whether an asynchronous engine may iterate the step to a local
     #: fixpoint within one round (safe for idempotent label propagation;
     #: not for round-structured algorithms like pagerank or k-core).

@@ -406,8 +406,7 @@ def _emit_dense_pull(
         )
     out.emit(1, f"def {method}(self, part, state, frontier):")
     _emit_aliases(out, _phase_aliases(spec, phase))
-    out.emit(2, 'src = state["edge_src"]')
-    out.emit(2, 'dst = state["edge_dst"]')
+    out.emit(2, "src, dst = part.graph.edge_arrays()")
     if phase.source_rows is not None:
         out.emit(
             2,
@@ -459,11 +458,12 @@ def _emit_make_state(out: _Emitter, spec: ProgramSpec) -> None:
         )
     out.emit(2, "state = {}")
     if any(p.kind == "dense_pull" for p in spec.phases):
-        # Pre-gathered before the labels: allocating a host's largest,
-        # longest-lived arrays first measurably lowers a run's peak RSS.
-        out.emit(2, "src, dst = part.graph.edges()")
-        out.emit(2, 'state["edge_src"] = src.astype(np.int64)')
-        out.emit(2, 'state["edge_dst"] = dst.astype(np.int64)')
+        # Built before the labels (allocating a host's largest,
+        # longest-lived arrays first measurably lowers a run's peak RSS)
+        # and cached on the graph, not in the state: the process
+        # runtime's workers inherit them through fork, and no snapshot
+        # or migration ever sees an edge-sized array.
+        out.emit(2, "part.graph.edge_arrays()")
     for decl in spec.fields:
         out.emit(2, f'state["{decl.name}"] = {decl.init}')
         if decl.source_value is not None:
@@ -755,6 +755,11 @@ def _render(spec: ProgramSpec, optimize: bool) -> _Emitter:
     out.emit(1, f"supports_pull = {spec.supports_pull}")
     out.emit(1, f"empty_frontier_is_idle = {spec.empty_frontier_is_idle}")
     out.emit(1, f"supports_migration = {spec.supports_migration}")
+    out.emit(
+        1,
+        "migratable_node_arrays = "
+        f"{tuple(decl.name for decl in spec.fields)!r}",
+    )
     out.emit(1, f"needs_source = {spec.needs_source}")
     out.emit(1, f"needs_global_degrees = {spec.needs_global_degrees}")
     out.emit(1, f"needs_global_in_degrees = {spec.needs_global_in_degrees}")

@@ -58,11 +58,34 @@ class CSRGraph:
             if weights.shape != indices.shape:
                 raise GraphError("weights must have one entry per edge")
         self._weights = weights
+        self._clear_derived()
+
+    def _clear_derived(self) -> None:
+        """Empty every cache derived from the CSR arrays.
+
+        Each is built on first use and read-only, so every caller (and
+        every ``fork``ed worker, when built before the fork) shares one
+        copy.
+        """
         self._in_csr: Optional["CSRGraph"] = None
-        # Lazily cached degree arrays (read-only: every caller shares them).
         self._out_degree: Optional[np.ndarray] = None
         self._max_out_degree: Optional[int] = None
         self._in_degree: Optional[np.ndarray] = None
+        self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def __getstate__(self) -> dict:
+        # A pickle carries the CSR only: the derived caches are rebuilt
+        # on first use after loading, so a graph pickled after a run is
+        # no larger than before it.
+        return {
+            "_indptr": self._indptr,
+            "_indices": self._indices,
+            "_weights": self._weights,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._clear_derived()
 
     # -- construction ------------------------------------------------------
 
@@ -192,6 +215,23 @@ class CSRGraph:
             np.arange(self.num_nodes, dtype=np.uint32), np.diff(self._indptr)
         )
         return src, self._indices.copy()
+
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Native-index (int64) ``(src, dst)`` arrays for all edges.
+
+        :meth:`edges` in the index dtype the dense pull kernels gather and
+        scatter with, built once and read-only: every run over this graph
+        reads the same two arrays instead of copying them into its state.
+        """
+        if self._edge_arrays is None:
+            src = np.repeat(
+                np.arange(self.num_nodes, dtype=np.int64), self.out_degree()
+            )
+            dst = self._indices.astype(np.int64)
+            src.flags.writeable = False
+            dst.flags.writeable = False
+            self._edge_arrays = (src, dst)
+        return self._edge_arrays
 
     # -- derived structure ---------------------------------------------------
 

@@ -360,6 +360,12 @@ class LocalPartition:
             raise IndexError(f"local id {local_id} is not a mirror")
         return int(self.mirror_master_host[local_id - self.num_masters])
 
+    def __getstate__(self) -> dict:
+        # Like its graph's caches, the translation sort is rebuilt on
+        # first use: a pickle carries the partition, not what a run
+        # derived from it.
+        return {**self.__dict__, "_l2g_order": None, "_l2g_sorted": None}
+
     def __repr__(self) -> str:
         return (
             f"LocalPartition(host={self.host}, masters={self.num_masters}, "

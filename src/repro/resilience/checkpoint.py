@@ -15,6 +15,13 @@ and the restore-time integrity check) held by a pluggable backend:
 Content addressing makes identical snapshots free to re-save and makes
 any bit-rot detectable: :meth:`CheckpointManager.restore` re-hashes the
 blob and refuses a digest mismatch.
+
+Recovery only ever reads the latest snapshot, so the manager keeps one
+record and the store one blob: a save drops the blob it supersedes
+(unless the new snapshot has the same bytes, hence the same digest), and
+:meth:`CheckpointManager.clear` drops the last one.  Both backends prune
+alike; a checkpoint directory holds one run's latest snapshot, not an
+archive of every round.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import CheckpointError
 
@@ -45,6 +52,10 @@ class MemoryCheckpointBackend:
             return self._blobs[digest]
         except KeyError:
             raise CheckpointError(f"no checkpoint blob for digest {digest}") from None
+
+    def discard(self, digest: str) -> None:
+        """Drop the blob stored under ``digest``, if any."""
+        self._blobs.pop(digest, None)
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._blobs
@@ -76,6 +87,10 @@ class DiskCheckpointBackend:
             raise CheckpointError(f"no checkpoint file {path}")
         return path.read_bytes()
 
+    def discard(self, digest: str) -> None:
+        """Delete ``<digest>.ckpt``, if present."""
+        self._path(digest).unlink(missing_ok=True)
+
     def __contains__(self, digest: str) -> bool:
         return self._path(digest).exists()
 
@@ -96,6 +111,9 @@ class CheckpointRecord:
 class CheckpointManager:
     """Saves and restores execution snapshots on a cadence.
 
+    Holds only the latest snapshot: each save supersedes (and drops the
+    blob of) the one before.
+
     Args:
         backend: blob store (defaults to in-memory).
         every: snapshot cadence in rounds; ``0`` disables periodic
@@ -108,7 +126,7 @@ class CheckpointManager:
             raise CheckpointError(f"checkpoint cadence must be >= 0, got {every}")
         self.backend = backend if backend is not None else MemoryCheckpointBackend()
         self.every = every
-        self.records: List[CheckpointRecord] = []
+        self._latest: Optional[CheckpointRecord] = None
 
     def due(self, round_index: int) -> bool:
         """Whether a periodic snapshot is due after ``round_index``."""
@@ -126,18 +144,18 @@ class CheckpointManager:
         blob = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(blob).hexdigest()
         self.backend.put(digest, blob)
-        record = CheckpointRecord(
+        self._forget(keep=digest)
+        record = self._latest = CheckpointRecord(
             round_index=int(snapshot["round"]),
             digest=digest,
             nbytes=len(blob),
             save_time_s=time.perf_counter() - started,
         )
-        self.records.append(record)
         return record
 
     def latest(self) -> Optional[CheckpointRecord]:
         """The most recent snapshot's record, or ``None``."""
-        return self.records[-1] if self.records else None
+        return self._latest
 
     def restore(self, record: Optional[CheckpointRecord] = None) -> dict:
         """Load and validate a snapshot (default: the latest).
@@ -170,6 +188,14 @@ class CheckpointManager:
             )
         return snapshot
 
+    def _forget(self, keep: Optional[str] = None) -> None:
+        """Drop the latest record and its blob (kept if its digest is
+        ``keep``: the blob just saved under the same content address)."""
+        if self._latest is not None and self._latest.digest != keep:
+            self.backend.discard(self._latest.digest)
+        self._latest = None
+
     def clear(self) -> None:
-        """Forget all records (used after a mid-run repartitioning)."""
-        self.records.clear()
+        """Forget the latest snapshot and drop its blob (used when a
+        layout change rebaselines the run)."""
+        self._forget()

@@ -7,12 +7,16 @@ moves to the new layout and memoization is simply redone.
 an application declares migratable, the canonical (master) values of the
 old layout are assembled and re-scattered to every proxy of the new
 layout (optionally only where a ``keep`` mask allows — the streaming
-reset of affected vertices).  Non-node state (scalars, cached edge
-arrays) is rebuilt by the application's ``make_state``.
+reset of affected vertices).  Everything else a state holds (scalars,
+sage's weight matrices) is rebuilt by the application's ``make_state``;
+edge arrays are never state at all (a dense pull reads
+``part.graph.edge_arrays()``).
 
-A vertex program opts its arrays in through ``migratable_node_arrays``;
-the default migrates exactly the arrays its field specs synchronize, which
-is correct for the label-propagation applications.
+Which arrays are per-node is declared, not guessed: a compiled program's
+``migratable_node_arrays`` names its spec's fields.  Only a handwritten
+program (which declares none) falls back to a shape test, every array
+with one row per local node — which a host holding as many edges, or as
+many feature columns, as nodes would fool.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ def migratable_keys(
 ) -> List[str]:
     """Which state keys move across a repartitioning.
 
-    Uses the app's ``migratable_node_arrays`` attribute when present;
-    otherwise every 1-D or wide (n, d) numpy array with exactly
-    ``num_nodes`` rows migrates (scalars, edge caches, and other sizes
-    are rebuilt).
+    The app's declared ``migratable_node_arrays`` (every compiled
+    program's spec fields); for a handwritten program that declares none,
+    every 1-D or wide (n, d) numpy array with exactly ``num_nodes`` rows
+    (scalars and other sizes are rebuilt).
     """
-    declared = getattr(app, "migratable_node_arrays", None)
+    declared = app.migratable_node_arrays
     if declared is not None:
         return list(declared)
     keys = []

@@ -348,7 +348,7 @@ def test_generated_steps_carry_no_round_invariant_work(name):
     assert bodies, name
     for method, body in bodies.items():
         assert ".sum()" not in body, (name, method)
-        if 'state["edge_dst"]' in body:
+        if "part.graph.edge_arrays()" in body:
             assert "updated[" not in body, (name, method)
             assert "np.zeros" not in body, (name, method)
 

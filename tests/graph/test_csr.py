@@ -109,6 +109,24 @@ class TestAccessors:
         src, dst = g.edges()
         assert sorted(zip(src.tolist(), dst.tolist())) == sorted(pairs)
 
+    def test_edge_arrays_are_edges_in_native_indices(self):
+        """Built once, shared by every dense pull over the graph and
+        read-only, so no run can corrupt another's edges."""
+        g = build(4, [(0, 1), (0, 2), (2, 3), (3, 0), (3, 3)])
+        src, dst = g.edge_arrays()
+        assert g.edge_arrays()[0] is src and g.edge_arrays()[1] is dst
+        assert src.dtype == dst.dtype == np.int64
+        ref_src, ref_dst = g.edges()
+        np.testing.assert_array_equal(src, ref_src.astype(np.int64))
+        np.testing.assert_array_equal(dst, ref_dst.astype(np.int64))
+        for array in (src, dst):
+            with pytest.raises(ValueError):
+                array[0] = 7
+
+    def test_edge_arrays_of_an_empty_graph(self):
+        src, dst = build(3, []).edge_arrays()
+        assert len(src) == len(dst) == 0
+
     def test_edge_weights_of(self):
         g = build(3, [(0, 1), (0, 2)], weights=[5, 9])
         assert sorted(g.edge_weights_of(0).tolist()) == [5, 9]
@@ -155,3 +173,40 @@ class TestEquality:
     def test_repr_mentions_counts(self):
         text = repr(build(3, [(0, 1)]))
         assert "num_nodes=3" in text and "num_edges=1" in text
+
+
+class TestPickle:
+    """A pickled graph carries its CSR only; the caches rebuild on use."""
+
+    @staticmethod
+    def _warm(g):
+        g.transpose()
+        g.out_degree()
+        g.max_out_degree()
+        g.in_degree()
+        g.edge_arrays()
+        return g
+
+    def test_a_warm_graph_pickles_as_small_as_a_cold_one(self):
+        import pickle
+
+        pairs = [(0, 1), (0, 2), (2, 3), (3, 0), (1, 3)]
+        cold = len(pickle.dumps(build(4, pairs, weights=[1, 2, 3, 4, 5])))
+        warm = self._warm(build(4, pairs, weights=[1, 2, 3, 4, 5]))
+        assert len(pickle.dumps(warm)) == cold
+
+    def test_the_unpickled_graph_rebuilds_equal_derived_arrays(self):
+        import pickle
+
+        g = self._warm(build(4, [(0, 1), (0, 2), (2, 3), (3, 0)], [4, 3, 2, 1]))
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g
+        assert back.transpose() == g.transpose()
+        assert back.max_out_degree() == g.max_out_degree()
+        for derived in ("out_degree", "in_degree"):
+            np.testing.assert_array_equal(
+                getattr(back, derived)(), getattr(g, derived)()
+            )
+        for got, want in zip(back.edge_arrays(), g.edge_arrays()):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable

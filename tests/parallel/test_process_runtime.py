@@ -336,6 +336,37 @@ class TestFinalState:
                 np.testing.assert_array_equal(view, sim.states[h][key])
                 assert view.dtype == sim.states[h][key].dtype
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("app_name", ["pr", "featprop"])
+    def test_the_arena_holds_node_state_only(
+        self, small_rmat, monkeypatch, app_name, workers
+    ):
+        """No arena entry is edge-sized: every host's edge arrays are
+        built on its graph in the coordinator before the fork, and the
+        workers inherit them."""
+        import repro.parallel.coordinator as coordinator
+
+        laid_out, built = {}, []
+
+        def spy(layout):
+            laid_out.update(layout)
+            # What exists when the arena is laid out, just before the fork.
+            built.extend(part.graph._edge_arrays is not None for part in parts)
+            return shared_arrays(layout)
+
+        shared_arrays = coordinator.shared_arrays
+        monkeypatch.setattr(coordinator, "shared_arrays", spy)
+        ex = build_executor(
+            small_rmat, app_name, runtime="process", workers=workers
+        )
+        parts = ex.partitioned.partitions
+        ex.run(max_rounds=3)
+        assert built == [True] * len(parts)
+        assert laid_out
+        for (h, key), (shape, _) in laid_out.items():
+            assert parts[h].num_nodes != parts[h].graph.num_edges
+            assert shape[0] == parts[h].num_nodes, (h, key)
+
     def test_a_workers_new_state_entries_come_back(self, tiny_edges):
         """An entry a worker added to a host's state is reported as
         divergent and lands in the executor's state dict."""

@@ -91,9 +91,8 @@ class TestSaveRestore:
 
     def test_restore_specific_record(self):
         manager = CheckpointManager()
-        early = manager.save(snapshot(1))
-        manager.save(snapshot(2))
-        assert manager.restore(early)["round"] == 1
+        record = manager.save(snapshot(1))
+        assert manager.restore(record)["round"] == 1
 
     def test_restore_without_checkpoint_rejected(self):
         with pytest.raises(CheckpointError, match="no checkpoint"):
@@ -122,3 +121,60 @@ class TestSaveRestore:
         manager.save(snapshot())
         manager.clear()
         assert manager.latest() is None
+
+
+@pytest.fixture(params=["memory", "disk"])
+def backend(request, tmp_path):
+    if request.param == "memory":
+        return MemoryCheckpointBackend()
+    return DiskCheckpointBackend(tmp_path / "ckpts")
+
+
+class TestOnlyTheLatestIsKept:
+    """Recovery reads only the latest snapshot; the store holds nothing else."""
+
+    def test_a_save_drops_the_blob_it_supersedes(self, backend):
+        manager = CheckpointManager(backend)
+        early = manager.save(snapshot(1))
+        late = manager.save(snapshot(2))
+        assert len(backend) == 1
+        assert early.digest not in backend and late.digest in backend
+        assert manager.restore()["round"] == 2
+        with pytest.raises(CheckpointError, match="no checkpoint"):
+            manager.restore(early)
+
+    def test_resaving_the_same_bytes_keeps_the_blob(self, backend):
+        manager = CheckpointManager(backend)
+        first = manager.save(snapshot(3))
+        again = manager.save(snapshot(3))
+        assert first.digest == again.digest
+        assert len(backend) == 1
+        assert manager.restore()["round"] == 3
+
+    def test_clear_drops_every_blob(self, backend):
+        manager = CheckpointManager(backend)
+        manager.save(snapshot(1))
+        manager.save(snapshot(2))
+        manager.clear()
+        assert manager.latest() is None and len(backend) == 0
+
+    def test_discard_of_a_missing_digest_is_a_no_op(self, backend):
+        backend.discard("absent")
+        assert len(backend) == 0
+
+
+def test_a_run_ends_holding_one_blob_and_counts_every_save(small_rmat):
+    from repro.resilience.recovery import ResilienceConfig
+    from repro.systems import run_app
+
+    result = run_app(
+        "d-galois", "pr", small_rmat, 4, policy="oec", max_iterations=6,
+        resilience=ResilienceConfig(checkpoint_every=1),
+    )
+    checkpoints = result.executor.checkpoints
+    # Every round but the last (after which the run stops) is saved.
+    assert result.num_checkpoints == result.num_rounds - 1 > 1
+    assert len(checkpoints.backend) == 1
+    latest = checkpoints.latest()
+    assert latest.round_index == result.num_checkpoints
+    assert result.checkpoint_bytes >= result.num_checkpoints * latest.nbytes

@@ -421,7 +421,8 @@ class TestRecoveryAfterRepartition:
         executor.repartition(make_partitioner("cvc").partition(prep.edges, 4))
         if executor.checkpoints is not None:
             # The baseline was re-taken on the new layout, at round 2.
-            (record,) = executor.checkpoints.records
+            record = executor.checkpoints.latest()
+            assert len(executor.checkpoints.backend) == 1
             assert record.round_index == 2
             snapshot = executor.checkpoints.restore()
             assert snapshot["policy"] == "cvc"

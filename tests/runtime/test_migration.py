@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from repro.apps import make_app
+from repro.apps.base import VertexProgram
+from repro.apps.specs import PROGRAM_SPECS, optimized_app_names
 from repro.engines import make_engine
 from repro.errors import ExecutionError
 from repro.partition import make_partitioner
 from repro.runtime.executor import DistributedExecutor
-from repro.runtime.migration import gather_global, migrate_states
+from repro.runtime.migration import (
+    gather_global,
+    migratable_keys,
+    migrate_states,
+)
 from repro.systems import prepare_input
 from tests.conftest import reference_bfs, reference_pagerank, reference_sssp
 
@@ -198,3 +204,60 @@ class TestMigrationPrimitives:
         )
         after = gather_global(new_partitioned, new_states, "dist")
         assert np.array_equal(before, after)
+
+
+class TestDeclaredNodeArrays:
+    """Migration moves the arrays a program declares, never whichever
+    arrays happen to have one row per local node."""
+
+    def test_pagerank_with_as_many_local_edges_as_nodes(self):
+        from repro.graph.generators import rmat
+
+        edges = rmat(4, 2, 1)
+        prep, executor = build(edges, "pr", "hvc", num_hosts=2)
+        host0 = executor.partitioned.partitions[0]
+        assert host0.num_nodes == host0.graph.num_edges  # the coincidence
+        executor.run(max_rounds=2)
+        executor.repartition(make_partitioner("oec").partition(prep.edges, 2))
+        result = executor.run()
+        assert result.converged
+        np.testing.assert_allclose(
+            executor.gather_result("rank"), reference_pagerank(edges),
+            rtol=1e-6,
+        )
+
+    def test_sage_on_a_host_with_feature_dim_nodes(self, small_rmat):
+        """sage's (dim, dim) weight matrices are scalars of the program,
+        rebuilt by ``make_state``, even where a host has dim nodes."""
+        app = make_app("sage")
+        old = make_partitioner("oec").partition(
+            prepare_input("sage", small_rmat).edges, 2
+        )
+        dim = old.partitions[0].num_nodes
+        prep = prepare_input("sage", small_rmat, feature_dim=dim)
+        states = [app.make_state(part, prep.ctx) for part in old.partitions]
+        assert states[0]["w_self"].shape == (dim, dim)  # the coincidence
+        new = make_partitioner("cvc").partition(prep.edges, 2)
+        moved = migrate_states(old, states, new, app, prep.ctx)
+        fresh = [app.make_state(part, prep.ctx) for part in new.partitions]
+        for got, init in zip(moved, fresh):
+            for key in ("w_self", "w_neigh"):
+                np.testing.assert_array_equal(got[key], init[key])
+        np.testing.assert_array_equal(
+            gather_global(new, moved, "feat"), gather_global(old, states, "feat")
+        )
+
+    @pytest.mark.parametrize(
+        "name", sorted(PROGRAM_SPECS) + optimized_app_names()
+    )
+    def test_declared_keys_are_the_node_sized_arrays(self, small_rmat, name):
+        """Where no length coincides, the declaration and the shape test a
+        handwritten program falls back to pick the same keys."""
+        app = make_app(name)
+        prep = prepare_input(name, small_rmat, feature_dim=3)
+        part = make_partitioner("oec").partition(prep.edges, 2).partitions[0]
+        assert part.num_nodes not in (part.graph.num_edges, 3)
+        state = app.make_state(part, prep.ctx)
+        assert list(app.migratable_node_arrays) == migratable_keys(
+            VertexProgram(), state, part.num_nodes
+        )

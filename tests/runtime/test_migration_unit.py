@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import make_app
+from repro.apps.base import VertexProgram
 from repro.engines import make_engine
 from repro.errors import ExecutionError
 from repro.graph.edgelist import EdgeList
@@ -19,7 +20,7 @@ from repro.systems import prepare_input
 
 class TestMigratableKeys:
     def test_default_selects_node_sized_arrays(self):
-        app = make_app("bfs")
+        app = VertexProgram()  # handwritten: declares no node arrays
         state = {
             "dist": np.zeros(10, dtype=np.uint32),
             "edge_cache": np.zeros(37, dtype=np.int64),  # edge-sized
