@@ -21,6 +21,9 @@ documented error model lives in :func:`fp16_tolerance`.
 
 from __future__ import annotations
 
+import weakref
+from typing import NamedTuple
+
 import numpy as np
 
 #: Worst-case relative rounding error of one float -> float16 -> float
@@ -88,6 +91,85 @@ def sage_weights(dim_in: int, dim_out: int, salt: int = 0) -> np.ndarray:
     return ((i * 5 + j * 3 + 11 * salt) % 7 - 3).astype(np.float64)
 
 
+class _Grouping(NamedTuple):
+    """A host's edges grouped by destination: CSR over ``acc``'s rows.
+
+    Row ``v`` of the CSR holds the sources of ``v``'s in-edges in edge
+    order.  The endpoint extremes are kept so every call can bounds-check
+    its own ``acc`` and ``features`` without rescanning the edges.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    lowest: int  # the smaller of both sides' minima
+    dst_max: int
+    src_max: int
+
+
+#: Groupings of read-only, data-owning edge pairs (what
+#: ``CSRGraph.edge_arrays()`` returns), built on the pair's first call:
+#: ``(id(edge_src), id(edge_dst), rows)`` -> ``(ref(edge_src),
+#: ref(edge_dst), grouping)``.  A finalizer on ``edge_dst`` drops the
+#: entry, so a layout's grouping dies with its graph.
+_GROUPINGS: dict = {}
+
+#: The CSR data of every call is a prefix of this one read-only buffer of
+#: ones, grown to the largest edge count seen.
+_ONES = np.ones(0)
+_ONES.flags.writeable = False
+
+
+def _group_by_destination(
+    edge_src: np.ndarray, edge_dst: np.ndarray, n: int
+) -> _Grouping:
+    """Stably sort the edges by destination into CSR over ``n`` rows.
+
+    A narrow unsigned key gets NumPy's radix sort.  Indices are int32
+    when every row count, edge count and source fits, else int64;
+    ``csr_matvecs`` takes either, and the float arithmetic is the same.
+    """
+    key = edge_dst.astype(np.min_scalar_type(n - 1))
+    order = np.argsort(key, kind="stable")
+    src_max = int(edge_src.max())
+    index = np.int32 if max(n, len(order), src_max + 1) < 2**31 else np.int64
+    return _Grouping(
+        indptr=np.searchsorted(key[order], np.arange(n + 1)).astype(index),
+        indices=edge_src[order].astype(index),
+        lowest=int(min(edge_dst.min(), edge_src.min())),
+        dst_max=int(edge_dst.max()),
+        src_max=src_max,
+    )
+
+
+def _grouping_of(
+    edge_src: np.ndarray, edge_dst: np.ndarray, n: int
+) -> _Grouping:
+    """The pair's grouping over ``n`` rows, remembered if the pair is frozen.
+
+    Only a read-only array that owns its data cannot be written through
+    some other view while the cache holds its grouping; any other pair
+    is regrouped on every call.
+    """
+    if any(a.flags.writeable or a.base is not None for a in (edge_src, edge_dst)):
+        return _group_by_destination(edge_src, edge_dst, n)
+    key = (id(edge_src), id(edge_dst), n)
+    entry = _GROUPINGS.get(key)
+    if entry is not None and entry[0]() is edge_src and entry[1]() is edge_dst:
+        return entry[2]
+    grouping = _group_by_destination(edge_src, edge_dst, n)
+    _GROUPINGS[key] = (weakref.ref(edge_src), weakref.ref(edge_dst), grouping)
+    weakref.finalize(edge_dst, _GROUPINGS.pop, key, None)
+    return grouping
+
+
+def _ones(m: int) -> np.ndarray:
+    global _ONES
+    if len(_ONES) < m:
+        _ONES = np.ones(m)
+        _ONES.flags.writeable = False
+    return _ONES[:m]
+
+
 def aggregate_neighbor_rows(
     acc: np.ndarray,
     features: np.ndarray,
@@ -98,16 +180,34 @@ def aggregate_neighbor_rows(
 
     The distributed form of ``A^T · X`` restricted to a host's local
     edges; all three feature apps drive their ``step`` through this.
-    A stable sort groups the edges by destination (a narrow unsigned
-    key gets NumPy's radix sort), and SciPy's CSR·X loop then adds each
-    row's in-neighbour rows into ``acc`` in place, one at a time in edge
-    order, as ``acc + 1.0 * x``.  Every element therefore receives the
-    same addends in the same order as ``np.add.at(acc, dst, features[src])``,
-    so the result is bitwise equal to it for any float64 input.  The
-    public ``acc += A @ X`` would sum into zeros first and round
-    differently.  A ``--sanitize`` guarded view cannot see a compiled
-    loop, so the kernel declares its two endpoint accesses to it.
+    The edges are grouped by destination once per edge pair (a stable
+    sort; see :func:`_grouping_of` for when the grouping is remembered),
+    and SciPy's CSR·X loop then adds each row's in-neighbour rows into
+    ``acc`` in place, one at a time in edge order, as ``acc + 1.0 * x``.
+    Every element therefore receives the same addends in the same order
+    as ``np.add.at(acc, dst, features[src])``, so the result is bitwise
+    equal to it for any float64 input.  The public ``acc += A @ X``
+    would sum into zeros first and round differently.  A ``--sanitize``
+    guarded view cannot see a compiled loop, so the kernel declares its
+    two endpoint accesses to it.
     """
+    # The compiled loop checks neither shapes, dtypes nor indices.
+    if acc.ndim != 2 or features.ndim != 2 or features.shape[1] != acc.shape[1]:
+        raise ValueError(
+            f"aggregate_neighbor_rows: features of shape {features.shape} "
+            f"do not match acc of shape {acc.shape}: both must be 2-D rows "
+            "of one width"
+        )
+    if acc.dtype != np.float64 or features.dtype != np.float64:
+        raise ValueError(
+            "aggregate_neighbor_rows: acc and features must be float64, "
+            f"got {acc.dtype} and {features.dtype}"
+        )
+    if len(edge_src) != len(edge_dst):
+        raise ValueError(
+            f"aggregate_neighbor_rows: {len(edge_src)} edge sources but "
+            f"{len(edge_dst)} edge destinations"
+        )
     n, d = acc.shape
     if hasattr(acc, "audit_access"):
         acc.audit_access("write", edge_dst)
@@ -115,20 +215,18 @@ def aggregate_neighbor_rows(
         features.audit_access("read", edge_src)
     if not len(edge_dst):
         return
-    # The compiled loop does not bounds-check its indices.
-    if edge_dst.max() >= n or edge_src.max() >= len(features) \
-            or min(edge_dst.min(), edge_src.min()) < 0:
+    grouping = _grouping_of(edge_src, edge_dst, n)
+    if grouping.dst_max >= n or grouping.src_max >= len(features) \
+            or grouping.lowest < 0:
         raise IndexError("aggregate_neighbor_rows: edge endpoint out of range")
     from scipy.sparse import _sparsetools
 
-    key = edge_dst.astype(np.min_scalar_type(n - 1))
-    order = np.argsort(key, kind="stable")
-    indptr = np.searchsorted(key[order], np.arange(n + 1))
-    indices = edge_src[order].astype(np.int64)
     out = acc if acc.flags.c_contiguous else np.ascontiguousarray(acc)
+    # The CSR's column count is its largest source + 1: the loop reads
+    # only those rows of ``features``, and the count fits the index type.
     _sparsetools.csr_matvecs(
-        n, len(features), d, indptr, indices, np.ones(len(order)),
-        features.ravel(), out.ravel(),
+        n, grouping.src_max + 1, d, grouping.indptr, grouping.indices,
+        _ones(len(edge_dst)), features.ravel(), out.ravel(),
     )
     if out is not acc:
         acc[...] = out

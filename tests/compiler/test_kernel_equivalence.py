@@ -262,31 +262,47 @@ def _column_scatter(acc, features, edge_src, edge_dst) -> None:
         np.add.at(acc[:, j], edge_dst, features[:, j][edge_src])
 
 
+def _wide_acc(start: np.ndarray, layout: str):
+    """``start`` as a C, F or strided ``acc``; a strided one's owner too."""
+    n, dim = start.shape
+    base = np.full((n, 2 * dim), 7.0)
+    if layout == "strided":
+        base[:, ::2] = start
+        return base[:, ::2], base
+    return np.array(start, order=layout), base
+
+
 @pytest.mark.parametrize("dim", [1, 3, 32])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_wide_kernel_matches_row_scatter(dim, data):
     """Unsorted and duplicate edges (possibly none), NaN / ±inf / -0.0 on
     both sides, int64 or uint32 endpoints, extra feature rows, and an
-    ``acc`` that may not be C-contiguous but must be updated in place."""
+    ``acc`` that may not be C-contiguous but must be updated in place.
+
+    The drawn (writeable) arrays are grouped on every call; the graph's
+    frozen ``edge_arrays()`` pair is grouped once and then reused, so it
+    is called three more times, each with its own ``acc`` layout and
+    features, and every call must match the reference."""
     n, src, dst = data.draw(_graphs())
     index_dtype = data.draw(st.sampled_from([np.int64, np.uint32]))
-    src, dst = src.astype(index_dtype), dst.astype(index_dtype)
-    feat = _floats(data.draw(_SEEDS), (n + data.draw(st.integers(0, 3)), dim))
-    start = _floats(data.draw(_SEEDS), (n, dim))
-    layout = data.draw(st.sampled_from(["C", "F", "strided"]))
-    base = np.full((n, 2 * dim), 7.0)  # the strided layout's owner
-    if layout == "strided":
-        base[:, ::2] = start
-        acc = base[:, ::2]
-    else:
-        acc = np.array(start, order=layout)
-    expected = start.copy()
-    with np.errstate(all="ignore"):
-        aggregate_neighbor_rows(acc, feat, src, dst)
-        _column_scatter(expected, feat, src, dst)
-    assert _same_bits(np.ascontiguousarray(acc), expected)
-    assert (base[:, 1::2] == 7.0).all()
+    frozen = CSRGraph.from_edges(n, src, dst).edge_arrays()
+    layouts = data.draw(st.permutations(["C", "F", "strided"]))
+    calls = [(src.astype(index_dtype), dst.astype(index_dtype),
+              data.draw(st.sampled_from(["C", "F", "strided"])))]
+    calls += [(*frozen, layout) for layout in layouts]
+    for call_src, call_dst, layout in calls:
+        feat = _floats(
+            data.draw(_SEEDS), (n + data.draw(st.integers(0, 3)), dim)
+        )
+        start = _floats(data.draw(_SEEDS), (n, dim))
+        acc, base = _wide_acc(start, layout)
+        expected = start.copy()
+        with np.errstate(all="ignore"):
+            aggregate_neighbor_rows(acc, feat, call_src, call_dst)
+            _column_scatter(expected, feat, call_src, call_dst)
+        assert _same_bits(np.ascontiguousarray(acc), expected), layout
+        assert (base[:, 1::2] == 7.0).all()
 
 
 def test_wide_kernel_past_the_radix_key():
@@ -310,6 +326,43 @@ def test_wide_kernel_rejects_out_of_range_endpoints(src, dst):
     with pytest.raises(IndexError):
         aggregate_neighbor_rows(
             acc, np.ones((4, 2)), np.array(src), np.array(dst)
+        )
+    assert not acc.any()
+
+
+@pytest.mark.parametrize("acc_shape, feat_shape", [
+    ((3, 4), (3,)),  # 1-D features: the loop read past them
+    ((3, 2), (3, 3)),  # wider features: the loop returned wrong rows
+    ((3,), (3,)),
+])
+def test_wide_kernel_rejects_mismatched_rows(acc_shape, feat_shape):
+    acc = np.zeros(acc_shape)
+    with pytest.raises(ValueError, match=r"shape \(3,"):
+        aggregate_neighbor_rows(
+            acc, np.ones(feat_shape), np.array([0, 1]), np.array([1, 2])
+        )
+    assert not acc.any()
+
+
+def test_wide_kernel_rejects_unpaired_endpoints():
+    acc = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="3 edge sources but 2"):
+        aggregate_neighbor_rows(
+            acc, np.ones((3, 2)), np.array([0, 1, 2]), np.array([1, 2])
+        )
+    assert not acc.any()
+
+
+@pytest.mark.parametrize("acc_dtype, feat_dtype", [
+    (np.float64, np.float32), (np.float32, np.float64),
+    (np.float32, np.float32),
+])
+def test_wide_kernel_rejects_other_dtypes(acc_dtype, feat_dtype):
+    acc = np.zeros((3, 2), dtype=acc_dtype)
+    with pytest.raises(ValueError, match="float32"):
+        aggregate_neighbor_rows(
+            acc, np.ones((3, 2), dtype=feat_dtype), np.array([0]),
+            np.array([1]),
         )
     assert not acc.any()
 
