@@ -193,7 +193,15 @@ def _reconstruct_delta(
     """Rebuild full rows from a delta-compressed value section: unshipped
     columns come from the receiver's broadcast copy (equal to the
     sender's committed cache by the delta contract) or, on reduce, the
-    reduction identity (lossless for any operator)."""
+    reduction identity (lossless for any operator).
+
+    The decoder has checked that ``values`` holds exactly one value per
+    set bit of ``mask``, so a section as large as the mask ships every
+    column: it is the rows themselves, returned as a read-only view into
+    the frame (the apply copies them out before the frame is reused).
+    """
+    if values.size == mask.size:
+        return values.reshape(mask.shape)
     if broadcast:
         base = np.asarray(field.broadcast_values[lids])
     else:

@@ -166,7 +166,9 @@ def encode_messages(
     them by ``ids`` over the same rows (positions or global IDs, any
     integer dtype); BITVEC packs its agreed array's update bits,
     ``bits[agreed[i]:agreed[i + 1]]``.  EMPTY is the constant
-    :func:`empty_message`.  The checks run once per pass.
+    :func:`empty_message`.  The checks and the mask packing run once per
+    pass; a message then costs a slice of its rows, plus a gather of its
+    shipped cells only when some row leaves a column out.
     """
     if not values.flags.c_contiguous:
         values = np.ascontiguousarray(values)
@@ -194,10 +196,6 @@ def encode_messages(
                 f"shape {values.shape}"
             )
         packed = np.packbits(delta_mask, axis=1)
-        shipped = np.zeros(len(values) + 1, dtype=np.intp)
-        np.cumsum(np.count_nonzero(delta_mask, axis=1), out=shipped[1:])
-        shipped = shipped[list(rows)].tolist()  # masked values before each message
-        masked = values[delta_mask]
     if ids is not None and ids.dtype != _U32:
         ids = ids.astype(_U32)
     messages = []
@@ -226,15 +224,14 @@ def encode_messages(
             head = _WIDE_HEAD.pack(mode | flags, code, width, count)
         else:
             head = _SCALAR_HEAD.pack(mode | flags, code, count)
+        seg = values[start:end]
         if delta_mask is None:
-            messages.append(b"".join((head, metadata, values[start:end])))
+            messages.append(b"".join((head, metadata, seg)))
         else:
-            messages.append(
-                b"".join((
-                    head, metadata, packed[start:end],
-                    masked[shipped[i] : shipped[i + 1]],
-                ))
-            )
+            # Rows shipped in every column are their own value section.
+            segmask = delta_mask[start:end]
+            shipped = seg if segmask.all() else seg[segmask]
+            messages.append(b"".join((head, metadata, packed[start:end], shipped)))
     return messages
 
 
@@ -308,6 +305,16 @@ def _decode_delta_block(
         raise SerializationError("delta value section truncated in masks")
     packed = np.frombuffer(payload, _U8, mask_bytes, offset)
     packed = packed.reshape(rows, _mask_bytes_per_row(width))
+    if width % 8:
+        # The encoder leaves a row's spare low bits clear; one set would
+        # otherwise be dropped silently.
+        spare = packed[:, -1] & ((1 << (-width % 8)) - 1)
+        dirty = np.flatnonzero(spare)
+        if len(dirty):
+            raise SerializationError(
+                f"delta mask of row {dirty[0]} sets padding bits "
+                f"{int(spare[dirty[0]]):#04x} beyond width {width}"
+            )
     delta_mask = np.unpackbits(packed, axis=1)[:, :width].astype(bool)
     shipped = int(np.count_nonzero(delta_mask))
     expected = shipped * dtype.itemsize

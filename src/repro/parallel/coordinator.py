@@ -42,7 +42,7 @@ from repro.core.serialization import FRAME_OVERHEAD
 from repro.errors import ExecutionError
 from repro.partition.base import allowed_cpus
 from repro.parallel.rings import LIVENESS_POLL_S, RingFabric, shared_arrays
-from repro.parallel.runner import RoundData
+from repro.parallel.runner import HostRunner, RoundData
 from repro.parallel.worker import worker_main
 from repro.resilience.transport import MAX_TRANSMISSIONS
 from repro.runtime.round import close_round
@@ -62,11 +62,11 @@ def resolve_workers(workers: Optional[int], num_hosts: int) -> int:
     return min(workers, num_hosts)
 
 
-class ProcessRunner:
+class ProcessRunner(HostRunner):
     """Real parallel execution: one forked worker per host group."""
 
     def __init__(self, executor) -> None:
-        self.ex = executor
+        super().__init__(executor)
         self.num_hosts = executor.partitioned.num_hosts
         self.workers = resolve_workers(executor.workers, self.num_hosts)
         #: ``(host, key) -> view``: the hosts' ndarray state, shared.

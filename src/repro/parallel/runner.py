@@ -23,6 +23,7 @@ round.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -51,11 +52,24 @@ class RoundData:
     residual_sum: Optional[float]
 
 
-class InProcessRunner:
-    """The simulated runtime: all hosts round-robin in this process."""
+class HostRunner:
+    """What every round backend shares: a weak link to its executor.
+
+    The executor owns its runner; a strong link back would be a reference
+    cycle, and a finished run would then live on until the cyclic GC ran.
+    """
 
     def __init__(self, executor) -> None:
-        self.ex = executor
+        self._executor = weakref.ref(executor)
+
+    @property
+    def ex(self):
+        """The executor this runner executes rounds for."""
+        return self._executor()
+
+
+class InProcessRunner(HostRunner):
+    """The simulated runtime: all hosts round-robin in this process."""
 
     def start(self) -> None:
         """Nothing to launch: the executor's own state is the cluster."""

@@ -26,6 +26,7 @@ metrics :mod:`repro.observability.rounds`', state carry-over
 from __future__ import annotations
 
 import time
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -163,7 +164,13 @@ class DistributedExecutor:
         #: Per-host bool masks of the proxies active next round.  The
         #: round runners advance them; recovery restores them.
         self.frontiers: List[np.ndarray] = []
+        #: The open run's result, held until it converges; from then on
+        #: ``_converged`` holds it weakly.  Its caller owns a finished
+        #: result, and the result owns this executor (``result.executor``):
+        #: a strong link back would be a cycle, and a finished run would
+        #: outlive its last reference until the cyclic GC ran.
         self._result: Optional[RunResult] = None
+        self._converged: Optional[weakref.ref] = None
         #: Graph-version counter: 0 for the construction-time graph,
         #: +1 per :meth:`apply_mutations` (the streaming resume seam).
         self.version = 0
@@ -199,7 +206,10 @@ class DistributedExecutor:
 
     @property
     def result(self) -> Optional[RunResult]:
-        """The current graph version's result (``None`` before ``run``)."""
+        """The current graph version's result (``None`` before ``run``,
+        and once a converged result has been dropped by its owner)."""
+        if self._converged is not None:
+            return self._converged()
         return self._result
 
     # -- binding a layout (§4: memoize once per partition) -------------------------
@@ -337,7 +347,7 @@ class DistributedExecutor:
         job service constructs a fresh executor per job for exactly this
         reason.
         """
-        if self._result is not None and self._result.converged:
+        if self._converged is not None:
             raise ExecutionError(
                 "this executor's run already converged; "
                 "DistributedExecutor is single-use per completed run — "
@@ -417,6 +427,7 @@ class DistributedExecutor:
         result.wall_rounds_s += time.perf_counter() - loop_start
         if result.converged:
             runner.finish(result)
+            self._converged, self._result = weakref.ref(result), None
         self._finalize(result)
         return result
 
@@ -513,10 +524,10 @@ class DistributedExecutor:
         :meth:`apply_mutations` with nothing mutated and everything kept,
         on an unconverged run whose result keeps accumulating.
         """
+        if self._converged is not None:
+            raise ExecutionError("cannot repartition a converged run")
         if self._result is None:
             raise ExecutionError("repartition requires a started run")
-        if self._result.converged:
-            raise ExecutionError("cannot repartition a converged run")
         if new_partitioned.num_global_nodes != self.partitioned.num_global_nodes:
             raise ExecutionError(
                 "repartitioning must keep the same global graph"
@@ -564,11 +575,11 @@ class DistributedExecutor:
         state and initial frontier over the new partition (how
         trajectory-dependent apps like pagerank stay bitwise-faithful).
         """
-        if self._result is None:
+        if self._result is None and self._converged is None:
             raise ExecutionError(
                 "apply_mutations requires a completed run to resume from"
             )
-        if not self._result.converged:
+        if self._converged is None:
             raise ExecutionError(
                 "apply_mutations requires a converged run (use "
                 "repartition() to change layout mid-run)"
@@ -600,7 +611,7 @@ class DistributedExecutor:
         # result; the new version accounts only its own work.
         self.retired_stats = SubstrateStats()
         self.version += 1
-        self._result = result
+        self._result, self._converged = result, None
         if self.tracer.enabled:
             self.tracer.record_sequential(
                 "apply-mutations", elapsed, cat="streaming", version=self.version,

@@ -18,8 +18,9 @@ from repro.comm.codec import (
     encode_memoized_field,
 )
 from repro.core.metadata import MetadataMode, select_mode
+from repro.core.serialization import decode_message, encode_message
 from repro.core.sync_structures import ADD, MIN, FieldSpec
-from repro.errors import SyncError
+from repro.errors import SerializationError, SyncError
 from repro.features import FP16_RELATIVE_ERROR
 
 from tests.comm.test_codec import StubPartition, make_mask
@@ -372,3 +373,61 @@ class TestDeltaCompression:
             broadcast=True,
         )
         assert np.array_equal(decoded.values, values)
+
+
+#: Bytes before a FULL wide message's packed masks: tag, dtype, width, count.
+WIDE_FULL_HEAD = 8
+
+
+def full_delta_message(width, mask):
+    """A FULL delta message of ``len(mask)`` float32 rows, as a bytearray."""
+    rows = np.arange(mask.size, dtype=np.float32).reshape(mask.shape)
+    return bytearray(
+        encode_message(MetadataMode.FULL, rows, width=width, delta_mask=mask)
+    )
+
+
+class TestCanonicalDeltaMask:
+    """A row's packed column mask has one encoding: the encoder leaves the
+    bits past ``width`` clear, and the decoder refuses a mask that sets
+    one instead of dropping it."""
+
+    def test_a_set_padding_bit_is_rejected_naming_the_row(self):
+        mask = np.array([[True, False, True], [True, True, True]])
+        raw = full_delta_message(3, mask)
+        assert decode_message(bytes(raw)).delta_mask.tolist() == mask.tolist()
+        raw[WIDE_FULL_HEAD + 1] |= 0x01  # row 1's spare lowest bit
+        with pytest.raises(SerializationError, match="row 1 sets padding bits"):
+            decode_message(bytes(raw))
+
+    @pytest.mark.parametrize("width", [2, 3, 7, 9, 12, 15])
+    def test_every_padding_bit_of_every_row_is_checked(self, width):
+        rows = 3
+        per_row = (width + 7) // 8
+        raw = full_delta_message(width, np.ones((rows, width), dtype=bool))
+        for row in range(rows):
+            last = WIDE_FULL_HEAD + row * per_row + per_row - 1
+            assert raw[last] & ((1 << (-width % 8)) - 1) == 0  # encoder: clear
+            for bit in range(-width % 8):
+                mutated = bytearray(raw)
+                mutated[last] |= 1 << bit
+                with pytest.raises(SerializationError, match=f"row {row} "):
+                    decode_message(bytes(mutated))
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_a_whole_mask_byte_has_no_padding(self, width):
+        mask = np.ones((2, width), dtype=bool)
+        assert decode_message(bytes(full_delta_message(width, mask))).delta_mask.all()
+
+    @pytest.mark.parametrize("whole", [True, False], ids=["all-shipped", "partial"])
+    def test_a_value_short_or_long_is_rejected(self, whole):
+        """The whole-row decode trusts the section's size, so the size
+        check must still hold for an all-set mask as for a partial one."""
+        mask = np.ones((3, 4), dtype=bool)
+        if not whole:
+            mask[1, 2] = False
+        raw = bytes(full_delta_message(4, mask))
+        value = np.dtype(np.float32).itemsize
+        for mutated in (raw[:-value], raw + bytes(value)):
+            with pytest.raises(SerializationError, match="delta values"):
+                decode_message(mutated)

@@ -1,5 +1,9 @@
 """Unit tests for the distributed executor."""
 
+import gc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,7 @@ from repro.engines import make_engine
 from repro.errors import ExecutionError, StrategyError
 from repro.partition import make_partitioner
 from repro.runtime.executor import DistributedExecutor
-from repro.systems import prepare_input
+from repro.systems import prepare_input, run_app
 
 
 def build_executor(edges, app_name="bfs", policy="cvc", num_hosts=4, **kwargs):
@@ -124,6 +128,57 @@ class TestLifecycle:
                 )
         finally:
             app.is_reduction = app_backup
+
+
+@contextmanager
+def without_cyclic_gc():
+    """Only reference counting frees objects inside the block."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestAFinishedRunIsFreedByRefcounting:
+    """``result.executor`` keeps a run's executor alive for inspection;
+    nothing links back to it strongly (the executor keeps a converged
+    result weakly, a runner its executor), so dropping the result frees
+    the whole run without the cyclic GC."""
+
+    @pytest.mark.parametrize("runtime", ["simulated", "process"])
+    def test_dropping_the_result_frees_the_executor(self, small_rmat, runtime):
+        job = dict(runtime=runtime, workers=2) if runtime == "process" else {}
+        with without_cyclic_gc():
+            result = run_app("d-galois", "pr", small_rmat, 4, **job)
+            assert result.converged
+            executor = weakref.ref(result.executor)
+            del result
+            assert executor() is None
+
+    def test_the_executor_answers_for_its_live_result(self, small_rmat):
+        result = run_app("d-galois", "pr", small_rmat, 4)
+        assert result.executor.result is result
+        assert len(result.executor.gather_result("rank")) == small_rmat.num_nodes
+
+    def test_a_converged_run_stays_finished_once_its_result_is_gone(self, small_rmat):
+        executor = build_executor(small_rmat)
+        with without_cyclic_gc():
+            executor.run()  # the result is dropped at once
+            assert executor.result is None
+        with pytest.raises(ExecutionError, match="already converged"):
+            executor.run()
+        with pytest.raises(ExecutionError, match="cannot repartition a converged run"):
+            executor.repartition(executor.partitioned)
+
+    def test_an_open_run_keeps_its_result(self, small_rmat):
+        executor = build_executor(small_rmat)
+        with without_cyclic_gc():
+            first = weakref.ref(executor.run(max_rounds=1))
+            assert first() is not None and not first().converged
+            assert executor.result is first()
+            assert executor.run() is first() and first().converged
 
 
 class TestDeterminism:

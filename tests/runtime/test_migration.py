@@ -65,11 +65,11 @@ class TestResume:
     def test_resume_matches_single_shot(self, small_rmat):
         """Splitting a run into resumed chunks changes nothing."""
         _, chunked = build(small_rmat, "sssp", "cvc")
-        while not chunked.run(max_rounds=1).converged:
+        # A converged result is its caller's: the executor keeps it weakly.
+        while not (chunked_result := chunked.run(max_rounds=1)).converged:
             pass
         _, single = build(small_rmat, "sssp", "cvc")
         single_result = single.run()
-        chunked_result = chunked._result
         assert chunked_result.num_rounds == single_result.num_rounds
         assert (
             chunked_result.communication_volume
@@ -118,12 +118,13 @@ class TestRepartition:
         prep, executor = build(small_rmat, "cc", "oec")
         expected = reference_cc(prep.edges)
         for policy in ("cvc", "hvc", "iec"):
-            if executor.run(max_rounds=1).converged:
+            result = executor.run(max_rounds=1)
+            if result.converged:
                 break
             executor.repartition(
                 make_partitioner(policy).partition(prep.edges, 4)
             )
-        if not executor._result.converged:
+        if not result.converged:
             executor.run()
         got = executor.gather_result("label").astype(np.uint64)
         assert np.array_equal(got, expected)

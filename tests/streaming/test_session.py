@@ -1,5 +1,9 @@
 """StreamingSession lifecycle, mirroring, host turnover, observability."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -134,6 +138,27 @@ class TestLifecycle:
         assert [s.version for s in steps] == [1]
         assert session.version.version == 1
         assert len(session.results) == 2  # cold run + one step
+
+    def test_a_session_holding_only_the_executor_still_mutates(self):
+        """The executor keeps a converged result only weakly: once the
+        session holds a copy without it, the result object is freed,
+        and ``apply_mutations`` still resumes from the executor alone."""
+        session = StreamingSession("d-galois", "bfs", small_graph(), num_hosts=2)
+        gc.collect()
+        gc.disable()
+        try:
+            base = session.run()
+            freed = weakref.ref(base)
+            session.results[0] = dataclasses.replace(base)  # no ``executor``
+            del base
+            assert freed() is None and session.executor.result is None
+            step = session.apply_batch(one_edge_delete(session))
+        finally:
+            gc.enable()
+        assert session.executor.result is step.result
+        cold = session.cold_values(session.cold_run())
+        for key, values in session.values().items():
+            assert np.array_equal(values, cold[key])
 
     def test_step_hash_chain_matches_version(self):
         session = StreamingSession(
