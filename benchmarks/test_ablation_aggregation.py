@@ -3,49 +3,15 @@
 bc's forward sweep synchronizes two fields (``dist`` MIN, ``sigma_acc``
 ADD) per phase, so staging both on one per-peer channel must halve that
 sweep's message count; the single-field backward sweep keeps message
-parity.  Only the wire shape and the simulated communication time move —
-the answers are bitwise identical either way
-(``tests/integration/test_aggregation.py``).
+parity.  Both rows come from one traced aggregated run: the per-field
+wire is derived from its staged sub-messages
+(:func:`repro.analysis.experiments.aggregation_rows`, pinned against
+real per-field runs by ``tests/integration/test_per_field_ablation.py``).
 """
 
 from benchmarks.conftest import emit, once
+from repro.analysis.experiments import aggregation_rows
 from repro.analysis.tables import format_table
-from repro.systems import run_app
-from repro.workloads import load_workload
-
-
-def aggregation_rows(scale_delta=0, hosts=4):
-    edges = load_workload("rmat22s", scale_delta)
-    runs = {
-        mode: run_app(
-            "d-galois", "bc", edges, num_hosts=hosts, policy="cvc",
-            aggregate_comm=aggregate,
-        )
-        for mode, aggregate in (("aggregated", True), ("per-field", False))
-    }
-    # The two-field (forward) rounds are exactly those where the
-    # ablation sent more messages.
-    two_field = [
-        index
-        for index, (agg, per_field) in enumerate(
-            zip(runs["aggregated"].rounds, runs["per-field"].rounds)
-        )
-        if agg.comm_messages != per_field.comm_messages
-    ]
-    return [
-        {
-            "mode": mode,
-            "messages": result.communication_messages,
-            "two_field_messages": sum(
-                result.rounds[index].comm_messages for index in two_field
-            ),
-            "sim_comm_us": round(
-                sum(r.comm_time for r in result.rounds) * 1e6, 2
-            ),
-            "total_bytes": result.communication_volume,
-        }
-        for mode, result in runs.items()
-    ]
 
 
 def test_aggregation_halves_the_two_field_sweep(benchmark):

@@ -13,16 +13,21 @@ the same communication-bound regime as the paper's clusters.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.memory import project
 from repro.analysis.tables import geomean
 from repro.core.metadata import select_mode, encoded_size
 from repro.core.optimization import OptimizationLevel
+from repro.core.patterns import PHASES
 from repro.graph.properties import compute_properties
 from repro.network.cost_model import LCI_PARAMETERS, scaled_fabric
+from repro.network.stats import RoundTraffic
+from repro.observability import Observability
 from repro.partition import make_partitioner
 from repro.partition.build import build_partition
+from repro.runtime.round import price_round
 from repro.runtime.stats import RunResult
 from repro.systems import (
     GPUS_PER_NODE,
@@ -788,3 +793,79 @@ def resilience_rows(
                 }
             )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Ablation — per-peer cross-field message aggregation, derived
+# ---------------------------------------------------------------------------
+
+
+def per_field_rounds(result: RunResult) -> List[Tuple[RoundTraffic, float]]:
+    """Per round of ``result``, the ``(traffic, comm_time)`` of a
+    per-field wire: each staged sub-message its own message, sent field
+    slot ascending; within a field reduce, then broadcast; within a
+    phase host ascending; within a host in stage order.  Read off the
+    spans of one traced, fault-free, simulated run: each host's staged
+    ``(dst, nbytes)`` pairs and the translations ``price_round`` charges."""
+    ex = result.executor
+    if not ex.tracer.enabled or ex.runtime != "simulated" or ex.fault_injector:
+        raise ValueError("derived from a traced, fault-free run of the simulated runtime only")
+    staged = defaultdict(lambda: {phase: {} for phase in PHASES})
+    translations: Dict[int, Dict[int, int]] = defaultdict(dict)
+    for span in ex.tracer.spans:
+        phase, _, field = span.name.partition(":")
+        if span.cat == "sync-phase" and phase in PHASES:
+            staged[span.tags["round"]][phase].setdefault(field, []).extend(
+                (span.host, dst, nbytes) for dst, nbytes in span.tags["staged"]
+            )
+        elif span.name == "sync":
+            per_host = translations[span.tags["round"]]
+            if span.host in per_host:
+                raise ValueError("the tracer holds more than one run's rounds")
+            per_host[span.host] = span.tags["translations"]
+    rounds = []
+    for record in result.rounds:
+        phases = staged[record.round_index]
+        traffic = RoundTraffic(
+            [
+                message
+                for field in phases["reduce"]
+                for phase in PHASES
+                for message in phases[phase][field]
+            ]
+        )
+        deltas = translations[record.round_index]
+        rounds.append((traffic, price_round(traffic, ex.engines, ex.cost_model, deltas)))
+    return rounds
+
+
+def aggregation_rows(scale_delta: int = 0, hosts: int = 4) -> List[Dict]:
+    """Message aggregation vs the per-field wire (:func:`per_field_rounds`
+    of the same traced run): bc, cvc, ``hosts`` hosts.  bc's forward sweep
+    syncs two fields, its backward sweep one; ``two_field_messages``
+    counts the rounds where the two wires differ."""
+    result = run_app(
+        "d-galois", "bc", load_workload("rmat22s", scale_delta), num_hosts=hosts,
+        policy="cvc", observability=Observability(),
+    )
+    modes = {
+        "aggregated": [(r.comm_messages, r.comm_bytes, r.comm_time) for r in result.rounds],
+        "per-field": [
+            (traffic.num_messages, traffic.total_bytes, comm_time)
+            for traffic, comm_time in per_field_rounds(result)
+        ],
+    }
+    two_field = [
+        index for index, (aggregated, per_field) in enumerate(zip(*modes.values()))
+        if aggregated[0] != per_field[0]
+    ]
+    return [
+        {
+            "mode": mode,
+            "messages": sum(messages for messages, _, _ in rounds),
+            "two_field_messages": sum(rounds[index][0] for index in two_field),
+            "sim_comm_us": round(sum(time for _, _, time in rounds) * 1e6, 2),
+            "total_bytes": sum(nbytes for _, nbytes, _ in rounds),
+        }
+        for mode, rounds in modes.items()
+    ]

@@ -48,6 +48,7 @@ EXPERIMENTS: Dict[str, Callable] = {
     "metadata": experiments.metadata_mode_rows,
     "policies": experiments.policy_autotuning_rows,
     "resilience": experiments.resilience_rows,
+    "aggregation": experiments.aggregation_rows,
 }
 
 

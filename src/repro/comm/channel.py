@@ -7,9 +7,6 @@ sub-message during a phase and flushes one multi-field frame (see
 :mod:`repro.comm.frame`) at the phase boundary, so a round's steady-state
 message count drops from ``2 x num_fields x peer_pairs`` to
 ``2 x peer_pairs``.  :class:`CommPlane` is one host's view of the layer.
-In *pass-through* mode (``aggregate=False``, the ``--no-aggregation``
-ablation) every sub-message is its own transport message, the historical
-one-message-per-(field, peer, phase) wire shape bit for bit.
 """
 
 from __future__ import annotations
@@ -112,20 +109,14 @@ class Channel:
 
 class CommPlane:
     """One host's port into the layered communication plane: ``transport``
-    is the cluster fabric (plain or fault-injecting), ``aggregate``
-    picks buffer-and-flush or the pass-through ablation, and ``metrics``
+    is the cluster fabric (plain or fault-injecting), and ``metrics``
     gets ``channel_flushes_total`` / ``channel_fields_per_flush``."""
 
     def __init__(
-        self,
-        host: int,
-        transport,
-        aggregate: bool = True,
-        metrics: MetricsRegistry = NULL_METRICS,
+        self, host: int, transport, metrics: MetricsRegistry = NULL_METRICS
     ) -> None:
         self.host = host
         self.transport = transport
-        self.aggregate = aggregate
         self.metrics = metrics
         self._channels: Dict[int, Channel] = {}
         self._quiet: Dict[int, Tuple[bytes, Slots]] = {}
@@ -143,30 +134,18 @@ class CommPlane:
     def stage_all(
         self, field_index: int, peers: Sequence[int], payloads: Sequence[bytes]
     ) -> None:
-        """Queue field ``field_index``'s sub-message for each of ``peers``:
-        into its peer's frame slots until :meth:`flush`, or (pass-through)
-        sent now as its own transport message."""
-        if not self.aggregate:
-            send = self.transport.send
-            for peer, payload in zip(peers, payloads):
-                send(self.host, peer, payload)
-            return
+        """Queue field ``field_index``'s sub-message for each of ``peers``
+        into its peer's frame slots until :meth:`flush`."""
         channels = self._channels
         for peer, payload in zip(peers, payloads):
             chan = channels.get(peer) or self.channel(peer)
             chan.stage(field_index, payload)
-
-    def stage(self, peer: int, field_index: int, payload: bytes) -> None:
-        """:meth:`stage_all` for one peer."""
-        self.stage_all(field_index, (peer,), (payload,))
 
     def flush(
         self, num_fields: int, peer_order: Iterable[int]
     ) -> List[Tuple[int, int]]:
         """Flush every non-empty channel, one frame per peer, in
         ``peer_order``; returns the flushed ``(peer, frame_bytes)`` pairs."""
-        if not self.aggregate:
-            return []
         flushed: List[Tuple[int, int]] = []
         for peer in peer_order:
             chan = self._channels.get(peer)
@@ -186,16 +165,12 @@ class CommPlane:
     def receive(self) -> List[Tuple[int, bytes, Slots]]:
         """Drain the host's mailbox into ``(sender, buffer, slots)`` triples.
 
-        Aggregating: each frame's header is parsed once by
-        :func:`frame_slots` — once per quiet frame: the very buffer object
-        of a sender's last all-EMPTY frame gets that frame's slots back.
-        Pass-through: each raw payload is a one-slot frame.
+        Each frame's header is parsed once by :func:`frame_slots` — once
+        per quiet frame: the very buffer object of a sender's last
+        all-EMPTY frame gets that frame's slots back.
         """
-        inbox = self.transport.receive_all(self.host)
-        if not self.aggregate:
-            return [(sender, payload, [(0, len(payload))]) for sender, payload in inbox]
         received = []
-        for sender, buffer in inbox:
+        for sender, buffer in self.transport.receive_all(self.host):
             last = self._quiet.get(sender)
             if last is not None and last[0] is buffer:
                 received.append((sender, buffer, last[1]))

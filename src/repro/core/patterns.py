@@ -169,9 +169,9 @@ class SyncPlan:
             "layout's sync plan (see repro.core.substrate.bind_sync_plans)"
         )
 
-    def live(self, phase: str, members: slice = slice(None)) -> bool:
-        """Whether ``phase`` can carry a message for any field in ``members``."""
-        return any(entry.live[phase] for entry in self.fields[members])
+    def live(self, phase: str) -> bool:
+        """Whether ``phase`` can carry a message for any field."""
+        return any(entry.live[phase] for entry in self.fields)
 
 
 def build_sync_plan(

@@ -13,12 +13,10 @@ field's peers — then :meth:`flush_phase`, then :meth:`receive_reduce_all`
 and applies every sub-message in place.
 :func:`repro.runtime.round.synchronize` is the one driver, and it drives
 only the phases the sync plan calls live: routes are resolved once per
-layout (:func:`bind_sync_plans`), never per round.  With an aggregating
-plane the group is all fields and each peer gets one frame per phase;
-with a pass-through plane (the ``--no-aggregation`` ablation) the group
-is a single field and each sub-message is its own transport message.
-The strict phase order means each receive drains exactly the messages
-of its own phase — BSP-style bulk communication.
+layout (:func:`bind_sync_plans`), never per round.  Each phase carries
+every field, and each peer gets one frame per phase.  The strict phase
+order means each receive drains exactly the messages of its own phase
+— BSP-style bulk communication.
 
 Optimization levels (Figure 10):
 
@@ -78,12 +76,7 @@ class SubstrateStats:
 
 
 class GluonSubstrate:
-    """Synchronization substrate for one simulated host.
-
-    ``aggregate`` selects the plane's mode: one frame per peer per phase,
-    or the historical pass-through, one transport message per (field,
-    peer, phase).  The driving API is the same either way.
-    """
+    """Synchronization substrate for one simulated host."""
 
     def __init__(
         self,
@@ -92,7 +85,6 @@ class GluonSubstrate:
         level: OptimizationLevel,
         book: AddressBook,
         metrics: MetricsRegistry = NULL_METRICS,
-        aggregate: bool = False,
     ) -> None:
         self.partition = partition
         #: Number of local proxies (masters + mirrors).
@@ -105,9 +97,7 @@ class GluonSubstrate:
         self.plan: SyncPlan = build_sync_plan(book, level.structural)
         self.stats = SubstrateStats()
         self.metrics = metrics
-        self.plane = CommPlane(
-            partition.host, transport, aggregate=aggregate, metrics=metrics
-        )
+        self.plane = CommPlane(partition.host, transport, metrics=metrics)
 
     @property
     def host(self) -> int:
@@ -303,28 +293,23 @@ class GluonSubstrate:
         return changed
 
     def max_send_bytes(self) -> Dict[int, int]:
-        """Per peer, the largest payload one phase can hand the transport:
-        per (field, phase) send, :func:`max_message_bytes` of its agreed
-        array — summed into one frame per peer when aggregating.  Peers
-        this host never sends to are absent."""
+        """Per peer, the largest frame one phase can hand the transport:
+        the frame header plus, per field sending to that peer in that
+        phase, :func:`max_message_bytes` of its agreed array.  Peers this
+        host never sends to are absent."""
+        header = frame_overhead(len(self.plan.fields))
         bound: Dict[int, int] = {}
         for phase in PHASES:
-            fields: Dict[int, List[int]] = {}
+            frames: Dict[int, int] = {}
             for entry in self.plan.fields:
                 spec = entry.field
                 for peer, agreed in entry.sends[phase]:
-                    fields.setdefault(peer, []).append(
-                        max_message_bytes(
-                            len(agreed), spec.value_size, spec.width,
-                            delta=spec.compression == "delta",
-                            global_ids=not self.level.temporal,
-                        )
+                    frames[peer] = frames.get(peer, header) + max_message_bytes(
+                        len(agreed), spec.value_size, spec.width,
+                        delta=spec.compression == "delta",
+                        global_ids=not self.level.temporal,
                     )
-            for peer, sizes in fields.items():
-                if self.plane.aggregate:
-                    size = frame_overhead(len(self.plan.fields)) + sum(sizes)
-                else:
-                    size = max(sizes)
+            for peer, size in frames.items():
                 bound[peer] = max(bound.get(peer, 0), size)
         return bound
 
@@ -345,7 +330,6 @@ def setup_substrates(
     transport: InProcessTransport,
     level: OptimizationLevel = OptimizationLevel.OSTI,
     metrics: MetricsRegistry = NULL_METRICS,
-    aggregate: bool = False,
     previous=None,
 ) -> List[GluonSubstrate]:
     """Create one substrate per host, running the memoization exchange.
@@ -358,7 +342,7 @@ def setup_substrates(
     """
     books = exchange_address_books(partitioned, transport, previous)
     return setup_substrates_from_books(
-        partitioned, transport, level, PreparedSync(books), metrics, aggregate
+        partitioned, transport, level, PreparedSync(books), metrics
     )
 
 
@@ -408,7 +392,6 @@ def setup_substrates_from_books(
     level: OptimizationLevel,
     prepared: PreparedSync,
     metrics: MetricsRegistry = NULL_METRICS,
-    aggregate: bool = False,
 ) -> List[GluonSubstrate]:
     """Create per-host substrates from already-memoized address books.
 
@@ -422,12 +405,7 @@ def setup_substrates_from_books(
         )
     return [
         GluonSubstrate(
-            part,
-            transport,
-            level,
-            prepared.books[part.host],
-            metrics=metrics,
-            aggregate=aggregate,
+            part, transport, level, prepared.books[part.host], metrics=metrics
         )
         for part in partitioned.partitions
     ]

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.network.stats import RoundTraffic
-
 
 @dataclass(frozen=True)
 class NetworkParameters:
@@ -89,17 +87,3 @@ class CostModel:
             raise ValueError(f"message size must be >= 0, got {nbytes}")
         p = self.parameters
         return p.latency_s + nbytes / p.bandwidth_bytes_per_s
-
-    def round_time(self, traffic: RoundTraffic, num_hosts: int) -> float:
-        """Critical-path communication time of one BSP round."""
-        send_time = [0.0] * num_hosts
-        recv_time = [0.0] * num_hosts
-        for src, dst, nbytes in traffic.messages:
-            cost = self.message_time(nbytes)
-            send_time[src] += cost
-            recv_time[dst] += cost
-        if num_hosts == 0:
-            return 0.0
-        return max(
-            send_time[h] + recv_time[h] for h in range(num_hosts)
-        )

@@ -6,12 +6,10 @@ sends for a phase before any host drains its mailbox.  All traffic is
 recorded in a :class:`~repro.network.stats.CommStats` for exact volume
 accounting.
 
-The transport is payload-agnostic: with the communication plane's
-per-peer aggregation (the default) each message is one framed
-multi-field buffer per peer per phase (see :mod:`repro.comm`), and under
-``--no-aggregation`` it is one encoded field message — either way the
-per-message/byte accounting here is the ground truth every metrics
-counter must reconcile against.
+The transport is payload-agnostic: the communication plane hands it
+one framed multi-field buffer per peer per phase (see
+:mod:`repro.comm`), and the per-message/byte accounting here is the
+ground truth every metrics counter must reconcile against.
 
 Hosts can be *crashed* (:meth:`InProcessTransport.crash`) by the
 resilience subsystem's fault injector: a crashed host's queued mail is

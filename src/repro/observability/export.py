@@ -64,7 +64,9 @@ def chrome_trace(tracer: Tracer, run_info: Optional[Dict] = None) -> Dict:
                 "tid": 0,
                 "ts": round(span.begin_s * 1e6, 3),
                 "dur": round(span.duration_s * 1e6, 3),
-                "args": dict(span.tags),
+                # A phase span's ``staged`` list feeds the derived
+                # aggregation ablation only; ``messages`` is its count.
+                "args": {k: v for k, v in span.tags.items() if k != "staged"},
             }
         )
     document = {

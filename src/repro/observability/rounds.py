@@ -33,9 +33,9 @@ def trace_round(
     BSP shape: all hosts start the round together at the tracer's
     cursor, compute spans end at each host's own pace (the visual
     load-imbalance gap), the sync span covers the shared communication
-    window, and the per-field reduce/broadcast phase spans nest inside
-    it.  ``engines`` names each host's engine; the cursor ends at the
-    round's close.
+    window (tagged with the host's address translations), and the
+    per-field reduce/broadcast phase spans nest inside it.  ``engines``
+    names each host's engine; the cursor ends at the round's close.
     """
     t0 = tracer.cursor
     num_hosts = len(engines)
@@ -73,6 +73,7 @@ def trace_round(
             round=round_index,
             bytes_sent=sent[h],
             bytes_recv=received[h],
+            translations=data.translation_deltas.get(h, 0),
         )
     _trace_phases(
         tracer, num_hosts, sync_start, comm_time, data.phase_records,
@@ -98,7 +99,8 @@ def _trace_phases(
     apply (decode+reduce/set) halves by measured wall-time ratio.
     Each record carries its own (src, dst, nbytes) message list of
     per-field sub-message sizes — so per-field spans survive
-    aggregation via byte attribution.
+    aggregation via byte attribution; each host's span keeps its
+    ``(dst, nbytes)`` share as ``staged``, in stage order.
     """
     if not records:
         return
@@ -117,11 +119,11 @@ def _trace_phases(
             share = comm_time / len(records)
         sent = [0] * num_hosts
         received = [0] * num_hosts
-        counts = [0] * num_hosts
+        staged = [[] for _ in range(num_hosts)]
         for src, dst, size in slice_msgs:
             sent[src] += size
             received[dst] += size
-            counts[src] += 1
+            staged[src].append((dst, size))
         wall_total = wall_ser + wall_apply
         ser_frac = (wall_ser / wall_total) if wall_total > 0 else 0.5
         for h in range(num_hosts):
@@ -134,7 +136,8 @@ def _trace_phases(
                 round=round_index,
                 bytes=sent[h],
                 bytes_recv=received[h],
-                messages=counts[h],
+                messages=len(staged[h]),
+                staged=staged[h],
             )
             tracer.record(
                 "serialize",

@@ -64,9 +64,9 @@ _OPTION_DEFAULTS = dict(
 def option(default=MISSING, *, feeds: str, help: str, **declared):
     """Declare one job option (a :class:`JobSpec` field).
 
-    ``flag`` defaults to ``--<name-with-dashes>`` (a bool option's flag
-    switches it off its default); ``choices`` may be a callable; ``label``
-    names the option in errors; ``minimum`` bounds the stored value and
+    ``flag`` defaults to ``--<name-with-dashes>`` (a bool option is off
+    until its flag); ``choices`` may be a callable; ``label`` names the
+    option in errors; ``minimum`` bounds the stored value and
     ``flag_minimum`` (default: ``minimum``) the command-line one;
     ``parse`` turns the flag's text into the stored value.
     ``hashed``: "always", "non-default" (in the content hash only when it
@@ -186,12 +186,6 @@ class JobSpec:
         "only changed row columns vs the last broadcast), or 'fp16' (lossy float16 "
         "quantization with a documented error bound; small magnitudes only — a value "
         "past the float16 range is a SyncError)",
-    )
-    aggregate_comm: bool = option(
-        True, feeds="executor", hashed="non-default", wire=True, flag="--no-aggregation",
-        help="ablation: disable per-peer cross-field message aggregation (one transport "
-        "message per field, peer, and phase — the pre-channel wire shape; results are "
-        "bitwise identical)",
     )
     sanitize: bool = option(
         False, feeds="executor", hashed="non-default",
@@ -383,7 +377,7 @@ def add_job_flags(cmd: argparse.ArgumentParser, command: str) -> None:
         )
         keywords = dict(dest=spec_field.name, default=argparse.SUPPRESS, help=text)
         if isinstance(spec_field.default, bool):
-            keywords["action"] = "store_false" if spec_field.default else "store_true"
+            keywords["action"] = "store_true"
         else:
             stored = spec_field.type.replace("Optional[", "").rstrip("]")
             keywords.update(

@@ -178,6 +178,7 @@ class ProcessRunner(HostRunner):
             comm_time=comm_time,
             traffic=traffic,
             phase_records=[],
+            translation_deltas=translation_deltas,
             active=active_total,
             fault_bytes=fault_bytes,
             residual_sum=residual_sum,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.network.stats import RoundTraffic
 from repro.runtime.round import close_round, run_hosts
@@ -44,6 +44,8 @@ class RoundData:
     #: Sync-phase records for the tracer (empty unless tracing; see
     #: :func:`repro.runtime.round.synchronize`).
     phase_records: List
+    #: Per host, the address translations this round's sync performed.
+    translation_deltas: Dict[int, int]
     #: Global count of frontier-active nodes after synchronization.
     active: int
     #: Extra bytes transient faults cost this round.
@@ -116,6 +118,7 @@ class InProcessRunner(HostRunner):
             comm_time=comm_time,
             traffic=traffic,
             phase_records=record or [],
+            translation_deltas=translation_deltas,
             active=active,
             fault_bytes=fault_bytes,
             residual_sum=residual_sum,

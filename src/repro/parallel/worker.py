@@ -77,10 +77,7 @@ class _HostWorker:
         if ex.enable_sync:
             books = [sub.book for sub in ex.substrates]
             self.substrates = {
-                h: GluonSubstrate(
-                    self.parts[h], self.transport, ex.level, books[h],
-                    aggregate=ex.aggregate_comm,
-                )
+                h: GluonSubstrate(self.parts[h], self.transport, ex.level, books[h])
                 for h in self.owned
             }
             # All books, not just the owned hosts': every worker must

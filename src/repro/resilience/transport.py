@@ -24,13 +24,11 @@ on :class:`~repro.runtime.stats.RunResult`.
 Host crashes are delegated to the inner transport: a dead host raises
 :class:`~repro.errors.HostCrashedError` naming the dead host.
 
-The wrapper frames whatever payload the layer above hands it.  With the
-communication plane's per-peer aggregation (the default), that payload
-is one multi-field buffer per peer per phase, so each *aggregated*
-buffer carries a single sequence number + CRC-32 — cheaper than one
-integrity frame per field — and a corruption costs one retransmission
-of the whole buffer.  Under ``--no-aggregation`` each field's message
-is framed (and on fault, retransmitted) individually.
+The wrapper frames whatever payload the layer above hands it: one
+multi-field buffer per peer per phase from the communication plane, so
+each buffer carries a single sequence number + CRC-32 — cheaper than
+one integrity frame per field — and a corruption costs one
+retransmission of the whole buffer.
 """
 
 from __future__ import annotations

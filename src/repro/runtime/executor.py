@@ -5,14 +5,11 @@ partition (through its engine), then all hosts take part in a global
 communication phase run by the Gluon substrate — reduce, master-side
 apply, broadcast.  The round body itself (compute, the collective, the
 round-close pricing) is :mod:`repro.runtime.round`, shared with the
-process runtime's workers; the executor owns everything around it.  By
-default every field's sub-messages are staged into per-peer channels and
-each peer receives one aggregated multi-field buffer per phase
+process runtime's workers; the executor owns everything around it.
+Every field's sub-messages are staged into per-peer channels and each
+peer receives one aggregated multi-field buffer per phase
 (``2 × peer_pairs`` messages per round instead of
-``2 × num_fields × peer_pairs``).  ``aggregate_comm=False`` (the CLI's
-``--no-aggregation``) puts the communication plane in pass-through mode
-— one transport message per (field, peer, phase) — as an ablation; both
-modes produce bitwise-identical application results.
+``2 × num_fields × peer_pairs``).
 
 The partition is temporally invariant (§4), so *binding a layout* — new
 fabric, address books, substrates, fields, frontier — is one operation,
@@ -96,7 +93,6 @@ class DistributedExecutor:
         resilience: Optional[ResilienceConfig] = None,
         observability: Optional[Observability] = None,
         prepared_sync: Optional[PreparedSync] = None,
-        aggregate_comm: bool = True,
         sanitize: bool = False,
         runtime: str = "simulated",
         workers: Optional[int] = None,
@@ -136,9 +132,6 @@ class DistributedExecutor:
         self.level = level
         self.cost_model = CostModel(network)
         self.enable_sync = enable_sync
-        #: Cross-field message aggregation: one framed buffer per peer per
-        #: phase (False = the ``--no-aggregation`` per-field ablation).
-        self.aggregate_comm = aggregate_comm
         # -- proxy-access sanitizer (the ``--sanitize`` debug mode) ---------
         self.sanitizer = None
         if sanitize:
@@ -259,13 +252,11 @@ class DistributedExecutor:
         if self.enable_sync:
             if books is not None:
                 self.substrates = setup_substrates_from_books(
-                    partitioned, transport, self.level, PreparedSync(books=books),
-                    self.metrics, aggregate=self.aggregate_comm,
+                    partitioned, transport, self.level, PreparedSync(books=books), self.metrics
                 )
             else:
                 self.substrates = setup_substrates(
-                    partitioned, transport, self.level, self.metrics,
-                    aggregate=self.aggregate_comm, previous=previous,
+                    partitioned, transport, self.level, self.metrics, previous=previous
                 )
             nbytes, sim_time = close_exchange(transport, self.cost_model)
         parts = partitioned.partitions

@@ -2,11 +2,11 @@
 
 Gluon's synchronization is a single runtime-agnostic collective —
 reduce, master-side apply, broadcast — and :func:`synchronize` is its
-only implementation: both runtimes, the ``--no-aggregation`` ablation,
-the confined-recovery healing round and the unit tests call it.
+only implementation: both runtimes, the confined-recovery healing round
+and the unit tests call it.
 :func:`run_hosts` is the round body around it (operator application,
 then the collective) and :func:`close_round` prices the round's exact
-byte trace.
+byte trace through :func:`price_round`.
 
 Every container is indexed by host id: the simulated runtime passes its
 per-host lists with ``hosts=range(n)``, a process worker passes
@@ -19,11 +19,7 @@ frontier merges, active counts or change masks beyond what its plain
 apply reads, and frontiers are merged copy-on-write instead of copied
 up front.
 
-Whether traffic is aggregated is the communication plane's business;
-here it only picks the *flush granularity*.  An aggregating plane syncs
-all fields as one group — one framed buffer per peer per phase; a
-pass-through plane syncs one group per field, the historical
-one-message-per-(field, peer, phase) wire shape, byte for byte.
+Every phase syncs all fields at once: one framed buffer per peer.
 """
 
 from __future__ import annotations
@@ -120,10 +116,10 @@ def apply_hooks_locally(hosts, fields, outcomes, next_frontiers) -> None:
                     merge_frontier(next_frontiers, h, outcomes[h].updated, dirty)
 
 
-def _phase(kind, live, hosts, substrates, group, stage, receive, end_phase, record):
-    """Stage, flush and receive one phase of one field group.
+def _phase(kind, live, hosts, substrates, fields, stage, receive, end_phase, record):
+    """Stage, flush and receive one phase of every field.
 
-    ``stage(h, slot)`` stages host ``h``'s sub-messages for the group's
+    ``stage(h, slot)`` stages host ``h``'s sub-messages for its
     ``slot``-th field; ``receive(h)`` applies ``h``'s inbox and returns
     its per-field changed masks (``None`` where nothing changed).  A
     ``record`` sink gets one ``(label, [(src, dst, nbytes)...],
@@ -136,12 +132,12 @@ def _phase(kind, live, hosts, substrates, group, stage, receive, end_phase, reco
     Its zero-byte records are still left — the tracer splits a byte-less
     round's window evenly among the records it finds.
     """
-    width = len(group[hosts[0]])
+    width = len(fields[hosts[0]])
     tracing = record is not None
     if not live:
         if tracing:
             record.extend(
-                (f"{kind}:{field.name}", [], 0.0, 0.0) for field in group[hosts[0]]
+                (f"{kind}:{field.name}", [], 0.0, 0.0) for field in fields[hosts[0]]
             )
         return {h: [None] * width for h in hosts}
     if tracing:
@@ -165,7 +161,7 @@ def _phase(kind, live, hosts, substrates, group, stage, receive, end_phase, reco
     changed = {h: receive(h) for h in hosts}
     if tracing:
         apply_share = (time.perf_counter() - wall_start) / width
-        for slot, field in enumerate(group[hosts[0]]):
+        for slot, field in enumerate(fields[hosts[0]]):
             record.append(
                 (
                     f"{kind}:{field.name}",
@@ -206,73 +202,61 @@ def synchronize(
     is the tracer's phase-record sink (see :func:`_phase`); without it
     no clock is read and nothing is collected.
 
-    A phase the sync plan calls dead for a whole field group
+    Each phase stages every field, then flushes one frame per peer.  A
+    phase the sync plan calls dead for every field
     (:meth:`~repro.core.patterns.SyncPlan.live`, a cluster-wide verdict)
     is not driven: nothing is staged, flushed, marked or received.  The
     master-side apply runs every round its mask has a reader: a hook, or
     a live broadcast.  Without a frontier (the plan's
     ``uses_frontier``) nothing is merged: ``next_frontiers`` is left as
     it came.
-
-    Field results do not depend on the flush granularity: each field's
-    arrays are independent and every receiver applies senders in the
-    same mailbox order either way.  A one-field group receives before
-    the next field sends because raw pass-through payloads carry no
-    field identity on the wire.
     """
     first = hosts[0]
     plan = substrates[first].plan
     frontier = plan.uses_frontier
-    num_fields = len(fields[first])
     seeded = {h for h in hosts if next_frontiers[h] is outcomes[h].updated}
-    if substrates[first].plane.aggregate:
-        groups = [slice(0, num_fields)]
-    else:
-        groups = [slice(i, i + 1) for i in range(num_fields)]
-    for members in groups:
-        group = {h: fields[h][members] for h in hosts}
-        reduce_changed = _phase(
-            "reduce", plan.live("reduce", members), hosts, substrates, group,
-            lambda h, slot: substrates[h].stage_reduce(
-                slot, group[h][slot], outcomes[h].updated
-            ),
-            lambda h: substrates[h].receive_reduce_all(group[h]),
-            end_phase, record,
-        )
-        broadcast_live = plan.live("broadcast", members)
-        dirty = {h: [] for h in hosts}
-        for h in hosts:
-            step_mask = outcomes[h].updated
-            for field, changed in zip(group[h], reduce_changed[h]):
-                if frontier and changed is not None:
-                    merge_frontier(next_frontiers, h, step_mask, changed)
-                if broadcast_live or field.on_master_after_reduce is not None:
-                    field_dirty = broadcast_dirty(
-                        parts[h], field, changed, outcomes[h], frontier
-                    )
-                    dirty[h].append(field_dirty)
-                    if frontier:
-                        merge_frontier(next_frontiers, h, step_mask, field_dirty)
-                elif frontier and h not in seeded:
-                    # The apply's mask has no reader — no hook rewrites
-                    # it, no broadcast stages it — so it is not built.
-                    # Its frontier share beyond the changed masters is
-                    # the masters the step wrote, which a frontier seeded
-                    # with the step's mask already holds.
-                    masters = parts[h].num_masters
-                    next_frontiers[h][:masters] |= step_mask[:masters]
-        broadcast_changed = _phase(
-            "broadcast", broadcast_live, hosts, substrates, group,
-            lambda h, slot: substrates[h].stage_broadcast(
-                slot, group[h][slot], dirty[h][slot]
-            ),
-            lambda h: substrates[h].receive_broadcast_all(group[h]),
-            end_phase, record,
-        )
-        for h in hosts:
-            for mask in broadcast_changed[h]:
-                if mask is not None:
-                    merge_frontier(next_frontiers, h, outcomes[h].updated, mask)
+    reduce_changed = _phase(
+        "reduce", plan.live("reduce"), hosts, substrates, fields,
+        lambda h, slot: substrates[h].stage_reduce(
+            slot, fields[h][slot], outcomes[h].updated
+        ),
+        lambda h: substrates[h].receive_reduce_all(fields[h]),
+        end_phase, record,
+    )
+    broadcast_live = plan.live("broadcast")
+    dirty = {h: [] for h in hosts}
+    for h in hosts:
+        step_mask = outcomes[h].updated
+        for field, changed in zip(fields[h], reduce_changed[h]):
+            if frontier and changed is not None:
+                merge_frontier(next_frontiers, h, step_mask, changed)
+            if broadcast_live or field.on_master_after_reduce is not None:
+                field_dirty = broadcast_dirty(
+                    parts[h], field, changed, outcomes[h], frontier
+                )
+                dirty[h].append(field_dirty)
+                if frontier:
+                    merge_frontier(next_frontiers, h, step_mask, field_dirty)
+            elif frontier and h not in seeded:
+                # The apply's mask has no reader — no hook rewrites it,
+                # no broadcast stages it — so it is not built.  Its
+                # frontier share beyond the changed masters is the
+                # masters the step wrote, which a frontier seeded with
+                # the step's mask already holds.
+                masters = parts[h].num_masters
+                next_frontiers[h][:masters] |= step_mask[:masters]
+    broadcast_changed = _phase(
+        "broadcast", broadcast_live, hosts, substrates, fields,
+        lambda h, slot: substrates[h].stage_broadcast(
+            slot, fields[h][slot], dirty[h][slot]
+        ),
+        lambda h: substrates[h].receive_broadcast_all(fields[h]),
+        end_phase, record,
+    )
+    for h in hosts:
+        for mask in broadcast_changed[h]:
+            if mask is not None:
+                merge_frontier(next_frontiers, h, outcomes[h].updated, mask)
     # Drain guard: a sub-message staged after its phase flush would sit
     # in a channel buffer forever — fail loudly at the round boundary,
     # complementing the transport's own undelivered-mail detection.
@@ -348,16 +332,16 @@ def run_hosts(
     return comp_times, next_frontiers, active, translation_deltas
 
 
-def close_round(transport, engines, cost_model, translation_deltas):
-    """End the transport round and price its exact byte trace.
+def price_round(traffic, engines, cost_model, translation_deltas) -> float:
+    """Simulated communication seconds of one round's message trace.
 
-    Per-host extras on top of the alpha-beta model: address-translation
-    work (temporal optimization off) and host<->device copies for GPU
-    engines.  Returns ``(traffic, comm_time)``.
+    ``traffic`` is the round's :class:`~repro.network.stats.RoundTraffic`
+    (every ``(src, dst, nbytes)`` message in send order).  Per-host
+    extras on top of the alpha-beta model: address-translation work
+    (temporal optimization off) and host<->device copies for GPU
+    engines.
     """
     num_hosts = len(engines)
-    traffic = transport.stats.current_round
-    transport.end_round()
     extras = [0.0] * num_hosts
     for h, delta in translation_deltas.items():
         extras[h] += delta * engines[h].cost.translation_s
@@ -375,10 +359,15 @@ def close_round(transport, engines, cost_model, translation_deltas):
                 moved / cost.device_bandwidth_bytes_per_s
                 + 2 * cost.device_latency_s
             )
-    comm_time = round_communication_time(
-        traffic, num_hosts, cost_model, extras
-    )
-    return traffic, comm_time
+    return round_communication_time(traffic, num_hosts, cost_model, extras)
+
+
+def close_round(transport, engines, cost_model, translation_deltas):
+    """End the transport round and price its exact byte trace (see
+    :func:`price_round`).  Returns ``(traffic, comm_time)``."""
+    traffic = transport.stats.current_round
+    transport.end_round()
+    return traffic, price_round(traffic, engines, cost_model, translation_deltas)
 
 
 def close_exchange(transport, cost_model):

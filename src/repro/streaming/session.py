@@ -149,7 +149,7 @@ class StreamingSession:
             ``streaming_*`` counters into it.
         Every other keyword of :func:`repro.systems.run_app` (``level``,
         ``source``, the application parameters, ``max_rounds``,
-        ``aggregate_comm``, ...) is forwarded to
+        ``compression``, ...) is forwarded to
         :func:`repro.systems.plan_run` unchanged.  What a live session
         cannot honour — the "streaming session" rows of
         :data:`repro.options.REFUSALS`: anything but a simulated,

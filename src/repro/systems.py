@@ -345,11 +345,11 @@ def run_app(
 
     ``options`` are :func:`plan_run`'s: the job options declared by
     :class:`repro.options.JobSpec` (``policy``, ``level``, ``source``,
-    ``compression``, ``aggregate_comm``, ``sanitize``, ``runtime``,
-    ``workers``, ... — the table gives each one's default and meaning;
-    results are bitwise identical under every executor option, only the
-    wire shape resp. ``result.wall_rounds_s`` differ) plus ``network``,
-    ``resilience`` and ``observability``.
+    ``compression``, ``sanitize``, ``runtime``, ``workers``, ... — the
+    table gives each one's default and meaning; results are bitwise
+    identical under every executor option, only
+    ``result.wall_rounds_s`` differs) plus ``network``, ``resilience``
+    and ``observability``.
 
     Returns the :class:`~repro.runtime.stats.RunResult`, whose
     ``construction_time`` includes the measured partitioning wall-clock

@@ -4,7 +4,6 @@ The benchmark suite runs these at full scale; here they run at minimal
 scale so a refactor that breaks a harness's plumbing fails in seconds.
 """
 
-from benchmarks.test_ablation_aggregation import aggregation_rows
 from benchmarks.test_extension_compression import compression_rows
 from benchmarks.test_extension_dataflow import dataflow_rows
 from benchmarks.test_extension_incremental import incremental_rows
@@ -98,7 +97,7 @@ def test_headline_summary_smoke():
 
 
 def test_aggregation_rows_smoke():
-    aggregated, per_field = aggregation_rows(scale_delta=-5, hosts=4)
+    aggregated, per_field = experiments.aggregation_rows(scale_delta=-5, hosts=4)
     format_table([aggregated, per_field])
     assert aggregated["mode"] == "aggregated"
     assert aggregated["messages"] < per_field["messages"]

@@ -93,9 +93,9 @@ class TestCommPlane:
 
     def test_aggregate_buffers_until_flush(self):
         transport = InProcessTransport(3)
-        plane = CommPlane(0, transport, aggregate=True)
-        plane.stage(1, 0, b"aa")
-        plane.stage(2, 1, b"bb")
+        plane = CommPlane(0, transport)
+        plane.stage_all(0, (1,), (b"aa",))
+        plane.stage_all(1, (2,), (b"bb",))
         assert transport.receive_all(1) == []
         flushed = plane.flush(2, peer_order=[1, 2])
         assert [peer for peer, _ in flushed] == [1, 2]
@@ -107,54 +107,39 @@ class TestCommPlane:
 
     def test_flush_reports_frame_bytes(self):
         transport = InProcessTransport(2)
-        plane = CommPlane(0, transport, aggregate=True)
-        plane.stage(1, 0, b"abc")
+        plane = CommPlane(0, transport)
+        plane.stage_all(0, (1,), (b"abc",))
         ((peer, nbytes),) = plane.flush(2, peer_order=[1])
         assert peer == 1
         assert nbytes == frame_overhead(2) + 3
         transport.receive_all(1)
 
-    def test_pass_through_sends_immediately(self):
-        transport = InProcessTransport(2)
-        plane = CommPlane(0, transport, aggregate=False)
-        plane.stage(1, 0, b"raw")
-        assert transport.receive_all(1) == [(0, b"raw")]
-        assert plane.flush(1, peer_order=[1]) == []
-        plane.assert_drained()  # nothing ever buffers in pass-through
-
     def test_flush_clears_and_plane_drains(self):
         transport = InProcessTransport(2)
-        plane = CommPlane(0, transport, aggregate=True)
-        plane.stage(1, 0, b"x")
+        plane = CommPlane(0, transport)
+        plane.stage_all(0, (1,), (b"x",))
         plane.flush(1, peer_order=[1])
         plane.assert_drained()
         transport.receive_all(1)
 
     def test_unflushed_plane_fails_drain_check(self):
-        plane = CommPlane(0, InProcessTransport(2), aggregate=True)
-        plane.stage(1, 0, b"x")
+        plane = CommPlane(0, InProcessTransport(2))
+        plane.stage_all(0, (1,), (b"x",))
         with pytest.raises(TransportError, match="un-flushed channel"):
             plane.assert_drained()
 
     def test_receive_parses_per_sender(self):
         transport = InProcessTransport(3)
         for src in (1, 2):
-            peer_plane = CommPlane(src, transport, aggregate=True)
-            peer_plane.stage(0, 0, b"from%d" % src)
+            peer_plane = CommPlane(src, transport)
+            peer_plane.stage_all(0, (0,), (b"from%d" % src,))
             peer_plane.flush(1, peer_order=[0])
-        plane = CommPlane(0, transport, aggregate=True)
+        plane = CommPlane(0, transport)
         frames = plane.receive()
         assert [
             (sender, [bytes(buffer[start:end]) for start, end in slots])
             for sender, buffer, slots in frames
         ] == [(1, [b"from1"]), (2, [b"from2"])]
-
-    def test_pass_through_receives_one_slot_frames(self):
-        transport = InProcessTransport(2)
-        CommPlane(1, transport, aggregate=False).stage(0, 0, b"raw")
-        assert CommPlane(0, transport, aggregate=False).receive() == [
-            (1, b"raw", [(0, 3)])
-        ]
 
     def test_a_repeated_quiet_frame_is_parsed_once(self, monkeypatch):
         """The receiver keeps a sender's last all-EMPTY frame: the same
@@ -166,11 +151,11 @@ class TestCommPlane:
             channel_module, "frame_slots", lambda buf: parsed.append(buf) or real(buf)
         )
         transport = InProcessTransport(2)
-        sender = CommPlane(1, transport, aggregate=True)
-        plane = CommPlane(0, transport, aggregate=True)
+        sender = CommPlane(1, transport)
+        plane = CommPlane(0, transport)
         seen = []
         for payload in (EMPTY, EMPTY, b"data", EMPTY):
-            sender.stage(0, 0, payload)
+            sender.stage_all(0, (0,), (payload,))
             sender.flush(1, peer_order=[0])
             ((_, buffer, slots),) = plane.receive()
             seen.append([bytes(buffer[start:end]) for start, end in slots])
@@ -183,10 +168,10 @@ class TestCommPlane:
     def test_flush_metrics(self):
         metrics = MetricsRegistry()
         transport = InProcessTransport(3)
-        plane = CommPlane(0, transport, aggregate=True, metrics=metrics)
-        plane.stage(1, 0, b"a")
-        plane.stage(1, 1, b"b")
-        plane.stage(2, 0, b"c")
+        plane = CommPlane(0, transport, metrics=metrics)
+        plane.stage_all(0, (1,), (b"a",))
+        plane.stage_all(1, (1,), (b"b",))
+        plane.stage_all(0, (2,), (b"c",))
         plane.flush(2, peer_order=[1, 2])
         assert metrics.counter_total("channel_flushes_total") == 2
         histogram = metrics.histogram("channel_fields_per_flush")

@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 
 import repro.comm.codec as codec
+from repro.comm.frame import decode_frame
 from repro.core.optimization import OptimizationLevel
 from repro.core.substrate import GluonSubstrate
 from repro.errors import SerializationError
 from repro.graph.generators import rmat
 from repro.systems import run_app
-from tests.comm.test_inbound_fuzz import Cluster
+from tests.comm.test_inbound_fuzz import Cluster, framed
 
 EDGES = rmat(scale=7, edge_factor=8, seed=4)
 PHASES = ("reduce", "broadcast")
@@ -66,16 +67,13 @@ def spy_on_receives(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("aggregate", [True, False], ids=["aggregated", "per-field"])
 @pytest.mark.parametrize("runtime", ["simulated", "process"])
-def test_no_field_array_shares_memory_with_a_received_frame(
-    monkeypatch, runtime, aggregate
-):
+def test_no_field_array_shares_memory_with_a_received_frame(monkeypatch, runtime):
     counts = spy_on_receives(monkeypatch)
     job = dict(runtime=runtime, workers=2) if runtime == "process" else {}
     result = run_app(
         "d-galois", "featprop", EDGES, 4, policy="cvc", compression="delta",
-        feature_dim=6, feature_rounds=3, aggregate_comm=aggregate, **job,
+        feature_dim=6, feature_rounds=3, **job,
     )
     assert result.converged
     reduces, broadcasts, whole = counts[:]
@@ -86,12 +84,13 @@ def test_no_field_array_shares_memory_with_a_received_frame(
 def test_a_delta_section_one_value_off_is_rejected_on_receive():
     """The whole-row decode trusts the section's size: a frame whose delta
     message carries one value too few or too many never reaches a field."""
-    cluster = Cluster("delta", OptimizationLevel.OTI, aggregate=False)
-    raw = cluster.capture("reduce", 1.0)
+    cluster = Cluster("delta", OptimizationLevel.OTI)
+    frame = cluster.capture("reduce", 1.0)
+    (raw,) = map(bytes, decode_frame(frame))
     value = cluster.fields[0][0].values.dtype.itemsize
     before = cluster.fields[0][0].values.copy()
     for mutated in (raw[:-value], raw + bytes(value)):
         with pytest.raises(SerializationError, match="delta values"):
-            cluster.deliver("reduce", mutated)
+            cluster.deliver("reduce", framed(mutated))
     assert np.array_equal(cluster.fields[0][0].values, before)
-    assert cluster.deliver("reduce", raw)[0].any()
+    assert cluster.deliver("reduce", frame)[0].any()

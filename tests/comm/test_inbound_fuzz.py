@@ -61,12 +61,10 @@ def make_fields(kind, part):
 class Cluster:
     """Two hvc hosts with one bound field; host 1's traffic is captured."""
 
-    def __init__(self, kind, level, aggregate):
+    def __init__(self, kind, level):
         self.partitioned = make_partitioner("hvc").partition(EDGES, 2)
         self.transport = InProcessTransport(2)
-        self.subs = setup_substrates(
-            self.partitioned, self.transport, level, aggregate=aggregate
-        )
+        self.subs = setup_substrates(self.partitioned, self.transport, level)
         self.transport.end_round()
         self.fields = [make_fields(kind, p) for p in self.partitioned.partitions]
         bind_sync_plans(range(2), self.subs, self.fields, [s.book for s in self.subs])
@@ -103,24 +101,29 @@ OSTI, OTI, OSI, UNOPT = (
     OptimizationLevel.OSTI, OptimizationLevel.OTI,
     OptimizationLevel.OSI, OptimizationLevel.UNOPT,
 )
-#: name -> (field kind, level, framed?, phase, dirty share, expected mode).
+#: name -> (field kind, level, phase, dirty share, expected mode).
 SHAPES = {
-    "scalar-indices-framed": ("scalar", OTI, True, "broadcast", 0.0, "INDICES"),
-    "scalar-bitvec-framed": ("scalar", OSTI, True, "broadcast", 0.5, "BITVEC"),
-    "scalar-full-raw": ("scalar", OTI, False, "reduce", 1.0, "FULL"),
-    "scalar-global-ids-raw": ("scalar", UNOPT, False, "reduce", 0.3, "GLOBAL_IDS"),
-    "wide-bitvec-framed": ("wide", OTI, True, "reduce", 0.3, "BITVEC"),
-    "wide-global-ids-raw": ("wide", OSI, False, "broadcast", 0.3, "GLOBAL_IDS"),
-    "delta-bitvec-framed": ("delta", OSTI, True, "broadcast", 0.3, "BITVEC"),
-    "delta-full-raw": ("delta", OTI, False, "reduce", 1.0, "FULL"),
+    "scalar-indices": ("scalar", OTI, "broadcast", 0.0, "INDICES"),
+    "scalar-bitvec": ("scalar", OSTI, "broadcast", 0.5, "BITVEC"),
+    "scalar-full": ("scalar", OTI, "reduce", 1.0, "FULL"),
+    "scalar-global-ids": ("scalar", UNOPT, "reduce", 0.3, "GLOBAL_IDS"),
+    "wide-bitvec": ("wide", OTI, "reduce", 0.3, "BITVEC"),
+    "wide-global-ids": ("wide", OSI, "broadcast", 0.3, "GLOBAL_IDS"),
+    "delta-bitvec": ("delta", OSTI, "broadcast", 0.3, "BITVEC"),
+    "delta-full": ("delta", OTI, "reduce", 1.0, "FULL"),
 }
 
 
+def framed(payload):
+    """``payload`` as the one-slot frame a one-field phase sends."""
+    return encode_frame([payload])
+
+
 def cluster_and_buffer(shape):
-    kind, level, framed, phase, share, mode = SHAPES[shape]
-    cluster = Cluster(kind, level, framed)
+    kind, level, phase, share, mode = SHAPES[shape]
+    cluster = Cluster(kind, level)
     buffer = cluster.capture(phase, share)
-    (payload,) = decode_frame(buffer) if framed else [buffer]
+    (payload,) = decode_frame(buffer)
     message = decode_message(payload)
     assert message.mode.name == mode, shape
     assert (message.width > 0) == (kind != "scalar")
@@ -143,12 +146,20 @@ def test_valid_traffic_applies_the_same_from_any_buffer_type(shape, as_buffer):
 @pytest.mark.parametrize("as_buffer", BUFFER_TYPES, ids=BUFFER_IDS)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_every_truncation_is_rejected(shape, as_buffer):
+    """Every prefix of the whole frame, and every prefix of its one
+    sub-message injected as a one-slot frame."""
     cluster, phase, raw = cluster_and_buffer(shape)
     for cut in range(len(raw)):
-        if cut == 2 and is_empty_message(raw[:2]):
-            continue  # a raw payload cut to its header *is* an EMPTY message
         with pytest.raises(REJECTIONS):
             cluster.deliver(phase, as_buffer(raw[:cut]))
+    (payload,) = decode_frame(raw)
+    payload = bytes(payload)
+    # From one byte on: a zero-length slot is the frame's "no message".
+    for cut in range(1, len(payload)):
+        if cut == 2 and is_empty_message(payload[:2]):
+            continue  # a message cut to its header *is* an EMPTY message
+        with pytest.raises(REJECTIONS):
+            cluster.deliver(phase, as_buffer(framed(payload[:cut])))
 
 
 @pytest.mark.parametrize("as_buffer", BUFFER_TYPES, ids=BUFFER_IDS)
@@ -170,23 +181,23 @@ def test_single_byte_flips_never_escape(shape, as_buffer):
                 pass
 
 
-@given(payload=st.binary(max_size=200), framed=st.booleans(), wide=st.booleans())
+@given(payload=st.binary(max_size=200), whole_frame=st.booleans(), wide=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_random_bytes_never_escape(payload, framed, wide):
-    cluster = _RANDOM_CLUSTERS[framed, wide]
+def test_random_bytes_never_escape(payload, whole_frame, wide):
+    """The bytes are the whole frame, or one slot's message."""
+    cluster = _RANDOM_CLUSTERS[wide]
+    # A zero-length slot is the frame's "no message".
+    buffer = payload if whole_frame else framed(payload or None)
     for as_buffer in BUFFER_TYPES:
         for phase in ("reduce", "broadcast"):
             try:
-                cluster.deliver(phase, as_buffer(payload))
+                cluster.deliver(phase, as_buffer(buffer))
             except REJECTIONS:
                 pass
 
 
 _RANDOM_CLUSTERS = {
-    (framed, wide): Cluster(
-        "delta" if wide else "scalar", OptimizationLevel.OSTI, framed
-    )
-    for framed in (True, False)
+    wide: Cluster("delta" if wide else "scalar", OptimizationLevel.OSTI)
     for wide in (True, False)
 }
 
@@ -230,9 +241,9 @@ def test_near_empty_headers_are_not_taken_for_empty(header):
     take the full decoder, and its error — never the silent short-cut."""
     assert not is_empty_message(header)
     assert not is_empty_message(memoryview(header))
-    cluster = Cluster("scalar", OptimizationLevel.OSTI, aggregate=False)
+    cluster = Cluster("scalar", OptimizationLevel.OSTI)
     with pytest.raises(SerializationError):
-        cluster.deliver("reduce", header)
+        cluster.deliver("reduce", framed(header))
 
 
 def test_exactly_the_empty_message_is_skipped_without_decoding(monkeypatch):
@@ -243,19 +254,19 @@ def test_exactly_the_empty_message_is_skipped_without_decoding(monkeypatch):
     monkeypatch.setattr(
         codec, "read_message", lambda *args: pytest.fail("EMPTY was decoded")
     )
-    for aggregate, buffer in ((False, b"\x00\x00"), (True, b"\x01\x00\x02\x00\x00\x00\x00\x03")):
-        cluster = Cluster("scalar", OptimizationLevel.OSTI, aggregate)
+    for buffer in (framed(b"\x00\x00"), b"\x01\x00\x02\x00\x00\x00\x00\x03"):
+        cluster = Cluster("scalar", OptimizationLevel.OSTI)
         assert cluster.deliver("reduce", buffer) == [None]  # nothing changed
 
 
 def test_rows_of_the_wrong_width_are_rejected_by_name():
     """A well-formed message whose row width is not the field's would
     otherwise broadcast against (or silently into) the field's rows."""
-    cluster = Cluster("wide", OptimizationLevel.OTI, aggregate=False)
+    cluster = Cluster("wide", OptimizationLevel.OTI)
     agreed = cluster.subs[0].plan.fields[0].recv["reduce"][1]
     ones = np.ones((len(agreed), 5), dtype=np.float32)
     assert cluster.deliver(
-        "reduce", encode_message(MetadataMode.FULL, ones, width=5)
+        "reduce", framed(encode_message(MetadataMode.FULL, ones, width=5))
     )[0].any()
     for payload in (
         encode_message(MetadataMode.FULL, ones[:, 0]),  # scalar into rows
@@ -265,20 +276,16 @@ def test_rows_of_the_wrong_width_are_rejected_by_name():
         ),
     ):
         with pytest.raises(SyncError, match="width"):
-            cluster.deliver("reduce", payload)
-    scalar = Cluster("scalar", OptimizationLevel.OTI, aggregate=False)
+            cluster.deliver("reduce", framed(payload))
+    scalar = Cluster("scalar", OptimizationLevel.OTI)
     with pytest.raises(SyncError, match="width"):
-        scalar.deliver("reduce", encode_message(MetadataMode.FULL, ones, width=5))
-
-
-def framed(payload):
-    return encode_frame([payload])
+        scalar.deliver("reduce", framed(encode_message(MetadataMode.FULL, ones, width=5)))
 
 
 def test_indices_naming_a_position_twice_are_rejected():
     """Positions ``[0, 0]`` with values ``[3, 45]`` would leave a MIN
     master at 45, not 3: a repeated ID is applied last-write-wins."""
-    cluster = Cluster("scalar", OptimizationLevel.OSTI, aggregate=True)
+    cluster = Cluster("scalar", OptimizationLevel.OSTI)
     values = np.array([3, 45], dtype=np.uint32)
     for positions in ([0, 0], [1, 0]):
         payload = encode_message(
@@ -293,20 +300,20 @@ def test_indices_naming_a_position_twice_are_rejected():
 
 
 def test_global_ids_naming_a_node_twice_are_rejected():
-    cluster = Cluster("scalar", OptimizationLevel.UNOPT, aggregate=False)
+    cluster = Cluster("scalar", OptimizationLevel.UNOPT)
     gid = int(cluster.partitioned.partitions[0].local_to_global[0])
     payload = encode_message(
         MetadataMode.GLOBAL_IDS, np.array([3, 45], dtype=np.uint32),
         selection=np.array([gid, gid], dtype=np.uint32),
     )
     with pytest.raises(SyncError, match="from 1 names a global node twice"):
-        cluster.deliver("reduce", payload)
+        cluster.deliver("reduce", framed(payload))
     assert cluster.fields[0][0].values[0] == 50  # nothing was applied
 
 
 def test_wide_indices_naming_a_row_twice_are_rejected():
     """An ADD field would end with the last row (9), not the sum (10)."""
-    cluster = Cluster("wide", OptimizationLevel.OTI, aggregate=True)
+    cluster = Cluster("wide", OptimizationLevel.OTI)
     rows = np.array([[1] * 5, [9] * 5], dtype=np.float32)
     payload = encode_message(
         MetadataMode.INDICES, rows, selection=np.array([0, 0], dtype=np.uint32),

@@ -1,8 +1,8 @@
 """The one-pass encode and the one-parse-per-frame decode against the old
 per-message path (``old_sync.py``, kept verbatim), over random layouts.
 
-For every peer of every host, the frame (or raw payload) the substrate
-hands the transport must be byte-identical to the old path's; the mode
+For every peer of every host, the frame the substrate hands the
+transport must be byte-identical to the old path's; the mode
 counts and translation counts must match; and decoding and applying the
 traffic must leave identical field arrays and changed masks.
 """
@@ -50,9 +50,9 @@ def make_field(kind, n, seed):
     return FieldSpec("rows", rows, ADD, compression=compression)
 
 
-def build(partitioned, level, aggregate, kind, seed):
+def build(partitioned, level, kind, seed):
     transport = InProcessTransport(partitioned.num_hosts)
-    subs = setup_substrates(partitioned, transport, level, aggregate=aggregate)
+    subs = setup_substrates(partitioned, transport, level)
     transport.end_round()
     fields = [
         [make_field(kind, part.num_nodes, seed + part.host)]
@@ -62,7 +62,7 @@ def build(partitioned, level, aggregate, kind, seed):
     return transport, subs, fields
 
 
-def exchange(transport, subs, fields, old_subs, old_fields, aggregate, phase, dirties):
+def exchange(transport, subs, fields, old_subs, old_fields, phase, dirties):
     """One phase on both paths: every host stages its ``dirties[h]``,
     then every host receives.  Asserts byte-identical wire traffic, equal
     accounting and identical applied fields and changed masks."""
@@ -82,8 +82,7 @@ def exchange(transport, subs, fields, old_subs, old_fields, aggregate, phase, di
         if broadcast and fields[h][0].compression == "delta":
             old_fields[h][0].commit_broadcast(np.flatnonzero(dirty))
         for peer, payload in staged:
-            wire = old_encode_frame([payload]) if aggregate else payload
-            old_mail[peer].append((h, wire))
+            old_mail[peer].append((h, old_encode_frame([payload])))
         assert Counter(sub.stats.mode_counts) - modes_before == modes
         assert sub.stats.translations - translations_before == translations
     for h, sub in enumerate(subs):
@@ -94,7 +93,7 @@ def exchange(transport, subs, fields, old_subs, old_fields, aggregate, phase, di
         receive = sub.receive_broadcast_all if broadcast else sub.receive_reduce_all
         changed = receive(fields[h])
         old_changed, old_translations = old_receive(
-            old_subs[h], old_fields[h], phase, old_mail[h], aggregate
+            old_subs[h], old_fields[h], phase, old_mail[h], True
         )
         assert sub.stats.translations - before == old_translations
         for got, want in zip(changed, old_changed):
@@ -111,7 +110,6 @@ def exchange(transport, subs, fields, old_subs, old_fields, aggregate, phase, di
     policy=st.sampled_from(sorted(PARTITIONER_BY_NAME)),
     hosts=st.integers(2, 6),
     level=st.sampled_from(list(OptimizationLevel)),
-    aggregate=st.booleans(),
     kind=st.sampled_from(KINDS),
     phase=st.sampled_from(["reduce", "broadcast"]),
     share=st.sampled_from([0.0, 0.002, 0.02, 0.2, 0.6, 0.97, 0.99, 1.0]),
@@ -119,14 +117,14 @@ def exchange(transport, subs, fields, old_subs, old_fields, aggregate, phase, di
 )
 @settings(max_examples=150, deadline=None)
 def test_one_pass_matches_the_per_message_path(
-    policy, hosts, level, aggregate, kind, phase, share, seed
+    policy, hosts, level, kind, phase, share, seed
 ):
     partitioned = make_partitioner(policy).partition(GRAPH, hosts)
-    transport, subs, fields = build(partitioned, level, aggregate, kind, seed)
-    _, old_subs, old_fields = build(partitioned, level, aggregate, kind, seed)
+    transport, subs, fields = build(partitioned, level, kind, seed)
+    _, old_subs, old_fields = build(partitioned, level, kind, seed)
     rng = np.random.default_rng(seed)
     dirties = [rng.random(sub.num_local_nodes) < share for sub in subs]
-    exchange(transport, subs, fields, old_subs, old_fields, aggregate, phase, dirties)
+    exchange(transport, subs, fields, old_subs, old_fields, phase, dirties)
 
 
 def second_broadcast(rng, sub, field, old_field, rotation):
@@ -198,38 +196,37 @@ EVERY_CASE = {
 }
 
 
-def two_broadcasts(policy, hosts, level, aggregate, seed, rotation, drawn=None):
+def two_broadcasts(policy, hosts, level, seed, rotation, drawn=None):
     """A first delta broadcast commits random rows; the second ships
     partial masks against those commits.  Both match ``old_sync``.
     ``drawn`` (the spy's record) is emptied between the two."""
     partitioned = make_partitioner(policy).partition(GRAPH, hosts)
-    transport, subs, fields = build(partitioned, level, aggregate, "delta", seed)
-    _, old_subs, old_fields = build(partitioned, level, aggregate, "delta", seed)
+    transport, subs, fields = build(partitioned, level, "delta", seed)
+    _, old_subs, old_fields = build(partitioned, level, "delta", seed)
     rng = np.random.default_rng(seed)
     first = [rng.random(sub.num_local_nodes) < 0.5 for sub in subs]
-    exchange(transport, subs, fields, old_subs, old_fields, aggregate, "broadcast", first)
+    exchange(transport, subs, fields, old_subs, old_fields, "broadcast", first)
     if drawn is not None:
         drawn.clear()
     second = [
         second_broadcast(rng, sub, fields[h][0], old_fields[h][0], rotation + h)
         for h, sub in enumerate(subs)
     ]
-    exchange(transport, subs, fields, old_subs, old_fields, aggregate, "broadcast", second)
+    exchange(transport, subs, fields, old_subs, old_fields, "broadcast", second)
 
 
 @given(
     policy=st.sampled_from(sorted(PARTITIONER_BY_NAME)),
     hosts=st.integers(2, 6),
     level=st.sampled_from([OptimizationLevel.OTI, OptimizationLevel.OSTI]),
-    aggregate=st.booleans(),
     seed=st.integers(0, 1000),
     rotation=st.integers(0, 2),
 )
 @settings(max_examples=100, deadline=None)
 def test_partial_delta_masks_match_the_per_message_path(
-    policy, hosts, level, aggregate, seed, rotation
+    policy, hosts, level, seed, rotation
 ):
-    two_broadcasts(policy, hosts, level, aggregate, seed, rotation)
+    two_broadcasts(policy, hosts, level, seed, rotation)
 
 
 @pytest.mark.parametrize("rotation", [0, 1, 2])
@@ -238,7 +235,7 @@ def test_the_second_broadcast_draws_every_case(drawn, policy, rotation):
     """Where each host broadcasts to one peer, the roles rotate over the
     hosts: one run's second broadcast draws every row kind, an
     all-shipped and a partial message, and all three memoized modes."""
-    two_broadcasts(policy, 4, OptimizationLevel.OSTI, True, 3, rotation, drawn)
+    two_broadcasts(policy, 4, OptimizationLevel.OSTI, 3, rotation, drawn)
     assert len(drawn) == 4  # one encode pass per host
     assert set().union(*drawn) == EVERY_CASE
 
@@ -249,7 +246,7 @@ def test_every_mode_is_drawn():
     seen = Counter()
     for level in (OptimizationLevel.OSTI, OptimizationLevel.UNOPT):
         for share in (0.0, 0.02, 0.2, 1.0):
-            _, subs, fields = build(partitioned, level, True, "scalar", 1)
+            _, subs, fields = build(partitioned, level, "scalar", 1)
             for h, sub in enumerate(subs):
                 rng = np.random.default_rng(h)
                 sub.stage_reduce(0, fields[h][0], rng.random(sub.num_local_nodes) < share)

@@ -222,6 +222,7 @@ def test_unexpected_memoized_sender_rejected(small_rmat):
         small_rmat, "oec", 2, OptimizationLevel.OSTI
     )
     # Craft a FULL-mode message from a sender with an empty agreed array.
+    from repro.comm.frame import encode_frame
     from repro.core.serialization import encode_message
 
     field = FieldSpec(
@@ -232,7 +233,7 @@ def test_unexpected_memoized_sender_rejected(small_rmat):
     bogus = encode_message(
         MetadataMode.FULL, np.array([1, 2, 3], dtype=np.uint32)
     )
-    transport.send(1, 0, bogus)
+    transport.send(1, 0, encode_frame([bogus]))
     bind_one_field(subs, [field, field])
     with pytest.raises(SyncError):
         subs[0].receive_reduce_all([field])

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.comm.frame import decode_frame
 from repro.core.metadata import MetadataMode
 from repro.core.optimization import OptimizationLevel
 from repro.core.serialization import decode_message
@@ -29,9 +30,15 @@ def setup(edges, policy, num_hosts, level):
     return partitioned, transport, subs, fields
 
 
-def peek_messages(transport, host):
-    inbox = transport.receive_all(host)
-    return [decode_message(payload) for _, payload in inbox]
+def peek_messages(sub, transport, host):
+    """Flush ``sub``'s phase and decode the messages ``host`` received."""
+    sub.flush_phase(1)
+    return [
+        decode_message(message)
+        for _, frame in transport.receive_all(host)
+        for message in decode_frame(frame)
+        if message is not None
+    ]
 
 
 class TestMemoizedModes:
@@ -45,7 +52,7 @@ class TestMemoizedModes:
             fields[0].values[arr] = 1
             dirty[arr] = True
         sub.stage_reduce(0, fields[0], dirty)
-        messages = peek_messages(transport, 1)
+        messages = peek_messages(sub, transport, 1)
         assert messages
         assert all(m.mode is MetadataMode.FULL for m in messages)
 
@@ -60,7 +67,7 @@ class TestMemoizedModes:
         fields[0].values[arr[0]] = 1
         dirty[arr[0]] = True
         sub.stage_reduce(0, fields[0], dirty)
-        messages = peek_messages(transport, 1)
+        messages = peek_messages(sub, transport, 1)
         assert any(m.mode is MetadataMode.INDICES for m in messages)
 
     def test_no_updates_send_empty(self, small_rmat):
@@ -70,7 +77,7 @@ class TestMemoizedModes:
         subs[0].stage_reduce(
             0, fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
         )
-        messages = peek_messages(transport, 1)
+        messages = peek_messages(subs[0], transport, 1)
         assert messages
         assert all(m.mode is MetadataMode.EMPTY for m in messages)
 
@@ -81,6 +88,7 @@ class TestMemoizedModes:
         subs[0].stage_reduce(
             0, fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
         )
+        subs[0].flush_phase(1)
         assert transport.pending(1) == 0
 
     def test_unopt_messages_carry_global_ids(self, small_rmat):
@@ -93,7 +101,7 @@ class TestMemoizedModes:
         dirty = np.zeros(sub.num_local_nodes, dtype=bool)
         dirty[mirrors[0]] = True
         sub.stage_reduce(0, fields[0], dirty)
-        messages = peek_messages(transport, 1)
+        messages = peek_messages(sub, transport, 1)
         assert len(messages) == 1
         assert messages[0].mode is MetadataMode.GLOBAL_IDS
         expected_gid = sub.partition.to_global(int(mirrors[0]))

@@ -1,86 +1,40 @@
-"""Cross-field message aggregation: equivalence, reduction, accounting.
+"""Cross-field message aggregation: reduction, accounting, drain guard.
 
-The channel layer must be invisible to the application: aggregated and
-``--no-aggregation`` runs produce bitwise-identical results for every
-app x policy x optimization level, while the aggregated wire carries a
-fraction of the messages (one framed buffer per peer per phase instead
-of one message per field, peer, and phase).
+One framed buffer per peer per phase replaces one message per field,
+peer, and phase; the per-field wire it replaces is derived from a traced
+aggregated run (:func:`repro.analysis.experiments.per_field_rounds`,
+pinned by ``test_per_field_ablation.py``).
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import per_field_rounds
 from repro.core.optimization import OptimizationLevel
 from repro.errors import TransportError
 from repro.graph.generators import rmat
 from repro.observability import Observability
+from repro.observability.metrics import NULL_METRICS
 from repro.resilience import FaultPlan, ResilienceConfig
 from repro.systems import run_app
 from tests.conftest import sync_one_field
 
 EDGES = rmat(scale=8, edge_factor=6, seed=13)
 
-RESULT_KEY = {
-    "bfs": "dist",
-    "sssp": "dist",
-    "cc": "label",
-    "pr": "rank",
-    "pr-push": "rank",
-    "kcore": "alive",
-    "bc": "delta",
-}
-
-
-def answer(result, app):
-    executor = result.executor
-    return executor.app.gather_master_values(
-        executor.partitioned.partitions, executor.states, RESULT_KEY[app]
-    )
-
 
 def run_pair(app, policy="cvc", level=None, num_hosts=4):
-    kwargs = dict(num_hosts=num_hosts, policy=policy, level=level)
-    aggregated = run_app("d-galois", app, EDGES, **kwargs)
-    ablated = run_app(
-        "d-galois", app, EDGES, aggregate_comm=False, **kwargs
+    """An aggregated run's rounds beside the per-field wire derived from it:
+    ``(messages, comm_time)`` per round, each."""
+    result = run_app(
+        "d-galois", app, EDGES, num_hosts=num_hosts, policy=policy, level=level,
+        observability=Observability(metrics=NULL_METRICS),
     )
-    return aggregated, ablated
-
-
-class TestBitwiseEquivalence:
-    @pytest.mark.parametrize("app", sorted(RESULT_KEY))
-    @pytest.mark.parametrize("policy", ["oec", "cvc"])
-    @pytest.mark.parametrize(
-        "level", [OptimizationLevel.UNOPT, OptimizationLevel.OSTI]
-    )
-    def test_apps_identical_across_policies_and_levels(
-        self, app, policy, level
-    ):
-        aggregated, ablated = run_pair(app, policy=policy, level=level)
-        # Bitwise: no rounding — the channel layer must not perturb a
-        # single bit of any app's answer.
-        assert np.array_equal(answer(aggregated, app), answer(ablated, app))
-        assert aggregated.num_rounds == ablated.num_rounds
-        assert aggregated.converged and ablated.converged
-
-    @pytest.mark.parametrize(
-        "policy", ["oec", "iec", "cvc", "hvc", "jagged"]
-    )
-    @pytest.mark.parametrize("level", list(OptimizationLevel))
-    def test_full_policy_level_grid_on_sssp(self, policy, level):
-        aggregated, ablated = run_pair("sssp", policy=policy, level=level)
-        assert np.array_equal(
-            answer(aggregated, "sssp"), answer(ablated, "sssp")
-        )
-
-    def test_byte_payloads_identical_modulo_framing(self):
-        """Per-round sub-message bytes differ only by the frame headers."""
-        aggregated, ablated = run_pair("bfs")
-        assert len(aggregated.rounds) == len(ablated.rounds)
-        for agg_round, abl_round in zip(aggregated.rounds, ablated.rounds):
-            # Aggregation never sends more messages, and each aggregated
-            # message costs exactly one frame header over its payloads.
-            assert agg_round.comm_messages <= abl_round.comm_messages
+    aggregated = [(r.comm_messages, r.comm_time) for r in result.rounds]
+    per_field = [
+        (traffic.num_messages, comm_time)
+        for traffic, comm_time in per_field_rounds(result)
+    ]
+    return aggregated, per_field
 
 
 class TestMessageReduction:
@@ -91,31 +45,29 @@ class TestMessageReduction:
         message parity; every round must land on one of the two exact
         ratios, and the two-field rounds must exist.
         """
-        aggregated, ablated = run_pair("bc")
-        assert len(aggregated.rounds) == len(ablated.rounds)
+        aggregated, per_field = run_pair("bc")
+        assert len(aggregated) == len(per_field)
         two_field_pairs = []
-        for agg_round, abl_round in zip(aggregated.rounds, ablated.rounds):
-            if abl_round.comm_messages == agg_round.comm_messages:
+        for agg_round, field_round in zip(aggregated, per_field):
+            if field_round[0] == agg_round[0]:
                 continue  # single-field (backward) round: parity
-            assert abl_round.comm_messages == 2 * agg_round.comm_messages
-            two_field_pairs.append((agg_round, abl_round))
+            assert field_round[0] == 2 * agg_round[0]
+            two_field_pairs.append((agg_round, field_round))
         assert two_field_pairs, "bc never hit a two-field round"
-        agg_messages = sum(a.comm_messages for a, _ in two_field_pairs)
-        abl_messages = sum(b.comm_messages for _, b in two_field_pairs)
+        agg_messages = sum(a[0] for a, _ in two_field_pairs)
+        field_messages = sum(b[0] for _, b in two_field_pairs)
         assert agg_messages > 0
-        assert abl_messages / agg_messages >= 2.0
+        assert field_messages / agg_messages >= 2.0
         # Fewer messages means less per-message alpha cost: the
         # two-field sweep's simulated communication time must improve.
-        agg_time = sum(a.comm_time for a, _ in two_field_pairs)
-        abl_time = sum(b.comm_time for _, b in two_field_pairs)
-        assert agg_time < abl_time
+        agg_time = sum(a[1] for a, _ in two_field_pairs)
+        field_time = sum(b[1] for _, b in two_field_pairs)
+        assert agg_time < field_time
 
     def test_single_field_app_message_parity(self):
         """With one field there is nothing to aggregate: same count."""
-        aggregated, ablated = run_pair("bfs", level=OptimizationLevel.OSTI)
-        assert sum(r.comm_messages for r in aggregated.rounds) == sum(
-            r.comm_messages for r in ablated.rounds
-        )
+        aggregated, per_field = run_pair("bfs", level=OptimizationLevel.OSTI)
+        assert [r[0] for r in aggregated] == [r[0] for r in per_field]
 
 
 class TestAccounting:
@@ -156,14 +108,6 @@ class TestAccounting:
             == transport.stats.total_bytes
         )
 
-    def test_no_aggregation_run_never_flushes_channels(self):
-        obs = Observability()
-        run_app(
-            "d-galois", "bfs", EDGES, num_hosts=4, policy="cvc",
-            observability=obs, aggregate_comm=False,
-        )
-        assert obs.metrics.counter_total("channel_flushes_total") == 0
-
 
 class TestDrainGuard:
     def test_round_close_detects_unflushed_channel(self):
@@ -179,7 +123,7 @@ class TestDrainGuard:
             # round's final call is past every flush of both phases.
             flushes.append(host)
             if len(flushes) == 2 * len(parts):
-                substrate.plane.stage(substrate.plan.peer_order[0], 0, b"\x00\x01")
+                substrate.plane.stage_all(0, substrate.plan.peer_order[:1], [b"\x00\x01"])
 
         with pytest.raises(TransportError, match="un-flushed channel"):
             sync_one_field(

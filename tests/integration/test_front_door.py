@@ -14,7 +14,7 @@ from dataclasses import fields
 import pytest
 
 from repro import cli
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, JobSpecError
 from repro.graph.generators import rmat
 from repro.options import PLAN_KEYWORDS
 from repro.resilience import ResilienceConfig
@@ -177,12 +177,10 @@ def test_run_options_are_run_app_keywords():
 WIDE_JOB = {
     "app": "featprop", "workload": "rmat22s", "hosts": HOSTS, "policy": "iec",
     "feature_dim": 16, "feature_rounds": 4, "compression": "delta",
-    "aggregate_comm": False,
 }
 WIDE_FLAGS = [
     "--app", "featprop", "--workload", "rmat22s", "--hosts", str(HOSTS), "--policy", "iec",
     "--feature-dim", "16", "--feature-rounds", "4", "--compression", "delta",
-    "--no-aggregation",
 ]
 JOB_KEYS = ("rounds", "comm_bytes", "construction_bytes", "sim_time_s", "digest")
 
@@ -242,7 +240,7 @@ def test_placement_never_enters_the_hash_and_new_options_only_when_set():
     assert placed.content_hash() == plain.content_hash()
     for option, value in [
         ("feature_dim", 16), ("feature_rounds", 4), ("compression", "delta"),
-        ("aggregate_comm", False), ("sanitize", True),
+        ("sanitize", True),
     ]:
         changed = JobSpec(app="featprop", workload="rmat22s", **{option: value})
         assert changed.content_hash() != plain.content_hash(), option
@@ -256,8 +254,7 @@ def test_a_spec_with_every_option_set_round_trips():
         partition_seed=3, tolerance=1e-9, max_iterations=40, k=3,
         inject_fault="drop:0.02", fault_seed=11, checkpoint_every=2,
         recovery="confined", feature_dim=16, feature_rounds=4, compression="delta",
-        aggregate_comm=False, sanitize=True, runtime="simulated", workers=None,
-        priority=9, max_attempts=4,
+        sanitize=True, runtime="simulated", workers=None, priority=9, max_attempts=4,
     )
     unset = [f.name for f in fields(JobSpec) if getattr(spec, f.name) == f.default]
     assert unset == ["runtime", "workers"]  # placement: covered with --runtime process below
@@ -316,6 +313,22 @@ def test_options_are_declared_once():
         assert (prepare.get(name) or executor[name]).default == defaults[name], name
     with pytest.raises(TypeError, match="unknown run option.*polcy"):
         run_app("d-galois", "bfs", rmat(4, 4, 1), 1, polcy="oec")
+
+
+def test_the_removed_aggregation_ablation_fails_by_name_at_every_door(capsys):
+    """The per-field wire is derived from a traced run now
+    (``repro experiment aggregation``); its old option is refused by name."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([
+            "run", "--system", "d-galois", "--app", "bfs", "--workload", "rmat22s",
+            "--no-aggregation",
+        ])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-aggregation" in capsys.readouterr().err
+    with pytest.raises(JobSpecError, match=r"unknown job field\(s\): aggregate_comm"):
+        JobSpec.from_dict({"app": "bfs", "workload": "rmat22s", "aggregate_comm": False})
+    with pytest.raises(TypeError, match=r"unknown run option\(s\): aggregate_comm"):
+        run_app("d-galois", "bfs", rmat(4, 4, 1), 1, aggregate_comm=False)
 
 
 def test_a_result_cached_by_the_parent_commit_is_still_a_hit(graph, tmp_path, capsys):

@@ -60,7 +60,6 @@ VALUES = {
     "feature_dim": 16,
     "feature_rounds": 4,
     "compression": "delta",
-    "aggregate_comm": False,
     "sanitize": True,
     "workers": 2,
 }

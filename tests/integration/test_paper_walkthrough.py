@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps import make_app
 from repro.apps.base import AppContext
+from repro.comm.frame import decode_frame
 from repro.core.metadata import MetadataMode
 from repro.core.optimization import OptimizationLevel
 from repro.core.serialization import decode_message
@@ -150,7 +151,8 @@ class TestFigure7:
             # h2 mirrors no node of h1: the round's only message is h1's
             # reduce message to h2.
             assert [(src, dst) for src, dst, _ in transport.sent] == [(0, 1)]
-            return transport.sent[0][2]
+            (message,) = decode_frame(transport.sent[0][2])  # one field slot
+            return message
 
         # Round 1: h1 reaches B and F — nothing shared with h2 updates,
         # so the reduce message to h2 is EMPTY.

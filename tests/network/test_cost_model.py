@@ -8,7 +8,6 @@ from repro.network.cost_model import (
     CostModel,
     NetworkParameters,
 )
-from repro.network.stats import RoundTraffic
 
 
 class TestNetworkParameters:
@@ -39,25 +38,3 @@ class TestMessageTime:
         model = CostModel()
         assert model.message_time(1000) > model.message_time(10)
 
-
-class TestRoundTime:
-    def test_critical_path_is_busiest_host(self):
-        model = CostModel(
-            NetworkParameters("t", latency_s=0.0, bandwidth_bytes_per_s=1.0)
-        )
-        # Host 0 sends 10 and receives 1; host 1 receives 10 and sends 1.
-        traffic = RoundTraffic(messages=[(0, 1, 10), (1, 0, 1)])
-        assert model.round_time(traffic, 2) == pytest.approx(11.0)
-
-    def test_empty_round(self):
-        model = CostModel()
-        assert model.round_time(RoundTraffic(), 2) == 0.0
-
-    def test_concentration_costs_more_than_spread(self):
-        """The same bytes on one pair cost more than spread over pairs."""
-        model = CostModel(
-            NetworkParameters("t", latency_s=0.0, bandwidth_bytes_per_s=1.0)
-        )
-        concentrated = RoundTraffic(messages=[(0, 1, 30)])
-        spread = RoundTraffic(messages=[(0, 1, 10), (2, 3, 10), (4, 5, 10)])
-        assert model.round_time(concentrated, 6) > model.round_time(spread, 6)

@@ -88,6 +88,15 @@ class TestChromeTraceSchema:
             "framing:reduce", "framing:broadcast",
         }
 
+    def test_staged_sub_messages_stay_off_the_timeline(self, traced_run, trace_doc):
+        """A phase span's ``staged`` list feeds the derived aggregation
+        ablation; the exported file carries its count only."""
+        _, obs = traced_run
+        assert all("staged" in s.tags for s in obs.tracer.spans_named("reduce:dist"))
+        phases = [e for e in trace_doc["traceEvents"] if e.get("cat") == "sync-phase"]
+        assert all("staged" not in e["args"] for e in phases)
+        assert any(e["args"].get("messages") for e in phases)
+
     def test_spans_tagged_with_run_identity(self, trace_doc):
         round_events = [
             e for e in trace_doc["traceEvents"] if e["name"] == "round"

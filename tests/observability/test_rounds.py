@@ -33,6 +33,7 @@ def hand_made_round(phase_records=None):
         comm_time=2.0,
         traffic=RoundTraffic(messages=reduce_msgs + broadcast_msgs),
         phase_records=phase_records,
+        translation_deltas={1: 5},
         active=7,
         fault_bytes=0,
         residual_sum=None,
@@ -104,6 +105,18 @@ class TestTraceRound:
         broadcast_spans = tracer.spans_named("broadcast:dist")
         assert [s.tags["bytes"] for s in broadcast_spans] == [200, 0, 0]
         assert [s.tags["messages"] for s in broadcast_spans] == [2, 0, 0]
+
+    def test_spans_keep_what_pricing_the_round_needs(self):
+        """Each host's staged sub-messages and its translations: the
+        per-field wire is derived from exactly these."""
+        tracer = traced(hand_made_round())
+        assert [s.tags["translations"] for s in tracer.spans_named("sync")] == [0, 5, 0]
+        assert [s.tags["staged"] for s in tracer.spans_named("reduce:dist")] == [
+            [], [(0, 100)], [(0, 300)],
+        ]
+        assert [s.tags["staged"] for s in tracer.spans_named("broadcast:dist")] == [
+            [(1, 150), (2, 50)], [], [],
+        ]
 
     def test_serialize_and_apply_split_each_phase_by_wall_ratio(self):
         tracer = traced(hand_made_round())

@@ -118,22 +118,6 @@ class TestBitwiseIdentity:
         )
         assert_identical(sim, proc, "dist")
 
-    def test_per_field_comm_mode(self, tiny_edges):
-        """--no-aggregation composes with --runtime process."""
-        sim = run_app(
-            "d-galois", "bfs", tiny_edges, num_hosts=4, aggregate_comm=False
-        )
-        proc = run_app(
-            "d-galois",
-            "bfs",
-            tiny_edges,
-            num_hosts=4,
-            aggregate_comm=False,
-            runtime="process",
-            workers=2,
-        )
-        assert_identical(sim, proc, "dist")
-
     def test_other_engines(self, tiny_edges):
         for system in ("d-ligra", "d-hybrid"):
             sim = run_app(system, "bfs", tiny_edges, num_hosts=4)

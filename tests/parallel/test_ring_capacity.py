@@ -120,11 +120,13 @@ def observed_and_bound(monkeypatch, app, edges, **job):
         }
 
 
-@pytest.mark.parametrize("aggregate", [True, False], ids=["aggregated", "per-field"])
-@pytest.mark.parametrize("level", ["unopt", "osti"])
+#: All four levels: OSI ships global ids through mirror-to-master sync
+#: plans, OTI memoized ids through all-proxy ones — each mixes the
+#: bound's two terms differently from UNOPT and OSTI.
+@pytest.mark.parametrize("level", ["unopt", "osi", "oti", "osti"])
 class TestEveryFrameOfARun:
-    def check(self, monkeypatch, app, edges, level, aggregate, **job):
-        job.update(level=OptimizationLevel.from_name(level), aggregate_comm=aggregate)
+    def check(self, monkeypatch, app, edges, level, **job):
+        job.update(level=OptimizationLevel.from_name(level))
         pairs = 0
         for ex, seen, bound in observed_and_bound(monkeypatch, app, edges, **job):
             for pair, sizes in seen.items():
@@ -135,21 +137,21 @@ class TestEveryFrameOfARun:
 
     @pytest.mark.parametrize("app", SCALAR_APPS)
     @pytest.mark.parametrize("policy", ["oec", "cvc"])
-    def test_scalar_apps(self, monkeypatch, small_rmat, app, policy, level, aggregate):
-        self.check(monkeypatch, app, small_rmat, level, aggregate, policy=policy)
+    def test_scalar_apps(self, monkeypatch, small_rmat, app, policy, level):
+        self.check(monkeypatch, app, small_rmat, level, policy=policy)
 
     @pytest.mark.parametrize("compression", ["none", "delta", "fp16"])
     @pytest.mark.parametrize("app", ["featprop", "featprop-mean"])
-    def test_wide_apps(self, monkeypatch, small_rmat, app, compression, level, aggregate):
+    def test_wide_apps(self, monkeypatch, small_rmat, app, compression, level):
         self.check(
-            monkeypatch, app, small_rmat, level, aggregate,
+            monkeypatch, app, small_rmat, level,
             policy="iec", compression=compression, **WIDE,
         )
 
-    def test_under_a_fault_plan(self, monkeypatch, small_rmat, level, aggregate):
+    def test_under_a_fault_plan(self, monkeypatch, small_rmat, level):
         """The fault layer's frames are its own 12 bytes larger."""
         ex = self.check(
-            monkeypatch, "pr", small_rmat, level, aggregate,
+            monkeypatch, "pr", small_rmat, level,
             policy="cvc", resilience=FAULTS,
         )
         assert ex.transport.faults.total_injected > 0
@@ -174,13 +176,12 @@ def test_the_bound_is_met_exactly_by_a_dense_run(monkeypatch, small_rmat):
 @pytest.mark.parametrize(
     "app, job",
     [
-        ("pr", dict(policy="cvc", level=OptimizationLevel.UNOPT, aggregate_comm=False)),
+        ("pr", dict(policy="cvc", level=OptimizationLevel.UNOPT)),
         ("pr", dict(policy="cvc", resilience=FAULTS)),
-        ("pr", dict(policy="cvc", resilience=FAULTS, aggregate_comm=False)),
         ("featprop", dict(policy="iec", compression="delta", resilience=FAULTS, **WIDE)),
         ("featprop", dict(policy="iec", compression="fp16", **WIDE)),
     ],
-    ids=["unopt-per-field", "faults", "faults-per-field", "delta-faults", "fp16"],
+    ids=["unopt", "faults", "delta-faults", "fp16"],
 )
 def test_the_process_runtime_fits_its_rings(small_rmat, app, job):
     """The coordinator's composition (framing, copies, two phases) is

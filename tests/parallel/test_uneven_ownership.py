@@ -31,7 +31,8 @@ pytestmark = [
 class TestFiveHosts:
     @pytest.mark.parametrize("workers", [2, 3, 5])
     @pytest.mark.parametrize(
-        "app, policy, key", [("pr", "oec", "rank"), ("cc", "cvc", "label")]
+        "app, policy, key",
+        [("pr", "oec", "rank"), ("cc", "cvc", "label"), ("bfs", "cvc", "dist")],
     )
     def test_bitwise_identity(self, small_rmat, app, policy, key, workers):
         job = dict(num_hosts=5, policy=policy)
@@ -41,14 +42,6 @@ class TestFiveHosts:
         )
         assert_identical(sim, proc, key)
         assert proc.mode_counts == sim.mode_counts
-
-    def test_per_field_comm_mode_over_three_workers(self, small_rmat):
-        job = dict(num_hosts=5, policy="cvc", aggregate_comm=False)
-        sim = run_app("d-galois", "bfs", small_rmat, **job)
-        proc = run_app(
-            "d-galois", "bfs", small_rmat, runtime="process", workers=3, **job
-        )
-        assert_identical(sim, proc, "dist")
 
 
 def test_a_single_host_cluster_runs_over_an_empty_fabric(monkeypatch, small_rmat):

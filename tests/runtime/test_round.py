@@ -1,5 +1,5 @@
 """The shared round body (``repro.runtime.round``): one collective for
-both runtimes, both flush granularities, recovery, and tracing."""
+both runtimes, recovery, and tracing."""
 
 import dataclasses
 import time
@@ -36,28 +36,23 @@ APPS = {
     reason="the process runtime needs a POSIX /dev/shm",
 )
 @pytest.mark.parametrize("app", sorted(APPS))
-def test_one_collective_across_runtimes_and_granularities(app):
+def test_one_collective_across_runtimes(app):
     key, options = APPS[app]
-    answers = []
-    for aggregate in (True, False):
-        runs = [
-            run_app(
-                "d-galois", app, EDGES, num_hosts=4, policy="cvc",
-                aggregate_comm=aggregate, **options, **runtime,
-            )
-            for runtime in ({}, {"runtime": "process", "workers": 2})
-        ]
-        simulated, process = runs
-        assert simulated.communication_volume == process.communication_volume
-        assert (
-            simulated.communication_messages == process.communication_messages
+    simulated, process = [
+        run_app(
+            "d-galois", app, EDGES, num_hosts=4, policy="cvc",
+            **options, **runtime,
         )
-        assert [r.comm_bytes for r in simulated.rounds] == [
-            r.comm_bytes for r in process.rounds
-        ]
-        answers.extend(run.executor.gather_result(key) for run in runs)
-    for answer in answers[1:]:
-        assert np.array_equal(answers[0], answer)
+        for runtime in ({}, {"runtime": "process", "workers": 2})
+    ]
+    assert simulated.communication_volume == process.communication_volume
+    assert simulated.communication_messages == process.communication_messages
+    assert [r.comm_bytes for r in simulated.rounds] == [
+        r.comm_bytes for r in process.rounds
+    ]
+    assert np.array_equal(
+        simulated.executor.gather_result(key), process.executor.gather_result(key)
+    )
 
 
 def test_confined_recovery_heals_through_the_shared_collective(monkeypatch):
@@ -140,7 +135,9 @@ def test_untraced_collective_never_reads_the_clock(monkeypatch):
     # The sink is what turns the clock (and the records) on.
     record = []
     sync_one_field(partitioned, subs, fields, dirty, record=record)
-    assert [label for label, *_ in record] == ["reduce:v", "broadcast:v"]
+    assert [label for label, *_ in record] == [
+        "reduce:v", "framing:reduce", "broadcast:v", "framing:broadcast",
+    ]
 
 
 def test_hook_returning_none_broadcasts_the_changed_masters():

@@ -72,3 +72,11 @@ class TestRoundCommunicationTime:
     def test_single_host_is_free(self):
         t = round_communication_time(RoundTraffic(), 1, self.model())
         assert t == 0.0
+
+    def test_concentration_costs_more_than_spread(self):
+        """The same bytes on one pair cost more than spread over pairs."""
+        concentrated = RoundTraffic(messages=[(0, 1, 30)])
+        spread = RoundTraffic(messages=[(0, 1, 10), (2, 3, 10), (4, 5, 10)])
+        assert round_communication_time(
+            concentrated, 6, self.model()
+        ) > round_communication_time(spread, 6, self.model())

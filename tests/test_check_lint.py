@@ -51,7 +51,7 @@ def codes(path, source):
         ),
         (
             "X003",
-            "EXECUTOR_OPTIONS = ('resilience', 'aggregate_comm', 'sanitize', 'runtime')\n",
+            "EXECUTOR_OPTIONS = ('resilience', 'compression', 'sanitize', 'runtime')\n",
             "ROW = {'app': 1, 'workload': 2, 'hosts': 3, 'policy': 4, 'rounds': 5}\n",
             "src/repro/options.py",
         ),

@@ -32,7 +32,7 @@ class TestParser:
             "table1", "table2", "table3", "table4", "table5",
             "fig8", "fig9", "fig10",
             "replication", "imbalance", "rounds", "metadata", "policies",
-            "resilience",
+            "resilience", "aggregation",
         }
         assert set(EXPERIMENTS) == expected
 
