@@ -41,7 +41,7 @@ class AppContext:
             class count for label propagation).
         feature_rounds: Aggregation rounds the feature apps run.
         compression: Payload compression mode the feature apps declare on
-            their wide fields (``none``/``delta``/``fp16``).
+            their wide fields (``delta``/``fp16``).
     """
 
     num_global_nodes: int
@@ -54,7 +54,7 @@ class AppContext:
     global_in_degree: Optional[np.ndarray] = None
     feature_dim: int = 8
     feature_rounds: int = 3
-    compression: str = "none"
+    compression: str = "delta"
 
 
 @dataclass

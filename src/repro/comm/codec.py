@@ -10,19 +10,22 @@ updated IDs, translation counts).  The per-message functions
 :func:`decode_field_payload`) are their one-peer, one-message cases.
 
 Wide (matrix-valued) fields reuse every metadata mode unchanged — counts
-and selections are per *row* — and add two per-field payload
-compressions (see :data:`~repro.core.sync_structures.COMPRESSION_MODES`):
+and selections are per *row* — and ship under one of two per-field
+payload compressions (see
+:data:`~repro.core.sync_structures.COMPRESSION_MODES`):
 
-* ``fp16`` downcasts float rows to half precision on encode; the decode
-  side hands the half-precision values to ``FieldSpec.reduce``/``set``,
-  which widen back to the field dtype.
-* ``delta`` ships, per row, a packed column bit-mask plus only the
-  changed columns.  Broadcast rows are masked against the sender's
-  last-committed broadcast (``FieldSpec.delta_state``); rows never
-  committed ship whole, so correctness never depends on receivers
-  sharing the sender's initial values.  Reduce rows are masked against
-  the reduction identity — stateless and lossless for any operator,
-  and it collapses the near-identity rows sparse aggregations produce.
+* ``delta`` (lossless) masks every row's changed columns; the encoder
+  then ships each message as whole rows or as a packed column bit-mask
+  per row plus only the masked columns, whichever is fewer bytes.
+  Broadcast rows are masked against the sender's last-committed
+  broadcast (``FieldSpec.delta_state``); rows never committed ship
+  whole, so correctness never depends on receivers sharing the sender's
+  initial values.  Reduce rows are masked against the reduction
+  identity — stateless and lossless for any operator, and it collapses
+  the near-identity rows sparse aggregations produce.
+* ``fp16`` downcasts float rows to half precision on encode and ships
+  them whole; the decode side hands the half-precision values to
+  ``FieldSpec.reduce``/``set``, which widen back to the field dtype.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def _wire_rows(
     field: FieldSpec, lids: np.ndarray, values: np.ndarray, broadcast: bool
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Apply the field's payload compression to extracted rows: returns
-    ``(wire_values, delta_mask)``."""
+    ``(wire_values, delta_mask)``, the mask ``None`` for a 1-D or fp16
+    field."""
     if field.compression == "fp16":
         with np.errstate(over="ignore"):
             halved = values.astype(np.float16)
@@ -81,19 +85,18 @@ def _wire_rows(
                 f"field {field.name!r}: fp16 compression overflows — "
                 f"magnitude {np.abs(values[overflowed]).max():g} exceeds "
                 f"the float16 range (max {np.finfo(np.float16).max:g}); "
-                "use compression 'delta' or 'none'"
+                "use compression 'delta'"
             )
         return halved, None
-    if field.compression == "delta":
-        if broadcast:
-            cached, sent = field.delta_state(lids)
-            mask = values != cached
-            mask[~sent] = True  # never-committed rows ship whole
-        else:
-            identity = field.reduce_op.identity(field.dtype)
-            mask = values != identity
-        return values, mask
-    return values, None
+    if not field.ships_delta:
+        return values, None
+    if broadcast:
+        cached, sent = field.delta_state(lids)
+        mask = values != cached
+        mask[~sent] = True  # never-committed rows ship whole
+    else:
+        mask = values != field.reduce_op.identity(field.dtype)
+    return values, mask
 
 
 def encode_sends(
@@ -193,15 +196,7 @@ def _reconstruct_delta(
     """Rebuild full rows from a delta-compressed value section: unshipped
     columns come from the receiver's broadcast copy (equal to the
     sender's committed cache by the delta contract) or, on reduce, the
-    reduction identity (lossless for any operator).
-
-    The decoder has checked that ``values`` holds exactly one value per
-    set bit of ``mask``, so a section as large as the mask ships every
-    column: it is the rows themselves, returned as a read-only view into
-    the frame (the apply copies them out before the frame is reused).
-    """
-    if values.size == mask.size:
-        return values.reshape(mask.shape)
+    reduction identity (lossless for any operator)."""
     if broadcast:
         base = np.asarray(field.broadcast_values[lids])
     else:

@@ -29,7 +29,9 @@ the mode byte (the low 6 bits remain the mode tag):
   per shipped row a packed column bit-mask (``ceil(d / 8)`` bytes), then
   only the masked column values, row-major.  The receiver reconstructs
   unmasked columns from its own copy (broadcast) or the reduction
-  identity (reduce); see :mod:`repro.comm.codec`.
+  identity (reduce); see :mod:`repro.comm.codec`.  The encoder sets it
+  on a message only when that form is strictly fewer bytes than the
+  plain rows.
 
 The resilience subsystem additionally wraps each message in an integrity
 *frame* (see :func:`frame_payload`): a u64 sequence number plus a CRC-32
@@ -161,14 +163,16 @@ def encode_messages(
     """Encode one message per entry of ``modes``, all in one pass.
 
     Message ``i`` ships the rows ``values[rows[i]:rows[i + 1]]`` (scalar:
-    1-D; wide: (rows, ``width``)), only their columns set in
-    ``delta_mask`` when delta-compressed.  INDICES and GLOBAL_IDS name
+    1-D; wide: (rows, ``width``)).  With a ``delta_mask`` it ships only
+    their columns set in the mask, as DELTA, when that form (a packed
+    mask per row plus the shipped cells) is strictly fewer bytes than the
+    rows themselves; a tie ships the rows.  INDICES and GLOBAL_IDS name
     them by ``ids`` over the same rows (positions or global IDs, any
     integer dtype); BITVEC packs its agreed array's update bits,
     ``bits[agreed[i]:agreed[i + 1]]``.  EMPTY is the constant
-    :func:`empty_message`.  The checks and the mask packing run once per
-    pass; a message then costs a slice of its rows, plus a gather of its
-    shipped cells only when some row leaves a column out.
+    :func:`empty_message`.  The checks and the cell counts run once per
+    pass; a message then costs a slice of its rows, or the packing of its
+    mask and a gather of its cells when it ships as DELTA.
     """
     if not values.flags.c_contiguous:
         values = np.ascontiguousarray(values)
@@ -177,7 +181,6 @@ def encode_messages(
         code = dtype_code(values.dtype)  # raises, naming the dtype
     empty = bytes((_EMPTY_TAG, code))
     wide = width > 1
-    flags = 0
     if wide:
         if width >= 1 << 16:
             raise SerializationError(f"row width {width} out of u16 range")
@@ -186,16 +189,24 @@ def encode_messages(
                 f"wide message: values shape {values.shape} does not match "
                 f"width {width}"
             )
-        flags = _FLAG_WIDE if delta_mask is None else _FLAG_WIDE | _FLAG_DELTA
     elif delta_mask is not None:
         raise SerializationError("delta compression requires a wide message")
+    as_delta = [False] * len(modes)
     if delta_mask is not None:
         if delta_mask.shape != values.shape:
             raise SerializationError(
                 f"delta mask shape {delta_mask.shape} does not match values "
                 f"shape {values.shape}"
             )
-        packed = np.packbits(delta_mask, axis=1)
+        # Per message: rows * mask bytes + cells * itemsize < rows * row bytes.
+        bounds = np.asarray(rows, dtype=np.intp)
+        cells = np.zeros(len(values) + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(delta_mask, axis=1), out=cells[1:])
+        saved = width * values.itemsize - _mask_bytes_per_row(width)
+        as_delta = (
+            (cells[bounds[1:]] - cells[bounds[:-1]]) * values.itemsize
+            < np.diff(bounds) * saved
+        ).tolist()
     if ids is not None and ids.dtype != _U32:
         ids = ids.astype(_U32)
     messages = []
@@ -220,18 +231,16 @@ def encode_messages(
             metadata = b""
         else:
             raise SerializationError(f"unknown mode {mode!r}")
-        if wide:
-            head = _WIDE_HEAD.pack(mode | flags, code, width, count)
-        else:
-            head = _SCALAR_HEAD.pack(mode | flags, code, count)
         seg = values[start:end]
-        if delta_mask is None:
-            messages.append(b"".join((head, metadata, seg)))
-        else:
-            # Rows shipped in every column are their own value section.
+        if not wide:
+            parts = (_SCALAR_HEAD.pack(mode, code, count), metadata, seg)
+        elif as_delta[i]:
             segmask = delta_mask[start:end]
-            shipped = seg if segmask.all() else seg[segmask]
-            messages.append(b"".join((head, metadata, packed[start:end], shipped)))
+            head = _WIDE_HEAD.pack(mode | _FLAG_WIDE | _FLAG_DELTA, code, width, count)
+            parts = (head, metadata, np.packbits(segmask, axis=1), seg[segmask])
+        else:
+            parts = (_WIDE_HEAD.pack(mode | _FLAG_WIDE, code, width, count), metadata, seg)
+        messages.append(b"".join(parts))
     return messages
 
 
@@ -268,26 +277,19 @@ def encode_message(
 
 
 def max_message_bytes(
-    num_agreed: int,
-    value_size: int,
-    width: int = 0,
-    *,
-    delta: bool = False,
-    global_ids: bool = False,
+    num_agreed: int, value_size: int, width: int = 0, *, global_ids: bool = False
 ) -> int:
     """The largest :func:`encode_message` output for one agreed array.
 
     Closed form over every update set of ``num_agreed`` proxies of
-    ``value_size``-byte rows: the head plus, per proxy, its row, its
-    packed column mask (``delta``) and its u32 global ID (``global_ids``).
-    With memoization FULL is the bound (the smallest mode never exceeds
-    it), met exactly without ``delta``.  The process runtime's rings are
-    sized from this.
+    ``value_size``-byte rows: the head plus, per proxy, its row and its
+    u32 global ID (``global_ids``).  With memoization FULL is the bound
+    (the smallest mode never exceeds it, and a DELTA message is smaller
+    than its rows), met exactly by FULL rows.  The process runtime's
+    rings are sized from this.
     """
     head = _WIDE_HEAD.size if width > 1 else _SCALAR_HEAD.size
     per_row = value_size
-    if delta:
-        per_row += _mask_bytes_per_row(width)
     if global_ids:
         per_row += _U32.itemsize
     return head + num_agreed * per_row

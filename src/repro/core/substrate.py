@@ -220,9 +220,10 @@ class GluonSubstrate:
         field whose ``sync_phases`` excludes ``"broadcast"`` stages nothing)."""
         staged = self._stage(field_index, field, dirty, "broadcast")
         # Delta senders commit the dirty rows only after every peer's
-        # payload is encoded: all sharing peers received exactly these
-        # rows this phase, so the cache matches every receiver's copy.
-        if field.compression == "delta" and "broadcast" in field.sync_phases:
+        # payload is encoded, whichever form each took: all sharing peers
+        # received exactly these rows this phase, so the cache matches
+        # every receiver's copy.
+        if field.ships_delta and "broadcast" in field.sync_phases:
             field.commit_broadcast(np.flatnonzero(dirty))
         return staged
 
@@ -306,7 +307,6 @@ class GluonSubstrate:
                 for peer, agreed in entry.sends[phase]:
                     frames[peer] = frames.get(peer, header) + max_message_bytes(
                         len(agreed), spec.value_size, spec.width,
-                        delta=spec.compression == "delta",
                         global_ids=not self.level.temporal,
                     )
             for peer, size in frames.items():

@@ -27,14 +27,15 @@ from repro.errors import SyncError
 
 #: Per-field payload compression modes understood by the comm codec.
 #:
-#: * ``none`` — values ship verbatim (the only mode for 1-D fields).
-#: * ``delta`` — broadcast rows ship as (column mask, changed columns)
-#:   against the sender's last-committed broadcast of that row; reduce
-#:   rows ship against the reduction identity.  Lossless.
+#: * ``delta`` (the default) — lossless.  Each wide message ships as
+#:   whole rows or as (column mask, changed columns), whichever is fewer
+#:   bytes: broadcast rows against the sender's last-committed broadcast
+#:   of that row, reduce rows against the reduction identity.  A 1-D
+#:   field's values ship verbatim (its metadata modes are its delta).
 #: * ``fp16`` — float rows are quantized to IEEE half precision on the
-#:   wire and widened back on receipt.  Lossy; see DESIGN §14 for the
-#:   documented tolerance.
-COMPRESSION_MODES = ("none", "delta", "fp16")
+#:   wire and widened back on receipt, always as whole rows.  Lossy; see
+#:   DESIGN §14 for the documented tolerance.
+COMPRESSION_MODES = ("delta", "fp16")
 
 
 @dataclass(frozen=True)
@@ -164,10 +165,10 @@ class FieldSpec:
             the source and reads at the destination; the default is the
             push/pull source->destination flow of §3.2.
         compression: Payload compression mode for the wire bytes —
-            one of :data:`COMPRESSION_MODES`.  ``delta`` and ``fp16``
-            require a 2-D (n, d) field; ``delta`` additionally requires
-            that mirror copies of the broadcast array are only written by
-            the sync itself (the same contract GL201 checks), because the
+            one of :data:`COMPRESSION_MODES`.  ``fp16`` requires a 2-D
+            (n, d) float field.  Under ``delta`` a wide field's mirror
+            copies of the broadcast array must only be written by the
+            sync itself (the same contract GL201 checks), because the
             receiver reconstructs unsent columns from its own copy.
     """
 
@@ -180,7 +181,7 @@ class FieldSpec:
     ] = None
     writes: frozenset = frozenset({"destination"})
     reads: frozenset = frozenset({"source"})
-    compression: str = "none"
+    compression: str = "delta"
     #: Which synchronization phases this wire ships.  The dataflow
     #: analyzer's GL301 proof (``compile_program(optimize=True)``) drops
     #: a phase that is dead under the resolved partitioning strategy —
@@ -230,17 +231,12 @@ class FieldSpec:
                 f"field {self.name!r}: unknown compression "
                 f"{self.compression!r} (expected one of {COMPRESSION_MODES})"
             )
-        if self.compression != "none" and self.values.ndim != 2:
-            raise SyncError(
-                f"field {self.name!r}: compression {self.compression!r} "
-                "requires a 2-D (n, d) field"
-            )
-        if self.compression == "fp16" and not np.issubdtype(
-            self.values.dtype, np.floating
+        if self.compression == "fp16" and (
+            self.values.ndim != 2 or not np.issubdtype(self.values.dtype, np.floating)
         ):
             raise SyncError(
-                f"field {self.name!r}: fp16 compression requires a float "
-                f"dtype, not {self.values.dtype}"
+                f"field {self.name!r}: fp16 compression requires a 2-D (n, d) "
+                f"float field, not {self.values.ndim}-D {self.values.dtype}"
             )
         self.writes = frozenset(self.writes)
         self.reads = frozenset(self.reads)
@@ -279,6 +275,12 @@ class FieldSpec:
         """Bytes one node's value occupies on the wire (whole row if 2-D)."""
         return int(self.wire_dtype.itemsize) * self.width
 
+    @property
+    def ships_delta(self) -> bool:
+        """Whether a message may ship as a delta (every lossless wide
+        field): its sender then keeps the last-committed broadcast rows."""
+        return self.values.ndim == 2 and self.compression != "fp16"
+
     # -- delta-compression sender state ---------------------------------------
 
     def delta_state(self, local_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -304,7 +306,7 @@ class FieldSpec:
         here — other peers' BITVEC/INDICES payloads skipped them, and the
         cache must stay consistent with what every receiver holds.
         """
-        if self.compression != "delta" or len(local_ids) == 0:
+        if not self.ships_delta or len(local_ids) == 0:
             return
         if self._delta_cache is None:
             self._delta_cache = np.zeros_like(self.broadcast_values)

@@ -180,12 +180,12 @@ class JobSpec:
         help="feature apps: aggregation rounds to run (default: {default})",
     )
     compression: str = option(
-        "none", feeds="input", hashed="non-default", wire=True,
+        "delta", feeds="input", hashed="non-default", wire=True,
         choices=sorted(COMPRESSION_MODES),
-        help="wide-payload wire compression for feature apps: 'none', 'delta' (ship "
-        "only changed row columns vs the last broadcast), or 'fp16' (lossy float16 "
-        "quantization with a documented error bound; small magnitudes only — a value "
-        "past the float16 range is a SyncError)",
+        help="wide-payload wire compression for feature apps: 'delta' (lossless: each "
+        "message ships whole rows or only the changed row columns, whichever is fewer "
+        "bytes; default) or 'fp16' (lossy float16 quantization with a documented error "
+        "bound; small magnitudes only — a value past the float16 range is a SyncError)",
     )
     sanitize: bool = option(
         False, feeds="executor", hashed="non-default",

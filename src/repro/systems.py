@@ -119,7 +119,7 @@ def prepare_input(
     k: int = 2,
     feature_dim: int = 8,
     feature_rounds: int = 3,
-    compression: str = "none",
+    compression: str = "delta",
 ) -> PreparedInput:
     """Apply the app's input requirements (weights, symmetry) and build ctx.
 

@@ -108,12 +108,12 @@ def test_compression_rows_smoke():
     rows = compression_rows(scale_delta=-5, hosts=4)
     format_table(rows)
     assert [(row["d"], row["compression"]) for row in rows] == [
-        (d, mode) for d in (8, 32, 128) for mode in ("none", "delta", "fp16")
+        (d, mode) for d in (8, 32, 128) for mode in ("rows-only", "delta", "fp16")
     ]
     for row in rows:
         assert row["bitwise_identical"] is True
         assert row["total_bytes"] > 0
-        assert row["cut_vs_dense"] >= 1.0
+        assert row["cut_vs_rows"] >= 1.0
 
 
 def test_incremental_rows_smoke():

@@ -2,14 +2,16 @@
 
 The three SpMM-style apps are built on exact (dyadic / integer-valued)
 arithmetic, so their results must be *bitwise* identical across host
-counts, partition policies, runtimes, and the lossless compression
-modes.  fp16 is the one lossy mode; its error must stay within the
-documented :func:`repro.features.fp16_tolerance` bound.
+counts, partition policies and runtimes on the lossless wire (whose
+messages ship as rows or as deltas, whichever is fewer bytes).  fp16 is
+the one lossy mode; its error must stay within the documented
+:func:`repro.features.fp16_tolerance` bound.
 """
 
 import numpy as np
 import pytest
 
+from benchmarks.test_extension_compression import run_pricing_rows
 from repro.apps import make_app
 from repro.engines import make_engine
 from repro.errors import SyncError
@@ -28,15 +30,18 @@ from repro.verify import verify_run
 POLICIES = ["oec", "iec", "cvc", "hvc", "jagged", "random"]
 DIM, ROUNDS = 8, 3
 
+#: Row widths of the exactness cases.  At 8 a row's delta mask is one
+#: whole byte; at 13 it is two bytes with three padding bits, and the
+#: mask's share of a delta message (the rows-or-delta trade-off) differs.
+DIMS = [DIM, 13]
+
 EDGES = rmat(scale=6, edge_factor=4, seed=3)
 
 
-def run(app, *, hosts=4, policy="cvc", compression="none", dim=DIM,
-        rounds=ROUNDS, **kwargs):
+def run(app, *, hosts=4, policy="cvc", dim=DIM, rounds=ROUNDS, **kwargs):
     return run_app(
         "d-galois", app, EDGES, num_hosts=hosts, policy=policy,
-        feature_dim=dim, feature_rounds=rounds, compression=compression,
-        **kwargs,
+        feature_dim=dim, feature_rounds=rounds, **kwargs,
     )
 
 
@@ -45,43 +50,43 @@ def gather(result, key):
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("compression", ["none", "delta"])
+    @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_featprop(self, policy, compression):
-        expected = featprop_features(EDGES, DIM, ROUNDS)
-        result = run("featprop", policy=policy, compression=compression)
+    def test_featprop(self, policy, dim):
+        expected = featprop_features(EDGES, dim, ROUNDS)
+        result = run("featprop", policy=policy, dim=dim)
         assert np.array_equal(gather(result, "feat"), expected)
 
-    @pytest.mark.parametrize("compression", ["none", "delta"])
+    @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("policy", ["cvc", "jagged"])
-    def test_featprop_mean(self, policy, compression):
-        expected = featprop_features(EDGES, DIM, ROUNDS, mean=True)
-        result = run("featprop-mean", policy=policy, compression=compression)
+    def test_featprop_mean(self, policy, dim):
+        expected = featprop_features(EDGES, dim, ROUNDS, mean=True)
+        result = run("featprop-mean", policy=policy, dim=dim)
         # pow2 normalization divides by powers of two: dyadic-exact, so
         # the mean variant is held to bitwise equality too.
         assert np.array_equal(gather(result, "feat"), expected)
 
-    @pytest.mark.parametrize("compression", ["none", "delta"])
+    @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_labelprop(self, policy, compression):
-        expected = labelprop_labels(EDGES, DIM, ROUNDS)
-        result = run("labelprop", policy=policy, compression=compression)
+    def test_labelprop(self, policy, dim):
+        expected = labelprop_labels(EDGES, dim, ROUNDS)
+        result = run("labelprop", policy=policy, dim=dim)
         assert np.array_equal(gather(result, "label"), expected)
 
-    @pytest.mark.parametrize("compression", ["none", "delta"])
+    @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("policy", ["oec", "hvc"])
-    def test_sage(self, policy, compression):
-        expected = sage_hidden(EDGES, DIM)
-        result = run("sage", policy=policy, compression=compression)
+    def test_sage(self, policy, dim):
+        expected = sage_hidden(EDGES, dim)
+        result = run("sage", policy=policy, dim=dim)
         assert np.array_equal(gather(result, "hidden"), expected)
 
-    @pytest.mark.parametrize("compression", ["none", "delta"])
+    @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("hosts", [1, 2, 8])
-    def test_host_count_invariance(self, hosts, compression):
-        feat = featprop_features(EDGES, DIM, ROUNDS)
-        labels = labelprop_labels(EDGES, DIM, ROUNDS)
-        fp = run("featprop", hosts=hosts, compression=compression)
-        lp = run("labelprop", hosts=hosts, compression=compression)
+    def test_host_count_invariance(self, hosts, dim):
+        feat = featprop_features(EDGES, dim, ROUNDS)
+        labels = labelprop_labels(EDGES, dim, ROUNDS)
+        fp = run("featprop", hosts=hosts, dim=dim)
+        lp = run("labelprop", hosts=hosts, dim=dim)
         assert np.array_equal(gather(fp, "feat"), feat)
         assert np.array_equal(gather(lp, "label"), labels)
 
@@ -124,38 +129,32 @@ class TestFp16:
 
 class TestDeltaBytes:
     def test_delta_ships_fewer_bytes(self):
-        """At d=32 the delta encoding must beat the dense payload — the
-        property the bench cell quantifies at full scale."""
-        none = run("labelprop", dim=32, rounds=4)
-        delta = run("labelprop", dim=32, rounds=4, compression="delta")
+        """At d=32 the lossless wire must beat the same run's frames with
+        every wide message as plain rows — the property the bench cell
+        quantifies at full scale."""
+        result, rows_only = run_pricing_rows(lambda: run("labelprop", dim=32, rounds=4))
         assert np.array_equal(
-            gather(none, "label"), gather(delta, "label")
+            gather(result, "label"), labelprop_labels(EDGES, 32, 4)
         )
-        none_bytes = none.executor.transport.stats.total_bytes
-        delta_bytes = delta.executor.transport.stats.total_bytes
-        assert delta_bytes < none_bytes
+        assert result.executor.transport.stats.total_bytes < rows_only
 
 
 class TestRuntimesAndRepartition:
-    @pytest.mark.parametrize("compression", ["none", "delta"])
-    def test_process_runtime_identical(self, compression):
-        simulated = run("labelprop", compression=compression)
-        process = run(
-            "labelprop", compression=compression,
-            runtime="process", workers=2,
-        )
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_process_runtime_identical(self, dim):
+        simulated = run("labelprop", dim=dim)
+        process = run("labelprop", dim=dim, runtime="process", workers=2)
         assert np.array_equal(
             gather(simulated, "label"), gather(process, "label")
         )
 
-    @pytest.mark.parametrize("compression", ["none", "delta"])
-    def test_repartition_midrun_still_correct(self, compression):
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_repartition_midrun_still_correct(self, dim):
         """Repartitioning rebuilds the FieldSpecs, which resets the
         sender-side delta caches — the run must stay exact even though
         the first post-switch broadcast has no committed baseline."""
         prep = prepare_input(
-            "labelprop", EDGES, feature_dim=DIM, feature_rounds=ROUNDS,
-            compression=compression,
+            "labelprop", EDGES, feature_dim=dim, feature_rounds=ROUNDS
         )
         partitioned = make_partitioner("oec").partition(prep.edges, 4)
         executor = DistributedExecutor(
@@ -168,5 +167,5 @@ class TestRuntimesAndRepartition:
         )
         result = executor.run()
         assert result.converged
-        expected = labelprop_labels(EDGES, DIM, ROUNDS)
+        expected = labelprop_labels(EDGES, dim, ROUNDS)
         assert np.array_equal(executor.gather_result("label"), expected)

@@ -9,6 +9,12 @@ two substrate methods are adapted: ``old_stage`` returns the staged
 ``(peer, payload)`` pairs, mode counts and translations instead of
 writing into a plane, and ``old_receive`` takes the inbox as an
 argument.  The substrate's plan entry supplies the routes.
+
+A lossless wide message is built both ways by ``encode_message`` — plain
+rows, and delta under its column mask — and the shorter one is sent, a
+tie going to the rows (:func:`shorter_message`): the product's
+closed-form size rule is checked against the two real encodings, not
+copied.
 """
 
 from __future__ import annotations
@@ -182,6 +188,18 @@ def encode_message(
         )
     packed = np.packbits(delta_mask, axis=1)
     return b"".join((head, metadata, packed, values[delta_mask]))
+
+
+def shorter_message(
+    mode: MetadataMode, values: np.ndarray, *, delta_mask=None, **kwargs
+) -> bytes:
+    """:func:`encode_message` as rows and, given a ``delta_mask``, as a
+    delta: whichever is shorter, the rows on a tie."""
+    rows = encode_message(mode, values, **kwargs)
+    if delta_mask is None:
+        return rows
+    delta = encode_message(mode, values, delta_mask=delta_mask, **kwargs)
+    return delta if len(delta) < len(rows) else rows
 
 
 def _view(payload, dtype: np.dtype, count: int, offset: int) -> np.ndarray:
@@ -400,10 +418,10 @@ def _wire_rows(
                 f"field {field.name!r}: fp16 compression overflows — "
                 f"magnitude {np.abs(values[overflowed]).max():g} exceeds "
                 f"the float16 range (max {np.finfo(np.float16).max:g}); "
-                "use compression 'delta' or 'none'"
+                "use compression 'delta'"
             )
         return halved, None
-    if field.compression == "delta":
+    if field.values.ndim == 2:
         if broadcast:
             cached, sent = field.delta_state(lids)
             mask = values != cached
@@ -439,14 +457,14 @@ def encode_memoized_field(
     if mode is MetadataMode.FULL:
         lids = agreed
         values, delta_mask = _wire_rows(field, lids, extract(lids), broadcast)
-        payload = encode_message(
+        payload = shorter_message(
             mode, values, width=width, delta_mask=delta_mask
         )
         return EncodedField(mode, payload)
     positions = updated_mask.nonzero()[0]
     lids = agreed[positions]
     values, delta_mask = _wire_rows(field, lids, extract(lids), broadcast)
-    payload = encode_message(
+    payload = shorter_message(
         mode,
         values,
         num_agreed=len(agreed),
@@ -475,7 +493,7 @@ def encode_global_ids_field(
     extract = field.extract_broadcast if broadcast else field.extract
     gids = local_to_global[sub]
     values, delta_mask = _wire_rows(field, sub, extract(sub), broadcast)
-    payload = encode_message(
+    payload = shorter_message(
         MetadataMode.GLOBAL_IDS,
         values,
         selection=gids,

@@ -1,7 +1,7 @@
 """Nothing a receive leaves behind aliases the frame it came in.
 
-The decoder hands out read-only views into the received buffer: a delta
-message whose rows ship every column comes back as those rows, in place.
+The decoder hands out read-only views into the received buffer: a wide
+message shipped as plain rows comes back as those rows, in place.
 In the process runtime that buffer is a ring slot, reused by a later
 phase, so an apply that kept a view instead of copying would see its
 values change under it.  A spy around ``GluonSubstrate._receive_all``
@@ -32,9 +32,9 @@ PHASES = ("reduce", "broadcast")
 
 def spy_on_receives(monkeypatch):
     """Check every receive for aliasing; returns the shared counters:
-    frames checked per phase, and whole-row delta decodes."""
+    frames checked per phase, and wide messages decoded as plain rows."""
     counts = multiprocessing.get_context("fork").Array("i", 3)
-    plain_receive, plain_rebuild = GluonSubstrate._receive_all, codec._reconstruct_delta
+    plain_receive, plain_read = GluonSubstrate._receive_all, codec.read_message
 
     def receive_all(self, fields, phase):
         plane = self.plane
@@ -56,14 +56,16 @@ def spy_on_receives(monkeypatch):
             counts[PHASES.index(phase)] += len(received)
         return changed
 
-    def reconstruct_delta(field, lids, values, mask, broadcast):
-        if values.size == mask.size:
+    def read_message(*args):
+        message = plain_read(*args)
+        _, _, _, width, delta_mask = message
+        if width and delta_mask is None:
             with counts.get_lock():
                 counts[2] += 1
-        return plain_rebuild(field, lids, values, mask, broadcast)
+        return message
 
     monkeypatch.setattr(GluonSubstrate, "_receive_all", receive_all)
-    monkeypatch.setattr(codec, "_reconstruct_delta", reconstruct_delta)
+    monkeypatch.setattr(codec, "read_message", read_message)
     return counts
 
 
@@ -72,18 +74,17 @@ def test_no_field_array_shares_memory_with_a_received_frame(monkeypatch, runtime
     counts = spy_on_receives(monkeypatch)
     job = dict(runtime=runtime, workers=2) if runtime == "process" else {}
     result = run_app(
-        "d-galois", "featprop", EDGES, 4, policy="cvc", compression="delta",
-        feature_dim=6, feature_rounds=3, **job,
+        "d-galois", "featprop", EDGES, 4, policy="cvc", feature_dim=6, feature_rounds=3, **job,
     )
     assert result.converged
     reduces, broadcasts, whole = counts[:]
     assert reduces and broadcasts  # both phases were received and checked
-    assert whole  # and some delta rows landed as shipped, in place
+    assert whole  # and some wide rows landed as shipped, in place
 
 
 def test_a_delta_section_one_value_off_is_rejected_on_receive():
-    """The whole-row decode trusts the section's size: a frame whose delta
-    message carries one value too few or too many never reaches a field."""
+    """A frame whose delta message carries one value too few or too many
+    never reaches a field."""
     cluster = Cluster("delta", OptimizationLevel.OTI)
     frame = cluster.capture("reduce", 1.0)
     (raw,) = map(bytes, decode_frame(frame))

@@ -53,15 +53,14 @@ def make_fields(kind, part):
     n = part.num_nodes
     if kind == "scalar":
         return [FieldSpec("v", np.full(n, 50, dtype=np.uint32), MIN)]
-    rows = np.zeros((n, 5), dtype=np.float32)
-    compression = "delta" if kind == "delta" else "none"
-    return [FieldSpec("rows", rows, ADD, compression=compression)]
+    return [FieldSpec("rows", np.zeros((n, 5), dtype=np.float32), ADD)]
 
 
 class Cluster:
     """Two hvc hosts with one bound field; host 1's traffic is captured."""
 
     def __init__(self, kind, level):
+        self.kind = kind
         self.partitioned = make_partitioner("hvc").partition(EDGES, 2)
         self.transport = InProcessTransport(2)
         self.subs = setup_substrates(self.partitioned, self.transport, level)
@@ -73,11 +72,18 @@ class Cluster:
 
     def capture(self, phase, share):
         """The valid wire buffer host 1 sends host 0 in ``phase`` when
-        ``share`` of the proxies agreed between them are dirty."""
+        ``share`` of the proxies agreed between them are dirty.  A wide
+        field's rows differ from the baseline in every column (it ships
+        the rows); a "delta" one's in column 0 only, so it ships a delta."""
         sub, (field,) = self.subs[1], self.fields[1]
         field.values[...] = np.random.default_rng(7).integers(
             1, 40, size=field.values.shape
         )
+        if self.kind == "delta" and phase == "broadcast":
+            field.commit_broadcast(np.arange(sub.num_local_nodes))
+            field.values[:, 0] += 1
+        elif self.kind == "delta":
+            field.values[:, 1:] = 0  # the reduce's baseline: ADD's identity
         ((_, agreed),) = sub.plan.fields[0].sends[phase]
         dirty = np.zeros(sub.num_local_nodes, dtype=bool)
         dirty[agreed[: max(1, int(len(agreed) * share))]] = True
@@ -272,7 +278,7 @@ def test_rows_of_the_wrong_width_are_rejected_by_name():
         encode_message(MetadataMode.FULL, ones[:, 0]),  # scalar into rows
         encode_message(MetadataMode.FULL, ones[:, :4], width=4),
         encode_message(
-            MetadataMode.FULL, ones[:, :4], width=4, delta_mask=ones[:, :4] > 0
+            MetadataMode.FULL, ones[:, :4], width=4, delta_mask=np.eye(len(ones), 4) > 0
         ),
     ):
         with pytest.raises(SyncError, match="width"):

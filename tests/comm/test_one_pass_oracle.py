@@ -27,7 +27,7 @@ from repro.partition import PARTITIONER_BY_NAME, make_partitioner
 from tests.comm.old_sync import old_encode_frame, old_receive, old_stage
 
 GRAPH = rmat(scale=9, edge_factor=4, seed=5)
-KINDS = ("scalar", "wide", "delta", "fp16")
+KINDS = ("scalar", "wide", "fp16")
 
 
 class Inbox:
@@ -46,7 +46,7 @@ def make_field(kind, n, seed):
     if kind == "scalar":
         return FieldSpec("v", rng.integers(0, 60, n).astype(np.uint32), MIN)
     rows = rng.integers(0, 4, (n, 3)).astype(np.float32)
-    compression = {"wide": "none"}.get(kind, kind)
+    compression = "fp16" if kind == "fp16" else "delta"
     return FieldSpec("rows", rows, ADD, compression=compression)
 
 
@@ -79,7 +79,7 @@ def exchange(transport, subs, fields, old_subs, old_fields, phase, dirties):
         staged, modes, translations = old_stage(
             old_subs[h], 0, old_fields[h][0], dirty, phase
         )
-        if broadcast and fields[h][0].compression == "delta":
+        if broadcast:  # a no-op but for a lossless wide field
             old_fields[h][0].commit_broadcast(np.flatnonzero(dirty))
         for peer, payload in staged:
             old_mail[peer].append((h, old_encode_frame([payload])))
@@ -162,11 +162,13 @@ def second_broadcast(rng, sub, field, old_field, rotation):
 @pytest.fixture
 def drawn(monkeypatch):
     """Spy on the one-pass encoder: per delta pass, the row kinds, the
-    message kinds and the modes its messages were drawn with."""
+    message kinds, the modes its messages were drawn with and the form
+    (rows or delta) each one shipped as."""
     passes = []
     plain = codec.encode_messages
 
     def encode_messages(modes, values, rows, **kwargs):
+        messages = plain(modes, values, rows, **kwargs)
         mask = kwargs.get("delta_mask")
         if mask is not None:
             seen = set()
@@ -177,6 +179,7 @@ def drawn(monkeypatch):
                 per_row = shipped.sum(axis=1)
                 seen.add(MetadataMode(mode).name)
                 seen.add("all-shipped message" if shipped.all() else "partial message")
+                seen.add("delta form" if messages[i][0] & 0x40 else "rows form")
                 if (per_row == mask.shape[1]).any():
                     seen.add("all-True row")
                 if ((per_row > 0) & (per_row < mask.shape[1])).any():
@@ -184,7 +187,7 @@ def drawn(monkeypatch):
                 if (per_row == 0).any():
                     seen.add("all-False row")
             passes.append(seen)
-        return plain(modes, values, rows, **kwargs)
+        return messages
 
     monkeypatch.setattr(codec, "encode_messages", encode_messages)
     return passes
@@ -193,6 +196,7 @@ def drawn(monkeypatch):
 EVERY_CASE = {
     "all-True row", "partial row", "all-False row",
     "all-shipped message", "partial message", "FULL", "BITVEC", "INDICES",
+    "rows form", "delta form",
 }
 
 
@@ -201,8 +205,8 @@ def two_broadcasts(policy, hosts, level, seed, rotation, drawn=None):
     partial masks against those commits.  Both match ``old_sync``.
     ``drawn`` (the spy's record) is emptied between the two."""
     partitioned = make_partitioner(policy).partition(GRAPH, hosts)
-    transport, subs, fields = build(partitioned, level, "delta", seed)
-    _, old_subs, old_fields = build(partitioned, level, "delta", seed)
+    transport, subs, fields = build(partitioned, level, "wide", seed)
+    _, old_subs, old_fields = build(partitioned, level, "wide", seed)
     rng = np.random.default_rng(seed)
     first = [rng.random(sub.num_local_nodes) < 0.5 for sub in subs]
     exchange(transport, subs, fields, old_subs, old_fields, "broadcast", first)
@@ -234,7 +238,8 @@ def test_partial_delta_masks_match_the_per_message_path(
 def test_the_second_broadcast_draws_every_case(drawn, policy, rotation):
     """Where each host broadcasts to one peer, the roles rotate over the
     hosts: one run's second broadcast draws every row kind, an
-    all-shipped and a partial message, and all three memoized modes."""
+    all-shipped and a partial message, all three memoized modes and
+    messages shipped in both forms."""
     two_broadcasts(policy, 4, OptimizationLevel.OSTI, 3, rotation, drawn)
     assert len(drawn) == 4  # one encode pass per host
     assert set().union(*drawn) == EVERY_CASE

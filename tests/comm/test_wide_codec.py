@@ -3,8 +3,10 @@
 The wide extension must be invisible to scalar fields (1-D payloads keep
 their exact wire bytes), and every (metadata mode x dtype x mask density
 x compression) combination of a matrix-valued field must survive an
-encode/decode round trip: bit for bit under ``none`` and ``delta``, and
-within half-precision relative error under ``fp16``.
+encode/decode round trip: bit for bit under ``delta``, and within
+half-precision relative error under ``fp16``.  A lossless wide message
+is exactly the shorter of its two forms, rows or delta, each built by
+the independent encoder kept in ``tests/comm/old_sync.py``.
 """
 
 import numpy as np
@@ -18,11 +20,12 @@ from repro.comm.codec import (
     encode_memoized_field,
 )
 from repro.core.metadata import MetadataMode, select_mode
-from repro.core.serialization import decode_message, encode_message
+from repro.core.serialization import decode_message, encode_messages
 from repro.core.sync_structures import ADD, MIN, FieldSpec
 from repro.errors import SerializationError, SyncError
 from repro.features import FP16_RELATIVE_ERROR
 
+from tests.comm import old_sync
 from tests.comm.test_codec import StubPartition, make_mask
 
 #: dtypes the feature subsystem actually ships wide.
@@ -35,14 +38,12 @@ FLAG_WIDE = 0x80
 FLAG_DELTA = 0x40
 
 
-def make_wide_field(
-    rng, dtype, num_locals, width, compression="none", reduce_op=ADD, name="w"
-):
+def make_wide_field(rng, dtype, num_locals, width, reduce_op=ADD, name="w"):
     if np.issubdtype(dtype, np.floating):
         values = rng.random((num_locals, width)).astype(dtype)
     else:
         values = rng.integers(0, 10_000, size=(num_locals, width)).astype(dtype)
-    return FieldSpec(name, values, reduce_op, compression=compression)
+    return FieldSpec(name, values, reduce_op)
 
 
 class TestWideMemoizedRoundTrip:
@@ -229,13 +230,6 @@ class TestFp16Compression:
 
 
 class TestDeltaCompression:
-    def _committed_field(self, rng, num_locals, width, commit):
-        field = make_wide_field(
-            rng, np.float64, num_locals, width, compression="delta"
-        )
-        field.commit_broadcast(np.asarray(commit, dtype=np.int64))
-        return field
-
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         density=st.floats(min_value=0.0, max_value=1.0),
@@ -246,18 +240,14 @@ class TestDeltaCompression:
         subset of rows was previously committed."""
         rng = np.random.default_rng(seed)
         num_locals, width = 50, 8
-        field = make_wide_field(
-            rng, np.float64, num_locals, width, compression="delta"
-        )
+        field = make_wide_field(rng, np.float64, num_locals, width)
         committed = np.flatnonzero(rng.random(num_locals) < 0.6)
         field.commit_broadcast(committed)
         # Receiver's copy matches the sender's committed cache (the delta
         # contract); uncommitted rows differ arbitrarily.
         recv_values = rng.random((num_locals, width))
         recv_values[committed] = field.broadcast_values[committed]
-        recv_field = FieldSpec(
-            "w", recv_values, ADD, compression="delta"
-        )
+        recv_field = FieldSpec("w", recv_values, ADD)
         # Sender mutates a sparse set of columns, then broadcasts.
         flips = rng.random((num_locals, width)) < density
         field.broadcast_values[flips] += 1.0
@@ -265,7 +255,6 @@ class TestDeltaCompression:
         agreed = np.arange(num_locals, dtype=np.uint32)
         mask = np.ones(num_locals, dtype=bool)
         encoded = encode_memoized_field(field, agreed, mask, broadcast=True)
-        assert encoded.payload[0] & FLAG_DELTA
         decoded = decode_field_payload(
             encoded.payload,
             {4: agreed},
@@ -279,15 +268,13 @@ class TestDeltaCompression:
     def test_uncommitted_rows_ship_whole(self):
         """Rows never committed must not trust the receiver's copy."""
         rng = np.random.default_rng(21)
-        field = make_wide_field(rng, np.float64, 10, 4, compression="delta")
+        field = make_wide_field(rng, np.float64, 10, 4)
         # No commit at all: every row ships every column.
         agreed = np.arange(10, dtype=np.uint32)
         encoded = encode_memoized_field(
             field, agreed, np.ones(10, dtype=bool), broadcast=True
         )
-        recv_field = FieldSpec(
-            "w", np.full((10, 4), -99.0), ADD, compression="delta"
-        )
+        recv_field = FieldSpec("w", np.full((10, 4), -99.0), ADD)
         decoded = decode_field_payload(
             encoded.payload,
             {4: agreed},
@@ -313,7 +300,7 @@ class TestDeltaCompression:
             rng.random((num_locals, width)) + 0.5,
             0.0,
         )
-        field = FieldSpec("acc", values, ADD, compression="delta")
+        field = FieldSpec("acc", values, ADD)
         agreed = np.arange(num_locals, dtype=np.uint32)
         encoded = encode_memoized_field(
             field, agreed, np.ones(num_locals, dtype=bool)
@@ -328,11 +315,13 @@ class TestDeltaCompression:
 
     def test_delta_without_field_rejected(self):
         rng = np.random.default_rng(5)
-        field = make_wide_field(rng, np.float64, 12, 4, compression="delta")
+        field = make_wide_field(rng, np.float64, 12, 4)
+        field.values[:, 1:] = 0.0  # sparse rows: the delta is shorter
         agreed = np.arange(12, dtype=np.uint32)
         encoded = encode_memoized_field(
             field, agreed, np.ones(12, dtype=bool)
         )
+        assert encoded.payload[0] & FLAG_DELTA
         with pytest.raises(SyncError, match="without a field"):
             decode_field_payload(
                 encoded.payload, {4: agreed}, 4, StubPartition([])
@@ -344,7 +333,7 @@ class TestDeltaCompression:
         receivers never reconstruct against a stale baseline."""
         rng = np.random.default_rng(13)
         values = rng.random((20, 4))
-        field = FieldSpec("w", values.copy(), ADD, compression="delta")
+        field = FieldSpec("w", values.copy(), ADD)
         lids = np.arange(20)
         field.commit_broadcast(lids)
         cached, sent = field.delta_state(lids)
@@ -352,7 +341,7 @@ class TestDeltaCompression:
         assert np.array_equal(cached, values)
         # make_fields after a repartition constructs a fresh FieldSpec
         # over the migrated arrays — the cache does not travel with them.
-        rebuilt = FieldSpec("w", values.copy(), ADD, compression="delta")
+        rebuilt = FieldSpec("w", values.copy(), ADD)
         cached, sent = rebuilt.delta_state(lids)
         assert not sent.any()
         encoded = encode_memoized_field(
@@ -361,9 +350,7 @@ class TestDeltaCompression:
             np.ones(20, dtype=bool),
             broadcast=True,
         )
-        recv_field = FieldSpec(
-            "w", np.zeros((20, 4)), ADD, compression="delta"
-        )
+        recv_field = FieldSpec("w", np.zeros((20, 4)), ADD)
         decoded = decode_field_payload(
             encoded.payload,
             {4: lids.astype(np.uint32)},
@@ -380,10 +367,12 @@ WIDE_FULL_HEAD = 8
 
 
 def full_delta_message(width, mask):
-    """A FULL delta message of ``len(mask)`` float32 rows, as a bytearray."""
+    """A FULL delta message of ``len(mask)`` float32 rows, as a bytearray,
+    written by ``old_sync``'s encoder, which ships any mask as a delta
+    (the product's would ship the rows whenever that is no longer)."""
     rows = np.arange(mask.size, dtype=np.float32).reshape(mask.shape)
     return bytearray(
-        encode_message(MetadataMode.FULL, rows, width=width, delta_mask=mask)
+        old_sync.encode_message(MetadataMode.FULL, rows, width=width, delta_mask=mask)
     )
 
 
@@ -419,10 +408,25 @@ class TestCanonicalDeltaMask:
         mask = np.ones((2, width), dtype=bool)
         assert decode_message(bytes(full_delta_message(width, mask))).delta_mask.all()
 
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["reduce", "broadcast"])
+    def test_an_all_shipped_delta_decodes_to_its_rows(self, broadcast):
+        """The encoder ships an all-set mask as plain rows, but a DELTA
+        message that sets every bit is still well formed: it decodes to
+        its rows, whatever the receiver holds."""
+        mask = np.ones((3, 5), dtype=bool)
+        raw = bytes(full_delta_message(5, mask))
+        assert raw[0] & FLAG_DELTA
+        field = FieldSpec("w", np.full((3, 5), -7.0, dtype=np.float32), ADD)
+        agreed = np.arange(3, dtype=np.uint32)
+        decoded = decode_field_payload(
+            raw, {1: agreed}, 1, StubPartition([]), field=field, broadcast=broadcast
+        )
+        assert np.array_equal(decoded.values, np.arange(15).reshape(3, 5))
+
     @pytest.mark.parametrize("whole", [True, False], ids=["all-shipped", "partial"])
     def test_a_value_short_or_long_is_rejected(self, whole):
-        """The whole-row decode trusts the section's size, so the size
-        check must still hold for an all-set mask as for a partial one."""
+        """The value section's size is checked against the mask, for an
+        all-set mask as for a partial one."""
         mask = np.ones((3, 4), dtype=bool)
         if not whole:
             mask[1, 2] = False
@@ -431,3 +435,93 @@ class TestCanonicalDeltaMask:
         for mutated in (raw[:-value], raw + bytes(value)):
             with pytest.raises(SerializationError, match="delta values"):
                 decode_message(mutated)
+
+
+class TestTheShorterForm:
+    """A lossless wide message is exactly the shorter of its two forms."""
+
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from(WIDE_DTYPES),
+        width=st.integers(min_value=2, max_value=20),
+        sizes=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=5),
+        density=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_message_is_the_shorter_form(self, data, dtype, width, sizes, density):
+        """One pass of several messages: each is byte-identical to the
+        shorter of ``old_sync``'s rows and delta encodings of its slice
+        (the rows on a tie), and decodes to the rows it was given.  The
+        mask marks the cells that differ from zero, as a reduce's does,
+        so a delta decodes against that identity."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        rows = np.cumsum([0, *sizes]).tolist()
+        cells = (rows[-1], width)
+        values = np.where(rng.random(cells) < density, rng.integers(1, 99, cells), 0)
+        values = values.astype(dtype)
+        mask = values != 0
+        modes = [
+            data.draw(st.sampled_from(["FULL", "BITVEC", "INDICES", "GLOBAL_IDS"]))
+            if size else "EMPTY"
+            for size in sizes
+        ]
+        ids = rng.integers(0, 1 << 20, rows[-1]).astype(np.uint32)
+        # BITVEC: message i's rows are the set bits of its agreed span.
+        spans = [size + int(rng.integers(0, 6)) for size in sizes]
+        bits = np.concatenate([
+            rng.permutation(np.arange(span) < size) for span, size in zip(spans, sizes)
+        ])
+        agreed = np.cumsum([0, *spans]).tolist()
+        messages = encode_messages(
+            [int(MetadataMode[mode]) for mode in modes], values, rows,
+            bits=bits, agreed=agreed, ids=ids, width=width, delta_mask=mask,
+        )
+        for i, (mode, message) in enumerate(zip(modes, messages)):
+            if mode == "EMPTY":
+                continue
+            seg = slice(rows[i], rows[i + 1])
+            selection = {
+                "FULL": None, "BITVEC": np.flatnonzero(bits[agreed[i] : agreed[i + 1]]),
+            }.get(mode, ids[seg])
+            forms = [
+                old_sync.encode_message(
+                    MetadataMode[mode], values[seg], num_agreed=spans[i],
+                    selection=selection, width=width, delta_mask=delta_mask,
+                )
+                for delta_mask in (None, mask[seg])
+            ]
+            assert message == min(forms, key=len)  # min keeps the first on a tie
+            decoded = decode_message(message)
+            if decoded.delta_mask is None:
+                got = decoded.values
+            else:
+                got = np.zeros((sizes[i], width), dtype=dtype)
+                got[decoded.delta_mask] = decoded.values
+            assert np.array_equal(got, values[seg])
+
+    @pytest.mark.parametrize("dtype", WIDE_DTYPES)
+    @pytest.mark.parametrize("width", [2, 3, 8, 9, 17, 32])
+    def test_a_tie_ships_rows_and_one_cell_fewer_ships_delta(self, width, dtype):
+        """With ``itemsize`` rows, the delta form costs exactly the rows'
+        bytes at ``itemsize * width - ceil(width / 8)`` shipped cells.
+        That tie ships the rows; one cell fewer ships the delta, which is
+        then one value shorter than the rows."""
+        itemsize = np.dtype(dtype).itemsize
+        rows, tie = itemsize, itemsize * width - -(-width // 8)
+        values = np.arange(1, rows * width + 1).astype(dtype).reshape(rows, width)
+        rows_form = old_sync.encode_message(MetadataMode.FULL, values, width=width)
+        for cells, flag in ((tie, 0), (tie - 1, FLAG_DELTA)):
+            mask = (np.arange(rows * width) < cells).reshape(rows, width)
+            shipped = np.where(mask, values, 0).astype(dtype)
+            (message,) = encode_messages(
+                [int(MetadataMode.FULL)], shipped, [0, rows],
+                width=width, delta_mask=mask,
+            )
+            assert message[0] & FLAG_DELTA == flag
+            assert len(message) == len(rows_form) - (itemsize if flag else 0)
+            decoded = decode_message(message)
+            got = decoded.values
+            if flag:
+                got = np.zeros_like(shipped)
+                got[decoded.delta_mask] = decoded.values
+            assert np.array_equal(got, shipped)

@@ -165,7 +165,11 @@ class TestFieldSpec:
             )
         with pytest.raises(SyncError, match="2-D"):
             FieldSpec(
-                name="x", values=np.zeros(3), reduce_op=ADD, compression="delta"
+                name="x", values=np.zeros(3), reduce_op=ADD, compression="fp16"
+            )
+        with pytest.raises(SyncError, match=r"'none' \(expected one of \('delta', 'fp16'\)\)"):
+            FieldSpec(
+                name="x", values=np.zeros((3, 2)), reduce_op=ADD, compression="none"
             )
         with pytest.raises(SyncError, match="float"):
             FieldSpec(

@@ -11,10 +11,12 @@ numbers recorded before the entry points shared a plan.
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro import cli
-from repro.errors import ExecutionError, JobSpecError
+from repro.core.sync_structures import ADD, FieldSpec
+from repro.errors import ExecutionError, JobSpecError, SyncError
 from repro.graph.generators import rmat
 from repro.options import PLAN_KEYWORDS
 from repro.resilience import ResilienceConfig
@@ -35,7 +37,7 @@ CASES = [
         "featprop", "iec",
         {"feature_dim": 16, "compression": "delta"},
         ["--feature-dim", "16", "--compression", "delta"],
-        (3, 137437),
+        (3, 135743),
     ),
 ]
 
@@ -236,10 +238,13 @@ def test_every_door_runs_the_same_wide_job(graph, monkeypatch, capsys, tmp_path,
 
 def test_placement_never_enters_the_hash_and_new_options_only_when_set():
     plain = JobSpec(app="featprop", workload="rmat22s")
+    # A spec naming the default compression hashes like one that does not.
+    named = JobSpec(app="featprop", workload="rmat22s", compression="delta")
+    assert named.content_hash() == plain.content_hash()
     placed = JobSpec(app="featprop", workload="rmat22s", runtime="process", workers=2)
     assert placed.content_hash() == plain.content_hash()
     for option, value in [
-        ("feature_dim", 16), ("feature_rounds", 4), ("compression", "delta"),
+        ("feature_dim", 16), ("feature_rounds", 4), ("compression", "fp16"),
         ("sanitize", True),
     ]:
         changed = JobSpec(app="featprop", workload="rmat22s", **{option: value})
@@ -253,7 +258,7 @@ def test_a_spec_with_every_option_set_round_trips():
         level="oti", scale_delta=-3, source=5, max_rounds=500, weight_seed=7,
         partition_seed=3, tolerance=1e-9, max_iterations=40, k=3,
         inject_fault="drop:0.02", fault_seed=11, checkpoint_every=2,
-        recovery="confined", feature_dim=16, feature_rounds=4, compression="delta",
+        recovery="confined", feature_dim=16, feature_rounds=4, compression="fp16",
         sanitize=True, runtime="simulated", workers=None, priority=9, max_attempts=4,
     )
     unset = [f.name for f in fields(JobSpec) if getattr(spec, f.name) == f.default]
@@ -329,6 +334,26 @@ def test_the_removed_aggregation_ablation_fails_by_name_at_every_door(capsys):
         JobSpec.from_dict({"app": "bfs", "workload": "rmat22s", "aggregate_comm": False})
     with pytest.raises(TypeError, match=r"unknown run option\(s\): aggregate_comm"):
         run_app("d-galois", "bfs", rmat(4, 4, 1), 1, aggregate_comm=False)
+
+
+def test_the_removed_rows_only_compression_fails_by_name_at_every_door(capsys):
+    """The lossless wire picks rows or delta per message itself, so
+    ``compression`` keeps ``delta`` (the default) and ``fp16``: the old
+    rows-only ``none`` is refused by name."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([
+            "run", "--system", "d-galois", "--app", "featprop", "--workload", "rmat22s",
+            "--compression", "none",
+        ])
+    assert exit_info.value.code == 2
+    assert "argument --compression: invalid choice: 'none'" in capsys.readouterr().err
+    with pytest.raises(JobSpecError, match=r"unknown compression 'none' \(known: delta, fp16\)"):
+        JobSpec.from_dict({"app": "featprop", "workload": "rmat22s", "compression": "none"})
+    known = r"unknown compression 'none' \(expected one of \('delta', 'fp16'\)\)"
+    with pytest.raises(SyncError, match=known):
+        run_app("d-galois", "featprop", rmat(4, 4, 1), 2, compression="none")
+    with pytest.raises(SyncError, match=known):
+        FieldSpec("rows", np.zeros((4, 2)), ADD, compression="none")
 
 
 def test_a_result_cached_by_the_parent_commit_is_still_a_hit(graph, tmp_path, capsys):

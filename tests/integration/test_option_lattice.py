@@ -59,7 +59,7 @@ VALUES = {
     "recovery": "confined",
     "feature_dim": 16,
     "feature_rounds": 4,
-    "compression": "delta",
+    "compression": "fp16",
     "sanitize": True,
     "workers": 2,
 }

@@ -8,14 +8,18 @@ sub-messages (:func:`repro.analysis.experiments.per_field_rounds`).
 the per-field wire itself sent — ``[messages, bytes, comm_time as
 float.hex]`` — recorded from real per-field runs at the commit it
 names, the last one to have that wire.  The derivation must reproduce
-every round with ``==``: counts, bytes and the float time.
+every round with ``==``: counts, bytes and the float time.  The
+wide-field cells under ``delta`` were re-derived when the lossless wire
+began to ship each message as rows or as a delta, whichever is fewer
+bytes: only their bytes and times moved, every one of them down, and
+the derivation was exact against the recorded wire for both forms.
 
 Cells: every app on ``test_aggregation.py``'s graph × {oec, cvc} ×
 {UNOPT, OSTI}; sssp over five policies × all four levels; bc on every
 distributed system (GPU engines price host<->device copies per byte);
-every wide-field app × every wire codec × {oec, cvc, hvc} (a codec
-sizes each field's sub-message on its own); and the benchmark cell, bc
-on rmat22s.
+every wide-field app × both wire compressions × {oec, cvc, hvc} (a
+codec sizes each field's sub-message on its own); and the benchmark
+cell, bc on rmat22s.  A scalar cell runs the default ``delta``.
 """
 
 import json
@@ -45,18 +49,18 @@ def cells():
     for app in APPS:
         for policy in ("oec", "cvc"):
             for level in ("unopt", "osti"):
-                yield f"rmat8/d-galois/{app}/{policy}/{level}/none"
+                yield f"rmat8/d-galois/{app}/{policy}/{level}/delta"
     for policy in ("oec", "iec", "cvc", "hvc", "jagged"):
         for level in LEVELS:
             if policy not in ("oec", "cvc") or level not in ("unopt", "osti"):
-                yield f"rmat8/d-galois/sssp/{policy}/{level}/none"
+                yield f"rmat8/d-galois/sssp/{policy}/{level}/delta"
     for system in DISTRIBUTED_SYSTEMS[1:]:
-        yield f"rmat8/{system}/bc/cvc/osti/none"
+        yield f"rmat8/{system}/bc/cvc/osti/delta"
     for app in WIDE_APPS:
-        for compression in ("none", "delta", "fp16"):
+        for compression in ("delta", "fp16"):
             for policy in ("oec", "cvc", "hvc"):
                 yield f"rmat8/d-galois/{app}/{policy}/osti/{compression}"
-    yield "rmat22s/d-galois/bc/cvc/default/none"
+    yield "rmat22s/d-galois/bc/cvc/default/delta"
 
 
 def run_cell(name, **options):
@@ -65,9 +69,9 @@ def run_cell(name, **options):
     edges = rmat(**GRAPH) if graph == "rmat8" else load_workload(graph)
     if level != "default":
         options["level"] = OptimizationLevel.from_name(level)
-    if compression != "none":
-        options["compression"] = compression
-    return run_app(system, app, edges, num_hosts=4, policy=policy, **options)
+    return run_app(
+        system, app, edges, num_hosts=4, policy=policy, compression=compression, **options
+    )
 
 
 def derived(name):
@@ -92,7 +96,7 @@ def test_derivation_reproduces_the_per_field_wire(cell):
 
 
 def test_derivation_needs_one_traced_run():
-    cell = "rmat8/d-galois/bfs/cvc/osti/none"
+    cell = "rmat8/d-galois/bfs/cvc/osti/delta"
     with pytest.raises(ValueError, match="traced, fault-free run"):
         per_field_rounds(run_cell(cell))
     shared = Observability(metrics=NULL_METRICS)

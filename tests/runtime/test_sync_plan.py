@@ -214,11 +214,11 @@ def test_exact_counts_featprop_iec_never_drives_the_reduce(monkeypatch):
     hosts = 4
     result, calls = counted_run(
         monkeypatch, "d-galois", "featprop", rmat(9, 8, 3), hosts, policy="iec",
-        feature_dim=8, feature_rounds=4, compression="delta",
+        feature_dim=8, feature_rounds=4,
     )
     rounds = result.num_rounds
     assert rounds == 4
-    assert result.communication_volume == 181074
+    assert result.communication_volume == 178818
     assert result.communication_messages == 48
     assert result.construction_bytes == 3202
     assert result.mode_counts == {MetadataMode.FULL: 18, MetadataMode.BITVEC: 30}

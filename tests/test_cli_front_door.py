@@ -80,18 +80,14 @@ class TestRunStreamFlags:
         # A one-edge batch replays featprop from scratch: d=32 traffic.
         assert streamed["steps"][0]["comm_bytes"] > narrow_bytes
 
-    def test_no_compression_reaches_the_session(self, stream_file, capsys):
-        uncompressed = json_out(
-            self.RUN + WIDE + ["--compression", "none", "--stream", stream_file], capsys
+    def test_fp16_compression_reaches_the_session(self, stream_file, capsys):
+        halved = json_out(
+            self.RUN + WIDE + ["--compression", "fp16", "--stream", stream_file], capsys
         )
-        compressed = json_out(self.RUN + WIDE + ["--stream", stream_file], capsys)
-        # Dense featprop rows change wholesale, so delta is no saving
-        # here — only a different wire size, which is what shows the flag
-        # arrived.
-        assert (
-            uncompressed["steps"][0]["comm_bytes"]
-            != compressed["steps"][0]["comm_bytes"]
-        )
+        lossless = json_out(self.RUN + WIDE + ["--stream", stream_file], capsys)
+        # A later --compression overrides WIDE's: half-precision rows are
+        # a different wire size, which is what shows the flag arrived.
+        assert halved["steps"][0]["comm_bytes"] != lossless["steps"][0]["comm_bytes"]
 
     @pytest.mark.parametrize("flag", ["--verify", "--per-round"])
     def test_per_run_checks_are_refused_by_name(self, flag, stream_file, capsys):
