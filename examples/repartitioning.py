@@ -16,8 +16,6 @@ the new policy's.
 Run:  python examples/repartitioning.py
 """
 
-import numpy as np
-
 from repro.apps import make_app
 from repro.engines import make_engine
 from repro.graph.generators import web_like
@@ -40,14 +38,14 @@ def main() -> None:
     executor = DistributedExecutor(
         partitioned, make_engine("galois"), make_app("pr"), prep.ctx
     )
-    executor.run(max_rounds=SWITCH_AFTER)
-    before = executor._result.rounds[-1]
+    partial = executor.run(max_rounds=SWITCH_AFTER)
+    before = partial.rounds[-1]
     print(f"round {SWITCH_AFTER} on OEC : "
           f"{before.comm_bytes/1e3:8.1f} KB shipped, "
           f"replication {executor.partitioned.replication_factor():.2f}")
 
-    executor.repartition(make_partitioner("cvc").partition(prep.edges, HOSTS))
-    result = executor.run()
+    executor.repartition(make_partitioner("cvc").partition(prep.edges, HOSTS), partial)
+    result = executor.run(resume=partial)
     after = result.rounds[SWITCH_AFTER]
     print(f"round {SWITCH_AFTER + 1} on CVC : "
           f"{after.comm_bytes/1e3:8.1f} KB shipped, "
@@ -56,7 +54,6 @@ def main() -> None:
           f"(construction bytes include both memoization exchanges: "
           f"{result.construction_bytes/1e3:.1f} KB)")
 
-    result.executor = executor  # verify_run reads it from the result
     assert verify_run(result, edges).matched
     print("final ranks verified against the sequential oracle.")
 

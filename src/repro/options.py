@@ -220,12 +220,7 @@ class JobSpec:
             value, meta = getattr(self, spec_field.name), spec_field.metadata
             if value is None and spec_field.default is None:
                 continue
-            known = _choices(meta)
-            if known is not None and value not in known:
-                raise JobSpecError(
-                    f"unknown {meta['label'] or spec_field.name} {value!r} "
-                    f"(known: {', '.join(known)})"
-                )
+            _check_choice(spec_field, value, JobSpecError)
             if meta["minimum"] is not None and value < meta["minimum"]:
                 raise JobSpecError(
                     f"{spec_field.name} must be >= {meta['minimum']}, got {value}"
@@ -355,6 +350,16 @@ def _choices(meta):
     return list(known()) if callable(known) else known
 
 
+def _check_choice(spec_field, value, error) -> None:
+    """Refuse ``value`` by name unless the field's declared choices hold it."""
+    known = _choices(spec_field.metadata)
+    if known is not None and value not in known:
+        raise error(
+            f"unknown {spec_field.metadata['label'] or spec_field.name} {value!r} "
+            f"(known: {', '.join(known)})"
+        )
+
+
 def _flag(spec_field) -> str:
     return spec_field.metadata["flag"] or "--" + spec_field.name.replace("_", "-")
 
@@ -403,13 +408,17 @@ PLAN_KEYWORDS = {
 def plan_options(given: Dict) -> Dict[str, Dict]:
     """``run_app``'s option keywords with defaults filled in, grouped by the
     :data:`PLAN_STAGES` stage that consumes them; an unknown one is refused
-    by name."""
+    by name, and so is a value in its declared (string) form that the
+    option's declared choices do not hold."""
     unknown = sorted(set(given) - set(PLAN_KEYWORDS))
     if unknown:
         raise TypeError(
             f"unknown run option(s): {', '.join(unknown)} "
             f"(known: {', '.join(sorted(PLAN_KEYWORDS))})"
         )
+    for spec_field in fields(JobSpec):
+        if isinstance(given.get(spec_field.name), str):
+            _check_choice(spec_field, given[spec_field.name], ExecutionError)
     stages: Dict[str, Dict] = {stage: {} for stage in PLAN_STAGES}
     for name, (stage, default) in PLAN_KEYWORDS.items():
         stages[stage][name] = given.get(name, default)

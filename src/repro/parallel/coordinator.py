@@ -34,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import time
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.core.serialization import FRAME_OVERHEAD
 from repro.errors import ExecutionError
 from repro.partition.base import allowed_cpus
 from repro.parallel.rings import LIVENESS_POLL_S, RingFabric, shared_arrays
-from repro.parallel.runner import HostRunner, RoundData
+from repro.parallel.runner import RoundData
 from repro.parallel.worker import worker_main
 from repro.resilience.transport import MAX_TRANSMISSIONS
 from repro.runtime.round import close_round
@@ -62,27 +63,51 @@ def resolve_workers(workers: Optional[int], num_hosts: int) -> int:
     return min(workers, num_hosts)
 
 
-class ProcessRunner(HostRunner):
-    """Real parallel execution: one forked worker per host group."""
+def _stop_fleet(procs: List, queues: List) -> None:
+    """Terminate and reap a fleet's workers, then close its queues.
 
-    def __init__(self, executor) -> None:
-        super().__init__(executor)
-        self.num_hosts = executor.partitioned.num_hosts
-        self.workers = resolve_workers(executor.workers, self.num_hosts)
+    A :class:`ProcessRunner`'s finalizer: it runs once — at ``finish``,
+    at ``abort``, or when the runner is freed with its fleet still up —
+    and holds no link to the runner.
+    """
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+    for proc in procs:
+        proc.join(timeout=10.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=10.0)
+    for q in queues:
+        q.cancel_join_thread()
+        q.close()
+
+
+class ProcessRunner:
+    """Real parallel execution: one forked worker per host group.
+
+    The fleet lives exactly as long as the runner: its owner (the
+    executor) dropping an unfinished run stops the workers.
+    """
+
+    def __init__(self) -> None:
+        self.num_hosts = 0
+        self.workers = 0
         #: ``(host, key) -> view``: the hosts' ndarray state, shared.
         self.arena: Optional[Dict[Tuple[int, str], np.ndarray]] = None
         self.fabric: Optional[RingFabric] = None
         self._procs: List = []
         self._cmd_qs: List = []
         self._report_q = None
-        self._started = False
-        self._finished = False
+        #: Stops the fleet (:func:`_stop_fleet`); ``None`` until :meth:`start`.
+        self._stop: Optional[weakref.finalize] = None
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self) -> None:
+    def start(self, ex) -> None:
         """Lay out the state arena and the rings, then fork the fleet."""
-        ex = self.ex
+        self.num_hosts = ex.partitioned.num_hosts
+        self.workers = resolve_workers(ex.workers, self.num_hosts)
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
@@ -118,6 +143,9 @@ class ProcessRunner(HostRunner):
         )
         self._report_q = ctx.Queue()
         self._cmd_qs = [ctx.Queue() for _ in range(self.workers)]
+        self._stop = weakref.finalize(
+            self, _stop_fleet, self._procs, [*self._cmd_qs, self._report_q]
+        )
         for w in range(self.workers):
             # Under ``fork`` the arguments are inherited, never pickled.
             proc = ctx.Process(
@@ -128,26 +156,21 @@ class ProcessRunner(HostRunner):
                 ),
                 daemon=True,
             )
-            self._procs.append(proc)
-        for proc in self._procs:
             proc.start()
-        self._started = True
+            self._procs.append(proc)
 
     # -- per-round protocol -------------------------------------------------
 
-    def run_round(self, round_index: int) -> RoundData:
+    def run_round(self, ex, round_index: int) -> RoundData:
         """Broadcast one round command; merge the workers' reports."""
-        if self._finished:
+        if not self._running():
             raise ExecutionError(
                 "the process runtime is single-shot: its workers already "
                 "stopped — construct a new executor to run again"
             )
-        if not self._started:
-            raise ExecutionError("process runner was never started")
         for q in self._cmd_qs:
             q.put(("round", round_index))
         reports = self._collect("round")
-        ex = self.ex
         num_hosts = self.num_hosts
         comp_times = [0.0] * num_hosts
         active_total = 0
@@ -169,7 +192,7 @@ class ProcessRunner(HostRunner):
             # Host-ascending accumulation: the simulated runtime's
             # ``sum(local_residual(state) for state in states)`` order.
             residual_sum = sum(residuals[h] for h in range(num_hosts))
-        self._replay_traffic([reports[w]["records"] for w in range(self.workers)])
+        self._replay_traffic(ex, [reports[w]["records"] for w in range(self.workers)])
         traffic, comm_time = close_round(
             ex.transport, ex.engines, ex.cost_model, translation_deltas
         )
@@ -184,7 +207,7 @@ class ProcessRunner(HostRunner):
             residual_sum=residual_sum,
         )
 
-    def _replay_traffic(self, all_records: List[Dict]) -> None:
+    def _replay_traffic(self, ex, all_records: List[Dict]) -> None:
         """Re-record the workers' traffic in the simulated runtime's order.
 
         Within a phase the simulated executor records host-ascending
@@ -193,7 +216,7 @@ class ProcessRunner(HostRunner):
         buckets by ascending source reproduces that order exactly —
         including the float-accumulation order of the cost model.
         """
-        stats = self.ex.transport.stats
+        stats = ex.transport.stats
         phases = sorted({phase for rec in all_records for phase in rec})
         for phase in phases:
             merged: Dict[int, List] = {}
@@ -243,14 +266,13 @@ class ProcessRunner(HostRunner):
 
     # -- teardown -----------------------------------------------------------
 
-    def finish(self, result) -> None:
+    def _running(self) -> bool:
+        return self._stop is not None and self._stop.alive
+
+    def finish(self, ex) -> None:
         """Stop the fleet; merge final state and stats into the executor."""
-        if self._finished:
+        if not self._running():
             return
-        if not self._started:
-            self._finished = True
-            return
-        ex = self.ex
         try:
             for q in self._cmd_qs:
                 q.put(("stop",))
@@ -271,31 +293,14 @@ class ProcessRunner(HostRunner):
                     ex.retired_stats.absorb(stats)
                 if final["faults"] is not None:
                     ex.fault_stats.absorb(final["faults"])
+            for proc in self._procs:
+                proc.join(timeout=10.0)  # a stopped worker exits on its own
         finally:
-            self._teardown()
+            self.abort()
 
     def abort(self) -> None:
-        """Exceptional teardown: kill the fleet."""
-        if self._finished or not self._started:
-            self._finished = True
-            return
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        self._teardown()
-
-    def _teardown(self) -> None:
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=10.0)
-        for q in self._cmd_qs:
-            q.cancel_join_thread()
-            q.close()
-        if self._report_q is not None:
-            self._report_q.cancel_join_thread()
-            self._report_q.close()
+        """Stop the fleet (a no-op once stopped)."""
+        if self._stop is not None:
+            self._stop()
         # The kernel frees each mapping's pages with its last reference.
         self.arena = self.fabric = None
-        self._finished = True

@@ -23,7 +23,6 @@ round.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -54,31 +53,18 @@ class RoundData:
     residual_sum: Optional[float]
 
 
-class HostRunner:
-    """What every round backend shares: a weak link to its executor.
+class InProcessRunner:
+    """The simulated runtime: all hosts round-robin in this process.
 
-    The executor owns its runner; a strong link back would be a reference
-    cycle, and a finished run would then live on until the cyclic GC ran.
+    A runner holds no link to its executor — the executor owns its
+    runner, and every call is handed the executor it serves.
     """
 
-    def __init__(self, executor) -> None:
-        self._executor = weakref.ref(executor)
-
-    @property
-    def ex(self):
-        """The executor this runner executes rounds for."""
-        return self._executor()
-
-
-class InProcessRunner(HostRunner):
-    """The simulated runtime: all hosts round-robin in this process."""
-
-    def start(self) -> None:
+    def start(self, ex) -> None:
         """Nothing to launch: the executor's own state is the cluster."""
 
-    def run_round(self, round_index: int) -> RoundData:
+    def run_round(self, ex, round_index: int) -> RoundData:
         """Execute one round on every host, in this process."""
-        ex = self.ex
         hosts = range(ex.partitioned.num_hosts)
         parts = ex.partitioned.partitions
         record = [] if ex.tracer.enabled else None
@@ -124,7 +110,7 @@ class InProcessRunner(HostRunner):
             residual_sum=residual_sum,
         )
 
-    def finish(self, result) -> None:
+    def finish(self, ex) -> None:
         """Nothing to tear down."""
 
     def abort(self) -> None:
@@ -137,8 +123,8 @@ def start_runner(executor):
         # Imported lazily: the coordinator imports this module.
         from repro.parallel.coordinator import ProcessRunner
 
-        runner = ProcessRunner(executor)
+        runner = ProcessRunner()
     else:
-        runner = InProcessRunner(executor)
-    runner.start()
+        runner = InProcessRunner()
+    runner.start(executor)
     return runner

@@ -49,6 +49,7 @@ from repro.resilience.faults import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.runtime.executor import DistributedExecutor
+    from repro.runtime.stats import RunResult
 
 #: Recognized recovery protocol names.
 RECOVERY_MODES = ("restart", "confined")
@@ -155,9 +156,9 @@ def confined_applicable(executor: "DistributedExecutor") -> bool:
 
 
 def take_checkpoint(
-    executor: "DistributedExecutor", round_index: int, rebaseline: bool = False
+    executor: "DistributedExecutor", result: "RunResult", round_index: int, rebaseline: bool = False
 ) -> None:
-    """Snapshot the execution at a round boundary and account it.
+    """Snapshot the execution at a round boundary and account it on ``result``.
 
     The snapshot schema lives here, next to :func:`_rollback_point`
     which parses and validates it.  ``rebaseline`` first forgets every
@@ -178,7 +179,6 @@ def take_checkpoint(
             "frontiers": executor.frontiers,
         }
     )
-    result = executor.result
     result.num_checkpoints += 1
     result.checkpoint_bytes += record.nbytes
     result.checkpoint_time += record.save_time_s
@@ -223,6 +223,7 @@ def _rollback_point(executor: "DistributedExecutor") -> dict:
 
 def survive_crash(
     executor: "DistributedExecutor",
+    result: "RunResult",
     crashed_hosts: List[int],
     round_index: int,
     bind: Callable,
@@ -232,7 +233,7 @@ def survive_crash(
     The whole crash seam of the executor's run loop: fail-stop loss of
     the hosts' memory and connectivity, the recovery protocol (restart,
     confined, or confined escalated to restart), and its accounting on
-    the run's result, trace and metrics.  ``bind`` is the executor's
+    the open run's ``result``, trace and metrics.  ``bind`` is the executor's
     layout-binding primitive, ``bind(partitioned, ctx, states,
     frontiers) -> (bytes, simulated_time)``: both protocols rebirth the
     fabric through it — new transport, fresh memoization exchange — over
@@ -247,8 +248,10 @@ def survive_crash(
     if mode == "confined" and not confined_applicable(executor):
         mode = "confined->restart"
     snapshot = _rollback_point(executor)
-    protocol = _recover_confined if mode == "confined" else _recover_restart
-    nbytes, sim_time, replayed = protocol(executor, snapshot, crashed_hosts, bind)
+    if mode == "confined":
+        nbytes, sim_time, replayed = _recover_confined(executor, snapshot, crashed_hosts, bind)
+    else:
+        nbytes, sim_time, replayed = _recover_restart(executor, result, snapshot, bind)
     event = RecoveryEvent(
         round_index=round_index,
         hosts=list(crashed_hosts),
@@ -258,7 +261,6 @@ def survive_crash(
         recovery_time=sim_time,
         replayed_rounds=replayed,
     )
-    result = executor.result
     result.num_recoveries += 1
     result.recovery_bytes += nbytes
     result.recovery_time += sim_time
@@ -280,15 +282,15 @@ def survive_crash(
     return event
 
 
-def _recover_restart(executor, snapshot, crashed_hosts, bind):
-    """Global rollback: every host restarts from the rollback point.
+def _recover_restart(executor, result, snapshot, bind):
+    """Global rollback: every host restarts from the rollback point, and
+    ``result`` forgets the rounds after it.
 
     Returns ``(bytes, simulated_time, replayed_rounds)``.
     """
     nbytes, sim_time = bind(
         executor.partitioned, executor.ctx, snapshot["states"], snapshot["frontiers"]
     )
-    result = executor.result
     restored_round = int(snapshot["round"])
     replayed = max(0, len(result.rounds) - restored_round)
     # The rolled-back rounds are replayed (and re-recorded); drop their

@@ -23,7 +23,6 @@ metrics :mod:`repro.observability.rounds`', state carry-over
 from __future__ import annotations
 
 import time
-import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -68,6 +67,12 @@ if TYPE_CHECKING:  # imported for annotations only (avoids an import cycle)
 
 #: The round-execution backends ``runtime=`` may name.
 RUNTIMES = ("simulated", "process")
+
+_SINGLE_USE = (
+    "this executor's run already converged; DistributedExecutor is "
+    "single-use per completed run — construct a new executor (per job), "
+    "or use apply_mutations() for versioned resumption over a mutated graph"
+)
 
 
 class DistributedExecutor:
@@ -157,13 +162,10 @@ class DistributedExecutor:
         #: Per-host bool masks of the proxies active next round.  The
         #: round runners advance them; recovery restores them.
         self.frontiers: List[np.ndarray] = []
-        #: The open run's result, held until it converges; from then on
-        #: ``_converged`` holds it weakly.  Its caller owns a finished
-        #: result, and the result owns this executor (``result.executor``):
-        #: a strong link back would be a cycle, and a finished run would
-        #: outlive its last reference until the cyclic GC ran.
-        self._result: Optional[RunResult] = None
-        self._converged: Optional[weakref.ref] = None
+        #: "new" until the first :meth:`run`, then "open" or "converged".
+        #: The result itself is its caller's — it owns this executor
+        #: (``result.executor``) and comes back through ``run(resume=)``.
+        self._run_state = "new"
         #: Graph-version counter: 0 for the construction-time graph,
         #: +1 per :meth:`apply_mutations` (the streaming resume seam).
         self.version = 0
@@ -194,16 +196,8 @@ class DistributedExecutor:
         self.metrics = self.obs.metrics
         #: The round-execution backend (created on the first run() call):
         #: InProcessRunner for the simulated runtime, ProcessRunner for
-        #: ``--runtime process``.
+        #: ``--runtime process``.  It holds no link back.
         self._runner = None
-
-    @property
-    def result(self) -> Optional[RunResult]:
-        """The current graph version's result (``None`` before ``run``,
-        and once a converged result has been dropped by its owner)."""
-        if self._converged is not None:
-            return self._converged()
-        return self._result
 
     # -- binding a layout (§4: memoize once per partition) -------------------------
 
@@ -325,32 +319,32 @@ class DistributedExecutor:
 
     # -- main loop ---------------------------------------------------------------
 
-    def run(self, max_rounds: int = 100_000) -> RunResult:
+    def run(self, max_rounds: int = 100_000, resume: Optional[RunResult] = None) -> RunResult:
         """Execute to global quiescence (or ``max_rounds`` more rounds).
 
-        Calling ``run`` again on an *unconverged* executor resumes where
-        it stopped, accumulating into the same :class:`RunResult` — the
-        hook that makes mid-run :meth:`repartition` possible.  Calling it
-        again after convergence raises: an executor is single-use per
-        completed run, because its states, frontiers, transport, and
-        checkpoint baseline all carry the finished execution.  Reusing
-        one silently would leak that state into the next answer — the
-        job service constructs a fresh executor per job for exactly this
-        reason.
+        Without ``resume`` this starts the executor's one run.  An
+        *unconverged* run continues with ``run(resume=result)``, which
+        accumulates into (and returns) that same :class:`RunResult` — the
+        hook that makes mid-run :meth:`repartition` possible.  A second
+        fresh start raises, and so does resuming a converged result or
+        another executor's: an executor is single-use per completed run,
+        because its states, frontiers, transport, and checkpoint baseline
+        all carry the finished execution.  Reusing one silently would
+        leak that state into the next answer — the job service constructs
+        a fresh executor per job for exactly this reason.
         """
-        if self._converged is not None:
+        if resume is not None:
+            result = self._open_run(resume, "resume")
+        elif self._run_state != "new":
             raise ExecutionError(
-                "this executor's run already converged; "
-                "DistributedExecutor is single-use per completed run — "
-                "construct a new executor (per job), or use "
-                "apply_mutations() for versioned resumption over a "
-                "mutated graph"
+                _SINGLE_USE if self._run_state == "converged" else
+                "this executor's run is still open: continue it with run(resume=result)"
             )
-        if self._result is None:
-            self._result = self._new_result()
-            self._setup(self._result)
-        result = self._result
-        runner = self._runner or self._start_runner(result)
+        else:
+            result = self._new_result()
+            self._setup(result)
+            self._start_runner(result)
+            self._run_state = "open"
         executed = 0
         loop_start = time.perf_counter()
         try:
@@ -360,16 +354,14 @@ class DistributedExecutor:
                 if self.fault_injector is not None:
                     crashed = self.fault_injector.take_crashes(round_index)
                     if crashed:
-                        event = survive_crash(
-                            self, crashed, round_index, self._bind
-                        )
+                        event = survive_crash(self, result, crashed, round_index, self._bind)
                         pending_bytes, pending_time = self._pending_recovery
                         self._pending_recovery = (
                             pending_bytes + event.recovery_bytes,
                             pending_time + event.recovery_time,
                         )
                         continue
-                data = runner.run_round(round_index)
+                data = self._runner.run_round(self, round_index)
                 if self.tracer.enabled:
                     trace_round(
                         self.tracer, round_index, data, app=self.app.name,
@@ -396,34 +388,40 @@ class DistributedExecutor:
                 if self.app.uses_frontier:
                     if data.active == 0:
                         # The process runtime merges its workers' state back.
-                        runner.finish(result)
+                        self._runner.finish(self)
                         entries = self.app.next_stage(self.states[0], self.gather_result)
                         if entries is None:
                             result.converged = True
                             break
-                        runner = self._enter_stage(entries, result)
-                else:
-                    if self.app.is_globally_converged(
-                        data.residual_sum, round_index, self.ctx
-                    ):
-                        result.converged = True
-                        break
-                if self.checkpoints is not None and self.checkpoints.due(
-                    round_index
-                ):
-                    take_checkpoint(self, round_index)
+                        self._enter_stage(entries, result)
+                elif self.app.is_globally_converged(data.residual_sum, round_index, self.ctx):
+                    result.converged = True
+                    break
+                if self.checkpoints is not None and self.checkpoints.due(round_index):
+                    take_checkpoint(self, result, round_index)
         except BaseException:
             self._runner.abort()
             raise
         result.wall_rounds_s += time.perf_counter() - loop_start
         if result.converged:
-            runner.finish(result)
-            self._converged, self._result = weakref.ref(result), None
+            self._runner.finish(self)
+            self._run_state = "converged"
         self._finalize(result)
         return result
 
-    def _start_runner(self, result: RunResult):
-        """Create and start the round backend; returns it."""
+    def _open_run(self, result: RunResult, operation: str) -> RunResult:
+        """``result`` if it is this executor's open run; refused by name else."""
+        if getattr(result, "executor", None) is not self:
+            raise ExecutionError(
+                f"cannot {operation} a run not started by this executor: pass "
+                "the result its run() returned"
+            )
+        if result.converged:
+            raise ExecutionError(f"cannot {operation} a converged run: {_SINGLE_USE}")
+        return result
+
+    def _start_runner(self, result: RunResult) -> None:
+        """Create and start the round backend."""
         # Imported lazily: the runners import repro.runtime.round, and
         # importing the repro.runtime package imports this module.
         from repro.parallel.runner import start_runner
@@ -434,35 +432,36 @@ class DistributedExecutor:
         # is real construction work: charge it where the partition build and
         # memoization exchange already land.
         result.construction_time += time.perf_counter() - started
-        return self._runner
 
     def _enter_stage(self, entries: Dict, result: RunResult):
         """Move every host into a staged program's next stage: ``entries``
         set, the layout rebound warm with the address books already held
         — no second exchange (§4: memoize once per partition) — under a
-        fresh runner, which is returned."""
+        fresh runner."""
         started = time.perf_counter()
         for state in self.states:
             state.update(entries)
         self._bind(self.partitioned, self.ctx, self.states, books=[s.book for s in self.substrates])
-        runner = self._start_runner(result)
+        self._start_runner(result)
         if self.tracer.enabled:
             # Overlaps the timeline (wall time, not a simulated stall).
             self.tracer.record(
                 "stage", cat="construction", begin_s=self.tracer.cursor,
                 duration_s=time.perf_counter() - started, **entries,
             )
-        return runner
 
     def _new_result(self) -> RunResult:
-        """An empty result for the graph version the executor now holds."""
-        return RunResult(
+        """An empty result for the graph version the executor now holds;
+        it owns the executor (nothing here links back to it)."""
+        result = RunResult(
             system=self.system_name,
             app=self.app.name,
             policy=self.partitioned.policy_name,
             num_hosts=self.partitioned.num_hosts,
             runtime=self.runtime,
         )
+        result.executor = self  # type: ignore[attr-defined]
+        return result
 
     # -- changing the layout: repartitioning (§4.1 footnote) and streaming ---------
 
@@ -505,27 +504,24 @@ class DistributedExecutor:
         )
         return self._charge_construction(result, nbytes, started)
 
-    def repartition(self, new_partitioned: PartitionedGraph) -> None:
+    def repartition(self, new_partitioned: PartitionedGraph, result: RunResult) -> None:
         """Replace the partition mid-run; memoization is redone (§4.1).
 
         Canonical (master) values of every per-node state array migrate to
         the new layout, new substrates run a fresh memoization exchange
-        (its traffic is added to the construction bytes), and the frontier
-        is rebuilt so a subsequent :meth:`run` resumes seamlessly — i.e.
-        :meth:`apply_mutations` with nothing mutated and everything kept,
-        on an unconverged run whose result keeps accumulating.
+        (its traffic is added to ``result``'s construction bytes), and the
+        frontier is rebuilt so ``run(resume=result)`` resumes seamlessly —
+        i.e. :meth:`apply_mutations` with nothing mutated and everything
+        kept, on the open run ``result`` that keeps accumulating.
         """
-        if self._converged is not None:
-            raise ExecutionError("cannot repartition a converged run")
-        if self._result is None:
-            raise ExecutionError("repartition requires a started run")
+        self._open_run(result, "repartition")
         if new_partitioned.num_global_nodes != self.partitioned.num_global_nodes:
             raise ExecutionError(
                 "repartitioning must keep the same global graph"
             )
         frontier = gather_frontier(self.partitioned, self.frontiers)
         elapsed = self._relayout(
-            "repartition", new_partitioned, self.ctx, self._result, frontier
+            "repartition", new_partitioned, self.ctx, result, frontier
         )
         if self.tracer.enabled:
             # Overlaps the timeline (wall time, not a simulated stall).
@@ -535,7 +531,7 @@ class DistributedExecutor:
             )
         # Checkpoints describe the old layout; restart the baseline.
         if self.checkpoints is not None:
-            take_checkpoint(self, self._result.num_rounds, rebaseline=True)
+            take_checkpoint(self, result, result.num_rounds, rebaseline=True)
 
     def apply_mutations(
         self,
@@ -545,7 +541,7 @@ class DistributedExecutor:
         affected: Optional[np.ndarray] = None,
         frontier: Optional[np.ndarray] = None,
         changed_hosts=None,
-    ) -> None:
+    ) -> RunResult:
         """Adopt a delta-partitioned graph and arm a versioned resumption.
 
         This is the streaming seam that relaxes the single-use run
@@ -554,8 +550,8 @@ class DistributedExecutor:
         :func:`repro.streaming.delta.delta_partition`), migrates
         canonical state to the new layout, resets the ``affected``
         vertices to their fresh-init values, seeds the ``frontier``, and
-        opens a fresh :class:`RunResult` for the next :meth:`run` call —
-        one result per graph version.
+        returns a fresh, open :class:`RunResult` that ``run(resume=)``
+        continues — one result per graph version.
 
         ``changed_hosts`` are the hosts the delta rebuilt; every other
         host's :class:`LocalPartition` must be the very object the
@@ -566,14 +562,10 @@ class DistributedExecutor:
         state and initial frontier over the new partition (how
         trajectory-dependent apps like pagerank stay bitwise-faithful).
         """
-        if self._result is None and self._converged is None:
+        if self._run_state != "converged":
             raise ExecutionError(
-                "apply_mutations requires a completed run to resume from"
-            )
-        if self._converged is None:
-            raise ExecutionError(
-                "apply_mutations requires a converged run (use "
-                "repartition() to change layout mid-run)"
+                "apply_mutations requires a converged run to resume from "
+                "(use repartition() to change layout mid-run)"
             )
         if (affected is None) != (frontier is None):
             raise ExecutionError(
@@ -602,7 +594,7 @@ class DistributedExecutor:
         # result; the new version accounts only its own work.
         self.retired_stats = SubstrateStats()
         self.version += 1
-        self._result, self._converged = result, None
+        self._run_state = "open"
         if self.tracer.enabled:
             self.tracer.record_sequential(
                 "apply-mutations", elapsed, cat="streaming", version=self.version,
@@ -614,7 +606,8 @@ class DistributedExecutor:
             self.metrics.counter("streaming_resumes_total").inc()
         # Checkpoints describe the old version; restart the baseline.
         if self.checkpoints is not None:
-            take_checkpoint(self, 0, rebaseline=True)
+            take_checkpoint(self, result, 0, rebaseline=True)
+        return result
 
     # -- results ----------------------------------------------------------------------
 

@@ -274,7 +274,7 @@ class StreamingSession:
                 frontier=plan.frontier_count,
             )
 
-        self.executor.apply_mutations(
+        opened = self.executor.apply_mutations(
             delta.partitioned,
             new_ctx,
             affected=None if plan.full_restart else plan.affected,
@@ -295,7 +295,7 @@ class StreamingSession:
                 else new_edges.num_nodes
             )
 
-        result = self.executor.run(max_rounds=self.plan.max_rounds)
+        result = self.executor.run(max_rounds=self.plan.max_rounds, resume=opened)
         self.version = new_version
         self.partitioned = delta.partitioned
         self.plan = advanced

@@ -285,8 +285,6 @@ class RunPlan:
         partitioned = outcome.partitioned
         executor = self.executor(partitioned, prepared_sync=outcome.prepared_sync)
         result = executor.run(max_rounds=self.max_rounds)
-        # Keep the executor alive on the result for state inspection.
-        result.executor = executor  # type: ignore[attr-defined]
         result.construction_time += outcome.wall_s
         # The memoized sync structures the run just paid for ride along
         # (the §4 temporal-invariance amortization, extended across jobs) —

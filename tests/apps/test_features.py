@@ -161,11 +161,11 @@ class TestRuntimesAndRepartition:
             partitioned, make_engine("galois"), make_app("labelprop"),
             prep.ctx,
         )
-        executor.run(max_rounds=1)
+        partial = executor.run(max_rounds=1)
         executor.repartition(
-            make_partitioner("cvc").partition(prep.edges, 4)
+            make_partitioner("cvc").partition(prep.edges, 4), partial
         )
-        result = executor.run()
+        result = executor.run(resume=partial)
         assert result.converged
         expected = labelprop_labels(EDGES, dim, ROUNDS)
         assert np.array_equal(executor.gather_result("label"), expected)

@@ -336,24 +336,26 @@ def test_the_removed_aggregation_ablation_fails_by_name_at_every_door(capsys):
         run_app("d-galois", "bfs", rmat(4, 4, 1), 1, aggregate_comm=False)
 
 
-def test_the_removed_rows_only_compression_fails_by_name_at_every_door(capsys):
+@pytest.mark.parametrize("app, value", [("featprop", "none"), ("bfs", "none"), ("bfs", "zip")])
+def test_the_removed_rows_only_compression_fails_by_name_at_every_door(capsys, app, value):
     """The lossless wire picks rows or delta per message itself, so
     ``compression`` keeps ``delta`` (the default) and ``fp16``: the old
-    rows-only ``none`` is refused by name."""
+    rows-only ``none``, like any undeclared value, is refused by name at
+    every door — for a scalar app too, whose fields never reach the codec."""
     with pytest.raises(SystemExit) as exit_info:
         cli.main([
-            "run", "--system", "d-galois", "--app", "featprop", "--workload", "rmat22s",
-            "--compression", "none",
+            "run", "--system", "d-galois", "--app", app, "--workload", "rmat22s",
+            "--compression", value,
         ])
     assert exit_info.value.code == 2
-    assert "argument --compression: invalid choice: 'none'" in capsys.readouterr().err
-    with pytest.raises(JobSpecError, match=r"unknown compression 'none' \(known: delta, fp16\)"):
-        JobSpec.from_dict({"app": "featprop", "workload": "rmat22s", "compression": "none"})
-    known = r"unknown compression 'none' \(expected one of \('delta', 'fp16'\)\)"
-    with pytest.raises(SyncError, match=known):
-        run_app("d-galois", "featprop", rmat(4, 4, 1), 2, compression="none")
-    with pytest.raises(SyncError, match=known):
-        FieldSpec("rows", np.zeros((4, 2)), ADD, compression="none")
+    assert f"argument --compression: invalid choice: '{value}'" in capsys.readouterr().err
+    known = rf"unknown compression '{value}' \(known: delta, fp16\)"
+    with pytest.raises(JobSpecError, match=known):
+        JobSpec.from_dict({"app": app, "workload": "rmat22s", "compression": value})
+    with pytest.raises(ExecutionError, match=known):
+        run_app("d-galois", app, rmat(4, 4, 1), 2, compression=value)
+    with pytest.raises(SyncError, match=r"\(expected one of \('delta', 'fp16'\)\)"):
+        FieldSpec("rows", np.zeros((4, 2)), ADD, compression=value)
 
 
 def test_a_result_cached_by_the_parent_commit_is_still_a_hit(graph, tmp_path, capsys):

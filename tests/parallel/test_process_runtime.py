@@ -219,7 +219,7 @@ class TestLifecycle:
         ex = build_executor(tiny_edges, runtime="process", workers=2)
         partial = ex.run(max_rounds=2)
         assert not partial.converged
-        resumed = ex.run()
+        resumed = ex.run(resume=partial)
         assert resumed.converged
         assert resumed.num_rounds == sim.num_rounds
         assert resumed.total_time == sim.total_time
@@ -400,10 +400,10 @@ class TestGuards:
 
     def test_repartition_is_simulated_only(self, tiny_edges):
         ex = build_executor(tiny_edges, runtime="process", workers=2)
-        ex.run(max_rounds=1)
+        partial = ex.run(max_rounds=1)
         prep = prepare_input("bfs", tiny_edges)
         other = make_partitioner("oec").partition(prep.edges, 4)
         with pytest.raises(
             ExecutionError, match="repartitioning requires"
         ):
-            ex.repartition(other)
+            ex.repartition(other, partial)

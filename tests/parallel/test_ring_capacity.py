@@ -93,8 +93,7 @@ def observed_and_bound(monkeypatch, app, edges, **job):
             sizes.setdefault((src, dst), []).append(len(payload))
         plain_send(self, src, dst, payload)
 
-    def run_round(self, round_index):
-        ex = self.ex
+    def run_round(self, ex, round_index):
         transport = getattr(ex.transport, "inner", ex.transport)
         # Every bind (a staged program's next stage, too) births a fabric
         # for its own sync plans: each is held to the bound of those plans.
@@ -105,7 +104,7 @@ def observed_and_bound(monkeypatch, app, edges, **job):
         }
         in_round.append(True)
         try:
-            return plain_round(self, round_index)
+            return plain_round(self, ex, round_index)
         finally:
             in_round.pop()
 

@@ -178,8 +178,8 @@ COORDINATOR = textwrap.dedent(
 SLOW_ROUNDS = """
 plain_start = ProcessRunner.start
 
-def start(self):
-    plain_start(self)
+def start(self, ex):
+    plain_start(self, ex)
     announce(self)
 
 ProcessRunner.start = start
@@ -188,7 +188,7 @@ ProcessRunner.start = start
 #: Commands worker 0 alone, then dies: worker 0 is left waiting on the
 #: doorbells of worker 1's hosts, which never got a command.
 DIES_BETWEEN_COMMANDS = """
-def run_round(self, round_index):
+def run_round(self, ex, round_index):
     announce(self)
     self._cmd_qs[0].put(("round", round_index))
     time.sleep(0.5)  # the queue's feeder thread delivers the command

@@ -417,8 +417,8 @@ class TestRecoveryAfterRepartition:
             prep.ctx,
             resilience=resilience,
         )
-        executor.run(max_rounds=2)
-        executor.repartition(make_partitioner("cvc").partition(prep.edges, 4))
+        partial = executor.run(max_rounds=2)
+        executor.repartition(make_partitioner("cvc").partition(prep.edges, 4), partial)
         if executor.checkpoints is not None:
             # The baseline was re-taken on the new layout, at round 2.
             record = executor.checkpoints.latest()
@@ -426,7 +426,7 @@ class TestRecoveryAfterRepartition:
             assert record.round_index == 2
             snapshot = executor.checkpoints.restore()
             assert snapshot["policy"] == "cvc"
-        return executor, executor.run()
+        return executor, executor.run(resume=partial)
 
     #: Crash rounds after the repartition that each app still reaches on
     #: rmat9 (cc converges in 3 rounds, bfs in 4).

@@ -1,6 +1,7 @@
 """Unit tests for the distributed executor."""
 
 import gc
+import multiprocessing
 import weakref
 from contextlib import contextmanager
 
@@ -143,42 +144,59 @@ def without_cyclic_gc():
 
 class TestAFinishedRunIsFreedByRefcounting:
     """``result.executor`` keeps a run's executor alive for inspection;
-    nothing links back to it strongly (the executor keeps a converged
-    result weakly, a runner its executor), so dropping the result frees
-    the whole run without the cyclic GC."""
+    nothing links back to it (the executor holds no result, a runner no
+    executor), so dropping the result frees the whole run — converged or
+    open — without the cyclic GC, and a dropped open process run stops
+    its workers."""
 
+    @pytest.mark.parametrize("max_rounds", [100_000, 1])
     @pytest.mark.parametrize("runtime", ["simulated", "process"])
-    def test_dropping_the_result_frees_the_executor(self, small_rmat, runtime):
+    def test_dropping_the_result_frees_the_executor(self, small_rmat, runtime, max_rounds):
         job = dict(runtime=runtime, workers=2) if runtime == "process" else {}
         with without_cyclic_gc():
-            result = run_app("d-galois", "pr", small_rmat, 4, **job)
-            assert result.converged
+            result = run_app("d-galois", "pr", small_rmat, 4, max_rounds=max_rounds, **job)
+            assert result.converged == (max_rounds > 1)
             executor = weakref.ref(result.executor)
             del result
             assert executor() is None
 
-    def test_the_executor_answers_for_its_live_result(self, small_rmat):
-        result = run_app("d-galois", "pr", small_rmat, 4)
-        assert result.executor.result is result
-        assert len(result.executor.gather_result("rank")) == small_rmat.num_nodes
+    def test_a_dropped_open_process_run_stops_its_workers(self, small_rmat):
+        before = set(multiprocessing.active_children())
+        with without_cyclic_gc():
+            result = run_app(
+                "d-galois", "pr", small_rmat, 4, runtime="process", workers=2, max_rounds=1
+            )
+            assert not result.converged
+            assert len(set(multiprocessing.active_children()) - before) == 2
+            del result
+            assert set(multiprocessing.active_children()) <= before
+
+    def test_resuming_a_foreign_or_converged_result_is_refused_by_name(self, small_rmat):
+        executor, other = build_executor(small_rmat), build_executor(small_rmat)
+        foreign = other.run(max_rounds=1)
+        with pytest.raises(ExecutionError, match="not started by this executor"):
+            executor.run(resume=foreign)
+        done = executor.run()
+        with pytest.raises(ExecutionError, match="cannot resume a converged run.*single-use"):
+            executor.run(resume=done)
+        with pytest.raises(ExecutionError, match="cannot repartition a converged run"):
+            executor.repartition(executor.partitioned, done)
 
     def test_a_converged_run_stays_finished_once_its_result_is_gone(self, small_rmat):
         executor = build_executor(small_rmat)
         with without_cyclic_gc():
-            executor.run()  # the result is dropped at once
-            assert executor.result is None
+            finished = weakref.ref(executor.run())  # the result is dropped at once
+            assert finished() is None
         with pytest.raises(ExecutionError, match="already converged"):
             executor.run()
-        with pytest.raises(ExecutionError, match="cannot repartition a converged run"):
-            executor.repartition(executor.partitioned)
 
-    def test_an_open_run_keeps_its_result(self, small_rmat):
+    def test_an_open_run_resumes_only_through_its_result(self, small_rmat):
         executor = build_executor(small_rmat)
-        with without_cyclic_gc():
-            first = weakref.ref(executor.run(max_rounds=1))
-            assert first() is not None and not first().converged
-            assert executor.result is first()
-            assert executor.run() is first() and first().converged
+        partial = executor.run(max_rounds=1)
+        assert not partial.converged
+        with pytest.raises(ExecutionError, match=r"still open.*run\(resume=result\)"):
+            executor.run()
+        assert executor.run(resume=partial) is partial and partial.converged
 
 
 class TestDeterminism:

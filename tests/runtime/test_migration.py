@@ -33,7 +33,7 @@ class TestResume:
         prep, executor = build(small_rmat, "bfs", "cvc")
         partial = executor.run(max_rounds=1)
         assert not partial.converged
-        final = executor.run()
+        final = executor.run(resume=partial)
         assert final is partial  # same accumulated result object
         assert final.converged
         got = executor.gather_result("dist").astype(np.uint64)
@@ -43,8 +43,8 @@ class TestResume:
 
     def test_resumed_rounds_are_contiguous(self, small_rmat):
         _, executor = build(small_rmat, "bfs", "cvc")
-        executor.run(max_rounds=2)
-        result = executor.run()
+        partial = executor.run(max_rounds=2)
+        result = executor.run(resume=partial)
         indices = [record.round_index for record in result.rounds]
         assert indices == list(range(1, len(indices) + 1))
 
@@ -65,9 +65,9 @@ class TestResume:
     def test_resume_matches_single_shot(self, small_rmat):
         """Splitting a run into resumed chunks changes nothing."""
         _, chunked = build(small_rmat, "sssp", "cvc")
-        # A converged result is its caller's: the executor keeps it weakly.
-        while not (chunked_result := chunked.run(max_rounds=1)).converged:
-            pass
+        chunked_result = chunked.run(max_rounds=1)
+        while not chunked_result.converged:
+            chunked.run(max_rounds=1, resume=chunked_result)
         _, single = build(small_rmat, "sssp", "cvc")
         single_result = single.run()
         assert chunked_result.num_rounds == single_result.num_rounds
@@ -92,10 +92,10 @@ class TestRepartition:
         self, small_rmat, app_name, key, oracle
     ):
         prep, executor = build(small_rmat, app_name, "oec")
-        executor.run(max_rounds=2)
+        partial = executor.run(max_rounds=2)
         new_partitioned = make_partitioner("cvc").partition(prep.edges, 4)
-        executor.repartition(new_partitioned)
-        result = executor.run()
+        executor.repartition(new_partitioned, partial)
+        result = executor.run(resume=partial)
         assert result.converged
         assert result.policy == "cvc"
         got = executor.gather_result(key).astype(np.uint64)
@@ -103,10 +103,10 @@ class TestRepartition:
 
     def test_repartition_pagerank(self, small_rmat):
         prep, executor = build(small_rmat, "pr", "iec", engine="ligra")
-        executor.run(max_rounds=5)
+        partial = executor.run(max_rounds=5)
         new_partitioned = make_partitioner("hvc").partition(prep.edges, 4)
-        executor.repartition(new_partitioned)
-        result = executor.run()
+        executor.repartition(new_partitioned, partial)
+        result = executor.run(resume=partial)
         assert result.converged
         got = executor.gather_result("rank")
         expected = reference_pagerank(small_rmat)
@@ -117,67 +117,72 @@ class TestRepartition:
 
         prep, executor = build(small_rmat, "cc", "oec")
         expected = reference_cc(prep.edges)
+        result = None
         for policy in ("cvc", "hvc", "iec"):
-            result = executor.run(max_rounds=1)
+            result = executor.run(max_rounds=1, resume=result)
             if result.converged:
                 break
             executor.repartition(
-                make_partitioner(policy).partition(prep.edges, 4)
+                make_partitioner(policy).partition(prep.edges, 4), result
             )
         if not result.converged:
-            executor.run()
+            executor.run(resume=result)
         got = executor.gather_result("label").astype(np.uint64)
         assert np.array_equal(got, expected)
 
     def test_remomoization_traffic_counted(self, small_rmat):
         prep, executor = build(small_rmat, "bfs", "oec")
-        executor.run(max_rounds=1)
-        before = executor._result.construction_bytes
+        partial = executor.run(max_rounds=1)
+        before = partial.construction_bytes
         executor.repartition(
-            make_partitioner("cvc").partition(prep.edges, 4)
+            make_partitioner("cvc").partition(prep.edges, 4), partial
         )
-        assert executor._result.construction_bytes > before
+        assert partial.construction_bytes > before
 
     def test_repartition_before_run_rejected(self, small_rmat):
+        """Before its own run, an executor has no open run to repartition:
+        another executor's result is refused by name."""
         prep, executor = build(small_rmat, "bfs", "oec")
+        _, other = build(small_rmat, "bfs", "oec")
+        foreign = other.run(max_rounds=1)
         with pytest.raises(ExecutionError, match="started"):
             executor.repartition(
-                make_partitioner("cvc").partition(prep.edges, 4)
+                make_partitioner("cvc").partition(prep.edges, 4), foreign
             )
 
     def test_repartition_after_convergence_rejected(self, small_rmat):
         prep, executor = build(small_rmat, "bfs", "oec")
-        executor.run()
+        result = executor.run()
         with pytest.raises(ExecutionError, match="converged"):
             executor.repartition(
-                make_partitioner("cvc").partition(prep.edges, 4)
+                make_partitioner("cvc").partition(prep.edges, 4), result
             )
 
     def test_host_count_change_rejected(self, small_rmat):
         prep, executor = build(small_rmat, "bfs", "oec")
-        executor.run(max_rounds=1)
+        partial = executor.run(max_rounds=1)
         with pytest.raises(ExecutionError, match="host count"):
             executor.repartition(
-                make_partitioner("cvc").partition(prep.edges, 8)
+                make_partitioner("cvc").partition(prep.edges, 8), partial
             )
 
     def test_non_migratable_app_rejected(self, small_rmat):
         prep, executor = build(small_rmat, "kcore", "oec")
-        executor.run(max_rounds=1)
+        partial = executor.run(max_rounds=1)
         with pytest.raises(ExecutionError, match="per-proxy flags"):
             executor.repartition(
-                make_partitioner("cvc").partition(prep.edges, 4)
+                make_partitioner("cvc").partition(prep.edges, 4), partial
             )
 
     def test_staged_program_refuses_repartition_by_name(self, small_rmat):
         """``migrate_states`` re-runs ``make_state``, which would reset
         bc's stage index and level counter mid-run."""
         prep, executor = build(small_rmat, "bc", "oec")
-        executor.run(max_rounds=2)
+        partial = executor.run(max_rounds=2)
         assert not executor.app.supports_migration
         with pytest.raises(ExecutionError, match="bc cannot change layout.*stage"):
             executor.repartition(
-                make_partitioner("cvc").partition(prep.edges, 4)
+                make_partitioner("cvc").partition(prep.edges, 4), partial
             )
 
 
@@ -218,9 +223,9 @@ class TestDeclaredNodeArrays:
         prep, executor = build(edges, "pr", "hvc", num_hosts=2)
         host0 = executor.partitioned.partitions[0]
         assert host0.num_nodes == host0.graph.num_edges  # the coincidence
-        executor.run(max_rounds=2)
-        executor.repartition(make_partitioner("oec").partition(prep.edges, 2))
-        result = executor.run()
+        partial = executor.run(max_rounds=2)
+        executor.repartition(make_partitioner("oec").partition(prep.edges, 2), partial)
+        result = executor.run(resume=partial)
         assert result.converged
         np.testing.assert_allclose(
             executor.gather_result("rank"), reference_pagerank(edges),

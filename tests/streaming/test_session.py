@@ -140,9 +140,9 @@ class TestLifecycle:
         assert len(session.results) == 2  # cold run + one step
 
     def test_a_session_holding_only_the_executor_still_mutates(self):
-        """The executor keeps a converged result only weakly: once the
-        session holds a copy without it, the result object is freed,
-        and ``apply_mutations`` still resumes from the executor alone."""
+        """The executor holds no result: once the session holds a copy
+        without it, the result object is freed, and ``apply_mutations``
+        still resumes from the executor alone."""
         session = StreamingSession("d-galois", "bfs", small_graph(), num_hosts=2)
         gc.collect()
         gc.disable()
@@ -151,11 +151,11 @@ class TestLifecycle:
             freed = weakref.ref(base)
             session.results[0] = dataclasses.replace(base)  # no ``executor``
             del base
-            assert freed() is None and session.executor.result is None
+            assert freed() is None
             step = session.apply_batch(one_edge_delete(session))
         finally:
             gc.enable()
-        assert session.executor.result is step.result
+        assert step.result.executor is session.executor
         cold = session.cold_values(session.cold_run())
         for key, values in session.values().items():
             assert np.array_equal(values, cold[key])

@@ -64,3 +64,11 @@ def test_repo_rule(rule, offending, clean, exempt_path):
     # The owning module, and anything outside src/, may do it.
     assert codes(exempt_path, offending) == []
     assert codes("tests/test_x.py", offending) == []
+
+
+def test_examples_may_not_reach_into_the_executor():
+    """An example is read as the way to drive the library: it reads what a
+    run returned, never an executor's private attributes."""
+    reach_in = "def before(executor):\n    return executor._runner\n"
+    assert codes("examples/repartitioning.py", reach_in) == ["X001"]
+    assert codes("examples/repartitioning.py", "def before(partial):\n    return partial\n") == []

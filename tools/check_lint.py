@@ -22,10 +22,11 @@ so contributors without ruff installed can still gate locally:
 
 plus three repo rules ruff cannot express:
 
-* X001 a module under ``src/`` other than ``runtime/executor.py`` touches
-  a private attribute of a ``DistributedExecutor`` (``ex._x``,
-  ``executor._x``, ``self.ex._x``) — what other packages need is a
-  public, documented attribute or an argument
+* X001 a module under ``src/`` or ``examples/`` other than
+  ``runtime/executor.py`` touches a private attribute of a
+  ``DistributedExecutor`` (``ex._x``, ``executor._x``, ``self.ex._x``) —
+  what other packages (and an example's reader) need is a public,
+  documented attribute, an argument, or the result ``run`` returns
 * X002 a module under ``src/`` other than ``systems.py`` constructs a
   ``DistributedExecutor`` or imports an underscore name from
   ``repro.systems`` — every entry point plans its run through
@@ -39,7 +40,7 @@ plus three repo rules ruff cannot express:
   scale_delta — label every result row and are not counted)
 
 Usage: python tools/check_lint.py [paths...]
-(default: src tests tools benchmarks)
+(default: src tests tools benchmarks examples)
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _line_checks(path, lines, problems):
 
 
 def _seam_checks(path, lines, problems):
-    if path.parts[:1] != ("src",) or path == EXECUTOR_MODULE:
+    if path.parts[:1] not in (("src",), ("examples",)) or path == EXECUTOR_MODULE:
         return
     for index, line in enumerate(lines, start=1):
         if EXECUTOR_PRIVATE.search(line):
@@ -383,7 +384,7 @@ def check_source(path, source):
 
 
 def main(argv):
-    targets = argv or ["src", "tests", "tools", "benchmarks"]
+    targets = argv or ["src", "tests", "tools", "benchmarks", "examples"]
     problems = []
     for path in _iter_files(targets):
         problems.extend(check_source(path, path.read_text()))
