@@ -70,26 +70,24 @@ class WidestPath(VertexProgram):
             FieldSpec(name="capacity", values=state["capacity"], reduce_op=MAX)
         ]
 
+    # Frontiers and written sets are sorted local-ID arrays.
     def initial_frontier(self, part, state, ctx):
-        frontier = np.zeros(part.num_nodes, dtype=bool)
         if part.has_proxy(ctx.source):
-            frontier[part.to_local(ctx.source)] = True
-        return frontier
+            return np.array([part.to_local(ctx.source)], dtype=np.intp)
+        return np.empty(0, dtype=np.intp)
 
     def step(self, part, state, frontier, direction="push"):
         capacity = state["capacity"]
-        active = frontier & (capacity > 0)
+        active = frontier[(capacity > 0)[frontier]]
         src_rep, dst, positions = gather_frontier_edges(part.graph, active)
-        updated = np.zeros(part.num_nodes, dtype=bool)
-        work = WorkStats(len(dst), int(np.count_nonzero(active)))
+        work = WorkStats(len(dst), len(active))
         if len(dst) == 0:
-            return StepOutcome(updated=updated, work=work)
+            return StepOutcome(updated=np.empty(0, dtype=np.intp), work=work)
         weights = part.graph.weights[positions].astype(np.uint32)
         candidate = np.minimum(capacity[src_rep], weights)
         before = capacity.copy()
         np.maximum.at(capacity, dst, candidate)
-        updated = capacity != before
-        return StepOutcome(updated=updated, work=work)
+        return StepOutcome(updated=np.flatnonzero(capacity != before), work=work)
 
 
 WIDEST_PATH_SPEC = ProgramSpec(

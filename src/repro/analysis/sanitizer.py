@@ -22,9 +22,9 @@ and scalars are local control flow (a frontier update like
 deliberately exempt.  So is an integer access made on a line the
 compiler declared as addressing no endpoint
 (:attr:`~repro.apps.base.VertexProgram.non_endpoint_lines`, empty for a
-handwritten program): the frontier's index form (``dist[usable]`` for
-``usable = np.flatnonzero(frontier)``, the same nodes the mask form
-read) and a sparse scatter's snapshot of the very slots it writes.  The
+handwritten program): a guard over the frontier's IDs (``dist[usable]``
+for ``usable = frontier``: active nodes, not edge endpoints) and a
+sparse scatter's snapshot of the very slots it writes.  The
 sanitizer, like the lint pass, under-approximates and never
 false-positives on the built-in programs.
 """

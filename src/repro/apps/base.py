@@ -61,7 +61,8 @@ class AppContext:
 class StepOutcome:
     """Result of one local super-step on one host."""
 
-    #: Boolean mask over local IDs: proxies written during the step.
+    #: Sorted, unique ``np.intp`` local IDs of the proxies written during
+    #: the step (see :mod:`repro.core.index_sets`).
     updated: np.ndarray
     #: Work performed (drives the simulated computation time).
     work: WorkStats
@@ -109,7 +110,7 @@ class VertexProgram:
     uses_frontier: bool = True
     #: Whether a pull-direction step is available (Ligra's direction opt).
     supports_pull: bool = False
-    #: Whether every engine's round over an all-False frontier is idle:
+    #: Whether every engine's round over an empty frontier is idle:
     #: it writes nothing and costs one empty step (``WorkStats()``), so
     #: the round body skips a quiet host's compute.  The compiler derives
     #: it from the spec; a handwritten program keeps ``False``.
@@ -134,7 +135,8 @@ class VertexProgram:
     def initial_frontier(
         self, part: LocalPartition, state: Dict, ctx: AppContext
     ) -> np.ndarray:
-        """Boolean mask of initially active local proxies."""
+        """Sorted, unique ``np.intp`` local IDs of the initially active
+        proxies."""
         raise NotImplementedError
 
     # -- computation -----------------------------------------------------------
@@ -146,7 +148,14 @@ class VertexProgram:
         frontier: np.ndarray,
         direction: str = "push",
     ) -> StepOutcome:
-        """Run one local super-step over ``frontier``."""
+        """Run one local super-step over ``frontier``.
+
+        ``frontier`` and the returned ``StepOutcome.updated`` are index
+        sets: sorted, unique ``np.intp`` local IDs, never written in
+        place (:mod:`repro.core.index_sets`).  ``updated`` names every
+        proxy whose synchronized value the step changed — the reduce
+        ships exactly those mirrors, and they join the next frontier.
+        """
         raise NotImplementedError
 
     # -- convergence ------------------------------------------------------------
@@ -199,13 +208,11 @@ def gather_frontier_edges(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collect all out-edges of the frontier, fully vectorized.
 
-    ``frontier`` is a boolean node mask or the same set as an ascending
-    index array (what ``np.flatnonzero`` of the mask returns); both give
-    the same triple.  Returns (sources-repeated, destinations,
-    edge-positions).  Edge positions index into the CSR arrays (for
-    weight lookup).
+    ``frontier`` is a sorted index array of nodes.  Returns
+    (sources-repeated, destinations, edge-positions).  Edge positions
+    index into the CSR arrays (for weight lookup).
     """
-    active = np.flatnonzero(frontier) if frontier.dtype == bool else frontier
+    active = frontier
     if len(active) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty

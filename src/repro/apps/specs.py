@@ -28,6 +28,7 @@ from repro.compiler.spec import (
     StageSpec,
     SyncDecl,
 )
+from repro.core import index_sets
 
 #: "Unreached" distance of bfs/sssp.
 _INFINITY = np.uint32(np.iinfo(np.uint32).max)
@@ -39,7 +40,8 @@ _BFS_KERNEL = (
 
 
 # ---------------------------------------------------------------------------
-# Master-side hooks (the derived-broadcast apply functions).
+# Master-side hooks (the derived-broadcast apply functions).  Each returns
+# the masters to broadcast as sorted local IDs (repro.core.index_sets).
 # ---------------------------------------------------------------------------
 
 
@@ -54,9 +56,7 @@ def _kcore_apply(part, state: Dict) -> np.ndarray:
     acc[:m] = 0
     newly_dead = (alive[:m] == 1) & (degree[:m] < k)
     alive[:m][newly_dead] = 0
-    broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
-    broadcast_dirty[:m] = newly_dead
-    return broadcast_dirty
+    return np.flatnonzero(newly_dead)
 
 
 def _pr_apply(part, state: Dict) -> np.ndarray:
@@ -82,8 +82,7 @@ def _pr_apply(part, state: Dict) -> np.ndarray:
     new_contrib = np.maximum(out_degree[:m], 1, out=scratch)
     np.divide(new_rank, new_contrib, out=new_contrib)
     np.multiply(new_contrib, out_degree[:m] > 0, out=new_contrib)
-    broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
-    np.not_equal(new_contrib, contrib[:m], out=broadcast_dirty[:m])
+    broadcast_dirty = np.flatnonzero(new_contrib != contrib[:m])
     contrib[:m] = new_contrib
     acc[:m] = 0.0
     return broadcast_dirty
@@ -115,9 +114,7 @@ def _pr_push_consume(part, state: Dict) -> np.ndarray:
         0.0,
     )
     push_delta[:m][active] = amount[active]
-    broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
-    broadcast_dirty[:m] = active
-    return broadcast_dirty
+    return np.flatnonzero(active)
 
 
 def _adopt_rows(part, state: Dict, new: np.ndarray) -> np.ndarray:
@@ -128,9 +125,7 @@ def _adopt_rows(part, state: Dict, new: np.ndarray) -> np.ndarray:
     state["residual"] = float(changed.sum())
     feat[:m] = new
     state["acc"][:m] = 0.0
-    broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
-    broadcast_dirty[:m] = changed
-    return broadcast_dirty
+    return np.flatnonzero(changed)
 
 
 def _featprop_apply(part, state: Dict) -> np.ndarray:
@@ -165,9 +160,7 @@ def _labelprop_apply(part, state: Dict) -> np.ndarray:
     changed = (new_rows != feat[:m]).any(axis=1)
     feat[:m] = new_rows
     acc[:m] = 0.0
-    broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
-    broadcast_dirty[:m] = changed
-    return broadcast_dirty
+    return np.flatnonzero(changed)
 
 
 def _labelprop_converged(residual_sum: float, round_index: int, ctx) -> bool:
@@ -177,7 +170,7 @@ def _labelprop_converged(residual_sum: float, round_index: int, ctx) -> bool:
 def _sage_apply(part, state: Dict) -> np.ndarray:
     """``H = relu(X W_self + (A^T X) W_neigh)`` at masters.
 
-    The input features never change, so the broadcast dirty mask is
+    The input features never change, so the broadcast dirty set is
     empty and the run stops after round one.
     """
     m = part.num_masters
@@ -186,7 +179,7 @@ def _sage_apply(part, state: Dict) -> np.ndarray:
     state["hidden"][:m] = np.maximum(hidden, 0.0)
     state["residual"] = 0.0
     acc[:m] = 0.0
-    return np.zeros(part.num_nodes, dtype=bool)
+    return index_sets.EMPTY
 
 
 def _sage_converged(residual_sum: float, round_index: int, ctx) -> bool:
@@ -202,9 +195,7 @@ def _fold(acc: str, surface: str):
         changed = state[acc][:m] != 0.0
         state[surface][:m] += state[acc][:m]
         state[acc][:m] = 0.0
-        broadcast_dirty = np.zeros(part.num_nodes, dtype=bool)
-        broadcast_dirty[:m] = changed
-        return broadcast_dirty
+        return np.flatnonzero(changed)
 
     return fold
 

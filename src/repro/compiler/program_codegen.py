@@ -42,6 +42,7 @@ from repro.compiler.spec import (
     SyncDecl,
     derive_endpoints,
 )
+from repro.core.index_sets import SPARSE_RATIO
 from repro.core.sync_structures import REDUCTIONS
 from repro.partition.strategy import OperatorClass
 
@@ -65,8 +66,9 @@ _REDUCE_NAME: Dict[str, str] = {
 #: An idempotent scatter hitting fewer than one slot in this many diffs
 #: only those slots (see :func:`_emit_scatter`).  Measured crossover on a
 #: 33k-slot uint32 target: 50 slots cost 1.7 us sparse vs 9.9 us dense,
-#: 4k slots 22.6 vs 10.2, 33k slots 264 vs 9.7.
-SPARSE_SCATTER_RATIO = 16
+#: 4k slots 22.6 vs 10.2, 33k slots 264 vs 9.7.  The same ratio splits
+#: :func:`repro.core.index_sets.unique_ids`.
+SPARSE_SCATTER_RATIO = SPARSE_RATIO
 
 _COMPILE_COUNTER = itertools.count()
 
@@ -172,26 +174,36 @@ def _emit_scatter(
     candidate: str,
     accumulate: bool = False,
 ) -> None:
-    """The reduction-specific scatter + updated-mask idiom.
+    """The reduction-specific scatter + written-set idiom.
 
-    A non-idempotent scatter marks every slot it hits.  An idempotent
-    one marks the slots whose value changed, found one of two ways: a
+    A non-idempotent scatter writes every slot it hits.  An idempotent
+    one writes the slots whose value changed, found one of two ways: a
     sparse scatter (fewer than one slot in :data:`SPARSE_SCATTER_RATIO`)
     snapshots and re-reads only the slots it writes; a dense one diffs
     the whole target against a copy, which is cheaper once the fancy
     indexing costs more than one contiguous pass.  Both give the same
-    bits, and NaN -> NaN is "not changed" in both.
+    set, and NaN -> NaN is "not changed" in both.  Hit slots repeat, so
+    they become a set through :func:`~repro.core.index_sets.unique_ids`;
+    a dense diff's ``flatnonzero`` already is one.
 
-    ``accumulate`` ORs into an existing ``updated`` mask instead of
-    rebinding it — the form a method with several scatters needs (a
-    multi-scatter phase, a GL302-fused group), where the scatters share
-    one mask exactly as the unfused driver ORs separate outcome masks.
+    ``accumulate`` appends each scatter's slots to ``written`` instead of
+    binding ``updated`` — the form a method with several scatters needs
+    (a multi-scatter phase, a GL302-fused group), whose caller makes one
+    set of them all, exactly the union of separate outcome sets.
     """
     reduce = _target_reduce(spec, target)
     scatter = f"{_SCATTER_SRC[reduce]}({target}, {index_var}, {candidate})"
+
+    def written(piece: str, unique: bool) -> str:
+        if accumulate:
+            return f"written.append({piece})"
+        if unique:
+            return f"updated = {piece}"
+        return f"updated = index_sets.unique_ids({piece}, part.num_nodes)"
+
     if not REDUCTIONS[reduce].idempotent:
         out.emit(indent, scatter)
-        out.emit(indent, f"updated[{index_var}] = True")
+        out.emit(indent, written(index_var, False))
         return
     out.emit(
         indent,
@@ -201,14 +213,12 @@ def _emit_scatter(
     out.emit(indent + 1, scatter)
     out.emit(indent + 1, f"after = {target}[{index_var}]", non_endpoint=True)
     changed = _changed(spec, target, "after", "before")
-    out.emit(indent + 1, f"updated[{index_var}[{changed}]] = True")
+    out.emit(indent + 1, written(f"{index_var}[{changed}]", False))
     out.emit(indent, "else:")
     out.emit(indent + 1, f"before = {target}.copy()")
     out.emit(indent + 1, scatter)
-    op = "|=" if accumulate else "="
-    out.emit(
-        indent + 1, f"updated {op} {_changed(spec, target, target, 'before')}"
-    )
+    changed = _changed(spec, target, target, "before")
+    out.emit(indent + 1, written(f"np.flatnonzero({changed})", True))
 
 
 def _changed(spec: ProgramSpec, target: str, after: str, before: str) -> str:
@@ -237,12 +247,11 @@ def _emit_push_prologue(
     """Guard, popcount, gather, work counters and edge filter shared by
     push methods.
 
-    The active set is held as indices: one ``flatnonzero`` of the
-    frontier (or of the ``select`` mask), the guard evaluated on those
-    nodes only, so a step costs its active set rather than a pass over
-    every proxy per guard term.  ``{mask}`` in post lines is that index
-    array.  A transposed phase gathers the transposed graph (``dst`` are
-    the stored edges' sources).
+    The active set is the frontier's sorted IDs (or the ``select``
+    mask's ``flatnonzero``), the guard evaluated on those nodes only, so
+    a step costs its active set rather than a pass over every proxy.
+    ``{mask}`` in post lines is that index array.  A transposed phase
+    gathers the transposed graph (``dst`` are the stored edges' sources).
 
     ``copies`` scales the work counters (a GL302 group replays one
     gather for several phases).  A phase without post lines returns the
@@ -257,11 +266,11 @@ def _emit_push_prologue(
         selected = render_fragment(lead.select, local="{f}")
         out.emit(2, f"usable = np.flatnonzero({selected})")
     else:
-        out.emit(2, "usable = np.flatnonzero(frontier)")
+        out.emit(2, "usable = frontier")
     if lead.guard:
         guard = render_fragment(lead.guard, local="{f}[usable]")
         out.emit(2, f"usable = usable[{guard}]", non_endpoint=True)
-    out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
+    out.emit(2, "updated = index_sets.EMPTY")
     out.emit(2, "active = len(usable)")
     if not (lead.post_gather or lead.post_scatter):
         out.emit(2, "if active == 0:")
@@ -313,13 +322,21 @@ def _emit_push(
     lead = phases[0]
     _emit_push_prologue(out, lead, method, _phase_aliases(spec, *phases), len(phases))
     scatters = [pair for phase in phases for pair in phase.scatters]
+    accumulate = len(scatters) > 1
+    if accumulate:
+        out.emit(3, "written = []")
     for target, kernel in scatters:
         kernel = render_fragment(
             kernel, src="{f}[src_rep]", dst="{f}[dst]", local="{f}"
         )
         out.emit(3, f"candidate = {kernel}")
-        _emit_scatter(out, spec, target, 3, "dst", "candidate",
-                      accumulate=len(scatters) > 1)
+        _emit_scatter(out, spec, target, 3, "dst", "candidate", accumulate)
+    if accumulate:
+        out.emit(
+            3,
+            "updated = index_sets.unique_ids(np.concatenate(written), "
+            "part.num_nodes)",
+        )
     for line in lead.post_scatter:  # fusion groups carry none
         _emit_post(out, line)
     out.emit(2, "return StepOutcome(updated=updated, work=work)")
@@ -363,29 +380,32 @@ def _emit_sparse_pull(
     _emit_aliases(out, _phase_aliases(spec, phase))
     if phase.select:
         targets = render_fragment(phase.select, local="{f}")
-        out.emit(2, f"targets = {targets}")
+        out.emit(2, f"targets = np.flatnonzero({targets})")
     else:
-        out.emit(2, "targets = np.ones(part.num_nodes, dtype=bool)")
+        out.emit(2, "targets = np.arange(part.num_nodes, dtype=np.intp)")
     out.emit(2, "transpose = part.graph.transpose()")
     out.emit(
         2,
         "node_rep, neighbor, positions = gather_frontier_edges("
         "transpose, targets)",
     )
-    out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
+    out.emit(2, "updated = index_sets.EMPTY")
     out.emit(2, "work = WorkStats(")
     out.emit(
         2,
-        "    edges_processed=len(neighbor), "
-        "nodes_processed=int(np.count_nonzero(targets))",
+        "    edges_processed=len(neighbor), nodes_processed=len(targets)",
     )
     out.emit(2, ")")
     out.emit(2, "if len(neighbor):")
+    # A pull reads every in-neighbor's membership: one scratch mask of
+    # the frontier, linear in the host like the pull itself.
+    out.emit(3, "in_frontier = np.zeros(part.num_nodes, dtype=bool)")
+    out.emit(3, "in_frontier[frontier] = True")
     if phase.guard:
         guard = render_fragment(phase.guard, local="{f}[neighbor]")
-        out.emit(3, f"active = frontier[neighbor] & ({guard})")
+        out.emit(3, f"active = in_frontier[neighbor] & ({guard})")
     else:
-        out.emit(3, "active = frontier[neighbor]")
+        out.emit(3, "active = in_frontier[neighbor]")
     out.emit(3, "if np.any(active):")
     out.emit(4, "node_rep = node_rep[active]")
     kernel = render_fragment(
@@ -423,12 +443,12 @@ def _emit_dense_pull(
         out.emit(2, f"{_SCATTER_SRC[reduce]}({phase.target}, dst, {kernel})")
     if idempotent:
         changed = _changed(spec, phase.target, phase.target, "before")
-        out.emit(2, f"updated = {changed}")
+        out.emit(2, f"updated = np.flatnonzero({changed})")
     else:
         # Every edge fires every round, so the written set is the nodes
-        # with a local in-edge: round-invariant, read off the graph's
-        # cached degree array instead of re-scattered.
-        out.emit(2, "updated = part.graph.in_degree() > 0")
+        # with a local in-edge: round-invariant, cached on the graph
+        # instead of re-scattered.
+        out.emit(2, "updated = part.graph.nodes_with_in_edges()")
     out.emit(2, "work = WorkStats(")
     out.emit(
         2, "    edges_processed=len(dst), nodes_processed=part.num_nodes"
@@ -533,7 +553,7 @@ def _emit_make_fields(
         writes, reads = endpoints[wire]
         if decl.hook is not None:
             out.emit(0, "")
-            out.emit(2, f"def _after_{ident}(changed_mask):")
+            out.emit(2, f"def _after_{ident}(changed):")
             out.emit(3, f"return _HOOK_{ident}(part, state)")
         out.emit(0, "")
         out.emit(2, "fields.append(FieldSpec(")
@@ -573,13 +593,15 @@ def _emit_stage(
     _emit_make_fields(out, spec, stage.sync, name("make_fields"), dead_table)
     out.emit(0, "")
     out.emit(1, f"def {name('initial_frontier')}(self, part, state, ctx):")
-    if stage.frontier == "all":
-        out.emit(2, "return np.ones(part.num_nodes, dtype=bool)")
+    if all(p.kind == "dense_pull" for p in stage.phases):
+        # Topology-driven: no phase reads a frontier, so it holds none.
+        out.emit(2, "return index_sets.EMPTY")
+    elif stage.frontier == "all":
+        out.emit(2, "return np.arange(part.num_nodes, dtype=np.intp)")
     else:
-        out.emit(2, "frontier = np.zeros(part.num_nodes, dtype=bool)")
         out.emit(2, "if part.has_proxy(ctx.source):")
-        out.emit(3, "frontier[part.to_local(ctx.source)] = True")
-        out.emit(2, "return frontier")
+        out.emit(3, "return np.array([part.to_local(ctx.source)], dtype=np.intp)")
+        out.emit(2, "return index_sets.EMPTY")
     out.emit(0, "")
     # -- the phase-major step ------------------------------------------------
     push_phases = [p for p in stage.phases if p.kind == "frontier_push"]
@@ -622,9 +644,9 @@ def _emit_stage(
             _emit_group(groups[0], method)
             return
         # Phase-major: run the direction's groups in declared order,
-        # merging their outcome masks and work counters.
+        # uniting their written sets and summing their work counters.
         out.emit(1, f"def {method}(self, part, state, frontier):")
-        out.emit(2, "updated = np.zeros(part.num_nodes, dtype=bool)")
+        out.emit(2, "written = []")
         out.emit(2, "edges = 0")
         out.emit(2, "nodes = 0")
         subs = []
@@ -632,9 +654,10 @@ def _emit_stage(
             sub = "_phase_" + "__".join(_ident(p.name) for p in group)
             subs.append(sub)
             out.emit(2, f"outcome = self.{sub}(part, state, frontier)")
-            out.emit(2, "updated |= outcome.updated")
+            out.emit(2, "written.append(outcome.updated)")
             out.emit(2, "edges += outcome.work.edges_processed")
             out.emit(2, "nodes += outcome.work.nodes_processed")
+        out.emit(2, "updated = index_sets.union(written, part.num_nodes)")
         out.emit(2, "work = WorkStats(")
         out.emit(2, "    edges_processed=edges, nodes_processed=nodes")
         out.emit(2, ")")
@@ -724,6 +747,7 @@ def _render(spec: ProgramSpec, optimize: bool) -> _Emitter:
         "from repro.apps.base import StepOutcome, VertexProgram, "
         "gather_frontier_edges",
     )
+    out.emit(0, "from repro.core import index_sets")
     out.emit(
         0,
         "from repro.core.sync_structures import "

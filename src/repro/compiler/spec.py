@@ -306,10 +306,12 @@ class SyncDecl:
         name: Wire name of the field (defaults to ``field``).
         broadcast: For derived broadcasts, the field whose values flow
             master -> mirrors after the reduce (pagerank's ``contrib``).
-        hook: Master-side apply ``(part, state) -> dirty_mask`` run
-            after the reduce phase (required iff ``broadcast`` is set).
-            Without a frontier it must return the mask: a hooked field
-            of such a program builds no reduce change mask for the plain
+        hook: Master-side apply ``(part, state) -> dirty`` run after
+            the reduce phase (required iff ``broadcast`` is set);
+            ``dirty`` is the masters to broadcast as sorted, unique
+            ``np.intp`` local IDs (:mod:`repro.core.index_sets`).
+            Without a frontier it must return the set: a hooked field
+            of such a program builds no reduce change set for the plain
             rule to fall back on (``None`` is a ``SyncError``).
     """
 

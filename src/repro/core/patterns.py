@@ -149,7 +149,7 @@ class SyncPlan:
     ``peer_order`` is all peers, ascending — memoized so no sync call
     re-sorts its peer set; ``fields`` has one entry per bound field, in
     slot order.  ``uses_frontier`` is the program's flag: without a
-    frontier, a receive builds a change mask only for the reduce of a
+    frontier, a receive builds a change set only for the reduce of a
     field without a hook (the plain apply reads it) and the round merges
     no frontier.
     """

@@ -38,6 +38,7 @@ import numpy as np
 from repro.comm.channel import CommPlane
 from repro.comm.frame import frame_overhead
 from repro.comm.codec import decode_update, encode_sends
+from repro.core import index_sets
 from repro.core.memoization import AddressBook, exchange_address_books
 from repro.core.metadata import MetadataMode
 from repro.core.optimization import OptimizationLevel
@@ -98,6 +99,12 @@ class GluonSubstrate:
         self.stats = SubstrateStats()
         self.metrics = metrics
         self.plane = CommPlane(partition.host, transport, metrics=metrics)
+        #: All-False between stages: a sparse dirty set is scattered into
+        #: it, read at the send arrays and cleared, O(set + sends).
+        self._scratch = np.zeros(self.num_local_nodes, dtype=bool)
+        #: ``(field slot, phase) -> (layout, dirty, bits)`` of the last
+        #: read-only dirty set staged there (see :meth:`_dirty_bits`).
+        self._read_only_bits: Dict[Tuple[int, str], Tuple] = {}
 
     @property
     def host(self) -> int:
@@ -157,11 +164,13 @@ class GluonSubstrate:
     ) -> List[Tuple[int, int]]:
         """Stage ``field``'s sub-message for every peer of its ``phase`` route.
 
-        One pass over the phase's concatenated send array: one gather of
-        the dirty bits, one :func:`encode_sends` for every peer.  A quiet
-        host costs a constant: with memoization on, a popcount of the
-        gathered bits decides EMPTY for every peer and the field's
-        constant EMPTY payload is staged without building anything.
+        One pass over the phase's concatenated send array: the dirty set
+        marked in the scratch mask and read at every send entry, then one
+        :func:`encode_sends` for every peer.  A quiet host costs a
+        constant: its empty dirty set decides EMPTY for every peer (with
+        memoization on, the field's constant EMPTY payload is staged
+        without building anything), and so does a dirty set that misses
+        every send entry.
         """
         entry = self.plan.of(field)
         sends = entry.sends[phase]
@@ -172,8 +181,10 @@ class GluonSubstrate:
         temporal = self.level.temporal
         layout = entry.layout[phase]
         peers = layout.peers
-        bits = dirty.take(layout.concat)
-        updates = int(np.count_nonzero(bits))  # cheaper than .any() here
+        updates = 0
+        if len(dirty):
+            bits = self._dirty_bits((field_index, phase), layout, dirty)
+            updates = int(np.count_nonzero(bits))
         if not updates:
             if not temporal:
                 return []  # no agreement, so no peer expects a message
@@ -198,6 +209,33 @@ class GluonSubstrate:
             # the next round accumulates fresh values (§3.2, OEC).
             field.reset(layout.concat[bits])
         return [(peer, len(payload)) for peer, payload in zip(peers, payloads)]
+
+    def _dirty_bits(self, key, layout, dirty: np.ndarray) -> np.ndarray:
+        """Which entries of ``layout.concat`` the dirty set holds.
+
+        A sparse set goes through the all-False scratch mask and leaves
+        it all-False; a dense one (the :data:`~repro.core.index_sets.
+        SPARSE_RATIO` cut) through a fresh mask, which costs less than
+        clearing.  A read-only set cannot change, so its bits are kept
+        for the next stage of the same slot and phase: a dense pull's
+        written set (the graph's cached in-edge nodes) is read once per
+        layout, not once per round.
+        """
+        kept = self._read_only_bits.get(key)
+        if kept is not None and kept[0] is layout and kept[1] is dirty:
+            return kept[2]
+        if len(dirty) * index_sets.SPARSE_RATIO < self.num_local_nodes:
+            scratch = self._scratch
+            scratch[dirty] = True
+            bits = scratch.take(layout.concat)
+            scratch[dirty] = False
+        else:
+            mask = np.zeros(self.num_local_nodes, dtype=bool)
+            mask[dirty] = True
+            bits = mask.take(layout.concat)
+        if not dirty.flags.writeable:
+            self._read_only_bits[key] = (layout, dirty, bits)
+        return bits
 
     # -- the phase API (driven by repro.runtime.round.synchronize) -------------
 
@@ -224,7 +262,7 @@ class GluonSubstrate:
         # received exactly these rows this phase, so the cache matches
         # every receiver's copy.
         if field.ships_delta and "broadcast" in field.sync_phases:
-            field.commit_broadcast(np.flatnonzero(dirty))
+            field.commit_broadcast(dirty)
         return staged
 
     def flush_phase(self, num_fields: int) -> List[Tuple[int, int]]:
@@ -236,13 +274,13 @@ class GluonSubstrate:
         self, fields: Sequence[FieldSpec]
     ) -> List[Optional[np.ndarray]]:
         """Apply incoming mirror contributions at masters; per field, the
-        mask of masters whose value changed (``None``: none did)."""
+        set of masters whose value changed (``None``: none did)."""
         return self._receive_all(fields, "reduce")
 
     def receive_broadcast_all(
         self, fields: Sequence[FieldSpec]
     ) -> List[Optional[np.ndarray]]:
-        """Install canonical master values at mirrors; per field, the mask
+        """Install canonical master values at mirrors; per field, the set
         of mirrors whose value changed (``None``: none did)."""
         return self._receive_all(fields, "broadcast")
 
@@ -253,15 +291,16 @@ class GluonSubstrate:
         sub-message read in place from its offsets.  An EMPTY one is told
         from its two bytes and skipped; the rest go through
         :func:`decode_update`, whose arrays are views into the frame.  A
-        field's changed mask is allocated on its first changed proxy —
-        and never when the mask has no reader: without a frontier only
-        the reduce of a field without a hook is compared (the plain
-        apply reads it); every other apply is a plain gather, combine
-        and scatter, and its entry is ``None``.
+        field's changed set is the union of its messages' changed IDs —
+        senders may name the same master, so it is built once, after the
+        last frame — and is never built when it has no reader: without a
+        frontier only the reduce of a field without a hook is compared
+        (the plain apply reads it); every other apply is a plain gather,
+        combine and scatter, and its entry is ``None``.
         """
         broadcast = phase == "broadcast"
         frontier = self.plan.uses_frontier
-        changed: List[Optional[np.ndarray]] = [None] * len(fields)
+        pieces: List[List[np.ndarray]] = [[] for _ in fields]
         for sender, buffer, slots in self.plane.receive():
             if len(slots) != len(fields):
                 raise SyncError(
@@ -286,12 +325,13 @@ class GluonSubstrate:
                     not broadcast and field.on_master_after_reduce is None
                 )
                 changed_here = apply(lids, values, changes)
-                if not changes or not np.count_nonzero(changed_here):
-                    continue  # count_nonzero: cheaper than .any() here
-                if changed[index] is None:
-                    changed[index] = np.zeros(self.num_local_nodes, dtype=bool)
-                changed[index][lids[changed_here]] = True
-        return changed
+                if changes:
+                    pieces[index].append(lids[changed_here])
+        return [
+            index_sets.unique_ids(np.concatenate(ids), self.num_local_nodes)
+            if sum(map(len, ids)) else None
+            for ids in pieces
+        ]
 
     def max_send_bytes(self) -> Dict[int, int]:
         """Per peer, the largest frame one phase can hand the transport:
@@ -318,10 +358,15 @@ class GluonSubstrate:
         self.plane.assert_drained()
 
     def _check_dirty(self, dirty: np.ndarray) -> None:
-        if dirty.dtype != np.bool_ or len(dirty) != self.num_local_nodes:
+        """A dirty set is sorted local IDs: its ends bound every entry."""
+        if (
+            dirty.dtype != np.intp
+            or dirty.ndim != 1
+            or (len(dirty) and not 0 <= dirty[0] <= dirty[-1] < self.num_local_nodes)
+        ):
             raise SyncError(
-                f"host {self.host}: dirty mask must be a bool array of "
-                f"length {self.num_local_nodes}"
+                f"host {self.host}: dirty set must be sorted np.intp local "
+                f"IDs below {self.num_local_nodes}"
             )
 
 

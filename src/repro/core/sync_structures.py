@@ -146,15 +146,16 @@ class FieldSpec:
         broadcast_values: Array broadcast to mirrors; defaults to
             ``values`` (same-field sync, the common case).
         on_master_after_reduce: Optional hook run at each host between the
-            reduce and broadcast phases.  Receives the boolean mask of
-            masters whose reduced value changed and returns the mask of
-            masters to broadcast (or ``None`` to broadcast what a
-            hook-less field would: the changed masters and those the
-            step wrote).  Pull-style pagerank uses this to turn reduced partial
+            reduce and broadcast phases.  Receives the masters whose
+            reduced value changed and returns the masters to broadcast
+            (or ``None`` to broadcast what a hook-less field would: the
+            changed masters and those the step wrote), both as sorted,
+            unique ``np.intp`` local IDs (:mod:`repro.core.index_sets`).
+            Pull-style pagerank uses this to turn reduced partial
             sums into the contribution values it broadcasts.  Under a
             program without a frontier (``uses_frontier`` False) nothing
             else reads the reduce's changes, so none are computed: the
-            hook gets ``None`` and must return its mask.
+            hook gets ``None`` and must return its set.
         writes: Edge endpoints where the compute phase may *write* this
             field — the paper's ``WriteAtDestination``/``WriteAtSource``
             sync parameters.  With structural optimization, only mirrors

@@ -27,7 +27,8 @@ MAX_LOCAL_ITERATIONS = 100_000
 class RoundOutcome:
     """What one host's engine produced in one BSP round."""
 
-    #: Proxies written during the round (the sync dirty mask).
+    #: Sorted local IDs of the proxies written during the round (the
+    #: sync dirty set).
     updated: np.ndarray
     #: Work performed, for the timing model.
     work: WorkStats

@@ -18,6 +18,7 @@ from typing import Dict
 import numpy as np
 
 from repro.apps.base import VertexProgram
+from repro.core import index_sets
 from repro.engines.base import MAX_LOCAL_ITERATIONS, Engine, RoundOutcome
 from repro.errors import ExecutionError
 from repro.partition.base import LocalPartition
@@ -45,14 +46,14 @@ class GaloisEngine(Engine):
     ) -> RoundOutcome:
         if not app.iterate_locally:
             return self._single_step(app, part, state, frontier)
-        updated_total = np.zeros(part.num_nodes, dtype=bool)
+        written = []
         work = WorkStats(0, 0, 0)
         current = frontier
         iterations = 0
-        while np.any(current):
+        while len(current):
             outcome = app.step(part, state, current, "push")
             work = work.merge(outcome.work)
-            updated_total |= outcome.updated
+            written.append(outcome.updated)
             current = outcome.updated
             iterations += 1
             if iterations > MAX_LOCAL_ITERATIONS:
@@ -62,4 +63,7 @@ class GaloisEngine(Engine):
                 )
         if iterations == 0:
             work = WorkStats(0, 0, 1)
-        return RoundOutcome(updated=updated_total, work=work)
+        # One union per host-round, not one per local iteration.
+        return RoundOutcome(
+            updated=index_sets.union(written, part.num_nodes), work=work
+        )

@@ -58,8 +58,8 @@ class LigraEngine(Engine):
         graph = part.graph
         budget = graph.num_edges * self.DIRECTION_THRESHOLD
         # k frontier nodes have at most k * (max out-degree) out-edges, so
-        # a near-empty frontier is answered without the O(n) masked sum.
-        if np.count_nonzero(frontier) * graph.max_out_degree() <= budget:
+        # a near-empty frontier is answered without summing its degrees.
+        if len(frontier) * graph.max_out_degree() <= budget:
             return "push"
         frontier_edges = int(graph.out_degree()[frontier].sum())
         return "pull" if frontier_edges > budget else "push"

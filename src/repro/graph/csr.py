@@ -70,7 +70,7 @@ class CSRGraph:
         self._in_csr: Optional["CSRGraph"] = None
         self._out_degree: Optional[np.ndarray] = None
         self._max_out_degree: Optional[int] = None
-        self._in_degree: Optional[np.ndarray] = None
+        self._with_in_edges: Optional[np.ndarray] = None
         self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __getstate__(self) -> dict:
@@ -183,19 +183,21 @@ class CSRGraph:
     def in_degree(self, node: Optional[int] = None):
         """In-degree of ``node``, or the full in-degree array if omitted.
 
-        Cached and read-only like :meth:`out_degree`: dense pull kernels
-        derive their written-node mask from it every round.
+        Counted on each call, not cached: construction reads it once,
+        and rounds read :meth:`nodes_with_in_edges`.
         """
-        if self._in_degree is None:
-            self._in_degree = np.bincount(
-                self._indices, minlength=self.num_nodes
-            )
-            self._in_degree.flags.writeable = False
-        if node is None:
-            return self._in_degree
-        if not 0 <= node < self.num_nodes:
+        if node is not None and not 0 <= node < self.num_nodes:
             raise IndexError(f"node {node} out of range")
-        return int(self._in_degree[node])
+        degree = np.bincount(self._indices, minlength=self.num_nodes)
+        return degree if node is None else int(degree[node])
+
+    def nodes_with_in_edges(self) -> np.ndarray:
+        """Sorted IDs of the nodes with an in-edge, cached and read-only:
+        a dense pull writes exactly these every round."""
+        if self._with_in_edges is None:
+            self._with_in_edges = np.flatnonzero(self.in_degree())
+            self._with_in_edges.flags.writeable = False
+        return self._with_in_edges
 
     def neighbors(self, node: int) -> np.ndarray:
         """Out-neighbors of ``node`` as a view into the index array."""

@@ -57,7 +57,7 @@ PLAN_STAGES = ("system", "input", "executor", "run")
 
 _OPTION_DEFAULTS = dict(
     flag=None, choices=None, label=None, minimum=None, flag_minimum=None, metavar=None,
-    parse=None, hashed="always", only=None, wire=False,
+    parse=None, resolve=None, hashed="always", only=None, wire=False,
 )
 
 
@@ -68,7 +68,8 @@ def option(default=MISSING, *, feeds: str, help: str, **declared):
     until its flag); ``choices`` may be a callable; ``label`` names the
     option in errors; ``minimum`` bounds the stored value and
     ``flag_minimum`` (default: ``minimum``) the command-line one;
-    ``parse`` turns the flag's text into the stored value.
+    ``parse`` turns the flag's text into the stored value and
+    ``resolve`` the stored string into the object ``plan_run`` takes.
     ``hashed``: "always", "non-default" (in the content hash only when it
     differs from the default — for options added after results were first
     cached) or "never" (cannot change a payload).  ``only`` names the one
@@ -125,7 +126,7 @@ class JobSpec:
     )
     level: Optional[str] = option(
         None, feeds="system", wire=True, label="optimization level",
-        choices=[lv.value for lv in OptimizationLevel],
+        choices=[lv.value for lv in OptimizationLevel], resolve=OptimizationLevel.from_name,
         help="communication-optimization level (default: system's own)",
     )
     scale_delta: int = option(
@@ -325,9 +326,9 @@ class JobSpec:
         resilience takes none, so there it is ignored.
         """
         # Every plan keyword; ``resilience`` (no field of its own) starts as None.
-        options = {name: getattr(self, name, None) for name in PLAN_KEYWORDS}
-        if self.level is not None:
-            options["level"] = OptimizationLevel.from_name(self.level)
+        options = _resolve_declared(
+            {name: getattr(self, name, None) for name in PLAN_KEYWORDS}, JobSpecError
+        )
         plan = None
         if self.inject_fault is not None:
             plan = FaultPlan.parse(self.inject_fault, seed=self.fault_seed)
@@ -358,6 +359,19 @@ def _check_choice(spec_field, value, error) -> None:
             f"unknown {spec_field.metadata['label'] or spec_field.name} {value!r} "
             f"(known: {', '.join(known)})"
         )
+
+
+def _resolve_declared(options: Dict, error) -> Dict:
+    """``options`` with each value given in its declared string form
+    checked against the option's choices (refused by name with ``error``)
+    and resolved to the object ``plan_run`` takes (``resolve=``)."""
+    for spec_field in fields(JobSpec):
+        value = options.get(spec_field.name)
+        if isinstance(value, str):
+            _check_choice(spec_field, value, error)
+            if spec_field.metadata["resolve"] is not None:
+                options[spec_field.name] = spec_field.metadata["resolve"](value)
+    return options
 
 
 def _flag(spec_field) -> str:
@@ -409,16 +423,15 @@ def plan_options(given: Dict) -> Dict[str, Dict]:
     """``run_app``'s option keywords with defaults filled in, grouped by the
     :data:`PLAN_STAGES` stage that consumes them; an unknown one is refused
     by name, and so is a value in its declared (string) form that the
-    option's declared choices do not hold."""
+    option's declared choices do not hold; a declared form is resolved
+    as :meth:`JobSpec.run_options` resolves it (``level="osi"``)."""
     unknown = sorted(set(given) - set(PLAN_KEYWORDS))
     if unknown:
         raise TypeError(
             f"unknown run option(s): {', '.join(unknown)} "
             f"(known: {', '.join(sorted(PLAN_KEYWORDS))})"
         )
-    for spec_field in fields(JobSpec):
-        if isinstance(given.get(spec_field.name), str):
-            _check_choice(spec_field, given[spec_field.name], ExecutionError)
+    given = _resolve_declared(dict(given), ExecutionError)
     stages: Dict[str, Dict] = {stage: {} for stage in PLAN_STAGES}
     for name, (stage, default) in PLAN_KEYWORDS.items():
         stages[stage][name] = given.get(name, default)

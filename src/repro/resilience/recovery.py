@@ -313,7 +313,7 @@ def _recover_confined(executor, snapshot, crashed_hosts, bind):
         )
         # Everything the reborn host owns is suspect: activate its whole
         # local proxy set so recomputation re-derives unreplicated values.
-        frontiers[host] = np.ones(parts[host].num_nodes, dtype=bool)
+        frontiers[host] = np.arange(parts[host].num_nodes, dtype=np.intp)
     nbytes, sim_time = bind(
         executor.partitioned, executor.ctx, states, frontiers
     )
@@ -322,10 +322,10 @@ def _recover_confined(executor, snapshot, crashed_hosts, bind):
     # reductions make re-offering current values harmless) and the fresh
     # broadcast restores the reborn host's mirrors to canonical values.
     all_dirty = [
-        SimpleNamespace(updated=np.ones(part.num_nodes, dtype=bool))
+        SimpleNamespace(updated=np.arange(part.num_nodes, dtype=np.intp))
         for part in parts
     ]
-    next_frontiers = [frontier.copy() for frontier in frontiers]
+    next_frontiers = list(frontiers)
     # Imported lazily: importing the repro.runtime package imports the
     # executor, which imports this module.
     from repro.runtime.round import close_exchange, synchronize

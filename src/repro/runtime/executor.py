@@ -159,8 +159,9 @@ class DistributedExecutor:
         self.substrates: List[GluonSubstrate] = []
         self.states: List[Dict] = []
         self.fields: List[List[FieldSpec]] = []
-        #: Per-host bool masks of the proxies active next round.  The
-        #: round runners advance them; recovery restores them.
+        #: Per-host sorted local IDs of the proxies active next round
+        #: (:mod:`repro.core.index_sets`).  The round runners advance
+        #: them; recovery restores them.
         self.frontiers: List[np.ndarray] = []
         #: "new" until the first :meth:`run`, then "open" or "converged".
         #: The result itself is its caller's — it owns this executor
@@ -497,7 +498,8 @@ class DistributedExecutor:
                 self.partitioned, self.states, new_partitioned, self.app, ctx, keep
             )
             frontiers = [
-                frontier[part.local_to_global] for part in new_partitioned.partitions
+                np.flatnonzero(frontier[part.local_to_global])
+                for part in new_partitioned.partitions
             ]
         nbytes, _ = self._bind(
             new_partitioned, ctx, states, frontiers, changed_hosts=changed_hosts

@@ -74,7 +74,9 @@ def gather_global(
 def gather_frontier(
     partitioned: PartitionedGraph, frontiers: List[np.ndarray]
 ) -> np.ndarray:
-    """Union the per-host frontiers into a global boolean mask."""
+    """Union the per-host frontiers (sorted local IDs) into a global
+    boolean mask — the mutation and repartition doors' form, built once
+    per relayout."""
     frontier = np.zeros(partitioned.num_global_nodes, dtype=bool)
     for part, local in zip(partitioned.partitions, frontiers):
         frontier[part.local_to_global[local]] = True

@@ -12,12 +12,13 @@ Every container is indexed by host id: the simulated runtime passes its
 per-host lists with ``hosts=range(n)``, a process worker passes
 ``{host: ...}`` dicts with the hosts it owns.
 
-A round costs its updates (§4): a quiet host — empty frontier, under a
-program whose empty-frontier round is idle — is not computed, an apply
-mask nothing reads is not built, a program without a frontier gets no
-frontier merges, active counts or change masks beyond what its plain
-apply reads, and frontiers are merged copy-on-write instead of copied
-up front.
+A round costs its updates (§4): every frontier, written, changed and
+dirty set is sorted local IDs (:mod:`repro.core.index_sets`), so a
+quiet host — empty frontier, under a program whose empty-frontier round
+is idle — is found by ``len`` and not computed, an apply set nothing
+reads is not built, a program without a frontier gets no frontier
+merges, active counts or change sets beyond what its plain apply
+reads, and a host's next frontier is one union of its round's sets.
 
 Every phase syncs all fields at once: one framed buffer per peer.
 """
@@ -31,6 +32,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.comm.frame import frame_overhead
+from repro.core import index_sets
 from repro.errors import SyncError
 from repro.runtime.timing import WorkStats, round_communication_time
 
@@ -57,52 +59,36 @@ def broadcast_dirty(
     """Master-side apply: which masters broadcast after the reduce.
 
     ``reduce_changed`` is ``None`` when no master changed (nothing
-    arrived, or the reduce was not driven).  A hook's mask wins; without
+    arrived, or the reduce was not driven).  A hook's set wins; without
     a hook, or when it returns ``None``, the changed masters and the
     masters the step itself wrote broadcast.  Without a frontier a
-    hooked field's reduce builds no change mask: its hook gets ``None``
-    and must return its mask, since the plain rule has nothing to read.
+    hooked field's reduce builds no change set: its hook gets ``None``
+    and must return its set, since the plain rule has nothing to read.
+    Every set is sorted local IDs (:mod:`repro.core.index_sets`).
     """
     if field.on_master_after_reduce is not None:
         if reduce_changed is None and uses_frontier:
-            reduce_changed = np.zeros(len(outcome.updated), dtype=bool)
+            reduce_changed = index_sets.EMPTY
         dirty = field.on_master_after_reduce(reduce_changed)
         if dirty is not None:
             return dirty
         if not uses_frontier:
             raise SyncError(
                 f"field {field.name!r}: its master-side hook returned no "
-                "dirty mask, and a program without a frontier builds no "
-                "reduce change mask for the plain rule to fall back on"
+                "dirty set, and a program without a frontier builds no "
+                "reduce change set for the plain rule to fall back on"
             )
+    written = index_sets.masters_of(outcome.updated, part.num_masters)
     if reduce_changed is None:
-        dirty = outcome.updated.copy()
-    else:
-        dirty = reduce_changed | outcome.updated
-    dirty[part.num_masters :] = False
-    return dirty
+        return written
+    return index_sets.union((reduce_changed, written), len(field.values))
 
 
-def merge_frontier(next_frontiers, h, step_mask, mask) -> None:
-    """OR ``mask`` into host ``h``'s next frontier.
-
-    A next frontier may still be ``step_mask`` itself — the step's own
-    written mask, which :func:`run_hosts` hands over uncopied because a
-    quiet host merges nothing.  The first merge into it copies, so the
-    step's mask is never written through.
-    """
-    frontier = next_frontiers[h]
-    if frontier is step_mask:
-        next_frontiers[h] = frontier | mask
-    else:
-        frontier |= mask
-
-
-def apply_hooks_locally(hosts, fields, outcomes, next_frontiers) -> None:
+def apply_hooks_locally(hosts, fields, next_frontiers) -> None:
     """Run master-side apply hooks when sync is disabled (1 host).
 
     ``next_frontiers`` is ``None`` for a program without a frontier: a
-    hook then gets ``None`` and its mask is not merged anywhere.
+    hook then gets ``None`` and its set is not merged anywhere.
     """
     for h in hosts:
         for field in fields[h]:
@@ -110,10 +96,11 @@ def apply_hooks_locally(hosts, fields, outcomes, next_frontiers) -> None:
                 if next_frontiers is None:
                     field.on_master_after_reduce(None)
                     continue
-                no_changes = np.zeros(len(field.values), dtype=bool)
-                dirty = field.on_master_after_reduce(no_changes)
+                dirty = field.on_master_after_reduce(index_sets.EMPTY)
                 if dirty is not None:
-                    merge_frontier(next_frontiers, h, outcomes[h].updated, dirty)
+                    next_frontiers[h] = index_sets.union(
+                        (next_frontiers[h], dirty), len(field.values)
+                    )
 
 
 def _phase(kind, live, hosts, substrates, fields, stage, receive, end_phase, record):
@@ -121,14 +108,14 @@ def _phase(kind, live, hosts, substrates, fields, stage, receive, end_phase, rec
 
     ``stage(h, slot)`` stages host ``h``'s sub-messages for its
     ``slot``-th field; ``receive(h)`` applies ``h``'s inbox and returns
-    its per-field changed masks (``None`` where nothing changed).  A
+    its per-field changed sets (``None`` where nothing changed).  A
     ``record`` sink gets one ``(label, [(src, dst, nbytes)...],
     serialize_wall_s, apply_wall_s)`` entry per field over its
     sub-message sizes, plus a ``framing:`` entry for the
     flushed frames' header bytes, so the entries' byte totals reconcile
     exactly with the transport's round volume.
 
-    A phase that is not ``live`` is not driven: every mask is ``None``.
+    A phase that is not ``live`` is not driven: every set is ``None``.
     Its zero-byte records are still left — the tracer splits a byte-less
     round's window evenly among the records it finds.
     """
@@ -191,10 +178,10 @@ def synchronize(
 ) -> None:
     """Run the reduce/apply/broadcast collective over ``hosts``.
 
-    ``outcomes[h].updated`` is host ``h``'s dirty mask; every proxy the
-    collective changes, and every master the apply marks dirty, is OR-ed
-    into ``next_frontiers[h]`` (see :func:`merge_frontier`: an entry that
-    *is* the dirty mask is replaced, never written through).
+    ``outcomes[h].updated`` is host ``h``'s dirty set; every proxy the
+    collective changes, and every master the apply marks dirty, joins
+    ``next_frontiers[h]``, which is replaced by one union per host at the
+    end (sets are never written in place).
     ``end_phase(h)`` runs after each of ``h``'s flushes — how a
     cross-process transport tells its peers the phase's mail is
     complete; all of a caller's flushes precede all of its receives
@@ -206,7 +193,7 @@ def synchronize(
     phase the sync plan calls dead for every field
     (:meth:`~repro.core.patterns.SyncPlan.live`, a cluster-wide verdict)
     is not driven: nothing is staged, flushed, marked or received.  The
-    master-side apply runs every round its mask has a reader: a hook, or
+    master-side apply runs every round its set has a reader: a hook, or
     a live broadcast.  Without a frontier (the plan's
     ``uses_frontier``) nothing is merged: ``next_frontiers`` is left as
     it came.
@@ -214,7 +201,6 @@ def synchronize(
     first = hosts[0]
     plan = substrates[first].plan
     frontier = plan.uses_frontier
-    seeded = {h for h in hosts if next_frontiers[h] is outcomes[h].updated}
     reduce_changed = _phase(
         "reduce", plan.live("reduce"), hosts, substrates, fields,
         lambda h, slot: substrates[h].stage_reduce(
@@ -225,26 +211,28 @@ def synchronize(
     )
     broadcast_live = plan.live("broadcast")
     dirty = {h: [] for h in hosts}
+    joins = {h: [next_frontiers[h]] for h in hosts}
     for h in hosts:
-        step_mask = outcomes[h].updated
+        step = outcomes[h]
         for field, changed in zip(fields[h], reduce_changed[h]):
             if frontier and changed is not None:
-                merge_frontier(next_frontiers, h, step_mask, changed)
+                joins[h].append(changed)
             if broadcast_live or field.on_master_after_reduce is not None:
                 field_dirty = broadcast_dirty(
-                    parts[h], field, changed, outcomes[h], frontier
+                    parts[h], field, changed, step, frontier
                 )
                 dirty[h].append(field_dirty)
                 if frontier:
-                    merge_frontier(next_frontiers, h, step_mask, field_dirty)
-            elif frontier and h not in seeded:
-                # The apply's mask has no reader — no hook rewrites it,
+                    joins[h].append(field_dirty)
+            elif frontier and next_frontiers[h] is not step.updated:
+                # The apply's set has no reader — no hook rewrites it,
                 # no broadcast stages it — so it is not built.  Its
                 # frontier share beyond the changed masters is the
                 # masters the step wrote, which a frontier seeded with
-                # the step's mask already holds.
-                masters = parts[h].num_masters
-                next_frontiers[h][:masters] |= step_mask[:masters]
+                # the step's set already holds.
+                joins[h].append(
+                    index_sets.masters_of(step.updated, parts[h].num_masters)
+                )
     broadcast_changed = _phase(
         "broadcast", broadcast_live, hosts, substrates, fields,
         lambda h, slot: substrates[h].stage_broadcast(
@@ -254,9 +242,9 @@ def synchronize(
         end_phase, record,
     )
     for h in hosts:
-        for mask in broadcast_changed[h]:
-            if mask is not None:
-                merge_frontier(next_frontiers, h, outcomes[h].updated, mask)
+        joins[h].extend(c for c in broadcast_changed[h] if c is not None)
+        if len(joins[h]) > 1:
+            next_frontiers[h] = index_sets.union(joins[h], parts[h].num_nodes)
     # Drain guard: a sub-message staged after its phase flush would sit
     # in a channel buffer forever — fail loudly at the round boundary,
     # complementing the transport's own undelivered-mail detection.
@@ -277,23 +265,20 @@ def run_hosts(
     translation_deltas)`` keyed by host: simulated compute seconds
     including the sync-scan term, the proxies active next round and
     their count, and the address translations this round's sync
-    performed.  A next frontier may be the step's own mask (nothing
-    merged into it); no caller writes a frontier in place.  A program
-    without a frontier (topology-driven) gets its step masks back
-    unmerged and computes every proxy next round, so its count is
-    ``num_nodes``.
+    performed.  A next frontier may be the step's own written set
+    (nothing merged into it).  A program without a frontier
+    (topology-driven) gets its written sets back unmerged and computes
+    every proxy next round, so its count is ``num_nodes``.
     """
     outcomes = {}
     comp_times = {}
-    quiet = set()
     for h in hosts:
         frontier = frontiers[h]
-        if app.empty_frontier_is_idle and not frontier.any():
+        if app.empty_frontier_is_idle and not len(frontier):
             # A quiet host: its round is the idle step, known without
-            # running it.  The all-False frontier doubles as the step's
-            # written mask (no caller writes either in place).
+            # running it.  The empty frontier doubles as the step's
+            # written set.
             outcome = _IdleRound(frontier)
-            quiet.add(h)
         else:
             with guard(h) if guard is not None else _UNGUARDED:
                 outcome = engines[h].compute_round(
@@ -318,17 +303,12 @@ def run_hosts(
         }
     else:
         apply_hooks_locally(
-            hosts, fields, outcomes, next_frontiers if app.uses_frontier else None
+            hosts, fields, next_frontiers if app.uses_frontier else None
         )
-    if not app.uses_frontier:
-        active = {h: parts[h].num_nodes for h in hosts}
+    if app.uses_frontier:
+        active = {h: len(next_frontiers[h]) for h in hosts}
     else:
-        # A quiet host nothing was merged into still holds its empty frontier.
-        active = {
-            h: 0 if h in quiet and next_frontiers[h] is frontiers[h]
-            else int(np.count_nonzero(next_frontiers[h]))
-            for h in hosts
-        }
+        active = {h: parts[h].num_nodes for h in hosts}
     return comp_times, next_frontiers, active, translation_deltas
 
 

@@ -64,30 +64,29 @@ class _BrokenBFSBase(VertexProgram):
     def initial_frontier(
         self, part: LocalPartition, state: Dict, ctx: AppContext
     ) -> np.ndarray:
-        frontier = np.zeros(part.num_nodes, dtype=bool)
         if part.has_proxy(ctx.source):
-            frontier[part.to_local(ctx.source)] = True
-        return frontier
+            return np.array([part.to_local(ctx.source)], dtype=np.intp)
+        return NOTHING
+
+
+#: The empty index set: frontiers and written sets are sorted local IDs.
+NOTHING = np.empty(0, dtype=np.intp)
 
 
 def _relax(part, state, frontier) -> StepOutcome:
     """BFS push relaxation: the fixtures' defects are declaration-only."""
     dist = state["dist"]
-    usable = frontier & (dist != INFINITY)
+    usable = frontier[(dist != INFINITY)[frontier]]
     src_rep, dst, _ = gather_frontier_edges(part.graph, usable)
-    updated = np.zeros(part.num_nodes, dtype=bool)
-    work = WorkStats(
-        edges_processed=len(dst), nodes_processed=int(usable.sum())
-    )
+    work = WorkStats(edges_processed=len(dst), nodes_processed=len(usable))
     if len(dst) == 0:
-        return StepOutcome(updated=updated, work=work)
+        return StepOutcome(updated=NOTHING, work=work)
     candidate = np.minimum(
         dist[src_rep].astype(np.int64) + 1, int(INFINITY)
     ).astype(np.uint32)
     before = dist.copy()
     np.minimum.at(dist, dst, candidate)
-    updated = dist != before
-    return StepOutcome(updated=updated, work=work)
+    return StepOutcome(updated=np.flatnonzero(dist != before), work=work)
 
 
 class WrongWriteEndpoint(_BrokenBFSBase):
@@ -136,12 +135,11 @@ class WrongReadEndpoint(_BrokenBFSBase):
 
     def step(self, part, state, frontier, direction="push") -> StepOutcome:
         dist = state["dist"]
-        usable = frontier & (dist != INFINITY)
+        usable = frontier[(dist != INFINITY)[frontier]]
         src_rep, dst, _ = gather_frontier_edges(part.graph, usable)
-        updated = np.zeros(part.num_nodes, dtype=bool)
-        work = WorkStats(len(dst), int(usable.sum()))
+        work = WorkStats(len(dst), len(usable))
         if len(dst) == 0:
-            return StepOutcome(updated=updated, work=work)
+            return StepOutcome(updated=NOTHING, work=work)
         candidate = np.minimum(
             dist[src_rep].astype(np.int64) + 1, int(INFINITY)
         ).astype(np.uint32)
@@ -149,11 +147,10 @@ class WrongReadEndpoint(_BrokenBFSBase):
         dst = dst[improving]
         candidate = candidate[improving]
         if len(dst) == 0:
-            return StepOutcome(updated=updated, work=work)
+            return StepOutcome(updated=NOTHING, work=work)
         before = dist.copy()
         np.minimum.at(dist, dst, candidate)
-        updated = dist != before
-        return StepOutcome(updated=updated, work=work)
+        return StepOutcome(updated=np.flatnonzero(dist != before), work=work)
 
 
 class UnsafeLocalIteration(_BrokenBFSBase):

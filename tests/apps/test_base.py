@@ -18,7 +18,7 @@ class TestGatherFrontierEdges:
 
     def test_collects_frontier_out_edges(self):
         g = self.graph()
-        frontier = np.array([True, False, False, True])
+        frontier = np.array([0, 3])
         src_rep, dst, positions = gather_frontier_edges(g, frontier)
         assert len(dst) == 5  # node 0 has 2 out-edges, node 3 has 3
         assert set(src_rep.tolist()) == {0, 3}
@@ -27,13 +27,13 @@ class TestGatherFrontierEdges:
     def test_empty_frontier(self):
         g = self.graph()
         src_rep, dst, positions = gather_frontier_edges(
-            g, np.zeros(4, dtype=bool)
+            g, np.empty(0, dtype=np.intp)
         )
         assert len(src_rep) == len(dst) == len(positions) == 0
 
     def test_frontier_of_edgeless_nodes(self):
         g = self.graph()
-        frontier = np.array([False, False, True, False])  # node 2: no out
+        frontier = np.array([2])  # node 2: no out
         src_rep, dst, _ = gather_frontier_edges(g, frontier)
         assert len(dst) == 0
 
@@ -43,7 +43,7 @@ class TestGatherFrontierEdges:
         weights = np.array([7, 9], dtype=np.uint32)
         g = CSRGraph.from_edges(2, src, dst, weights)
         _, _, positions = gather_frontier_edges(
-            g, np.array([False, True])
+            g, np.array([1])
         )
         assert g.weights[positions].tolist() == [9]
 
@@ -58,10 +58,10 @@ class TestGatherFrontierEdges:
         src = rng.integers(0, num_nodes, size=num_edges, dtype=np.uint32)
         dst = rng.integers(0, num_nodes, size=num_edges, dtype=np.uint32)
         g = CSRGraph.from_edges(num_nodes, src, dst)
-        frontier = rng.random(num_nodes) < 0.5
+        frontier = np.flatnonzero(rng.random(num_nodes) < 0.5)
         src_rep, gathered_dst, _ = gather_frontier_edges(g, frontier)
         expected = []
-        for node in np.flatnonzero(frontier):
+        for node in frontier:
             for neighbor in g.neighbors(int(node)):
                 expected.append((int(node), int(neighbor)))
         got = sorted(zip(src_rep.tolist(), gathered_dst.tolist()))

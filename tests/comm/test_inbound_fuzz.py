@@ -88,7 +88,7 @@ class Cluster:
         dirty = np.zeros(sub.num_local_nodes, dtype=bool)
         dirty[agreed[: max(1, int(len(agreed) * share))]] = True
         stage = sub.stage_reduce if phase == "reduce" else sub.stage_broadcast
-        stage(0, field, dirty)
+        stage(0, field, np.flatnonzero(dirty))
         sub.flush_phase(1)
         ((_, buffer),) = self.transport.receive_all(0)
         return buffer
@@ -144,7 +144,7 @@ def test_valid_traffic_applies_the_same_from_any_buffer_type(shape, as_buffer):
     reference, _, _ = cluster_and_buffer(shape)
     expected = reference.deliver(phase, raw)
     changed = cluster.deliver(phase, as_buffer(raw))
-    assert np.array_equal(changed[0], expected[0]) and changed[0].any()
+    assert np.array_equal(changed[0], expected[0]) and len(changed[0])
     for got, want in zip(cluster.fields[0], reference.fields[0]):
         assert np.array_equal(got.values, want.values)
 

@@ -65,7 +65,8 @@ def build(partitioned, level, kind, seed):
 def exchange(transport, subs, fields, old_subs, old_fields, phase, dirties):
     """One phase on both paths: every host stages its ``dirties[h]``,
     then every host receives.  Asserts byte-identical wire traffic, equal
-    accounting and identical applied fields and changed masks."""
+    accounting and identical applied fields and changed sets (the old
+    path's masks, as sorted IDs)."""
     broadcast = phase == "broadcast"
     hosts = len(subs)
     old_mail = {h: [] for h in range(hosts)}
@@ -74,7 +75,7 @@ def exchange(transport, subs, fields, old_subs, old_fields, phase, dirties):
         modes_before = Counter(sub.stats.mode_counts)
         translations_before = sub.stats.translations
         stage = sub.stage_broadcast if broadcast else sub.stage_reduce
-        stage(0, fields[h][0], dirty)
+        stage(0, fields[h][0], np.flatnonzero(dirty))
         sub.flush_phase(1)
         staged, modes, translations = old_stage(
             old_subs[h], 0, old_fields[h][0], dirty, phase
@@ -98,8 +99,8 @@ def exchange(transport, subs, fields, old_subs, old_fields, phase, dirties):
         assert sub.stats.translations - before == old_translations
         for got, want in zip(changed, old_changed):
             assert (got is None) == (want is None)
-            if got is not None:
-                assert np.array_equal(got, want)
+            if got is not None:  # the old path's masks, as index sets
+                assert np.array_equal(got, np.flatnonzero(want))
         new, old = fields[h][0], old_fields[h][0]
         assert np.array_equal(new.values, old.values)
         assert np.array_equal(new.broadcast_values, old.broadcast_values)
@@ -254,7 +255,9 @@ def test_every_mode_is_drawn():
             _, subs, fields = build(partitioned, level, "scalar", 1)
             for h, sub in enumerate(subs):
                 rng = np.random.default_rng(h)
-                sub.stage_reduce(0, fields[h][0], rng.random(sub.num_local_nodes) < share)
+                sub.stage_reduce(
+                    0, fields[h][0], np.flatnonzero(rng.random(sub.num_local_nodes) < share)
+                )
                 sub.flush_phase(1)
                 seen.update(sub.stats.mode_counts)
     assert {mode.name for mode in seen} == {

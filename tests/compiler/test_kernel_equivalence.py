@@ -6,8 +6,9 @@ reference is its former column-wise ``np.add.at`` body) on a
 Hypothesis-drawn single-host partition and compares it, bit for bit,
 with a reference written the way the generator used to emit it: one
 ``np.<ufunc>.at`` over the gathered edges, ``updated`` re-scattered or
-diffed over the whole array every round (a NaN that stays NaN counts as
-unchanged), popcounts by ``mask.sum()``.  Arrays are compared by
+diffed over the whole array every round as a bool mask (a NaN that stays
+NaN counts as unchanged), popcounts by ``mask.sum()``; the generated
+step's index set must be exactly that mask's ``flatnonzero``.  Arrays are compared by
 ``tobytes`` so ``-0.0`` and ``inf`` count; only a NaN's payload bits are
 exempt (which operand's payload an add of two NaNs keeps is the inner
 loop's choice, and nothing reads it).
@@ -167,13 +168,13 @@ def _reference(kind, reduce, part, val, frontier):
         return updated, WorkStats(len(dst), n)
     if kind == "frontier_push":
         usable = frontier & (val != 3)
-        src_rep, index, _ = gather_frontier_edges(part.graph, usable)
+        src_rep, index, _ = gather_frontier_edges(part.graph, np.flatnonzero(usable))
         work = WorkStats(len(index), int(usable.sum()))
         candidate = val[src_rep] if len(index) else None
     else:
         targets = np.ones(n, dtype=bool)
         index, neighbor, _ = gather_frontier_edges(
-            part.graph.transpose(), targets
+            part.graph.transpose(), np.flatnonzero(targets)
         )
         work = WorkStats(len(neighbor), int(targets.sum()))
         candidate = None
@@ -206,12 +207,12 @@ def test_generated_step_matches_reference(kind, reduce, data):
     state["val"][...] = start
     expected = start.copy()
     with np.errstate(all="ignore"):
-        outcome = app.step(part, state, frontier.copy())
+        outcome = app.step(part, state, np.flatnonzero(frontier))
         ref_updated, ref_work = _reference(
             kind, reduce, part, expected, frontier
         )
     assert _same_bits(state["val"], expected)
-    assert _same_bits(outcome.updated, ref_updated)
+    assert _same_bits(outcome.updated, np.flatnonzero(ref_updated))
     assert outcome.work == ref_work
     assert type(outcome.work.nodes_processed) is int
 
@@ -237,23 +238,11 @@ def test_changed_set_branches_agree(kind, reduce, data):
         state = app.make_state(part, AppContext(num_global_nodes=n))
         state["val"][...] = start
         with np.errstate(all="ignore"):
-            outcome = app.step(part, state, frontier.copy())
+            outcome = app.step(part, state, np.flatnonzero(frontier))
         results.append((state["val"], outcome.updated))
     (sparse_val, sparse_updated), (dense_val, dense_updated) = results
     assert _same_bits(sparse_val, dense_val)
     assert _same_bits(sparse_updated, dense_updated)
-
-
-@settings(max_examples=100, deadline=None)
-@given(graph=_graphs(), data=st.data())
-def test_gather_takes_a_mask_or_its_indices(graph, data):
-    n, src, dst = graph
-    csr = CSRGraph.from_edges(n, src, dst)
-    mask = _frontier(data.draw, n)
-    by_mask = gather_frontier_edges(csr, mask)
-    by_index = gather_frontier_edges(csr, np.flatnonzero(mask))
-    for got, want in zip(by_index, by_mask):
-        assert _same_bits(got, want)
 
 
 def _column_scatter(acc, features, edge_src, edge_dst) -> None:
@@ -376,14 +365,14 @@ def test_wide_step_outcome_matches_reference(graph):
     ctx = AppContext(num_global_nodes=n, feature_dim=3)
     state = app.make_state(part, ctx)
     expected = state["acc"].copy()
-    outcome = app.step(part, state, np.ones(n, dtype=bool))
+    outcome = app.step(part, state, np.arange(n))
     e_src, e_dst = part.graph.edges()
     if len(e_dst):
         np.add.at(expected, e_dst.astype(np.int64), state["feat"][e_src])
     touched = np.zeros(n, dtype=bool)
     touched[e_dst] = True
     assert _same_bits(state["acc"], expected)
-    assert _same_bits(outcome.updated, touched)
+    assert _same_bits(outcome.updated, np.flatnonzero(touched))
     assert outcome.work == WorkStats(len(e_dst), n)
 
 
@@ -415,7 +404,7 @@ def _bc_forward_reference(part, state, frontier):
     state["level"] = level + 1
     dist, sigma, sigma_acc = state["dist"], state["sigma"], state["sigma_acc"]
     active = frontier & (dist == level)
-    src_rep, dst, _ = gather_frontier_edges(part.graph, active)
+    src_rep, dst, _ = gather_frontier_edges(part.graph, np.flatnonzero(active))
     updated = np.zeros(part.num_nodes, dtype=bool)
     work = WorkStats(len(dst), int(active.sum()))
     accept = dist[dst] > level
@@ -437,7 +426,9 @@ def _bc_backward_reference(part, state):
         return updated, WorkStats(0, 0)
     dist, sigma, delta = state["dist"], state["sigma"], state["delta"]
     settled_here = dist == level
-    node_rep, pred, _ = gather_frontier_edges(part.graph.transpose(), settled_here)
+    node_rep, pred, _ = gather_frontier_edges(
+        part.graph.transpose(), np.flatnonzero(settled_here)
+    )
     work = WorkStats(len(pred), int(settled_here.sum()))
     is_predecessor = dist[pred] == level - 1
     node_rep, pred = node_rep[is_predecessor], pred[is_predecessor]
@@ -473,7 +464,7 @@ def test_staged_bc_steps_match_the_handwritten_sweeps(name, stage, data):
     expected = {key: value.copy() if isinstance(value, np.ndarray) else value
                 for key, value in state.items()}
     with np.errstate(all="ignore"):
-        outcome = app.step(part, state, frontier.copy())
+        outcome = app.step(part, state, np.flatnonzero(frontier))
         if stage == 0:
             ref_updated, ref_work = _bc_forward_reference(part, expected, frontier)
         else:
@@ -483,5 +474,5 @@ def test_staged_bc_steps_match_the_handwritten_sweeps(name, stage, data):
             assert _same_bits(state[key], value), key
         else:
             assert state[key] == value, key
-    assert _same_bits(outcome.updated, ref_updated)
+    assert _same_bits(outcome.updated, np.flatnonzero(ref_updated))
     assert outcome.work == ref_work

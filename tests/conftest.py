@@ -110,21 +110,26 @@ def sync_one_field(partitioned, subs, fields, dirty_masks, **kwargs):
     """One collective over one field per host, via the shared driver.
 
     A reduce-only collective is a field declared
-    ``sync_phases={"reduce"}``.  Returns the per-host masks of every
-    proxy the collective wrote, dirtied or refreshed.
+    ``sync_phases={"reduce"}``.  The dirty sets are given, and every
+    proxy the collective wrote, dirtied or refreshed is returned, as
+    per-host bool masks (the collective itself takes and gives sorted
+    index sets).
     """
-    touched = [np.zeros_like(dirty) for dirty in dirty_masks]
+    touched = [np.empty(0, dtype=np.intp) for _ in dirty_masks]
     bind_one_field(subs, fields)
     synchronize(
         range(len(subs)),
         subs,
         [[field] for field in fields],
         partitioned.partitions,
-        [SimpleNamespace(updated=dirty) for dirty in dirty_masks],
+        [SimpleNamespace(updated=np.flatnonzero(dirty)) for dirty in dirty_masks],
         touched,
         **kwargs,
     )
-    return touched
+    masks = [np.zeros(len(dirty), dtype=bool) for dirty in dirty_masks]
+    for mask, ids in zip(masks, touched):
+        mask[ids] = True
+    return masks
 
 
 def gather_rank(executor) -> np.ndarray:

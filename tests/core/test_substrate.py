@@ -137,26 +137,25 @@ def test_add_reduce_sums_partials_and_resets_mirrors(small_rmat, level):
                     assert np.all(field.values[arr] == 0)
 
 
-def test_dirty_mask_validation(small_rmat):
+def test_dirty_set_validation(small_rmat):
     _, _, subs = make_setup(
         small_rmat, "oec", 2, OptimizationLevel.OSTI
     )
-    field = FieldSpec(
-        name="v",
-        values=np.zeros(subs[0].partition.num_nodes, dtype=np.uint32),
-        reduce_op=MIN,
-    )
+    n = subs[0].partition.num_nodes
+    field = FieldSpec(name="v", values=np.zeros(n, dtype=np.uint32), reduce_op=MIN)
     with pytest.raises(SyncError, match="not bound"):
-        subs[0].stage_reduce(
-            0, field, np.zeros(subs[0].partition.num_nodes, dtype=bool)
-        )
+        subs[0].stage_reduce(0, field, np.empty(0, dtype=np.intp))
     bind_one_field(subs, [field, field])
-    with pytest.raises(SyncError, match="dirty mask"):
-        subs[0].stage_reduce(0, field, np.zeros(3, dtype=bool))
-    with pytest.raises(SyncError):
-        subs[0].stage_reduce(
-            0, field, np.zeros(subs[0].partition.num_nodes, dtype=np.uint8)
-        )
+    for refused in (
+        np.zeros(n, dtype=bool),  # a mask is not a set
+        np.array([0, 1], dtype=np.uint32),
+        np.array([-1, 0], dtype=np.intp),
+        np.array([0, n], dtype=np.intp),
+        np.array([[0]], dtype=np.intp),
+    ):
+        with pytest.raises(SyncError, match="dirty set must be sorted"):
+            subs[0].stage_reduce(0, field, refused)
+    subs[0].stage_reduce(0, field, np.array([0, n - 1], dtype=np.intp))
 
 
 def test_temporal_levels_send_no_global_ids(small_rmat):

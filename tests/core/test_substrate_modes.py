@@ -51,7 +51,7 @@ class TestMemoizedModes:
         for arr in sub.book.mirrors_reduce.values():
             fields[0].values[arr] = 1
             dirty[arr] = True
-        sub.stage_reduce(0, fields[0], dirty)
+        sub.stage_reduce(0, fields[0], np.flatnonzero(dirty))
         messages = peek_messages(sub, transport, 1)
         assert messages
         assert all(m.mode is MetadataMode.FULL for m in messages)
@@ -66,7 +66,7 @@ class TestMemoizedModes:
         dirty = np.zeros(sub.num_local_nodes, dtype=bool)
         fields[0].values[arr[0]] = 1
         dirty[arr[0]] = True
-        sub.stage_reduce(0, fields[0], dirty)
+        sub.stage_reduce(0, fields[0], np.flatnonzero(dirty))
         messages = peek_messages(sub, transport, 1)
         assert any(m.mode is MetadataMode.INDICES for m in messages)
 
@@ -75,7 +75,7 @@ class TestMemoizedModes:
             small_rmat, "oec", 2, OptimizationLevel.OSTI
         )
         subs[0].stage_reduce(
-            0, fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
+            0, fields[0], np.empty(0, dtype=np.intp)
         )
         messages = peek_messages(subs[0], transport, 1)
         assert messages
@@ -86,7 +86,7 @@ class TestMemoizedModes:
             small_rmat, "oec", 2, OptimizationLevel.UNOPT
         )
         subs[0].stage_reduce(
-            0, fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
+            0, fields[0], np.empty(0, dtype=np.intp)
         )
         subs[0].flush_phase(1)
         assert transport.pending(1) == 0
@@ -100,7 +100,7 @@ class TestMemoizedModes:
         fields[0].values[mirrors[0]] = 1
         dirty = np.zeros(sub.num_local_nodes, dtype=bool)
         dirty[mirrors[0]] = True
-        sub.stage_reduce(0, fields[0], dirty)
+        sub.stage_reduce(0, fields[0], np.flatnonzero(dirty))
         messages = peek_messages(sub, transport, 1)
         assert len(messages) == 1
         assert messages[0].mode is MetadataMode.GLOBAL_IDS
@@ -112,7 +112,7 @@ class TestMemoizedModes:
             small_rmat, "oec", 2, OptimizationLevel.OSTI
         )
         subs[0].stage_reduce(
-            0, fields[0], np.zeros(subs[0].num_local_nodes, dtype=bool)
+            0, fields[0], np.empty(0, dtype=np.intp)
         )
         transport.receive_all(1)
         assert subs[0].stats.mode_counts.get(MetadataMode.EMPTY, 0) >= 1

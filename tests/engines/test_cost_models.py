@@ -66,9 +66,7 @@ class TestBaselineEngineStepping:
             small_rmat, "bfs", engine_cls
         )
         outcome = engine.compute_round(app, part, state, frontier)
-        source_degree = part.graph.out_degree(
-            part.to_local(int(np.flatnonzero(frontier)[0]))
-        )
+        source_degree = part.graph.out_degree(int(frontier[0]))
         assert outcome.work.edges_processed == source_degree
 
 

@@ -84,7 +84,8 @@ class TestAccessors:
         """Engines and dense-pull kernels ask every round: one shared
         array per graph, which no caller can corrupt."""
         g = build(3, [(0, 1), (0, 2), (1, 2)])
-        for degree in (g.out_degree, g.in_degree):
+        assert g.nodes_with_in_edges().tolist() == [1, 2]
+        for degree in (g.out_degree, g.nodes_with_in_edges):
             assert degree() is degree()
             with pytest.raises(ValueError):
                 degree()[0] = 7
@@ -184,6 +185,7 @@ class TestPickle:
         g.out_degree()
         g.max_out_degree()
         g.in_degree()
+        g.nodes_with_in_edges()
         g.edge_arrays()
         return g
 

@@ -358,6 +358,56 @@ def test_the_removed_rows_only_compression_fails_by_name_at_every_door(capsys, a
         FieldSpec("rows", np.zeros((4, 2)), ADD, compression=value)
 
 
+def test_a_level_named_as_a_string_runs_the_same_job_at_every_door(graph, monkeypatch, capsys):
+    """``level`` is declared as its string form: ``run_app`` resolves it
+    exactly as ``JobSpec.run_options`` does, so ``"osi"`` equals the
+    enum at the library door, the job service and the CLI."""
+    from repro.core.optimization import OptimizationLevel
+
+    by_enum = fingerprint(
+        run_app("d-galois", "bfs", graph, HOSTS, policy="cvc", level=OptimizationLevel.OSI)
+    )
+    direct = fingerprint(run_app("d-galois", "bfs", graph, HOSTS, policy="cvc", level="osi"))
+    assert direct == by_enum
+    assert direct != fingerprint(run_app("d-galois", "bfs", graph, HOSTS, policy="cvc"))
+
+    job = execute_job(
+        JobSpec(app="bfs", workload="rmat22s", hosts=HOSTS, policy="cvc", level="osi")
+    )
+    assert job.status == "ok", job.error
+    assert (job.rounds, job.comm_bytes, job.sim_time_s, job.output_digest) == (
+        direct["rounds"], direct["comm_bytes"], direct["sim_time_s"], direct["digest"],
+    )
+
+    seen = []
+    run_plan = RunPlan.run
+    monkeypatch.setattr(
+        RunPlan, "run", lambda *a, **kw: seen.append(run_plan(*a, **kw)) or seen[-1]
+    )
+    argv = [
+        "run", "--system", "d-galois", "--app", "bfs", "--workload", "rmat22s",
+        "--hosts", str(HOSTS), "--policy", "cvc", "--level", "osi", "--json",
+    ]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert fingerprint(seen[0]) == direct
+
+
+def test_an_unknown_level_is_refused_by_name_at_every_door(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([
+            "run", "--system", "d-galois", "--app", "bfs", "--workload", "rmat22s",
+            "--level", "fast",
+        ])
+    assert exit_info.value.code == 2
+    assert "argument --level: invalid choice: 'fast'" in capsys.readouterr().err
+    known = r"unknown optimization level 'fast' \(known: unopt, osi, oti, osti\)"
+    with pytest.raises(JobSpecError, match=known):
+        JobSpec.from_dict({"app": "bfs", "workload": "rmat22s", "level": "fast"})
+    with pytest.raises(ExecutionError, match=known):
+        run_app("d-galois", "bfs", rmat(4, 4, 1), 2, level="fast")
+
+
 def test_a_result_cached_by_the_parent_commit_is_still_a_hit(graph, tmp_path, capsys):
     """The cache key of a spec the parent could express has not moved: an
     entry written under the parent's hash (all of its 20 fields minus the

@@ -141,11 +141,12 @@ class TestFigure7:
                 )
             ]
             transport.sent.clear()
-            touched = sync_one_field(
-                partitioned, subs, fields, [o.updated for o in outcomes]
-            )
+            written = [np.zeros(p.num_nodes, dtype=bool) for p in partitioned.partitions]
+            for mask, outcome in zip(written, outcomes):
+                mask[outcome.updated] = True
+            touched = sync_one_field(partitioned, subs, fields, written)
             for host in range(2):
-                frontiers[host] = outcomes[host].updated | touched[host]
+                frontiers[host] = np.flatnonzero(written[host] | touched[host])
             transport.end_round()
             # OEC mirrors have no out-edges, so nothing is broadcast, and
             # h2 mirrors no node of h1: the round's only message is h1's

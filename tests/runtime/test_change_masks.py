@@ -1,10 +1,10 @@
-"""A sync receive builds a change mask only when something reads it.
+"""A sync receive builds a change set only when something reads it.
 
-A change mask has a reader in two places: the program's frontier
+A change set has a reader in two places: the program's frontier
 (``uses_frontier``) and the plain apply rule of a field synced without
 a hook (``broadcast_dirty`` reads the reduce's changes).  Without one,
 ``FieldSpec.reduce``/``set`` run with ``changes=False`` (no compare, no
-mask), a hook gets ``None``, the round merges no frontier and every
+set), a hook gets ``None``, the round merges no frontier and every
 proxy counts as active.
 """
 
@@ -101,8 +101,8 @@ def test_the_plain_apply_of_a_hookless_field_still_reads_its_reduce():
         for p in partitioned.partitions:
             values = rng.integers(0, 100, size=p.num_nodes).astype(np.uint32)
             fields.append([FieldSpec("v", values, MIN)])
-            dirty.append(np.ones(p.num_nodes, dtype=bool))
-            touched.append(np.zeros(p.num_nodes, dtype=bool))
+            dirty.append(np.arange(p.num_nodes))
+            touched.append(np.empty(0, dtype=np.intp))
         bind_sync_plans(
             range(4), subs, fields, [s.book for s in subs], uses_frontier
         )
@@ -114,17 +114,17 @@ def test_the_plain_apply_of_a_hookless_field_still_reads_its_reduce():
             )
         results.append([f[0].values.copy() for f in fields])
         if uses_frontier:
-            assert any(t.any() for t in touched)
+            assert any(len(t) for t in touched)
         else:
             assert calls[1] > 0 and calls[0] == 0  # reduce: compared
             assert calls[2] > 0 and calls[3] == 0  # broadcast: not
-            assert not any(t.any() for t in touched)
+            assert not any(len(t) for t in touched)
     for with_frontier, without in zip(*results):
         assert np.array_equal(with_frontier, without)
 
 
 def run_with_hook_spy(app, seen, **ctx):
-    """``app`` with every hook's ``changed_mask`` argument recorded."""
+    """``app`` with every hook's ``changed`` argument recorded."""
     base = type(make_app(app))
 
     class Spied(base):
@@ -135,9 +135,9 @@ def run_with_hook_spy(app, seen, **ctx):
                 if hook is None:
                     continue
 
-                def recorded(changed_mask, hook=hook):
-                    seen.append(changed_mask)
-                    return hook(changed_mask)
+                def recorded(changed, hook=hook):
+                    seen.append(changed)
+                    return hook(changed)
 
                 field.on_master_after_reduce = recorded
             return fields
@@ -156,9 +156,9 @@ def test_only_a_frontier_programs_hook_gets_a_change_mask():
     seen = []
     run_with_hook_spy("pr-push", seen)
     assert seen and all(
-        isinstance(mask, np.ndarray) and mask.dtype == np.bool_ for mask in seen
+        isinstance(ids, np.ndarray) and ids.dtype == np.intp for ids in seen
     )
-    assert any(mask.any() for mask in seen)  # the reduce changed masters
+    assert any(len(ids) for ids in seen)  # the reduce changed masters
     seen = []
     run_with_hook_spy("pr", seen, max_iterations=4)
     assert seen and all(mask is None for mask in seen)
@@ -191,13 +191,13 @@ def test_a_hook_without_a_frontier_must_return_its_mask(hosts):
     if hosts == 1:
         executor.run()
         return
-    with pytest.raises(SyncError, match="returned no dirty mask"):
+    with pytest.raises(SyncError, match="returned no dirty set"):
         executor.run()
     # The unit rule: with a frontier, the plain rule is the fallback.
     field = FieldSpec("v", np.zeros(4), MIN, on_master_after_reduce=lambda c: None)
     part = SimpleNamespace(num_masters=2)
-    step = SimpleNamespace(updated=np.ones(4, dtype=bool))
-    assert broadcast_dirty(part, field, None, step).tolist() == [True, True, False, False]
+    step = SimpleNamespace(updated=np.arange(4))
+    assert broadcast_dirty(part, field, None, step).tolist() == [0, 1]
 
 
 @pytest.mark.parametrize(

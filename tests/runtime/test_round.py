@@ -86,10 +86,10 @@ def test_confined_recovery_heals_through_the_shared_collective(monkeypatch):
 def test_a_frontier_not_seeded_with_the_step_gets_the_dirty_masters(
     monkeypatch, policy, phases
 ):
-    """A caller's own frontier (recovery's, a test's zero mask) receives
+    """A caller's own frontier (recovery's, a test's empty set) receives
     every master the apply marks dirty — changed or written — whether or
-    not the apply's mask has a reader; forcing every phase live (the
-    mask always built) gives the same masks."""
+    not the apply's set has a reader; forcing every phase live (the
+    set always built) gives the same sets."""
     partitioned = make_partitioner(policy).partition(EDGES, 4)
     masks = {}
     for forced in (False, True):

@@ -237,8 +237,8 @@ def test_exact_counts_featprop_iec_never_drives_the_reduce(monkeypatch):
     assert 0 < calls["proxy_arrays"] <= 6 * hosts
 
 
-def test_hook_of_a_dead_reduce_sees_an_all_false_mask():
-    """``broadcast_dirty`` with no reduce hands the hook a fresh zero mask."""
+def test_hook_of_a_dead_reduce_sees_an_empty_set():
+    """``broadcast_dirty`` with no reduce hands the hook the empty set."""
     from types import SimpleNamespace
 
     from repro.core.sync_structures import ADD, FieldSpec
@@ -248,15 +248,13 @@ def test_hook_of_a_dead_reduce_sees_an_all_false_mask():
         "acc", np.zeros(5), ADD,
         on_master_after_reduce=lambda changed: seen.append(changed) or changed,
     )
-    outcome = SimpleNamespace(updated=np.ones(5, dtype=bool))
+    outcome = SimpleNamespace(updated=np.arange(5))
     part = SimpleNamespace(num_masters=3)
     dirty = round_module.broadcast_dirty(part, field, None, outcome)
-    assert dirty is seen[0] and dirty.dtype == bool and not dirty.any()
+    assert dirty is seen[0] and dirty.dtype == np.intp and len(dirty) == 0
     # Without a hook, the updated masters broadcast.
     plain = FieldSpec("v", np.zeros(5), ADD)
-    assert round_module.broadcast_dirty(part, plain, None, outcome).tolist() == [
-        True, True, True, False, False,
-    ]
+    assert round_module.broadcast_dirty(part, plain, None, outcome).tolist() == [0, 1, 2]
 
 
 def test_warm_books_that_predate_peer_order_still_get_a_plan():
